@@ -2,14 +2,15 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz fuzz-seeds bench bench-serve bench-pipeline serve-smoke cluster-smoke trace-smoke stream-smoke recover-smoke spill-smoke experiments examples lint ci clean
+.PHONY: all build test race fuzz fuzz-seeds bench bench-build serve-smoke cluster-smoke trace-smoke stream-smoke recover-smoke spill-smoke experiments examples lint ci clean
 
 all: build test
 
 # The full gate CI runs: build, formatting/vet lint, race-enabled tests,
-# every fuzz target over its seed corpus, and the serving-, cluster-,
-# tracing-, streaming-, recovery- and spill-layer smoke tests.
-ci: build lint race fuzz-seeds serve-smoke cluster-smoke trace-smoke stream-smoke recover-smoke spill-smoke
+# every fuzz target over its seed corpus, the separately built benchmark
+# module, and the serving-, cluster-, tracing-, streaming-, recovery- and
+# spill-layer smoke tests.
+ci: build lint race fuzz-seeds bench-build serve-smoke cluster-smoke trace-smoke stream-smoke recover-smoke spill-smoke
 
 build:
 	$(GO) build ./...
@@ -38,21 +39,12 @@ fuzz-seeds:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Serving-layer benchmarks, emitted as BENCH_serve.json so successive PRs
-# have a perf trajectory to compare against: the kserve micro-benchmarks
-# plus the cluster replica-scaling kload runs (scripts/bench_cluster.sh,
-# 1/2/4 replicas behind kproxy).
-bench-serve:
-	$(GO) test -run xxx -bench BenchmarkKserve -benchmem ./internal/kserve/ | tee /dev/stderr | $(GO) run ./scripts/bench2json > BENCH_serve.micro.tmp
-	sh scripts/bench_cluster.sh > BENCH_serve.cluster.tmp
-	jq -s 'add' BENCH_serve.micro.tmp BENCH_serve.cluster.tmp > BENCH_serve.json
-	rm -f BENCH_serve.micro.tmp BENCH_serve.cluster.tmp
-
-# End-to-end pipeline benchmarks (internal/pipeline), emitted as
-# BENCH_pipeline.json. BenchmarkPipelineSupermer is the nil-recorder
-# baseline; BenchmarkPipelineTraced bounds the observability overhead.
-bench-pipeline:
-	$(GO) test -run xxx -bench BenchmarkPipeline -benchmem ./internal/pipeline/ | tee /dev/stderr | $(GO) run ./scripts/bench2json > BENCH_pipeline.json
+# bench/ is a module of its own (it is the repository's benchmark: see
+# BENCHMARK.json and `bash bench/run.sh`), so the root build and test never
+# compile it. Vet and test it here so an API change under internal/ that
+# breaks it fails CI.
+bench-build:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # End-to-end smoke test of the query service: count a tiny synthetic
 # dataset, serve the KCD with cmd/kserve, curl /kmer, /batch and /metrics,

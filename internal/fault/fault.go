@@ -15,6 +15,7 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 	"time"
 
@@ -204,29 +205,21 @@ func (in *Injector) Drop(rank, round, attempt, dest int) bool {
 	return true
 }
 
-// CorruptBytes returns the frame with one bit flipped (in a copy) when the
-// corruption roll fires, and the frame unchanged otherwise.
-func (in *Injector) CorruptBytes(rank, round, attempt, dest int, frame []byte) ([]byte, bool) {
+// Corrupt returns the frame with one bit flipped (in a copy) when the
+// corruption roll fires, and the frame unchanged otherwise. The frame is a
+// byte frame (supermer wire) or a word frame (packed k-mers); the flipped
+// bit is the same pure function of (seed, rank, round, attempt, dest, frame
+// bits) for both. It is a function, not a method, because Go methods cannot
+// take type parameters.
+func Corrupt[T byte | uint64](in *Injector, rank, round, attempt, dest int, frame []T) ([]T, bool) {
 	if len(frame) == 0 || in.cfg.Corrupt == 0 ||
 		in.roll(corruptSalt, rank, round, attempt, dest) >= in.cfg.Corrupt {
 		return frame, false
 	}
-	bit := in.mix(bitSalt, rank, round, attempt, dest) % uint64(8*len(frame))
-	out := append([]byte(nil), frame...)
-	out[bit/8] ^= 1 << (bit % 8)
-	in.counts[rank].corrupted.Add(1)
-	return out, true
-}
-
-// CorruptWords is CorruptBytes for word-framed payloads.
-func (in *Injector) CorruptWords(rank, round, attempt, dest int, frame []uint64) ([]uint64, bool) {
-	if len(frame) == 0 || in.cfg.Corrupt == 0 ||
-		in.roll(corruptSalt, rank, round, attempt, dest) >= in.cfg.Corrupt {
-		return frame, false
-	}
-	bit := in.mix(bitSalt, rank, round, attempt, dest) % uint64(64*len(frame))
-	out := append([]uint64(nil), frame...)
-	out[bit/64] ^= 1 << (bit % 64)
+	width := uint64(bits.Len64(uint64(^T(0)))) // bits per frame unit: 8 or 64
+	bit := in.mix(bitSalt, rank, round, attempt, dest) % (width * uint64(len(frame)))
+	out := append([]T(nil), frame...)
+	out[bit/width] ^= 1 << (bit % width)
 	in.counts[rank].corrupted.Add(1)
 	return out, true
 }

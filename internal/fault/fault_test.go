@@ -24,7 +24,7 @@ func TestZeroConfigNeverFires(t *testing.T) {
 				if in.Drop(rank, round, 0, dest) {
 					t.Fatal("drop fired with zero config")
 				}
-				if _, hit := in.CorruptBytes(rank, round, 0, dest, frame); hit {
+				if _, hit := Corrupt(in, rank, round, 0, dest, frame); hit {
 					t.Fatal("corrupt fired with zero config")
 				}
 			}
@@ -54,8 +54,8 @@ func TestDeterministicSchedule(t *testing.T) {
 				if a.Drop(rank, round, 1, dest) != b.Drop(rank, round, 1, dest) {
 					t.Fatal("drop schedule not deterministic")
 				}
-				fa, _ := a.CorruptBytes(rank, round, 1, dest, frame)
-				fb, _ := b.CorruptBytes(rank, round, 1, dest, frame)
+				fa, _ := Corrupt(a, rank, round, 1, dest, frame)
+				fb, _ := Corrupt(b, rank, round, 1, dest, frame)
 				if !bytes.Equal(fa, fb) {
 					t.Fatal("corruption not deterministic")
 				}
@@ -115,12 +115,12 @@ func TestCorruptFlipsExactlyOneBit(t *testing.T) {
 	in, _ := New(Config{Seed: 9, Corrupt: 1}, 1)
 	frame := bytes.Repeat([]byte{0x5C}, 16)
 	orig := append([]byte(nil), frame...)
-	out, hit := in.CorruptBytes(0, 0, 0, 0, frame)
+	out, hit := Corrupt(in, 0, 0, 0, 0, frame)
 	if !hit {
 		t.Fatal("corrupt with p=1 did not fire")
 	}
 	if !bytes.Equal(frame, orig) {
-		t.Fatal("CorruptBytes mutated the caller's frame")
+		t.Fatal("Corrupt mutated the caller's frame")
 	}
 	diff := 0
 	for i := range out {
@@ -135,7 +135,7 @@ func TestCorruptFlipsExactlyOneBit(t *testing.T) {
 	}
 
 	words := []uint64{1, 2, 3}
-	wout, hit := in.CorruptWords(0, 0, 0, 0, words)
+	wout, hit := Corrupt(in, 0, 0, 0, 0, words)
 	if !hit {
 		t.Fatal("word corrupt with p=1 did not fire")
 	}
@@ -160,7 +160,7 @@ func TestCountersAndSnapshot(t *testing.T) {
 		t.Fatal("delay p=1 did not fire with configured duration")
 	}
 	in.Drop(1, 0, 0, 2)
-	in.CorruptBytes(1, 0, 0, 2, []byte{1})
+	Corrupt(in, 1, 0, 0, 2, []byte{1})
 	in.RecordBadFrames(2, 3)
 	in.RecordRetry(2)
 	in.RecordDiscarded(2, 17)

@@ -140,8 +140,13 @@ func (w SupermerWire) VerifyImages(buf []byte) (int, error) {
 // Word frame layout (header 1 word): low 32 bits item count, high 32 bits
 // CRC32-C of the payload words' little-endian bytes.
 
-// byteFrameHeader is the byte-frame header size.
-const byteFrameHeader = 12
+// Frame header sizes in payload units, exported so the exchange path can
+// presize its frame arenas: a byte frame carries ByteFrameHeader bytes ahead
+// of its payload, a word frame WordFrameHeader words.
+const (
+	ByteFrameHeader = 12
+	WordFrameHeader = 1
+)
 
 var frameMagic = [4]byte{'d', 'k', 'f', 'r'}
 
@@ -150,14 +155,14 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // FrameBytes wraps a byte payload of the given item count in a checksummed
 // frame.
 func FrameBytes(payload []byte, items int) []byte {
-	return AppendFrameBytes(make([]byte, 0, byteFrameHeader+len(payload)), payload, items)
+	return AppendFrameBytes(make([]byte, 0, ByteFrameHeader+len(payload)), payload, items)
 }
 
 // AppendFrameBytes appends the checksummed frame of payload to dst and
 // returns the extended slice — the allocation-free form the exchange path
 // uses to pack every destination's frame into one pooled arena.
 func AppendFrameBytes(dst []byte, payload []byte, items int) []byte {
-	var hdr [byteFrameHeader]byte
+	var hdr [ByteFrameHeader]byte
 	copy(hdr[:], frameMagic[:])
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(items))
 	binary.LittleEndian.PutUint32(hdr[8:], crc32.Checksum(payload, crcTable))
@@ -172,14 +177,14 @@ func UnframeBytes(frame []byte) (payload []byte, items int, err error) {
 	if frame == nil {
 		return nil, 0, fmt.Errorf("%w: missing frame (payload dropped)", ErrCorruptWire)
 	}
-	if len(frame) < byteFrameHeader {
+	if len(frame) < ByteFrameHeader {
 		return nil, 0, fmt.Errorf("%w: frame truncated to %d bytes", ErrCorruptWire, len(frame))
 	}
 	if [4]byte(frame[:4]) != frameMagic {
 		return nil, 0, fmt.Errorf("%w: bad frame magic %x", ErrCorruptWire, frame[:4])
 	}
 	items = int(binary.LittleEndian.Uint32(frame[4:]))
-	payload = frame[byteFrameHeader:]
+	payload = frame[ByteFrameHeader:]
 	if got, want := crc32.Checksum(payload, crcTable), binary.LittleEndian.Uint32(frame[8:]); got != want {
 		return nil, 0, fmt.Errorf("%w: frame checksum %08x != %08x", ErrCorruptWire, got, want)
 	}
@@ -200,7 +205,7 @@ func wordsCRC(words []uint64) uint32 {
 // FrameWords wraps a word payload (packed k-mers) in a one-word
 // checksummed header.
 func FrameWords(words []uint64) []uint64 {
-	return AppendFrameWords(make([]uint64, 0, 1+len(words)), words)
+	return AppendFrameWords(make([]uint64, 0, WordFrameHeader+len(words)), words)
 }
 
 // AppendFrameWords appends the framed payload to dst and returns the
@@ -217,10 +222,10 @@ func UnframeWords(frame []uint64) ([]uint64, error) {
 	if frame == nil {
 		return nil, fmt.Errorf("%w: missing frame (payload dropped)", ErrCorruptWire)
 	}
-	if len(frame) < 1 {
+	if len(frame) < WordFrameHeader {
 		return nil, fmt.Errorf("%w: word frame missing header", ErrCorruptWire)
 	}
-	words := frame[1:]
+	words := frame[WordFrameHeader:]
 	if count := uint32(frame[0]); count != uint32(len(words)) {
 		return nil, fmt.Errorf("%w: word frame count %d != payload %d", ErrCorruptWire, count, len(words))
 	}

@@ -21,6 +21,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -382,14 +383,20 @@ func (c *Comm) Barrier() error {
 	if err := c.syncReady(); err != nil {
 		return err
 	}
-	return c.world.barrier(c.rank)
+	return c.world.barrier(c.rank, nil)
 }
 
-func (w *world) barrier(rank int) error {
+// barrier blocks until every rank of the world has entered it. enter, when
+// non-nil, runs under the world lock once the world is known healthy —
+// never on a poisoned world (see exchange).
+func (w *world) barrier(rank int, enter func()) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.failure != nil {
 		return w.failure
+	}
+	if enter != nil {
+		enter()
 	}
 	w.arrived++
 	if w.arrived == w.size {
@@ -431,30 +438,41 @@ func (w *world) barrier(rank int) error {
 // value and receives everyone's deposits (including its own). Two barriers
 // delimit the deposit and collection phases so slots can be reused by the
 // next collective.
+//
+// The deposit happens inside the first barrier, under the world lock and
+// only while the world is healthy: poisoning releases ranks from barriers
+// early, and a rank that bailed out of the second barrier must not deposit
+// for its next collective while a slower peer is still collecting this one.
 func exchange[T any](c *Comm, v T) ([]T, error) {
 	w := c.world
-	w.slots[c.rank] = v
-	if err := w.barrier(c.rank); err != nil {
+	if err := w.barrier(c.rank, func() { w.slots[c.rank] = v }); err != nil {
 		return nil, err
 	}
 	out := make([]T, w.size)
 	for i, s := range w.slots {
 		out[i] = s.(T)
 	}
-	if err := w.barrier(c.rank); err != nil {
+	if err := w.barrier(c.rank, nil); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// record appends a trace entry exactly once per collective (rank 0 writes)
-// and, when a recorder is attached, publishes per-op collective metrics.
-func (c *Comm) record(op string, bytes [][]uint64) {
+// record appends a trace entry exactly once per collective (rank 0 builds
+// the P×P traffic matrix from cell and writes it) and, when a recorder is
+// attached, publishes per-op collective metrics.
+func (c *Comm) record(op string, cell func(i, j int) uint64) {
 	if c.rank != 0 {
 		return
 	}
 	w := c.world
-	e := TraceEntry{Op: op, Bytes: bytes}
+	e := TraceEntry{Op: op, Bytes: make([][]uint64, w.size)}
+	for i := range e.Bytes {
+		e.Bytes[i] = make([]uint64, w.size)
+		for j := range e.Bytes[i] {
+			e.Bytes[i][j] = cell(i, j)
+		}
+	}
 	w.tr.mu.Lock()
 	w.tr.entries = append(w.tr.entries, e)
 	w.tr.mu.Unlock()
@@ -489,31 +507,34 @@ func (c *Comm) alltoall(send []int) ([]int, error) {
 	for i, row := range all {
 		recv[i] = row[c.rank]
 	}
-	if c.rank == 0 {
-		bytes := make([][]uint64, c.Size())
-		for i := range bytes {
-			bytes[i] = make([]uint64, c.Size())
-			for j := range bytes[i] {
-				bytes[i][j] = 8 // one count word per pair
-			}
-		}
-		c.record("alltoall", bytes)
-	}
+	c.record("alltoall", func(i, j int) uint64 { return 8 }) // one count word per pair
 	return recv, nil
 }
 
-// AlltoallvBytes performs the variable-size many-to-many exchange of byte
-// payloads: send[j] goes to rank j; recv[i] is the payload from rank i.
+// Unit is the element type of a variable-size payload collective: bytes
+// (supermer wire images) or 64-bit words (packed k-mers). The payload
+// collectives are generic functions over it — Go methods cannot take type
+// parameters — so a payload of any other type is a compile error.
+type Unit interface{ byte | uint64 }
+
+// UnitBytes is the wire size of one payload unit: 1 or 8.
+func UnitBytes[T Unit]() int { return bits.Len64(uint64(^T(0))) / 8 }
+
+// Alltoallv performs the variable-size many-to-many exchange (MPI_Alltoallv
+// in Alg. 1): send[j] goes to rank j; recv[i] is the payload from rank i.
 // Payloads are referenced, not copied — receivers must not mutate them.
-func (c *Comm) AlltoallvBytes(send [][]byte) ([][]byte, error) {
+func Alltoallv[T Unit](c *Comm, send [][]T) ([][]T, error) {
 	if err := c.checkLen(len(send)); err != nil {
 		return nil, err
 	}
 	if err := c.syncReady(); err != nil {
 		return nil, err
 	}
-	return c.alltoallvBytes(send, c.wireClock())
+	return alltoallv(c, send, c.wireClock())
 }
+
+// AlltoallvBytes forwards to Alltoallv for the separately built bench/ module.
+func (c *Comm) AlltoallvBytes(send [][]byte) ([][]byte, error) { return Alltoallv(c, send) }
 
 // wire pays whatever remains of the emulated wall-level wire time for a
 // payload this rank sends off-node: WireTime(bytes) for the bandwidth
@@ -553,119 +574,56 @@ func (c *Comm) wireClock() (t time.Time) {
 // sentOffNode tallies the bytes and distinct destinations of the rows a
 // rank ships across the fabric: rows to itself — and, under a node-aware
 // topology, to co-located ranks — are intra-node copies and count nothing.
-func sentOffNode[T any](c *Comm, send [][]T, width int) (sent, msgs int) {
+func sentOffNode[T Unit](c *Comm, send [][]T) (sent, msgs int) {
 	topo := c.world.topo
 	for i, p := range send {
 		if len(p) == 0 || i == c.rank || topo.SameNode(i, c.rank) {
 			continue
 		}
-		sent += width * len(p)
+		sent += UnitBytes[T]() * len(p)
 		msgs++
 	}
 	return sent, msgs
 }
 
-func (c *Comm) alltoallvBytes(send [][]byte, posted time.Time) ([][]byte, error) {
-	sent, msgs := sentOffNode(c, send, 1)
+// alltoallv is the unchecked implementation shared by the blocking and
+// nonblocking forms; posted is the collective's initiation time (see wire).
+func alltoallv[T Unit](c *Comm, send [][]T, posted time.Time) ([][]T, error) {
+	sent, msgs := sentOffNode(c, send)
 	all, err := exchange(c, send)
 	if err != nil {
 		return nil, err
 	}
 	c.wire(sent, msgs, posted)
-	recv := make([][]byte, c.Size())
+	recordMatrix(c, "alltoallv", all)
+	return column(c, all), nil
+}
+
+// column extracts this rank's receive vector from the deposited send
+// vectors: recv[i] is what rank i addressed to this rank.
+func column[T any](c *Comm, all [][][]T) [][]T {
+	recv := make([][]T, c.Size())
 	for i, row := range all {
 		recv[i] = row[c.rank]
 	}
-	c.recordMatrix("alltoallv", all)
-	return recv, nil
+	return recv
 }
 
-// AlltoallvUint64 exchanges word payloads (packed k-mers / supermers).
-func (c *Comm) AlltoallvUint64(send [][]uint64) ([][]uint64, error) {
-	if err := c.checkLen(len(send)); err != nil {
-		return nil, err
-	}
-	if err := c.syncReady(); err != nil {
-		return nil, err
-	}
-	return c.alltoallvUint64(send, c.wireClock())
-}
-
-func (c *Comm) alltoallvUint64(send [][]uint64, posted time.Time) ([][]uint64, error) {
-	sent, msgs := sentOffNode(c, send, 8)
-	all, err := exchange(c, send)
-	if err != nil {
-		return nil, err
-	}
-	c.wire(sent, msgs, posted)
-	recv := make([][]uint64, c.Size())
-	for i, row := range all {
-		recv[i] = row[c.rank]
-	}
-	c.recordMatrix("alltoallv", all)
-	return recv, nil
-}
-
-func recordBytes[T any](all []T, f func(T, int, int) uint64, size int) [][]uint64 {
-	m := make([][]uint64, size)
-	for i := range m {
-		m[i] = make([]uint64, size)
-		for j := range m[i] {
-			m[i][j] = f(all[i], i, j)
-		}
-	}
-	return m
-}
-
-func (c *Comm) recordMatrix(op string, all any) {
-	if c.rank != 0 {
-		return
-	}
-	size := c.Size()
-	var m [][]uint64
-	switch v := all.(type) {
-	case [][][]byte:
-		m = recordBytes(v, func(p [][]byte, i, j int) uint64 { return uint64(len(p[j])) }, size)
-	case [][][]uint64:
-		m = recordBytes(v, func(p [][]uint64, i, j int) uint64 { return 8 * uint64(len(p[j])) }, size)
-	default:
-		panic(fmt.Sprintf("mpisim: unsupported payload type %T", all))
-	}
-	c.record(op, m)
+// recordMatrix traces a payload collective: entry [i][j] is the wire size
+// of what rank i sent to rank j.
+func recordMatrix[T Unit](c *Comm, op string, all [][][]T) {
+	width := uint64(UnitBytes[T]())
+	c.record(op, func(i, j int) uint64 { return width * uint64(len(all[i][j])) })
 }
 
 // AllreduceSum returns the sum of v across ranks.
 func (c *Comm) AllreduceSum(v uint64) (uint64, error) {
-	if err := c.syncReady(); err != nil {
-		return 0, err
-	}
-	all, err := exchange(c, v)
-	if err != nil {
-		return 0, err
-	}
-	var s uint64
-	for _, x := range all {
-		s += x
-	}
-	return s, nil
+	return c.allreduce(v, func(acc, x uint64) uint64 { return acc + x })
 }
 
 // AllreduceMax returns the max of v across ranks.
 func (c *Comm) AllreduceMax(v uint64) (uint64, error) {
-	if err := c.syncReady(); err != nil {
-		return 0, err
-	}
-	all, err := exchange(c, v)
-	if err != nil {
-		return 0, err
-	}
-	var m uint64
-	for _, x := range all {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
+	return c.allreduce(v, func(acc, x uint64) uint64 { return max(acc, x) })
 }
 
 // AllreduceOr returns the bitwise OR of v across ranks. The recovery
@@ -673,6 +631,12 @@ func (c *Comm) AllreduceMax(v uint64) (uint64, error) {
 // mask of the deaths it observed, and the OR is the union — which max or
 // sum cannot express when observations differ.
 func (c *Comm) AllreduceOr(v uint64) (uint64, error) {
+	return c.allreduce(v, func(acc, x uint64) uint64 { return acc | x })
+}
+
+// allreduce folds every rank's v, starting from zero (the identity of all
+// three reductions over uint64).
+func (c *Comm) allreduce(v uint64, fold func(acc, x uint64) uint64) (uint64, error) {
 	if err := c.syncReady(); err != nil {
 		return 0, err
 	}
@@ -680,11 +644,11 @@ func (c *Comm) AllreduceOr(v uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	var m uint64
+	var acc uint64
 	for _, x := range all {
-		m |= x
+		acc = fold(acc, x)
 	}
-	return m, nil
+	return acc, nil
 }
 
 // GatherUint64 returns every rank's value, indexed by rank (available on
@@ -705,7 +669,7 @@ func (c *Comm) checkLen(n int) error {
 
 // ---- Nonblocking collectives ------------------------------------------------
 //
-// IAlltoall / IAlltoallv* post a collective and return immediately with a
+// IAlltoall / IAlltoallv post a collective and return immediately with a
 // Request; the exchange runs on a background goroutine while the posting rank
 // keeps computing (the overlap the paper's communication-bound rounds leave on
 // the table). As in MPI:
@@ -731,7 +695,10 @@ type asyncResult[T any] struct {
 // and returns its result; calling Wait again returns the same result. A
 // Request must be waited by the rank that posted it.
 type Request[T any] struct {
-	c    *Comm
+	c *Comm
+	// at freezes the posting rank's world and rank at post time: the request
+	// runs there even if it only starts after a Shrink moved c elsewhere.
+	at   Comm
 	ch   chan asyncResult[T]
 	done bool
 	v    T
@@ -762,8 +729,8 @@ func (r *Request[T]) Wait() (T, error) {
 // full round of compute and charging that stagger to whichever collective
 // synchronizes next. The yield lets every runnable rank reach its post (and
 // every posted collective's goroutine start) before compute resumes.
-func post[T any](c *Comm, op func() (T, error)) *Request[T] {
-	r := &Request[T]{c: c, ch: make(chan asyncResult[T], 1)}
+func post[T any](c *Comm, op func(at *Comm) (T, error)) *Request[T] {
+	r := &Request[T]{c: c, at: Comm{rank: c.rank, world: c.world}, ch: make(chan asyncResult[T], 1)}
 	prev := c.asyncTail
 	done := make(chan struct{})
 	c.asyncTail = done
@@ -773,7 +740,7 @@ func post[T any](c *Comm, op func() (T, error)) *Request[T] {
 		if prev != nil {
 			<-prev
 		}
-		v, err := op()
+		v, err := op(&r.at)
 		r.ch <- asyncResult[T]{v, err}
 	}()
 	runtime.Gosched()
@@ -797,25 +764,18 @@ func (c *Comm) IAlltoall(send []int) *Request[[]int] {
 		return postErr[[]int](c, err)
 	}
 	owned := append([]int(nil), send...)
-	return post(c, func() ([]int, error) { return c.alltoall(owned) })
+	return post(c, func(at *Comm) ([]int, error) { return at.alltoall(owned) })
 }
 
-// IAlltoallvBytes posts the byte-payload exchange. Payloads are referenced:
-// the caller must not mutate send or its rows until Wait returns.
-func (c *Comm) IAlltoallvBytes(send [][]byte) *Request[[][]byte] {
+// IAlltoallv posts the payload exchange. Payloads are referenced: the caller
+// must not mutate send or its rows until Wait returns.
+func IAlltoallv[T Unit](c *Comm, send [][]T) *Request[[][]T] {
 	if err := c.checkLen(len(send)); err != nil {
-		return postErr[[][]byte](c, err)
+		return postErr[[][]T](c, err)
 	}
 	posted := c.wireClock()
-	return post(c, func() ([][]byte, error) { return c.alltoallvBytes(send, posted) })
+	return post(c, func(at *Comm) ([][]T, error) { return alltoallv(at, send, posted) })
 }
 
-// IAlltoallvUint64 posts the word-payload exchange. Payloads are referenced:
-// the caller must not mutate send or its rows until Wait returns.
-func (c *Comm) IAlltoallvUint64(send [][]uint64) *Request[[][]uint64] {
-	if err := c.checkLen(len(send)); err != nil {
-		return postErr[[][]uint64](c, err)
-	}
-	posted := c.wireClock()
-	return post(c, func() ([][]uint64, error) { return c.alltoallvUint64(send, posted) })
-}
+// IAlltoallvBytes forwards to IAlltoallv for the separately built bench/ module.
+func (c *Comm) IAlltoallvBytes(send [][]byte) *Request[[][]byte] { return IAlltoallv(c, send) }

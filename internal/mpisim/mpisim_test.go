@@ -110,7 +110,7 @@ func TestAlltoallvBytesPermutation(t *testing.T) {
 	}
 }
 
-func TestAlltoallvUint64(t *testing.T) {
+func TestAlltoallvWords(t *testing.T) {
 	const p = 4
 	totalSent := make([]uint64, p)
 	totalRecv := make([]uint64, p)
@@ -122,7 +122,7 @@ func TestAlltoallvUint64(t *testing.T) {
 			}
 			totalSent[c.Rank()] += uint64(len(send[j]))
 		}
-		recv, err := c.AlltoallvUint64(send)
+		recv, err := Alltoallv(c, send)
 		if err != nil {
 			return err
 		}
@@ -593,7 +593,7 @@ func TestNonblockingAlltoallvPayloads(t *testing.T) {
 			words[j] = []uint64{uint64(c.Rank()), uint64(j)}
 			bytes[j] = []byte{byte(c.Rank()), byte(j), 0xAA}
 		}
-		wr := c.IAlltoallvUint64(words)
+		wr := IAlltoallv(c, words)
 		br := c.IAlltoallvBytes(bytes)
 		gotW, err := wr.Wait()
 		if err != nil {
@@ -628,7 +628,7 @@ func TestNonblockingOverlapsCompute(t *testing.T) {
 		for j := range send {
 			send[j] = []uint64{uint64(c.Rank()<<8 | j)}
 		}
-		req := c.IAlltoallvUint64(send)
+		req := IAlltoallv(c, send)
 		// Simulated local compute while the exchange is in flight.
 		sum := uint64(0)
 		for i := 0; i < 1000; i++ {
@@ -749,7 +749,7 @@ func TestNonblockingPeerDeathPoisons(t *testing.T) {
 		if c.Rank() == 2 {
 			return boom // dies without posting
 		}
-		req := c.IAlltoallvUint64(make([][]uint64, 3))
+		req := IAlltoallv(c, make([][]uint64, 3))
 		_, werr := req.Wait()
 		if werr == nil {
 			t.Errorf("rank %d: Wait should fail after peer death", c.Rank())

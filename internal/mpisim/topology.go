@@ -55,8 +55,8 @@ func nodeRowsOK[T any](t Topology, rank int, send [][]T) error {
 	return nil
 }
 
-// NodeAlltoallvUint64 is AlltoallvUint64 constrained to the node tier of
-// the given topology: every rank of the world participates (the call is
+// NodeAlltoallv is Alltoallv constrained to the node tier of the given
+// topology: every rank of the world participates (the call is
 // world-synchronous — semantically a set of concurrent per-node
 // sub-communicator collectives sharing one barrier, which keeps the
 // same-order-everywhere collective rule trivially satisfied), but payload
@@ -65,7 +65,7 @@ func nodeRowsOK[T any](t Topology, rank int, send [][]T) error {
 // all intra-node, so the α–β model prices it at zero fabric time — and it
 // pays no emulated wire time by construction: this is the NVLink tier the
 // hierarchical exchange uses for its gather and scatter stages.
-func (c *Comm) NodeAlltoallvUint64(t Topology, send [][]uint64) ([][]uint64, error) {
+func NodeAlltoallv[T Unit](c *Comm, t Topology, send [][]T) ([][]T, error) {
 	if err := c.checkLen(len(send)); err != nil {
 		return nil, err
 	}
@@ -79,33 +79,12 @@ func (c *Comm) NodeAlltoallvUint64(t Topology, send [][]uint64) ([][]uint64, err
 	if err != nil {
 		return nil, err
 	}
-	recv := make([][]uint64, c.Size())
-	for i, row := range all {
-		recv[i] = row[c.rank]
-	}
-	c.recordMatrix("node_alltoallv", all)
-	return recv, nil
+	recordMatrix(c, "node_alltoallv", all)
+	return column(c, all), nil
 }
 
-// NodeAlltoallvBytes is the byte-payload twin of NodeAlltoallvUint64.
+// NodeAlltoallvBytes forwards to NodeAlltoallv for the separately built
+// bench/ module.
 func (c *Comm) NodeAlltoallvBytes(t Topology, send [][]byte) ([][]byte, error) {
-	if err := c.checkLen(len(send)); err != nil {
-		return nil, err
-	}
-	if err := nodeRowsOK(t, c.rank, send); err != nil {
-		return nil, err
-	}
-	if err := c.syncReady(); err != nil {
-		return nil, err
-	}
-	all, err := exchange(c, send)
-	if err != nil {
-		return nil, err
-	}
-	recv := make([][]byte, c.Size())
-	for i, row := range all {
-		recv[i] = row[c.rank]
-	}
-	c.recordMatrix("node_alltoallv", all)
-	return recv, nil
+	return NodeAlltoallv(c, t, send)
 }

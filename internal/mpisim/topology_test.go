@@ -55,7 +55,7 @@ func TestNodeAlltoallv(t *testing.T) {
 				send[j] = []uint64{uint64(c.Rank()*100 + j)}
 			}
 		}
-		recv, err := c.NodeAlltoallvUint64(tp, send)
+		recv, err := NodeAlltoallv(c, tp, send)
 		if err != nil {
 			return err
 		}
@@ -117,7 +117,7 @@ func TestWireNodeCrediting(t *testing.T) {
 			if c.Rank() == 0 {
 				send[dest] = []uint64{1, 2, 3}
 			}
-			_, err := c.AlltoallvUint64(send)
+			_, err := Alltoallv(c, send)
 			return err
 		})
 		if err != nil {

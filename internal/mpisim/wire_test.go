@@ -18,7 +18,7 @@ func busyWait(d time.Duration) {
 }
 
 // wireWorld is the round structure the pipeline drives: an announce
-// (IAlltoall), a payload (IAlltoallvUint64), and a settle collective
+// (IAlltoall), a payload (IAlltoallv), and a settle collective
 // (AllreduceSum) per round, with compute split before and after the
 // exchange.
 type wirePend struct {
@@ -33,7 +33,7 @@ func wirePost(c *Comm) wirePend {
 		counts[i] = 1
 		send[i] = []uint64{uint64(c.Rank())}
 	}
-	return wirePend{c.IAlltoall(counts), c.IAlltoallvUint64(send)}
+	return wirePend{c.IAlltoall(counts), IAlltoallv(c, send)}
 }
 
 func wireFinish(c *Comm, p wirePend) error {
@@ -128,7 +128,7 @@ func TestWireTimeSelfDeliveryFree(t *testing.T) {
 	opt := Options{WireTime: func(int) time.Duration { return time.Second }}
 	start := time.Now()
 	_, err := RunWithOptions(1, opt, func(c *Comm) error {
-		_, err := c.AlltoallvUint64([][]uint64{{1, 2, 3}})
+		_, err := Alltoallv(c, [][]uint64{{1, 2, 3}})
 		return err
 	})
 	if err != nil {
@@ -151,7 +151,7 @@ func TestWireTimeElapsedSinceInitiation(t *testing.T) {
 	start := time.Now()
 	_, err := RunWithOptions(2, opt, func(c *Comm) error {
 		send := [][]uint64{{1}, {2}}
-		req := c.IAlltoallvUint64(send)
+		req := IAlltoallv(c, send)
 		busyWait(wire) // compute covers the whole transfer
 		_, err := req.Wait()
 		return err

@@ -1,315 +1,23 @@
 package pipeline
 
 import (
-	"fmt"
-
-	"dedukt/internal/cluster"
 	"dedukt/internal/dna"
-	"dedukt/internal/fault"
 	"dedukt/internal/kcount"
 	"dedukt/internal/kernels"
 	"dedukt/internal/minimizer"
-	"dedukt/internal/mpisim"
-	"dedukt/internal/obs"
 )
 
-// cpuRoundState is one parity's pooled round scratch for the CPU rank body:
-// the staged base buffer, the round's per-destination send vectors (rows
-// truncated and reused across rounds of the same parity) and its posted
-// exchange.
-type cpuRoundState struct {
-	buf       dna.SeqBuffer
-	sendWords [][]uint64
-	sendWire  [][]byte
-	routedW   [][]uint64
-	routedB   [][]byte
-	pend      *pendingExchange
-	recvWords [][]uint64
-	recvWire  [][]byte
-	roundRecv uint64
-}
-
-// runCPURank executes the scalar baseline (Alg. 1) or the CPU-supermer
-// ablation for one rank, metering abstract work with the same constants the
-// GPU kernels use and converting it to Power9 time via the layout's
-// CPUModel.
-func runCPURank(cfg Config, destMap []uint16, inj *fault.Injector, c *mpisim.Comm, src chunkSource, bloomBases int, seat *rankSeat, ck *ckptCtl, rsp *rankSpill, out *rankOutcome) error {
-	model := *cfg.Layout.CPU
-	seedLen := 0
-	for _, db := range seat.seed {
-		seedLen += db.Len()
-	}
-	table := kcount.NewTable(seedLen+1, cfg.Probing)
-	for _, db := range seat.seed {
-		for _, e := range db.Entries {
-			table.Add(e.Key, e.Count)
-		}
-	}
-	var bloom *kcount.Bloom
-	if cfg.FilterSingletons {
-		fp := cfg.FilterFP
-		if fp == 0 {
-			fp = 0.01
-		}
-		// Size for this rank's expected distinct arrivals: its share of
-		// the partition's k-mers is bounded by its share of the input
-		// (bloomBases — known up front only on the in-memory path, which
-		// is why RunStream rejects the filter).
-		var err error
-		bloom, err = kcount.NewBloom(bloomBases+1, fp)
-		if err != nil {
-			return err
-		}
-	}
-	rec := cfg.Obs
-	rank := seat.old
-	wire := kernels.SupermerWire{K: cfg.K, Window: cfg.Window}
-	ex := newExchanger(&cfg, c, rank, inj, out)
-	var states [2]cpuRoundState
-
-	// Round-start faults fire once per executed round, before its parse.
-	start := func(r int) error {
-		return killOrStall(inj, rank, r, rec)
-	}
-
-	// Parse & process the round's chunk into the parity slot's send
-	// vectors.
-	parse := func(r int) (bool, error) {
-		st := &states[r%2]
-		recs, more, err := src.nextChunk()
-		if err != nil {
-			return false, err
-		}
-		st.buf.Reset()
-		for _, rd := range recs {
-			st.buf.AppendRead(rd.Seq)
-		}
-		data := st.buf.Data()
-
-		sp := rec.Begin(rank, r, obs.PhaseParse)
-		var meter kernels.WorkMeter
-		// Destinations are always the ORIGINAL world (see runGPURank).
-		if cfg.Mode == KmerMode {
-			st.sendWords, meter = cpuParseKmers(cfg, seat.nOrig, data, st.sendWords)
-		} else {
-			st.sendWire, meter, err = cpuBuildSupermers(cfg, destMap, seat.nOrig, data, st.sendWire)
-			if err != nil {
-				sp.End(0, 0)
-				return false, err
-			}
-		}
-		parseModeled := model.RankTimeLifted(meter.Ops, meter.Bytes, meter.Items, cfg.CPULoadLift)
-		out.parse += parseModeled
-		out.parseOps += meter.Ops
-
-		var roundSent uint64
-		if cfg.Mode == KmerMode {
-			for _, part := range st.sendWords {
-				roundSent += uint64(len(part))
-				out.payloadSent += 8 * uint64(len(part))
-			}
-		} else {
-			for _, part := range st.sendWire {
-				roundSent += uint64(len(part) / wire.Stride())
-				out.payloadSent += uint64(len(part))
-			}
-		}
-		out.itemsSent += roundSent
-		sp.End(parseModeled, roundSent)
-		return more, nil
-	}
-
-	// Post the round's exchange with nonblocking collectives, carrying the
-	// end-of-stream more flag on the announcement.
-	post := func(r int, more bool) error {
-		st := &states[r%2]
-		if cfg.Mode == KmerMode {
-			st.pend = ex.postWords(r, seat.route(st.sendWords, &st.routedW), more)
-		} else {
-			st.pend = ex.postWire(r, wire, seat.routeBytes(st.sendWire, &st.routedB), more)
-		}
-		return nil
-	}
-
-	// Complete the exchange; the received parts stay in the parity slot for
-	// count (no staging legs on the CPU pipeline).
-	finish := func(r int) (bool, error) {
-		st := &states[r%2]
-		pend := st.pend
-		st.pend = nil
-		st.roundRecv = 0
-		var (
-			anyMore bool
-			err     error
-		)
-		if cfg.Mode == KmerMode {
-			st.recvWords, anyMore, err = ex.finishWords(pend)
-			if err != nil {
-				return false, err
-			}
-			for _, part := range st.recvWords {
-				st.roundRecv += uint64(len(part))
-			}
-		} else {
-			st.recvWire, anyMore, err = ex.finishWire(pend)
-			if err != nil {
-				return false, err
-			}
-			for _, part := range st.recvWire {
-				st.roundRecv += uint64(len(part) / wire.Stride())
-			}
-		}
-		pend.sp.End(0, st.roundRecv)
-		return anyMore, nil
-	}
-
-	// Count the received parts into the persistent per-rank table in place.
-	// In spill mode (pass 1) the verified parts are appended to the rank's
-	// disk bins instead and the insert is deferred to the per-bin pass.
-	count := func(r int) error {
-		st := &states[r%2]
-		if rsp != nil {
-			sp := rec.Begin(rank, r, obs.PhaseSpill)
-			var (
-				n   uint64
-				err error
-			)
-			if cfg.Mode == KmerMode {
-				n, err = rsp.spillWords(st.recvWords)
-			} else {
-				n, err = rsp.spillWire(wire, cfg.minimizerConfig(), st.recvWire)
-			}
-			if err != nil {
-				sp.End(0, 0)
-				return err
-			}
-			sp.End(0, n)
-			return nil
-		}
-		sp := rec.Begin(rank, r, obs.PhaseCount)
-		var (
-			cmeter kernels.WorkMeter
-			err    error
-		)
-		if cfg.Mode == KmerMode {
-			cmeter = cpuCountKmers(cfg, table, bloom, st.recvWords)
-		} else {
-			cmeter, err = cpuCountSupermers(cfg, table, bloom, st.recvWire)
-			if err != nil {
-				sp.End(0, 0)
-				return err
-			}
-		}
-		countModeled := model.RankTimeLifted(cmeter.Ops, cmeter.Bytes, cmeter.Items, cfg.CPULoadLift)
-		out.count += countModeled
-		out.countOps += cmeter.Ops
-		sp.End(countModeled, st.roundRecv)
-		return nil
-	}
-
-	hooks := roundHooks{start: start, parse: parse, post: post, finish: finish, count: count}
-	if ck != nil {
-		hooks.ckptAt = ck.at
-		hooks.ckpt = func(r int) error {
-			return ck.write(c, seat, r, kcount.FromTable(table, cfg.K, ck.flags), out)
-		}
-	}
-	rounds, err := runRounds(cfg.Overlap, seat.base, hooks)
-	if err != nil {
-		return err
-	}
-	out.rounds = rounds
-	if rsp != nil {
-		return cpuCountBins(cfg, model, rsp, rec, rank, out)
-	}
-	out.counted = table.TotalCount()
-	out.distinct = uint64(table.Len())
-	out.hist = table.Histogram()
-	out.top = table.TopK(topKPerRank)
-	if cfg.KeepTables {
-		out.table = table
-	}
-	return nil
-}
-
-// cpuCountBins is the CPU engine's spill pass 2: seal the rank's bins,
-// count each one into a fresh working-set table — sized for that bin
-// alone, never the whole spectrum slice — and fold the bin spectra into
-// the outcome. Bins partition the rank's key space, so the fold is
-// bit-identical to the single-table path.
-func cpuCountBins(cfg Config, model cluster.CPUModel, rsp *rankSpill, rec *obs.Recorder, rank int, out *rankOutcome) error {
-	acc := kcount.NewBinAccumulator(topKPerRank)
-	if err := rsp.seal(); err != nil {
-		return err
-	}
-	wire := kernels.SupermerWire{K: cfg.K, Window: cfg.Window}
-	stride := wire.Stride()
-	var words []uint64
-	for b := 0; b < rsp.ctl.bins; b++ {
-		// Pass-2 spans carry round -1: bin counting happens after the round
-		// loop, like recovery (the other round-free phase).
-		sp := rec.Begin(rank, -1, obs.PhaseBinCount)
-		bt := kcount.NewTable(1, cfg.Probing)
-		var (
-			binItems uint64
-			bmeter   kernels.WorkMeter
-		)
-		err := rsp.readBin(b, func(payload []byte, items int) error {
-			if cfg.Mode == KmerMode {
-				if len(payload) != 8*items {
-					return fmt.Errorf("spill record declares %d words for %d payload bytes: %w", items, len(payload), ErrSpillMismatch)
-				}
-				if cap(words) < items {
-					words = make([]uint64, items)
-				}
-				words = words[:items]
-				for i := range words {
-					words[i] = leUint64(payload[8*i:])
-				}
-				bmeter.Add(cpuCountKmers(cfg, bt, nil, [][]uint64{words}))
-			} else {
-				if len(payload) != items*stride {
-					return fmt.Errorf("spill record declares %d images for %d payload bytes (stride %d): %w", items, len(payload), stride, ErrSpillMismatch)
-				}
-				m, err := cpuCountSupermers(cfg, bt, nil, [][]byte{payload})
-				if err != nil {
-					return err
-				}
-				bmeter.Add(m)
-			}
-			binItems += uint64(items)
-			return nil
-		})
-		if err != nil {
-			sp.End(0, 0)
-			return err
-		}
-		countModeled := model.RankTimeLifted(bmeter.Ops, bmeter.Bytes, bmeter.Items, cfg.CPULoadLift)
-		out.count += countModeled
-		out.countOps += bmeter.Ops
-		acc.AddTable(bt)
-		sp.End(countModeled, binItems)
-	}
-	rsp.cleanup(!out.incomplete)
-	out.counted = acc.Total()
-	out.distinct = acc.Distinct()
-	out.hist = acc.Histogram()
-	out.top = acc.TopK()
-	return nil
-}
+// The scalar kernels cpuEngine plugs in per mode: the same four phases the
+// GPU kernels implement, metering abstract work as they go. Both modes'
+// parse/count pairs share one signature, so the k-mer pair carries a
+// destination map it never reads (k-mers route by hash) and a nil error.
 
 // cpuParseKmers is the scalar PARSEKMER of Alg. 1: a rolling sliding-window
 // parse, one hash per k-mer, append to the destination's outgoing vector.
 // prev's rows are truncated and reused when provided.
-func cpuParseKmers(cfg Config, nProc int, data []byte, prev [][]uint64) ([][]uint64, kernels.WorkMeter) {
+func cpuParseKmers(cfg Config, _ []uint16, nProc int, data []byte, prev [][]uint64) ([][]uint64, kernels.WorkMeter, error) {
 	var m kernels.WorkMeter
-	out := prev
-	if len(out) != nProc {
-		out = make([][]uint64, nProc)
-	}
-	for d := range out {
-		out[d] = out[d][:0]
-	}
+	out := growRows(prev, nProc)
 	k, enc := cfg.K, cfg.Enc
 	var kw uint64
 	valid := 0
@@ -338,7 +46,7 @@ func cpuParseKmers(cfg Config, nProc int, data []byte, prev [][]uint64) ([][]uin
 		out[dest] = append(out[dest], key)
 		m.AddBytes(8)
 	}
-	return out, m
+	return out, m, nil
 }
 
 // cpuBuildSupermers is the scalar BUILDSUPERMER of Alg. 2, windowed exactly
@@ -346,13 +54,7 @@ func cpuParseKmers(cfg Config, nProc int, data []byte, prev [][]uint64) ([][]uin
 // rows are truncated and reused when provided.
 func cpuBuildSupermers(cfg Config, destMap []uint16, nProc int, data []byte, prev [][]byte) ([][]byte, kernels.WorkMeter, error) {
 	var m kernels.WorkMeter
-	out := prev
-	if len(out) != nProc {
-		out = make([][]byte, nProc)
-	}
-	for d := range out {
-		out[d] = out[d][:0]
-	}
+	out := growRows(prev, nProc)
 	mc := cfg.minimizerConfig()
 	wire := kernels.SupermerWire{K: cfg.K, Window: cfg.Window}
 	m.AddBytes(len(data))
@@ -390,14 +92,14 @@ func cpuBuildSupermers(cfg Config, destMap []uint16, nProc int, data []byte, pre
 // cpuCountKmers is the scalar COUNTKMER of Alg. 1 over an open-addressing
 // table (the same structure the GPU uses, without atomics), consuming the
 // received per-source parts in place.
-func cpuCountKmers(cfg Config, table *kcount.Table, bloom *kcount.Bloom, parts [][]uint64) kernels.WorkMeter {
+func cpuCountKmers(cfg Config, table *kcount.Table, bloom *kcount.Bloom, parts [][]uint64) (kernels.WorkMeter, error) {
 	var m kernels.WorkMeter
 	for _, part := range parts {
 		for _, key := range part {
 			countOne(table, bloom, key, &m)
 		}
 	}
-	return m
+	return m, nil
 }
 
 // countOne inserts one received k-mer, routing first sightings through the

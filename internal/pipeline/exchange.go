@@ -10,10 +10,10 @@ import (
 	"dedukt/internal/obs"
 )
 
-// exchanger is the fault-tolerant exchange path shared by the GPU and CPU
-// rank bodies. Every per-destination payload travels inside a checksummed
-// frame (kernels.FrameBytes / FrameWords); the receiver verifies each frame
-// and cross-checks its item count against the Alltoall announcement. When
+// exchanger is the fault-tolerant exchange path of the rank body. Every
+// per-destination payload travels inside a checksummed frame (the kernels
+// byte or word frame); the receiver verifies each frame and cross-checks
+// its item count against the Alltoall announcement. When
 // any rank receives a bad or missing frame, the world agrees (via
 // AllreduceSum) to retry the round from the retained send buffers, up to
 // maxRetries times. Payloads that already verified are kept across
@@ -22,16 +22,21 @@ import (
 // that exhausts its budget degrades: the verified payloads are counted,
 // the rest are discarded, and the rank's outcome is flagged incomplete.
 //
-// The exchange is split into a post half (postWords/postWire: announce the
-// counts and ship attempt 0 with nonblocking collectives) and a finish half
-// (finishWords/finishWire: wait, verify, retry, settle), so the round loop
-// can run the next round's parse between them (Config.Overlap). Per-round
-// state lives in two parity-indexed slots reused across rounds: the counts
-// vector, the frame arena attempt-0 payloads are packed into, and the
-// verification bookkeeping — the round loop guarantees a slot is dead on
-// every rank before its parity comes up again. Retry attempts frame fresh
-// allocations instead: receivers may retain verified views of earlier
-// attempts, so the arena must never be rewritten while a round is live.
+// The exchange is split into a post half (announce the counts and ship
+// attempt 0 with nonblocking collectives) and a finish half (wait, verify,
+// retry, settle), so the round loop can run the next round's parse between
+// them (Config.Overlap). Per-round state lives in two parity-indexed slots
+// reused across rounds: the counts vector, the frame arena attempt-0
+// payloads are packed into, and the verification bookkeeping — the round
+// loop guarantees a slot is dead on every rank before its parity comes up
+// again. Retry attempts frame fresh allocations instead: receivers may
+// retain verified views of earlier attempts, so the arena must never be
+// rewritten while a round is live.
+//
+// The exchanger is written once over the payload unit T (words in k-mer
+// mode, bytes in supermer mode); what a row of units means — its item
+// count, its frame, how a received frame is verified — is the codec's
+// business.
 //
 // HOW attempt-0 frames travel is pluggable (exchangeStrategy): the flat
 // strategy ships the P×P Alltoallv directly; the hierarchical strategy
@@ -43,7 +48,7 @@ import (
 // When a recorder is configured, injected drops/corruptions surface as
 // instant events, each retry attempt gets its own span nested inside the
 // exchange span, and a degraded round emits a degraded_round instant.
-type exchanger struct {
+type exchanger[T unit] struct {
 	c *mpisim.Comm
 	// rank is the seat's original rank id — the coordinate for fault
 	// rolls and observability. It differs from c.Rank() after a shrink
@@ -54,138 +59,118 @@ type exchanger struct {
 	retries int
 	out     *rankOutcome
 	rec     *obs.Recorder
-	strat   exchangeStrategy
+	cd      codec[T]
+	strat   exchangeStrategy[T]
 	// msgs counts the fabric messages posted by attempt-0 payload
 	// exchanges (pipeline_exchange_messages_total); nil without a recorder.
-	msgs  *obs.Counter
-	slots [2]exchangeSlot
+	// roundMsgs is one round's tally: P² flat, ceil(P/RanksPerNode)²
+	// hierarchical.
+	msgs      *obs.Counter
+	roundMsgs int
+	slots     [2]exchangeSlot[T]
 }
 
 // exchangeStrategy is the pluggable attempt-0 shipping layer of the
-// exchange. post* runs inside the exchanger's post half and must post the
+// exchange. post runs inside the exchanger's post half and must post the
 // count announcement onto p.ann plus whatever payload collectives the
 // strategy needs; it may issue blocking intra-node collectives first — the
 // round loop guarantees no nonblocking requests are pending at any post
-// site, in both schedules. finish* waits for those collectives and returns
+// site, in both schedules. finish waits for those collectives and returns
 // the attempt-0 frames indexed by (current-communicator) source rank, nil
 // marking a frame lost in flight — the shared verifier treats every
 // returned frame exactly as a flat Alltoallv row, and retries always use
 // the flat blocking path (the rare path optimizes for simplicity, and its
 // frames are freshly framed from the retained send buffers either way).
-type exchangeStrategy interface {
-	// name labels the strategy in metrics ("flat", "hier").
-	name() string
-	postWords(p *pendingExchange, counts []int, framed [][]uint64)
-	postBytes(p *pendingExchange, counts []int, framed [][]byte)
-	finishWords(p *pendingExchange) ([][]uint64, error)
-	finishBytes(p *pendingExchange) ([][]byte, error)
-	// messages is the fabric message count of one round's attempt-0
-	// payload exchange: P² flat, ceil(P/RanksPerNode)² hierarchical.
-	messages() int
+type exchangeStrategy[T unit] interface {
+	post(p *pendingExchange[T], counts []int, framed [][]T)
+	finish(p *pendingExchange[T]) ([][]T, error)
 }
 
 // newExchanger builds the configured strategy's exchanger for one rank
-// body. It is re-created after a shrink recovery (the rank bodies are
+// body. It is re-created after a shrink recovery (the rank body is
 // re-entered with the shrunk communicator), so the hierarchical topology
 // always reflects the current world size.
-func newExchanger(cfg *Config, c *mpisim.Comm, rank int, inj *fault.Injector, out *rankOutcome) *exchanger {
-	e := &exchanger{
+func newExchanger[T unit](cfg *Config, c *mpisim.Comm, rank int, inj *fault.Injector, out *rankOutcome, cd codec[T]) *exchanger[T] {
+	e := &exchanger[T]{
 		c: c, rank: rank, inj: inj,
-		retries: cfg.maxRetries(), out: out, rec: cfg.Obs,
+		retries: cfg.maxRetries(), out: out, rec: cfg.Obs, cd: cd,
 	}
 	switch cfg.Exchange {
 	case ExchangeHier:
-		e.strat = &hierStrategy{e: e, topo: cfg.Layout.Net.Topology()}
+		topo := cfg.Layout.Net.Topology()
+		e.strat = &hierStrategy[T]{e: e, topo: topo}
+		e.roundMsgs = kernels.HierExchangeMessages(c.Size(), topo.RanksPerNode)
 	default:
-		e.strat = &flatStrategy{e: e}
+		e.strat = flatStrategy[T]{e}
+		e.roundMsgs = kernels.FlatExchangeMessages(c.Size())
 	}
 	if reg := cfg.Obs.Registry(); reg != nil {
 		e.msgs = reg.Counter("pipeline_exchange_messages_total",
 			"Fabric point-to-point messages comprised by attempt-0 payload exchanges (P² flat, (P/RanksPerNode)² hierarchical).",
-			obs.L("strategy", e.strat.name()))
+			obs.L("strategy", cfg.Exchange.String()))
 	}
 	return e
 }
 
 // flatStrategy ships attempt-0 frames with the direct P×P nonblocking
 // Alltoallv — the paper's baseline exchange.
-type flatStrategy struct{ e *exchanger }
+type flatStrategy[T unit] struct{ e *exchanger[T] }
 
-func (s *flatStrategy) name() string { return "flat" }
-
-func (s *flatStrategy) postWords(p *pendingExchange, counts []int, framed [][]uint64) {
+func (s flatStrategy[T]) post(p *pendingExchange[T], counts []int, framed [][]T) {
 	p.ann = s.e.c.IAlltoall(counts)
-	p.wordsReq = s.e.c.IAlltoallvUint64(framed)
+	p.req = mpisim.IAlltoallv(s.e.c, framed)
 }
 
-func (s *flatStrategy) postBytes(p *pendingExchange, counts []int, framed [][]byte) {
-	p.ann = s.e.c.IAlltoall(counts)
-	p.bytesReq = s.e.c.IAlltoallvBytes(framed)
-}
-
-func (s *flatStrategy) finishWords(p *pendingExchange) ([][]uint64, error) {
-	return p.wordsReq.Wait()
-}
-
-func (s *flatStrategy) finishBytes(p *pendingExchange) ([][]byte, error) {
-	return p.bytesReq.Wait()
-}
-
-func (s *flatStrategy) messages() int {
-	return kernels.FlatExchangeMessages(s.e.c.Size())
+func (s flatStrategy[T]) finish(p *pendingExchange[T]) ([][]T, error) {
+	return p.req.Wait()
 }
 
 // exchangeSlot is one parity's pooled round state.
-type exchangeSlot struct {
-	counts  []int
-	arenaW  []uint64
-	arenaB  []byte
-	framedW [][]uint64
-	framedB [][]byte
-	partsW  [][]uint64
-	partsB  [][]byte
-	ok      []bool
+type exchangeSlot[T unit] struct {
+	counts []int
+	arena  []T
+	framed [][]T
+	parts  [][]T
+	ok     []bool
 }
 
 // pendingExchange is one posted round exchange awaiting its finish half.
-type pendingExchange struct {
+type pendingExchange[T unit] struct {
 	round int
 	// sp is the round's exchange span: opened at post, ended by the caller
 	// after finish (or by finish itself on error).
-	sp       obs.SpanHandle
-	ann      *mpisim.Request[[]int]
-	wordsReq *mpisim.Request[[][]uint64]
-	bytesReq *mpisim.Request[[][]byte]
-	// leaderWordsReq/leaderBytesReq carry the hierarchical strategy's
-	// inter-node leader Alltoallv (nil under flat).
-	leaderWordsReq *mpisim.Request[[][]uint64]
-	leaderBytesReq *mpisim.Request[[][]byte]
+	sp  obs.SpanHandle
+	ann *mpisim.Request[[]int]
+	// req is the strategy's nonblocking payload collective: the P×P
+	// Alltoallv under flat, the inter-node leader Alltoallv under hier.
+	req *mpisim.Request[[][]T]
 	// postErr records a failure of a strategy's blocking post stage (the
 	// intra-node gather); it surfaces when the round is finished.
-	postErr   error
-	hier      *hierSlot
-	sendWords [][]uint64
-	sendWire  [][]byte
-	wire      kernels.SupermerWire
-	slot      *exchangeSlot
+	postErr error
+	hier    *hierSlot[T]
+	// send is the round's routed send set, retained as the retry source.
+	send [][]T
+	slot *exchangeSlot[T]
 }
 
-func growInts(s []int, n int) []int {
+// grow resizes a pooled slice to n elements, reallocating only when the
+// capacity is short; the contents are unspecified.
+func grow[E any](s []E, n int) []E {
 	if cap(s) < n {
-		return make([]int, n)
+		return make([]E, n)
 	}
 	return s[:n]
 }
 
 // moreFlag is the end-of-stream agreement bit piggybacked on the count
 // announcement: a rank whose input continues past this round sets it on
-// every outgoing count, and finish* folds the incoming flags into
-// anyMore before stripping them. Because every rank derives anyMore from
-// the same announcement, termination of the open-ended round loop is
-// collective with zero extra collectives — and the announcement travels
-// outside the fault injector's reach, so the agreement survives dropped
-// and corrupted payload frames. Bit 30 leaves per-destination counts up
-// to ~10⁹ items representable, far beyond any RoundBases-bounded round.
+// every outgoing count, and finish folds the incoming flags into anyMore
+// before stripping them. Because every rank derives anyMore from the same
+// announcement, termination of the open-ended round loop is collective
+// with zero extra collectives — and the announcement travels outside the
+// fault injector's reach, so the agreement survives dropped and corrupted
+// payload frames. Bit 30 leaves per-destination counts up to ~10⁹ items
+// representable, far beyond any RoundBases-bounded round.
 const moreFlag = 1 << 30
 
 // stripMore extracts the more-bits from a received announcement in
@@ -200,129 +185,80 @@ func stripMore(expect []int) (anyMore bool) {
 	return anyMore
 }
 
-// postWords posts the k-mer mode round exchange: the attempt-0 frames are
-// packed into the slot's pooled arena (presized so no append can
-// reallocate mid-loop) and handed to the strategy, which posts the count
-// announcement (IAlltoall — the vector is copied at post time, so the
-// pooled slot is immediately reusable) and ships the frames. send must
-// stay unmutated until finishWords returns (it is also the retry source).
-// more announces that this rank's input continues past this round (see
-// moreFlag).
-func (e *exchanger) postWords(round int, send [][]uint64, more bool) *pendingExchange {
-	rank := e.rank
+// post posts one round's exchange: the attempt-0 frames are packed into
+// the slot's pooled arena (presized so no append can reallocate mid-loop)
+// and handed to the strategy, which posts the count announcement
+// (IAlltoall — the vector is copied at post time, so the pooled slot is
+// immediately reusable) and ships the frames. send must stay unmutated
+// until finish returns (it is also the retry source). more announces that
+// this rank's input continues past this round (see moreFlag).
+func (e *exchanger[T]) post(round int, send [][]T, more bool) *pendingExchange[T] {
 	slot := &e.slots[round%2]
-	p := &pendingExchange{round: round, sendWords: send, slot: slot}
-	p.sp = e.rec.Begin(rank, round, obs.PhaseExchange)
+	p := &pendingExchange[T]{round: round, send: send, slot: slot}
+	p.sp = e.rec.Begin(e.rank, round, obs.PhaseExchange)
 
-	slot.counts = growInts(slot.counts, len(send))
+	slot.counts = grow(slot.counts, len(send))
 	total := 0
-	for d, part := range send {
-		slot.counts[d] = len(part)
+	for d, row := range send {
+		slot.counts[d] = e.cd.items(row)
 		if more {
 			slot.counts[d] |= moreFlag
 		}
-		total += 1 + len(part)
+		total += e.cd.frameLen(row)
 	}
-
-	if cap(slot.arenaW) < total {
-		slot.arenaW = make([]uint64, 0, total)
+	if cap(slot.arena) < total {
+		slot.arena = make([]T, 0, total)
 	}
-	arena := slot.arenaW[:0]
-	if cap(slot.framedW) < len(send) {
-		slot.framedW = make([][]uint64, len(send))
-	}
-	framed := slot.framedW[:len(send)]
-	for d, part := range send {
-		if e.inj.Drop(rank, round, 0, d) {
-			framed[d] = nil // destination receives nil: a dropped payload
-			e.rec.Instant(rank, round, obs.EvDrop)
-			continue
-		}
-		off := len(arena)
-		arena = kernels.AppendFrameWords(arena, part)
-		f := arena[off:len(arena):len(arena)]
-		var hit bool
-		// CorruptWords copies on hit, so the arena itself stays clean.
-		framed[d], hit = e.inj.CorruptWords(rank, round, 0, d, f)
-		if hit {
-			e.rec.Instant(rank, round, obs.EvCorrupt)
-		}
-	}
-	slot.arenaW = arena[:0]
-	e.strat.postWords(p, slot.counts, framed)
-	e.countMessages()
-	return p
-}
-
-// countMessages credits the round's fabric message count once per world —
-// rank 0 of the current communicator adds the whole round's tally, so the
-// counter reads as messages-per-run, not per-rank shares.
-func (e *exchanger) countMessages() {
+	e.strat.post(p, slot.counts, e.frames(p, 0))
+	// Rank 0 of the current communicator credits the whole round's fabric
+	// message tally, so the counter reads as messages-per-run, not
+	// per-rank shares.
 	if e.msgs != nil && e.c.Rank() == 0 {
-		e.msgs.Add(uint64(e.strat.messages()))
+		e.msgs.Add(uint64(e.roundMsgs))
 	}
-}
-
-// postWire is postWords for supermer-mode wire payloads.
-func (e *exchanger) postWire(round int, wire kernels.SupermerWire, send [][]byte, more bool) *pendingExchange {
-	rank := e.rank
-	slot := &e.slots[round%2]
-	p := &pendingExchange{round: round, sendWire: send, wire: wire, slot: slot}
-	p.sp = e.rec.Begin(rank, round, obs.PhaseExchange)
-
-	stride := wire.Stride()
-	slot.counts = growInts(slot.counts, len(send))
-	total := 0
-	for d, part := range send {
-		slot.counts[d] = len(part) / stride
-		if more {
-			slot.counts[d] |= moreFlag
-		}
-		total += byteFrameOverhead + len(part)
-	}
-
-	if cap(slot.arenaB) < total {
-		slot.arenaB = make([]byte, 0, total)
-	}
-	arena := slot.arenaB[:0]
-	if cap(slot.framedB) < len(send) {
-		slot.framedB = make([][]byte, len(send))
-	}
-	framed := slot.framedB[:len(send)]
-	for d, part := range send {
-		if e.inj.Drop(rank, round, 0, d) {
-			framed[d] = nil
-			e.rec.Instant(rank, round, obs.EvDrop)
-			continue
-		}
-		off := len(arena)
-		arena = kernels.AppendFrameBytes(arena, part, len(part)/stride)
-		f := arena[off:len(arena):len(arena)]
-		var hit bool
-		framed[d], hit = e.inj.CorruptBytes(rank, round, 0, d, f)
-		if hit {
-			e.rec.Instant(rank, round, obs.EvCorrupt)
-		}
-	}
-	slot.arenaB = arena[:0]
-	e.strat.postBytes(p, slot.counts, framed)
-	e.countMessages()
 	return p
 }
 
-// byteFrameOverhead mirrors the kernels byte-frame header size for arena
-// presizing (the exact value only affects capacity, not correctness).
-const byteFrameOverhead = 16
+// frames builds one attempt's per-destination frames from the retained
+// send set, applying the injector's drop and corrupt rolls for that
+// attempt. Attempt 0 packs every frame into the slot's presized arena; a
+// retry gives each frame a fresh allocation (see the exchanger comment).
+// A dropped destination gets nil; Corrupt copies on hit, so the arena
+// itself stays clean.
+func (e *exchanger[T]) frames(p *pendingExchange[T], attempt int) [][]T {
+	rank, slot := e.rank, p.slot
+	slot.framed = grow(slot.framed, len(p.send))
+	arena := slot.arena[:0]
+	for d, row := range p.send {
+		if e.inj.Drop(rank, p.round, attempt, d) {
+			slot.framed[d] = nil
+			e.rec.Instant(rank, p.round, obs.EvDrop)
+			continue
+		}
+		if attempt > 0 {
+			arena = make([]T, 0, e.cd.frameLen(row))
+		}
+		off := len(arena)
+		arena = e.cd.appendFrame(arena, row)
+		var hit bool
+		slot.framed[d], hit = fault.Corrupt(e.inj, rank, p.round, attempt, d, arena[off:len(arena):len(arena)])
+		if hit {
+			e.rec.Instant(rank, p.round, obs.EvCorrupt)
+		}
+	}
+	return slot.framed
+}
 
-// finishWords completes a posted k-mer exchange: wait for the announcement
-// and attempt-0 payloads, verify every frame, retry bad rounds with
-// blocking collectives (fresh frames — receivers hold views into the
-// attempt-0 arena), and settle. It returns the per-source verified payloads
-// (nil for a source whose payload was lost past the retry budget) plus the
-// announcement's end-of-stream agreement: anyMore is true while any rank's
-// input continues (see moreFlag). On error the exchange span is closed; on
-// success it stays open for the caller to End with the staging time.
-func (e *exchanger) finishWords(p *pendingExchange) ([][]uint64, bool, error) {
+// finish completes a posted exchange: wait for the announcement and
+// attempt-0 payloads, verify every frame (checksum, announced item count
+// and — for supermers — image structure; see codec.unframe), retry bad
+// rounds with blocking collectives, and settle. It returns the per-source
+// verified payloads (nil for a source whose payload was lost past the retry
+// budget) plus the announcement's end-of-stream agreement: anyMore is true
+// while any rank's input continues (see moreFlag). On error the exchange
+// span is closed; on success it stays open for the caller to End with the
+// staging time.
+func (e *exchanger[T]) finish(p *pendingExchange[T]) ([][]T, bool, error) {
 	rank := e.rank
 	slot := p.slot
 	if p.postErr != nil {
@@ -335,36 +271,25 @@ func (e *exchanger) finishWords(p *pendingExchange) ([][]uint64, bool, error) {
 		return nil, false, err
 	}
 	anyMore := stripMore(expect)
-	n := len(p.sendWords)
-	if cap(slot.partsW) < n {
-		slot.partsW = make([][]uint64, n)
-	}
-	parts := slot.partsW[:n]
-	slot.ok = growBools(slot.ok, n)
-	ok := slot.ok
+	n := len(p.send)
+	slot.parts = grow(slot.parts, n)
+	slot.ok = grow(slot.ok, n)
+	parts, ok := slot.parts, slot.ok
 	for i := range parts {
 		parts[i], ok[i] = nil, false
 	}
 	for attempt := 0; ; attempt++ {
-		sp := e.beginAttempt(rank, p.round, attempt)
-		var recv [][]uint64
+		// Attempt 0 lives inside the enclosing exchange span; each retry
+		// gets its own (End on the zero handle is a no-op).
+		var (
+			sp   obs.SpanHandle
+			recv [][]T
+		)
 		if attempt == 0 {
-			recv, err = e.strat.finishWords(p)
+			recv, err = e.strat.finish(p)
 		} else {
-			framed := slot.framedW[:n]
-			for d, part := range p.sendWords {
-				if e.inj.Drop(rank, p.round, attempt, d) {
-					framed[d] = nil
-					e.rec.Instant(rank, p.round, obs.EvDrop)
-					continue
-				}
-				var hit bool
-				framed[d], hit = e.inj.CorruptWords(rank, p.round, attempt, d, kernels.FrameWords(part))
-				if hit {
-					e.rec.Instant(rank, p.round, obs.EvCorrupt)
-				}
-			}
-			recv, err = e.c.AlltoallvUint64(framed)
+			sp = e.rec.Begin(rank, p.round, obs.PhaseRetry)
+			recv, err = mpisim.Alltoallv(e.c, e.frames(p, attempt))
 		}
 		if err != nil {
 			sp.End(0, 0)
@@ -376,12 +301,9 @@ func (e *exchanger) finishWords(p *pendingExchange) ([][]uint64, bool, error) {
 			if ok[i] {
 				continue // verified on an earlier attempt
 			}
-			payload, ferr := kernels.UnframeWords(f)
-			if ferr != nil || len(payload) != expect[i] {
+			if parts[i], ok[i] = e.cd.unframe(f, expect[i]); !ok[i] {
 				bad++
-				continue
 			}
-			parts[i], ok[i] = payload, true
 		}
 		done, err := e.settle(p.round, attempt, bad)
 		sp.End(0, bad)
@@ -392,129 +314,27 @@ func (e *exchanger) finishWords(p *pendingExchange) ([][]uint64, bool, error) {
 		if !done {
 			continue
 		}
-		var lost uint64
-		for i := range parts {
-			if !ok[i] {
-				lost += uint64(expect[i])
-			}
-		}
-		e.degrade(p.round, lost, bad)
-		return parts, anyMore, nil
-	}
-}
-
-// finishWire is finishWords for supermer-mode wire payloads: beyond the
-// frame checksum, each accepted payload's images are structurally verified
-// (length bytes in range) before release.
-func (e *exchanger) finishWire(p *pendingExchange) ([][]byte, bool, error) {
-	rank := e.rank
-	slot := p.slot
-	wire := p.wire
-	if p.postErr != nil {
-		p.sp.End(0, 0)
-		return nil, false, p.postErr
-	}
-	expect, err := p.ann.Wait()
-	if err != nil {
-		p.sp.End(0, 0)
-		return nil, false, err
-	}
-	anyMore := stripMore(expect)
-	n := len(p.sendWire)
-	if cap(slot.partsB) < n {
-		slot.partsB = make([][]byte, n)
-	}
-	parts := slot.partsB[:n]
-	slot.ok = growBools(slot.ok, n)
-	ok := slot.ok
-	for i := range parts {
-		parts[i], ok[i] = nil, false
-	}
-	stride := wire.Stride()
-	for attempt := 0; ; attempt++ {
-		sp := e.beginAttempt(rank, p.round, attempt)
-		var recv [][]byte
-		if attempt == 0 {
-			recv, err = e.strat.finishBytes(p)
-		} else {
-			framed := slot.framedB[:n]
-			for d, part := range p.sendWire {
-				if e.inj.Drop(rank, p.round, attempt, d) {
-					framed[d] = nil
-					e.rec.Instant(rank, p.round, obs.EvDrop)
-					continue
-				}
-				var hit bool
-				framed[d], hit = e.inj.CorruptBytes(rank, p.round, attempt, d, kernels.FrameBytes(part, len(part)/stride))
-				if hit {
-					e.rec.Instant(rank, p.round, obs.EvCorrupt)
+		if bad > 0 {
+			// Payloads lost for good: flag the rank outcome degraded.
+			var lost uint64
+			for i := range parts {
+				if !ok[i] {
+					lost += uint64(expect[i])
 				}
 			}
-			recv, err = e.c.AlltoallvBytes(framed)
+			e.out.incomplete = true
+			e.inj.RecordDiscarded(rank, lost)
+			e.rec.Instant(rank, p.round, obs.EvDegraded)
 		}
-		if err != nil {
-			sp.End(0, 0)
-			p.sp.End(0, 0)
-			return nil, false, err
-		}
-		var bad uint64
-		for i, f := range recv {
-			if ok[i] {
-				continue // verified on an earlier attempt
-			}
-			payload, items, ferr := kernels.UnframeBytes(f)
-			if ferr != nil || items != expect[i] {
-				bad++
-				continue
-			}
-			if n, verr := wire.VerifyImages(payload); verr != nil || n != expect[i] {
-				bad++
-				continue
-			}
-			parts[i], ok[i] = payload, true
-		}
-		done, err := e.settle(p.round, attempt, bad)
-		sp.End(0, bad)
-		if err != nil {
-			p.sp.End(0, 0)
-			return nil, false, err
-		}
-		if !done {
-			continue
-		}
-		var lost uint64
-		for i := range parts {
-			if !ok[i] {
-				lost += uint64(expect[i])
-			}
-		}
-		e.degrade(p.round, lost, bad)
 		return parts, anyMore, nil
 	}
-}
-
-func growBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
-}
-
-// beginAttempt opens a retry span for attempts past the first (the first
-// attempt lives inside the enclosing exchange span). The zero handle it
-// returns for attempt 0 (or a nil recorder) makes End a no-op.
-func (e *exchanger) beginAttempt(rank, round, attempt int) obs.SpanHandle {
-	if attempt == 0 {
-		return obs.SpanHandle{}
-	}
-	return e.rec.Begin(rank, round, obs.PhaseRetry)
 }
 
 // settle agrees world-wide on this attempt's outcome: done=true means the
 // caller must release the (possibly degraded) payloads; done=false means
 // every rank retries. The AllreduceSum keeps the decision collective —
 // ranks never diverge on whether a retry happens.
-func (e *exchanger) settle(round, attempt int, bad uint64) (done bool, err error) {
+func (e *exchanger[T]) settle(round, attempt int, bad uint64) (done bool, err error) {
 	rank := e.rank
 	e.inj.RecordBadFrames(rank, bad)
 	totalBad, err := e.c.AllreduceSum(bad)
@@ -530,16 +350,6 @@ func (e *exchanger) settle(round, attempt int, bad uint64) (done bool, err error
 		return false, nil
 	}
 	return true, nil // budget exhausted: degrade
-}
-
-// degrade flags the rank outcome when payloads were lost for good.
-func (e *exchanger) degrade(round int, lost, bad uint64) {
-	if bad == 0 {
-		return
-	}
-	e.out.incomplete = true
-	e.inj.RecordDiscarded(e.rank, lost)
-	e.rec.Instant(e.rank, round, obs.EvDegraded)
 }
 
 // killOrStall applies the injector's round-start faults for this rank: a

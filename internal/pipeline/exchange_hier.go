@@ -1,10 +1,8 @@
 package pipeline
 
 import (
-	"encoding/binary"
 	"errors"
 
-	"dedukt/internal/kernels"
 	"dedukt/internal/mpisim"
 	"dedukt/internal/obs"
 )
@@ -40,32 +38,20 @@ import (
 // re-groups the surviving (renumbered) ranks — a ragged last node, whether
 // configured or produced by a shrink, needs no special casing beyond ceil
 // division.
-type hierStrategy struct {
-	e     *exchanger
+type hierStrategy[T unit] struct {
+	e     *exchanger[T]
 	topo  mpisim.Topology
-	slots [2]hierSlot
+	slots [2]hierSlot[T]
 }
 
 // hierSlot is one parity's pooled routing state. Rows are truncated, never
 // freed, so steady-state rounds do not allocate.
-type hierSlot struct {
-	gatherW  [][]uint64 // per-rank node-tier rows (stage 1 send)
-	leaderW  [][]uint64 // per-rank fabric rows, non-empty on leaders only
-	scatterW [][]uint64 // per-member node-tier rows (stage 3 send)
-	recvGatW [][]uint64 // stage 1 receive, retained from post to finish
-	recvW    [][]uint64 // assembled per-source frames
-
-	gatherB  [][]byte
-	leaderB  [][]byte
-	scatterB [][]byte
-	recvGatB [][]byte
-	recvB    [][]byte
-}
-
-func (s *hierStrategy) name() string { return "hier" }
-
-func (s *hierStrategy) messages() int {
-	return kernels.HierExchangeMessages(s.e.c.Size(), s.topo.RanksPerNode)
+type hierSlot[T unit] struct {
+	gather  [][]T // per-rank node-tier rows (stage 1 send)
+	leader  [][]T // per-rank fabric rows, non-empty on leaders only
+	scatter [][]T // per-member node-tier rows (stage 3 send)
+	recvGat [][]T // stage 1 receive, retained from post to finish
+	recv    [][]T // assembled per-source frames
 }
 
 // errHierContainer guards the record walk; the container never leaves
@@ -73,8 +59,10 @@ func (s *hierStrategy) messages() int {
 // wire fault (wire faults corrupt frame payloads, which the CRC catches).
 var errHierContainer = errors.New("pipeline: malformed hierarchical exchange container")
 
-// hierHdr packs one record header: the source and destination rank (both
-// current-communicator coordinates) and the frame length in payload units.
+// A record header is one 64-bit value packing the source and destination
+// rank (both current-communicator coordinates) and the frame length in
+// payload units, laid out little-endian over 8/sizeof(T) units: one word,
+// or eight bytes.
 func hierHdr(src, dest, n int) uint64 {
 	return uint64(src)<<48 | uint64(dest)<<32 | uint64(uint32(n))
 }
@@ -83,39 +71,40 @@ func hierHdrFields(h uint64) (src, dest, n int) {
 	return int(h >> 48), int(uint16(h >> 32)), int(uint32(h))
 }
 
+// appendRecord appends one [header, frame...] record to a container row.
+func appendRecord[T unit](row []T, src, dest int, frame []T) []T {
+	h := hierHdr(src, dest, len(frame))
+	for shift, width := 0, 8*mpisim.UnitBytes[T](); shift < 64; shift += width {
+		row = append(row, T(h>>shift))
+	}
+	return append(row, frame...)
+}
+
 // growRows resizes a pooled row vector to n rows, each truncated to zero
 // length with capacity retained.
 func growRows[T any](rows [][]T, n int) [][]T {
-	if cap(rows) < n {
-		rows = make([][]T, n)
-	}
-	rows = rows[:n]
+	rows = grow(rows, n)
 	for i := range rows {
 		rows[i] = rows[i][:0]
 	}
 	return rows
 }
 
-// nilRows resizes a pooled row vector to n nil rows: the assembled frame
-// vector distinguishes nil (dropped in flight) from empty (a legitimate
-// zero-item frame), matching the flat Alltoallv's semantics.
-func nilRows[T any](rows [][]T, n int) [][]T {
-	if cap(rows) < n {
-		rows = make([][]T, n)
-	}
-	rows = rows[:n]
-	for i := range rows {
-		rows[i] = nil
-	}
-	return rows
-}
-
-// eachRecordW walks a word container, yielding each record's header fields
-// and a capacity-clamped view of its frame.
-func eachRecordW(blob []uint64, fn func(src, dest int, frame []uint64)) error {
+// eachRecord walks a container, yielding each record's header fields and a
+// capacity-clamped view of its frame.
+func eachRecord[T unit](blob []T, fn func(src, dest int, frame []T)) error {
+	width := 8 * mpisim.UnitBytes[T]()
+	hdr := 64 / width
 	for i := 0; i < len(blob); {
-		src, dest, n := hierHdrFields(blob[i])
-		i++
+		if i+hdr > len(blob) {
+			return errHierContainer
+		}
+		var h uint64
+		for j := 0; j < hdr; j++ {
+			h |= uint64(blob[i+j]) << (j * width)
+		}
+		src, dest, n := hierHdrFields(h)
+		i += hdr
 		if n < 0 || i+n > len(blob) {
 			return errHierContainer
 		}
@@ -125,25 +114,7 @@ func eachRecordW(blob []uint64, fn func(src, dest int, frame []uint64)) error {
 	return nil
 }
 
-// eachRecordB is eachRecordW for byte containers (8-byte little-endian
-// header, then n frame bytes).
-func eachRecordB(blob []byte, fn func(src, dest int, frame []byte)) error {
-	for i := 0; i < len(blob); {
-		if i+8 > len(blob) {
-			return errHierContainer
-		}
-		src, dest, n := hierHdrFields(binary.LittleEndian.Uint64(blob[i:]))
-		i += 8
-		if n < 0 || i+n > len(blob) {
-			return errHierContainer
-		}
-		fn(src, dest, blob[i:i+n:i+n])
-		i += n
-	}
-	return nil
-}
-
-func (s *hierStrategy) postWords(p *pendingExchange, counts []int, framed [][]uint64) {
+func (s *hierStrategy[T]) post(p *pendingExchange[T], counts []int, framed [][]T) {
 	e, c := s.e, s.e.c
 	me, n := c.Rank(), c.Size()
 	hs := &s.slots[p.round%2]
@@ -153,7 +124,7 @@ func (s *hierStrategy) postWords(p *pendingExchange, counts []int, framed [][]ui
 	// to same-node destinations, onto this rank's leader otherwise. A
 	// dropped frame (nil) has no record: its destination assembles a nil
 	// entry and the shared verifier sees exactly a dropped flat payload.
-	hs.gatherW = growRows(hs.gatherW, n)
+	hs.gather = growRows(hs.gather, n)
 	leader := s.topo.LeaderOf(me)
 	var packed uint64
 	for d, f := range framed {
@@ -164,34 +135,32 @@ func (s *hierStrategy) postWords(p *pendingExchange, counts []int, framed [][]ui
 		if !s.topo.SameNode(me, d) {
 			row = leader
 		}
-		hs.gatherW[row] = append(hs.gatherW[row], hierHdr(me, d, len(f)))
-		hs.gatherW[row] = append(hs.gatherW[row], f...)
+		hs.gather[row] = appendRecord(hs.gather[row], me, d, f)
 		packed++
 	}
 	sp := e.rec.Begin(e.rank, p.round, obs.PhaseGather)
-	recv, err := c.NodeAlltoallvUint64(s.topo, hs.gatherW)
+	recv, err := mpisim.NodeAlltoallv(c, s.topo, hs.gather)
 	sp.End(0, packed)
 	if err != nil {
 		p.postErr = err
 		return
 	}
-	hs.recvGatW = recv
+	hs.recvGat = recv
 
 	// Leaders re-bucket the forwarded records by destination node; records
-	// addressed to this node stay in recvGatW for the finish half. On a
+	// addressed to this node stay in recvGat for the finish half. On a
 	// container error (a routing bug, not a wire fault) the collectives
 	// below are still posted so the world-wide collective order stays
 	// consistent; the error surfaces when the round is finished.
-	hs.leaderW = growRows(hs.leaderW, n)
+	hs.leader = growRows(hs.leader, n)
 	if s.topo.IsLeader(me) {
 		for _, blob := range recv {
-			err := eachRecordW(blob, func(src, dest int, frame []uint64) {
+			err := eachRecord(blob, func(src, dest int, frame []T) {
 				if s.topo.SameNode(me, dest) {
 					return
 				}
 				lr := s.topo.LeaderOf(dest)
-				hs.leaderW[lr] = append(hs.leaderW[lr], hierHdr(src, dest, len(frame)))
-				hs.leaderW[lr] = append(hs.leaderW[lr], frame...)
+				hs.leader[lr] = appendRecord(hs.leader[lr], src, dest, frame)
 			})
 			if err != nil {
 				p.postErr = err
@@ -203,16 +172,16 @@ func (s *hierStrategy) postWords(p *pendingExchange, counts []int, framed [][]ui
 	// Stage 2, posted nonblocking: the L×L leader exchange (non-leader
 	// rows are all empty) overlaps the next round's parse.
 	p.ann = c.IAlltoall(counts)
-	p.leaderWordsReq = c.IAlltoallvUint64(hs.leaderW)
+	p.req = mpisim.IAlltoallv(c, hs.leader)
 }
 
-func (s *hierStrategy) finishWords(p *pendingExchange) ([][]uint64, error) {
+func (s *hierStrategy[T]) finish(p *pendingExchange[T]) ([][]T, error) {
 	e, c := s.e, s.e.c
 	me, n := c.Rank(), c.Size()
 	hs := p.hier
 
 	sp := e.rec.Begin(e.rank, p.round, obs.PhaseLeader)
-	lrecv, err := p.leaderWordsReq.Wait()
+	lrecv, err := p.req.Wait()
 	sp.End(0, 0)
 	if err != nil {
 		return nil, err
@@ -221,12 +190,11 @@ func (s *hierStrategy) finishWords(p *pendingExchange) ([][]uint64, error) {
 	// Stage 3: leaders sort fabric arrivals into per-member rows (their
 	// own records included — self-delivery through the scatter keeps the
 	// stage uniform) and deliver over the node tier.
-	hs.scatterW = growRows(hs.scatterW, n)
+	hs.scatter = growRows(hs.scatter, n)
 	if s.topo.IsLeader(me) {
 		for _, blob := range lrecv {
-			err := eachRecordW(blob, func(src, dest int, frame []uint64) {
-				hs.scatterW[dest] = append(hs.scatterW[dest], hierHdr(src, dest, len(frame)))
-				hs.scatterW[dest] = append(hs.scatterW[dest], frame...)
+			err := eachRecord(blob, func(src, dest int, frame []T) {
+				hs.scatter[dest] = appendRecord(hs.scatter[dest], src, dest, frame)
 			})
 			if err != nil {
 				return nil, err
@@ -234,7 +202,7 @@ func (s *hierStrategy) finishWords(p *pendingExchange) ([][]uint64, error) {
 		}
 	}
 	sp = e.rec.Begin(e.rank, p.round, obs.PhaseScatter)
-	srecv, err := c.NodeAlltoallvUint64(s.topo, hs.scatterW)
+	srecv, err := mpisim.NodeAlltoallv(c, s.topo, hs.scatter)
 	sp.End(0, 0)
 	if err != nil {
 		return nil, err
@@ -243,135 +211,24 @@ func (s *hierStrategy) finishWords(p *pendingExchange) ([][]uint64, error) {
 	// Assemble the per-source frame vector the shared verifier expects:
 	// direct same-node frames from the gather stage (a leader also holds
 	// forwarded records there — skipped by the dest filter), off-node
-	// frames from the scatter.
-	hs.recvW = nilRows(hs.recvW, n)
-	collect := func(blob []uint64) error {
-		return eachRecordW(blob, func(src, dest int, frame []uint64) {
-			if dest == me {
-				hs.recvW[src] = frame
-			}
-		})
+	// frames from the scatter. The vector distinguishes nil (dropped in
+	// flight: no record) from empty (a legitimate zero-item frame),
+	// matching the flat Alltoallv's semantics.
+	hs.recv = grow(hs.recv, n)
+	for i := range hs.recv {
+		hs.recv[i] = nil
 	}
-	for _, blob := range hs.recvGatW {
-		if err := collect(blob); err != nil {
-			return nil, err
-		}
-	}
-	for _, blob := range srecv {
-		if err := collect(blob); err != nil {
-			return nil, err
-		}
-	}
-	return hs.recvW, nil
-}
-
-func (s *hierStrategy) postBytes(p *pendingExchange, counts []int, framed [][]byte) {
-	e, c := s.e, s.e.c
-	me, n := c.Rank(), c.Size()
-	hs := &s.slots[p.round%2]
-	p.hier = hs
-
-	hs.gatherB = growRows(hs.gatherB, n)
-	leader := s.topo.LeaderOf(me)
-	var packed uint64
-	var hdr [8]byte
-	for d, f := range framed {
-		if f == nil {
-			continue
-		}
-		row := d
-		if !s.topo.SameNode(me, d) {
-			row = leader
-		}
-		binary.LittleEndian.PutUint64(hdr[:], hierHdr(me, d, len(f)))
-		hs.gatherB[row] = append(hs.gatherB[row], hdr[:]...)
-		hs.gatherB[row] = append(hs.gatherB[row], f...)
-		packed++
-	}
-	sp := e.rec.Begin(e.rank, p.round, obs.PhaseGather)
-	recv, err := c.NodeAlltoallvBytes(s.topo, hs.gatherB)
-	sp.End(0, packed)
-	if err != nil {
-		p.postErr = err
-		return
-	}
-	hs.recvGatB = recv
-
-	// See postWords: collectives are posted even on a container error so
-	// the collective order stays consistent.
-	hs.leaderB = growRows(hs.leaderB, n)
-	if s.topo.IsLeader(me) {
-		for _, blob := range recv {
-			err := eachRecordB(blob, func(src, dest int, frame []byte) {
-				if s.topo.SameNode(me, dest) {
-					return
+	for _, stage := range [2][][]T{hs.recvGat, srecv} {
+		for _, blob := range stage {
+			err := eachRecord(blob, func(src, dest int, frame []T) {
+				if dest == me {
+					hs.recv[src] = frame
 				}
-				lr := s.topo.LeaderOf(dest)
-				binary.LittleEndian.PutUint64(hdr[:], hierHdr(src, dest, len(frame)))
-				hs.leaderB[lr] = append(hs.leaderB[lr], hdr[:]...)
-				hs.leaderB[lr] = append(hs.leaderB[lr], frame...)
-			})
-			if err != nil {
-				p.postErr = err
-				break
-			}
-		}
-	}
-
-	p.ann = c.IAlltoall(counts)
-	p.leaderBytesReq = c.IAlltoallvBytes(hs.leaderB)
-}
-
-func (s *hierStrategy) finishBytes(p *pendingExchange) ([][]byte, error) {
-	e, c := s.e, s.e.c
-	me, n := c.Rank(), c.Size()
-	hs := p.hier
-
-	sp := e.rec.Begin(e.rank, p.round, obs.PhaseLeader)
-	lrecv, err := p.leaderBytesReq.Wait()
-	sp.End(0, 0)
-	if err != nil {
-		return nil, err
-	}
-
-	hs.scatterB = growRows(hs.scatterB, n)
-	if s.topo.IsLeader(me) {
-		var hdr [8]byte
-		for _, blob := range lrecv {
-			err := eachRecordB(blob, func(src, dest int, frame []byte) {
-				binary.LittleEndian.PutUint64(hdr[:], hierHdr(src, dest, len(frame)))
-				hs.scatterB[dest] = append(hs.scatterB[dest], hdr[:]...)
-				hs.scatterB[dest] = append(hs.scatterB[dest], frame...)
 			})
 			if err != nil {
 				return nil, err
 			}
 		}
 	}
-	sp = e.rec.Begin(e.rank, p.round, obs.PhaseScatter)
-	srecv, err := c.NodeAlltoallvBytes(s.topo, hs.scatterB)
-	sp.End(0, 0)
-	if err != nil {
-		return nil, err
-	}
-
-	hs.recvB = nilRows(hs.recvB, n)
-	collect := func(blob []byte) error {
-		return eachRecordB(blob, func(src, dest int, frame []byte) {
-			if dest == me {
-				hs.recvB[src] = frame
-			}
-		})
-	}
-	for _, blob := range hs.recvGatB {
-		if err := collect(blob); err != nil {
-			return nil, err
-		}
-	}
-	for _, blob := range srecv {
-		if err := collect(blob); err != nil {
-			return nil, err
-		}
-	}
-	return hs.recvB, nil
+	return hs.recv, nil
 }

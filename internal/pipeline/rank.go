@@ -1,0 +1,256 @@
+package pipeline
+
+import (
+	"time"
+
+	"dedukt/internal/dna"
+	"dedukt/internal/fault"
+	"dedukt/internal/kcount"
+	"dedukt/internal/mpisim"
+	"dedukt/internal/obs"
+)
+
+// rankCtx is everything one entry of the rank body is handed: the run-wide
+// shared state plus this seat's communicator, chunk source and outcome.
+type rankCtx struct {
+	cfg     Config
+	destMap []uint16
+	inj     *fault.Injector
+	ck      *ckptCtl   // nil: no checkpointing
+	rsp     *rankSpill // nil: in-memory counting
+	c       *mpisim.Comm
+	src     chunkSource
+	seat    *rankSeat
+	out     *rankOutcome
+	// bloomBases is the rank's expected input bases for singleton-filter
+	// sizing (0 when unknown).
+	bloomBases int
+}
+
+// roundState is one parity's pooled round scratch: the staged base buffer,
+// the round's send rows (views into the engine's parity scratch), their
+// fold onto a shrunk communicator, and the posted exchange with what it
+// delivered. Two of these double-buffer the overlapped schedule; the serial
+// schedule just alternates between them.
+type roundState[T unit] struct {
+	buf      dna.SeqBuffer
+	send     [][]T
+	routed   [][]T
+	bytesOut uint64
+	pend     *pendingExchange[T]
+	recv     [][]T
+	items    uint64 // exchanged units received this round
+}
+
+// runRank is the one rank body: the three-phase round of Alg. 1 and Alg. 2
+// — parse, many-to-many exchange, count — driven by runRounds until the
+// world agrees the input is drained, then the final spectrum (or, in spill
+// mode, the per-bin pass 2). The mode supplies the payload unit T and its
+// codec; the engine supplies the two compute phases for the device.
+func runRank[T unit](rc rankCtx, cd codec[T], newEngine func(rankCtx) (engine[T], error)) error {
+	cfg, seat, out := rc.cfg, rc.seat, rc.out
+	rec, rank := cfg.Obs, seat.old
+	eng, err := newEngine(rc)
+	if err != nil {
+		return err
+	}
+	// Without GPUDirect the GPU pipeline bounces every buffer through a
+	// pinned host staging area; under GPUDirect (and on the CPU) the legs
+	// vanish entirely — no stage_h2d span, no modeled staging time.
+	staged := cfg.Layout.GPU != nil && !cfg.GPUDirect
+	ex := newExchanger(&cfg, rc.c, rank, rc.inj, out, cd)
+	var states [2]roundState[T]
+
+	// Round-start faults fire once per executed round, before its parse.
+	start := func(r int) error {
+		return killOrStall(rc.inj, rank, r, rec)
+	}
+
+	// Stage + parse: pull the round's chunk, build its concatenated base
+	// buffer, model its host→device transfer, and run the engine's parse
+	// into the parity slot.
+	parse := func(r int) (bool, error) {
+		st := &states[r%2]
+		recs, more, err := rc.src.nextChunk()
+		if err != nil {
+			return false, err
+		}
+		st.buf.Reset()
+		for _, rd := range recs {
+			st.buf.AppendRead(rd.Seq)
+		}
+		data := st.buf.Data()
+		if staged {
+			sp := rec.Begin(rank, r, obs.PhaseStageH2D)
+			h2dIn := eng.stage(uint64(len(data)))
+			out.stage += h2dIn
+			sp.End(h2dIn, uint64(len(data)))
+		}
+
+		sp := rec.Begin(rank, r, obs.PhaseParse)
+		var w work
+		st.send, w, err = eng.parse(r%2, data)
+		if err != nil {
+			sp.End(0, 0)
+			return false, err
+		}
+		modeled := eng.modeled(w)
+		out.parse += modeled
+		out.parseOps += w.ops()
+		out.parseSt.Add(w.stats)
+
+		var sent uint64
+		sent, st.bytesOut = tally(cd, st.send)
+		out.itemsSent += sent
+		out.payloadSent += st.bytesOut
+		sp.End(modeled, sent)
+		return more, nil
+	}
+
+	// Post: announce counts (carrying the end-of-stream more flag) and
+	// ship the round's framed payloads with nonblocking collectives
+	// (errors surface at finish time).
+	post := func(r int, more bool) error {
+		st := &states[r%2]
+		st.pend = ex.post(r, route(seat, st.send, &st.routed), more)
+		return nil
+	}
+
+	// Finish: complete the exchange (verify, retry, settle) and model the
+	// host staging legs. The received rows stay in the parity slot for
+	// count.
+	finish := func(r int) (bool, error) {
+		st := &states[r%2]
+		pend := st.pend
+		st.pend = nil
+		recv, anyMore, err := ex.finish(pend)
+		if err != nil {
+			return false, err
+		}
+		var bytesIn uint64
+		st.recv = recv
+		st.items, bytesIn = tally(cd, recv)
+		var stage time.Duration
+		if staged {
+			stage = eng.stage(st.bytesOut) + eng.stage(bytesIn)
+			out.stage += stage
+		}
+		pend.sp.End(stage, st.items)
+		return anyMore, nil
+	}
+
+	// Count: insert the round's received rows into this rank's table
+	// partition in place. In spill mode (pass 1) the verified rows are
+	// appended to the rank's disk bins instead and the insert is deferred
+	// to the per-bin pass below.
+	count := func(r int) error {
+		st := &states[r%2]
+		if rc.rsp != nil {
+			sp := rec.Begin(rank, r, obs.PhaseSpill)
+			n, err := spill(rc.rsp, cd, st.recv)
+			if err != nil {
+				sp.End(0, 0)
+				return err
+			}
+			sp.End(0, n)
+			return nil
+		}
+		sp := rec.Begin(rank, r, obs.PhaseCount)
+		w, err := eng.count(st.recv, int(st.items))
+		if err != nil {
+			sp.End(0, 0)
+			return err
+		}
+		sp.End(chargeCount(out, eng, w), st.items)
+		return nil
+	}
+
+	hooks := roundHooks{start: start, parse: parse, post: post, finish: finish, count: count}
+	if ck := rc.ck; ck != nil {
+		hooks.ckptAt, hooks.resync = ck.at, rc.c.Barrier
+		hooks.ckpt = func(r int) error {
+			return ck.write(rc.c, seat, r, kcount.FromTable(eng.snapshot(), cfg.K, ck.flags), out)
+		}
+	}
+	rounds, err := runRounds(cfg.Overlap, seat.base, hooks)
+	if err != nil {
+		return err
+	}
+	out.rounds = rounds
+
+	if rc.rsp != nil {
+		return countBins(eng, cd, rc.rsp, rec, rank, out)
+	}
+	snap := eng.snapshot()
+	out.counted = snap.TotalCount()
+	out.distinct = uint64(snap.Len())
+	out.hist = snap.Histogram()
+	out.top = snap.TopK(topKPerRank)
+	if cfg.KeepTables {
+		out.table = snap
+	}
+	return nil
+}
+
+// tally sums a row vector's exchanged items and payload bytes.
+func tally[T unit](cd codec[T], rows [][]T) (items, bytes uint64) {
+	for _, row := range rows {
+		items += uint64(cd.items(row))
+		bytes += uint64(len(row))
+	}
+	return items, bytes * uint64(mpisim.UnitBytes[T]())
+}
+
+// chargeCount converts one count phase's metered work to modeled time and
+// books both onto the outcome, returning the time for the caller's span.
+func chargeCount[T unit](o *rankOutcome, eng engine[T], w work) time.Duration {
+	modeled := eng.modeled(w)
+	o.count += modeled
+	o.countOps += w.ops()
+	o.countSt.Add(w.stats)
+	return modeled
+}
+
+// countBins is spill pass 2: seal the rank's bins, then count each one
+// into a fresh working-set table — sized for that bin alone, never the
+// whole spectrum slice — and fold the bin spectra into the outcome. Bins
+// partition the rank's key space, so the fold is bit-identical to the
+// single-table path.
+func countBins[T unit](eng engine[T], cd codec[T], rsp *rankSpill, rec *obs.Recorder, rank int, out *rankOutcome) error {
+	if err := rsp.seal(); err != nil {
+		return err
+	}
+	acc := kcount.NewBinAccumulator(topKPerRank)
+	var row []T
+	for b := 0; b < rsp.ctl.bins; b++ {
+		// Pass-2 spans carry round -1: bin counting happens after the round
+		// loop, like recovery (the other round-free phase).
+		sp := rec.Begin(rank, -1, obs.PhaseBinCount)
+		eng.newBin()
+		var (
+			binItems uint64
+			binWork  work
+		)
+		err := rsp.readBin(b, func(payload []byte, items int) (err error) {
+			if row, err = cd.unstage(payload, items, row); err != nil {
+				return err
+			}
+			w, err := eng.count([][]T{row}, items)
+			binWork.add(w)
+			binItems += uint64(items)
+			return err
+		})
+		if err != nil {
+			sp.End(0, 0)
+			return err
+		}
+		acc.AddTable(eng.snapshot())
+		sp.End(chargeCount(out, eng, binWork), binItems)
+	}
+	rsp.cleanup(!out.incomplete)
+	out.counted = acc.Total()
+	out.distinct = acc.Distinct()
+	out.hist = acc.Histogram()
+	out.top = acc.TopK()
+	return nil
+}

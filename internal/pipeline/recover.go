@@ -81,47 +81,21 @@ func (s *rankSeat) buildRemap(dead []bool) error {
 	return nil
 }
 
-// route folds an nOrig-row word send set onto the current communicator.
+// route folds an nOrig-row send set onto the current communicator.
 // Identity seats pass the rows through untouched; shrunk seats
 // concatenate each dead destination's row onto its successor's (counting
-// is order-invariant, so the fold preserves the spectrum exactly). buf
-// is per-caller pooled scratch — the overlapped schedule routes two
-// rounds concurrently, so each parity owns its own.
-func (s *rankSeat) route(send [][]uint64, buf *[][]uint64) [][]uint64 {
+// is order-invariant, so the fold preserves the spectrum exactly; k-mer
+// words and fixed-stride supermer images both concatenate whole). buf is
+// per-caller pooled scratch — the overlapped schedule routes two rounds
+// concurrently, so each parity owns its own.
+func route[T unit](s *rankSeat, send [][]T, buf *[][]T) [][]T {
 	if len(s.slots) == s.nOrig {
 		return send // identity: no rank has died
 	}
-	out := *buf
-	if len(out) != len(s.slots) {
-		out = make([][]uint64, len(s.slots))
-	}
-	for i := range out {
-		out[i] = out[i][:0]
-	}
-	for d, part := range send {
+	out := growRows(*buf, len(s.slots))
+	for d, row := range send {
 		r := s.remap[d]
-		out[r] = append(out[r], part...)
-	}
-	*buf = out
-	return out
-}
-
-// routeBytes is route for supermer wire payloads (whole encoded records
-// concatenate; the wire format is self-delimiting per stride).
-func (s *rankSeat) routeBytes(send [][]byte, buf *[][]byte) [][]byte {
-	if len(s.slots) == s.nOrig {
-		return send
-	}
-	out := *buf
-	if len(out) != len(s.slots) {
-		out = make([][]byte, len(s.slots))
-	}
-	for i := range out {
-		out[i] = out[i][:0]
-	}
-	for d, part := range send {
-		r := s.remap[d]
-		out[r] = append(out[r], part...)
+		out[r] = append(out[r], row...)
 	}
 	*buf = out
 	return out

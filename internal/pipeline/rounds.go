@@ -55,10 +55,11 @@ func (s *sliceChunker) nextChunk() ([]fastq.Record, bool, error) {
 // completes the exchange (verification, retries, the settle collective)
 // and returns the world's agreement on whether any rank still has input;
 // count(r) inserts the received items into the rank's table.
-// The optional checkpoint pair rides along: ckptAt(r) reports whether
+// The optional checkpoint hooks ride along: ckptAt(r) reports whether
 // round r is a checkpoint round — it must be a pure function of r, the
-// same on every rank, because ckpt(r) runs collective barriers — and
-// ckpt(r) persists the rank's state as of the end of round r.
+// same on every rank, because ckpt(r) runs collective barriers — ckpt(r)
+// persists the rank's state as of the end of round r, and resync is a
+// world barrier (see runRounds on why a checkpoint round needs one).
 type roundHooks struct {
 	start  func(r int) error
 	parse  func(r int) (more bool, err error)
@@ -67,6 +68,7 @@ type roundHooks struct {
 	count  func(r int) error
 	ckptAt func(r int) bool
 	ckpt   func(r int) error
+	resync func() error
 }
 
 // runRounds drives one rank's open-ended round loop until the world
@@ -115,7 +117,11 @@ type roundHooks struct {
 // bubble every Ckpt.Every rounds, which is the checkpoint's entire
 // steady-state cost. ckpt(r) runs blocking collectives, which is legal
 // exactly there: round r's requests were waited by finish(r) and round
-// r+1's are not yet posted.
+// r+1's are not yet posted. resync follows the deferred parse(r+1):
+// elsewhere a rank's pull for round r+1 precedes its settle collective of
+// round r, hence every peer's pull for r+2; a pull deferred past the
+// checkpoint has no collective behind it, so a fast rank's speculative
+// parse(r+2) could overtake it and make the round count scheduling-dependent.
 func runRounds(overlap bool, base int, h roundHooks) (rounds int, err error) {
 	ckptDue := func(r int) bool { return h.ckptAt != nil && h.ckptAt(r) }
 	if !overlap {
@@ -208,6 +214,11 @@ func runRounds(overlap bool, base int, h roundHooks) (rounds int, err error) {
 			}
 			if nextMore, err = h.parse(r + 1); err != nil {
 				return r, err
+			}
+			if drain {
+				if err := h.resync(); err != nil {
+					return r, err
+				}
 			}
 			if err := h.post(r+1, nextMore); err != nil {
 				return r, err

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"dedukt/internal/dna"
 	"dedukt/internal/fastq"
 	"dedukt/internal/fault"
 	"dedukt/internal/gpusim"
@@ -72,7 +71,7 @@ func Run(cfg Config, reads []fastq.Record) (*Result, error) {
 		totalBases += uint64(bloomBases[r])
 		sources[r] = &sliceChunker{reads: part, maxBases: cfg.RoundBases}
 	}
-	spl, err := maybeSpill(cfg)
+	spl, err := newSpillCtl(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -83,14 +82,6 @@ func Run(cfg Config, reads []fastq.Record) (*Result, error) {
 	res.InputReads = uint64(len(reads))
 	res.InputBases = totalBases
 	return res, nil
-}
-
-// maybeSpill builds the shared out-of-core spill state when configured.
-func maybeSpill(cfg Config) (*spillCtl, error) {
-	if cfg.Spill.Dir == "" {
-		return nil, nil
-	}
-	return newSpillCtl(cfg)
 }
 
 // validateRun is the config validation shared by Run and RunStream.
@@ -138,28 +129,34 @@ func runWorld(cfg Config, destMap []uint16, sources []chunkSource, bloomBases []
 		WireTime: cfg.WireTime, WireMsg: cfg.WireMsg,
 		RanksPerNode: cfg.Layout.Net.RanksPerNode,
 	}
+	// The one mode fork of the pipeline: the mode fixes the payload unit
+	// the rank body is instantiated over — 64-bit k-mer words or supermer
+	// wire bytes — with its codec and engine family.
+	var rankBody func(rankCtx) error
+	if cfg.Mode == KmerMode {
+		rankBody = func(rc rankCtx) error { return runRank[uint64](rc, kmerCodec{}, newKmerEngine) }
+	} else {
+		var cd codec[byte] = supermerCodec{wire: kernels.SupermerWire{K: cfg.K, Window: cfg.Window}, mc: cfg.minimizerConfig()}
+		rankBody = func(rc rankCtx) error { return runRank[byte](rc, cd, newSupermerEngine) }
+	}
 	trace, errs, err := mpisim.RunRanks(len(seats), opt, func(c *mpisim.Comm) error {
 		// The seat and source are bound to the starting slot; both stay
 		// with this goroutine when a shrink renumbers the communicator.
 		seat := seats[c.Rank()]
-		src := sources[c.Rank()]
 		out := &outcomes[seat.old]
 		out.incomplete = seat.degraded
-		bases := 0
-		if bloomBases != nil {
-			bases = bloomBases[c.Rank()]
+		rc := rankCtx{
+			cfg: cfg, destMap: destMap, inj: inj, ck: ck,
+			c: c, src: sources[c.Rank()], seat: seat, out: out,
 		}
-		var rsp *rankSpill
+		if bloomBases != nil {
+			rc.bloomBases = bloomBases[c.Rank()]
+		}
 		if spl != nil {
-			rsp = spl.rank(seat.old)
+			rc.rsp = spl.rank(seat.old)
 		}
 		for {
-			var err error
-			if cfg.Layout.GPU != nil {
-				err = runGPURank(cfg, destMap, inj, c, src, seat, ck, rsp, out)
-			} else {
-				err = runCPURank(cfg, destMap, inj, c, src, bases, seat, ck, rsp, out)
-			}
+			err := rankBody(rc)
 			if err == nil {
 				return nil
 			}
@@ -260,349 +257,6 @@ func registerRunMetrics(reg *obs.Registry, res *Result) {
 	} {
 		reg.Gauge("pipeline_phase_seconds", "Summit-projected phase time (bulk-synchronous: slowest rank).", obs.L("phase", phase)).Set(d.Seconds())
 	}
-}
-
-// gpuRoundState is one parity's pooled round scratch for the GPU rank body:
-// the staged base buffer, the kernel packing scratch, the round's send
-// buffers (views into the kernel scratch) and its posted exchange. Two of
-// these double-buffer the overlapped schedule; the serial schedule just
-// alternates between them.
-type gpuRoundState struct {
-	buf       dna.SeqBuffer
-	parse     kernels.ParseScratch
-	sup       kernels.SupermerScratch
-	sendWords [][]uint64
-	sendWire  [][]byte
-	routedW   [][]uint64
-	routedB   [][]byte
-	bytesOut  uint64
-	pend      *pendingExchange
-	recvWords [][]uint64
-	recvWire  [][]byte
-	roundRecv uint64
-}
-
-// seedAtomicTable preloads checkpointed spectrum slices into a fresh
-// atomic table sized for them.
-func seedAtomicTable(seed []*kcount.Database, load float64, prob kcount.Probing) (*kcount.AtomicTable, error) {
-	n := 1
-	for _, db := range seed {
-		n += db.Len()
-	}
-	t := kcount.NewAtomicTable(n, load, prob)
-	for _, db := range seed {
-		for _, e := range db.Entries {
-			if _, _, err := t.Add(e.Key, e.Count); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return t, nil
-}
-
-func runGPURank(cfg Config, destMap []uint16, inj *fault.Injector, c *mpisim.Comm, src chunkSource, seat *rankSeat, ck *ckptCtl, rsp *rankSpill, out *rankOutcome) error {
-	dev := gpusim.MustDevice(*cfg.Layout.GPU)
-	if cfg.Obs != nil {
-		dev.Observe(cfg.Obs.Registry())
-	}
-	rec := cfg.Obs
-	rank := seat.old
-	table, err := seedAtomicTable(seat.seed, cfg.tableLoad(), cfg.Probing)
-	if err != nil {
-		return err
-	}
-	wire := kernels.SupermerWire{K: cfg.K, Window: cfg.Window}
-	ex := newExchanger(&cfg, c, rank, inj, out)
-	var states [2]gpuRoundState
-
-	// Round-start faults fire once per executed round, before its parse.
-	start := func(r int) error {
-		return killOrStall(inj, rank, r, rec)
-	}
-
-	// Stage + parse: pull the round's chunk, build its concatenated base
-	// buffer, model its host→device transfer, and run the parse (or
-	// supermer) kernel into the parity slot's packing scratch.
-	parse := func(r int) (bool, error) {
-		st := &states[r%2]
-		recs, more, err := src.nextChunk()
-		if err != nil {
-			return false, err
-		}
-		st.buf.Reset()
-		for _, rd := range recs {
-			st.buf.AppendRead(rd.Seq)
-		}
-		data := st.buf.Data()
-		if !cfg.GPUDirect {
-			// The input bases bounce through a pinned host staging buffer
-			// before the kernel sees them. Under GPUDirect the reads stream
-			// straight into device memory, so the leg vanishes entirely —
-			// no stage_h2d span, no modeled staging time.
-			sp := rec.Begin(rank, r, obs.PhaseStageH2D)
-			h2dIn := dev.Config().TransferTime(int64(len(data)))
-			out.stage += h2dIn
-			sp.End(h2dIn, uint64(len(data)))
-		}
-
-		sp := rec.Begin(rank, r, obs.PhaseParse)
-		var parseSt gpusim.KernelStats
-		// Destinations are always the ORIGINAL world: the key→rank map
-		// never changes across shrinks (checkpointed slices stay valid);
-		// the seat folds dead destinations onto survivors at post time.
-		if cfg.Mode == KmerMode {
-			st.sendWords, parseSt, err = kernels.ParseKmers(dev, kernels.ParseConfig{
-				Enc: cfg.Enc, K: cfg.K, NumDest: seat.nOrig, Canonical: cfg.Canonical,
-			}, data, &st.parse)
-		} else {
-			st.sendWire, parseSt, err = kernels.BuildSupermers(dev, kernels.SupermerConfig{
-				Enc: cfg.Enc, C: cfg.minimizerConfig(), NumDest: seat.nOrig, DestMap: destMap,
-			}, data, &st.sup)
-		}
-		if err != nil {
-			sp.End(0, 0)
-			return false, err
-		}
-		kt := dev.Config().KernelTime(&parseSt)
-		out.parse += kt
-		out.parseOps += parseSt.ComputeOps
-		out.parseSt.Add(parseSt)
-
-		var bytesOut, roundSent uint64
-		if cfg.Mode == KmerMode {
-			for _, part := range st.sendWords {
-				roundSent += uint64(len(part))
-				bytesOut += 8 * uint64(len(part))
-			}
-		} else {
-			for _, part := range st.sendWire {
-				roundSent += uint64(len(part) / wire.Stride())
-				bytesOut += uint64(len(part))
-			}
-		}
-		st.bytesOut = bytesOut
-		out.itemsSent += roundSent
-		out.payloadSent += bytesOut
-		sp.End(kt, roundSent)
-		return more, nil
-	}
-
-	// Post: announce counts (carrying the end-of-stream more flag) and
-	// ship the round's framed payloads with nonblocking collectives
-	// (errors surface at finish time).
-	post := func(r int, more bool) error {
-		st := &states[r%2]
-		if cfg.Mode == KmerMode {
-			st.pend = ex.postWords(r, seat.route(st.sendWords, &st.routedW), more)
-		} else {
-			st.pend = ex.postWire(r, wire, seat.routeBytes(st.sendWire, &st.routedB), more)
-		}
-		return nil
-	}
-
-	// Finish: complete the exchange (verify, retry, settle) and model the
-	// host staging legs unless GPUDirect. The received parts stay in the
-	// parity slot for count.
-	finish := func(r int) (bool, error) {
-		st := &states[r%2]
-		pend := st.pend
-		st.pend = nil
-		var (
-			bytesIn  uint64
-			incoming int
-			anyMore  bool
-			err      error
-		)
-		if cfg.Mode == KmerMode {
-			st.recvWords, anyMore, err = ex.finishWords(pend)
-			if err != nil {
-				return false, err
-			}
-			for _, part := range st.recvWords {
-				bytesIn += 8 * uint64(len(part))
-				incoming += len(part)
-			}
-		} else {
-			st.recvWire, anyMore, err = ex.finishWire(pend)
-			if err != nil {
-				return false, err
-			}
-			for _, part := range st.recvWire {
-				bytesIn += uint64(len(part))
-				incoming += len(part) / wire.Stride()
-			}
-		}
-		st.roundRecv = uint64(incoming)
-		var stage time.Duration
-		if !cfg.GPUDirect {
-			stage = dev.Config().TransferTime(int64(st.bytesOut)) + dev.Config().TransferTime(int64(bytesIn))
-			out.stage += stage
-		}
-		pend.sp.End(stage, st.roundRecv)
-		return anyMore, nil
-	}
-
-	// Count: insert the round's received parts into this rank's table
-	// partition in place, growing it between rounds when needed. In spill
-	// mode (pass 1) the verified parts are appended to the rank's disk
-	// bins instead and the insert is deferred to the per-bin pass below.
-	count := func(r int) error {
-		st := &states[r%2]
-		if rsp != nil {
-			sp := rec.Begin(rank, r, obs.PhaseSpill)
-			var (
-				n   uint64
-				err error
-			)
-			if cfg.Mode == KmerMode {
-				n, err = rsp.spillWords(st.recvWords)
-			} else {
-				n, err = rsp.spillWire(wire, cfg.minimizerConfig(), st.recvWire)
-			}
-			if err != nil {
-				sp.End(0, 0)
-				return err
-			}
-			sp.End(0, n)
-			return nil
-		}
-		incoming := int(st.roundRecv)
-		sp := rec.Begin(rank, r, obs.PhaseCount)
-		var (
-			countSt gpusim.KernelStats
-			err     error
-		)
-		if cfg.Mode == KmerMode {
-			table, err = ensureCapacity(table, incoming, cfg.tableLoad(), cfg.Probing)
-			if err != nil {
-				sp.End(0, 0)
-				return err
-			}
-			countSt, err = kernels.CountKmers(dev, table, st.recvWords)
-		} else {
-			table, err = ensureCapacity(table, incoming*cfg.Window, cfg.tableLoad(), cfg.Probing)
-			if err != nil {
-				sp.End(0, 0)
-				return err
-			}
-			countSt, err = kernels.CountSupermers(dev, table, wire, st.recvWire)
-		}
-		if err != nil {
-			sp.End(0, 0)
-			return err
-		}
-		out.count += dev.Config().KernelTime(&countSt)
-		out.countOps += countSt.ComputeOps
-		out.countSt.Add(countSt)
-		sp.End(dev.Config().KernelTime(&countSt), st.roundRecv)
-		return nil
-	}
-
-	hooks := roundHooks{start: start, parse: parse, post: post, finish: finish, count: count}
-	if ck != nil {
-		hooks.ckptAt = ck.at
-		hooks.ckpt = func(r int) error {
-			// table is reassigned by ensureCapacity; snapshot the current
-			// one at checkpoint time.
-			return ck.write(c, seat, r, kcount.FromTable(table.Snapshot(), cfg.K, ck.flags), out)
-		}
-	}
-	rounds, err := runRounds(cfg.Overlap, seat.base, hooks)
-	if err != nil {
-		return err
-	}
-	out.rounds = rounds
-
-	if rsp != nil {
-		return gpuCountBins(cfg, dev, wire, rsp, rec, rank, out)
-	}
-	snap := table.Snapshot()
-	out.counted = snap.TotalCount()
-	out.distinct = uint64(snap.Len())
-	out.hist = snap.Histogram()
-	out.top = snap.TopK(topKPerRank)
-	if cfg.KeepTables {
-		out.table = snap
-	}
-	return nil
-}
-
-// gpuCountBins is the GPU engine's spill pass 2: seal the rank's bins,
-// then count each one into a fresh working-set table — sized for that
-// bin alone, never the whole spectrum slice — and fold the bin spectra
-// into the outcome. Bins partition the rank's key space, so the fold is
-// bit-identical to the single-table path.
-func gpuCountBins(cfg Config, dev *gpusim.Device, wire kernels.SupermerWire, rsp *rankSpill, rec *obs.Recorder, rank int, out *rankOutcome) error {
-	if err := rsp.seal(); err != nil {
-		return err
-	}
-	acc := kcount.NewBinAccumulator(topKPerRank)
-	stride := wire.Stride()
-	var words []uint64
-	for b := 0; b < rsp.ctl.bins; b++ {
-		// Pass-2 spans carry round -1: bin counting happens after the round
-		// loop, like recovery (the other round-free phase).
-		sp := rec.Begin(rank, -1, obs.PhaseBinCount)
-		bt := kcount.NewAtomicTable(1, cfg.tableLoad(), cfg.Probing)
-		var (
-			binItems   uint64
-			binModeled time.Duration
-		)
-		err := rsp.readBin(b, func(payload []byte, items int) error {
-			var (
-				countSt gpusim.KernelStats
-				err     error
-			)
-			if cfg.Mode == KmerMode {
-				if len(payload) != 8*items {
-					return fmt.Errorf("spill record declares %d words for %d payload bytes: %w", items, len(payload), ErrSpillMismatch)
-				}
-				if cap(words) < items {
-					words = make([]uint64, items)
-				}
-				words = words[:items]
-				for i := range words {
-					words[i] = leUint64(payload[8*i:])
-				}
-				bt, err = ensureCapacity(bt, items, cfg.tableLoad(), cfg.Probing)
-				if err != nil {
-					return err
-				}
-				countSt, err = kernels.CountKmers(dev, bt, [][]uint64{words})
-			} else {
-				if len(payload) != items*stride {
-					return fmt.Errorf("spill record declares %d images for %d payload bytes (stride %d): %w", items, len(payload), stride, ErrSpillMismatch)
-				}
-				bt, err = ensureCapacity(bt, items*cfg.Window, cfg.tableLoad(), cfg.Probing)
-				if err != nil {
-					return err
-				}
-				countSt, err = kernels.CountSupermers(dev, bt, wire, [][]byte{payload})
-			}
-			if err != nil {
-				return err
-			}
-			kt := dev.Config().KernelTime(&countSt)
-			out.count += kt
-			binModeled += kt
-			out.countOps += countSt.ComputeOps
-			out.countSt.Add(countSt)
-			binItems += uint64(items)
-			return nil
-		})
-		if err != nil {
-			sp.End(0, 0)
-			return err
-		}
-		acc.AddTable(bt.Snapshot())
-		sp.End(binModeled, binItems)
-	}
-	rsp.cleanup(!out.incomplete)
-	out.counted = acc.Total()
-	out.distinct = acc.Distinct()
-	out.hist = acc.Histogram()
-	out.top = acc.TopK()
-	return nil
 }
 
 // topKPerRank bounds the per-rank contribution to the global top-k merge.

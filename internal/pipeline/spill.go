@@ -27,9 +27,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"dedukt/internal/dna"
-	"dedukt/internal/kernels"
-	"dedukt/internal/minimizer"
 	"dedukt/internal/obs"
 )
 
@@ -183,9 +180,6 @@ func readSpillBin(r io.Reader, want *spillHeader, fn func(payload []byte, items 
 	}
 }
 
-// leUint64 decodes one little-endian word of a spill record payload.
-func leUint64(b []byte) uint64 { return binary.LittleEndian.Uint64(b) }
-
 // spillEOF maps io.ReadFull's end-of-input errors onto ErrSpillTruncated,
 // keeping other I/O errors intact (the recover package's eofAs idiom).
 func spillEOF(err error) error {
@@ -218,8 +212,12 @@ type spillCtl struct {
 	sealed *obs.Counter
 }
 
-// newSpillCtl validates the spill directory and builds the shared state.
+// newSpillCtl validates the spill directory and builds the shared state;
+// nil when spilling is off.
 func newSpillCtl(cfg Config) (*spillCtl, error) {
+	if cfg.Spill.Dir == "" {
+		return nil, nil
+	}
 	ctl := &spillCtl{
 		dir:    cfg.Spill.Dir,
 		bins:   cfg.Spill.bins(),
@@ -317,64 +315,18 @@ func (s *rankSpill) binPath(bin int) string {
 	return filepath.Join(s.ctl.dir, fmt.Sprintf("r%04d-b%04d%s", s.rank, bin, spillExt))
 }
 
-// resetStage truncates the per-round staging buffers in place.
-func (s *rankSpill) resetStage() {
+// spill re-partitions one round's received rows into the rank's bins (the
+// codec stages each item under its bin — see codec.stageBins) and appends
+// each non-empty bin's staging as one record. Returns the items spilled
+// (for the span) — the count hook's equivalent of the insert it defers to
+// pass 2.
+func spill[T unit](s *rankSpill, cd codec[T], rows [][]T) (uint64, error) {
 	for b := range s.stage {
-		s.stage[b] = s.stage[b][:0]
-		s.items[b] = 0
+		s.stage[b], s.items[b] = s.stage[b][:0], 0
 	}
-}
-
-// spillWords re-partitions one round's received k-mer words into bins by
-// key hash and appends each non-empty bin's staging as one record.
-// Returns the items spilled (for the span) — the count hook's equivalent
-// of the insert it defers to pass 2.
-func (s *rankSpill) spillWords(parts [][]uint64) (uint64, error) {
-	s.resetStage()
-	var n uint64
-	for _, part := range parts {
-		for _, key := range part {
-			b := kernels.SpillBinOf(key, s.ctl.bins)
-			s.stage[b] = binary.LittleEndian.AppendUint64(s.stage[b], key)
-			s.items[b]++
-			n++
-		}
-	}
-	return n, s.flushStage()
-}
-
-// spillWire re-partitions one round's received supermer images into bins
-// by minimizer. The wire does not carry the minimizer, but every k-mer
-// of a supermer shares it (BuildWindowed breaks runs on minimizer
-// change), so it is recomputed from the image's first k-mer — the same
-// pure function the sender used, keeping each distinct key in exactly
-// one bin. The bytes are exchanged data: a decode failure is an error,
-// never a panic.
-func (s *rankSpill) spillWire(wire kernels.SupermerWire, mc minimizer.Config, parts [][]byte) (uint64, error) {
-	s.resetStage()
-	stride := wire.Stride()
-	var n uint64
-	for _, part := range parts {
-		images, err := wire.Count(part)
-		if err != nil {
-			return n, err
-		}
-		for i := 0; i < images; i++ {
-			img := part[i*stride : (i+1)*stride]
-			seq, _, err := wire.Decode(img)
-			if err != nil {
-				return n, err
-			}
-			var first uint64
-			for j := 0; j < mc.K; j++ {
-				first = first<<2 | uint64(seq.At(j))
-			}
-			min := minimizer.Of(dna.Kmer(first), mc.K, mc.M, mc.Ord)
-			b := minimizer.SpillBinOf(min, mc.M, mc.Ord, s.ctl.bins)
-			s.stage[b] = append(s.stage[b], img...)
-			s.items[b]++
-			n++
-		}
+	n, err := cd.stageBins(rows, s.stage, s.items)
+	if err != nil {
+		return n, err
 	}
 	return n, s.flushStage()
 }

@@ -82,7 +82,7 @@ func runStream(cfg Config, src fastq.Source, man *recov.Manifest) (*Result, erro
 	for r := range sources {
 		sources[r] = &streamHandle{prod: prod}
 	}
-	spl, err := maybeSpill(cfg)
+	spl, err := newSpillCtl(cfg)
 	if err != nil {
 		return nil, err
 	}
