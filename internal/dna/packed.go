@@ -1,6 +1,9 @@
 package dna
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // PackedSeq is a variable-length 2-bit-packed nucleotide sequence, the wire
 // representation of a supermer (§IV-C): with the paper's window of 15 and
@@ -106,6 +109,13 @@ func UnpackFrom(data []byte, n int) PackedSeq {
 type SeqBuffer struct {
 	data   []byte
 	starts []int // start offset of each read within data
+}
+
+// Grow makes room for reads more reads holding bases bases in total, so the
+// appends that follow allocate at most once instead of doubling up to size.
+func (b *SeqBuffer) Grow(reads, bases int) {
+	b.data = slices.Grow(b.data, bases+reads)
+	b.starts = slices.Grow(b.starts, reads)
 }
 
 // AppendRead appends one read's bases followed by a separator.

@@ -22,6 +22,8 @@ type AtomicTable struct {
 	counts []atomic.Uint32
 	mask   uint64
 	prob   Probing
+	load   float64 // the ceiling the capacity was sized for
+	grows  int     // Reserve rehashes behind this table
 	n      atomic.Int64
 	probes atomic.Uint64
 }
@@ -45,11 +47,39 @@ func NewAtomicTable(expected int, maxLoad float64, prob Probing) *AtomicTable {
 		counts: make([]atomic.Uint32, capacity),
 		mask:   uint64(capacity - 1),
 		prob:   prob,
+		load:   maxLoad,
 	}
+}
+
+// Reserve returns a table with room for incoming more distinct keys under
+// the load ceiling t was built with: t itself when it has the room, else a
+// rehash of t into a table sized for Len()+incoming. This models the
+// device-side rehash a fixed-memory GPU table needs between rounds; its
+// cost is dominated by the counting kernels and is not separately charged.
+func (t *AtomicTable) Reserve(incoming int) (*AtomicTable, error) {
+	needed := t.Len() + incoming
+	if float64(needed) <= t.load*float64(t.Cap()) {
+		return t, nil
+	}
+	bigger := NewAtomicTable(needed, t.load, t.prob)
+	bigger.grows = t.grows + 1
+	for i := range t.keys {
+		if stored := t.keys[i].Load(); stored != 0 {
+			// Sized for needed keys, so this cannot fill in practice;
+			// surface it as an error rather than a panic regardless.
+			if _, _, err := bigger.Add(stored-1, t.counts[i].Load()); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return bigger, nil
 }
 
 // Cap returns the slot capacity.
 func (t *AtomicTable) Cap() int { return len(t.keys) }
+
+// Grows returns how many Reserve rehashes produced this table.
+func (t *AtomicTable) Grows() int { return t.grows }
 
 // Len returns the number of distinct keys currently stored.
 func (t *AtomicTable) Len() int { return int(t.n.Load()) }

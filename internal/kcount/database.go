@@ -80,6 +80,13 @@ func (d *Database) Get(key uint64) uint32 {
 	return 0
 }
 
+// ForEach calls fn for every (key, count) pair in ascending key order.
+func (d *Database) ForEach(fn func(key uint64, count uint32)) {
+	for _, e := range d.Entries {
+		fn(e.Key, e.Count)
+	}
+}
+
 // Table converts the database to an in-memory counter table.
 func (d *Database) Table() *Table {
 	t := NewTable(len(d.Entries), Linear)

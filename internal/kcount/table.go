@@ -67,6 +67,7 @@ type Table struct {
 	counts []uint32
 	mask   uint64
 	n      int // occupied slots
+	grows  int // rehashes so far
 	prob   Probing
 	// Probes accumulates the total number of slots inspected across all
 	// operations — the quantity the GPU cost model charges memory traffic
@@ -103,6 +104,9 @@ func (t *Table) Cap() int { return len(t.keys) }
 
 // LoadFactor returns occupied/capacity.
 func (t *Table) LoadFactor() float64 { return float64(t.n) / float64(len(t.keys)) }
+
+// Grows returns how many times the table has doubled and rehashed.
+func (t *Table) Grows() int { return t.grows }
 
 // Add increments the count of key by delta, inserting it if absent, and
 // reports whether the key was newly inserted. It panics on the reserved
@@ -178,6 +182,7 @@ func (t *Table) grow() {
 		}
 	}
 	t.Probes = old.Probes
+	t.grows++
 }
 
 // Merge folds other into t.
@@ -240,20 +245,15 @@ func (h Histogram) Merge(other Histogram) {
 
 // TopK returns the k highest-count (key, count) pairs of the table, counts
 // descending, keys ascending among ties — the "k-mers of scientific
-// interest by frequency" query from §II-A.
+// interest by frequency" query from §II-A. It is one pass over the slots
+// through a k-entry heap; a negative k returns nil.
 func (t *Table) TopK(k int) []KV {
-	all := make([]KV, 0, t.Len())
-	t.ForEach(func(key uint64, c uint32) { all = append(all, KV{key, c}) })
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Count != all[j].Count {
-			return all[i].Count > all[j].Count
-		}
-		return all[i].Key < all[j].Key
-	})
-	if k > len(all) {
-		k = len(all)
+	if k < 0 {
+		return nil
 	}
-	return all[:k]
+	top := topHeap{k: k}
+	t.ForEach(func(key uint64, c uint32) { top.offer(KV{key, c}) })
+	return top.sorted()
 }
 
 // KV is a k-mer/count pair.

@@ -3,6 +3,7 @@ package kcount
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -167,8 +168,20 @@ func TestTopK(t *testing.T) {
 	if top[0].Key != 2 || top[1].Key != 4 || top[2].Key != 3 {
 		t.Fatalf("TopK order = %v", top)
 	}
-	if got := tab.TopK(100); len(got) != 4 {
-		t.Fatalf("TopK(100) len %d", len(got))
+	// The edges: k past Len() returns everything, in order; k = 0 and the
+	// empty table return nothing; a negative k returns nil (it used to
+	// panic slicing the sorted copy).
+	if got, want := tab.TopK(100), []KV{{2, 30}, {4, 30}, {3, 20}, {1, 10}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("TopK(100) = %v, want %v", got, want)
+	}
+	if got := tab.TopK(0); len(got) != 0 {
+		t.Fatalf("TopK(0) = %v", got)
+	}
+	if got := NewTable(1, Linear).TopK(3); len(got) != 0 {
+		t.Fatalf("empty table TopK(3) = %v", got)
+	}
+	if got := tab.TopK(-1); got != nil {
+		t.Fatalf("TopK(-1) = %v, want nil", got)
 	}
 }
 
@@ -264,6 +277,37 @@ func TestAtomicSnapshot(t *testing.T) {
 	snap := tab.Snapshot()
 	if snap.Get(5) != 3 || snap.Get(9) != 1 || snap.Len() != 2 {
 		t.Fatal("snapshot mismatch")
+	}
+}
+
+// TestAtomicReserve: a reservation past the load ceiling rehashes into a
+// larger table that keeps every count and records the grow; one the table
+// already has room for returns the same table.
+func TestAtomicReserve(t *testing.T) {
+	table := NewAtomicTable(4, 0.5, Linear)
+	for i := uint64(0); i < 4; i++ {
+		if _, _, err := table.Inc(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grown, err := table.Reserve(1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := NewAtomicTable(1004, 0.5, Linear).Cap(); grown.Cap() != want || grown.Grows() != 1 {
+		t.Fatalf("reserved %d slots after %d grows, want %d after 1", grown.Cap(), grown.Grows(), want)
+	}
+	for i := uint64(0); i < 4; i++ {
+		if grown.Get(i) != 1 {
+			t.Fatalf("key %d lost during rehash", i)
+		}
+	}
+	same, err := grown.Reserve(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if same != grown {
+		t.Fatal("unneeded growth")
 	}
 }
 

@@ -100,7 +100,7 @@ func CountSupermers(dev *gpusim.Device, table *kcount.AtomicTable, wire Supermer
 	// per-thread decodes below cannot fail mid-kernel.
 	counts := make([]int, len(parts))
 	for i, p := range parts {
-		n, err := wire.VerifyImages(p)
+		n, _, err := wire.VerifyImages(p)
 		if err != nil {
 			return st, fmt.Errorf("part %d: %w", i, err)
 		}

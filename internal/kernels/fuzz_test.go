@@ -92,13 +92,13 @@ func FuzzWireCorruptInput(f *testing.F) {
 		if _, err := wire.Count(raw); err != nil && !errors.Is(err, ErrCorruptWire) {
 			t.Fatalf("Count error %v does not wrap ErrCorruptWire", err)
 		}
-		if _, err := wire.VerifyImages(raw); err != nil && !errors.Is(err, ErrCorruptWire) {
+		if _, _, err := wire.VerifyImages(raw); err != nil && !errors.Is(err, ErrCorruptWire) {
 			t.Fatalf("VerifyImages error %v does not wrap ErrCorruptWire", err)
 		}
 		if payload, _, err := UnframeBytes(raw); err == nil {
 			// An accepted frame must expose exactly the framed payload; the
 			// image layer then re-validates it.
-			_, _ = wire.VerifyImages(payload)
+			_, _, _ = wire.VerifyImages(payload)
 		} else if !errors.Is(err, ErrCorruptWire) {
 			t.Fatalf("UnframeBytes error %v does not wrap ErrCorruptWire", err)
 		}

@@ -224,15 +224,15 @@ func TestVerifyImages(t *testing.T) {
 	s := minimizer.Supermer{Seq: dna.PackCodes(make([]dna.Code, 19)), NKmers: 3}
 	buf := wire.Encode(nil, &s)
 	buf = wire.Encode(buf, &s)
-	if n, err := wire.VerifyImages(buf); err != nil || n != 2 {
-		t.Fatalf("VerifyImages = %d, %v", n, err)
+	if n, kmers, err := wire.VerifyImages(buf); err != nil || n != 2 || kmers != 6 {
+		t.Fatalf("VerifyImages = %d images, %d k-mers, %v", n, kmers, err)
 	}
 	bad := append([]byte(nil), buf...)
 	bad[wire.Stride()-1] = 0 // corrupt first length byte
-	if _, err := wire.VerifyImages(bad); !errors.Is(err, ErrCorruptWire) {
+	if _, _, err := wire.VerifyImages(bad); !errors.Is(err, ErrCorruptWire) {
 		t.Fatalf("corrupt image: err=%v", err)
 	}
-	if _, err := wire.VerifyImages(buf[:5]); !errors.Is(err, ErrCorruptWire) {
+	if _, _, err := wire.VerifyImages(buf[:5]); !errors.Is(err, ErrCorruptWire) {
 		t.Fatalf("ragged buffer: err=%v", err)
 	}
 }

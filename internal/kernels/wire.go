@@ -107,20 +107,24 @@ func (w SupermerWire) Count(buf []byte) (int, error) {
 }
 
 // VerifyImages validates every supermer image in a wire buffer (structure
-// and length bytes) without extracting k-mers, returning the image count.
-// Counting kernels call it before launch so per-thread decodes cannot fail.
-func (w SupermerWire) VerifyImages(buf []byte) (int, error) {
-	n, err := w.Count(buf)
+// and length bytes) without extracting k-mers, returning the image count
+// and the k-mers the images hold — the sum of their length bytes, which is
+// what a receiver's table must have room for. Counting kernels call it
+// before launch so per-thread decodes cannot fail.
+func (w SupermerWire) VerifyImages(buf []byte) (images, kmers int, err error) {
+	images, err = w.Count(buf)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	stride := w.Stride()
-	for i := 0; i < n; i++ {
-		if _, _, err := w.Decode(buf[i*stride:]); err != nil {
-			return 0, fmt.Errorf("supermer %d: %w", i, err)
+	for i := 0; i < images; i++ {
+		_, nk, err := w.Decode(buf[i*stride:])
+		if err != nil {
+			return 0, 0, fmt.Errorf("supermer %d: %w", i, err)
 		}
+		kmers += nk
 	}
-	return n, nil
+	return images, kmers, nil
 }
 
 // Checksummed frames

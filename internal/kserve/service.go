@@ -177,11 +177,9 @@ func New(db *kcount.Database, opts Options) (*Service, error) {
 		opts:      opts,
 		k:         db.K,
 		canonical: db.Canonical(),
-		hist:      db.Histogram(),
-		distinct:  uint64(db.Len()),
 	}
-	s.total = s.hist.Total()
-	s.top = db.Table().TopK(opts.TopN)
+	sum := kcount.Summarize(db, opts.TopN)
+	s.hist, s.top, s.distinct, s.total = sum.Hist, sum.TopK(), sum.Distinct, sum.Total
 	if opts.CacheSize > 0 {
 		s.cache = newLRU(opts.CacheSize)
 	}

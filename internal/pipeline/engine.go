@@ -23,20 +23,40 @@ type engine[T unit] interface {
 	// onto survivors at post time. The rows live in the parity slot's
 	// pooled scratch and stay valid until the next parse of that parity.
 	parse(parity int, data []byte) ([][]T, work, error)
-	// count inserts the received rows, holding items exchanged units in
-	// total, into the engine's table.
-	count(recv [][]T, items int) (work, error)
+	// count inserts the received rows, holding kmers k-mers in total, into
+	// the engine's table.
+	count(recv [][]T, kmers int) (work, error)
 	// modeled converts metered work into this engine's modeled time.
 	modeled(w work) time.Duration
 	// stage models one host↔device staging leg of n bytes; the rank body
 	// only asks engines that stage (GPU without GPUDirect).
 	stage(n uint64) time.Duration
-	// snapshot returns the spectrum counted so far.
-	snapshot() *kcount.Table
+	// counted returns the engine's table for reading, between counts.
+	counted() countedTable
 	// newBin swaps in a new, empty working-set table for spill pass 2, which
 	// counts one bin at a time. The engine will not parse again, and lets go
 	// of its parse scratch so pass 2 does not hold the send buffers live.
 	newBin()
+}
+
+// countedTable is what the rank body reads off an engine's table: the
+// spectrum, to fold into the report, and the occupancy figures behind the
+// table gauges. It is the engine's live table, never a copy.
+type countedTable interface {
+	kcount.Source
+	Len() int
+	Cap() int
+	Grows() int
+}
+
+// serialTable returns t as a serial table, for the two consumers that keep
+// one past the run (checkpoint slices, Config.KeepTables): the CPU
+// engine's table is one already, the GPU engine's is snapshotted.
+func serialTable(t countedTable) *kcount.Table {
+	if at, ok := t.(*kcount.AtomicTable); ok {
+		return at.Snapshot()
+	}
+	return t.(*kcount.Table)
 }
 
 // work is the metered cost of one or more parse or count calls. CPU
@@ -70,7 +90,6 @@ func newKmerEngine(rc rankCtx) (engine[uint64], error) {
 	pc := kernels.ParseConfig{Enc: cfg.Enc, K: cfg.K, NumDest: rc.seat.nOrig, Canonical: cfg.Canonical}
 	var scratch [2]kernels.ParseScratch
 	return newGPUEngine(rc, &gpuEngine[uint64]{
-		perItem: 1,
 		parseRows: func(dev *gpusim.Device, parity int, data []byte) ([][]uint64, gpusim.KernelStats, error) {
 			return kernels.ParseKmers(dev, pc, data, &scratch[parity])
 		},
@@ -87,7 +106,6 @@ func newSupermerEngine(rc rankCtx) (engine[byte], error) {
 	wire := kernels.SupermerWire{K: cfg.K, Window: cfg.Window}
 	var scratch [2]kernels.SupermerScratch
 	return newGPUEngine(rc, &gpuEngine[byte]{
-		perItem: cfg.Window, // a supermer holds up to Window k-mers
 		parseRows: func(dev *gpusim.Device, parity int, data []byte) ([][]byte, gpusim.KernelStats, error) {
 			return kernels.BuildSupermers(dev, sc, data, &scratch[parity])
 		},
@@ -163,7 +181,7 @@ func (e *cpuEngine[T]) modeled(w work) time.Duration {
 
 func (e *cpuEngine[T]) stage(uint64) time.Duration { return 0 }
 
-func (e *cpuEngine[T]) snapshot() *kcount.Table { return e.table }
+func (e *cpuEngine[T]) counted() countedTable { return e.table }
 
 // newBin also drops the singleton filter: a bin is counted exactly.
 func (e *cpuEngine[T]) newBin() {
@@ -175,12 +193,9 @@ func (e *cpuEngine[T]) newBin() {
 // atomic table it counts into, and the mode's kernel pair. Each launch is
 // converted to modeled time by the device's cost model.
 type gpuEngine[T unit] struct {
-	cfg   Config
-	dev   *gpusim.Device
-	table *kcount.AtomicTable
-	// perItem is the table slots one received item may claim, for the
-	// capacity reservation ahead of each count.
-	perItem   int
+	cfg       Config
+	dev       *gpusim.Device
+	table     *kcount.AtomicTable
 	parseRows func(dev *gpusim.Device, parity int, data []byte) ([][]T, gpusim.KernelStats, error)
 	countRows func(dev *gpusim.Device, table *kcount.AtomicTable, rows [][]T) (gpusim.KernelStats, error)
 }
@@ -220,11 +235,12 @@ func (e *gpuEngine[T]) parse(parity int, data []byte) ([][]T, work, error) {
 	return send, w, err
 }
 
-// count first grows the table when the round may push it past its load
-// ceiling (see ensureCapacity).
-func (e *gpuEngine[T]) count(recv [][]T, items int) (w work, err error) {
-	e.table, err = ensureCapacity(e.table, items*e.perItem, e.cfg.tableLoad(), e.cfg.Probing)
-	if err != nil {
+// count first reserves table room for the k-mers arriving: an upper bound
+// on the distinct keys the rows can add, so the kernel cannot push the
+// table past its load ceiling, and an exact one, so the table tracks the
+// k-mers the rank receives and not a worst-case multiple of its records.
+func (e *gpuEngine[T]) count(recv [][]T, kmers int) (w work, err error) {
+	if e.table, err = e.table.Reserve(kmers); err != nil {
 		return w, err
 	}
 	return e.launched(e.countRows(e.dev, e.table, recv))
@@ -236,7 +252,7 @@ func (e *gpuEngine[T]) stage(n uint64) time.Duration {
 	return e.dev.Config().TransferTime(int64(n))
 }
 
-func (e *gpuEngine[T]) snapshot() *kcount.Table { return e.table.Snapshot() }
+func (e *gpuEngine[T]) counted() countedTable { return e.table }
 
 func (e *gpuEngine[T]) newBin() {
 	e.table = kcount.NewAtomicTable(1, e.cfg.tableLoad(), e.cfg.Probing)

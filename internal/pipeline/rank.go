@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"strconv"
 	"time"
 
 	"dedukt/internal/dna"
@@ -40,6 +41,7 @@ type roundState[T unit] struct {
 	pend     *pendingExchange[T]
 	recv     [][]T
 	items    uint64 // exchanged units received this round
+	kmers    int    // k-mers those units hold
 }
 
 // runRank is the one rank body: the three-phase round of Alg. 1 and Alg. 2
@@ -76,6 +78,11 @@ func runRank[T unit](rc rankCtx, cd codec[T], newEngine func(rankCtx) (engine[T]
 			return false, err
 		}
 		st.buf.Reset()
+		bases := 0
+		for _, rd := range recs {
+			bases += len(rd.Seq)
+		}
+		st.buf.Grow(len(recs), bases)
 		for _, rd := range recs {
 			st.buf.AppendRead(rd.Seq)
 		}
@@ -128,7 +135,7 @@ func runRank[T unit](rc rankCtx, cd codec[T], newEngine func(rankCtx) (engine[T]
 			return false, err
 		}
 		var bytesIn uint64
-		st.recv = recv
+		st.recv, st.kmers = recv, pend.kmers
 		st.items, bytesIn = tally(cd, recv)
 		var stage time.Duration
 		if staged {
@@ -156,7 +163,7 @@ func runRank[T unit](rc rankCtx, cd codec[T], newEngine func(rankCtx) (engine[T]
 			return nil
 		}
 		sp := rec.Begin(rank, r, obs.PhaseCount)
-		w, err := eng.count(st.recv, int(st.items))
+		w, err := eng.count(st.recv, st.kmers)
 		if err != nil {
 			sp.End(0, 0)
 			return err
@@ -169,7 +176,7 @@ func runRank[T unit](rc rankCtx, cd codec[T], newEngine func(rankCtx) (engine[T]
 	if ck := rc.ck; ck != nil {
 		hooks.ckptAt, hooks.resync = ck.at, rc.c.Barrier
 		hooks.ckpt = func(r int) error {
-			return ck.write(rc.c, seat, r, kcount.FromTable(eng.snapshot(), cfg.K, ck.flags), out)
+			return ck.write(rc.c, seat, r, kcount.FromTable(serialTable(eng.counted()), cfg.K, ck.flags), out)
 		}
 	}
 	rounds, err := runRounds(cfg.Overlap, seat.base, hooks)
@@ -181,15 +188,40 @@ func runRank[T unit](rc rankCtx, cd codec[T], newEngine func(rankCtx) (engine[T]
 	if rc.rsp != nil {
 		return countBins(eng, cd, rc.rsp, rec, rank, out)
 	}
-	snap := eng.snapshot()
-	out.counted = snap.TotalCount()
-	out.distinct = uint64(snap.Len())
-	out.hist = snap.Histogram()
-	out.top = snap.TopK(topKPerRank)
+	table := eng.counted()
+	out.sum = kcount.Summarize(table, topKPerRank)
 	if cfg.KeepTables {
-		out.table = snap
+		out.table = serialTable(table)
 	}
+	var ts tableStats
+	ts.observe(table)
+	ts.publish(rec.Registry(), rank)
 	return nil
+}
+
+// tableStats is the occupancy of the largest table a rank counted into: its
+// one table at rank end, or the per-figure maximum over its pass-2 bin
+// tables. Published per rank, it makes an over-reservation (slots far above
+// what the load factor needs) or a rehash storm visible in -metrics-out.
+type tableStats struct {
+	slots, grows int
+	load         float64
+}
+
+func (s *tableStats) observe(t countedTable) {
+	s.slots = max(s.slots, t.Cap())
+	s.grows = max(s.grows, t.Grows())
+	s.load = max(s.load, float64(t.Len())/float64(t.Cap()))
+}
+
+func (s tableStats) publish(reg *obs.Registry, rank int) {
+	if reg == nil {
+		return
+	}
+	l := obs.L("rank", strconv.Itoa(rank))
+	reg.Gauge("pipeline_table_slots", "Slots of the rank's counter table when counting ended (spill: largest pass-2 bin table).", l).Set(float64(s.slots))
+	reg.Gauge("pipeline_table_load_factor", "Occupied share of those slots (spill: highest over the pass-2 bin tables).", l).Set(s.load)
+	reg.Gauge("pipeline_table_grows", "Rehashes into a larger table the rank's counter table went through (spill: most over the pass-2 bin tables).", l).Set(float64(s.grows))
 }
 
 // tally sums a row vector's exchanged items and payload bytes.
@@ -213,15 +245,18 @@ func chargeCount[T unit](o *rankOutcome, eng engine[T], w work) time.Duration {
 
 // countBins is spill pass 2: seal the rank's bins, then count each one
 // into a fresh working-set table — sized for that bin alone, never the
-// whole spectrum slice — and fold the bin spectra into the outcome. Bins
-// partition the rank's key space, so the fold is bit-identical to the
-// single-table path.
+// whole spectrum slice — and fold the bin spectra into the outcome's
+// summary. Bins partition the rank's key space, so the fold is
+// bit-identical to the single-table path (see kcount.Summary).
 func countBins[T unit](eng engine[T], cd codec[T], rsp *rankSpill, rec *obs.Recorder, rank int, out *rankOutcome) error {
 	if err := rsp.seal(); err != nil {
 		return err
 	}
-	acc := kcount.NewBinAccumulator(topKPerRank)
-	var row []T
+	out.sum = kcount.NewSummary(topKPerRank)
+	var (
+		row []T
+		ts  tableStats
+	)
 	for b := 0; b < rsp.ctl.bins; b++ {
 		// Pass-2 spans carry round -1: bin counting happens after the round
 		// loop, like recovery (the other round-free phase).
@@ -232,10 +267,11 @@ func countBins[T unit](eng engine[T], cd codec[T], rsp *rankSpill, rec *obs.Reco
 			binWork  work
 		)
 		err := rsp.readBin(b, func(payload []byte, items int) (err error) {
-			if row, err = cd.unstage(payload, items, row); err != nil {
+			var kmers int
+			if row, kmers, err = cd.unstage(payload, items, row); err != nil {
 				return err
 			}
-			w, err := eng.count([][]T{row}, items)
+			w, err := eng.count([][]T{row}, kmers)
 			binWork.add(w)
 			binItems += uint64(items)
 			return err
@@ -244,13 +280,12 @@ func countBins[T unit](eng engine[T], cd codec[T], rsp *rankSpill, rec *obs.Reco
 			sp.End(0, 0)
 			return err
 		}
-		acc.AddTable(eng.snapshot())
+		table := eng.counted()
+		table.ForEach(out.sum.Add)
+		ts.observe(table)
 		sp.End(chargeCount(out, eng, binWork), binItems)
 	}
 	rsp.cleanup(!out.incomplete)
-	out.counted = acc.Total()
-	out.distinct = acc.Distinct()
-	out.hist = acc.Histogram()
-	out.top = acc.TopK()
+	ts.publish(rec.Registry(), rank)
 	return nil
 }

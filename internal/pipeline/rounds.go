@@ -1,9 +1,6 @@
 package pipeline
 
-import (
-	"dedukt/internal/fastq"
-	"dedukt/internal/kcount"
-)
+import "dedukt/internal/fastq"
 
 // chunkSource feeds one rank's round loop: nextChunk returns the next
 // round's read set plus a more flag reporting whether this rank's input
@@ -226,32 +223,4 @@ func runRounds(overlap bool, base int, h roundHooks) (rounds int, err error) {
 		}
 		selfMore = nextMore
 	}
-}
-
-// ensureCapacity grows a fixed-capacity atomic table ahead of a round that
-// may push it past its load ceiling: the old table is snapshotted and
-// rehashed into one sized for the new total. This models the device-side
-// rehash a fixed-memory GPU table needs between rounds; its cost is
-// dominated by the counting kernels and is not separately charged.
-func ensureCapacity(table *kcount.AtomicTable, incoming int, load float64, prob kcount.Probing) (*kcount.AtomicTable, error) {
-	needed := table.Len() + incoming
-	if float64(needed) <= load*float64(table.Cap()) {
-		return table, nil
-	}
-	bigger := kcount.NewAtomicTable(needed, load, prob)
-	var rehashErr error
-	table.ForEach(func(k uint64, c uint32) {
-		if rehashErr != nil {
-			return
-		}
-		if _, _, err := bigger.Add(k, c); err != nil {
-			rehashErr = err
-		}
-	})
-	if rehashErr != nil {
-		// Sized for needed items, so this cannot fill in practice; surface
-		// it as a rank error rather than a panic regardless.
-		return nil, rehashErr
-	}
-	return bigger, nil
 }

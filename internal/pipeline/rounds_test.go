@@ -5,7 +5,6 @@ import (
 
 	"dedukt/internal/cluster"
 	"dedukt/internal/fastq"
-	"dedukt/internal/kcount"
 )
 
 func mkReads(lens ...int) []fastq.Record {
@@ -101,35 +100,6 @@ func TestUnevenTailDrain(t *testing.T) {
 			t.Fatalf("overlap=%v: want a multi-round run, got %d", overlap, res.Rounds)
 		}
 		checkAgainstOracle(t, cfg, reads, res)
-	}
-}
-
-func TestEnsureCapacity(t *testing.T) {
-	table := kcount.NewAtomicTable(4, 0.5, kcount.Linear)
-	for i := uint64(0); i < 4; i++ {
-		if _, _, err := table.Inc(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	grown, err := ensureCapacity(table, 1000, 0.5, kcount.Linear)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if grown.Cap() <= table.Cap() {
-		t.Fatalf("table did not grow: %d -> %d", table.Cap(), grown.Cap())
-	}
-	for i := uint64(0); i < 4; i++ {
-		if grown.Get(i) != 1 {
-			t.Fatalf("key %d lost during rehash", i)
-		}
-	}
-	// No growth needed: same table returned.
-	same, err := ensureCapacity(grown, 1, 0.5, kcount.Linear)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if same != grown {
-		t.Fatal("unneeded growth")
 	}
 }
 

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"dedukt/internal/fastq"
@@ -21,11 +20,8 @@ type rankOutcome struct {
 	stage        time.Duration // host↔device staging legs of the exchange
 	itemsSent    uint64
 	payloadSent  uint64
-	counted      uint64
-	distinct     uint64
-	hist         kcount.Histogram
-	top          []kcount.KV
-	table        *kcount.Table
+	sum          *kcount.Summary // the rank's spectrum slice; nil until counting ends
+	table        *kcount.Table   // kept only under Config.KeepTables
 	parseOps     uint64
 	countOps     uint64
 	parseSt      gpusim.KernelStats
@@ -276,9 +272,11 @@ func aggregate(cfg Config, trace []mpisim.TraceEntry, outcomes []rankOutcome, wa
 		Wall:         wall,
 		Spilled:      cfg.Spill.Dir != "",
 		SpillBins:    spillBinsOf(cfg),
-		Histogram:    kcount.Histogram{Counts: make(map[uint32]uint64)},
 		PerRankKmers: make([]uint64, len(outcomes)),
 	}
+	// Ranks own disjoint k-mer partitions, so the global spectrum is the
+	// fold of the per-rank summaries.
+	total := kcount.NewSummary(topKPerRank)
 	var maxParse, maxCount, maxStage time.Duration
 	for r := range outcomes {
 		o := &outcomes[r]
@@ -305,11 +303,10 @@ func aggregate(cfg Config, trace []mpisim.TraceEntry, outcomes []rankOutcome, wa
 		}
 		res.ItemsExchanged += o.itemsSent
 		res.PayloadBytes += o.payloadSent
-		res.TotalKmers += o.counted
-		res.DistinctKmers += o.distinct
-		res.PerRankKmers[r] = o.counted
-		res.Histogram.Merge(o.hist)
-		res.TopKmers = append(res.TopKmers, o.top...)
+		if o.sum != nil {
+			total.Merge(o.sum)
+			res.PerRankKmers[r] = o.sum.Total
+		}
 		res.ParseCompute += o.parseOps
 		res.CountCompute += o.countOps
 		res.GPUParse.Add(o.parseSt)
@@ -318,17 +315,8 @@ func aggregate(cfg Config, trace []mpisim.TraceEntry, outcomes []rankOutcome, wa
 			res.Tables = append(res.Tables, o.table)
 		}
 	}
-	// Ranks own disjoint k-mer partitions, so the global top-k is a merge
-	// of the per-rank top lists.
-	sort.Slice(res.TopKmers, func(i, j int) bool {
-		if res.TopKmers[i].Count != res.TopKmers[j].Count {
-			return res.TopKmers[i].Count > res.TopKmers[j].Count
-		}
-		return res.TopKmers[i].Key < res.TopKmers[j].Key
-	})
-	if len(res.TopKmers) > topKPerRank {
-		res.TopKmers = res.TopKmers[:topKPerRank]
-	}
+	res.TotalKmers, res.DistinctKmers = total.Total, total.Distinct
+	res.Histogram, res.TopKmers = total.Hist, total.TopK()
 	res.DeadRanks = mergeDead(outcomes)
 	res.Modeled.Parse = maxParse
 	res.Modeled.Count = maxCount
