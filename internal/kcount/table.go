@@ -68,6 +68,7 @@ type Table struct {
 	mask   uint64
 	n      int // occupied slots
 	grows  int // rehashes so far
+	moved  int // keys those rehashes re-inserted, in total
 	prob   Probing
 	// Probes accumulates the total number of slots inspected across all
 	// operations — the quantity the GPU cost model charges memory traffic
@@ -107,6 +108,9 @@ func (t *Table) LoadFactor() float64 { return float64(t.n) / float64(len(t.keys)
 
 // Grows returns how many times the table has doubled and rehashed.
 func (t *Table) Grows() int { return t.grows }
+
+// Rehashed returns how many keys those rehashes re-inserted in total.
+func (t *Table) Rehashed() int { return t.moved }
 
 // Add increments the count of key by delta, inserting it if absent, and
 // reports whether the key was newly inserted. It panics on the reserved
@@ -183,6 +187,7 @@ func (t *Table) grow() {
 	}
 	t.Probes = old.Probes
 	t.grows++
+	t.moved += old.n
 }
 
 // Merge folds other into t.

@@ -381,6 +381,10 @@ func TestBuildSupermersValidation(t *testing.T) {
 	if _, _, err := BuildSupermers(d, bad2, nil, nil); err == nil {
 		t.Error("window>255 should fail")
 	}
+	bad3 := SupermerConfig{Enc: &dna.Random, C: minimizer.Config{K: 17, M: 7, Window: 15, Ord: minimizer.Value{}}, NumDest: 1<<16 + 1}
+	if _, _, err := BuildSupermers(d, bad3, nil, nil); err == nil {
+		t.Error("NumDest>65536 should fail: a descriptor holds the destination in 16 bits")
+	}
 }
 
 func TestCountKmersMatchesOracle(t *testing.T) {

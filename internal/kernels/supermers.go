@@ -32,8 +32,8 @@ func (c SupermerConfig) Validate() error {
 	if err := c.C.Validate(); err != nil {
 		return err
 	}
-	if c.NumDest <= 0 {
-		return fmt.Errorf("kernels: NumDest=%d", c.NumDest)
+	if c.NumDest <= 0 || c.NumDest > 1<<16 {
+		return fmt.Errorf("kernels: NumDest=%d outside (0,%d]", c.NumDest, 1<<16)
 	}
 	if c.DestMap != nil {
 		if len(c.DestMap) != 1<<(2*uint(c.C.M)) {
@@ -43,13 +43,19 @@ func (c SupermerConfig) Validate() error {
 	return (SupermerWire{K: c.C.K, Window: c.C.Window}).Validate()
 }
 
-// superDesc describes one supermer found by the descriptor pass: nk k-mers
-// whose bases start at data[start], bound for rank dest.
+// superDesc describes one supermer found by the descriptor pass, packed
+// into one 4-byte word: nk k-mers whose bases start off positions into the
+// owning thread's chunk (at data[tid·Window+off]), bound for rank dest. A
+// thread owns Window ≤ 255 positions (SupermerWire.Validate) and NumDest is
+// at most 65536 (SupermerConfig.Validate), so every field fits.
 type superDesc struct {
-	start int32
-	nk    int32
-	dest  int32
+	off  uint8
+	nk   uint8
+	dest uint16
 }
+
+// descBytes is the descriptor's size on the device.
+const descBytes = 4
 
 // SupermerScratch holds the reusable buffers of one rank's BuildSupermers
 // calls: per-thread supermer descriptors, the per-warp histogram and
@@ -113,7 +119,7 @@ func BuildSupermers(dev *gpusim.Device, cfg SupermerConfig, data []byte, scr *Su
 	}
 
 	dataAddr := dev.Alloc(int64(len(data)))
-	descsAddr := dev.Alloc(int64(12 * threads * window))
+	descsAddr := dev.Alloc(int64(descBytes * threads * window))
 	countsAddr := dev.Alloc(int64(4 * nWarps * numDest))
 	mapAddr := uint64(0)
 	if cfg.DestMap != nil {
@@ -163,12 +169,12 @@ func BuildSupermers(dev *gpusim.Device, cfg SupermerConfig, data []byte, scr *Su
 				dest = DestOf(uint64(curMin), cfg.NumDest)
 			}
 			i := nDescs[tid]
-			descs[tid*window+int(i)] = superDesc{start: int32(start0), nk: int32(nk), dest: int32(dest)}
+			descs[tid*window+int(i)] = superDesc{off: uint8(start0 - lo), nk: uint8(nk), dest: uint16(dest)}
 			nDescs[tid] = i + 1
 			counts[(tid/ws)*numDest+dest]++
 			ctx.Compute(OpsEmit) // shared-memory histogram bump
 			// Coalesced staging store of the descriptor.
-			ctx.Write(descsAddr+uint64((tid*window+int(i))*12), 12)
+			ctx.Write(descsAddr+uint64((tid*window+int(i))*descBytes), descBytes)
 		}
 		// Roll bases from the chunk start; k-mers whose start lies in
 		// [lo, hi) are owned by this thread.
@@ -236,8 +242,9 @@ func BuildSupermers(dev *gpusim.Device, cfg SupermerConfig, data []byte, scr *Su
 	scatterSt, err := dev.Launch(gpusim.LaunchSpec{Name: "scatter_supermers", Threads: threads}, func(tid int, ctx *gpusim.Ctx) {
 		n := int(nDescs[tid])
 		for i := 0; i < n; i++ {
-			ctx.Read(descsAddr+uint64((tid*window+i)*12), 12)
+			ctx.Read(descsAddr+uint64((tid*window+i)*descBytes), descBytes)
 			d := descs[tid*window+i]
+			start := tid*window + int(d.off)
 			cur := (tid/ws)*numDest + int(d.dest)
 			slot := int(cursors[cur])
 			cursors[cur] = int32(slot + 1)
@@ -247,13 +254,13 @@ func BuildSupermers(dev *gpusim.Device, cfg SupermerConfig, data []byte, scr *Su
 				img[b] = 0
 			}
 			nBases := int(d.nk) + k - 1
-			ctx.Read(dataAddr+uint64(d.start), nBases)
+			ctx.Read(dataAddr+uint64(start), nBases)
 			for b := 0; b < nBases; b++ {
-				code := enc.MustEncode(data[int(d.start)+b])
+				code := enc.MustEncode(data[start+b])
 				img[b/4] |= byte(code&3) << (2 * uint(b%4))
 			}
 			ctx.Compute(OpsPackBase * nBases)
-			img[stride-1] = byte(d.nk)
+			img[stride-1] = d.nk
 			ctx.Compute(OpsEmit)
 			ctx.Write(bufAddr+uint64(off), stride)
 		}

@@ -14,10 +14,17 @@ import (
 
 // cpuParseKmers is the scalar PARSEKMER of Alg. 1: a rolling sliding-window
 // parse, one hash per k-mer, append to the destination's outgoing vector.
-// prev's rows are truncated and reused when provided.
+// prev's rows are truncated and reused when provided; a fresh row is sized
+// for its share of the k-mers — at most one per base, routed uniformly by
+// hash — plus an eighth, and append absorbs any overshoot.
 func cpuParseKmers(cfg Config, _ []uint16, nProc int, data []byte, prev [][]uint64) ([][]uint64, kernels.WorkMeter, error) {
 	var m kernels.WorkMeter
 	out := growRows(prev, nProc)
+	for i, row := range out {
+		if cap(row) == 0 {
+			out[i] = make([]uint64, 0, len(data)/nProc*9/8)
+		}
+	}
 	k, enc := cfg.K, cfg.Enc
 	var kw uint64
 	valid := 0

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"time"
 
 	"dedukt/internal/gpusim"
@@ -23,9 +24,8 @@ type engine[T unit] interface {
 	// onto survivors at post time. The rows live in the parity slot's
 	// pooled scratch and stay valid until the next parse of that parity.
 	parse(parity int, data []byte) ([][]T, work, error)
-	// count inserts the received rows, holding kmers k-mers in total, into
-	// the engine's table.
-	count(recv [][]T, kmers int) (work, error)
+	// count inserts the received rows into the engine's table.
+	count(recv [][]T) (work, error)
 	// modeled converts metered work into this engine's modeled time.
 	modeled(w work) time.Duration
 	// stage models one host↔device staging leg of n bytes; the rank body
@@ -47,6 +47,7 @@ type countedTable interface {
 	Len() int
 	Cap() int
 	Grows() int
+	Rehashed() int
 }
 
 // serialTable returns t as a serial table, for the two consumers that keep
@@ -65,15 +66,17 @@ func serialTable(t countedTable) *kcount.Table {
 // law of the item count, not linear. GPU engines convert each kernel launch
 // as it happens and carry the sum.
 type work struct {
-	meter  kernels.WorkMeter  // CPU engines
-	stats  gpusim.KernelStats // GPU engines
-	kernel time.Duration      // GPU engines: per-launch kernel times, summed
+	meter    kernels.WorkMeter  // CPU engines
+	stats    gpusim.KernelStats // GPU engines
+	kernel   time.Duration      // GPU engines: per-launch kernel times, summed
+	launches int                // GPU engines: count-kernel launches
 }
 
 func (w *work) add(o work) {
 	w.meter.Add(o.meter)
 	w.stats.Add(o.stats)
 	w.kernel += o.kernel
+	w.launches += o.launches
 }
 
 // ops is the compute-op tally reported as Result.ParseCompute/CountCompute.
@@ -93,7 +96,9 @@ func newKmerEngine(rc rankCtx) (engine[uint64], error) {
 		parseRows: func(dev *gpusim.Device, parity int, data []byte) ([][]uint64, gpusim.KernelStats, error) {
 			return kernels.ParseKmers(dev, pc, data, &scratch[parity])
 		},
-		countRows: kernels.CountKmers,
+		index: func(dev *gpusim.Device, rows [][]uint64) (arrival, error) {
+			return kernels.IndexKmers(dev, rows), nil
+		},
 	})
 }
 
@@ -109,8 +114,8 @@ func newSupermerEngine(rc rankCtx) (engine[byte], error) {
 		parseRows: func(dev *gpusim.Device, parity int, data []byte) ([][]byte, gpusim.KernelStats, error) {
 			return kernels.BuildSupermers(dev, sc, data, &scratch[parity])
 		},
-		countRows: func(dev *gpusim.Device, table *kcount.AtomicTable, rows [][]byte) (gpusim.KernelStats, error) {
-			return kernels.CountSupermers(dev, table, wire, rows)
+		index: func(dev *gpusim.Device, rows [][]byte) (arrival, error) {
+			return kernels.IndexSupermers(dev, wire, rows)
 		},
 	})
 }
@@ -170,7 +175,7 @@ func (e *cpuEngine[T]) parse(parity int, data []byte) ([][]T, work, error) {
 	return send, work{meter: m}, err
 }
 
-func (e *cpuEngine[T]) count(recv [][]T, _ int) (work, error) {
+func (e *cpuEngine[T]) count(recv [][]T) (work, error) {
 	m, err := e.countRows(e.cfg, e.table, e.bloom, recv)
 	return work{meter: m}, err
 }
@@ -197,8 +202,26 @@ type gpuEngine[T unit] struct {
 	dev       *gpusim.Device
 	table     *kcount.AtomicTable
 	parseRows func(dev *gpusim.Device, parity int, data []byte) ([][]T, gpusim.KernelStats, error)
-	countRows func(dev *gpusim.Device, table *kcount.AtomicTable, rows [][]T) (gpusim.KernelStats, error)
+	index     func(dev *gpusim.Device, rows [][]T) (arrival, error)
 }
+
+// arrival is one count's received rows, verified and indexed by the mode's
+// kernel package type (kernels.KmerArrival, kernels.SupermerArrival) so the
+// count kernel can be launched over successive windows of them.
+type arrival interface {
+	// Kmers returns the k-mers the rows hold.
+	Kmers() int
+	// Count launches the count kernel over the window of at most budget
+	// k-mers that starts at item from, returning the item after the window
+	// and the k-mers it held.
+	Count(table *kcount.AtomicTable, from, budget int) (next, kmers int, st gpusim.KernelStats, err error)
+}
+
+// minLaunch is the fewest k-mers the count loop grows the table for, and so
+// the fewest it cuts an arrival into: below it a launch is overhead-bound
+// (the 5 µs launch overhead is ≈ 550 k-mers of V100 count time), so a
+// smaller arrival is always one launch.
+const minLaunch = 1 << 15
 
 // newGPUEngine completes e, which arrives holding the mode's kernel pair:
 // it opens the device and preloads the seat's checkpointed spectrum slices
@@ -235,15 +258,42 @@ func (e *gpuEngine[T]) parse(parity int, data []byte) ([][]T, work, error) {
 	return send, w, err
 }
 
-// count first reserves table room for the k-mers arriving: an upper bound
-// on the distinct keys the rows can add, so the kernel cannot push the
-// table past its load ceiling, and an exact one, so the table tracks the
-// k-mers the rank receives and not a worst-case multiple of its records.
-func (e *gpuEngine[T]) count(recv [][]T, kmers int) (w work, err error) {
-	if e.table, err = e.table.Reserve(kmers); err != nil {
+// count inserts the rows with as many kernel launches as the table needs
+// to grow with the keys it holds, not the k-mers that arrive. A launch of n
+// k-mers adds at most n keys, so each launch takes at most the room left
+// under the load ceiling — the ceiling and ErrTableFull hold exactly, with
+// no estimate of the distinct keys. When the room is short of both the rest
+// of the arrival and a worthwhile launch (a quarter of the ceiling, or
+// minLaunch), the table is first rehashed with room for as many keys again
+// as it holds (at least minLaunch, never more than are left), so its final
+// size follows its keys however often they repeat. An arrival that fits the
+// room, or holds under minLaunch k-mers, is one launch, as is an empty one.
+func (e *gpuEngine[T]) count(recv [][]T) (w work, err error) {
+	in, err := e.index(e.dev, recv)
+	if err != nil {
 		return w, err
 	}
-	return e.launched(e.countRows(e.dev, e.table, recv))
+	for from, left := 0, in.Kmers(); ; {
+		room := e.table.Room()
+		if room < min(left, max(e.table.Ceiling()/4, minLaunch)) {
+			if e.table, err = e.table.Reserve(min(left, max(e.table.Len(), minLaunch))); err != nil {
+				return w, err
+			}
+			room = e.table.Room()
+		}
+		// The room is all that is left or at least minLaunch k-mers, more
+		// than one supermer holds: every launch makes progress.
+		next, took, st, err := in.Count(e.table, from, min(left, room))
+		if err == nil && took == 0 && left > 0 {
+			err = fmt.Errorf("pipeline: count launch at item %d took none of %d k-mers (room %d)", from, left, room)
+		}
+		lw, err := e.launched(st, err)
+		w.add(lw)
+		w.launches++
+		if from, left = next, left-took; err != nil || left == 0 {
+			return w, err
+		}
+	}
 }
 
 func (e *gpuEngine[T]) modeled(w work) time.Duration { return w.kernel }

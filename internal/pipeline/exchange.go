@@ -151,9 +151,6 @@ type pendingExchange[T unit] struct {
 	// send is the round's routed send set, retained as the retry source.
 	send [][]T
 	slot *exchangeSlot[T]
-	// kmers counts the k-mers held by the payloads verified so far: what
-	// the round brings to the receiver's table.
-	kmers int
 }
 
 // grow resizes a pooled slice to n elements, reallocating only when the
@@ -304,11 +301,9 @@ func (e *exchanger[T]) finish(p *pendingExchange[T]) ([][]T, bool, error) {
 			if ok[i] {
 				continue // verified on an earlier attempt
 			}
-			var kmers int
-			if parts[i], kmers, ok[i] = e.cd.unframe(f, expect[i]); !ok[i] {
+			if parts[i], ok[i] = e.cd.unframe(f, expect[i]); !ok[i] {
 				bad++
 			}
-			p.kmers += kmers
 		}
 		done, err := e.settle(p.round, attempt, bad)
 		sp.End(0, bad)

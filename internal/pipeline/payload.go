@@ -30,9 +30,9 @@ type codec[T unit] interface {
 	// appendFrame appends row's checksummed frame to dst.
 	appendFrame(dst, row []T) []T
 	// unframe verifies a received frame against the announced item count
-	// and returns its payload (a view, not a copy) with the k-mers it
-	// holds; ok is false for a missing, corrupt or miscounted frame.
-	unframe(frame []T, want int) (row []T, kmers int, ok bool)
+	// and returns its payload (a view, not a copy); ok is false for a
+	// missing, corrupt or miscounted frame.
+	unframe(frame []T, want int) (row []T, ok bool)
 	// stageBins appends every item of the received rows to the staging
 	// buffer of its spill bin (len(stage) bins) in spill-record encoding,
 	// tallying items per bin, and returns the item total. A bin is a pure
@@ -40,11 +40,10 @@ type codec[T unit] interface {
 	// partition the rank's key set. The rows are exchanged data: a decode
 	// failure is an error, never a panic.
 	stageBins(rows [][]T, stage [][]byte, items []int) (uint64, error)
-	// unstage decodes one spill record's payload back into a row and the
-	// k-mers it holds, checking it against the record's declared item
-	// count. scratch may be reused for the result, which is valid only
-	// until the next call.
-	unstage(payload []byte, items int, scratch []T) (row []T, kmers int, err error)
+	// unstage decodes one spill record's payload back into a row, checking
+	// it against the record's declared item count. scratch may be reused
+	// for the result, which is valid only until the next call.
+	unstage(payload []byte, items int, scratch []T) (row []T, err error)
 }
 
 // kmerCodec is k-mer mode: a row is a vector of packed k-mer words.
@@ -57,12 +56,12 @@ func (kmerCodec) appendFrame(dst, row []uint64) []uint64 {
 	return kernels.AppendFrameWords(dst, row)
 }
 
-func (kmerCodec) unframe(frame []uint64, want int) ([]uint64, int, bool) {
+func (kmerCodec) unframe(frame []uint64, want int) ([]uint64, bool) {
 	row, err := kernels.UnframeWords(frame)
 	if err != nil || len(row) != want {
-		return nil, 0, false
+		return nil, false
 	}
-	return row, len(row), true
+	return row, true
 }
 
 func (kmerCodec) stageBins(rows [][]uint64, stage [][]byte, items []int) (uint64, error) {
@@ -78,15 +77,15 @@ func (kmerCodec) stageBins(rows [][]uint64, stage [][]byte, items []int) (uint64
 	return n, nil
 }
 
-func (kmerCodec) unstage(payload []byte, items int, scratch []uint64) ([]uint64, int, error) {
+func (kmerCodec) unstage(payload []byte, items int, scratch []uint64) ([]uint64, error) {
 	if len(payload) != 8*items {
-		return nil, 0, fmt.Errorf("spill record declares %d words for %d payload bytes: %w", items, len(payload), ErrSpillMismatch)
+		return nil, fmt.Errorf("spill record declares %d words for %d payload bytes: %w", items, len(payload), ErrSpillMismatch)
 	}
 	row := grow(scratch, items)
 	for i := range row {
 		row[i] = binary.LittleEndian.Uint64(payload[8*i:])
 	}
-	return row, items, nil
+	return row, nil
 }
 
 // supermerCodec is supermer mode: a row is a whole number of fixed-stride
@@ -104,18 +103,17 @@ func (c supermerCodec) appendFrame(dst, row []byte) []byte {
 }
 
 // unframe goes beyond the frame checksum: each accepted payload's images
-// are structurally verified (length bytes in range) before release, and
-// the same walk sums the length bytes into the payload's k-mer count.
-func (c supermerCodec) unframe(frame []byte, want int) ([]byte, int, bool) {
+// are structurally verified (length bytes in range) before release.
+func (c supermerCodec) unframe(frame []byte, want int) ([]byte, bool) {
 	row, items, err := kernels.UnframeBytes(frame)
 	if err != nil || items != want {
-		return nil, 0, false
+		return nil, false
 	}
-	n, kmers, err := c.wire.VerifyImages(row)
+	n, _, err := c.wire.VerifyImages(row)
 	if err != nil || n != want {
-		return nil, 0, false
+		return nil, false
 	}
-	return row, kmers, true
+	return row, true
 }
 
 // stageBins bins each image by its supermer's minimizer. The wire does not
@@ -151,10 +149,10 @@ func (c supermerCodec) stageBins(rows [][]byte, stage [][]byte, items []int) (ui
 	return n, nil
 }
 
-func (c supermerCodec) unstage(payload []byte, items int, _ []byte) ([]byte, int, error) {
+func (c supermerCodec) unstage(payload []byte, items int, _ []byte) ([]byte, error) {
 	if stride := c.wire.Stride(); len(payload) != items*stride {
-		return nil, 0, fmt.Errorf("spill record declares %d images for %d payload bytes (stride %d): %w", items, len(payload), stride, ErrSpillMismatch)
+		return nil, fmt.Errorf("spill record declares %d images for %d payload bytes (stride %d): %w", items, len(payload), stride, ErrSpillMismatch)
 	}
-	_, kmers, err := c.wire.VerifyImages(payload)
-	return payload, kmers, err
+	_, _, err := c.wire.VerifyImages(payload)
+	return payload, err
 }

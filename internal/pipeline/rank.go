@@ -41,7 +41,6 @@ type roundState[T unit] struct {
 	pend     *pendingExchange[T]
 	recv     [][]T
 	items    uint64 // exchanged units received this round
-	kmers    int    // k-mers those units hold
 }
 
 // runRank is the one rank body: the three-phase round of Alg. 1 and Alg. 2
@@ -135,7 +134,7 @@ func runRank[T unit](rc rankCtx, cd codec[T], newEngine func(rankCtx) (engine[T]
 			return false, err
 		}
 		var bytesIn uint64
-		st.recv, st.kmers = recv, pend.kmers
+		st.recv = recv
 		st.items, bytesIn = tally(cd, recv)
 		var stage time.Duration
 		if staged {
@@ -163,7 +162,7 @@ func runRank[T unit](rc rankCtx, cd codec[T], newEngine func(rankCtx) (engine[T]
 			return nil
 		}
 		sp := rec.Begin(rank, r, obs.PhaseCount)
-		w, err := eng.count(st.recv, st.kmers)
+		w, err := eng.count(st.recv)
 		if err != nil {
 			sp.End(0, 0)
 			return err
@@ -196,21 +195,24 @@ func runRank[T unit](rc rankCtx, cd codec[T], newEngine func(rankCtx) (engine[T]
 	var ts tableStats
 	ts.observe(table)
 	ts.publish(rec.Registry(), rank)
+	out.publishLaunches(rec.Registry(), rank)
 	return nil
 }
 
 // tableStats is the occupancy of the largest table a rank counted into: its
 // one table at rank end, or the per-figure maximum over its pass-2 bin
-// tables. Published per rank, it makes an over-reservation (slots far above
-// what the load factor needs) or a rehash storm visible in -metrics-out.
+// tables. Published per rank, it shows in -metrics-out an over-reservation
+// (slots far above what the load factor needs), or a rehash storm and the
+// keys it moved uncharged (kcount.AtomicTable.Reserve).
 type tableStats struct {
-	slots, grows int
-	load         float64
+	slots, grows, rehashed int
+	load                   float64
 }
 
 func (s *tableStats) observe(t countedTable) {
 	s.slots = max(s.slots, t.Cap())
 	s.grows = max(s.grows, t.Grows())
+	s.rehashed = max(s.rehashed, t.Rehashed())
 	s.load = max(s.load, float64(t.Len())/float64(t.Cap()))
 }
 
@@ -219,9 +221,20 @@ func (s tableStats) publish(reg *obs.Registry, rank int) {
 		return
 	}
 	l := obs.L("rank", strconv.Itoa(rank))
+	reg.Gauge("pipeline_table_rehashed_keys", "Keys those rehashes re-inserted, which no modeled time is charged for (spill: most over the pass-2 bin tables).", l).Set(float64(s.rehashed))
 	reg.Gauge("pipeline_table_slots", "Slots of the rank's counter table when counting ended (spill: largest pass-2 bin table).", l).Set(float64(s.slots))
 	reg.Gauge("pipeline_table_load_factor", "Occupied share of those slots (spill: highest over the pass-2 bin tables).", l).Set(s.load)
 	reg.Gauge("pipeline_table_grows", "Rehashes into a larger table the rank's counter table went through (spill: most over the pass-2 bin tables).", l).Set(float64(s.grows))
+}
+
+// publishLaunches publishes, beside the rank's table statistics, the
+// count-kernel launches its count phase made: an arrival cut into too many
+// launches shows here.
+func (o *rankOutcome) publishLaunches(reg *obs.Registry, rank int) {
+	if reg == nil {
+		return
+	}
+	reg.Gauge("pipeline_count_launches", "Count-kernel launches the rank's count phase made (GPU engine; spill: over all pass-2 records).", obs.L("rank", strconv.Itoa(rank))).Set(float64(o.launches))
 }
 
 // tally sums a row vector's exchanged items and payload bytes.
@@ -240,6 +253,7 @@ func chargeCount[T unit](o *rankOutcome, eng engine[T], w work) time.Duration {
 	o.count += modeled
 	o.countOps += w.ops()
 	o.countSt.Add(w.stats)
+	o.launches += w.launches
 	return modeled
 }
 
@@ -267,11 +281,10 @@ func countBins[T unit](eng engine[T], cd codec[T], rsp *rankSpill, rec *obs.Reco
 			binWork  work
 		)
 		err := rsp.readBin(b, func(payload []byte, items int) (err error) {
-			var kmers int
-			if row, kmers, err = cd.unstage(payload, items, row); err != nil {
+			if row, err = cd.unstage(payload, items, row); err != nil {
 				return err
 			}
-			w, err := eng.count([][]T{row}, kmers)
+			w, err := eng.count([][]T{row})
 			binWork.add(w)
 			binItems += uint64(items)
 			return err
@@ -287,5 +300,6 @@ func countBins[T unit](eng engine[T], cd codec[T], rsp *rankSpill, rec *obs.Reco
 	}
 	rsp.cleanup(!out.incomplete)
 	ts.publish(rec.Registry(), rank)
+	out.publishLaunches(rec.Registry(), rank)
 	return nil
 }

@@ -26,6 +26,7 @@ type rankOutcome struct {
 	countOps     uint64
 	parseSt      gpusim.KernelStats
 	countSt      gpusim.KernelStats
+	launches     int // count-kernel launches behind countSt
 	rounds       int
 	incomplete   bool // a round degraded past its retry budget
 	ckpts        int  // round checkpoints this seat persisted
