@@ -44,7 +44,8 @@ type Reader struct {
 	isQ    bool
 	sniffd bool
 	line   int
-	rec    Record // reused buffer returned by Read
+	rec    Record // reused buffers returned by Read
+	aux    []byte // reused buffer of the lines Read does not return
 }
 
 // NewReader wraps r. Call Read until it returns io.EOF.
@@ -69,14 +70,26 @@ func (r *Reader) sniff() error {
 	return nil
 }
 
-func (r *Reader) readLine() ([]byte, error) {
-	line, err := r.br.ReadBytes('\n')
-	if len(line) > 0 {
+// readLine appends the next line, without its terminator, to dst and
+// returns the extended slice, so a line costs a copy into a buffer the
+// reader reuses, never an allocation of its own. A line longer than the
+// bufio buffer arrives in pieces (bufio.ErrBufferFull) and accumulates. A
+// final line without a newline is a line; the error is returned only when
+// no byte was read.
+func (r *Reader) readLine(dst []byte) ([]byte, error) {
+	start := len(dst)
+	for {
+		piece, err := r.br.ReadSlice('\n')
+		dst = append(dst, piece...)
+		if err == bufio.ErrBufferFull {
+			continue
+		}
+		if len(dst) == start {
+			return dst, err
+		}
 		r.line++
-		line = bytes.TrimRight(line, "\r\n")
-		return line, nil
+		return dst[:start+len(bytes.TrimRight(dst[start:], "\r\n"))], nil
 	}
-	return nil, err
 }
 
 // Read returns the next record. The returned record's slices are only valid
@@ -118,7 +131,8 @@ func parseID(header []byte) string {
 }
 
 func (r *Reader) readFastq() (Record, error) {
-	header, err := r.readLine()
+	header, err := r.readLine(r.aux[:0])
+	r.aux = header
 	if err != nil {
 		return Record{}, err
 	}
@@ -128,7 +142,10 @@ func (r *Reader) readFastq() (Record, error) {
 	if !printable(header[1:], true) {
 		return Record{}, fmt.Errorf("fastq: line %d: non-printable byte in header", r.line)
 	}
-	seq, err := r.readLine()
+	// The ID is a copy, so the header's buffer is free for the '+' line.
+	id := parseID(header)
+	seq, err := r.readLine(r.rec.Seq[:0])
+	r.rec.Seq = seq
 	if err != nil {
 		return Record{}, fmt.Errorf("fastq: line %d: truncated record: %w", r.line, unexpected(err))
 	}
@@ -138,14 +155,16 @@ func (r *Reader) readFastq() (Record, error) {
 	if !printable(seq, false) {
 		return Record{}, fmt.Errorf("fastq: line %d: non-printable byte in sequence", r.line)
 	}
-	plus, err := r.readLine()
+	plus, err := r.readLine(r.aux[:0])
+	r.aux = plus
 	if err != nil {
 		return Record{}, fmt.Errorf("fastq: line %d: truncated record: %w", r.line, unexpected(err))
 	}
 	if len(plus) == 0 || plus[0] != '+' {
 		return Record{}, fmt.Errorf("fastq: line %d: expected '+' separator, got %q", r.line, plus)
 	}
-	qual, err := r.readLine()
+	qual, err := r.readLine(r.rec.Qual[:0])
+	r.rec.Qual = qual
 	if err != nil {
 		return Record{}, fmt.Errorf("fastq: line %d: truncated record: %w", r.line, unexpected(err))
 	}
@@ -155,12 +174,13 @@ func (r *Reader) readFastq() (Record, error) {
 	if !printable(qual, false) {
 		return Record{}, fmt.Errorf("fastq: line %d: non-printable byte in quality string", r.line)
 	}
-	r.rec = Record{ID: parseID(header), Seq: seq, Qual: qual}
+	r.rec.ID = id
 	return r.rec, nil
 }
 
 func (r *Reader) readFasta() (Record, error) {
-	header, err := r.readLine()
+	header, err := r.readLine(r.aux[:0])
+	r.aux = header
 	if err != nil {
 		return Record{}, err
 	}
@@ -181,17 +201,17 @@ func (r *Reader) readFasta() (Record, error) {
 			// silently shorten the record.
 			return Record{}, fmt.Errorf("fastq: line %d: truncated record: %w", r.line, unexpected(err))
 		}
-		line, err := r.readLine()
+		at := len(r.rec.Seq)
+		r.rec.Seq, err = r.readLine(r.rec.Seq)
 		if err != nil {
 			if err == io.EOF {
 				break
 			}
 			return Record{}, fmt.Errorf("fastq: line %d: %w", r.line, err)
 		}
-		if !printable(line, false) {
+		if !printable(r.rec.Seq[at:], false) {
 			return Record{}, fmt.Errorf("fastq: line %d: non-printable byte in sequence", r.line)
 		}
-		r.rec.Seq = append(r.rec.Seq, line...)
 	}
 	if len(r.rec.Seq) == 0 {
 		return Record{}, fmt.Errorf("fastq: line %d: empty FASTA record", r.line)

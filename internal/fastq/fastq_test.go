@@ -242,3 +242,92 @@ func TestCloneIndependence(t *testing.T) {
 		t.Fatalf("clone corrupted by subsequent read: %q", keep.Seq)
 	}
 }
+
+// TestReadLongLines: lines longer than the reader's 64 KiB buffer arrive in
+// pieces and must be reassembled whole — in FASTQ (sequence and quality) and
+// in FASTA (one long line among short ones) — and the records on either side
+// of the long one must be untouched by its accumulation.
+func TestReadLongLines(t *testing.T) {
+	long := strings.Repeat("ACGTTGCA", (3<<16)/8+5) // 3 buffers and a bit
+	qual := strings.Repeat("I", len(long))
+	fq := "@short1\nACGT\n+\nIIII\n@long\n" + long + "\n+\n" + qual + "\n@short2\nGG\n+\n!!\n"
+	recs, err := ReadAll(strings.NewReader(fq))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 3 {
+		t.Fatalf("got %d records, want 3", len(recs))
+	}
+	if recs[1].ID != "long" || string(recs[1].Seq) != long || string(recs[1].Qual) != qual {
+		t.Errorf("long record: id %q, %d bases, %d qualities, want %d of each", recs[1].ID, len(recs[1].Seq), len(recs[1].Qual), len(long))
+	}
+	if string(recs[0].Seq) != "ACGT" || string(recs[2].Seq) != "GG" || string(recs[2].Qual) != "!!" {
+		t.Errorf("neighbours of the long record: %+v, %+v", recs[0], recs[2])
+	}
+
+	fa := ">chr1\nACGT\n" + long + "\nGG\n>chr2\nTTTT\n"
+	recs, err = ReadAll(strings.NewReader(fa))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || string(recs[0].Seq) != "ACGT"+long+"GG" || string(recs[1].Seq) != "TTTT" {
+		t.Errorf("FASTA with a long line: %d records", len(recs))
+	}
+}
+
+// TestReadCRLF: Windows line endings are stripped from every line — and
+// only from the line's end, whether or not the input ends in a newline.
+func TestReadCRLF(t *testing.T) {
+	for _, tail := range []string{"\r\n", ""} {
+		fq := "@read1 desc\r\nACGTACGT\r\n+\r\nIIIIIIII\r\n@read2\r\nGGGG\r\n+\r\n!!!!" + tail
+		recs, err := ReadAll(strings.NewReader(fq))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 2 ||
+			recs[0].ID != "read1" || string(recs[0].Seq) != "ACGTACGT" || string(recs[0].Qual) != "IIIIIIII" ||
+			recs[1].ID != "read2" || string(recs[1].Seq) != "GGGG" || string(recs[1].Qual) != "!!!!" {
+			t.Errorf("CRLF FASTQ (tail %q) = %+v", tail, recs)
+		}
+	}
+	recs, err := ReadAll(strings.NewReader(">chr1 x\r\nACGT\r\nGG\r\n>chr2\r\nTTTT\r\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || recs[0].ID != "chr1" || string(recs[0].Seq) != "ACGTGG" || string(recs[1].Seq) != "TTTT" {
+		t.Errorf("CRLF FASTA = %+v", recs)
+	}
+}
+
+// TestReadAllocatesPerRecordNotPerLine pins the reader's allocation cost: a
+// record is its ID string and nothing else — the lines land in buffers the
+// reader reuses. One allocation per line (bufio's ReadBytes) was 55 % of a
+// streamed run's allocations.
+func TestReadAllocatesPerRecordNotPerLine(t *testing.T) {
+	var text bytes.Buffer
+	w := NewWriter(&text)
+	const n = 500
+	for i := 0; i < n; i++ {
+		if err := w.Write(Record{ID: "read", Seq: bytes.Repeat([]byte("ACGT"), 50), Qual: bytes.Repeat([]byte("I"), 200)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		r := NewReader(bytes.NewReader(text.Bytes()))
+		for {
+			if _, err := r.Read(); err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	// n ID strings, plus the reader, its bufio buffer and the first growth
+	// of its three line buffers.
+	if allocs > n+20 {
+		t.Fatalf("%.0f allocations for %d records, want about one each", allocs, n)
+	}
+}

@@ -20,6 +20,11 @@ type ParseConfig struct {
 	// share one table entry. The paper does not canonicalize; this is a
 	// library option.
 	Canonical bool
+	// Headroom is the number of words left unwritten ahead of each
+	// destination's part in the returned rows — room for the exchange frame
+	// header (WordFrameHeader), so a row is sealed into its wire frame in
+	// place. Zero returns the bare parts.
+	Headroom int
 }
 
 // Validate checks the configuration.
@@ -33,6 +38,9 @@ func (c ParseConfig) Validate() error {
 	if c.NumDest <= 0 {
 		return fmt.Errorf("kernels: NumDest=%d", c.NumDest)
 	}
+	if c.Headroom < 0 {
+		return fmt.Errorf("kernels: Headroom=%d", c.Headroom)
+	}
 	return nil
 }
 
@@ -45,20 +53,48 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
+// Packed is the output of one packing-kernel call: a contiguous arena
+// partitioned by destination, and the per-destination rows viewing it. A zero
+// value is ready to use. It is separate from the kernels' scratch because it
+// outlives the call — the rows are what the exchange ships — while the
+// staging buffers are dead when the kernel returns: a caller that must keep
+// several calls' rows alive rotates Packed values under one scratch.
+type Packed[T any] struct {
+	buf  []T
+	rows [][]T
+}
+
+// layout sizes the arena for the destination ranges destOff (in items of
+// unit elements each) with headroom elements of room ahead of every range,
+// and cuts the capacity-clamped rows: row d is its headroom followed by its
+// part. The arena's contents are unspecified — the scatter pass overwrites
+// every part, and the headroom is the caller's to seal.
+func (p *Packed[T]) layout(destOff []int, unit, headroom int) [][]T {
+	numDest := len(destOff) - 1
+	p.buf = grow(p.buf, destOff[numDest]*unit+numDest*headroom)
+	p.rows = grow(p.rows, numDest)
+	for d := range p.rows {
+		lo, hi := destOff[d]*unit+d*headroom, destOff[d+1]*unit+(d+1)*headroom
+		p.rows[d] = p.buf[lo:hi:hi]
+	}
+	return p.rows
+}
+
 // ParseScratch holds the reusable buffers of one rank's ParseKmers calls:
-// the staged keys/destinations, the per-warp histogram and cursors, and the
-// contiguous output arena the per-destination parts are views into. A zero
-// value is ready to use; reusing one across rounds removes all per-round
-// allocation from the parse path. Parts returned by ParseKmers alias the
-// scratch and are valid until the next call with the same scratch.
+// the staged keys/destinations and the per-warp histogram the scan turns
+// into cursors. A zero value is ready to use; reusing one across rounds
+// removes all per-round allocation from the parse path. Rows returned by
+// ParseKmers are views into Out (the scratch's own Packed when Out is nil)
+// and are valid until the next call that packs into the same one.
 type ParseScratch struct {
+	// Out, when non-nil, receives the call's packed rows.
+	Out *Packed[uint64]
+
 	keys    []uint64
 	dests   []int32
 	counts  []int32
-	cursors []int32
 	destOff []int
-	out     []uint64
-	parts   [][]uint64
+	own     Packed[uint64]
 }
 
 // ParseKmers is the GPU parse & process kernel of §III-B.1 (Fig. 2),
@@ -72,10 +108,13 @@ type ParseScratch struct {
 // No global atomics and no locks — the histogram lives in per-warp shared
 // memory and the scatter slots are disjoint by construction.
 //
-// The returned out[d] holds the packed k-mers bound for rank d, as views
-// into one contiguous arena in scr (deterministic order: warp-major, then
-// position). The returned stats aggregate all three launches; the pipeline
-// prices them as one fused launch.
+// The returned out[d] holds the packed k-mers bound for rank d behind
+// cfg.Headroom words of room, as views into one contiguous arena (see
+// ParseScratch; deterministic order: warp-major, then position). The headroom
+// is host-side layout only: the simulated addresses the scatter charges are
+// the headroom-free slots, so the stats do not depend on it. The returned
+// stats aggregate all three launches; the pipeline prices them as one fused
+// launch.
 func ParseKmers(dev *gpusim.Device, cfg ParseConfig, data []byte, scr *ParseScratch) (out [][]uint64, st gpusim.KernelStats, err error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, st, err
@@ -94,7 +133,6 @@ func ParseKmers(dev *gpusim.Device, cfg ParseConfig, data []byte, scr *ParseScra
 	scr.keys = grow(scr.keys, threads)
 	scr.dests = grow(scr.dests, threads)
 	scr.counts = grow(scr.counts, nWarps*numDest)
-	scr.cursors = grow(scr.cursors, nWarps*numDest)
 	scr.destOff = grow(scr.destOff, numDest+1)
 	for i := range scr.counts {
 		scr.counts[i] = 0
@@ -149,18 +187,11 @@ func ParseKmers(dev *gpusim.Device, cfg ParseConfig, data []byte, scr *ParseScra
 	}
 
 	// Exclusive prefix sum over (warp × destination), destination-major, so
-	// each destination's range is contiguous in the output arena. The host
-	// loop computes the real offsets; the cost-model launch charges the
-	// device price of the equivalent Blelloch scan.
-	total := 0
-	for d := 0; d < numDest; d++ {
-		scr.destOff[d] = total
-		for w := 0; w < nWarps; w++ {
-			scr.cursors[w*numDest+d] = int32(total)
-			total += int(counts[w*numDest+d])
-		}
-	}
-	scr.destOff[numDest] = total
+	// each destination's range is contiguous in the output arena — in place,
+	// as on the device: every count becomes its warp's cursor. The host loop
+	// computes the real offsets; the cost-model launch charges the device
+	// price of the equivalent Blelloch scan.
+	scanInPlace(counts, scr.destOff, nWarps)
 	scanSt, err := dev.Launch(gpusim.LaunchSpec{Name: "scan_offsets", Threads: nWarps * numDest}, func(tid int, ctx *gpusim.Ctx) {
 		ctx.Read(countsAddr+uint64(tid*4), 4)
 		ctx.Compute(OpsScanStep)
@@ -171,9 +202,16 @@ func ParseKmers(dev *gpusim.Device, cfg ParseConfig, data []byte, scr *ParseScra
 	}
 	st.Add(scanSt)
 
-	// Pass 2: contention-free scatter through the private cursors.
-	scr.out = grow(scr.out, total)
-	outBuf, cursors := scr.out, scr.cursors
+	// Pass 2: contention-free scatter through the private cursors. A cursor
+	// is a logical slot; destination d's part lies (d+1)·headroom words
+	// further into the arena.
+	packed := scr.Out
+	if packed == nil {
+		packed = &scr.own
+	}
+	headroom := cfg.Headroom
+	out = packed.layout(scr.destOff, 1, headroom)
+	outBuf, cursors := packed.buf, counts
 	scatterSt, err := dev.Launch(gpusim.LaunchSpec{Name: "scatter_kmers", Threads: threads}, func(tid int, ctx *gpusim.Ctx) {
 		ctx.Read(keysAddr+uint64(tid*8), 8)
 		ctx.Read(destsAddr+uint64(tid*4), 4)
@@ -184,7 +222,7 @@ func ParseKmers(dev *gpusim.Device, cfg ParseConfig, data []byte, scr *ParseScra
 		cur := (tid/ws)*numDest + int(d)
 		slot := cursors[cur]
 		cursors[cur] = slot + 1
-		outBuf[slot] = keys[tid]
+		outBuf[int(slot)+(int(d)+1)*headroom] = keys[tid]
 		ctx.Compute(OpsEmit) // cursor bump + slot math
 		ctx.Write(bufAddr+uint64(slot)*8, 8)
 	})
@@ -192,13 +230,25 @@ func ParseKmers(dev *gpusim.Device, cfg ParseConfig, data []byte, scr *ParseScra
 		return nil, st, err
 	}
 	st.Add(scatterSt)
+	return out, st, nil
+}
 
-	scr.parts = grow(scr.parts, numDest)
+// scanInPlace turns the (warp × destination) histogram into its
+// destination-major exclusive prefix sum, each count replaced by the first
+// slot of its warp's range, and records every destination's range in destOff
+// (numDest+1 entries).
+func scanInPlace(counts []int32, destOff []int, nWarps int) {
+	numDest := len(destOff) - 1
+	total := 0
 	for d := 0; d < numDest; d++ {
-		lo, hi := scr.destOff[d], scr.destOff[d+1]
-		scr.parts[d] = outBuf[lo:hi:hi]
+		destOff[d] = total
+		for w := 0; w < nWarps; w++ {
+			n := counts[w*numDest+d]
+			counts[w*numDest+d] = int32(total)
+			total += int(n)
+		}
 	}
-	return scr.parts, st, nil
+	destOff[numDest] = total
 }
 
 // CountDests is a host-side helper mirroring the kernel's destination

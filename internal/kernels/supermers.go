@@ -22,6 +22,10 @@ type SupermerConfig struct {
 	// with every value < NumDest (the balanced assignment of §VII's
 	// future work). When nil, destinations come from DestOf.
 	DestMap []uint16
+	// Headroom is the number of bytes left unwritten ahead of each
+	// destination's part in the returned rows (see ParseConfig.Headroom; the
+	// byte frame header is ByteFrameHeader).
+	Headroom int
 }
 
 // Validate checks the configuration.
@@ -34,6 +38,9 @@ func (c SupermerConfig) Validate() error {
 	}
 	if c.NumDest <= 0 || c.NumDest > 1<<16 {
 		return fmt.Errorf("kernels: NumDest=%d outside (0,%d]", c.NumDest, 1<<16)
+	}
+	if c.Headroom < 0 {
+		return fmt.Errorf("kernels: Headroom=%d", c.Headroom)
 	}
 	if c.DestMap != nil {
 		if len(c.DestMap) != 1<<(2*uint(c.C.M)) {
@@ -58,19 +65,19 @@ type superDesc struct {
 const descBytes = 4
 
 // SupermerScratch holds the reusable buffers of one rank's BuildSupermers
-// calls: per-thread supermer descriptors, the per-warp histogram and
-// cursors, and the contiguous wire arena the per-destination parts are
-// views into. A zero value is ready to use. Parts returned by
-// BuildSupermers alias the scratch and are valid until the next call with
-// the same scratch.
+// calls: per-thread supermer descriptors and the per-warp histogram the scan
+// turns into cursors. A zero value is ready to use. Rows returned by
+// BuildSupermers are views into Out (the scratch's own Packed when Out is
+// nil) and are valid until the next call that packs into the same one.
 type SupermerScratch struct {
+	// Out, when non-nil, receives the call's packed rows.
+	Out *Packed[byte]
+
 	descs   []superDesc
 	nDescs  []int32
 	counts  []int32
-	cursors []int32
 	destOff []int
-	out     []byte
-	parts   [][]byte
+	own     Packed[byte]
 }
 
 // BuildSupermers is the GPU supermer kernel of §IV-B (Fig. 5, Alg. 2),
@@ -85,8 +92,11 @@ type SupermerScratch struct {
 // buffer partitioned by destination — no global atomics, no locks, no
 // intermediate sequence objects.
 //
-// The emitted supermers are exactly those of minimizer.BuildWindowed over
-// the same buffer — the property tests rely on this equivalence.
+// The returned out[d] holds rank d's wire images behind cfg.Headroom bytes of
+// room; like ParseKmers' headroom it is host-side layout only and moves no
+// simulated address. The emitted supermers are exactly those of
+// minimizer.BuildWindowed over the same buffer — the property tests rely on
+// this equivalence.
 func BuildSupermers(dev *gpusim.Device, cfg SupermerConfig, data []byte, scr *SupermerScratch) (out [][]byte, st gpusim.KernelStats, err error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, st, err
@@ -112,7 +122,6 @@ func BuildSupermers(dev *gpusim.Device, cfg SupermerConfig, data []byte, scr *Su
 	scr.descs = grow(scr.descs, threads*window)
 	scr.nDescs = grow(scr.nDescs, threads)
 	scr.counts = grow(scr.counts, nWarps*numDest)
-	scr.cursors = grow(scr.cursors, nWarps*numDest)
 	scr.destOff = grow(scr.destOff, numDest+1)
 	for i := range scr.counts {
 		scr.counts[i] = 0
@@ -216,16 +225,9 @@ func BuildSupermers(dev *gpusim.Device, cfg SupermerConfig, data []byte, scr *Su
 		return nil, st, err
 	}
 
-	// Exclusive prefix sum over (warp × destination), destination-major.
-	total := 0
-	for d := 0; d < numDest; d++ {
-		scr.destOff[d] = total
-		for w := 0; w < nWarps; w++ {
-			scr.cursors[w*numDest+d] = int32(total)
-			total += int(counts[w*numDest+d])
-		}
-	}
-	scr.destOff[numDest] = total
+	// Exclusive prefix sum over (warp × destination), destination-major, in
+	// place: the counts become the cursors.
+	scanInPlace(counts, scr.destOff, nWarps)
 	scanSt, err := dev.Launch(gpusim.LaunchSpec{Name: "scan_offsets", Threads: nWarps * numDest}, func(tid int, ctx *gpusim.Ctx) {
 		ctx.Read(countsAddr+uint64(tid*4), 4)
 		ctx.Compute(OpsScanStep)
@@ -236,9 +238,16 @@ func BuildSupermers(dev *gpusim.Device, cfg SupermerConfig, data []byte, scr *Su
 	}
 	st.Add(scanSt)
 
-	// Pass 2: pack each supermer's bases straight into its wire slot.
-	scr.out = grow(scr.out, total*stride)
-	outBuf, cursors := scr.out, scr.cursors
+	// Pass 2: pack each supermer's bases straight into its wire slot. A
+	// cursor is a logical slot; destination d's part lies (d+1)·headroom
+	// bytes further into the arena.
+	packed := scr.Out
+	if packed == nil {
+		packed = &scr.own
+	}
+	headroom := cfg.Headroom
+	out = packed.layout(scr.destOff, stride, headroom)
+	outBuf, cursors := packed.buf, counts
 	scatterSt, err := dev.Launch(gpusim.LaunchSpec{Name: "scatter_supermers", Threads: threads}, func(tid int, ctx *gpusim.Ctx) {
 		n := int(nDescs[tid])
 		for i := 0; i < n; i++ {
@@ -249,7 +258,8 @@ func BuildSupermers(dev *gpusim.Device, cfg SupermerConfig, data []byte, scr *Su
 			slot := int(cursors[cur])
 			cursors[cur] = int32(slot + 1)
 			off := slot * stride
-			img := outBuf[off : off+stride]
+			at := off + (int(d.dest)+1)*headroom
+			img := outBuf[at : at+stride]
 			for b := range img {
 				img[b] = 0
 			}
@@ -269,11 +279,5 @@ func BuildSupermers(dev *gpusim.Device, cfg SupermerConfig, data []byte, scr *Su
 		return nil, st, err
 	}
 	st.Add(scatterSt)
-
-	scr.parts = grow(scr.parts, numDest)
-	for d := 0; d < numDest; d++ {
-		lo, hi := scr.destOff[d]*stride, scr.destOff[d+1]*stride
-		scr.parts[d] = outBuf[lo:hi:hi]
-	}
-	return scr.parts, st, nil
+	return out, st, nil
 }

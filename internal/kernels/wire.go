@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"sync"
 
 	"dedukt/internal/dna"
 	"dedukt/internal/minimizer"
@@ -144,9 +145,12 @@ func (w SupermerWire) VerifyImages(buf []byte) (images, kmers int, err error) {
 // Word frame layout (header 1 word): low 32 bits item count, high 32 bits
 // CRC32-C of the payload words' little-endian bytes.
 
-// Frame header sizes in payload units, exported so the exchange path can
-// presize its frame arenas: a byte frame carries ByteFrameHeader bytes ahead
-// of its payload, a word frame WordFrameHeader words.
+// Frame header sizes in payload units: a byte frame carries ByteFrameHeader
+// bytes ahead of its payload, a word frame WordFrameHeader words. The parse
+// kernels leave exactly this much room ahead of each destination's part
+// (ParseConfig.Headroom, SupermerConfig.Headroom), so the exchange path seals
+// the header where the payload already lies instead of copying both into a
+// frame buffer.
 const (
 	ByteFrameHeader = 12
 	WordFrameHeader = 1
@@ -162,16 +166,26 @@ func FrameBytes(payload []byte, items int) []byte {
 	return AppendFrameBytes(make([]byte, 0, ByteFrameHeader+len(payload)), payload, items)
 }
 
+// SealFrameBytes writes the checksummed header of frame[ByteFrameHeader:],
+// a payload of the given item count, into the ByteFrameHeader bytes of room
+// ahead of it, making frame the payload's wire frame without moving a
+// payload byte.
+func SealFrameBytes(frame []byte, items int) {
+	copy(frame, frameMagic[:])
+	binary.LittleEndian.PutUint32(frame[4:], uint32(items))
+	binary.LittleEndian.PutUint32(frame[8:], crc32.Checksum(frame[ByteFrameHeader:], crcTable))
+}
+
 // AppendFrameBytes appends the checksummed frame of payload to dst and
-// returns the extended slice — the allocation-free form the exchange path
-// uses to pack every destination's frame into one pooled arena.
+// returns the extended slice: a copy of the payload behind header room,
+// sealed. It is for a frame that must not share memory with the payload —
+// the exchange path's retries frame private copies this way.
 func AppendFrameBytes(dst []byte, payload []byte, items int) []byte {
-	var hdr [ByteFrameHeader]byte
-	copy(hdr[:], frameMagic[:])
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(items))
-	binary.LittleEndian.PutUint32(hdr[8:], crc32.Checksum(payload, crcTable))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+	off := len(dst)
+	var room [ByteFrameHeader]byte
+	dst = append(append(dst, room[:]...), payload...)
+	SealFrameBytes(dst[off:], items)
+	return dst
 }
 
 // UnframeBytes validates a byte frame and returns its payload (a view, not
@@ -195,13 +209,26 @@ func UnframeBytes(frame []byte) (payload []byte, items int, err error) {
 	return payload, items, nil
 }
 
-// wordsCRC checksums word payloads over their little-endian byte images.
+// crcBufs pools the buffers wordsCRC encodes words into. crc32 reaches its
+// Castagnoli kernel through a function variable, so a local array would be
+// moved to the heap — 4 KiB allocated and cleared per checksum, which the
+// many few-word frames of a large world cannot afford.
+var crcBufs = sync.Pool{New: func() any { return new([4096]byte) }}
+
+// wordsCRC checksums word payloads over their little-endian byte images,
+// encoded a buffer at a time: crc32.Update's per-call set-up is what an
+// 8-byte update pays for, and a 4 KiB one amortises it.
 func wordsCRC(words []uint64) uint32 {
-	var buf [8]byte
+	buf := crcBufs.Get().(*[4096]byte)
+	defer crcBufs.Put(buf)
 	var crc uint32
-	for _, w := range words {
-		binary.LittleEndian.PutUint64(buf[:], w)
-		crc = crc32.Update(crc, crcTable, buf[:])
+	for len(words) > 0 {
+		n := min(len(words), len(buf)/8)
+		for i, w := range words[:n] {
+			binary.LittleEndian.PutUint64(buf[8*i:], w)
+		}
+		crc = crc32.Update(crc, crcTable, buf[:8*n])
+		words = words[n:]
 	}
 	return crc
 }
@@ -212,11 +239,20 @@ func FrameWords(words []uint64) []uint64 {
 	return AppendFrameWords(make([]uint64, 0, WordFrameHeader+len(words)), words)
 }
 
+// SealFrameWords writes the checksummed header of frame[WordFrameHeader:]
+// into the word of room ahead of it (see SealFrameBytes).
+func SealFrameWords(frame []uint64) {
+	words := frame[WordFrameHeader:]
+	frame[0] = uint64(wordsCRC(words))<<32 | uint64(uint32(len(words)))
+}
+
 // AppendFrameWords appends the framed payload to dst and returns the
 // extended slice (see AppendFrameBytes).
 func AppendFrameWords(dst []uint64, words []uint64) []uint64 {
-	dst = append(dst, uint64(wordsCRC(words))<<32|uint64(uint32(len(words))))
-	return append(dst, words...)
+	off := len(dst)
+	dst = append(append(dst, 0), words...)
+	SealFrameWords(dst[off:])
+	return dst
 }
 
 // UnframeWords validates a word frame and returns its payload (a view, not

@@ -13,17 +13,20 @@ import (
 // destination map it never reads (k-mers route by hash) and a nil error.
 
 // cpuParseKmers is the scalar PARSEKMER of Alg. 1: a rolling sliding-window
-// parse, one hash per k-mer, append to the destination's outgoing vector.
-// prev's rows are truncated and reused when provided; a fresh row is sized
-// for its share of the k-mers — at most one per base, routed uniformly by
-// hash — plus an eighth, and append absorbs any overshoot.
+// parse, one hash per k-mer, append to the destination's outgoing vector
+// behind the word frame header's room. prev's rows are truncated and reused
+// when provided; a fresh row is sized for its share of the k-mers — at most
+// one per base, routed uniformly by hash — plus an eighth, and append absorbs
+// any overshoot.
 func cpuParseKmers(cfg Config, _ []uint16, nProc int, data []byte, prev [][]uint64) ([][]uint64, kernels.WorkMeter, error) {
 	var m kernels.WorkMeter
-	out := growRows(prev, nProc)
+	const h = kernels.WordFrameHeader
+	out := grow(prev, nProc)
 	for i, row := range out {
-		if cap(row) == 0 {
-			out[i] = make([]uint64, 0, len(data)/nProc*9/8)
+		if cap(row) < h {
+			row = make([]uint64, h, h+len(data)/nProc*9/8)
 		}
+		out[i] = row[:h]
 	}
 	k, enc := cfg.K, cfg.Enc
 	var kw uint64
@@ -57,11 +60,12 @@ func cpuParseKmers(cfg Config, _ []uint16, nProc int, data []byte, prev [][]uint
 }
 
 // cpuBuildSupermers is the scalar BUILDSUPERMER of Alg. 2, windowed exactly
-// like the GPU kernel so both engines ship identical supermer sets. prev's
+// like the GPU kernel so both engines ship identical supermer sets, each
+// destination's images appended behind the byte frame header's room. prev's
 // rows are truncated and reused when provided.
 func cpuBuildSupermers(cfg Config, destMap []uint16, nProc int, data []byte, prev [][]byte) ([][]byte, kernels.WorkMeter, error) {
 	var m kernels.WorkMeter
-	out := growRows(prev, nProc)
+	out := headRows(prev, nProc, kernels.ByteFrameHeader)
 	mc := cfg.minimizerConfig()
 	wire := kernels.SupermerWire{K: cfg.K, Window: cfg.Window}
 	m.AddBytes(len(data))

@@ -21,9 +21,11 @@ type engine[T unit] interface {
 	// concatenated bases and returns one send row per destination of the
 	// ORIGINAL world: the key→rank map never changes across shrinks
 	// (checkpointed slices stay valid); the seat folds dead destinations
-	// onto survivors at post time. The rows live in the parity slot's
-	// pooled scratch and stay valid until the next parse of that parity.
-	parse(parity int, data []byte) ([][]T, work, error)
+	// onto survivors at post time. Each row lies behind the mode's frame
+	// header room (codec.header), so the exchange seals and ships it in
+	// place. The rows live in pooled buffer slot (one of parseSlots) and
+	// stay valid until the next parse into that slot.
+	parse(slot int, data []byte) ([][]T, work, error)
 	// count inserts the received rows into the engine's table.
 	count(recv [][]T) (work, error)
 	// modeled converts metered work into this engine's modeled time.
@@ -83,18 +85,24 @@ func (w *work) add(o work) {
 func (w *work) ops() uint64 { return w.meter.Ops + w.stats.ComputeOps }
 
 // newKmerEngine and newSupermerEngine bind a mode's kernel pair to the
-// layout's device: the GPU kernels when it has GPUs (their packing scratch
-// double-buffered by round parity), the scalar CPU baseline otherwise.
+// layout's device: the GPU kernels when it has GPUs, the scalar CPU baseline
+// otherwise. Only what a parse returns — the packed send rows — rotates over
+// parseSlots buffers; the GPU kernels' staging scratch is dead when the
+// kernel returns and is held once per rank.
 func newKmerEngine(rc rankCtx) (engine[uint64], error) {
 	cfg := rc.cfg
 	if cfg.Layout.GPU == nil {
 		return newCPUEngine(rc, &cpuEngine[uint64]{parseRows: cpuParseKmers, countRows: cpuCountKmers})
 	}
-	pc := kernels.ParseConfig{Enc: cfg.Enc, K: cfg.K, NumDest: rc.seat.nOrig, Canonical: cfg.Canonical}
-	var scratch [2]kernels.ParseScratch
+	pc := kernels.ParseConfig{Enc: cfg.Enc, K: cfg.K, NumDest: rc.seat.nOrig, Canonical: cfg.Canonical, Headroom: kernels.WordFrameHeader}
+	var (
+		scratch kernels.ParseScratch
+		rows    [parseSlots]kernels.Packed[uint64]
+	)
 	return newGPUEngine(rc, &gpuEngine[uint64]{
-		parseRows: func(dev *gpusim.Device, parity int, data []byte) ([][]uint64, gpusim.KernelStats, error) {
-			return kernels.ParseKmers(dev, pc, data, &scratch[parity])
+		parseRows: func(dev *gpusim.Device, slot int, data []byte) ([][]uint64, gpusim.KernelStats, error) {
+			scratch.Out = &rows[slot]
+			return kernels.ParseKmers(dev, pc, data, &scratch)
 		},
 		index: func(dev *gpusim.Device, rows [][]uint64) (arrival, error) {
 			return kernels.IndexKmers(dev, rows), nil
@@ -107,12 +115,16 @@ func newSupermerEngine(rc rankCtx) (engine[byte], error) {
 	if cfg.Layout.GPU == nil {
 		return newCPUEngine(rc, &cpuEngine[byte]{parseRows: cpuBuildSupermers, countRows: cpuCountSupermers})
 	}
-	sc := kernels.SupermerConfig{Enc: cfg.Enc, C: cfg.minimizerConfig(), NumDest: rc.seat.nOrig, DestMap: rc.destMap}
+	sc := kernels.SupermerConfig{Enc: cfg.Enc, C: cfg.minimizerConfig(), NumDest: rc.seat.nOrig, DestMap: rc.destMap, Headroom: kernels.ByteFrameHeader}
 	wire := kernels.SupermerWire{K: cfg.K, Window: cfg.Window}
-	var scratch [2]kernels.SupermerScratch
+	var (
+		scratch kernels.SupermerScratch
+		rows    [parseSlots]kernels.Packed[byte]
+	)
 	return newGPUEngine(rc, &gpuEngine[byte]{
-		parseRows: func(dev *gpusim.Device, parity int, data []byte) ([][]byte, gpusim.KernelStats, error) {
-			return kernels.BuildSupermers(dev, sc, data, &scratch[parity])
+		parseRows: func(dev *gpusim.Device, slot int, data []byte) ([][]byte, gpusim.KernelStats, error) {
+			scratch.Out = &rows[slot]
+			return kernels.BuildSupermers(dev, sc, data, &scratch)
 		},
 		index: func(dev *gpusim.Device, rows [][]byte) (arrival, error) {
 			return kernels.IndexSupermers(dev, wire, rows)
@@ -131,7 +143,7 @@ type cpuEngine[T unit] struct {
 	nDest     int
 	table     *kcount.Table
 	bloom     *kcount.Bloom
-	send      [2][][]T // per-parity send rows, truncated and reused
+	send      [parseSlots][][]T // per-slot send rows, truncated and reused
 	parseRows func(cfg Config, destMap []uint16, nDest int, data []byte, prev [][]T) ([][]T, kernels.WorkMeter, error)
 	countRows func(cfg Config, table *kcount.Table, bloom *kcount.Bloom, rows [][]T) (kernels.WorkMeter, error)
 }
@@ -169,9 +181,9 @@ func newCPUEngine[T unit](rc rankCtx, e *cpuEngine[T]) (*cpuEngine[T], error) {
 	return e, nil
 }
 
-func (e *cpuEngine[T]) parse(parity int, data []byte) ([][]T, work, error) {
-	send, m, err := e.parseRows(e.cfg, e.destMap, e.nDest, data, e.send[parity])
-	e.send[parity] = send
+func (e *cpuEngine[T]) parse(slot int, data []byte) ([][]T, work, error) {
+	send, m, err := e.parseRows(e.cfg, e.destMap, e.nDest, data, e.send[slot])
+	e.send[slot] = send
 	return send, work{meter: m}, err
 }
 
@@ -191,7 +203,7 @@ func (e *cpuEngine[T]) counted() countedTable { return e.table }
 // newBin also drops the singleton filter: a bin is counted exactly.
 func (e *cpuEngine[T]) newBin() {
 	e.table, e.bloom = kcount.NewTable(1, e.cfg.Probing), nil
-	e.send = [2][][]T{}
+	e.send = [parseSlots][][]T{}
 }
 
 // gpuEngine is the GPU pipeline: the simulated device, the fixed-capacity
@@ -201,7 +213,7 @@ type gpuEngine[T unit] struct {
 	cfg       Config
 	dev       *gpusim.Device
 	table     *kcount.AtomicTable
-	parseRows func(dev *gpusim.Device, parity int, data []byte) ([][]T, gpusim.KernelStats, error)
+	parseRows func(dev *gpusim.Device, slot int, data []byte) ([][]T, gpusim.KernelStats, error)
 	index     func(dev *gpusim.Device, rows [][]T) (arrival, error)
 }
 
@@ -252,8 +264,8 @@ func (e *gpuEngine[T]) launched(st gpusim.KernelStats, err error) (work, error) 
 	return work{stats: st, kernel: e.dev.Config().KernelTime(&st)}, err
 }
 
-func (e *gpuEngine[T]) parse(parity int, data []byte) ([][]T, work, error) {
-	send, st, err := e.parseRows(e.dev, parity, data)
+func (e *gpuEngine[T]) parse(slot int, data []byte) ([][]T, work, error) {
+	send, st, err := e.parseRows(e.dev, slot, data)
 	w, err := e.launched(st, err)
 	return send, w, err
 }

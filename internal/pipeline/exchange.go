@@ -25,13 +25,18 @@ import (
 // The exchange is split into a post half (announce the counts and ship
 // attempt 0 with nonblocking collectives) and a finish half (wait, verify,
 // retry, settle), so the round loop can run the next round's parse between
-// them (Config.Overlap). Per-round state lives in two parity-indexed slots
-// reused across rounds: the counts vector, the frame arena attempt-0
-// payloads are packed into, and the verification bookkeeping — the round
-// loop guarantees a slot is dead on every rank before its parity comes up
-// again. Retry attempts frame fresh allocations instead: receivers may
-// retain verified views of earlier attempts, so the arena must never be
-// rewritten while a round is live.
+// them (Config.Overlap). The exchanger owns no payload memory: a send row
+// arrives from the parse phase with the frame header's room ahead of it
+// (codec.header), attempt 0 seals the header into that room and ships the
+// row where it lies, and peers read it zero-copy until their count of the
+// round ends — which is why the parse phase rotates its rows over
+// parseSlots buffers (rounds.go has the lifetime argument). Retry attempts
+// frame private copies instead: receivers may retain verified views of
+// earlier attempts, and a corrupted or dropped attempt must leave the send
+// row clean, so a live round's rows are sealed once and never rewritten.
+// What the exchanger does pool, in two parity-indexed slots written at post
+// and finish time, is the round's bookkeeping: the counts vector, the frame
+// and part vectors, the verification flags.
 //
 // The exchanger is written once over the payload unit T (words in k-mer
 // mode, bytes in supermer mode); what a row of units means — its item
@@ -125,10 +130,9 @@ func (s flatStrategy[T]) finish(p *pendingExchange[T]) ([][]T, error) {
 	return p.req.Wait()
 }
 
-// exchangeSlot is one parity's pooled round state.
+// exchangeSlot is one parity's pooled round bookkeeping.
 type exchangeSlot[T unit] struct {
 	counts []int
-	arena  []T
 	framed [][]T
 	parts  [][]T
 	ok     []bool
@@ -148,7 +152,8 @@ type pendingExchange[T unit] struct {
 	// intra-node gather); it surfaces when the round is finished.
 	postErr error
 	hier    *hierSlot[T]
-	// send is the round's routed send set, retained as the retry source.
+	// send is the round's routed send set — rows behind header room, sealed
+	// into frames by attempt 0 — retained as the retry source.
 	send [][]T
 	slot *exchangeSlot[T]
 }
@@ -185,29 +190,26 @@ func stripMore(expect []int) (anyMore bool) {
 	return anyMore
 }
 
-// post posts one round's exchange: the attempt-0 frames are packed into
-// the slot's pooled arena (presized so no append can reallocate mid-loop)
-// and handed to the strategy, which posts the count announcement
-// (IAlltoall — the vector is copied at post time, so the pooled slot is
-// immediately reusable) and ships the frames. send must stay unmutated
-// until finish returns (it is also the retry source). more announces that
-// this rank's input continues past this round (see moreFlag).
+// post posts one round's exchange: the send rows are sealed into their
+// attempt-0 frames and handed to the strategy, which posts the count
+// announcement (IAlltoall — the vector is copied at post time, so the pooled
+// slot is immediately reusable) and ships the frames. Each send[d] is
+// destination d's row behind codec.header units of room; it must stay
+// unmutated until finish returns (it is also the retry source) and, under
+// the flat strategy, until every peer has counted the round. more announces
+// that this rank's input continues past this round (see moreFlag).
 func (e *exchanger[T]) post(round int, send [][]T, more bool) *pendingExchange[T] {
 	slot := &e.slots[round%2]
 	p := &pendingExchange[T]{round: round, send: send, slot: slot}
 	p.sp = e.rec.Begin(e.rank, round, obs.PhaseExchange)
 
+	h := e.cd.header()
 	slot.counts = grow(slot.counts, len(send))
-	total := 0
-	for d, row := range send {
-		slot.counts[d] = e.cd.items(row)
+	for d, frame := range send {
+		slot.counts[d] = e.cd.items(frame[h:])
 		if more {
 			slot.counts[d] |= moreFlag
 		}
-		total += e.cd.frameLen(row)
-	}
-	if cap(slot.arena) < total {
-		slot.arena = make([]T, 0, total)
 	}
 	e.strat.post(p, slot.counts, e.frames(p, 0))
 	// Rank 0 of the current communicator credits the whole round's fabric
@@ -221,27 +223,26 @@ func (e *exchanger[T]) post(round int, send [][]T, more bool) *pendingExchange[T
 
 // frames builds one attempt's per-destination frames from the retained
 // send set, applying the injector's drop and corrupt rolls for that
-// attempt. Attempt 0 packs every frame into the slot's presized arena; a
-// retry gives each frame a fresh allocation (see the exchanger comment).
-// A dropped destination gets nil; Corrupt copies on hit, so the arena
+// attempt. Attempt 0 seals every send row in place — the row is the frame;
+// a retry frames a private copy of the row (see the exchanger comment). A
+// dropped destination gets nil; Corrupt copies on hit, so the send row
 // itself stays clean.
 func (e *exchanger[T]) frames(p *pendingExchange[T], attempt int) [][]T {
-	rank, slot := e.rank, p.slot
+	rank, slot, h := e.rank, p.slot, e.cd.header()
 	slot.framed = grow(slot.framed, len(p.send))
-	arena := slot.arena[:0]
-	for d, row := range p.send {
+	for d, frame := range p.send {
 		if e.inj.Drop(rank, p.round, attempt, d) {
 			slot.framed[d] = nil
 			e.rec.Instant(rank, p.round, obs.EvDrop)
 			continue
 		}
-		if attempt > 0 {
-			arena = make([]T, 0, e.cd.frameLen(row))
+		if attempt == 0 {
+			e.cd.seal(frame)
+		} else {
+			frame = e.cd.appendFrame(make([]T, 0, len(frame)), frame[h:])
 		}
-		off := len(arena)
-		arena = e.cd.appendFrame(arena, row)
 		var hit bool
-		slot.framed[d], hit = fault.Corrupt(e.inj, rank, p.round, attempt, d, arena[off:len(arena):len(arena)])
+		slot.framed[d], hit = fault.Corrupt(e.inj, rank, p.round, attempt, d, frame)
 		if hit {
 			e.rec.Instant(rank, p.round, obs.EvCorrupt)
 		}

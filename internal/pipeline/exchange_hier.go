@@ -32,12 +32,12 @@ import (
 // The gather stage is a blocking collective inside the post half; that is
 // legal because the round loop guarantees no nonblocking requests are
 // pending at any post site (rounds.go). The strategy keeps its own
-// parity-indexed slot pair, reused under the same liveness rule as the
-// exchanger's arenas. Topology is derived from the current communicator at
-// construction time, so after a shrink recovery the rebuilt exchanger
-// re-groups the surviving (renumbered) ranks — a ragged last node, whether
-// configured or produced by a shrink, needs no special casing beyond ceil
-// division.
+// parity-indexed slot pair, written at post and finish time and so reused
+// under the two-slot liveness rule of rounds.go. Topology is derived from
+// the current communicator at construction time, so after a shrink recovery
+// the rebuilt exchanger re-groups the surviving (renumbered) ranks — a
+// ragged last node, whether configured or produced by a shrink, needs no
+// special casing beyond ceil division.
 type hierStrategy[T unit] struct {
 	e     *exchanger[T]
 	topo  mpisim.Topology
@@ -82,10 +82,18 @@ func appendRecord[T unit](row []T, src, dest int, frame []T) []T {
 
 // growRows resizes a pooled row vector to n rows, each truncated to zero
 // length with capacity retained.
-func growRows[T any](rows [][]T, n int) [][]T {
+func growRows[T any](rows [][]T, n int) [][]T { return headRows(rows, n, 0) }
+
+// headRows resizes a pooled row vector to n rows, each truncated to its
+// first h units with capacity retained: the frame header's room a send row
+// is appended behind, its contents unspecified until the exchange seals it.
+func headRows[T any](rows [][]T, n, h int) [][]T {
 	rows = grow(rows, n)
-	for i := range rows {
-		rows[i] = rows[i][:0]
+	for i, row := range rows {
+		if cap(row) < h {
+			row = make([]T, h)
+		}
+		rows[i] = row[:h]
 	}
 	return rows
 }

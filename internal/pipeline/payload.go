@@ -24,10 +24,14 @@ type unit = mpisim.Unit
 type codec[T unit] interface {
 	// items returns the exchanged units (k-mers or supermers) in a row.
 	items(row []T) int
-	// frameLen returns the length of row's checksummed frame, for arena
-	// presizing.
-	frameLen(row []T) int
-	// appendFrame appends row's checksummed frame to dst.
+	// header returns the units of frame header a row travels behind. The
+	// parse phase leaves that much room ahead of every send row, so a send
+	// row and its wire frame are the same memory.
+	header() int
+	// seal writes the checksummed header of the row frame[header():] into
+	// the room ahead of it, in place.
+	seal(frame []T)
+	// appendFrame appends a private copy of row's checksummed frame to dst.
 	appendFrame(dst, row []T) []T
 	// unframe verifies a received frame against the announced item count
 	// and returns its payload (a view, not a copy); ok is false for a
@@ -49,8 +53,9 @@ type codec[T unit] interface {
 // kmerCodec is k-mer mode: a row is a vector of packed k-mer words.
 type kmerCodec struct{}
 
-func (kmerCodec) items(row []uint64) int    { return len(row) }
-func (kmerCodec) frameLen(row []uint64) int { return kernels.WordFrameHeader + len(row) }
+func (kmerCodec) items(row []uint64) int { return len(row) }
+func (kmerCodec) header() int            { return kernels.WordFrameHeader }
+func (kmerCodec) seal(frame []uint64)    { kernels.SealFrameWords(frame) }
 
 func (kmerCodec) appendFrame(dst, row []uint64) []uint64 {
 	return kernels.AppendFrameWords(dst, row)
@@ -95,8 +100,12 @@ type supermerCodec struct {
 	mc   minimizer.Config
 }
 
-func (c supermerCodec) items(row []byte) int    { return len(row) / c.wire.Stride() }
-func (c supermerCodec) frameLen(row []byte) int { return kernels.ByteFrameHeader + len(row) }
+func (c supermerCodec) items(row []byte) int { return len(row) / c.wire.Stride() }
+func (c supermerCodec) header() int          { return kernels.ByteFrameHeader }
+
+func (c supermerCodec) seal(frame []byte) {
+	kernels.SealFrameBytes(frame, c.items(frame[kernels.ByteFrameHeader:]))
+}
 
 func (c supermerCodec) appendFrame(dst, row []byte) []byte {
 	return kernels.AppendFrameBytes(dst, row, c.items(row))

@@ -29,10 +29,10 @@ type rankCtx struct {
 }
 
 // roundState is one parity's pooled round scratch: the staged base buffer,
-// the round's send rows (views into the engine's parity scratch), their
-// fold onto a shrunk communicator, and the posted exchange with what it
-// delivered. Two of these double-buffer the overlapped schedule; the serial
-// schedule just alternates between them.
+// the round's send rows (views into the engine's parseSlots-rotated
+// buffers), their fold onto a shrunk communicator, and the posted exchange
+// with what it delivered. Two of these double-buffer the overlapped
+// schedule; the serial schedule just alternates between them.
 type roundState[T unit] struct {
 	buf      dna.SeqBuffer
 	send     [][]T
@@ -95,7 +95,7 @@ func runRank[T unit](rc rankCtx, cd codec[T], newEngine func(rankCtx) (engine[T]
 
 		sp := rec.Begin(rank, r, obs.PhaseParse)
 		var w work
-		st.send, w, err = eng.parse(r%2, data)
+		st.send, w, err = eng.parse(r%parseSlots, data)
 		if err != nil {
 			sp.End(0, 0)
 			return false, err
@@ -106,7 +106,7 @@ func runRank[T unit](rc rankCtx, cd codec[T], newEngine func(rankCtx) (engine[T]
 		out.parseSt.Add(w.stats)
 
 		var sent uint64
-		sent, st.bytesOut = tally(cd, st.send)
+		sent, st.bytesOut = tally(cd, st.send, cd.header())
 		out.itemsSent += sent
 		out.payloadSent += st.bytesOut
 		sp.End(modeled, sent)
@@ -118,7 +118,7 @@ func runRank[T unit](rc rankCtx, cd codec[T], newEngine func(rankCtx) (engine[T]
 	// (errors surface at finish time).
 	post := func(r int, more bool) error {
 		st := &states[r%2]
-		st.pend = ex.post(r, route(seat, st.send, &st.routed), more)
+		st.pend = ex.post(r, route(seat, st.send, cd.header(), &st.routed), more)
 		return nil
 	}
 
@@ -135,7 +135,7 @@ func runRank[T unit](rc rankCtx, cd codec[T], newEngine func(rankCtx) (engine[T]
 		}
 		var bytesIn uint64
 		st.recv = recv
-		st.items, bytesIn = tally(cd, recv)
+		st.items, bytesIn = tally(cd, recv, 0)
 		var stage time.Duration
 		if staged {
 			stage = eng.stage(st.bytesOut) + eng.stage(bytesIn)
@@ -237,9 +237,12 @@ func (o *rankOutcome) publishLaunches(reg *obs.Registry, rank int) {
 	reg.Gauge("pipeline_count_launches", "Count-kernel launches the rank's count phase made (GPU engine; spill: over all pass-2 records).", obs.L("rank", strconv.Itoa(rank))).Set(float64(o.launches))
 }
 
-// tally sums a row vector's exchanged items and payload bytes.
-func tally[T unit](cd codec[T], rows [][]T) (items, bytes uint64) {
+// tally sums a row vector's exchanged items and payload bytes, each row
+// lying behind h units of frame-header room (send rows; received rows are
+// bare, h = 0).
+func tally[T unit](cd codec[T], rows [][]T, h int) (items, bytes uint64) {
 	for _, row := range rows {
+		row = row[h:]
 		items += uint64(cd.items(row))
 		bytes += uint64(len(row))
 	}

@@ -81,21 +81,22 @@ func (s *rankSeat) buildRemap(dead []bool) error {
 	return nil
 }
 
-// route folds an nOrig-row send set onto the current communicator.
-// Identity seats pass the rows through untouched; shrunk seats
-// concatenate each dead destination's row onto its successor's (counting
+// route folds an nOrig-row send set onto the current communicator. Every
+// row, in and out, lies behind h units of frame-header room. Identity seats
+// pass the rows through untouched; shrunk seats concatenate each dead
+// destination's row onto its successor's behind one header's room (counting
 // is order-invariant, so the fold preserves the spectrum exactly; k-mer
 // words and fixed-stride supermer images both concatenate whole). buf is
 // per-caller pooled scratch — the overlapped schedule routes two rounds
 // concurrently, so each parity owns its own.
-func route[T unit](s *rankSeat, send [][]T, buf *[][]T) [][]T {
+func route[T unit](s *rankSeat, send [][]T, h int, buf *[][]T) [][]T {
 	if len(s.slots) == s.nOrig {
 		return send // identity: no rank has died
 	}
-	out := growRows(*buf, len(s.slots))
+	out := headRows(*buf, len(s.slots), h)
 	for d, row := range send {
 		r := s.remap[d]
-		out[r] = append(out[r], row...)
+		out[r] = append(out[r], row[h:]...)
 	}
 	*buf = out
 	return out

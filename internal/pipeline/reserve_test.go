@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"testing"
 
+	"dedukt/internal/cluster"
 	"dedukt/internal/dna"
 	"dedukt/internal/gpusim"
 	"dedukt/internal/kcount"
@@ -309,5 +310,49 @@ func TestSupermerRunAllocatesNoMoreThanKmerRun(t *testing.T) {
 	t.Logf("supermer run %d B, k-mer run %d B (%.2fx)", supermer, kmer, float64(supermer)/float64(kmer))
 	if supermer > kmer {
 		t.Fatalf("supermer run allocated %d B, k-mer run %d B", supermer, kmer)
+	}
+}
+
+// TestSendRowsAreNotCopiedIntoFrames is an allocation budget in units of the
+// run's payload: parse packs each send row behind its frame header's room and
+// the exchange seals and ships it where it lies, so nothing between parse and
+// wire may allocate the payload a second time. A one-round k-mer run
+// allocates 2.77 (cpu) and 6.48 (gpu) times its payload — rows, tables,
+// bases, staging scratch; with a frame arena the rows were copied into it
+// was 3.70 and 7.52. The budgets sit 0.9 payloads under those.
+func TestSendRowsAreNotCopiedIntoFrames(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("alloc counts are inflated by the race detector")
+	}
+	reads := testReads(t, 60_000, 8)
+	for _, c := range []struct {
+		name     string
+		layout   cluster.Layout
+		payloads float64
+	}{
+		{"cpu", smallCPULayout(), 2.80},
+		{"gpu", smallGPULayout(1), 6.62},
+	} {
+		cfg := Default(c.layout, KmerMode)
+		allocated := func() (uint64, *Result) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, err := Run(cfg, reads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc, res
+		}
+		allocated() // warm the pools runs share
+		got, res := allocated()
+		if res.Rounds != 1 {
+			t.Fatalf("%s: %d rounds, want one", c.name, res.Rounds)
+		}
+		inPayloads := float64(got) / float64(res.PayloadBytes)
+		t.Logf("%s: allocated %d B = %.2f x the %d B payload", c.name, got, inPayloads, res.PayloadBytes)
+		if inPayloads > c.payloads {
+			t.Errorf("%s run allocated %.2f x its payload, budget %.2f", c.name, inPayloads, c.payloads)
+		}
 	}
 }

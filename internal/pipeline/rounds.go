@@ -68,6 +68,15 @@ type roundHooks struct {
 	resync func() error
 }
 
+// parseSlots is how many buffers a rank's parse output rotates over (see
+// "Buffer lifetimes" on runRounds). With two, a fast rank's parse(r+2)
+// rewrites rows a slow peer is still counting as round r:
+// TestStreamMatchesInMemory/*/overlap=true/*/flat and
+// TestSpillMatchesInMemory/*/overlap=true/*/flat then fail with wrong
+// distinct counts (and report the race under -race) — they are this
+// constant's regression tests.
+const parseSlots = 3
+
 // runRounds drives one rank's open-ended round loop until the world
 // agrees no rank has input left, returning the number of rounds
 // executed. The round count is not known up front — a streaming source
@@ -95,12 +104,30 @@ type roundHooks struct {
 // order per iteration is parse(r+1); finish(r); post(r+1); count(r),
 // which keeps at most one round's requests outstanding — finish's
 // blocking retry/settle collectives stay legal (mpisim forbids blocking
-// calls with posted requests pending), and double-buffered
-// (parity-indexed) scratch is safe: post(r+1) reuses parity (r+1)%2 only
-// after finish(r)'s settle collective completed on every rank, which
-// implies every peer finished round r-1 — the last user of that parity's
-// buffers. count(r) reads round r's received parts (parity r%2) while
-// round r+1 flies on the other parity.
+// calls with posted requests pending).
+//
+// Buffer lifetimes. Peers read a round's frames zero-copy: what rank q
+// receives in round r are views into the memory rank p shipped, and q
+// reads them (verify in finish(r), insert in count(r)) until its count(r)
+// ends. q's count(r) precedes q's finish(r+1), and finish(r+1)'s settle
+// collective completes on p only once every rank has entered it — so
+// whatever p does after its own finish(r+1) is ordered behind every
+// peer's last read of round r. That gives two rules, by WHEN a buffer is
+// written:
+//
+//   - written at post or finish time (route's fold rows, the exchanger's
+//     and the hierarchical strategy's slots): two slots, indexed r%2.
+//     Round r+2 touches them first at post(r+2), which follows
+//     finish(r+1) in both schedules.
+//   - written at parse time (the engines' send rows — which ARE the wire
+//     frames, sealed in place by post): parseSlots = three, indexed
+//     r%parseSlots. parse(r+2) runs BEFORE finish(r+1) in the overlapped
+//     schedule, while a slow peer may still be counting round r out of
+//     this rank's rows; parse(r+3) opens the iteration after the one
+//     that ran finish(r+1).
+//
+// The rank body's own roundState pair (r%2) holds nothing a peer reads:
+// round r is done with it at count(r), which precedes parse(r+2) locally.
 //
 // base is the first round index (non-zero when resuming from a
 // checkpoint); hooks see global round numbers and the returned count is

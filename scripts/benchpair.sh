@@ -3,7 +3,7 @@
 # (choosing-metrics §8), as one command.
 #
 #   scripts/benchpair.sh <parent-checkout> <change-checkout> \
-#       --workload W --pairs N [--seed S] [--trace 0|1]
+#       --workload W --pairs N [--seed S] [--trace 0|1] [--claim METRIC]
 #
 # Runs `bash bench/run.sh` of workload W alternately in the two checkouts —
 # N pairs on seed S (default 1) and always one more on the held-out seed
@@ -14,6 +14,14 @@
 # line, keyed by the commit the benchmark itself reports, to
 # BENCH_HISTORY.jsonl at the root of the repository this script lives in.
 #
+# --claim METRIC judges the gain claimed on that metric by the rule of
+# choosing-metrics §8: met when at least ten pairs ran, the change won at
+# least nine tenths of them (ties for neither side) and the medians lie apart,
+# the change's on the better side, by more than the distance between the
+# parent's own quartiles. The verdict is printed and appended to the history as one
+# {"claim": …, "verdict": …} line per invocation; the exit status is 0 either
+# way — a claim that is not met is a result, not a failure of the tool.
+#
 # The checkouts must be separate directories (`git clone` or `git archive`
 # of the parent; the working tree of the change), each built by its own
 # bench/run.sh into its own .bench_build/. Every run lasts BENCHMARK.json's
@@ -23,7 +31,7 @@ set -euo pipefail
 
 held_out=20240917
 usage() {
-    sed -n '2,9p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,6p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 }
 
@@ -31,13 +39,14 @@ usage() {
 parent=$(cd "$1" && pwd)
 change=$(cd "$2" && pwd)
 shift 2
-workload= pairs= seed=1 trace=0
+workload= pairs= seed=1 trace=0 claim=
 while [ $# -gt 0 ]; do
     case "$1" in
     --workload) workload=$2 ;;
     --pairs) pairs=$2 ;;
     --seed) seed=$2 ;;
     --trace) trace=$2 ;;
+    --claim) claim=$2 ;;
     *) usage ;;
     esac
     shift 2
@@ -66,6 +75,7 @@ run() {
     awk '$4 ~ /^(lower|higher)$/ && $2 ~ /^-?[0-9.]+(e[-+]?[0-9]+)?$/ && !seen[$1]++ { print $1, $2, $4 }' "$out" >"$work/$side.$pair"
     local commit result
     commit=$(sed -n 's/^environment .*"commit":"\([^"]*\)".*/\1/p' "$out")
+    echo "${commit:-unknown}" >"$work/$side.commit"
     result=$(tail -n 1 "$out")
     {
         printf '{"time":"%s","commit":"%s","side":"%s","workload":"%s","seed":%s,"trace":%s,"seconds":%s,"pair":%s,"first":%s,' \
@@ -94,7 +104,7 @@ echo
 echo "$workload, $pairs pairs on seed $seed + 1 on held-out seed $held_out, --seconds $seconds --trace $trace"
 for pair in $(seq 1 "$total"); do
     awk -v pair="$pair" '{ print FILENAME ~ /\/parent\.[0-9]+$/ ? "parent" : "change", pair, $1, $2, $3 }' "$work/parent.$pair" "$work/change.$pair"
-done | awk '
+done | awk -v claim="$claim" -v verdict="$work/verdict" '
 function quantile(v, n, q,    pos, lo) {
     pos = (n - 1) * q + 1; lo = int(pos)
     return lo >= n ? v[n] : v[lo] + (pos - lo) * (v[lo + 1] - v[lo])
@@ -104,8 +114,8 @@ function summary(side, name,    n, i, v, vals) {
     for (i = 1; i <= pairs; i++) if ((side, i, name) in val) vals[++n] = val[side, i, name]
     # insertion sort: a dozen values
     for (i = 2; i <= n; i++) { v = vals[i]; for (j = i - 1; j >= 1 && vals[j] > v; j--) vals[j + 1] = vals[j]; vals[j + 1] = v }
-    med[side] = quantile(vals, n, 0.5)
-    return sprintf("%.6g [%.6g-%.6g]", med[side], quantile(vals, n, 0.25), quantile(vals, n, 0.75))
+    med[side] = quantile(vals, n, 0.5); q1[side] = quantile(vals, n, 0.25); q3[side] = quantile(vals, n, 0.75)
+    return sprintf("%.6g [%.6g-%.6g]", med[side], q1[side], q3[side])
 }
 {
     val[$1, $2, $3] = $4 + 0; better[$3] = $5
@@ -125,6 +135,20 @@ END {
         p = summary("parent", name); c = summary("change", name)
         delta = med["parent"] != 0 ? sprintf("%+.2f%%", 100 * (med["change"] - med["parent"]) / med["parent"]) : "n/a"
         printf "%-36s %-6s %-34s %-34s %8s  %d/%d (lost %d, tied %d)\n", name, better[name], p, c, delta, won, pairs, lost, pairs - won - lost
+        if (name == claim) {
+            gain = better[name] == "higher" ? med["change"] - med["parent"] : med["parent"] - med["change"]
+            met = 10 * won >= 9 * pairs && gain > q3["parent"] - q1["parent"]
+            printf "\"better\":\"%s\",\"pairs\":%d,\"won\":%d,\"lost\":%d,\"tied\":%d,\"parent_median\":%.6g,\"parent_q1\":%.6g,\"parent_q3\":%.6g,\"change_median\":%.6g,\"change_q1\":%.6g,\"change_q3\":%.6g,\"verdict\":\"%s\"\n", \
+                better[name], pairs, won, lost, pairs - won - lost, med["parent"], q1["parent"], q3["parent"], med["change"], q1["change"], q3["change"], pairs < 10 ? "too few pairs" : met ? "met" : "not met" >verdict
+        }
     }
 }'
+if [ -n "$claim" ]; then
+    [ -s "$work/verdict" ] || { echo "benchpair: no run reported the claimed metric $claim" >&2; exit 2; }
+    line=$(printf '{"time":"%s","claim":"%s","workload":"%s","parent":"%s","change":"%s","seed":%s,"held_out_seed":%s,"trace":%s,"seconds":%s,%s}' \
+        "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$claim" "$workload" "$(cat "$work/parent.commit")" "$(cat "$work/change.commit")" \
+        "$seed" "$held_out" "$trace" "$seconds" "$(cat "$work/verdict")")
+    echo "$line" >>"$history"
+    echo "claim: $line"
+fi
 echo "history: $history"
