@@ -22,6 +22,9 @@ race:
 	$(GO) test -race ./...
 
 # Short live-fuzz pass over every fuzz target (seeds always run under `test`).
+# The HTTP handler targets cap minimisation: their coverage varies run to run
+# (pools, encoder caches), so Go would otherwise spend its default 60 s
+# minimising every "interesting" input and fuzz nothing meanwhile.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzReader -fuzztime 30s ./internal/fastq/
 	$(GO) test -run xxx -fuzz FuzzStream -fuzztime 30s ./internal/fastq/
@@ -30,11 +33,13 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzWireCorruptInput -fuzztime 30s ./internal/kernels/
 	$(GO) test -run xxx -fuzz FuzzTraceparent -fuzztime 30s ./internal/obs/
 	$(GO) test -run xxx -fuzz FuzzSpillBin -fuzztime 30s ./internal/pipeline/
+	$(GO) test -run xxx -fuzz FuzzHandlerKmer -fuzztime 30s -fuzzminimizetime 5s ./internal/kserve/
+	$(GO) test -run xxx -fuzz FuzzHandlerBatch -fuzztime 30s -fuzzminimizetime 5s ./internal/kserve/
 
 # Run every fuzz target over its checked-in seed corpus only (fast,
 # deterministic — what `ci` uses).
 fuzz-seeds:
-	$(GO) test -run 'Fuzz' ./internal/fastq/ ./internal/minimizer/ ./internal/kernels/ ./internal/obs/ ./internal/pipeline/
+	$(GO) test -run 'Fuzz' ./internal/fastq/ ./internal/minimizer/ ./internal/kernels/ ./internal/obs/ ./internal/pipeline/ ./internal/kserve/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

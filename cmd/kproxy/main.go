@@ -35,6 +35,15 @@ import (
 	"dedukt/internal/obs"
 )
 
+// readHeaderTimeout bounds how long a client connection may take to deliver
+// its request headers; without it a client that never finishes them holds a
+// connection and a goroutine forever.
+const readHeaderTimeout = 5 * time.Second
+
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+}
+
 // addrList collects repeated -replica flags.
 type addrList []string
 
@@ -132,7 +141,7 @@ func main() {
 		log.Fatal(err)
 	}
 	log.Printf("listening on %s", ln.Addr())
-	srv := &http.Server{Handler: kcluster.NewHandler(router)}
+	srv := newServer(kcluster.NewHandler(router))
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 

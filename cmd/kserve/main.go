@@ -1,7 +1,8 @@
 // Command kserve serves counted k-mer spectra (KCD databases, see
-// cmd/kmertools and dedukt -okcd) over HTTP: sharded by the pipeline's
-// exchange owner hash, with micro-batched shard workers, a hot-k-mer LRU,
-// and queue-depth admission control.
+// cmd/kmertools and dedukt -okcd) over HTTP: every lookup is a binary
+// search of the sorted database, read in place, behind an in-flight bound
+// that sheds load with 429s; -shard keeps only one slice of the key space
+// (split by the pipeline's exchange owner hash) for use behind cmd/kproxy.
 //
 //	dedukt -okcd counts.kcd && kserve -kcd counts.kcd -addr :8080
 //	kserve -kcd a.kcd -kcd b.kcd      # union of compatible databases
@@ -12,8 +13,8 @@
 //	curl localhost:8080/topn?n=10
 //	curl localhost:8080/metrics
 //
-// SIGINT/SIGTERM drains gracefully: in-flight requests finish, queued
-// lookups are answered, then the process exits.
+// SIGINT/SIGTERM drains gracefully: in-flight requests finish, then the
+// process exits.
 package main
 
 import (
@@ -22,7 +23,6 @@ import (
 	"log"
 	"os"
 	"strings"
-	"time"
 
 	"dedukt/internal/dna"
 	"dedukt/internal/kserve"
@@ -43,17 +43,13 @@ func main() {
 	flag.Var(&kcds, "kcd", "KCD database to serve (repeatable; multiple files are unioned)")
 	var (
 		addr        = flag.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
-		shards      = flag.Int("shards", 0, "serving shards (0 = GOMAXPROCS)")
-		maxBatch    = flag.Int("max-batch", 64, "max lookups per shard micro-batch")
-		maxWait     = flag.Duration("max-wait", 200*time.Microsecond, "max time a shard holds an open micro-batch (negative = serve immediately)")
-		queue       = flag.Int("queue", 1024, "per-shard queue depth before 429s")
-		cache       = flag.Int("cache", 4096, "hot-k-mer LRU size in entries (negative disables)")
+		queue       = flag.Int("queue", 1024, "requests in flight at once before 429s")
 		topN        = flag.Int("topn", 64, "top-N horizon precomputed for /topn")
 		encoding    = flag.String("encoding", "random", "base encoding the KCD was packed under: random (CLI default) or lex")
 		shard       = flag.String("shard", "", "cluster shard to serve as IDX/OF (e.g. 0/2): keep only keys owned by that slice of the key space; empty serves everything")
 		replicaID   = flag.String("replica-id", "", "replica name reported in /healthz (default host-pid)")
 		drainGrace  = flag.Duration("drain-grace", 0, "handoff window between SIGTERM (healthz goes 503 draining) and shutdown, so a router can move traffic off this replica first")
-		slow        = flag.Duration("slow", 0, "TESTING ONLY: delay every /kmer and /batch request by this much (straggler injection for hedging tests)")
+		slow        = flag.Duration("slow", 0, "TESTING ONLY: hold every admitted /kmer and /batch lookup this long (straggler injection for hedging tests)")
 		traceSample = flag.Int("trace-sample", 0, "enable request tracing: root a span for 1-in-N headerless requests; incoming sampled traceparents are always continued (0 disables rooting; tracing stays on if -trace-out is set)")
 		traceOut    = flag.String("trace-out", "", "write the recorded span buffer to this file on exit (tracing also serves /debug/trace live)")
 		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof on this address (off by default; e.g. 127.0.0.1:6060)")
@@ -96,11 +92,7 @@ func main() {
 	}
 	obs.ServePprof(*pprofAddr, log.Printf)
 	svc, err := kserve.New(db, kserve.Options{
-		Shards:     *shards,
-		MaxBatch:   *maxBatch,
-		MaxWait:    *maxWait,
 		QueueDepth: *queue,
-		CacheSize:  *cache,
 		TopN:       *topN,
 		Enc:        enc,
 		ReplicaID:  *replicaID,
@@ -114,9 +106,9 @@ func main() {
 		log.Fatal(err)
 	}
 	obs.RegisterBuildInfo(svc.Registry(), "kserve")
-	log.Printf("replica %s serving %s distinct %d-mers (%s, cluster shard %d/%d) from %d file(s) across %d shards",
+	log.Printf("replica %s serving %s distinct %d-mers (%s, cluster shard %d/%d) from %d file(s)",
 		*replicaID, stats.Count(svc.Distinct()), svc.K(), canonicalLabel(svc.Canonical()),
-		shardIdx, shardCount, len(kcds), svc.Metrics().Shards)
+		shardIdx, shardCount, len(kcds))
 	serveErr := kserve.ServeUntilInterrupt(*addr, svc, log.Printf)
 	if tracer != nil && *traceOut != "" {
 		// Written after the drain so the dump holds the whole run (trace

@@ -60,8 +60,6 @@ func (r *testReplica) start(addr string) {
 		r.t.Fatal(err)
 	}
 	svc, err := kserve.New(sub, kserve.Options{
-		Shards:     2,
-		MaxWait:    -1,
 		ReplicaID:  fmt.Sprintf("rep-%d-%s", r.idx, addr),
 		ShardIndex: r.idx,
 		ShardCount: r.of,

@@ -46,31 +46,3 @@ func (d *Database) GetBatch(dst []uint32, keys []uint64) []uint32 {
 	}
 	return dst
 }
-
-// Split partitions the database into n shards by destOf(key) — typically
-// kernels.DestOf, the exchange phase's owner-rank hash, so a serving shard
-// owns exactly the keys the corresponding rank would have counted. Entry
-// order (ascending by key) is preserved within each shard; entries are
-// subslices-by-copy so shards stay valid if d is released.
-func (d *Database) Split(n int, destOf func(key uint64) int) ([]*Database, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("kcount: split into %d shards", n)
-	}
-	shards := make([]*Database, n)
-	sizes := make([]int, n)
-	for _, e := range d.Entries {
-		dest := destOf(e.Key)
-		if dest < 0 || dest >= n {
-			return nil, fmt.Errorf("kcount: destOf(%#x) = %d outside [0,%d)", e.Key, dest, n)
-		}
-		sizes[dest]++
-	}
-	for i := range shards {
-		shards[i] = &Database{K: d.K, Flags: d.Flags, Entries: make([]KV, 0, sizes[i])}
-	}
-	for _, e := range d.Entries {
-		s := shards[destOf(e.Key)]
-		s.Entries = append(s.Entries, e)
-	}
-	return shards, nil
-}

@@ -142,44 +142,6 @@ func TestDatabaseLookup(t *testing.T) {
 	}
 }
 
-func TestDatabaseSplit(t *testing.T) {
-	d := sampleDB(t, 2_000, 106)
-	const n = 7
-	destOf := func(key uint64) int { return int(key % n) }
-	shards, err := d.Split(n, destOf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for i, s := range shards {
-		if s.K != d.K || s.Flags != d.Flags {
-			t.Fatalf("shard %d header mismatch", i)
-		}
-		for j, e := range s.Entries {
-			if destOf(e.Key) != i {
-				t.Fatalf("shard %d holds foreign key %#x", i, e.Key)
-			}
-			if j > 0 && e.Key <= s.Entries[j-1].Key {
-				t.Fatalf("shard %d not ascending at %d", i, j)
-			}
-			if s.Get(e.Key) != d.Get(e.Key) {
-				t.Fatalf("shard %d count mismatch for %#x", i, e.Key)
-			}
-		}
-		total += s.Len()
-	}
-	if total != d.Len() {
-		t.Fatalf("split lost entries: %d vs %d", total, d.Len())
-	}
-
-	if _, err := d.Split(0, destOf); err == nil {
-		t.Fatal("Split(0) accepted")
-	}
-	if _, err := d.Split(2, func(uint64) int { return 5 }); err == nil {
-		t.Fatal("out-of-range destOf accepted")
-	}
-}
-
 func TestDatabaseGetBatch(t *testing.T) {
 	d := dbFrom(KV{2, 10}, KV{5, 20}, KV{9, 30})
 	got := d.GetBatch(nil, []uint64{5, 1, 9, 2, 2})

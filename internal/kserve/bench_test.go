@@ -4,17 +4,15 @@ import (
 	"context"
 	"math/rand"
 	"testing"
-	"time"
 
 	"dedukt/internal/kcount"
 )
 
-// benchService builds a 100k-entry service; cache disabled so the shard
-// queue/batch path is what's measured unless the bench opts in.
-func benchService(b *testing.B, opts Options) (*Service, *kcount.Database) {
+// benchService builds a 100k-entry service at default options.
+func benchService(b *testing.B) (*Service, *kcount.Database) {
 	b.Helper()
 	db := sampleDB(b, 17, 100_000, 42, 0)
-	svc, err := New(db, opts)
+	svc, err := New(db, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -22,13 +20,12 @@ func benchService(b *testing.B, opts Options) (*Service, *kcount.Database) {
 	return svc, db
 }
 
-// BenchmarkKserveLookup measures concurrent point lookups through the full
-// singleflight + micro-batch path (cache off, no batch window — a window
-// would just bench the timer): the serving analogue of the pipeline's
-// per-k-mer cost.
-func BenchmarkKserveLookup(b *testing.B) {
-	svc, db := benchService(b, Options{Shards: 4, CacheSize: -1, MaxWait: -1})
+// BenchmarkLookupKey measures concurrent point lookups: the serving
+// analogue of the pipeline's per-k-mer cost.
+func BenchmarkLookupKey(b *testing.B) {
+	svc, db := benchService(b)
 	ctx := context.Background()
+	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		rng := rand.New(rand.NewSource(1))
@@ -41,39 +38,22 @@ func BenchmarkKserveLookup(b *testing.B) {
 	})
 }
 
-// BenchmarkKserveBatch measures 256-key bulk lookups — one enqueue round
-// per shard, amortizing the queue hop across the batch.
-func BenchmarkKserveBatch(b *testing.B) {
-	svc, db := benchService(b, Options{Shards: 4, CacheSize: -1, MaxWait: 20 * time.Microsecond, MaxBatch: 256, QueueDepth: 4096})
+// BenchmarkLookupKeys64 measures the 64-key bulk call the /batch handler
+// makes: one admission, 64 binary searches.
+func BenchmarkLookupKeys64(b *testing.B) {
+	svc, db := benchService(b)
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(2))
-	keys := make([]uint64, 256)
+	keys := make([]uint64, 64)
 	for i := range keys {
 		keys[i] = db.Entries[rng.Intn(len(db.Entries))].Key
 	}
+	out := make([]uint32, len(keys))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := svc.LookupKeys(ctx, keys); err != nil {
+		if err := svc.LookupKeysInto(ctx, keys, out); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkKserveCacheHit measures the hot-k-mer fast path: every lookup
-// after the first is an LRU hit that never touches a shard.
-func BenchmarkKserveCacheHit(b *testing.B) {
-	svc, db := benchService(b, Options{Shards: 4, CacheSize: 1024})
-	ctx := context.Background()
-	hot := db.Entries[0].Key
-	if _, err := svc.LookupKey(ctx, hot); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if _, err := svc.LookupKey(ctx, hot); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -48,9 +50,7 @@ func newService(t testing.TB, db *kcount.Database, opts Options) *Service {
 func TestServiceLookupMatchesDatabase(t *testing.T) {
 	const k = 17
 	db := sampleDB(t, k, 2_000, 1, 0)
-	// MaxWait -1: sequential lookups would otherwise each pay the full
-	// micro-batch window (~ms of timer granularity × 2000 keys).
-	svc := newService(t, db, Options{Shards: 4, MaxWait: -1})
+	svc := newService(t, db, Options{})
 	ctx := context.Background()
 
 	for _, e := range db.Entries {
@@ -95,7 +95,7 @@ func TestServiceLookupMatchesDatabase(t *testing.T) {
 func TestServiceCanonical(t *testing.T) {
 	const k = 9
 	db := sampleDB(t, k, 500, 2, kcount.FlagCanonical)
-	svc := newService(t, db, Options{Shards: 3})
+	svc := newService(t, db, Options{})
 	ctx := context.Background()
 	if !svc.Canonical() {
 		t.Fatal("canonical flag lost")
@@ -121,7 +121,7 @@ func TestServiceCanonical(t *testing.T) {
 func TestServiceBatch(t *testing.T) {
 	const k = 17
 	db := sampleDB(t, k, 1_000, 3, 0)
-	svc := newService(t, db, Options{Shards: 4})
+	svc := newService(t, db, Options{})
 	ctx := context.Background()
 
 	var seqs []string
@@ -130,7 +130,7 @@ func TestServiceBatch(t *testing.T) {
 		seqs = append(seqs, dna.Kmer(e.Key).String(&dna.Random, k))
 		want = append(want, e.Count)
 	}
-	// Duplicates exercise coalescing; an absent k-mer rides along.
+	// Duplicates ride along.
 	seqs = append(seqs, seqs[0], seqs[1])
 	want = append(want, want[0], want[1])
 	got, err := svc.LookupBatch(ctx, seqs)
@@ -151,131 +151,9 @@ func TestServiceBatch(t *testing.T) {
 	}
 }
 
-// TestServiceBatching pins the micro-batch coalescing path: with the
-// worker held on its first batch, queued requests must be served as one
-// batch of MaxBatch, not eight singletons.
-func TestServiceBatching(t *testing.T) {
-	const k = 17
-	db := sampleDB(t, k, 2_000, 4, 0)
-	entered := make(chan struct{}, 1)
-	release := make(chan struct{})
-	first := true
-	svc, err := New(db, Options{
-		Shards: 1, MaxBatch: 8, MaxWait: -1, QueueDepth: 64, CacheSize: -1,
-		testHookBeforeServe: func(_, _ int) {
-			if first { // worker-only, no lock needed
-				first = false
-				entered <- struct{}{}
-				<-release
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-
-	c0, err := svc.getAsync(context.Background(), db.Entries[0].Key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-entered // worker is now blocked serving [key0]
-	var calls []*call
-	for _, e := range db.Entries[1:9] {
-		c, err := svc.getAsync(context.Background(), e.Key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		calls = append(calls, c)
-	}
-	close(release)
-	ctx := context.Background()
-	if _, err := c0.wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range calls {
-		v, err := c.wait(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := db.Entries[i+1].Count; v != want {
-			t.Fatalf("batched call %d = %d, want %d", i, v, want)
-		}
-	}
-	m := svc.Metrics()
-	sh := m.PerShard[0]
-	if sh.Batches != 2 || sh.Served != 9 {
-		t.Fatalf("batches=%d served=%d, want 2 and 9", sh.Batches, sh.Served)
-	}
-	if sh.BatchSizeDist[batchBucket(8)] != 1 {
-		t.Fatalf("missing batch-of-8 in distribution: %v", sh.BatchSizeDist)
-	}
-}
-
-func TestCacheHitsAndSingleflight(t *testing.T) {
-	const k = 17
-	db := sampleDB(t, k, 500, 5, 0)
-	svc := newService(t, db, Options{Shards: 2, CacheSize: 128})
-	ctx := context.Background()
-	key := db.Entries[0].Key
-	for i := 0; i < 10; i++ {
-		if _, err := svc.LookupKey(ctx, key); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m := svc.Metrics()
-	if m.CacheHits < 9 {
-		t.Fatalf("cache hits = %d, want ≥9", m.CacheHits)
-	}
-	if m.CacheHitRate <= 0 {
-		t.Fatalf("cache hit rate = %v", m.CacheHitRate)
-	}
-	if m.Requests != 10 {
-		t.Fatalf("requests = %d, want 10", m.Requests)
-	}
-}
-
-func TestLRUCacheEviction(t *testing.T) {
-	c := newLRU(2)
-	c.add(1, 10)
-	c.add(2, 20)
-	if _, ok := c.get(1); !ok { // refresh 1: now 2 is LRU
-		t.Fatal("key 1 missing")
-	}
-	c.add(3, 30)
-	if _, ok := c.get(2); ok {
-		t.Fatal("key 2 should have been evicted")
-	}
-	if v, ok := c.get(1); !ok || v != 10 {
-		t.Fatalf("key 1 lost: %d %v", v, ok)
-	}
-	if v, ok := c.get(3); !ok || v != 30 {
-		t.Fatalf("key 3 lost: %d %v", v, ok)
-	}
-	if c.len() != 2 {
-		t.Fatalf("len = %d, want 2", c.len())
-	}
-	c.add(3, 33) // update in place
-	if v, _ := c.get(3); v != 33 {
-		t.Fatalf("update lost: %d", v)
-	}
-}
-
-func TestBatchBucket(t *testing.T) {
-	cases := map[int]int{1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 9: 4, 16: 4, 64: 6, 65: 7, 128: 7, 129: 8, 100000: 8}
-	for n, want := range cases {
-		if got := batchBucket(n); got != want {
-			t.Errorf("batchBucket(%d) = %d, want %d", n, got, want)
-		}
-	}
-	if len(BatchBucketLabels) != batchBuckets {
-		t.Fatal("label/bucket mismatch")
-	}
-}
-
 func TestServiceClose(t *testing.T) {
 	db := sampleDB(t, 17, 200, 6, 0)
-	svc, err := New(db, Options{Shards: 2})
+	svc, err := New(db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +170,7 @@ func TestServiceClose(t *testing.T) {
 func TestHTTPEndpoints(t *testing.T) {
 	const k = 17
 	db := sampleDB(t, k, 1_000, 7, 0)
-	svc := newService(t, db, Options{Shards: 4, TopN: 16})
+	svc := newService(t, db, Options{TopN: 16})
 	ts := httptest.NewServer(NewHandler(svc))
 	defer ts.Close()
 
@@ -321,6 +199,14 @@ func TestHTTPEndpoints(t *testing.T) {
 		if res.Count != e.Count || !res.Present || res.Kmer != seq {
 			t.Fatalf("point lookup: %+v, want count %d", res, e.Count)
 		}
+		absent := strings.Repeat("A", k)
+		if c, err := db.Lookup(&dna.Random, absent); err != nil || c != 0 {
+			t.Fatalf("test setup: %s is in the database (%d, %v)", absent, c, err)
+		}
+		get(t, "/kmer/"+absent, http.StatusOK, &res)
+		if res.Count != 0 || res.Present || res.Kmer != absent {
+			t.Fatalf("absent point lookup: %+v, want count 0, not present", res)
+		}
 		get(t, "/kmer/AC", http.StatusBadRequest, nil)
 		get(t, "/kmer/"+strings.Repeat("N", k), http.StatusBadRequest, nil)
 	})
@@ -330,6 +216,7 @@ func TestHTTPEndpoints(t *testing.T) {
 		for _, e := range db.Entries[:25] {
 			seqs = append(seqs, dna.Kmer(e.Key).String(&dna.Random, k))
 		}
+		seqs = append(seqs, strings.Repeat("A", k)) // absent (checked above)
 		body, _ := json.Marshal(batchRequest{Kmers: seqs})
 		resp, err := http.Post(ts.URL+"/batch", "application/json", bytes.NewReader(body))
 		if err != nil {
@@ -347,8 +234,9 @@ func TestHTTPEndpoints(t *testing.T) {
 			t.Fatalf("batch results %d, want %d", len(br.Results), len(seqs))
 		}
 		for i, r := range br.Results {
-			if want := db.Entries[i].Count; r.Count != want {
-				t.Fatalf("batch[%d] = %d, want %d", i, r.Count, want)
+			want, _ := db.Lookup(&dna.Random, seqs[i])
+			if r.Count != want || r.Present != (want > 0) {
+				t.Fatalf("batch[%d] = %+v, want count %d", i, r, want)
 			}
 		}
 		// Malformed body and malformed k-mer are both 400.
@@ -402,7 +290,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	t.Run("healthz", func(t *testing.T) {
 		var h healthResponse
 		get(t, "/healthz", http.StatusOK, &h)
-		if h.Status != "ok" || h.K != k || h.Shards != 4 {
+		if h.Status != "ok" || h.K != k || h.Distinct != uint64(db.Len()) || h.ShardCount != 1 {
 			t.Fatalf("healthz: %+v", h)
 		}
 	})
@@ -410,18 +298,11 @@ func TestHTTPEndpoints(t *testing.T) {
 	t.Run("metrics", func(t *testing.T) {
 		var m Metrics
 		get(t, "/metrics?format=json", http.StatusOK, &m)
-		if m.Shards != 4 || len(m.PerShard) != 4 {
-			t.Fatalf("metrics shards: %+v", m)
+		if m.K != k || m.DistinctKmers != uint64(db.Len()) {
+			t.Fatalf("metrics shape: %+v", m)
 		}
-		if m.Requests == 0 || m.ShardLoadImbalance < 1 {
-			t.Fatalf("metrics counters: requests=%d imbalance=%v", m.Requests, m.ShardLoadImbalance)
-		}
-		entries := 0
-		for _, sm := range m.PerShard {
-			entries += sm.Entries
-		}
-		if uint64(entries) != m.DistinctKmers {
-			t.Fatalf("shard entries %d, want %d", entries, m.DistinctKmers)
+		if m.Requests == 0 || m.Rejected != 0 {
+			t.Fatalf("metrics counters: requests=%d rejected=%d", m.Requests, m.Rejected)
 		}
 	})
 
@@ -444,11 +325,12 @@ func TestHTTPEndpoints(t *testing.T) {
 		body := buf.String()
 		for _, want := range []string{
 			"# TYPE kserve_requests_total counter",
-			"# TYPE kserve_shards gauge",
-			"# TYPE kserve_batch_size histogram",
-			`kserve_shard_served_total{shard="0"}`,
-			`kserve_batch_size_bucket{shard="0",le="+Inf"}`,
-			"kserve_shard_load_imbalance",
+			"# TYPE kserve_rejected_total counter",
+			"# TYPE kserve_inflight gauge",
+			"# TYPE kserve_distinct_kmers gauge",
+			"kserve_rejected_total 0",
+			"kserve_inflight 0",
+			"kserve_draining 0",
 		} {
 			if !strings.Contains(body, want) {
 				t.Fatalf("prometheus exposition missing %q:\n%s", want, body)
@@ -480,15 +362,15 @@ func TestHTTPEndpoints(t *testing.T) {
 
 func TestLookupContextCanceled(t *testing.T) {
 	db := sampleDB(t, 17, 200, 8, 0)
-	svc := newService(t, db, Options{Shards: 1, CacheSize: -1, MaxWait: time.Millisecond})
+	svc := newService(t, db, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := svc.LookupKey(ctx, db.Entries[0].Key); err != context.Canceled {
-		// A raced completion is acceptable; an error other than
-		// context.Canceled or nil is not.
-		if err != nil {
-			t.Fatalf("canceled lookup: %v", err)
-		}
+		t.Fatalf("canceled lookup: %v, want context.Canceled", err)
+	}
+	out := make([]uint32, 2)
+	if err := svc.LookupKeysInto(ctx, []uint64{db.Entries[0].Key, db.Entries[1].Key}, out); err != context.Canceled {
+		t.Fatalf("canceled batch: %v, want context.Canceled", err)
 	}
 }
 
@@ -544,7 +426,7 @@ func writeFile(path string, data []byte) error {
 func TestBeginDrainHandoff(t *testing.T) {
 	const k = 17
 	db := sampleDB(t, k, 500, 21, 0)
-	svc := newService(t, db, Options{Shards: 2, MaxWait: -1, ReplicaID: "r0"})
+	svc := newService(t, db, Options{ReplicaID: "r0"})
 	ts := httptest.NewServer(NewHandler(svc))
 	defer ts.Close()
 
@@ -612,6 +494,9 @@ func TestFilterShard(t *testing.T) {
 		if part.K != db.K || part.Flags != db.Flags {
 			t.Fatalf("shard %d lost metadata: %+v", idx, part)
 		}
+		if cap(part.Entries) != len(part.Entries) {
+			t.Fatalf("shard %d holds %d entries in capacity %d: not allocated once", idx, len(part.Entries), cap(part.Entries))
+		}
 		for _, e := range part.Entries {
 			if kernels.DestOf(e.Key, n) != idx {
 				t.Fatalf("shard %d holds foreign key %#x", idx, e.Key)
@@ -633,14 +518,12 @@ func TestFilterShard(t *testing.T) {
 	}
 }
 
-// TestBatchAllocRegression pins the pooled batch path: resolving a 256-key
-// batch through LookupKeysInto must stay within a handful of allocations
-// (one completion channel plus slack for pool misses) — the regression
-// guard for BenchmarkKserveBatch, which sat at 526 allocs/op before the
-// batch slab landed.
+// TestBatchAllocRegression pins the batch path at zero allocations: a
+// 256-key LookupKeysInto is one admission and 256 binary searches into the
+// caller's slice, nothing else.
 func TestBatchAllocRegression(t *testing.T) {
 	db := sampleDB(t, 17, 50_000, 23, 0)
-	svc := newService(t, db, Options{Shards: 4, CacheSize: -1, MaxWait: -1, QueueDepth: 4096})
+	svc := newService(t, db, Options{})
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(9))
 	keys := make([]uint64, 256)
@@ -648,18 +531,13 @@ func TestBatchAllocRegression(t *testing.T) {
 		keys[i] = db.Entries[rng.Intn(len(db.Entries))].Key
 	}
 	out := make([]uint32, len(keys))
-	for i := 0; i < 32; i++ { // warm the slab pool and worker batch slices
-		if err := svc.LookupKeysInto(ctx, keys, out); err != nil {
-			t.Fatal(err)
-		}
-	}
 	avg := testing.AllocsPerRun(200, func() {
 		if err := svc.LookupKeysInto(ctx, keys, out); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if avg > 16 {
-		t.Fatalf("LookupKeysInto allocates %.1f/op for 256 keys, want ≤16", avg)
+	if avg != 0 {
+		t.Fatalf("LookupKeysInto allocates %.1f/op for 256 keys, want 0", avg)
 	}
 	for i, key := range keys {
 		if want := db.Get(key); out[i] != want {
@@ -668,47 +546,37 @@ func TestBatchAllocRegression(t *testing.T) {
 	}
 }
 
-// TestLookupAllocRegression pins the point-lookup hot path with tracing
-// plumbed in but sampling off: LookupKey through singleflight and the
-// shard micro-batch queue must stay at its pre-tracing budget of 2
-// allocations (the call struct and its completion channel) — the
-// regression guard for BenchmarkKserveLookup, so span plumbing can never
-// silently tax untraced traffic.
+// TestLookupAllocRegression pins the point lookup at zero allocations, with
+// tracing plumbed in but sampling off — so span plumbing can never silently
+// tax untraced traffic.
 func TestLookupAllocRegression(t *testing.T) {
 	db := sampleDB(t, 17, 50_000, 29, 0)
 	tracer := obs.NewTracer("kserve-test", 0, 0) // wired but never sampling
-	svc := newService(t, db, Options{Shards: 4, CacheSize: -1, MaxWait: -1, QueueDepth: 4096, Tracer: tracer})
+	svc := newService(t, db, Options{Tracer: tracer})
 	ctx := context.Background()
 	key := db.Entries[1234].Key
-	for i := 0; i < 32; i++ { // warm the shard worker's batch slice
-		if _, err := svc.LookupKey(ctx, key); err != nil {
-			t.Fatal(err)
-		}
-	}
 	avg := testing.AllocsPerRun(200, func() {
 		if _, err := svc.LookupKey(ctx, key); err != nil {
 			t.Fatal(err)
 		}
 	})
-	// 2 is the structural floor; allow fractional scheduler noise but fail
-	// before a third steady allocation creeps in.
-	if avg > 2.5 {
-		t.Fatalf("LookupKey allocates %.2f/op with sampling off, want ≤2", avg)
+	if avg != 0 {
+		t.Fatalf("LookupKey allocates %.2f/op with sampling off, want 0", avg)
 	}
 	if tracer.Len() != 0 {
 		t.Fatalf("never-sampling tracer recorded %d spans", tracer.Len())
 	}
 }
 
-// TestHandlerTracing drives a sampled request through the HTTP surface and
-// asserts the replica records the full span chain — server span continued
-// from the incoming traceparent, queue_wait on admission, serve_batch on
-// the owning shard — all under the caller's trace ID, and that
+// TestHandlerTracing drives sampled requests through the HTTP surface and
+// asserts the replica records one server span per request, continued from
+// the incoming traceparent (the caller's trace ID, parented to the caller's
+// span) — and nothing else: the lookup under it has no stage to attribute.
 // /debug/trace exposes the same dump.
 func TestHandlerTracing(t *testing.T) {
 	db := sampleDB(t, 17, 5_000, 31, 0)
 	tracer := obs.NewTracer("replica-test", 1, 0)
-	svc := newService(t, db, Options{Shards: 2, CacheSize: -1, MaxWait: -1, Tracer: tracer})
+	svc := newService(t, db, Options{Tracer: tracer})
 	h := NewHandler(svc)
 
 	client := obs.NewTracer("client", 1, 0)
@@ -718,24 +586,31 @@ func TestHandlerTracing(t *testing.T) {
 	req.Header.Set(obs.TraceparentHeader, root.Context().Traceparent())
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
-	root.End()
 	if rec.Code != http.StatusOK {
 		t.Fatalf("traced lookup: status %d: %s", rec.Code, rec.Body)
 	}
+	body, _ := json.Marshal(batchRequest{Kmers: []string{seq, seq, seq}})
+	breq := httptest.NewRequest("POST", "/batch", bytes.NewReader(body))
+	breq.Header.Set(obs.TraceparentHeader, root.Context().Traceparent())
+	brec := httptest.NewRecorder()
+	h.ServeHTTP(brec, breq)
+	root.End()
+	if brec.Code != http.StatusOK {
+		t.Fatalf("traced batch: status %d: %s", brec.Code, brec.Body)
+	}
 
 	spans := tracer.Snapshot()
-	names := make(map[string]string, len(spans)) // name → trace ID
-	for _, sp := range spans {
-		names[sp.Name] = sp.Trace
+	if len(spans) != 2 || spans[0].Name != "kserve_lookup" || spans[1].Name != "kserve_batch" {
+		t.Fatalf("recorded spans %+v, want exactly kserve_lookup and kserve_batch", spans)
 	}
-	wantTrace := client.Snapshot()[0].Trace
-	for _, name := range []string{"kserve_lookup", "queue_wait", "serve_batch"} {
-		if names[name] == "" {
-			t.Fatalf("missing %q span; got %v", name, names)
+	want := client.Snapshot()[0]
+	for _, sp := range spans {
+		if sp.Trace != want.Trace || sp.Parent != want.Span {
+			t.Fatalf("%q span on trace %s parent %s, want caller trace %s span %s", sp.Name, sp.Trace, sp.Parent, want.Trace, want.Span)
 		}
-		if names[name] != wantTrace {
-			t.Fatalf("%q span on trace %s, want caller trace %s", name, names[name], wantTrace)
-		}
+	}
+	if got := spans[1].Attrs["batch_size"]; got != "3" {
+		t.Fatalf("kserve_batch batch_size = %q, want 3", got)
 	}
 
 	// An unsampled traceparent must be respected: no new spans recorded.
@@ -765,5 +640,35 @@ func TestHandlerTracing(t *testing.T) {
 	}
 	if dump.Process != "replica-test" || len(dump.Spans) != len(spans) {
 		t.Fatalf("/debug/trace dump = %q/%d spans, want replica-test/%d", dump.Process, len(dump.Spans), len(spans))
+	}
+}
+
+// TestHalfRequestLineIsClosed pins the header-read deadline of the server
+// ServeUntilInterrupt runs: a connection that sends half a request line and
+// then stalls — invisible to admission control, which only sees parsed
+// requests — is closed by the server within readHeaderTimeout instead of
+// holding a goroutine forever.
+func TestHalfRequestLineIsClosed(t *testing.T) {
+	t.Parallel()
+	svc := newService(t, sampleDB(t, 17, 100, 33, 0), Options{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newHTTPServer(svc)
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /kmer/ACGT"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(readHeaderTimeout + 3*time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("server kept the stalled connection open past %s: %v", readHeaderTimeout, err)
 	}
 }

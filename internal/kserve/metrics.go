@@ -1,85 +1,37 @@
 package kserve
 
 import (
-	"math/bits"
-	"strconv"
 	"time"
 
 	"dedukt/internal/obs"
-	"dedukt/internal/stats"
 )
 
-// batchBuckets is the number of log2 batch-size histogram classes:
-// 1, 2, 3–4, 5–8, 9–16, 17–32, 33–64, 65–128, >128.
-const batchBuckets = 9
-
-// BatchBucketLabels names the batch-size distribution classes, index-aligned
-// with ShardMetrics.BatchSizeDist.
-var BatchBucketLabels = [batchBuckets]string{
-	"1", "2", "3-4", "5-8", "9-16", "17-32", "33-64", "65-128", ">128",
-}
-
-// batchSizeBounds are the Prometheus histogram upper bounds matching
-// BatchBucketLabels (the +Inf bucket is the final ">128" class).
-var batchSizeBounds = []float64{1, 2, 4, 8, 16, 32, 64, 128}
-
-// batchBucket maps a batch size (≥1) to its log2 class.
-func batchBucket(n int) int {
-	b := bits.Len(uint(n - 1))
-	if b >= batchBuckets {
-		b = batchBuckets - 1
-	}
-	return b
-}
-
-// serviceMetrics are the service-wide hot-path counters, registered in the
-// shared observability registry (see newServiceMetrics) so GET /metrics
-// exposes them in Prometheus text format alongside every other subsystem.
+// serviceMetrics are the hot-path counters, registered in the shared
+// observability registry (see initMetrics) so GET /metrics exposes them in
+// Prometheus text format alongside every other subsystem.
 type serviceMetrics struct {
-	start       time.Time
-	requests    *obs.Counter // every lookup, including cache hits
-	cacheHits   *obs.Counter
-	cacheMisses *obs.Counter
-	coalesced   *obs.Counter   // singleflight followers
-	rejected    *obs.Counter   // admission-control drops
-	queueWait   *obs.Histogram // admission → batch start, per call
-	serveStage  *obs.Histogram // micro-batch serve duration
-}
-
-// shardMetrics are one shard's counters, written only by its worker and
-// the (lock-free) admission path.
-type shardMetrics struct {
-	enqueued  *obs.Counter
-	served    *obs.Counter
-	batches   *obs.Counter
-	rejected  *obs.Counter
-	batchSize *obs.Histogram
+	start    time.Time
+	requests *obs.Counter // every key of every lookup the open service received
+	rejected *obs.Counter // admission-control drops, one per refused request
 }
 
 // initMetrics registers the service's metric families into reg and wires
-// the derived gauges (uptime, QPS, hit rate, imbalance) as exposition-time
-// functions over the live counters.
+// the derived gauges (uptime, QPS, in-flight) as exposition-time functions
+// over the live counters.
 func (s *Service) initMetrics(reg *obs.Registry) {
 	s.reg = reg
 	s.met = serviceMetrics{
-		start:       time.Now(),
-		requests:    reg.Counter("kserve_requests_total", "Lookups received, including cache hits."),
-		cacheHits:   reg.Counter("kserve_cache_hits_total", "Lookups answered by the hot-k-mer cache."),
-		cacheMisses: reg.Counter("kserve_cache_misses_total", "Lookups that missed the cache."),
-		coalesced:   reg.Counter("kserve_coalesced_total", "Lookups coalesced onto an in-flight request (singleflight followers)."),
-		rejected:    reg.Counter("kserve_rejected_total", "Lookups shed by admission control (HTTP 429)."),
-		queueWait: reg.Histogram("kserve_stage_seconds",
-			"Serving-stage latency: queue_wait is admission to micro-batch start per lookup, serve is micro-batch execution.",
-			obs.ExpBuckets(0.000001, 4, 10), obs.L("stage", "queue_wait")),
-		serveStage: reg.Histogram("kserve_stage_seconds",
-			"Serving-stage latency: queue_wait is admission to micro-batch start per lookup, serve is micro-batch execution.",
-			obs.ExpBuckets(0.000001, 4, 10), obs.L("stage", "serve")),
+		start:    time.Now(),
+		requests: reg.Counter("kserve_requests_total", "Lookups received (a batch counts each of its keys)."),
+		rejected: reg.Counter("kserve_rejected_total", "Requests shed by admission control (HTTP 429)."),
 	}
-	reg.Gauge("kserve_k", "Served k-mer length.").Set(float64(s.k))
-	reg.Gauge("kserve_distinct_kmers", "Distinct k-mers in the served spectrum.").Set(float64(s.distinct))
-	reg.Gauge("kserve_shards", "Number of serving shards.").Set(float64(len(s.shards)))
+	reg.Gauge("kserve_k", "Served k-mer length.").Set(float64(s.db.K))
+	reg.Gauge("kserve_distinct_kmers", "Distinct k-mers in the served spectrum.").Set(float64(s.Distinct()))
 	reg.Gauge("kserve_cluster_shard_index", "Cluster shard of the key space this replica holds.").Set(float64(s.opts.ShardIndex))
 	reg.Gauge("kserve_cluster_shard_count", "Total cluster shards the key space is split into.").Set(float64(s.opts.ShardCount))
+	reg.GaugeFunc("kserve_inflight", "Admitted requests not yet answered (bounded by the -queue depth).", func() float64 {
+		return float64(s.inflight.Load())
+	})
 	reg.GaugeFunc("kserve_draining", "1 while the service is draining (BeginDrain/Close).", func() float64 {
 		if s.Draining() {
 			return 1
@@ -95,79 +47,24 @@ func (s *Service) initMetrics(reg *obs.Registry) {
 		}
 		return 0
 	})
-	reg.GaugeFunc("kserve_cache_hit_rate", "Cache hits / (hits + misses).", func() float64 {
-		h, m := s.met.cacheHits.Value(), s.met.cacheMisses.Value()
-		if h+m == 0 {
-			return 0
-		}
-		return float64(h) / float64(h+m)
-	})
-	reg.GaugeFunc("kserve_cache_len", "Entries in the hot-k-mer cache.", func() float64 {
-		if s.cache == nil {
-			return 0
-		}
-		return float64(s.cache.len())
-	})
-	reg.GaugeFunc("kserve_shard_load_imbalance", "Max/avg of per-shard served lookups (the paper's Table III metric, serving side).", func() float64 {
-		served := make([]uint64, len(s.shards))
-		for i, sh := range s.shards {
-			served[i] = sh.met.served.Value()
-		}
-		return stats.Imbalance(served)
-	})
-}
-
-// initShardMetrics registers one shard's metric series, labeled by shard id.
-func (s *Service) initShardMetrics(reg *obs.Registry, sh *shard) {
-	label := obs.L("shard", strconv.Itoa(sh.id))
-	sh.met = shardMetrics{
-		enqueued:  reg.Counter("kserve_shard_enqueued_total", "Lookups enqueued per shard.", label),
-		served:    reg.Counter("kserve_shard_served_total", "Lookups served per shard.", label),
-		batches:   reg.Counter("kserve_shard_batches_total", "Micro-batches served per shard.", label),
-		rejected:  reg.Counter("kserve_shard_rejected_total", "Lookups shed per shard (full queue).", label),
-		batchSize: reg.Histogram("kserve_batch_size", "Micro-batch size distribution.", batchSizeBounds, label),
-	}
-	reg.GaugeFunc("kserve_shard_queue_depth", "Pending lookups per shard.", func() float64 {
-		return float64(len(sh.queue))
-	}, label)
-	reg.Gauge("kserve_shard_entries", "Distinct k-mers owned per shard.", label).Set(float64(len(sh.entries)))
 }
 
 // Metrics is a point-in-time snapshot of the service, shaped for JSON
-// (/metrics?format=json). ShardLoadImbalance is max/avg of per-shard served
-// requests — the serving-side analogue of the paper's Table III
-// load-imbalance metric, computed with the same stats.Imbalance.
+// (/metrics?format=json).
 type Metrics struct {
-	UptimeSec          float64        `json:"uptime_sec"`
-	K                  int            `json:"k"`
-	Canonical          bool           `json:"canonical"`
-	DistinctKmers      uint64         `json:"distinct_kmers"`
-	Shards             int            `json:"shards"`
-	Requests           uint64         `json:"requests"`
-	QPS                float64        `json:"qps"`
-	CacheHits          uint64         `json:"cache_hits"`
-	CacheMisses        uint64         `json:"cache_misses"`
-	CacheHitRate       float64        `json:"cache_hit_rate"`
-	CacheLen           int            `json:"cache_len"`
-	Coalesced          uint64         `json:"coalesced"`
-	Rejected           uint64         `json:"rejected"`
-	ShardLoadImbalance float64        `json:"shard_load_imbalance"`
-	EntryImbalance     float64        `json:"entry_imbalance"`
-	BatchBuckets       []string       `json:"batch_buckets"`
-	PerShard           []ShardMetrics `json:"per_shard"`
-}
-
-// ShardMetrics is one shard's slice of the snapshot.
-type ShardMetrics struct {
-	Shard         int      `json:"shard"`
-	Entries       int      `json:"entries"`
-	Served        uint64   `json:"served"`
-	Batches       uint64   `json:"batches"`
-	MeanBatchSize float64  `json:"mean_batch_size"`
-	Rejected      uint64   `json:"rejected"`
-	QueueDepth    int      `json:"queue_depth"`
-	QueueCap      int      `json:"queue_cap"`
-	BatchSizeDist []uint64 `json:"batch_size_dist"`
+	UptimeSec     float64 `json:"uptime_sec"`
+	K             int     `json:"k"`
+	Canonical     bool    `json:"canonical"`
+	DistinctKmers uint64  `json:"distinct_kmers"`
+	Requests      uint64  `json:"requests"`
+	QPS           float64 `json:"qps"`
+	Rejected      uint64  `json:"rejected"`
+	// CacheHits and CacheMisses are always zero: the service has no cache.
+	// They remain only because bench/serving.go (the repository benchmark,
+	// which this package may not edit) reads them to compute
+	// kserve.cache_hit_ratio, a row it already skips when both are 0.
+	CacheHits   uint64 `json:"cache_hits"`
+	CacheMisses uint64 `json:"cache_misses"`
 }
 
 // Metrics snapshots the service counters. Counters are read individually
@@ -177,48 +74,14 @@ func (s *Service) Metrics() Metrics {
 	up := time.Since(s.met.start).Seconds()
 	m := Metrics{
 		UptimeSec:     up,
-		K:             s.k,
-		Canonical:     s.canonical,
-		DistinctKmers: s.distinct,
-		Shards:        len(s.shards),
+		K:             s.db.K,
+		Canonical:     s.db.Canonical(),
+		DistinctKmers: s.Distinct(),
 		Requests:      s.met.requests.Value(),
-		CacheHits:     s.met.cacheHits.Value(),
-		CacheMisses:   s.met.cacheMisses.Value(),
-		Coalesced:     s.met.coalesced.Value(),
 		Rejected:      s.met.rejected.Value(),
-		BatchBuckets:  BatchBucketLabels[:],
 	}
 	if up > 0 {
 		m.QPS = float64(m.Requests) / up
 	}
-	if probes := m.CacheHits + m.CacheMisses; probes > 0 {
-		m.CacheHitRate = float64(m.CacheHits) / float64(probes)
-	}
-	if s.cache != nil {
-		m.CacheLen = s.cache.len()
-	}
-	served := make([]uint64, len(s.shards))
-	entries := make([]uint64, len(s.shards))
-	for i, sh := range s.shards {
-		served[i] = sh.met.served.Value()
-		entries[i] = uint64(len(sh.entries))
-		dist, batches, sum := sh.met.batchSize.Snapshot()
-		sm := ShardMetrics{
-			Shard:         i,
-			Entries:       len(sh.entries),
-			Served:        served[i],
-			Batches:       batches,
-			Rejected:      sh.met.rejected.Value(),
-			QueueDepth:    len(sh.queue),
-			QueueCap:      cap(sh.queue),
-			BatchSizeDist: dist,
-		}
-		if batches > 0 {
-			sm.MeanBatchSize = sum / float64(batches)
-		}
-		m.PerShard = append(m.PerShard, sm)
-	}
-	m.ShardLoadImbalance = stats.Imbalance(served)
-	m.EntryImbalance = stats.Imbalance(entries)
 	return m
 }

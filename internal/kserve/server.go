@@ -22,10 +22,14 @@ import (
 
 // maxBatchBody bounds a /batch request body; maxBatchKmers bounds how many
 // k-mers one batch may carry. Both protect the admission path from a single
-// oversized request.
+// oversized request. readHeaderTimeout bounds how long a connection may take
+// to deliver its request headers: admission control only sees a request once
+// it is parsed, so without it a client that never finishes its headers would
+// hold a connection and a goroutine forever.
 const (
-	maxBatchBody  = 4 << 20
-	maxBatchKmers = 8192
+	maxBatchBody      = 4 << 20
+	maxBatchKmers     = 8192
+	readHeaderTimeout = 5 * time.Second
 )
 
 // KmerResult is one point-lookup answer.
@@ -73,7 +77,6 @@ type healthResponse struct {
 	K          int    `json:"k"`
 	Canonical  bool   `json:"canonical"`
 	Distinct   uint64 `json:"distinct"`
-	Shards     int    `json:"shards"`
 	ShardIndex int    `json:"shard_index"`
 	ShardCount int    `json:"shard_count"`
 }
@@ -90,13 +93,10 @@ type healthResponse struct {
 func NewHandler(svc *Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /kmer/{seq}", func(w http.ResponseWriter, r *http.Request) {
-		ctx, span := startServerSpan(svc, r, "kserve_lookup")
+		span := startServerSpan(svc, r, "kserve_lookup")
 		defer span.End()
-		if d := svc.opts.Slow; d > 0 {
-			time.Sleep(d)
-		}
 		seq := r.PathValue("seq")
-		count, err := svc.Lookup(ctx, seq)
+		count, err := svc.Lookup(r.Context(), seq)
 		if err != nil {
 			span.SetAttr("error", err.Error())
 			writeErr(w, err)
@@ -105,11 +105,8 @@ func NewHandler(svc *Service) http.Handler {
 		writeJSON(w, http.StatusOK, KmerResult{Kmer: seq, Count: count, Present: count > 0})
 	})
 	mux.HandleFunc("POST /batch", func(w http.ResponseWriter, r *http.Request) {
-		ctx, span := startServerSpan(svc, r, "kserve_batch")
+		span := startServerSpan(svc, r, "kserve_batch")
 		defer span.End()
-		if d := svc.opts.Slow; d > 0 {
-			time.Sleep(d)
-		}
 		var req batchRequest
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody))
 		if err := dec.Decode(&req); err != nil {
@@ -137,7 +134,7 @@ func NewHandler(svc *Service) http.Handler {
 		}
 		counts := bb.counts[:len(keys)]
 		span.SetAttr("batch_size", strconv.Itoa(len(keys)))
-		if err := svc.LookupKeysInto(ctx, keys, counts); err != nil {
+		if err := svc.LookupKeysInto(r.Context(), keys, counts); err != nil {
 			span.SetAttr("error", err.Error())
 			writeErr(w, err)
 			bb.keys = keys
@@ -188,7 +185,7 @@ func NewHandler(svc *Service) http.Handler {
 		writeJSON(w, code, healthResponse{
 			Status: status, ReplicaID: svc.opts.ReplicaID,
 			K: svc.K(), Canonical: svc.Canonical(),
-			Distinct: svc.Distinct(), Shards: len(svc.shards),
+			Distinct:   svc.Distinct(),
 			ShardIndex: svc.opts.ShardIndex, ShardCount: svc.opts.ShardCount,
 		})
 	})
@@ -209,21 +206,15 @@ func NewHandler(svc *Service) http.Handler {
 
 // startServerSpan continues (or roots) a trace for one HTTP request: the
 // incoming traceparent header decides trace identity and sampling, and the
-// returned context carries the span so the shard workers can attribute
-// queue wait and batch membership to it. With no tracer configured — or an
-// unsampled request — the handle is a free no-op and the request context
-// is returned unwrapped, keeping the untraced hot path allocation-clean.
-func startServerSpan(svc *Service, r *http.Request, name string) (context.Context, obs.ReqSpanHandle) {
-	ctx := r.Context()
+// span covers the whole request — the lookup under it is a direct read with
+// no stage of its own to attribute. With no tracer configured — or an
+// unsampled request — the handle is a free no-op.
+func startServerSpan(svc *Service, r *http.Request, name string) obs.ReqSpanHandle {
 	t := svc.opts.Tracer
 	if t == nil {
-		return ctx, obs.ReqSpanHandle{}
+		return obs.ReqSpanHandle{}
 	}
-	span := t.StartServer(r.Header, name, "http")
-	if span.Sampled() {
-		ctx = obs.ContextWithSpan(ctx, span.Context())
-	}
-	return ctx, span
+	return t.StartServer(r.Header, name, "http")
 }
 
 // errBadRequest tags client errors the generic mapper should turn into 400.
@@ -265,13 +256,19 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// newHTTPServer is the http.Server ServeUntilInterrupt runs: the service's
+// handler behind the header-read deadline.
+func newHTTPServer(svc *Service) *http.Server {
+	return &http.Server{Handler: NewHandler(svc), ReadHeaderTimeout: readHeaderTimeout}
+}
+
 // ServeUntilInterrupt listens on addr (host:port; port 0 picks a free one),
 // serves the service's HTTP API, and blocks until SIGINT/SIGTERM, then
 // drains in two steps: BeginDrain flips /healthz to 503 "draining" and —
 // after Options.DrainGrace, the handoff window in which a cluster router
 // (cmd/kproxy) observes the drain and moves traffic to the shard's other
-// replicas — in-flight HTTP requests get shutdownGrace to finish, queued
-// lookups are answered, workers exit. logf receives progress lines
+// replicas — in-flight HTTP requests get shutdownGrace to finish and Close
+// waits out the lookups still admitted. logf receives progress lines
 // (log.Printf-shaped); the bound address is always announced as
 // "listening on <addr>" so callers and scripts can discover dynamic ports.
 func ServeUntilInterrupt(addr string, svc *Service, logf func(format string, args ...any)) error {
@@ -281,7 +278,7 @@ func ServeUntilInterrupt(addr string, svc *Service, logf func(format string, arg
 		return err
 	}
 	logf("listening on %s", ln.Addr())
-	srv := &http.Server{Handler: NewHandler(svc)}
+	srv := newHTTPServer(svc)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 
@@ -331,7 +328,15 @@ func FilterShard(db *kcount.Database, idx, n int) (*kcount.Database, error) {
 	if n == 1 {
 		return db, nil
 	}
-	out := &kcount.Database{K: db.K, Flags: db.Flags}
+	// Two passes — count, then fill an exactly sized slice — instead of
+	// growing by append: a replica holds this slice for its lifetime.
+	owned := 0
+	for _, e := range db.Entries {
+		if kernels.DestOf(e.Key, n) == idx {
+			owned++
+		}
+	}
+	out := &kcount.Database{K: db.K, Flags: db.Flags, Entries: make([]kcount.KV, 0, owned)}
 	for _, e := range db.Entries {
 		if kernels.DestOf(e.Key, n) == idx {
 			out.Entries = append(out.Entries, e)

@@ -1,7 +1,9 @@
 package kserve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -20,7 +22,7 @@ import (
 func TestConcurrentLookupsDuringShutdown(t *testing.T) {
 	const k = 17
 	db := sampleDB(t, k, 2_000, 11, 0)
-	svc, err := New(db, Options{Shards: 4, MaxBatch: 16, MaxWait: 50 * time.Microsecond, QueueDepth: 256, CacheSize: 512})
+	svc, err := New(db, Options{QueueDepth: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,129 +102,119 @@ func TestConcurrentLookupsDuringShutdown(t *testing.T) {
 	t.Logf("served=%d refused=%d", served.Load(), refused.Load())
 }
 
-// TestBackpressure429 pins the admission-control path deterministically:
-// with the single shard's worker held mid-batch and its depth-1 queue
-// occupied, the next request must be rejected with ErrOverloaded — and
-// HTTP must translate that to 429 — instead of blocking or growing state.
+// TestBackpressure429 pins admission control: with an in-flight bound of 2
+// and every admitted lookup held 50 ms by Slow, two lookups fill the bound
+// and a third concurrent request — a point lookup, a GET /kmer, or a POST
+// /batch, which is one admission however many keys it carries — is shed at
+// once with ErrOverloaded / HTTP 429 + Retry-After, never blocked or queued
+// behind the other two, which still return their exact counts.
 func TestBackpressure429(t *testing.T) {
 	const k = 17
+	const slow = 50 * time.Millisecond
 	db := sampleDB(t, k, 1_000, 12, 0)
-	entered := make(chan struct{}, 1)
-	release := make(chan struct{})
-	var once sync.Once
-	svc, err := New(db, Options{
-		Shards: 1, MaxBatch: 1, MaxWait: -1, QueueDepth: 1, CacheSize: -1,
-		testHookBeforeServe: func(_, _ int) {
-			once.Do(func() {
-				entered <- struct{}{}
-				<-release
-			})
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-
+	svc := newService(t, db, Options{QueueDepth: 2, Slow: slow})
 	ctx := context.Background()
-	k0, k1, k2, k3 := db.Entries[0], db.Entries[1], db.Entries[2], db.Entries[3]
 
-	c0, err := svc.getAsync(context.Background(), k0.Key)
-	if err != nil {
-		t.Fatal(err)
+	// holdTwo starts two point lookups and returns once both are admitted
+	// (and so inside their Slow hold); answered waits for their counts.
+	holdTwo := func() (answered func()) {
+		admitted := svc.Metrics().Requests + 2
+		var wg sync.WaitGroup
+		for _, e := range db.Entries[:2] {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if got, err := svc.LookupKey(ctx, e.Key); err != nil || got != e.Count {
+					t.Errorf("admitted lookup of %#x = %d, %v; want %d", e.Key, got, err, e.Count)
+				}
+			}()
+		}
+		for svc.Metrics().Requests != admitted {
+			time.Sleep(time.Millisecond)
+		}
+		return wg.Wait
 	}
-	<-entered // worker now blocked serving [k0]; queue empty
 
-	c1, err := svc.getAsync(context.Background(), k1.Key)
-	if err != nil {
-		t.Fatal(err) // occupies the single queue slot
+	answered := holdTwo()
+	t0 := time.Now()
+	if _, err := svc.LookupKey(ctx, db.Entries[2].Key); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("third concurrent lookup at bound 2: %v, want ErrOverloaded", err)
 	}
-	if _, err := svc.getAsync(context.Background(), k2.Key); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("saturated enqueue: %v, want ErrOverloaded", err)
+	if d := time.Since(t0); d >= slow {
+		t.Fatalf("refused lookup took %s: it waited instead of being shed", d)
+	}
+	answered()
+	if m := svc.Metrics(); m.Rejected != 1 {
+		t.Fatalf("kserve_rejected_total = %d after one shed lookup, want 1", m.Rejected)
 	}
 
 	// The HTTP layer reports the same condition as 429 with Retry-After.
 	ts := httptest.NewServer(NewHandler(svc))
 	defer ts.Close()
-	seq := dna.Kmer(k3.Key).String(&dna.Random, k)
-	resp, err := http.Get(ts.URL + "/kmer/" + seq)
+	var seqs []string
+	for _, e := range db.Entries[2:5] {
+		seqs = append(seqs, dna.Kmer(e.Key).String(&dna.Random, k))
+	}
+	body, _ := json.Marshal(batchRequest{Kmers: seqs})
+	answered = holdTwo()
+	get, err := http.Get(ts.URL + "/kmer/" + seqs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("saturated GET = %d, want 429", resp.StatusCode)
+	get.Body.Close()
+	post, err := http.Post(ts.URL+"/batch", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("429 without Retry-After")
+	post.Body.Close()
+	answered()
+	for _, resp := range []*http.Response{get, post} {
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("saturated %s %s = %d, want 429", resp.Request.Method, resp.Request.URL.Path, resp.StatusCode)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("429 from %s without Retry-After", resp.Request.URL.Path)
+		}
 	}
-
-	// Release the worker: the held and queued requests complete exactly.
-	close(release)
-	if v, err := c0.wait(ctx); err != nil || v != k0.Count {
-		t.Fatalf("held request: %d, %v; want %d", v, err, k0.Count)
-	}
-	if v, err := c1.wait(ctx); err != nil || v != k1.Count {
-		t.Fatalf("queued request: %d, %v; want %d", v, err, k1.Count)
-	}
-	m := svc.Metrics()
-	if m.Rejected < 2 {
-		t.Fatalf("rejected = %d, want ≥2", m.Rejected)
+	if m := svc.Metrics(); m.Rejected != 3 {
+		t.Fatalf("kserve_rejected_total = %d after a shed lookup, GET and batch, want 3", m.Rejected)
 	}
 }
 
-// TestQueuedLookupsAnswereredOnClose verifies graceful drain: requests
-// sitting in a shard queue when Close begins still complete with correct
-// counts rather than being dropped.
+// TestQueuedLookupsAnsweredOnClose verifies graceful drain: Close returns
+// only after every lookup admitted before it has been answered — each with
+// its exact count — and lookups issued after it get ErrClosed.
 func TestQueuedLookupsAnsweredOnClose(t *testing.T) {
-	const k = 17
-	db := sampleDB(t, k, 1_000, 13, 0)
-	entered := make(chan struct{}, 1)
-	release := make(chan struct{})
-	var once sync.Once
-	svc, err := New(db, Options{
-		Shards: 1, MaxBatch: 4, MaxWait: -1, QueueDepth: 64, CacheSize: -1,
-		testHookBeforeServe: func(_, _ int) {
-			once.Do(func() {
-				entered <- struct{}{}
-				<-release
-			})
-		},
-	})
+	db := sampleDB(t, 17, 1_000, 13, 0)
+	svc, err := New(db, Options{Slow: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	c0, err := svc.getAsync(context.Background(), db.Entries[0].Key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-entered
-	var queued []*call
-	for _, e := range db.Entries[1:20] {
-		c, err := svc.getAsync(context.Background(), e.Key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		queued = append(queued, c)
-	}
-
-	done := make(chan struct{})
-	go func() { svc.Close(); close(done) }()
-	close(release)
-	<-done
-
 	ctx := context.Background()
-	if v, err := c0.wait(ctx); err != nil || v != db.Entries[0].Count {
-		t.Fatalf("first request: %d, %v", v, err)
+
+	const n = 20
+	var wg sync.WaitGroup
+	for _, e := range db.Entries[:n] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got, err := svc.LookupKey(ctx, e.Key); err != nil || got != e.Count {
+				t.Errorf("admitted lookup of %#x = %d, %v; want %d", e.Key, got, err, e.Count)
+			}
+		}()
 	}
-	for i, c := range queued {
-		v, err := c.wait(ctx)
-		if err != nil {
-			t.Fatalf("queued %d: %v", i, err)
-		}
-		if want := db.Entries[i+1].Count; v != want {
-			t.Fatalf("queued %d = %d, want %d", i, v, want)
-		}
+	for svc.Metrics().Requests != n { // all admitted; the last still held by Slow
+		time.Sleep(time.Millisecond)
 	}
+	svc.Close()
+	if got := svc.inflight.Load(); got != 0 {
+		t.Fatalf("Close returned with %d lookups still admitted", got)
+	}
+	if _, err := svc.LookupKey(ctx, db.Entries[0].Key); !errors.Is(err, ErrClosed) {
+		t.Fatalf("lookup after Close: %v, want ErrClosed", err)
+	}
+	if err := svc.LookupKeysInto(ctx, []uint64{db.Entries[0].Key}, make([]uint32, 1)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("batch after Close: %v, want ErrClosed", err)
+	}
+	wg.Wait()
 }

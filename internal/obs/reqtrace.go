@@ -337,8 +337,10 @@ func (h *ReqSpanHandle) SetAttr(k, v string) {
 	h.attrs[k] = v
 }
 
-// End closes the span and buffers it. No-op on a zero handle.
-func (h ReqSpanHandle) End() {
+// End closes the span and buffers it. No-op on a zero handle. Like SetAttr
+// it takes the handle by pointer, so `defer span.End()` records the
+// attributes set between the defer statement and the return.
+func (h *ReqSpanHandle) End() {
 	if h.t == nil {
 		return
 	}
@@ -359,28 +361,6 @@ func parentString(p SpanID) string {
 		return ""
 	}
 	return p.String()
-}
-
-// RecordSpan records an already-measured interval as a child span of
-// parent — the shape used where the start was stamped long before the
-// recording site, like a kserve call's queue wait (stamped at enqueue,
-// recorded by the shard worker at dequeue). No-op when parent is unsampled
-// or the tracer nil.
-func (t *Tracer) RecordSpan(parent SpanContext, name, tid string, start time.Time, dur time.Duration, attrs map[string]string) {
-	if t == nil || !parent.Sampled || !parent.Valid() {
-		return
-	}
-	_, span := t.mintIDs(parent.Trace)
-	t.record(ReqSpan{
-		Trace:   parent.Trace.String(),
-		Span:    span.String(),
-		Parent:  parent.Span.String(),
-		Name:    name,
-		Tid:     tid,
-		StartNS: start.UnixNano(),
-		DurNS:   int64(dur),
-		Attrs:   attrs,
-	})
 }
 
 func (t *Tracer) record(sp ReqSpan) {

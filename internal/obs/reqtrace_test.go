@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestTraceparentRoundTrip(t *testing.T) {
@@ -90,7 +89,8 @@ func TestNilAndUnsampledTracerAreFree(t *testing.T) {
 	h := nilT.StartRoot("x", "")
 	h.SetAttr("k", "v")
 	h.End()
-	nilT.RecordSpan(SpanContext{}, "x", "", time.Now(), 0, nil)
+	c := nilT.StartSpan(SpanContext{}, "x", "")
+	c.End()
 	if nilT.Len() != 0 || nilT.Snapshot() != nil {
 		t.Fatal("nil tracer recorded something")
 	}
@@ -133,7 +133,8 @@ func TestHeadSampling(t *testing.T) {
 func TestBufferLimitCountsDrops(t *testing.T) {
 	tr := NewTracer("p", 1, 4)
 	for i := 0; i < 10; i++ {
-		tr.StartRoot("req", "").End()
+		h := tr.StartRoot("req", "")
+		h.End()
 	}
 	d := tr.Dump()
 	if len(d.Spans) != 4 || d.Dropped != 6 {
@@ -154,7 +155,8 @@ func TestSpanTreeAndAttrs(t *testing.T) {
 		t.Fatal("child reused the parent span id")
 	}
 	child.End()
-	tr.RecordSpan(child.Context(), "queue_wait", "shard 0", time.Now().Add(-time.Millisecond), time.Millisecond, nil)
+	grandchild := tr.StartSpan(child.Context(), "read", "replica:1")
+	grandchild.End()
 	root.End()
 
 	spans := tr.Snapshot()
@@ -174,8 +176,8 @@ func TestSpanTreeAndAttrs(t *testing.T) {
 	if byName["attempt"].Parent != root.Context().Span.String() {
 		t.Fatal("attempt span not parented to the root")
 	}
-	if byName["queue_wait"].Parent != byName["attempt"].Span {
-		t.Fatal("recorded span not parented to the attempt")
+	if byName["read"].Parent != byName["attempt"].Span {
+		t.Fatal("grandchild span not parented to the attempt")
 	}
 	if byName["attempt"].Attrs["outcome"] != "winner" || byName["attempt"].Attrs["hedged"] != "true" {
 		t.Fatalf("attempt attrs = %v", byName["attempt"].Attrs)
@@ -226,7 +228,8 @@ func TestStartServerContinuesOrRoots(t *testing.T) {
 
 func TestDumpRoundTripAndDebugHandler(t *testing.T) {
 	tr := NewTracer("kproxy", 1, 16)
-	tr.StartRoot("request", "client").End()
+	h2 := tr.StartRoot("request", "client")
+	h2.End()
 
 	var sb bytes.Buffer
 	if err := tr.WriteSpans(&sb); err != nil {
@@ -262,8 +265,9 @@ func TestJoinTraces(t *testing.T) {
 	root := client.StartRoot("request", "client")
 	att := proxy.StartSpan(root.Context(), "attempt", "r0a")
 	att.SetAttr("outcome", "winner")
-	serve := replica.StartSpan(att.Context(), "serve_batch", "http")
-	replica.RecordSpan(serve.Context(), "queue_wait", "shard 1", time.Now(), time.Millisecond, nil)
+	serve := replica.StartSpan(att.Context(), "kserve_batch", "http")
+	read := replica.StartSpan(serve.Context(), "read", "worker")
+	read.End()
 	serve.End()
 	att.End()
 	root.End()
@@ -308,7 +312,7 @@ func TestJoinTraces(t *testing.T) {
 		t.Fatalf("joined %d spans, want 4", spans)
 	}
 	// 3 process_name entries + one thread_name per distinct tid (client,
-	// r0a, http, shard 1).
+	// r0a, http, worker).
 	if meta != 3+4 {
 		t.Fatalf("joined %d metadata events, want 7", meta)
 	}
@@ -333,7 +337,8 @@ func TestTracerConcurrent(t *testing.T) {
 				child := tr.StartSpan(root.Context(), "attempt", "r")
 				child.SetAttr("i", "x")
 				child.End()
-				tr.RecordSpan(root.Context(), "wait", "shard", time.Now(), time.Microsecond, nil)
+				wait := tr.StartSpan(root.Context(), "wait", "r")
+				wait.End()
 				root.End()
 				if i%50 == 0 {
 					_ = tr.Snapshot()

@@ -68,15 +68,13 @@ curl -sf "http://$ADDR/healthz" | grep -q '"status":"ok"' || fail "/healthz"
 curl -sf "http://$ADDR/metrics" > "$tmp/metrics.prom" || fail "/metrics"
 grep -q '^# TYPE kserve_requests_total counter' "$tmp/metrics.prom" \
     || fail "/metrics missing TYPE kserve_requests_total"
-grep -q '^kserve_shard_load_imbalance ' "$tmp/metrics.prom" \
-    || fail "/metrics missing kserve_shard_load_imbalance"
-grep -q 'kserve_batch_size_bucket{.*le="+Inf"}' "$tmp/metrics.prom" \
-    || fail "/metrics missing kserve_batch_size histogram"
+grep -q '^kserve_rejected_total 0$' "$tmp/metrics.prom" \
+    || fail "/metrics missing kserve_rejected_total (or a lookup was shed)"
+grep -q '^kserve_inflight ' "$tmp/metrics.prom" \
+    || fail "/metrics missing the kserve_inflight gauge"
 
 # The legacy JSON snapshot stays reachable under ?format=json.
 curl -sf "http://$ADDR/metrics?format=json" > "$tmp/metrics.json" || fail "/metrics?format=json"
-grep -q '"shard_load_imbalance"' "$tmp/metrics.json" || fail "/metrics json missing shard_load_imbalance"
-grep -q '"per_shard"' "$tmp/metrics.json" || fail "/metrics json missing per_shard"
 grep -q '"requests":' "$tmp/metrics.json" || fail "/metrics json missing requests"
 
 echo "serve-smoke: PASS"
