@@ -18,8 +18,10 @@ build:
 test:
 	$(GO) test ./...
 
+# internal/expt alone takes about 510 s under the race detector, past go
+# test's default 10-minute limit once it shares the cores with pipeline.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 40m ./...
 
 # Short live-fuzz pass over every fuzz target (seeds always run under `test`).
 # The HTTP handler targets cap minimisation: their coverage varies run to run

@@ -39,6 +39,7 @@ import (
 	"dedukt/internal/fault"
 	"dedukt/internal/genome"
 	"dedukt/internal/kcount"
+	"dedukt/internal/kernels"
 	"dedukt/internal/kserve"
 	"dedukt/internal/minimizer"
 	"dedukt/internal/obs"
@@ -309,6 +310,11 @@ func main() {
 		if err := rec.BuildReport().WriteText(os.Stdout); err != nil {
 			log.Fatal(err)
 		}
+		if res.GPU {
+			sg := kernels.Staging()
+			fmt.Fprintf(os.Stdout, "\nkernel staging pool: %d slots held %s at most; ranks waited %s for one\n",
+				sg.Slots, stats.Bytes(uint64(sg.PeakBytes)), stats.Seconds(sg.Wait))
+		}
 	}
 	if *outKCD != "" {
 		path := *outKCD
@@ -374,15 +380,11 @@ func writeObsArtifacts(rec *obs.Recorder, tracePath, metricsPath string) error {
 // SIGINT/SIGTERM. The pipeline's recorder registry is shared with the
 // service, so GET /metrics exposes counting and serving metrics together.
 func serveResult(addr string, cfg pipeline.Config, res *pipeline.Result, rec *obs.Recorder) error {
-	merged := res.MergedTable()
-	if merged == nil {
-		return fmt.Errorf("serve: no tables retained")
+	db, err := exportDatabase(cfg, res)
+	if err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
-	var flags uint32
-	if cfg.Canonical {
-		flags |= kcount.FlagCanonical
-	}
-	svc, err := kserve.New(kcount.FromTable(merged, cfg.K, flags), kserve.Options{Enc: cfg.Enc, Registry: rec.Registry()})
+	svc, err := kserve.New(db, kserve.Options{Enc: cfg.Enc, Registry: rec.Registry()})
 	if err != nil {
 		return err
 	}
@@ -390,21 +392,30 @@ func serveResult(addr string, cfg pipeline.Config, res *pipeline.Result, rec *ob
 	return kserve.ServeUntilInterrupt(addr, svc, log.Printf)
 }
 
-// writeKCD merges the per-rank tables and saves a KCD database.
-func writeKCD(path string, cfg pipeline.Config, res *pipeline.Result) error {
-	merged := res.MergedTable()
-	if merged == nil {
-		return fmt.Errorf("no tables retained")
+// exportDatabase gathers the per-rank tables' entries into one sorted
+// database (the partitions are disjoint, so no merged table is needed).
+func exportDatabase(cfg pipeline.Config, res *pipeline.Result) (*kcount.Database, error) {
+	if len(res.Tables) == 0 {
+		return nil, fmt.Errorf("no tables retained")
 	}
 	var flags uint32
 	if cfg.Canonical {
 		flags |= kcount.FlagCanonical
 	}
+	return kcount.FromTables(res.Tables, cfg.K, flags), nil
+}
+
+// writeKCD saves the counted spectrum as a KCD database.
+func writeKCD(path string, cfg pipeline.Config, res *pipeline.Result) error {
+	db, err := exportDatabase(cfg, res)
+	if err != nil {
+		return err
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := kcount.FromTable(merged, cfg.K, flags).Write(f); err != nil {
+	if err := db.Write(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -248,6 +248,7 @@ func (d *Device) ResetContention() {
 type foldScratch struct {
 	sectors []uint64
 	atomics []uint64
+	set     addrSet
 }
 
 // workerScratch is one launch worker's pooled state: the warp's lane
@@ -316,35 +317,89 @@ func (d *Device) foldWarp(st *KernelStats, lanes []Ctx, fs *foldScratch) {
 				atomics = append(atomics, a.addr)
 			}
 		}
-		if len(atomics) > 0 {
-			sortU64(atomics)
-			for i, addr := range atomics {
-				if i > 0 && addr == atomics[i-1] {
-					continue // warp-aggregated
-				}
-				st.AtomicOps++
-				b := mixAddr(addr) % contentionBuckets
-				atomic.AddUint64(&d.contention[b], 1)
-			}
+		// Both consumers want each distinct value once, in no particular
+		// order: the sketch's adds commute and sectors are only counted.
+		for _, addr := range fs.set.distinct(atomics) { // repeats are warp-aggregated
+			st.AtomicOps++
+			b := mixAddr(addr) % contentionBuckets
+			atomic.AddUint64(&d.contention[b], 1)
 		}
-		if len(sectors) == 0 {
-			continue
-		}
-		sortU64(sectors)
-		distinct := 1
-		for i := 1; i < len(sectors); i++ {
-			if sectors[i] != sectors[i-1] {
-				distinct++
-			}
-		}
-		st.MemTransactions += uint64(distinct)
+		st.MemTransactions += uint64(len(fs.set.distinct(sectors)))
 	}
 	// Keep any growth (wide multi-sector accesses) for the next warp.
 	fs.sectors, fs.atomics = sectors, atomics
 }
 
-// sortU64 is an allocation-free insertion sort for the small per-step
-// sector/atomic slices (≤ ~64 entries).
+// addrSet is a fixed-size open-addressing set of addresses, one worker's
+// scratch for reducing a warp step's scattered accesses to the distinct
+// ones. A used bit per slot makes emptying it two words' work, whatever the
+// keys hold.
+type addrSet struct {
+	keys [addrSetSlots]uint64
+	used [addrSetSlots / 64]uint64
+}
+
+// addrSetSlots is the set's size; distinct keeps it at most half full. A step
+// of one-sector accesses is WarpSize values, one whose accesses straddle a
+// sector boundary twice that.
+const (
+	addrSetBits  = 8
+	addrSetSlots = 1 << addrSetBits
+)
+
+// add inserts v and reports whether it was absent.
+func (s *addrSet) add(v uint64) bool {
+	for i := (v * 0x9e3779b97f4a7c15) >> (64 - addrSetBits); ; i = (i + 1) % addrSetSlots {
+		word, bit := &s.used[i/64], uint64(1)<<(i%64)
+		if *word&bit == 0 {
+			*word |= bit
+			s.keys[i] = v
+			return true
+		}
+		if s.keys[i] == v {
+			return false
+		}
+	}
+}
+
+// distinct compacts a in place to its distinct values, in unspecified order.
+// A non-decreasing step — every coalesced access — is one pass with no set
+// and no sort; a scattered one goes through the set, or through the sort when
+// it holds more values than the set takes.
+func (s *addrSet) distinct(a []uint64) []uint64 {
+	if len(a) == 0 {
+		return a
+	}
+	n, i := 1, 1 // a[:n] is distinct and ascending, a[i:] is unseen
+	for ; i < len(a) && a[i] >= a[n-1]; i++ {
+		if a[i] > a[n-1] {
+			a[n] = a[i]
+			n++
+		}
+	}
+	if i == len(a) {
+		return a[:n]
+	}
+	if rest := len(a) - i; n+rest > addrSetSlots/2 {
+		a = a[:n+copy(a[n:], a[i:])]
+		sortU64(a)
+		return s.distinct(a)
+	}
+	s.used = [len(s.used)]uint64{}
+	for _, v := range a[:n] {
+		s.add(v)
+	}
+	for _, v := range a[i:] {
+		if s.add(v) {
+			a[n] = v
+			n++
+		}
+	}
+	return a[:n]
+}
+
+// sortU64 is an allocation-free insertion sort for the per-step sector/atomic
+// slices too long for the addrSet (wide multi-sector accesses).
 func sortU64(a []uint64) {
 	for i := 1; i < len(a); i++ {
 		v := a[i]

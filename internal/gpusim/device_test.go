@@ -1,6 +1,8 @@
 package gpusim
 
 import (
+	"math/rand"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -316,5 +318,141 @@ func TestA100FasterThanV100(t *testing.T) {
 	ratio := tv.Seconds() / ta.Seconds()
 	if ratio < 1.5 || ratio > 1.9 {
 		t.Fatalf("bandwidth ratio %.2f, want ≈1.7", ratio)
+	}
+}
+
+// sortedFold is the reference foldWarp's distinct counting is pinned
+// against: every step's sectors and atomic addresses are sorted, and a value
+// counts once per run of equals.
+func sortedFold(ws int, lanes [][]access) (transactions, atomics, maxPerAddr uint64) {
+	sketch := make([]uint64, contentionBuckets)
+	runs := func(a []uint64, each func(uint64)) {
+		sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
+		for i, v := range a {
+			if i == 0 || v != a[i-1] {
+				each(v)
+			}
+		}
+	}
+	for lo := 0; lo < len(lanes); lo += ws {
+		warp := lanes[lo:min(lo+ws, len(lanes))]
+		for step := 0; ; step++ {
+			var sectors, addrs []uint64
+			active := false
+			for _, lane := range warp {
+				if step >= len(lane) {
+					continue
+				}
+				active = true
+				a := lane[step]
+				for s := a.addr / SectorBytes; s <= (a.addr+uint64(a.size)-1)/SectorBytes; s++ {
+					sectors = append(sectors, s)
+				}
+				if a.kind == accAtomic {
+					addrs = append(addrs, a.addr)
+				}
+			}
+			if !active {
+				break
+			}
+			runs(sectors, func(uint64) { transactions++ })
+			runs(addrs, func(addr uint64) {
+				atomics++
+				sketch[mixAddr(addr)%contentionBuckets]++
+			})
+		}
+	}
+	for _, c := range sketch {
+		maxPerAddr = max(maxPerAddr, c)
+	}
+	return transactions, atomics, maxPerAddr
+}
+
+// TestFoldMatchesSortedReference replays random warp steps — scattered,
+// repeated, ascending, straddling sectors, wider than the address set takes,
+// ragged across lanes — and checks every count foldWarp derives from "how
+// many distinct" against the sort it no longer does.
+func TestFoldMatchesSortedReference(t *testing.T) {
+	d := testDevice(t)
+	ws := d.Config().WarpSize
+	rng := rand.New(rand.NewSource(7))
+	const threads = 50*32 + 5 // a ragged last warp
+	lanes := make([][]access, threads)
+	for warp := 0; warp*ws < threads; warp++ {
+		steps := 1 + rng.Intn(6)
+		for step := 0; step < steps; step++ {
+			shape := rng.Intn(5)
+			hot := uint64(rng.Intn(1 << 20))
+			for l := 0; l < ws && warp*ws+l < threads; l++ {
+				if rng.Intn(8) == 0 && step > 0 {
+					continue // this lane diverges: its later accesses shift a step down
+				}
+				a := access{kind: accessKind(rng.Intn(3)), size: 4}
+				switch shape {
+				case 0: // coalesced, ascending
+					a.addr = hot + uint64(l)*4
+				case 1: // scattered probes, 12-byte slots straddling sectors
+					a.addr, a.size = uint64(rng.Intn(1<<24))*12, 12
+				case 2: // a few hot addresses, many repeats
+					a.addr = hot + uint64(rng.Intn(3))*64
+				case 3: // wide overlapping chunks: more sectors than the set takes
+					a.addr, a.size = hot+uint64((ws-l)*40), uint32(100+rng.Intn(200))
+				case 4: // descending stride
+					a.addr = hot + uint64((ws-l)*128)
+				}
+				lanes[warp*ws+l] = append(lanes[warp*ws+l], a)
+			}
+		}
+	}
+	st, err := d.Launch(LaunchSpec{Name: "random", Threads: threads}, func(tid int, ctx *Ctx) {
+		ctx.accesses = append(ctx.accesses, lanes[tid]...)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, at, hotMax := sortedFold(ws, lanes)
+	if st.MemTransactions != tx || st.AtomicOps != at || st.MaxAtomicPerAddr != hotMax {
+		t.Fatalf("fold: %d transactions, %d atomics, max %d per address; sorted reference: %d, %d, %d",
+			st.MemTransactions, st.AtomicOps, st.MaxAtomicPerAddr, tx, at, hotMax)
+	}
+	if tx == 0 || at == 0 || hotMax < 2 {
+		t.Fatalf("fixture too tame: %d transactions, %d atomics, max %d per address", tx, at, hotMax)
+	}
+}
+
+// TestAddrSetDistinct pins distinct on its own: the same values as a sort's
+// runs, for every length around the set's limit, including 0 and ^0.
+func TestAddrSetDistinct(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var set addrSet
+	for n := 0; n <= addrSetSlots; n++ {
+		a := make([]uint64, n)
+		for i := range a {
+			switch rng.Intn(4) {
+			case 0:
+				a[i] = 0
+			case 1:
+				a[i] = ^uint64(0)
+			default:
+				a[i] = uint64(rng.Intn(n + 1)) // repeats
+			}
+		}
+		if n%3 == 0 {
+			sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
+		}
+		want := map[uint64]bool{}
+		for _, v := range a {
+			want[v] = true
+		}
+		got := set.distinct(a)
+		if len(got) != len(want) {
+			t.Fatalf("n=%d: %d distinct values, want %d", n, len(got), len(want))
+		}
+		for _, v := range got {
+			if !want[v] {
+				t.Fatalf("n=%d: value %d returned twice or never given", n, v)
+			}
+			delete(want, v)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 	"sort"
 )
 
@@ -107,12 +108,77 @@ func (d *Database) Histogram() Histogram {
 
 // FromTable builds a sorted Database from a table.
 func FromTable(t *Table, k int, flags uint32) *Database {
-	d := &Database{K: k, Flags: flags, Entries: make([]KV, 0, t.Len())}
-	t.ForEach(func(key uint64, count uint32) {
-		d.Entries = append(d.Entries, KV{key, count})
-	})
-	sort.Slice(d.Entries, func(i, j int) bool { return d.Entries[i].Key < d.Entries[j].Key })
-	return d
+	return FromTables([]*Table{t}, k, flags)
+}
+
+// FromTables builds a sorted Database from tables that hold disjoint key
+// sets — a run's per-rank partitions — without merging them into one table
+// first. Nil tables are skipped.
+func FromTables(ts []*Table, k int, flags uint32) *Database {
+	n := 0
+	for _, t := range ts {
+		if t != nil {
+			n += t.Len()
+		}
+	}
+	entries := make([]KV, 0, n)
+	var union uint64 // every bit some key has set
+	for _, t := range ts {
+		if t != nil {
+			t.ForEach(func(key uint64, count uint32) {
+				entries = append(entries, KV{key, count})
+				union |= key
+			})
+		}
+	}
+	sortByKey(entries, bits.Len64(union))
+	return &Database{K: k, Flags: flags, Entries: entries}
+}
+
+// sortByKey sorts a by key where no key has a bit above the low keyBits set.
+// It is a most-significant-digit radix sort done in place (an American-flag
+// partition on the top eight of those bits, then each bucket on the bits
+// below), finished by insertion once a bucket is a few cache lines: no
+// second array the size of the spectrum, and none of sort.Slice's reflection.
+func sortByKey(a []KV, keyBits int) {
+	const digitBits, buckets, small = 8, 1 << 8, 32
+	if len(a) <= small {
+		for i := 1; i < len(a); i++ {
+			e, j := a[i], i
+			for ; j > 0 && a[j-1].Key > e.Key; j-- {
+				a[j] = a[j-1]
+			}
+			a[j] = e
+		}
+		return
+	}
+	if keyBits == 0 {
+		return // equal keys
+	}
+	shift := max(keyBits-digitBits, 0)
+	var head, end [buckets]int // each bucket's next unplaced slot and its end
+	for _, e := range a {
+		end[e.Key>>shift%buckets]++
+	}
+	sum := 0
+	for b, n := range end {
+		head[b], sum = sum, sum+n
+		end[b] = sum
+	}
+	lo := 0
+	for b := range head {
+		for head[b] < end[b] {
+			e := a[head[b]]
+			if d := e.Key >> shift % buckets; d != uint64(b) {
+				a[head[b]], a[head[d]] = a[head[d]], e
+				head[d]++
+			} else {
+				head[b]++
+			}
+		}
+		sortByKey(a[lo:end[b]], shift)
+		lo = end[b]
+	}
 }
 
 // crcWriter tees writes into a CRC.

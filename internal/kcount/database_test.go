@@ -3,6 +3,7 @@ package kcount
 import (
 	"bytes"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -303,3 +304,55 @@ var errStop = errSentinel("stop")
 type errSentinel string
 
 func (e errSentinel) Error() string { return string(e) }
+
+// TestFromTablesMatchesSortSlice pins the export's radix sort against the
+// reflective sort it replaced: the same entries in the same order, for empty
+// and one-entry tables, keys that need one digit or all 64 bits (a 32-mer
+// with its top bit set), and a spectrum split over several tables.
+func TestFromTablesMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(103))
+	for _, tc := range []struct {
+		name       string
+		n, tables  int
+		k, keyBits int
+	}{
+		{"empty", 0, 1, 17, 34},
+		{"one entry", 1, 1, 17, 34},
+		{"one digit", 200, 1, 4, 8},
+		{"17-mers", 20_000, 1, 17, 34},
+		{"17-mers over 12 tables", 20_000, 12, 17, 34},
+		{"32-mers", 20_000, 3, 32, 64},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := make([]*Table, tc.tables+1) // the last stays nil
+			for i := range ts[:tc.tables] {
+				ts[i] = NewTable(1, Linear)
+			}
+			var want []KV
+			seen := map[uint64]bool{}
+			for len(want) < tc.n {
+				key := rng.Uint64() >> (64 - uint(tc.keyBits))
+				if tc.keyBits == 64 && len(want)%2 == 0 {
+					key |= 1 << 63
+				}
+				if seen[key] || key == ^uint64(0) {
+					continue
+				}
+				seen[key] = true
+				kv := KV{key, 1 + uint32(rng.Intn(1000))}
+				want = append(want, kv)
+				ts[int(key%uint64(tc.tables))].Add(kv.Key, kv.Count)
+			}
+			sort.Slice(want, func(i, j int) bool { return want[i].Key < want[j].Key })
+			got := FromTables(ts, tc.k, FlagCanonical)
+			if got.K != tc.k || got.Flags != FlagCanonical || len(got.Entries) != len(want) {
+				t.Fatalf("header k=%d flags=%d with %d entries, want k=%d flags=%d with %d", got.K, got.Flags, len(got.Entries), tc.k, FlagCanonical, len(want))
+			}
+			for i := range want {
+				if got.Entries[i] != want[i] {
+					t.Fatalf("entry %d is %+v, sort.Slice has %+v", i, got.Entries[i], want[i])
+				}
+			}
+		})
+	}
+}

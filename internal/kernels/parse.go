@@ -55,10 +55,11 @@ func grow[T any](s []T, n int) []T {
 
 // Packed is the output of one packing-kernel call: a contiguous arena
 // partitioned by destination, and the per-destination rows viewing it. A zero
-// value is ready to use. It is separate from the kernels' scratch because it
-// outlives the call — the rows are what the exchange ships — while the
-// staging buffers are dead when the kernel returns: a caller that must keep
-// several calls' rows alive rotates Packed values under one scratch.
+// value is ready to use. It is all of a kernel's buffers that outlives the
+// call — the rows are what the exchange ships — so it is all the caller
+// holds: a caller that must keep several calls' rows alive rotates Packed
+// values, and the staging the kernel reads back within the call comes from
+// the pooled stagingSlot.
 type Packed[T any] struct {
 	buf  []T
 	rows [][]T
@@ -80,21 +81,16 @@ func (p *Packed[T]) layout(destOff []int, unit, headroom int) [][]T {
 	return p.rows
 }
 
-// ParseScratch holds the reusable buffers of one rank's ParseKmers calls:
-// the staged keys/destinations and the per-warp histogram the scan turns
-// into cursors. A zero value is ready to use; reusing one across rounds
-// removes all per-round allocation from the parse path. Rows returned by
-// ParseKmers are views into Out (the scratch's own Packed when Out is nil)
-// and are valid until the next call that packs into the same one.
+// ParseScratch names where ParseKmers packs its output. A zero value is ready
+// to use; reusing one across rounds removes all per-round allocation from the
+// parse path. Rows returned by ParseKmers are views into Out (the scratch's
+// own Packed when Out is nil) and are valid until the next call that packs
+// into the same one.
 type ParseScratch struct {
 	// Out, when non-nil, receives the call's packed rows.
 	Out *Packed[uint64]
 
-	keys    []uint64
-	dests   []int32
-	counts  []int32
-	destOff []int
-	own     Packed[uint64]
+	own Packed[uint64]
 }
 
 // ParseKmers is the GPU parse & process kernel of §III-B.1 (Fig. 2),
@@ -130,12 +126,14 @@ func ParseKmers(dev *gpusim.Device, cfg ParseConfig, data []byte, scr *ParseScra
 	nWarps := (threads + ws - 1) / ws
 	numDest := cfg.NumDest
 
-	scr.keys = grow(scr.keys, threads)
-	scr.dests = grow(scr.dests, threads)
-	scr.counts = grow(scr.counts, nWarps*numDest)
-	scr.destOff = grow(scr.destOff, numDest+1)
-	for i := range scr.counts {
-		scr.counts[i] = 0
+	stg := acquireStaging()
+	defer releaseStaging(stg)
+	stg.keys = growStaging(stg.keys, threads)
+	stg.dests = growStaging(stg.dests, threads)
+	stg.counts = growStaging(stg.counts, nWarps*numDest)
+	stg.destOff = growStaging(stg.destOff, numDest+1)
+	for i := range stg.counts {
+		stg.counts[i] = 0
 	}
 
 	dataAddr := dev.Alloc(int64(len(data)))
@@ -145,7 +143,7 @@ func ParseKmers(dev *gpusim.Device, cfg ParseConfig, data []byte, scr *ParseScra
 	bufAddr := dev.Alloc(int64(8 * threads))
 
 	enc, k := cfg.Enc, cfg.K
-	keys, dests, counts := scr.keys, scr.dests, scr.counts
+	keys, dests, counts := stg.keys, stg.dests, stg.counts
 	dev.ResetContention()
 
 	// Pass 1: parse, hash, stage, histogram. The per-warp histogram bump is
@@ -153,7 +151,7 @@ func ParseKmers(dev *gpusim.Device, cfg ParseConfig, data []byte, scr *ParseScra
 	// goroutine, so no synchronization is needed — the same privatization a
 	// real kernel gets from shared memory plus warp-synchronous execution).
 	st, err = dev.Launch(gpusim.LaunchSpec{Name: "parse_kmers", Threads: threads}, func(tid int, ctx *gpusim.Ctx) {
-		dests[tid] = -1 // scratch reuse leaves stale values
+		dests[tid] = -1 // slot reuse leaves stale values
 		// One overlapped read of the thread's k bases; warp lanes share
 		// sectors, which is exactly the coalescing §III-B.1 engineers for.
 		ctx.Read(dataAddr+uint64(tid), k)
@@ -191,7 +189,7 @@ func ParseKmers(dev *gpusim.Device, cfg ParseConfig, data []byte, scr *ParseScra
 	// as on the device: every count becomes its warp's cursor. The host loop
 	// computes the real offsets; the cost-model launch charges the device
 	// price of the equivalent Blelloch scan.
-	scanInPlace(counts, scr.destOff, nWarps)
+	scanInPlace(counts, stg.destOff, nWarps)
 	scanSt, err := dev.Launch(gpusim.LaunchSpec{Name: "scan_offsets", Threads: nWarps * numDest}, func(tid int, ctx *gpusim.Ctx) {
 		ctx.Read(countsAddr+uint64(tid*4), 4)
 		ctx.Compute(OpsScanStep)
@@ -210,7 +208,7 @@ func ParseKmers(dev *gpusim.Device, cfg ParseConfig, data []byte, scr *ParseScra
 		packed = &scr.own
 	}
 	headroom := cfg.Headroom
-	out = packed.layout(scr.destOff, 1, headroom)
+	out = packed.layout(stg.destOff, 1, headroom)
 	outBuf, cursors := packed.buf, counts
 	scatterSt, err := dev.Launch(gpusim.LaunchSpec{Name: "scatter_kmers", Threads: threads}, func(tid int, ctx *gpusim.Ctx) {
 		ctx.Read(keysAddr+uint64(tid*8), 8)

@@ -64,20 +64,15 @@ type superDesc struct {
 // descBytes is the descriptor's size on the device.
 const descBytes = 4
 
-// SupermerScratch holds the reusable buffers of one rank's BuildSupermers
-// calls: per-thread supermer descriptors and the per-warp histogram the scan
-// turns into cursors. A zero value is ready to use. Rows returned by
-// BuildSupermers are views into Out (the scratch's own Packed when Out is
-// nil) and are valid until the next call that packs into the same one.
+// SupermerScratch names where BuildSupermers packs its output. A zero value
+// is ready to use. Rows returned by BuildSupermers are views into Out (the
+// scratch's own Packed when Out is nil) and are valid until the next call
+// that packs into the same one.
 type SupermerScratch struct {
 	// Out, when non-nil, receives the call's packed rows.
 	Out *Packed[byte]
 
-	descs   []superDesc
-	nDescs  []int32
-	counts  []int32
-	destOff []int
-	own     Packed[byte]
+	own Packed[byte]
 }
 
 // BuildSupermers is the GPU supermer kernel of §IV-B (Fig. 5, Alg. 2),
@@ -119,12 +114,14 @@ func BuildSupermers(dev *gpusim.Device, cfg SupermerConfig, data []byte, scr *Su
 
 	// A thread owns Window k-mer positions, so it can emit at most Window
 	// supermers (each holds ≥ 1 k-mer).
-	scr.descs = grow(scr.descs, threads*window)
-	scr.nDescs = grow(scr.nDescs, threads)
-	scr.counts = grow(scr.counts, nWarps*numDest)
-	scr.destOff = grow(scr.destOff, numDest+1)
-	for i := range scr.counts {
-		scr.counts[i] = 0
+	stg := acquireStaging()
+	defer releaseStaging(stg)
+	stg.descs = growStaging(stg.descs, threads*window)
+	stg.nDescs = growStaging(stg.nDescs, threads)
+	stg.counts = growStaging(stg.counts, nWarps*numDest)
+	stg.destOff = growStaging(stg.destOff, numDest+1)
+	for i := range stg.counts {
+		stg.counts[i] = 0
 	}
 
 	dataAddr := dev.Alloc(int64(len(data)))
@@ -137,7 +134,7 @@ func BuildSupermers(dev *gpusim.Device, cfg SupermerConfig, data []byte, scr *Su
 	bufAddr := dev.Alloc(int64(stride * (positions + 1)))
 
 	enc := cfg.Enc
-	descs, nDescs, counts := scr.descs, scr.nDescs, scr.counts
+	descs, nDescs, counts := stg.descs, stg.nDescs, stg.counts
 	dev.ResetContention()
 
 	// Pass 1: roll minimizers, emit descriptors, build the per-warp
@@ -227,7 +224,7 @@ func BuildSupermers(dev *gpusim.Device, cfg SupermerConfig, data []byte, scr *Su
 
 	// Exclusive prefix sum over (warp × destination), destination-major, in
 	// place: the counts become the cursors.
-	scanInPlace(counts, scr.destOff, nWarps)
+	scanInPlace(counts, stg.destOff, nWarps)
 	scanSt, err := dev.Launch(gpusim.LaunchSpec{Name: "scan_offsets", Threads: nWarps * numDest}, func(tid int, ctx *gpusim.Ctx) {
 		ctx.Read(countsAddr+uint64(tid*4), 4)
 		ctx.Compute(OpsScanStep)
@@ -246,7 +243,7 @@ func BuildSupermers(dev *gpusim.Device, cfg SupermerConfig, data []byte, scr *Su
 		packed = &scr.own
 	}
 	headroom := cfg.Headroom
-	out = packed.layout(scr.destOff, stride, headroom)
+	out = packed.layout(stg.destOff, stride, headroom)
 	outBuf, cursors := packed.buf, counts
 	scatterSt, err := dev.Launch(gpusim.LaunchSpec{Name: "scatter_supermers", Threads: threads}, func(tid int, ctx *gpusim.Ctx) {
 		n := int(nDescs[tid])

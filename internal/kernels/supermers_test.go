@@ -90,9 +90,12 @@ func TestSuperDescExtremes(t *testing.T) {
 	if !bytes.Equal(out[numDest-1], want) {
 		t.Fatalf("%d wire bytes differ from BuildWindowed's %d", len(out[numDest-1]), len(want))
 	}
+	// The descriptors are still in the staging slot the kernel just returned:
+	// the pool is last-in first-out and no other kernel runs beside this test.
+	stg := staging.free[len(staging.free)-1]
 	var lastOff, fullChunk bool
-	for tid, n := range scr.nDescs {
-		for _, d := range scr.descs[tid*window : tid*window+int(n)] {
+	for tid, n := range stg.nDescs {
+		for _, d := range stg.descs[tid*window : tid*window+int(n)] {
 			lastOff = lastOff || d.off == window-1
 			fullChunk = fullChunk || d.nk == window
 		}

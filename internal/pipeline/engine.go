@@ -37,7 +37,7 @@ type engine[T unit] interface {
 	counted() countedTable
 	// newBin swaps in a new, empty working-set table for spill pass 2, which
 	// counts one bin at a time. The engine will not parse again, and lets go
-	// of its parse scratch so pass 2 does not hold the send buffers live.
+	// of its parse rows so pass 2 does not hold the send buffers live.
 	newBin()
 }
 
@@ -86,23 +86,19 @@ func (w *work) ops() uint64 { return w.meter.Ops + w.stats.ComputeOps }
 
 // newKmerEngine and newSupermerEngine bind a mode's kernel pair to the
 // layout's device: the GPU kernels when it has GPUs, the scalar CPU baseline
-// otherwise. Only what a parse returns — the packed send rows — rotates over
-// parseSlots buffers; the GPU kernels' staging scratch is dead when the
-// kernel returns and is held once per rank.
+// otherwise. All a rank holds of a GPU parse is what it returns — the packed
+// send rows, rotating over parseSlots buffers; the kernels' staging is dead
+// when the kernel returns and comes from the kernels package's pool.
 func newKmerEngine(rc rankCtx) (engine[uint64], error) {
 	cfg := rc.cfg
 	if cfg.Layout.GPU == nil {
 		return newCPUEngine(rc, &cpuEngine[uint64]{parseRows: cpuParseKmers, countRows: cpuCountKmers})
 	}
 	pc := kernels.ParseConfig{Enc: cfg.Enc, K: cfg.K, NumDest: rc.seat.nOrig, Canonical: cfg.Canonical, Headroom: kernels.WordFrameHeader}
-	var (
-		scratch kernels.ParseScratch
-		rows    [parseSlots]kernels.Packed[uint64]
-	)
+	var rows [parseSlots]kernels.Packed[uint64]
 	return newGPUEngine(rc, &gpuEngine[uint64]{
 		parseRows: func(dev *gpusim.Device, slot int, data []byte) ([][]uint64, gpusim.KernelStats, error) {
-			scratch.Out = &rows[slot]
-			return kernels.ParseKmers(dev, pc, data, &scratch)
+			return kernels.ParseKmers(dev, pc, data, &kernels.ParseScratch{Out: &rows[slot]})
 		},
 		index: func(dev *gpusim.Device, rows [][]uint64) (arrival, error) {
 			return kernels.IndexKmers(dev, rows), nil
@@ -117,14 +113,10 @@ func newSupermerEngine(rc rankCtx) (engine[byte], error) {
 	}
 	sc := kernels.SupermerConfig{Enc: cfg.Enc, C: cfg.minimizerConfig(), NumDest: rc.seat.nOrig, DestMap: rc.destMap, Headroom: kernels.ByteFrameHeader}
 	wire := kernels.SupermerWire{K: cfg.K, Window: cfg.Window}
-	var (
-		scratch kernels.SupermerScratch
-		rows    [parseSlots]kernels.Packed[byte]
-	)
+	var rows [parseSlots]kernels.Packed[byte]
 	return newGPUEngine(rc, &gpuEngine[byte]{
 		parseRows: func(dev *gpusim.Device, slot int, data []byte) ([][]byte, gpusim.KernelStats, error) {
-			scratch.Out = &rows[slot]
-			return kernels.BuildSupermers(dev, sc, data, &scratch)
+			return kernels.BuildSupermers(dev, sc, data, &kernels.SupermerScratch{Out: &rows[slot]})
 		},
 		index: func(dev *gpusim.Device, rows [][]byte) (arrival, error) {
 			return kernels.IndexSupermers(dev, wire, rows)
@@ -243,6 +235,7 @@ func newGPUEngine[T unit](rc rankCtx, e *gpuEngine[T]) (*gpuEngine[T], error) {
 	e.cfg, e.dev = cfg, gpusim.MustDevice(*cfg.Layout.GPU)
 	if cfg.Obs != nil {
 		e.dev.Observe(cfg.Obs.Registry())
+		kernels.ObserveStaging(cfg.Obs.Registry())
 	}
 	n := 1
 	for _, db := range rc.seat.seed {
@@ -318,5 +311,5 @@ func (e *gpuEngine[T]) counted() countedTable { return e.table }
 
 func (e *gpuEngine[T]) newBin() {
 	e.table = kcount.NewAtomicTable(1, e.cfg.tableLoad(), e.cfg.Probing)
-	e.parseRows = nil // the closure owns the packing scratch
+	e.parseRows = nil // the closure owns the packed send rows
 }

@@ -317,9 +317,11 @@ func TestSupermerRunAllocatesNoMoreThanKmerRun(t *testing.T) {
 // run's payload: parse packs each send row behind its frame header's room and
 // the exchange seals and ships it where it lies, so nothing between parse and
 // wire may allocate the payload a second time. A one-round k-mer run
-// allocates 2.77 (cpu) and 6.48 (gpu) times its payload — rows, tables,
-// bases, staging scratch; with a frame arena the rows were copied into it
-// was 3.70 and 7.52. The budgets sit 0.9 payloads under those.
+// allocates 2.69 (cpu) and 4.67–4.85 (gpu, -cpu 1 to 8) times its payload —
+// rows, tables, bases; with a frame arena the rows were copied into it was a
+// payload more. The GPU kernels' staging is not in the figure: it comes from
+// the kernels package's pool, which the warm-up run has filled — held once
+// per rank it made the run 6.40 payloads, which the GPU budget also refuses.
 func TestSendRowsAreNotCopiedIntoFrames(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("alloc counts are inflated by the race detector")
@@ -331,7 +333,7 @@ func TestSendRowsAreNotCopiedIntoFrames(t *testing.T) {
 		payloads float64
 	}{
 		{"cpu", smallCPULayout(), 2.80},
-		{"gpu", smallGPULayout(1), 6.62},
+		{"gpu", smallGPULayout(1), 5.40},
 	} {
 		cfg := Default(c.layout, KmerMode)
 		allocated := func() (uint64, *Result) {

@@ -61,10 +61,14 @@ grep -q '^fault_injected_total{kind="drop"}' "$metrics" \
     || fail "metrics missing fault_injected_total"
 grep -q '^gpusim_kernel_launches_total{kernel=' "$metrics" \
     || fail "metrics missing gpusim_kernel_launches_total"
+for series in kernels_staging_bytes kernels_staging_slots kernels_staging_wait_seconds_total; do
+    grep -q "^$series [0-9]" "$metrics" || fail "metrics missing $series"
+done
 
 echo "trace-smoke: validating -report output"
 grep -q 'observability report:' "$report" || fail "-report printed no report"
 grep -q 'slowest rank overall' "$report" || fail "-report missing slowest-rank attribution"
+grep -q 'kernel staging pool: [1-9]' "$report" || fail "-report missing the kernel staging pool line"
 
 # --- overlapped schedule: a faulted multi-round run with -overlap must
 # produce a valid trace whose retry spans nest inside their round's
