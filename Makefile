@@ -20,8 +20,11 @@ test:
 
 # internal/expt alone takes about 510 s under the race detector, past go
 # test's default 10-minute limit once it shares the cores with pipeline.
+# The in-place table growth is run again at 1, 2 and 4 cores: it happens
+# between concurrent kernel launches.
 race:
 	$(GO) test -race -timeout 40m ./...
+	$(GO) test -race -cpu 1,2,4 -run 'Atomic' ./internal/kcount/
 
 # Short live-fuzz pass over every fuzz target (seeds always run under `test`).
 # The HTTP handler targets cap minimisation: their coverage varies run to run
@@ -31,6 +34,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzReader -fuzztime 30s ./internal/fastq/
 	$(GO) test -run xxx -fuzz FuzzStream -fuzztime 30s ./internal/fastq/
 	$(GO) test -run xxx -fuzz FuzzSupermerInvariants -fuzztime 30s ./internal/minimizer/
+	$(GO) test -run xxx -fuzz FuzzAtomicReserve -fuzztime 30s ./internal/kcount/
 	$(GO) test -run xxx -fuzz FuzzWireRoundTrip -fuzztime 30s ./internal/kernels/
 	$(GO) test -run xxx -fuzz FuzzWireCorruptInput -fuzztime 30s ./internal/kernels/
 	$(GO) test -run xxx -fuzz FuzzTraceparent -fuzztime 30s ./internal/obs/
@@ -41,7 +45,7 @@ fuzz:
 # Run every fuzz target over its checked-in seed corpus only (fast,
 # deterministic — what `ci` uses).
 fuzz-seeds:
-	$(GO) test -run 'Fuzz' ./internal/fastq/ ./internal/minimizer/ ./internal/kernels/ ./internal/obs/ ./internal/pipeline/ ./internal/kserve/
+	$(GO) test -run 'Fuzz' ./internal/fastq/ ./internal/minimizer/ ./internal/kcount/ ./internal/kernels/ ./internal/obs/ ./internal/pipeline/ ./internal/kserve/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

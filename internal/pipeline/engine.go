@@ -72,6 +72,7 @@ type work struct {
 	stats    gpusim.KernelStats // GPU engines
 	kernel   time.Duration      // GPU engines: per-launch kernel times, summed
 	launches int                // GPU engines: count-kernel launches
+	grow     time.Duration      // GPU engines: wall time inside AtomicTable.Reserve
 }
 
 func (w *work) add(o work) {
@@ -79,6 +80,7 @@ func (w *work) add(o work) {
 	w.stats.Add(o.stats)
 	w.kernel += o.kernel
 	w.launches += o.launches
+	w.grow += o.grow
 }
 
 // ops is the compute-op tally reported as Result.ParseCompute/CountCompute.
@@ -269,9 +271,10 @@ func (e *gpuEngine[T]) parse(slot int, data []byte) ([][]T, work, error) {
 // under the load ceiling — the ceiling and ErrTableFull hold exactly, with
 // no estimate of the distinct keys. When the room is short of both the rest
 // of the arrival and a worthwhile launch (a quarter of the ceiling, or
-// minLaunch), the table is first rehashed with room for as many keys again
-// as it holds (at least minLaunch, never more than are left), so its final
-// size follows its keys however often they repeat. An arrival that fits the
+// minLaunch), the table is first grown, in place, to have room for as many
+// keys again as it holds (at least minLaunch, never more than are left), so
+// its final size follows its keys however often they repeat, and all the
+// count allocates for it is that final size. An arrival that fits the
 // room, or holds under minLaunch k-mers, is one launch, as is an empty one.
 func (e *gpuEngine[T]) count(recv [][]T) (w work, err error) {
 	in, err := e.index(e.dev, recv)
@@ -281,9 +284,9 @@ func (e *gpuEngine[T]) count(recv [][]T) (w work, err error) {
 	for from, left := 0, in.Kmers(); ; {
 		room := e.table.Room()
 		if room < min(left, max(e.table.Ceiling()/4, minLaunch)) {
-			if e.table, err = e.table.Reserve(min(left, max(e.table.Len(), minLaunch))); err != nil {
-				return w, err
-			}
+			began := time.Now()
+			e.table.Reserve(min(left, max(e.table.Len(), minLaunch)))
+			w.grow += time.Since(began)
 			room = e.table.Room()
 		}
 		// The room is all that is left or at least minLaunch k-mers, more

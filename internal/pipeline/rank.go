@@ -195,7 +195,7 @@ func runRank[T unit](rc rankCtx, cd codec[T], newEngine func(rankCtx) (engine[T]
 	var ts tableStats
 	ts.observe(table)
 	ts.publish(rec.Registry(), rank)
-	out.publishLaunches(rec.Registry(), rank)
+	out.publishCount(rec.Registry(), rank)
 	return nil
 }
 
@@ -223,18 +223,22 @@ func (s tableStats) publish(reg *obs.Registry, rank int) {
 	l := obs.L("rank", strconv.Itoa(rank))
 	reg.Gauge("pipeline_table_rehashed_keys", "Keys those rehashes re-inserted, which no modeled time is charged for (spill: most over the pass-2 bin tables).", l).Set(float64(s.rehashed))
 	reg.Gauge("pipeline_table_slots", "Slots of the rank's counter table when counting ended (spill: largest pass-2 bin table).", l).Set(float64(s.slots))
+	reg.Gauge("pipeline_table_bytes", "Bytes those slots take: an 8-byte key and a 4-byte count each.", l).Set(float64(12 * s.slots))
 	reg.Gauge("pipeline_table_load_factor", "Occupied share of those slots (spill: highest over the pass-2 bin tables).", l).Set(s.load)
 	reg.Gauge("pipeline_table_grows", "Rehashes into a larger table the rank's counter table went through (spill: most over the pass-2 bin tables).", l).Set(float64(s.grows))
 }
 
-// publishLaunches publishes, beside the rank's table statistics, the
-// count-kernel launches its count phase made: an arrival cut into too many
-// launches shows here.
-func (o *rankOutcome) publishLaunches(reg *obs.Registry, rank int) {
+// publishCount publishes, beside the rank's table statistics, what its
+// count phase did around the table: the count-kernel launches it made — an
+// arrival cut into too many shows here — and the wall time it spent growing
+// the table between them, which no modeled time is charged for.
+func (o *rankOutcome) publishCount(reg *obs.Registry, rank int) {
 	if reg == nil {
 		return
 	}
-	reg.Gauge("pipeline_count_launches", "Count-kernel launches the rank's count phase made (GPU engine; spill: over all pass-2 records).", obs.L("rank", strconv.Itoa(rank))).Set(float64(o.launches))
+	l := obs.L("rank", strconv.Itoa(rank))
+	reg.Gauge("pipeline_count_launches", "Count-kernel launches the rank's count phase made (GPU engine; spill: over all pass-2 records).", l).Set(float64(o.launches))
+	reg.Gauge("pipeline_table_grow_seconds", "Wall time the rank's count phase spent growing and rehashing its counter table (GPU engine; spill: summed over the pass-2 bins).", l).Set(o.grow.Seconds())
 }
 
 // tally sums a row vector's exchanged items and payload bytes, each row
@@ -257,6 +261,7 @@ func chargeCount[T unit](o *rankOutcome, eng engine[T], w work) time.Duration {
 	o.countOps += w.ops()
 	o.countSt.Add(w.stats)
 	o.launches += w.launches
+	o.grow += w.grow
 	return modeled
 }
 
@@ -303,6 +308,6 @@ func countBins[T unit](eng engine[T], cd codec[T], rsp *rankSpill, rec *obs.Reco
 	}
 	rsp.cleanup(!out.incomplete)
 	ts.publish(rec.Registry(), rank)
-	out.publishLaunches(rec.Registry(), rank)
+	out.publishCount(rec.Registry(), rank)
 	return nil
 }

@@ -25,7 +25,11 @@ import (
 // largest pass-2 bin table. An arrival under minLaunch k-mers stays one
 // kernel launch, so a rank launches once per round (or per pass-2 spill
 // record: every rank × bin of this fixture holds one), and the one-round
-// arrival, cut into launches, stays within the budget of 12.
+// arrival, cut into launches, stays within the budget of 12. And all a
+// rank's count allocates for the table is the table it ends with: it grows in
+// place, so the slots it had on the way (2¹⁷, then 2¹⁸) are among the 2¹⁹ it
+// keeps — allocated anew at every rehash they came to 1.75 times the final
+// table.
 func TestGPUTableReservation(t *testing.T) {
 	const bins = 4
 	cases := map[string]struct {
@@ -79,6 +83,45 @@ func TestGPUTableReservation(t *testing.T) {
 				}
 			}
 		})
+	}
+	t.Run("count allocation", testCountAllocation)
+}
+
+// testCountAllocation is TestGPUTableReservation's allocation budget: one
+// rank's count of a k-mer arrival that takes its table up the whole ladder
+// may allocate 12 bytes for every slot of the final table and a tenth more
+// (the arrival's index, the launches, the rehash bitmaps).
+func testCountAllocation(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("alloc counts are inflated by the race detector")
+	}
+	cfg := Default(smallGPULayout(1), KmerMode)
+	var row []uint64
+	for _, r := range testReads(t, 100_000, 8) {
+		kmer.ForEach(cfg.Enc, r.Seq, cfg.K, func(w dna.Kmer, _ int) { row = append(row, uint64(w)) })
+	}
+	counted := func() (uint64, *kcount.AtomicTable) {
+		eng, err := newKmerEngine(rankCtx{cfg: cfg, seat: identitySeat(0, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := eng.count([][]uint64{row}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, eng.(*gpuEngine[uint64]).table
+	}
+	counted() // warm the launch pools
+	got, table := counted()
+	budget := uint64(12 * table.Cap() * 11 / 10)
+	t.Logf("allocated %d B counting %d k-mers into %d slots (%d grows), budget %d", got, len(row), table.Cap(), table.Grows(), budget)
+	if table.Grows() < 3 {
+		t.Fatalf("%d grows, want a ladder of 3 or more", table.Grows())
+	}
+	if got > budget {
+		t.Errorf("allocated %d B, budget %d: 12 B x the final %d slots x 1.1", got, budget, table.Cap())
 	}
 }
 
@@ -234,10 +277,7 @@ func TestCountLaunchLoop(t *testing.T) {
 					if made := launches - before; (fits || kmers < minLaunch) && made != 1 {
 						t.Errorf("arrival %d: %d launches for %d k-mers (fits the room: %v), want 1", i, made, kmers, fits)
 					}
-					var err error
-					if old, err = old.Reserve(kmers); err != nil {
-						t.Fatal(err)
-					}
+					old.Reserve(kmers)
 					for _, part := range a {
 						for _, r := range part {
 							kmer.ForEach(enc, r, k, func(w dna.Kmer, _ int) { old.Inc(uint64(w)) })

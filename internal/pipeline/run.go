@@ -26,7 +26,8 @@ type rankOutcome struct {
 	countOps     uint64
 	parseSt      gpusim.KernelStats
 	countSt      gpusim.KernelStats
-	launches     int // count-kernel launches behind countSt
+	launches     int           // count-kernel launches behind countSt
+	grow         time.Duration // wall time the count phase spent growing the table
 	rounds       int
 	incomplete   bool // a round degraded past its retry budget
 	ckpts        int  // round checkpoints this seat persisted

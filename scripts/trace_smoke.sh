@@ -64,6 +64,11 @@ grep -q '^gpusim_kernel_launches_total{kernel=' "$metrics" \
 for series in kernels_staging_bytes kernels_staging_slots kernels_staging_wait_seconds_total; do
     grep -q "^$series [0-9]" "$metrics" || fail "metrics missing $series"
 done
+# Per rank: the table's footprint and the wall time spent growing it in place.
+for series in pipeline_table_bytes pipeline_table_grow_seconds; do
+    [ "$(grep -c "^$series{rank=\"[0-9]*\"} [0-9]" "$metrics")" = 12 ] \
+        || fail "metrics missing $series for some of the 12 ranks"
+done
 
 echo "trace-smoke: validating -report output"
 grep -q 'observability report:' "$report" || fail "-report printed no report"
