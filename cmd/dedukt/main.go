@@ -32,6 +32,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	"dedukt/internal/cluster"
 	"dedukt/internal/dna"
@@ -310,6 +311,7 @@ func main() {
 		if err := rec.BuildReport().WriteText(os.Stdout); err != nil {
 			log.Fatal(err)
 		}
+		reportTables(os.Stdout, rec.Registry(), cfg.Layout.Ranks())
 		if res.GPU {
 			sg := kernels.Staging()
 			fmt.Fprintf(os.Stdout, "\nkernel staging pool: %d slots held %s at most; ranks waited %s for one\n",
@@ -339,6 +341,26 @@ func main() {
 		}
 	}
 	os.Exit(exitCode)
+}
+
+// reportTables prints the -report line on the ranks' counter tables, each
+// figure the most over the ranks' gauges: what the largest table holds beside
+// what its rank reserved room for, and what growing the tables moved and took.
+func reportTables(w io.Writer, reg *obs.Registry, ranks int) {
+	var slots, keys, reserved, rehashed, grows, growing float64
+	for r := 0; r < ranks; r++ {
+		gauge := func(name string) float64 {
+			return reg.Gauge("pipeline_table_"+name, "", obs.L("rank", strconv.Itoa(r))).Value()
+		}
+		slots = max(slots, gauge("slots"))
+		keys = max(keys, gauge("load_factor")*gauge("slots"))
+		reserved = max(reserved, gauge("reserved_keys"))
+		rehashed = max(rehashed, gauge("rehashed_keys"))
+		grows = max(grows, gauge("grows"))
+		growing = max(growing, gauge("grow_seconds"))
+	}
+	fmt.Fprintf(w, "\ncounter tables: at most %.0f slots holding %.0f keys, room reserved for %.0f; %.0f keys rehashed in %.0f grows, %s inside Reserve\n",
+		slots, keys, reserved, rehashed, grows, stats.Seconds(time.Duration(growing*float64(time.Second))))
 }
 
 // writeObsArtifacts saves the recorded trace and metrics exposition to the

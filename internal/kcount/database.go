@@ -181,16 +181,13 @@ func sortByKey(a []KV, keyBits int) {
 	}
 }
 
-// crcWriter tees writes into a CRC.
-type crcWriter struct {
-	w   io.Writer
-	crc uint32
-}
-
-func (c *crcWriter) Write(p []byte) (int, error) {
-	c.crc = crc32.Update(c.crc, crc32.IEEETable, p)
-	return c.w.Write(p)
-}
+// kcdEntry is an entry's size on disk, and kcdBlock the entries Write and
+// readKCD encode and decode at a time: a 4 KiB buffer's worth, so the CRC and
+// the buffered stream are each touched once per block, not once per entry.
+const (
+	kcdEntry = 8 + 4
+	kcdBlock = 4096 / kcdEntry
+)
 
 // Write serializes the database.
 func (d *Database) Write(w io.Writer) error {
@@ -201,31 +198,40 @@ func (d *Database) Write(w io.Writer) error {
 	if _, err := bw.WriteString(kcdMagic); err != nil {
 		return err
 	}
-	cw := &crcWriter{w: bw}
+	var crc uint32
+	write := func(p []byte) error {
+		crc = crc32.Update(crc, crc32.IEEETable, p)
+		_, err := bw.Write(p)
+		return err
+	}
 	hdr := make([]byte, 2+2+4+8)
 	binary.LittleEndian.PutUint16(hdr[0:], kcdVersion)
 	binary.LittleEndian.PutUint16(hdr[2:], uint16(d.K))
 	binary.LittleEndian.PutUint32(hdr[4:], d.Flags)
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(d.Entries)))
-	if _, err := cw.Write(hdr); err != nil {
+	if err := write(hdr); err != nil {
 		return err
 	}
 	var prev uint64
-	ent := make([]byte, 12)
+	block := make([]byte, 0, kcdBlock*kcdEntry)
 	for i, e := range d.Entries {
 		if i > 0 && e.Key <= prev {
 			return fmt.Errorf("kcount: entries not strictly ascending at %d", i)
 		}
 		prev = e.Key
-		binary.LittleEndian.PutUint64(ent[0:], e.Key)
-		binary.LittleEndian.PutUint32(ent[8:], e.Count)
-		if _, err := cw.Write(ent); err != nil {
-			return err
+		block = binary.LittleEndian.AppendUint64(block, e.Key)
+		block = binary.LittleEndian.AppendUint32(block, e.Count)
+		if len(block) == cap(block) {
+			if err := write(block); err != nil {
+				return err
+			}
+			block = block[:0]
 		}
 	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], cw.crc)
-	if _, err := bw.Write(crc[:]); err != nil {
+	if err := write(block); err != nil {
+		return err
+	}
+	if _, err := bw.Write(binary.LittleEndian.AppendUint32(nil, crc)); err != nil {
 		return err
 	}
 	return bw.Flush()
@@ -291,27 +297,35 @@ func readKCD(r io.Reader, fn func(key uint64, count uint32) error) (*Database, e
 	if fn == nil {
 		d.Entries = make([]KV, 0, n)
 	}
-	ent := make([]byte, 12)
+	block := make([]byte, kcdBlock*kcdEntry)
 	var prev uint64
-	for i := uint64(0); i < n; i++ {
-		if err := readFull(ent); err != nil {
-			return nil, fmt.Errorf("kcount: reading entry %d: %w", i, err)
-		}
-		key := binary.LittleEndian.Uint64(ent[0:])
-		count := binary.LittleEndian.Uint32(ent[8:])
-		if i > 0 && key <= prev {
-			return nil, fmt.Errorf("kcount: entries not ascending at %d", i)
-		}
-		if count == 0 {
-			return nil, fmt.Errorf("kcount: zero count at entry %d", i)
-		}
-		prev = key
-		if fn != nil {
-			if err := fn(key, count); err != nil {
-				return nil, err
+	for i := uint64(0); i < n; {
+		// A block that ends early still holds whole entries ahead of the
+		// break: they are checked and delivered first, so a short file is
+		// reported at the entry it breaks in, behind any bad entry before it.
+		block = block[:min(n-i, kcdBlock)*kcdEntry]
+		got, readErr := io.ReadFull(br, block)
+		crc = crc32.Update(crc, crc32.IEEETable, block[:got])
+		for ent := block[:got-got%kcdEntry]; len(ent) > 0; ent, i = ent[kcdEntry:], i+1 {
+			key := binary.LittleEndian.Uint64(ent[0:])
+			count := binary.LittleEndian.Uint32(ent[8:])
+			if i > 0 && key <= prev {
+				return nil, fmt.Errorf("kcount: entries not ascending at %d", i)
 			}
-		} else {
-			d.Entries = append(d.Entries, KV{key, count})
+			if count == 0 {
+				return nil, fmt.Errorf("kcount: zero count at entry %d", i)
+			}
+			prev = key
+			if fn != nil {
+				if err := fn(key, count); err != nil {
+					return nil, err
+				}
+			} else {
+				d.Entries = append(d.Entries, KV{key, count})
+			}
+		}
+		if readErr != nil {
+			return nil, fmt.Errorf("kcount: reading entry %d: %w", i, eofAs(readErr, ErrTruncated))
 		}
 	}
 	var tail [4]byte

@@ -61,12 +61,14 @@ func (p Probing) step(i uint64) uint64 {
 // counts. Keys are stored biased by +1 so the zero word can serve as the
 // empty sentinel; this supports every k ≤ 31 (and k = 32 except the all-T
 // k-mer under lexicographic encoding, which the constructor rejects via
-// MaxKey). The table grows by rehashing at 70% load.
+// MaxKey). The table grows by rehashing at 70% load: one doubling when a new
+// key finds it there, or one rehash to whatever Reserve is asked to hold.
 type Table struct {
 	keys   []uint64 // biased: stored = key + 1; 0 = empty
 	counts []uint32
 	mask   uint64
 	n      int // occupied slots
+	limit  int // most keys held before a new one grows the table: ⌊0.7·Cap⌋
 	grows  int // rehashes so far
 	moved  int // keys those rehashes re-inserted, in total
 	prob   Probing
@@ -89,13 +91,22 @@ func NewTable(expected int, prob Probing) *Table {
 	if capacity < 8 {
 		capacity = 8
 	}
-	return &Table{
-		keys:   make([]uint64, capacity),
-		counts: make([]uint32, capacity),
-		mask:   uint64(capacity - 1),
-		prob:   prob,
-	}
+	t := &Table{prob: prob}
+	t.alloc(capacity)
+	return t
 }
+
+// alloc replaces the table's slots by capacity empty ones, a power of two.
+func (t *Table) alloc(capacity int) {
+	t.keys = make([]uint64, capacity)
+	t.counts = make([]uint32, capacity)
+	t.mask = uint64(capacity - 1)
+	t.limit = ceilingOf(capacity)
+}
+
+// ceilingOf returns the most keys a table of capacity slots holds before a
+// new key grows it.
+func ceilingOf(capacity int) int { return int(0.7 * float64(capacity)) }
 
 // Len returns the number of distinct keys stored.
 func (t *Table) Len() int { return t.n }
@@ -106,21 +117,19 @@ func (t *Table) Cap() int { return len(t.keys) }
 // LoadFactor returns occupied/capacity.
 func (t *Table) LoadFactor() float64 { return float64(t.n) / float64(len(t.keys)) }
 
-// Grows returns how many times the table has doubled and rehashed.
+// Grows returns how many times the table has rehashed into a larger one.
 func (t *Table) Grows() int { return t.grows }
 
 // Rehashed returns how many keys those rehashes re-inserted in total.
 func (t *Table) Rehashed() int { return t.moved }
 
 // Add increments the count of key by delta, inserting it if absent, and
-// reports whether the key was newly inserted. It panics on the reserved
-// sentinel key.
+// reports whether the key was newly inserted. Only a new key can grow the
+// table: incrementing a held key never does, however full the table is. It
+// panics on the reserved sentinel key.
 func (t *Table) Add(key uint64, delta uint32) (isNew bool) {
 	if key > MaxKey {
 		panic("kcount: key collides with empty sentinel")
-	}
-	if float64(t.n+1) > 0.7*float64(len(t.keys)) {
-		t.grow()
 	}
 	stored := key + 1
 	slot := slotOf(key, t.mask)
@@ -129,6 +138,12 @@ func (t *Table) Add(key uint64, delta uint32) (isNew bool) {
 		t.Probes++
 		switch t.keys[idx] {
 		case 0:
+			if t.n >= t.limit {
+				// Probes counts the insert that lands, under the grown mask.
+				t.Probes -= i + 1
+				t.rehash(2 * len(t.keys))
+				return t.Add(key, delta)
+			}
 			t.keys[idx] = stored
 			t.counts[idx] = delta
 			t.n++
@@ -174,20 +189,41 @@ func (t *Table) TotalCount() uint64 {
 	return total
 }
 
-func (t *Table) grow() {
-	old := *t
-	t.keys = make([]uint64, len(old.keys)*2)
-	t.counts = make([]uint32, len(old.counts)*2)
-	t.mask = uint64(len(t.keys) - 1)
-	t.n = 0
-	for i, stored := range old.keys {
-		if stored != 0 {
-			t.Add(stored-1, old.counts[i])
+// Reserve makes room for more new keys and returns how many now fit before
+// the table grows. When they fit already it changes nothing — Reserve(0) just
+// reads the room; otherwise the table is rehashed once, to the capacity the
+// growth ceiling needs for Len()+more keys, so the doublings Add would have
+// gone through on the way there, and the tables they abandon, never exist.
+func (t *Table) Reserve(more int) (room int) {
+	capacity := len(t.keys)
+	for t.n+more > ceilingOf(capacity) {
+		capacity *= 2
+	}
+	if capacity > len(t.keys) {
+		t.rehash(capacity)
+	}
+	return t.limit - t.n
+}
+
+// rehash moves the keys into a new table of capacity slots, in slot order.
+// Probes is Add's alone: the moves are Rehashed's to count.
+func (t *Table) rehash(capacity int) {
+	oldKeys, oldCounts := t.keys, t.counts
+	t.moved += t.n
+	t.grows++
+	t.alloc(capacity)
+	for i, stored := range oldKeys {
+		if stored == 0 {
+			continue
+		}
+		slot := slotOf(stored-1, t.mask)
+		for j := uint64(0); ; j++ {
+			if idx := (slot + t.prob.step(j)) & t.mask; t.keys[idx] == 0 {
+				t.keys[idx], t.counts[idx] = stored, oldCounts[i]
+				break
+			}
 		}
 	}
-	t.Probes = old.Probes
-	t.grows++
-	t.moved += old.n
 }
 
 // Merge folds other into t.

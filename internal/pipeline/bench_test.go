@@ -75,6 +75,25 @@ func BenchmarkPipelineKmer(b *testing.B) {
 	}
 }
 
+// BenchmarkPipelineCPUKmer and BenchmarkPipelineCPUSupermer are the CPU
+// engine's rows beside the GPU-layout ones above: the scalar kernels over
+// kcount.Table, where the table loop is the run. Supermer mode decodes each
+// arrival it has to size the table for twice.
+func BenchmarkPipelineCPUKmer(b *testing.B)     { benchRunCPU(b, KmerMode) }
+func BenchmarkPipelineCPUSupermer(b *testing.B) { benchRunCPU(b, SupermerMode) }
+
+func benchRunCPU(b *testing.B, mode Mode) {
+	reads := benchReads(b)
+	cfg := Default(smallCPULayout(), mode)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(cfg, reads); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPipelineStream measures the streaming ingestion path: the
 // shared bounded producer feeding multi-round pulls, against the same
 // dataset BenchmarkPipelineSupermer preloads. The delta against that

@@ -171,7 +171,8 @@ type Config struct {
 	// KeepTables retains each rank's counted table in Result.Tables (they
 	// are discarded by default: at scale they dominate memory). Downstream
 	// consumers — de Bruijn graph construction, set operations, database
-	// export — use them for per-k-mer access beyond the histogram.
+	// export — use them for per-k-mer access beyond the histogram. Run
+	// collects the heap around the ranks of such a run (see Run).
 	KeepTables bool
 	// BalancedPartition enables the frequency-aware minimizer-to-rank
 	// assignment (supermer mode only): minimizer bins are weighted by

@@ -72,7 +72,8 @@ type work struct {
 	stats    gpusim.KernelStats // GPU engines
 	kernel   time.Duration      // GPU engines: per-launch kernel times, summed
 	launches int                // GPU engines: count-kernel launches
-	grow     time.Duration      // GPU engines: wall time inside AtomicTable.Reserve
+	grow     time.Duration      // wall time inside the table's Reserve
+	reserved int                // most keys a Reserve was asked to make the table hold
 }
 
 func (w *work) add(o work) {
@@ -81,6 +82,7 @@ func (w *work) add(o work) {
 	w.kernel += o.kernel
 	w.launches += o.launches
 	w.grow += o.grow
+	w.reserved = max(w.reserved, o.reserved)
 }
 
 // ops is the compute-op tally reported as Result.ParseCompute/CountCompute.
@@ -139,7 +141,7 @@ type cpuEngine[T unit] struct {
 	bloom     *kcount.Bloom
 	send      [parseSlots][][]T // per-slot send rows, truncated and reused
 	parseRows func(cfg Config, destMap []uint16, nDest int, data []byte, prev [][]T) ([][]T, kernels.WorkMeter, error)
-	countRows func(cfg Config, table *kcount.Table, bloom *kcount.Bloom, rows [][]T) (kernels.WorkMeter, error)
+	countRows func(cfg Config, table *kcount.Table, bloom *kcount.Bloom, rows [][]T) (work, error)
 }
 
 // newCPUEngine completes e, which arrives holding the mode's kernel pair:
@@ -182,8 +184,7 @@ func (e *cpuEngine[T]) parse(slot int, data []byte) ([][]T, work, error) {
 }
 
 func (e *cpuEngine[T]) count(recv [][]T) (work, error) {
-	m, err := e.countRows(e.cfg, e.table, e.bloom, recv)
-	return work{meter: m}, err
+	return e.countRows(e.cfg, e.table, e.bloom, recv)
 }
 
 func (e *cpuEngine[T]) modeled(w work) time.Duration {
@@ -284,8 +285,10 @@ func (e *gpuEngine[T]) count(recv [][]T) (w work, err error) {
 	for from, left := 0, in.Kmers(); ; {
 		room := e.table.Room()
 		if room < min(left, max(e.table.Ceiling()/4, minLaunch)) {
+			incoming := min(left, max(e.table.Len(), minLaunch))
+			w.reserved = max(w.reserved, e.table.Len()+incoming)
 			began := time.Now()
-			e.table.Reserve(min(left, max(e.table.Len(), minLaunch)))
+			e.table.Reserve(incoming)
 			w.grow += time.Since(began)
 			room = e.table.Room()
 		}

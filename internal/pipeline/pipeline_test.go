@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"runtime"
 	"testing"
 
 	"dedukt/internal/cluster"
@@ -356,5 +357,28 @@ func TestKeepTablesAndGPUStats(t *testing.T) {
 	}
 	if plain.Tables != nil || plain.MergedTable() != nil {
 		t.Fatal("tables retained without KeepTables")
+	}
+}
+
+// TestKeepTablesRunCollects pins the two collections that bracket the ranks
+// of a run whose tables the caller keeps, and that no other run forces one.
+func TestKeepTablesRunCollects(t *testing.T) {
+	reads := testReads(t, 12_000, 5)
+	forced := func(keep bool) uint32 {
+		cfg := Default(smallCPULayout(), KmerMode)
+		cfg.KeepTables = keep
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Run(cfg, reads); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.NumForcedGC - before.NumForcedGC
+	}
+	if n := forced(true); n != 2 {
+		t.Errorf("a run that keeps its tables forced %d collections, want 2", n)
+	}
+	if n := forced(false); n != 0 {
+		t.Errorf("a run that discards its tables forced %d collections, want 0", n)
 	}
 }

@@ -230,15 +230,17 @@ func (s tableStats) publish(reg *obs.Registry, rank int) {
 
 // publishCount publishes, beside the rank's table statistics, what its
 // count phase did around the table: the count-kernel launches it made — an
-// arrival cut into too many shows here — and the wall time it spent growing
-// the table between them, which no modeled time is charged for.
+// arrival cut into too many shows here — the wall time it spent growing the
+// table between them, which no modeled time is charged for, and the most keys
+// it reserved room for, to read against the keys the table ended with.
 func (o *rankOutcome) publishCount(reg *obs.Registry, rank int) {
 	if reg == nil {
 		return
 	}
 	l := obs.L("rank", strconv.Itoa(rank))
 	reg.Gauge("pipeline_count_launches", "Count-kernel launches the rank's count phase made (GPU engine; spill: over all pass-2 records).", l).Set(float64(o.launches))
-	reg.Gauge("pipeline_table_grow_seconds", "Wall time the rank's count phase spent growing and rehashing its counter table (GPU engine; spill: summed over the pass-2 bins).", l).Set(o.grow.Seconds())
+	reg.Gauge("pipeline_table_grow_seconds", "Wall time the rank's count phase spent inside its counter table's Reserve, growing and rehashing it (spill: summed over the pass-2 bins; the doublings the CPU table makes on its own are not timed).", l).Set(o.grow.Seconds())
+	reg.Gauge("pipeline_table_reserved_keys", "Most keys, held and expected, the rank's count phase asked its counter table to have room for (CPU engine: sized from the arrival's sample slice; spill: most over the pass-2 bins; 0: every arrival fit the room it found).", l).Set(float64(o.reserved))
 }
 
 // tally sums a row vector's exchanged items and payload bytes, each row
@@ -262,6 +264,7 @@ func chargeCount[T unit](o *rankOutcome, eng engine[T], w work) time.Duration {
 	o.countSt.Add(w.stats)
 	o.launches += w.launches
 	o.grow += w.grow
+	o.reserved = max(o.reserved, w.reserved)
 	return modeled
 }
 

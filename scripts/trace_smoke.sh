@@ -74,6 +74,26 @@ echo "trace-smoke: validating -report output"
 grep -q 'observability report:' "$report" || fail "-report printed no report"
 grep -q 'slowest rank overall' "$report" || fail "-report missing slowest-rank attribution"
 grep -q 'kernel staging pool: [1-9]' "$report" || fail "-report missing the kernel staging pool line"
+grep -q 'counter tables: at most [1-9]' "$report" || fail "-report missing the counter tables line"
+
+# --- CPU engine: it sizes each rank's table from a slice of the arrival, so
+# it too publishes what that reservation asked for and the wall time it took
+# (one node of the CPU layout is 42 ranks).
+cmetrics="$TRACE_SMOKE_OUT/cpu_metrics.prom"
+creport="$TRACE_SMOKE_OUT/cpu_report.txt"
+
+echo "trace-smoke: running a traced CPU-engine pipeline"
+go run ./cmd/dedukt -engine cpu -mode kmer -nodes 1 -hist 0 -top 0 \
+    -report -metrics-out "$cmetrics" \
+    > "$creport" 2>&1 || { cat "$creport" >&2; fail "dedukt CPU-engine run"; }
+for series in pipeline_table_slots pipeline_table_reserved_keys pipeline_table_grow_seconds; do
+    [ "$(grep -c "^$series{rank=\"[0-9]*\"} [0-9]" "$cmetrics")" = 42 ] \
+        || fail "CPU-engine metrics missing $series for some of the 42 ranks"
+done
+grep -q '^pipeline_table_reserved_keys{rank="0"} [1-9]' "$cmetrics" \
+    || fail "CPU-engine rank 0 reserved no table room"
+grep -q 'counter tables: at most [1-9][0-9]* slots holding [1-9][0-9]* keys, room reserved for [1-9]' "$creport" \
+    || fail "CPU-engine -report missing the counter tables line"
 
 # --- overlapped schedule: a faulted multi-round run with -overlap must
 # produce a valid trace whose retry spans nest inside their round's
