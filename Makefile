@@ -42,11 +42,13 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzSpillBin -fuzztime 30s ./internal/pipeline/
 	$(GO) test -run xxx -fuzz FuzzHandlerKmer -fuzztime 30s -fuzzminimizetime 5s ./internal/kserve/
 	$(GO) test -run xxx -fuzz FuzzHandlerBatch -fuzztime 30s -fuzzminimizetime 5s ./internal/kserve/
+	$(GO) test -run xxx -fuzz FuzzProxyKmer -fuzztime 30s -fuzzminimizetime 5s ./internal/kcluster/
+	$(GO) test -run xxx -fuzz FuzzProxyBatch -fuzztime 30s -fuzzminimizetime 5s ./internal/kcluster/
 
 # Run every fuzz target over its checked-in seed corpus only (fast,
 # deterministic — what `ci` uses).
 fuzz-seeds:
-	$(GO) test -run 'Fuzz' ./internal/fastq/ ./internal/minimizer/ ./internal/kcount/ ./internal/kernels/ ./internal/obs/ ./internal/pipeline/ ./internal/kserve/
+	$(GO) test -run 'Fuzz' ./internal/fastq/ ./internal/minimizer/ ./internal/kcount/ ./internal/kernels/ ./internal/obs/ ./internal/pipeline/ ./internal/kserve/ ./internal/kcluster/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -2,11 +2,13 @@
 // GET /kmer and POST /batch) with a reproducible synthetic workload and
 // prints a JSON latency/throughput summary.
 //
-//	kload -target http://127.0.0.1:9090 -n 100000 -batch 64 -c 16
-//	kload -target http://127.0.0.1:9090 -n 50000 -qps 20000   # open loop
+//	kload -kcd counts.kcd -target http://127.0.0.1:9090 -n 100000 -batch 64 -c 16
+//	kload -kcd counts.kcd -target http://127.0.0.1:9090 -n 50000 -qps 20000   # open loop
 //
-// Keys are sampled from a fixed population under a zipfian (default) or
-// uniform mix; k is learned from the target's /healthz. With -qps the
+// Keys are sampled, under a zipfian (default) or uniform mix, from a fixed
+// population drawn out of the KCD the target serves, so every lookup is
+// of a k-mer the cluster holds (the summary's "present" says how many
+// were answered so). With -qps the
 // harness runs open-loop: every request has a scheduled arrival time and
 // latency is measured from that schedule, so server stalls show up as the
 // queueing delay they caused instead of being silently absorbed
@@ -25,6 +27,7 @@ import (
 	"syscall"
 
 	"dedukt/internal/kcluster"
+	"dedukt/internal/kserve"
 	"dedukt/internal/obs"
 )
 
@@ -33,8 +36,9 @@ func main() {
 	log.SetPrefix("kload: ")
 	var (
 		target = flag.String("target", "http://127.0.0.1:9090", "base URL of the kproxy (or kserve) under load")
+		kcd    = flag.String("kcd", "", "the KCD the target serves; lookup keys are drawn from its entries (required)")
 		n      = flag.Int("n", 10000, "measured requests")
-		warmup = flag.Int("warmup", 0, "untimed warmup requests (fills caches and the hedge histogram)")
+		warmup = flag.Int("warmup", 0, "untimed warmup requests (fills the proxy's hedge latency histogram)")
 		batch  = flag.Int("batch", 1, "lookups per request (1 = GET /kmer, >1 = POST /batch)")
 		conc   = flag.Int("c", 8, "concurrent workers")
 		qps    = flag.Float64("qps", 0, "open-loop offered rate in lookups/sec (0 = closed loop)")
@@ -68,8 +72,16 @@ func main() {
 	if *traceSample > 0 {
 		tracer = obs.NewTracer("kload", *traceSample, 0)
 	}
+	if *kcd == "" {
+		log.Fatal("-kcd is required")
+	}
+	db, err := kserve.LoadDatabases([]string{*kcd})
+	if err != nil {
+		log.Fatal(err)
+	}
 	sum, err := kcluster.RunLoad(ctx, kcluster.LoadOptions{
 		Target:      *target,
+		DB:          db,
 		Requests:    *n,
 		Warmup:      *warmup,
 		Batch:       *batch,

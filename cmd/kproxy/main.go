@@ -1,10 +1,10 @@
 // Command kproxy fronts a replicated kserve cluster: it probes the seed
 // replicas' /healthz, learns the cluster shape (k, canonical, shard
-// count), places each shard's replicas on a consistent-hash ring, and
-// routes GET /kmer/{seq} and POST /batch by the pipeline's owner hash —
-// hedging slow requests at a latency quantile, retrying hard failures on
-// the next ring candidate, and degrading batches to per-key error markers
-// when a shard loses every replica.
+// count), keeps a table of each shard's routable replicas, and routes
+// GET /kmer/{seq} and POST /batch by the pipeline's owner hash — taking a
+// shard's replicas in turn, hedging slow requests at a latency quantile,
+// retrying hard failures on the shard's next replica, and degrading
+// batches to per-key error markers when a shard loses every replica.
 //
 //	kserve -kcd counts.kcd -shard 0/2 -addr :8081 &
 //	kserve -kcd counts.kcd -shard 0/2 -addr :8082 &
@@ -66,12 +66,7 @@ func main() {
 	var (
 		addr          = flag.String("addr", "127.0.0.1:9090", "listen address (port 0 picks a free port)")
 		probeInterval = flag.Duration("probe-interval", 250*time.Millisecond, "replica /healthz probe period")
-		failThreshold = flag.Int("fail-threshold", 2, "consecutive hard failures before a replica is down")
-		vnodes        = flag.Int("vnodes", 64, "virtual nodes per replica on each shard ring")
-		hedgeQ        = flag.Float64("hedge-quantile", 0.9, "observed-latency quantile at which a hedge fires")
-		hedgeMin      = flag.Duration("hedge-min", time.Millisecond, "lower clamp on the hedge delay")
 		hedgeMax      = flag.Duration("hedge-max", 25*time.Millisecond, "upper clamp on the hedge delay (also the cold-start delay)")
-		reqTimeout    = flag.Duration("request-timeout", 2*time.Second, "per-upstream-attempt timeout")
 		encoding      = flag.String("encoding", "random", "base encoding the replicas serve: random (CLI default) or lex")
 		traceSample   = flag.Int("trace-sample", 0, "enable request tracing: root a span for 1-in-N headerless requests; incoming sampled traceparents are always continued (0 disables rooting; tracing stays on if -trace-out is set)")
 		traceOut      = flag.String("trace-out", "", "write the recorded span buffer to this file on exit (tracing also serves /debug/trace live)")
@@ -96,8 +91,6 @@ func main() {
 	reg, err := kcluster.NewRegistry(kcluster.RegistryOptions{
 		Seeds:         replicas,
 		ProbeInterval: *probeInterval,
-		FailThreshold: *failThreshold,
-		Vnodes:        *vnodes,
 		Logf:          log.Printf,
 	})
 	if err != nil {
@@ -117,12 +110,9 @@ func main() {
 	}
 	obs.ServePprof(*pprofAddr, log.Printf)
 	router := kcluster.NewRouter(reg, kcluster.RouterOptions{
-		Enc:            enc,
-		HedgeQuantile:  *hedgeQ,
-		HedgeMin:       *hedgeMin,
-		HedgeMax:       *hedgeMax,
-		RequestTimeout: *reqTimeout,
-		Tracer:         tracer,
+		Enc:      enc,
+		HedgeMax: *hedgeMax,
+		Tracer:   tracer,
 	})
 	obs.RegisterBuildInfo(reg.Obs(), "kproxy")
 	writeTrace := func() {

@@ -36,7 +36,7 @@ func sampleDB(t testing.TB, k, n int, seed int64) *kcount.Database {
 // testReplica is one real kserve process-equivalent: a Service behind an
 // http.Server on a loopback port, holding one cluster shard of db.
 type testReplica struct {
-	t      *testing.T
+	t      testing.TB
 	db     *kcount.Database
 	idx    int
 	of     int
@@ -49,7 +49,7 @@ type testReplica struct {
 }
 
 // start brings the replica up; addr "" picks a free port, a previous addr
-// restarts it in place (ring-rebalance tests).
+// restarts it in place (rebalance tests).
 func (r *testReplica) start(addr string) {
 	r.t.Helper()
 	if addr == "" {
@@ -98,7 +98,7 @@ func (r *testReplica) stop() {
 
 // startCluster starts replicasPer replicas for each of shardCount shards.
 // reps[shard*replicasPer+j] is replica j of that shard.
-func startCluster(t *testing.T, db *kcount.Database, shardCount, replicasPer int) ([]*testReplica, []string) {
+func startCluster(t testing.TB, db *kcount.Database, shardCount, replicasPer int) ([]*testReplica, []string) {
 	t.Helper()
 	var reps []*testReplica
 	var seeds []string
@@ -115,15 +115,9 @@ func startCluster(t *testing.T, db *kcount.Database, shardCount, replicasPer int
 
 // newTestRegistry builds a registry probed only via ProbeNow (the
 // background interval is an hour), so tests control state transitions.
-func newTestRegistry(t *testing.T, seeds []string) *Registry {
+func newTestRegistry(t testing.TB, seeds []string) *Registry {
 	t.Helper()
-	reg, err := NewRegistry(RegistryOptions{
-		Seeds:         seeds,
-		ProbeInterval: time.Hour,
-		ProbeTimeout:  2 * time.Second,
-		FailThreshold: 2,
-		Logf:          t.Logf,
-	})
+	reg, err := NewRegistry(RegistryOptions{Seeds: seeds, ProbeInterval: time.Hour, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,6 +127,11 @@ func newTestRegistry(t *testing.T, seeds []string) *Registry {
 }
 
 func seqOf(key uint64, k int) string { return dna.Kmer(key).String(&dna.Random, k) }
+
+// candidatesOf is the candidate order the next request to shard would get.
+func candidatesOf(reg *Registry, shard int) []*Replica {
+	return reg.view.Load().table[shard].candidates()
+}
 
 func TestRouterRoutesAndMatches(t *testing.T) {
 	const k = 17
@@ -198,7 +197,7 @@ func TestHedgeFiresAndWins(t *testing.T) {
 	slow := &testReplica{t: t, db: db, idx: 0, of: 1, slow: 60 * time.Millisecond}
 	slow.start("")
 	reg := newTestRegistry(t, []string{fast.addr, slow.addr})
-	rt := NewRouter(reg, RouterOptions{HedgeMin: time.Millisecond, HedgeMax: 5 * time.Millisecond})
+	rt := NewRouter(reg, RouterOptions{HedgeMax: 5 * time.Millisecond})
 	ctx := context.Background()
 
 	start := time.Now()
@@ -218,7 +217,7 @@ func TestHedgeFiresAndWins(t *testing.T) {
 	if rt.met.hedgeWins.Value() == 0 {
 		t.Fatal("no hedge ever won the race")
 	}
-	// ~half the keys have the straggler as primary; without hedging those
+	// The straggler is primary for half the lookups; without hedging those
 	// 40 lookups alone would take ≥ 2.4s.
 	if elapsed > 2*time.Second {
 		t.Fatalf("80 hedged lookups took %v", elapsed)
@@ -252,13 +251,13 @@ func TestReplicaFailureRetriesAndGoesDown(t *testing.T) {
 		t.Fatalf("dead replica state = %v, want down", got)
 	}
 	if reg.Rebalances() == before {
-		t.Fatal("ring not rebalanced after replica death")
+		t.Fatal("view not rebuilt after replica death")
 	}
 	// Down replica is no longer a candidate.
-	for _, e := range db.Entries[:50] {
-		for _, c := range reg.Candidates(0, e.Key) {
+	for i := 0; i < 4; i++ {
+		for _, c := range candidatesOf(reg, 0) {
 			if c.Addr == reps[1].addr {
-				t.Fatal("down replica still on the ring")
+				t.Fatal("down replica still a candidate")
 			}
 		}
 	}
@@ -308,7 +307,7 @@ func TestAllReplicasDownPartialBatch(t *testing.T) {
 	}
 }
 
-func TestRingRebalanceOnReturn(t *testing.T) {
+func TestRebalanceOnReturn(t *testing.T) {
 	const k = 17
 	db := sampleDB(t, k, 1000, 5)
 	reps, seeds := startCluster(t, db, 1, 2)
@@ -331,16 +330,16 @@ func TestRingRebalanceOnReturn(t *testing.T) {
 		t.Fatalf("state after return = %v, want up", got)
 	}
 	if reg.Rebalances() == afterDown {
-		t.Fatal("ring not rebalanced when the replica returned")
+		t.Fatal("view not rebuilt when the replica returned")
 	}
 	found := false
-	for _, c := range reg.Candidates(0, db.Entries[0].Key) {
+	for _, c := range candidatesOf(reg, 0) {
 		if c.Addr == addr {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatal("returned replica not back on the ring")
+		t.Fatal("returned replica not routable again")
 	}
 }
 
@@ -360,7 +359,7 @@ func TestDrainShiftsTraffic(t *testing.T) {
 	}
 	// The draining replica is still routable — but never the primary.
 	for _, e := range db.Entries[:100] {
-		cands := reg.Candidates(0, e.Key)
+		cands := candidatesOf(reg, 0)
 		if len(cands) != 2 {
 			t.Fatalf("want both replicas routable, got %d", len(cands))
 		}
@@ -390,6 +389,7 @@ func TestLoadgenAgainstCluster(t *testing.T) {
 
 	sum, err := RunLoad(context.Background(), LoadOptions{
 		Target:      "http://" + ln.Addr().String(),
+		DB:          db,
 		Requests:    150,
 		Warmup:      20,
 		Batch:       16,
@@ -406,6 +406,9 @@ func TestLoadgenAgainstCluster(t *testing.T) {
 	if sum.Errors != 0 || sum.KeyErrors != 0 {
 		t.Fatalf("load run saw errors: %+v", sum)
 	}
+	if sum.Present != sum.Lookups {
+		t.Fatalf("%d of %d lookups found a k-mer the cluster serves", sum.Present, sum.Lookups)
+	}
 	if sum.Latency.P50 <= 0 || sum.Latency.P999 < sum.Latency.P50 {
 		t.Fatalf("implausible latency digest: %+v", sum.Latency)
 	}
@@ -413,6 +416,7 @@ func TestLoadgenAgainstCluster(t *testing.T) {
 	// Open-loop mode measures from the scheduled arrival.
 	open, err := RunLoad(context.Background(), LoadOptions{
 		Target:      "http://" + ln.Addr().String(),
+		DB:          db,
 		Requests:    100,
 		Batch:       1,
 		Concurrency: 4,
@@ -423,8 +427,8 @@ func TestLoadgenAgainstCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if open.Errors != 0 {
-		t.Fatalf("open-loop run saw errors: %+v", open)
+	if open.Errors != 0 || open.Present != open.Lookups {
+		t.Fatalf("open-loop run saw errors or misses: %+v", open)
 	}
 	if open.WallSec < 0.04 {
 		t.Fatalf("open loop finished in %.3fs, faster than the offered rate allows", open.WallSec)
@@ -508,7 +512,7 @@ func TestEndToEndTracing(t *testing.T) {
 	slow.start("")
 	reg := newTestRegistry(t, []string{fast.addr, slow.addr})
 	proxyTracer := obs.NewTracer("kproxy", 1, 0)
-	rt := NewRouter(reg, RouterOptions{HedgeMin: time.Millisecond, HedgeMax: 5 * time.Millisecond, Tracer: proxyTracer})
+	rt := NewRouter(reg, RouterOptions{HedgeMax: 5 * time.Millisecond, Tracer: proxyTracer})
 	srv := httptest.NewServer(NewHandler(rt))
 	defer srv.Close()
 
@@ -518,7 +522,7 @@ func TestEndToEndTracing(t *testing.T) {
 		Requests:    60,
 		Concurrency: 4,
 		Keys:        256,
-		K:           k,
+		DB:          db,
 		Tracer:      loadTracer,
 		SLO:         &SLO{Target: 2 * time.Second, Quantile: 0.99},
 	})

@@ -1,36 +1,36 @@
 // Package kcluster is the replicated serving tier over internal/kserve: a
 // replica registry (static seed list, periodic /healthz probing, EWMA
-// latency and inflight tracking), a consistent-hash ring per cluster shard,
-// and a front router that fans point and batch lookups out per shard,
-// hedges slow requests, retries failed ones, and degrades to per-key error
-// markers when a shard loses every replica.
+// latency and inflight tracking), a shard table mapping every cluster
+// shard to its routable replicas, and a front router that fans point and
+// batch lookups out per shard, hedges slow requests, retries failed ones,
+// and degrades to per-key error markers when a shard loses every replica.
 //
 // The cluster applies the paper's owner-hash partitioning to the query
 // path: every key belongs to cluster shard kernels.DestOf(key, S) — the
 // same hash that assigned it to a counting rank — and each shard is held
 // by N kserve replicas started with `-shard s/S` over the same database
 // (kserve.FilterShard). The router never stores spectrum data; it only
-// knows the hash, the ring, and the replicas' health:
+// knows the hash, the shard table, and the replicas' health:
 //
 //   - Registry probes every replica's /healthz on a fixed interval,
 //     classifying it Up (200), Draining (503 with an orderly "draining"
 //     body — kserve's BeginDrain handoff), or Down (consecutive hard
 //     failures). Identity (replica id, shard, k, canonical) is learned
 //     from the probe, so the seed list is just addresses.
-//   - Each shard's replicas are placed on a consistent-hash ring with
-//     virtual nodes. A key's candidate order is the ring walk from the
-//     key's hash: the primary is sticky (one replica's LRU gets hot for
-//     that key), the successor is the hedge/retry target, and replica
-//     loss only remaps the lost arc. Ring rebuilds are counted as
-//     rebalance events.
+//   - Every change of membership or routability publishes a new immutable
+//     view (a rebalance event): the learned shape and, per shard, its
+//     routable replicas — Up ahead of Draining — with a round-robin
+//     cursor. A replica is the sorted spectrum read in place, so any Up
+//     replica of a shard answers any of its keys equally well: a request
+//     loads the view once and takes the shard's Up replicas rotated by the
+//     cursor (primary, then hedge/retry targets), draining ones last.
 //   - Router sends each lookup (or per-shard sub-batch) to the primary,
 //     arms a hedge timer at a latency quantile (obs.Histogram.Quantile of
-//     observed upstream latencies, clamped to [HedgeMin, HedgeMax]), and
+//     observed upstream latencies, clamped to [hedgeMin, HedgeMax]), and
 //     fires the same idempotent request at the next candidate if the
 //     timer expires first — first success wins, losers are canceled. Hard
 //     failures skip the timer and retry immediately, so killing a replica
-//     mid-run costs latency, not errors. Draining replicas sort last in
-//     the candidate order: routable as a last resort, avoided otherwise.
+//     mid-run costs latency, not errors.
 //
 // cmd/kproxy wraps Router in a binary; cmd/kload (over RunLoad in this
 // package) is the open-loop load harness used to prove the tier under a

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"sort"
@@ -14,6 +15,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dedukt/internal/dna"
+	"dedukt/internal/kcount"
 	"dedukt/internal/obs"
 )
 
@@ -22,8 +25,11 @@ import (
 type LoadOptions struct {
 	// Target is the base URL, e.g. "http://127.0.0.1:9090".
 	Target string
+	// DB is the spectrum the target serves: the key population is drawn
+	// from its entries, so every lookup is of a k-mer the cluster holds.
+	DB *kcount.Database
 	// Requests is the number of measured HTTP requests; Warmup requests
-	// run first, untimed, to fill caches and the hedge latency histogram.
+	// run first, untimed, to fill the proxy's hedge latency histogram.
 	Requests int
 	Warmup   int
 	// Batch is the lookups per request: 1 sends GET /kmer/{seq}, larger
@@ -41,8 +47,6 @@ type LoadOptions struct {
 	Keys  int
 	Dist  string
 	ZipfS float64
-	// K is the k-mer length; 0 learns it from GET {Target}/healthz.
-	K int
 	// Seed makes the key population and arrival mix reproducible
 	// (default 1).
 	Seed int64
@@ -114,6 +118,7 @@ type LoadSummary struct {
 	Lookups     uint64         `json:"lookups"`
 	Errors      uint64         `json:"errors"`
 	KeyErrors   uint64         `json:"key_errors"`
+	Present     uint64         `json:"present"` // lookups answered present: true
 	WallSec     float64        `json:"wall_sec"`
 	QPSOffered  float64        `json:"qps_offered"` // lookups/sec; 0 = closed loop
 	QPSAchieved float64        `json:"qps_achieved"`
@@ -197,40 +202,12 @@ func evalSLO(slo SLO, lat []float64) *SLOSummary {
 	return out
 }
 
-// learnK asks the target's /healthz for the served k-mer length (both
-// kproxy and kserve report it).
-func learnK(ctx context.Context, client *http.Client, target string) (int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target+"/healthz", nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	var h struct {
-		K int `json:"k"`
-	}
-	if err := json.NewDecoder(&limitedReader{r: resp.Body, n: 1 << 16}).Decode(&h); err != nil {
-		return 0, fmt.Errorf("bad healthz body from %s: %v", target, err)
-	}
-	if h.K <= 0 {
-		return 0, fmt.Errorf("target %s reports k=%d", target, h.K)
-	}
-	return h.K, nil
-}
-
-// makeKeys generates the sampled k-mer population.
-func makeKeys(rng *rand.Rand, n, k int) []string {
-	const bases = "ACGT"
+// makeKeys draws the sampled k-mer population from the served spectrum,
+// rendered under dna.Random — the encoding every CLI defaults to.
+func makeKeys(rng *rand.Rand, n int, db *kcount.Database) []string {
 	keys := make([]string, n)
-	buf := make([]byte, k)
 	for i := range keys {
-		for j := range buf {
-			buf[j] = bases[rng.Intn(4)]
-		}
-		keys[i] = string(buf)
+		keys[i] = dna.Kmer(db.Entries[rng.Intn(db.Len())].Key).String(&dna.Random, db.K)
 	}
 	return keys
 }
@@ -270,14 +247,10 @@ func RunLoad(ctx context.Context, opts LoadOptions) (LoadSummary, error) {
 	if opts.Dist != "zipf" && opts.Dist != "uniform" {
 		return LoadSummary{}, fmt.Errorf("kcluster: unknown key distribution %q", opts.Dist)
 	}
-	k := opts.K
-	if k <= 0 {
-		var err error
-		if k, err = learnK(ctx, opts.Client, opts.Target); err != nil {
-			return LoadSummary{}, err
-		}
+	if opts.DB == nil || opts.DB.Len() == 0 {
+		return LoadSummary{}, fmt.Errorf("kcluster: load needs the served database to draw keys from")
 	}
-	keys := makeKeys(rand.New(rand.NewSource(opts.Seed)), opts.Keys, k)
+	keys := makeKeys(rand.New(rand.NewSource(opts.Seed)), opts.Keys, opts.DB)
 
 	if opts.Warmup > 0 {
 		opts.Logf("warmup: %d requests", opts.Warmup)
@@ -303,6 +276,7 @@ func runPhase(ctx context.Context, opts LoadOptions, keys []string) LoadSummary 
 		next      atomic.Int64
 		errs      atomic.Uint64
 		keyErrs   atomic.Uint64
+		present   atomic.Uint64
 		completed atomic.Uint64
 		lookups   atomic.Uint64
 	)
@@ -343,14 +317,21 @@ func runPhase(ctx context.Context, opts LoadOptions, keys []string) LoadSummary 
 					batch[j] = keys[pick.next()]
 				}
 				span := opts.Tracer.StartRoot("request", tid)
-				ke, err := doRequest(ctx, opts, batch, span.Context())
+				results, err := doRequest(ctx, opts, batch, span.Context())
 				latencies[i] = float64(time.Since(sent)) / float64(time.Microsecond)
 				completed.Add(1)
 				lookups.Add(uint64(opts.Batch))
-				keyErrs.Add(uint64(ke))
 				if err != nil {
 					errs.Add(1)
 					span.SetAttr("error", err.Error())
+					results = nil
+				}
+				for _, res := range results {
+					if res.Error != "" {
+						keyErrs.Add(1)
+					} else if res.Present {
+						present.Add(1)
+					}
 				}
 				span.End()
 			}
@@ -363,6 +344,7 @@ func runPhase(ctx context.Context, opts LoadOptions, keys []string) LoadSummary 
 		Lookups:    lookups.Load(),
 		Errors:     errs.Load(),
 		KeyErrors:  keyErrs.Load(),
+		Present:    present.Load(),
 		WallSec:    wall,
 		QPSOffered: opts.QPS,
 	}
@@ -376,68 +358,49 @@ func runPhase(ctx context.Context, opts LoadOptions, keys []string) LoadSummary 
 	return sum
 }
 
-// doRequest sends one lookup (batch of 1 → GET /kmer) or batch request,
-// returning the per-key error-marker count and a request-level error. A
-// sampled span context rides the request as its traceparent so the serving
-// tier joins the trace rooted here.
-func doRequest(ctx context.Context, opts LoadOptions, batch []string, sc obs.SpanContext) (keyErrors int, err error) {
-	if len(batch) == 1 {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, opts.Target+"/kmer/"+batch[0], nil)
+// doRequest sends one lookup (batch of 1 → GET /kmer) or batch request and
+// returns the per-key answers, or a request-level error. A sampled span
+// context rides the request as its traceparent so the serving tier joins
+// the trace rooted here.
+func doRequest(ctx context.Context, opts LoadOptions, batch []string, sc obs.SpanContext) ([]Result, error) {
+	method, url, limit := http.MethodGet, opts.Target+"/kmer/"+batch[0], int64(maxPointBody)
+	var body io.Reader
+	if len(batch) > 1 {
+		payload, err := json.Marshal(struct {
+			Kmers []string `json:"kmers"`
+		}{Kmers: batch})
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		if sc.Sampled {
-			req.Header.Set(obs.TraceparentHeader, sc.Traceparent())
-		}
-		resp, err := opts.Client.Do(req)
-		if err != nil {
-			return 0, err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return 0, readStatusError(resp)
-		}
-		var res Result
-		if err := json.NewDecoder(&limitedReader{r: resp.Body, n: 1 << 16}).Decode(&res); err != nil {
-			return 0, err
-		}
-		if res.Error != "" {
-			return 1, nil
-		}
-		return 0, nil
+		method, url, limit, body = http.MethodPost, opts.Target+"/batch", maxBatchBody, bytes.NewReader(payload)
 	}
-	body, err := json.Marshal(struct {
-		Kmers []string `json:"kmers"`
-	}{Kmers: batch})
+	req, err := http.NewRequestWithContext(ctx, method, url, body)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, opts.Target+"/batch", bytes.NewReader(body))
-	if err != nil {
-		return 0, err
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
-	req.Header.Set("Content-Type", "application/json")
 	if sc.Sampled {
 		req.Header.Set(obs.TraceparentHeader, sc.Traceparent())
 	}
 	resp, err := opts.Client.Do(req)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return 0, readStatusError(resp)
+		return nil, readStatusError(resp)
+	}
+	dec := json.NewDecoder(io.LimitReader(resp.Body, limit))
+	if body == nil {
+		var res Result
+		err = dec.Decode(&res)
+		return []Result{res}, err
 	}
 	var br BatchResponse
-	if err := json.NewDecoder(&limitedReader{r: resp.Body, n: maxBatchBody}).Decode(&br); err != nil {
-		return 0, err
-	}
-	for i := range br.Results {
-		if br.Results[i].Error != "" {
-			keyErrors++
-		}
-	}
-	return keyErrors, nil
+	err = dec.Decode(&br)
+	return br.Results, err
 }
 
 // summarize digests latencies (µs) into percentiles.

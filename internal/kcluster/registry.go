@@ -4,8 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dedukt/internal/obs"
@@ -19,17 +22,6 @@ type RegistryOptions struct {
 	Seeds []string
 	// ProbeInterval is how often every replica is probed (default 250ms).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe (default 1s).
-	ProbeTimeout time.Duration
-	// FailThreshold is how many consecutive hard failures (probe or
-	// proxied request) mark a replica Down (default 2).
-	FailThreshold int
-	// Vnodes is the virtual-node count per replica on each shard ring
-	// (default 64).
-	Vnodes int
-	// Client is the HTTP client probes use (default: a private client with
-	// ProbeTimeout).
-	Client *http.Client
 	// Obs, when non-nil, is the observability registry cluster metrics are
 	// registered into; nil creates a private one.
 	Obs *obs.Registry
@@ -38,21 +30,19 @@ type RegistryOptions struct {
 	Logf func(format string, args ...any)
 }
 
+const (
+	// probeTimeout bounds one /healthz probe.
+	probeTimeout = time.Second
+	// failThreshold is how many consecutive hard failures (probe or proxied
+	// request) mark a replica Down.
+	failThreshold = 2
+	// maxPointBody bounds a /healthz or /kmer answer.
+	maxPointBody = 1 << 16
+)
+
 func (o RegistryOptions) withDefaults() RegistryOptions {
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = 250 * time.Millisecond
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = time.Second
-	}
-	if o.FailThreshold <= 0 {
-		o.FailThreshold = 2
-	}
-	if o.Vnodes <= 0 {
-		o.Vnodes = 64
-	}
-	if o.Client == nil {
-		o.Client = &http.Client{Timeout: o.ProbeTimeout}
 	}
 	if o.Obs == nil {
 		o.Obs = obs.NewRegistry()
@@ -77,18 +67,18 @@ type probeHealth struct {
 
 // Registry tracks the cluster's replicas: it probes /healthz on a fixed
 // interval, learns each replica's identity and shard, classifies
-// routability (Up / Draining / Down), and maintains one consistent-hash
-// ring per cluster shard. Every ring rebuild is a rebalance event.
+// routability (Up / Draining / Down), and publishes the routing view
+// requests are served from. Every view rebuild is a rebalance event.
 type Registry struct {
-	opts RegistryOptions
-	met  registryMetrics
+	opts     RegistryOptions
+	met      registryMetrics
+	client   *http.Client
+	replicas []*Replica // fixed by NewRegistry
 
-	mu         sync.RWMutex
-	replicas   []*Replica
-	rings      []*ring // index = cluster shard; nil until shape known
-	shardCount int
-	k          int
-	canonical  bool
+	view atomic.Pointer[view] // nil until the shape is known
+
+	mu    sync.Mutex // orders shape adoption and view rebuilds
+	shape shape      // shards == 0 until a replica has answered
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -110,9 +100,10 @@ func NewRegistry(opts RegistryOptions) (*Registry, error) {
 		return nil, fmt.Errorf("kcluster: no replica seeds")
 	}
 	g := &Registry{
-		opts: opts,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		opts:   opts,
+		client: &http.Client{Timeout: probeTimeout},
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	seen := make(map[string]bool, len(opts.Seeds))
 	for _, addr := range opts.Seeds {
@@ -133,7 +124,7 @@ func NewRegistry(opts RegistryOptions) (*Registry, error) {
 func (g *Registry) initMetrics() {
 	reg := g.opts.Obs
 	g.met = registryMetrics{
-		rebalances:    reg.Counter("kcluster_ring_rebalances_total", "Ring rebuilds caused by replica membership or routability changes."),
+		rebalances:    reg.Counter("kcluster_rebalances_total", "Routing view rebuilds caused by replica membership or routability changes."),
 		probes:        reg.Counter("kcluster_probes_total", "Health probes sent."),
 		probeFailures: reg.Counter("kcluster_probe_failures_total", "Health probes that failed."),
 	}
@@ -193,15 +184,12 @@ func (g *Registry) probeLoop() {
 // ProbeNow runs one synchronous probe pass over every replica.
 func (g *Registry) ProbeNow() { g.probeAll() }
 
-// probeAll probes every replica concurrently, then rebuilds the rings if
+// probeAll probes every replica concurrently, then rebuilds the view if
 // any routability or identity changed.
 func (g *Registry) probeAll() {
-	g.mu.RLock()
-	reps := append([]*Replica(nil), g.replicas...)
-	g.mu.RUnlock()
-	changed := make([]bool, len(reps))
+	changed := make([]bool, len(g.replicas))
 	var wg sync.WaitGroup
-	for i, rep := range reps {
+	for i, rep := range g.replicas {
 		wg.Add(1)
 		go func(i int, rep *Replica) {
 			defer wg.Done()
@@ -221,20 +209,20 @@ func (g *Registry) probeAll() {
 // routability or shard assignment changed.
 func (g *Registry) probeOne(rep *Replica) bool {
 	g.met.probes.Inc()
-	ctx, cancel := context.WithTimeout(context.Background(), g.opts.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	start := time.Now()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+rep.Addr+"/healthz", nil)
 	if err != nil {
 		return g.applyProbeFailure(rep, err)
 	}
-	resp, err := g.opts.Client.Do(req)
+	resp, err := g.client.Do(req)
 	if err != nil {
 		return g.applyProbeFailure(rep, err)
 	}
 	defer resp.Body.Close()
 	var h probeHealth
-	decodeErr := json.NewDecoder(&limitedReader{r: resp.Body, n: 1 << 16}).Decode(&h)
+	decodeErr := json.NewDecoder(io.LimitReader(resp.Body, maxPointBody)).Decode(&h)
 	switch {
 	case resp.StatusCode == http.StatusOK && decodeErr == nil:
 		rep.observe(time.Since(start))
@@ -286,7 +274,7 @@ func (g *Registry) applyProbeFailure(rep *Replica, err error) bool {
 	rep.mu.Lock()
 	rep.fails++
 	rep.lastErr = err.Error()
-	changed := rep.fails >= g.opts.FailThreshold && rep.state != StateDown && rep.state != StateUnknown
+	changed := rep.fails >= failThreshold && rep.state != StateDown && rep.state != StateUnknown
 	prev := rep.state
 	if changed {
 		rep.state = StateDown
@@ -301,7 +289,7 @@ func (g *Registry) applyProbeFailure(rep *Replica, err error) bool {
 // ReportFailure lets the router feed hard request failures (connection
 // refused, 5xx) into the health model without waiting for the next probe
 // tick — a killed replica stops receiving primary traffic after
-// FailThreshold failed requests instead of a probe interval later.
+// failThreshold failed requests instead of a probe interval later.
 func (g *Registry) ReportFailure(rep *Replica, err error) {
 	if g.applyProbeFailure(rep, err) {
 		g.rebuild()
@@ -320,118 +308,79 @@ func (g *Registry) ReportSuccess(rep *Replica, d time.Duration) {
 // adoptShape validates and adopts the cluster shape (k, canonical, shard
 // count) learned from a replica.
 func (g *Registry) adoptShape(h probeHealth) error {
+	got := shape{k: h.K, canonical: h.Canonical, shards: h.ShardCount}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.shardCount == 0 {
-		g.shardCount = h.ShardCount
-		g.k = h.K
-		g.canonical = h.Canonical
-		return nil
+	if g.shape.shards == 0 {
+		g.shape = got
 	}
-	if g.shardCount != h.ShardCount || g.k != h.K || g.canonical != h.Canonical {
+	if g.shape != got {
 		return fmt.Errorf("kcluster: replica shape k=%d canonical=%v shards=%d disagrees with cluster k=%d canonical=%v shards=%d",
-			h.K, h.Canonical, h.ShardCount, g.k, g.canonical, g.shardCount)
+			got.k, got.canonical, got.shards, g.shape.k, g.shape.canonical, g.shape.shards)
 	}
 	return nil
 }
 
-// rebuild reconstructs every shard ring from the currently routable
-// replicas — one rebalance event.
+// rebuild publishes a new view from the replicas' current states — one
+// rebalance event.
 func (g *Registry) rebuild() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.shardCount == 0 {
+	if g.shape.shards == 0 {
 		return
 	}
-	rings := make([]*ring, g.shardCount)
-	for s := range rings {
-		var members []*Replica
-		for _, rep := range g.replicas {
-			rep.mu.Lock()
-			ok := rep.state.Routable() && rep.shard == s && rep.shardCount == g.shardCount
-			rep.mu.Unlock()
-			if ok {
-				members = append(members, rep)
-			}
+	v := &view{shape: g.shape, table: make([]shardView, g.shape.shards)}
+	for _, rep := range g.replicas {
+		rep.mu.Lock()
+		state, shard, of := rep.state, rep.shard, rep.shardCount
+		rep.mu.Unlock()
+		if !state.Routable() || of != g.shape.shards {
+			continue
 		}
-		rings[s] = buildRing(members, g.opts.Vnodes)
+		s := &v.table[shard]
+		if state == StateUp {
+			s.reps = slices.Insert(s.reps, s.up, rep)
+			s.up++
+		} else {
+			s.reps = append(s.reps, rep)
+		}
 	}
-	g.rings = rings
+	g.view.Store(v)
 	g.met.rebalances.Inc()
 }
 
 // Shape returns the learned cluster shape. ready is false until at least
 // one replica has been probed successfully.
 func (g *Registry) Shape() (k int, canonical bool, shards int, ready bool) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.k, g.canonical, g.shardCount, g.shardCount > 0
+	v := g.view.Load()
+	if v == nil {
+		return 0, false, 0, false
+	}
+	return v.k, v.canonical, v.shards, true
 }
 
 // Ready reports whether every cluster shard has at least one Up replica.
 func (g *Registry) Ready() bool {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	if g.shardCount == 0 || len(g.rings) != g.shardCount {
+	v := g.view.Load()
+	if v == nil {
 		return false
 	}
-	for _, r := range g.rings {
-		up := false
-		for _, m := range r.members {
-			if m.State() == StateUp {
-				up = true
-				break
-			}
-		}
-		if !up {
+	for i := range v.table {
+		if v.table[i].up == 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// Candidates returns the key's ordered replica candidates within shard:
-// the sticky ring primary first, then the hedge/retry successors, with
-// draining replicas last. Empty when the shard has no routable replica.
-func (g *Registry) Candidates(shard int, key uint64) []*Replica {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	if shard < 0 || shard >= len(g.rings) || g.rings[shard] == nil {
-		return nil
-	}
-	return g.rings[shard].candidates(key)
-}
-
 // Snapshot returns every replica's current state.
 func (g *Registry) Snapshot() []ReplicaInfo {
-	g.mu.RLock()
-	reps := append([]*Replica(nil), g.replicas...)
-	g.mu.RUnlock()
-	out := make([]ReplicaInfo, len(reps))
-	for i, rep := range reps {
+	out := make([]ReplicaInfo, len(g.replicas))
+	for i, rep := range g.replicas {
 		out[i] = rep.info()
 	}
 	return out
 }
 
-// Rebalances returns how many ring rebuilds have happened.
+// Rebalances returns how many view rebuilds have happened.
 func (g *Registry) Rebalances() uint64 { return g.met.rebalances.Value() }
-
-// limitedReader is io.LimitedReader without the import (bounds healthz
-// bodies).
-type limitedReader struct {
-	r interface{ Read([]byte) (int, error) }
-	n int64
-}
-
-func (l *limitedReader) Read(p []byte) (int, error) {
-	if l.n <= 0 {
-		return 0, fmt.Errorf("kcluster: healthz body too large")
-	}
-	if int64(len(p)) > l.n {
-		p = p[:l.n]
-	}
-	n, err := l.r.Read(p)
-	l.n -= int64(n)
-	return n, err
-}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -25,24 +26,25 @@ const (
 	maxBatchKmers = 8192
 )
 
+// The hedge deadline is the hedgeQuantile of observed winning-upstream
+// latencies, never under hedgeMin, and HedgeMax until hedgeMinSamples
+// latencies make the estimate worth trusting. requestTimeout bounds one
+// upstream attempt.
+const (
+	hedgeQuantile   = 0.9
+	hedgeMin        = time.Millisecond
+	hedgeMinSamples = 64
+	requestTimeout  = 2 * time.Second
+)
+
 // RouterOptions tunes the front router.
 type RouterOptions struct {
 	// Enc is the base encoding queries are packed under; it must match the
 	// replicas' (default dna.Random, the CLI default).
 	Enc *dna.Encoding
-	// HedgeQuantile is the observed-latency quantile at which a hedge
-	// fires (default 0.9).
-	HedgeQuantile float64
-	// HedgeMin / HedgeMax clamp the hedge delay (defaults 1ms / 25ms).
-	// Until HedgeMinSamples latencies are observed the delay is HedgeMax.
-	HedgeMin        time.Duration
-	HedgeMax        time.Duration
-	HedgeMinSamples uint64
-	// RequestTimeout bounds one upstream attempt (default 2s).
-	RequestTimeout time.Duration
-	// Client overrides the upstream HTTP client (default: pooled transport
-	// with RequestTimeout).
-	Client *http.Client
+	// HedgeMax is the upper clamp on the hedge delay, and the delay while
+	// the latency histogram is cold (default 25ms).
+	HedgeMax time.Duration
 	// Tracer, when non-nil, records request spans for sampled traffic:
 	// server spans for /kmer and /batch admission, one span per upstream
 	// attempt (annotated replica, hedged, and winner/canceled/error
@@ -55,29 +57,11 @@ func (o RouterOptions) withDefaults() RouterOptions {
 	if o.Enc == nil {
 		o.Enc = &dna.Random
 	}
-	if o.HedgeQuantile <= 0 || o.HedgeQuantile >= 1 {
-		o.HedgeQuantile = 0.9
-	}
-	if o.HedgeMin <= 0 {
-		o.HedgeMin = time.Millisecond
-	}
 	if o.HedgeMax <= 0 {
 		o.HedgeMax = 25 * time.Millisecond
 	}
-	if o.HedgeMax < o.HedgeMin {
-		o.HedgeMax = o.HedgeMin
-	}
-	if o.HedgeMinSamples == 0 {
-		o.HedgeMinSamples = 64
-	}
-	if o.RequestTimeout <= 0 {
-		o.RequestTimeout = 2 * time.Second
-	}
-	if o.Client == nil {
-		o.Client = &http.Client{
-			Timeout:   o.RequestTimeout,
-			Transport: &http.Transport{MaxIdleConnsPerHost: 256, MaxIdleConns: 1024},
-		}
+	if o.HedgeMax < hedgeMin {
+		o.HedgeMax = hedgeMin
 	}
 	return o
 }
@@ -102,12 +86,13 @@ type BatchResponse struct {
 }
 
 // Router fans lookups out to the registry's replicas: shard by the
-// pipeline owner hash, pick candidates off the shard ring, hedge at a
-// latency quantile, retry hard failures, degrade per key.
+// pipeline owner hash, take the shard's candidates from the routing view,
+// hedge at a latency quantile, retry hard failures, degrade per key.
 type Router struct {
-	reg  *Registry
-	opts RouterOptions
-	met  routerMetrics
+	reg    *Registry
+	opts   RouterOptions
+	client *http.Client
+	met    routerMetrics
 }
 
 type routerMetrics struct {
@@ -133,7 +118,10 @@ type routerMetrics struct {
 // NewRouter builds a router over an existing registry (whose Obs registry
 // also receives the router metrics).
 func NewRouter(reg *Registry, opts RouterOptions) *Router {
-	r := &Router{reg: reg, opts: opts.withDefaults()}
+	r := &Router{reg: reg, opts: opts.withDefaults(), client: &http.Client{
+		Timeout:   requestTimeout,
+		Transport: &http.Transport{MaxIdleConnsPerHost: 256, MaxIdleConns: 1024},
+	}}
 	o := reg.Obs()
 	r.met = routerMetrics{
 		requests:       o.Counter("kcluster_requests_total", "Client lookups routed (batch keys count individually)."),
@@ -157,15 +145,13 @@ func NewRouter(reg *Registry, opts RouterOptions) *Router {
 // Registry returns the router's registry.
 func (r *Router) Registry() *Registry { return r.reg }
 
-// hedgeDelay is the current hedge deadline: the configured quantile of
-// observed winning-upstream latencies, clamped to [HedgeMin, HedgeMax];
-// HedgeMax until enough samples exist to trust the estimate.
+// hedgeDelay is the current hedge deadline.
 func (r *Router) hedgeDelay() time.Duration {
-	if r.met.latency.Count() < r.opts.HedgeMinSamples {
+	if r.met.latency.Count() < hedgeMinSamples {
 		return r.opts.HedgeMax
 	}
-	q := r.met.latency.Quantile(r.opts.HedgeQuantile)
-	return clampDuration(time.Duration(q*float64(time.Second)), r.opts.HedgeMin, r.opts.HedgeMax)
+	q := r.met.latency.Quantile(hedgeQuantile)
+	return clampDuration(time.Duration(q*float64(time.Second)), hedgeMin, r.opts.HedgeMax)
 }
 
 // startAttempt opens one upstream-attempt span under the caller's trace.
@@ -331,7 +317,7 @@ func (r *Router) lookupOnce(ctx context.Context, rep *Replica, seq string) (Resu
 	if sc := obs.SpanFromContext(ctx); sc.Sampled {
 		req.Header.Set(obs.TraceparentHeader, sc.Traceparent())
 	}
-	resp, err := r.opts.Client.Do(req)
+	resp, err := r.client.Do(req)
 	if err != nil {
 		return Result{}, err
 	}
@@ -340,13 +326,13 @@ func (r *Router) lookupOnce(ctx context.Context, rep *Replica, seq string) (Resu
 		return Result{}, readStatusError(resp)
 	}
 	var res Result
-	if err := json.NewDecoder(&limitedReader{r: resp.Body, n: 1 << 16}).Decode(&res); err != nil {
-		return Result{}, fmt.Errorf("bad upstream body: %w", err)
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxPointBody)).Decode(&res); err != nil {
+		return Result{}, fmt.Errorf("bad upstream body from %s/kmer: %w", rep.Addr, err)
 	}
 	return res, nil
 }
 
-// batchOnce is one upstream POST /batch attempt for a per-replica key group.
+// batchOnce is one upstream POST /batch attempt for one shard's keys.
 func (r *Router) batchOnce(ctx context.Context, rep *Replica, seqs []string) ([]Result, error) {
 	body, err := json.Marshal(struct {
 		Kmers []string `json:"kmers"`
@@ -362,7 +348,7 @@ func (r *Router) batchOnce(ctx context.Context, rep *Replica, seqs []string) ([]
 	if sc := obs.SpanFromContext(ctx); sc.Sampled {
 		req.Header.Set(obs.TraceparentHeader, sc.Traceparent())
 	}
-	resp, err := r.opts.Client.Do(req)
+	resp, err := r.client.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -373,8 +359,8 @@ func (r *Router) batchOnce(ctx context.Context, rep *Replica, seqs []string) ([]
 	var br struct {
 		Results []Result `json:"results"`
 	}
-	if err := json.NewDecoder(&limitedReader{r: resp.Body, n: maxBatchBody}).Decode(&br); err != nil {
-		return nil, fmt.Errorf("bad upstream body: %w", err)
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBatchBody)).Decode(&br); err != nil {
+		return nil, fmt.Errorf("bad upstream body from %s/batch: %w", rep.Addr, err)
 	}
 	if len(br.Results) != len(seqs) {
 		return nil, fmt.Errorf("upstream answered %d results for %d kmers", len(br.Results), len(seqs))
@@ -388,33 +374,33 @@ func readStatusError(resp *http.Response) error {
 	return &httpStatusError{status: resp.StatusCode, body: string(bytes.TrimSpace(buf[:n]))}
 }
 
-// route parses a query and resolves its shard candidates. A parse error
-// is terminal (bad query); an empty candidate list is cluster degradation.
-func (r *Router) route(seq string) (key uint64, cands []*Replica, err error) {
-	k, canonical, shards, ready := r.reg.Shape()
-	if !ready {
-		return 0, nil, ErrNotReady
-	}
-	key, err = kcount.ParseQuery(r.opts.Enc, k, canonical, seq)
+// shardOf parses a query under the view's shape and names the cluster
+// shard that owns it. A parse error is the client's mistake (bad query).
+func (r *Router) shardOf(v *view, seq string) (int, error) {
+	key, err := kcount.ParseQuery(r.opts.Enc, v.k, v.canonical, seq)
 	if err != nil {
-		return 0, nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
+		return 0, fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
-	cands = r.reg.Candidates(kernels.DestOf(key, shards), key)
-	if len(cands) == 0 {
-		r.met.unrouteable.Inc()
-		return key, nil, ErrShardUnavailable
-	}
-	return key, cands, nil
+	return kernels.DestOf(key, v.shards), nil
 }
 
-// Lookup answers one point lookup, hedging and retrying across the key's
-// replica candidates.
+// Lookup answers one point lookup, hedging and retrying across the
+// candidates of the key's shard.
 func (r *Router) Lookup(ctx context.Context, seq string) (Result, error) {
 	start := time.Now()
 	r.met.requests.Inc()
-	_, cands, err := r.route(seq)
+	v := r.reg.view.Load()
+	if v == nil {
+		return Result{}, ErrNotReady
+	}
+	shard, err := r.shardOf(v, seq)
 	if err != nil {
 		return Result{}, err
+	}
+	cands := v.table[shard].candidates()
+	if len(cands) == 0 {
+		r.met.unrouteable.Inc()
+		return Result{}, ErrShardUnavailable
 	}
 	r.met.stageRoute.Observe(time.Since(start).Seconds())
 	res, err := raceReplicas(r, ctx, cands, func(ctx context.Context, rep *Replica) (Result, error) {
@@ -424,79 +410,79 @@ func (r *Router) Lookup(ctx context.Context, seq string) (Result, error) {
 	return res, err
 }
 
-// batchGroup is the slice of a client batch bound for one primary replica.
+// batchGroup is the slice of a client batch owned by one cluster shard.
 type batchGroup struct {
-	cands []*Replica
-	seqs  []string
-	idx   []int
+	seqs []string
+	idx  []int // seqs[j] is the client's kmers[idx[j]]
 }
 
-// Batch answers a client batch: keys are grouped by their sticky primary
-// replica, each group raced (hedge + retry) as one upstream sub-batch,
-// and failures degrade to per-key error markers instead of failing the
-// whole batch.
+// Batch answers a client batch from one view: keys are grouped by cluster
+// shard, each group raced (hedge + retry) as one upstream sub-batch, and
+// failures degrade to per-key error markers instead of failing the whole
+// batch.
 func (r *Router) Batch(ctx context.Context, kmers []string) (BatchResponse, error) {
 	start := time.Now()
 	r.met.batches.Inc()
 	if len(kmers) > maxBatchKmers {
 		return BatchResponse{}, fmt.Errorf("%w: batch of %d exceeds %d", ErrBadQuery, len(kmers), maxBatchKmers)
 	}
-	if _, _, _, ready := r.reg.Shape(); !ready {
+	v := r.reg.view.Load()
+	if v == nil {
 		return BatchResponse{}, ErrNotReady
 	}
-	out := BatchResponse{Results: make([]Result, len(kmers)), Complete: true}
-	groups := make(map[*Replica]*batchGroup)
+	r.met.requests.Add(uint64(len(kmers)))
+	out := BatchResponse{Results: make([]Result, len(kmers))}
+	groups := make([]batchGroup, v.shards)
 	for i, seq := range kmers {
-		r.met.requests.Inc()
-		_, cands, err := r.route(seq)
+		shard, err := r.shardOf(v, seq)
 		if err != nil {
 			out.Results[i] = Result{Kmer: seq, Error: err.Error()}
-			if errors.Is(err, ErrShardUnavailable) {
-				out.Complete = false
-			}
 			continue
 		}
-		g := groups[cands[0]]
-		if g == nil {
-			g = &batchGroup{cands: cands}
-			groups[cands[0]] = g
-		}
+		g := &groups[shard]
 		g.seqs = append(g.seqs, seq)
 		g.idx = append(g.idx, i)
 	}
 	r.met.stageRoute.Observe(time.Since(start).Seconds())
 	var (
 		wg       sync.WaitGroup
-		mu       sync.Mutex
-		degraded bool
+		degraded atomic.Bool
 	)
-	for _, g := range groups {
+	// Each group fills its own elements of out.Results.
+	fail := func(g *batchGroup, err error) {
+		degraded.Store(true)
+		for j, i := range g.idx {
+			out.Results[i] = Result{Kmer: g.seqs[j], Error: err.Error()}
+		}
+	}
+	for shard := range groups {
+		g := &groups[shard]
+		if len(g.seqs) == 0 {
+			continue
+		}
+		cands := v.table[shard].candidates()
+		if len(cands) == 0 {
+			r.met.unrouteable.Add(uint64(len(g.seqs)))
+			fail(g, ErrShardUnavailable)
+			continue
+		}
 		wg.Add(1)
-		go func(g *batchGroup) {
+		go func() {
 			defer wg.Done()
-			results, err := raceReplicas(r, ctx, g.cands, func(ctx context.Context, rep *Replica) ([]Result, error) {
+			results, err := raceReplicas(r, ctx, cands, func(ctx context.Context, rep *Replica) ([]Result, error) {
 				return r.batchOnce(ctx, rep, g.seqs)
 			})
 			if err != nil {
-				mu.Lock()
-				degraded = true
-				for j, i := range g.idx {
-					out.Results[i] = Result{Kmer: g.seqs[j], Error: err.Error()}
-				}
-				mu.Unlock()
+				fail(g, err)
 				return
 			}
-			mu.Lock()
 			for j, i := range g.idx {
 				out.Results[i] = results[j]
 			}
-			mu.Unlock()
-		}(g)
+		}()
 	}
 	wg.Wait()
-	if degraded {
-		out.Complete = false
-	}
+	out.Complete = !degraded.Load()
 	if !out.Complete {
 		r.met.partialBatches.Inc()
 	}

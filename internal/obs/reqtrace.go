@@ -23,15 +23,15 @@ import (
 // buffer. kmertools trace-join (JoinTraces) merges the per-process dumps
 // into one Chrome/Perfetto trace keyed by trace ID, so a single hedged
 // lookup is visible end-to-end: router admission, both hedge attempts,
-// the replica queue wait, the micro-batch, the probe.
+// and each replica's server span.
 //
 // Spans carry wall-clock (unix) timestamps, not recorder-epoch offsets:
 // the processes being joined share a machine clock, not an epoch.
 //
 // A nil *Tracer is valid and free, like a nil *Recorder: every method
 // nil-checks, and an unsampled SpanContext short-circuits before any
-// allocation, so the kserve lookup hot path stays at its 2-allocs/op
-// budget when tracing is off (pinned by TestLookupAllocRegression).
+// allocation, so the kserve point lookup stays at zero allocations with
+// tracing wired in but off (pinned by TestLookupAllocRegression).
 
 // TraceID is a 128-bit trace identifier shared by every span of one
 // request; SpanID is a 64-bit per-span identifier.

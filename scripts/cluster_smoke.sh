@@ -5,9 +5,11 @@
 # shard-0 replica is started with an injected 50ms straggler delay (-slow),
 # so the proxy's latency-quantile hedging must fire; one shard-1 replica is
 # SIGKILLed in the middle of a >=100k-lookup kload burst, so the proxy's
-# retry path must absorb a replica death. The run passes only if kload
-# reports zero request errors and zero per-key degradation markers, and the
-# proxy's metrics show hedges fired and the killed replica down.
+# retry path must absorb a replica death. kload draws its keys from the KCD
+# the cluster serves. The run passes only if kload reports zero request
+# errors, zero per-key degradation markers and every lookup answered
+# present, the proxy's metrics show hedges fired and the killed replica
+# down, and both shard-0 replicas took a share of the lookups.
 #
 # The burst runs with distributed tracing on: kload samples 1-in-20
 # requests, forwards W3C traceparent headers, and the proxy and replicas
@@ -117,7 +119,7 @@ curl -sf "http://$PADDR/kmer/$KMER" | jq -e ".count == $COUNT" >/dev/null \
     || fail "proxied GET /kmer/$KMER did not report count $COUNT"
 
 echo "cluster-smoke: >=100k-lookup burst with a mid-run replica kill (traced, SLO 2s:p99)"
-"$bin/kload" -q -target "http://$PADDR" -n 1800 -batch 64 -c 8 -warmup 100 \
+"$bin/kload" -q -kcd "$bin/smoke.kcd" -target "http://$PADDR" -n 1800 -batch 64 -c 8 -warmup 100 \
     -trace-sample 20 -trace-out "$out/trace_kload.json" -slo 2s:p99 \
     > "$out/kload.json" 2> "$out/kload.log" &
 load_pid=$!
@@ -132,7 +134,9 @@ jq -e '.errors == 0 and .key_errors == 0' "$out/kload.json" >/dev/null \
     || fail "kload saw errors: $(cat "$out/kload.json")"
 jq -e '.lookups >= 100000' "$out/kload.json" >/dev/null \
     || fail "kload completed $(jq .lookups "$out/kload.json") lookups, want >= 100000"
-echo "cluster-smoke: $(jq -r .lookups "$out/kload.json") lookups, 0 errors, p99 $(jq -r .latency.p99_us "$out/kload.json")us"
+jq -e '.present == .lookups' "$out/kload.json" >/dev/null \
+    || fail "only $(jq .present "$out/kload.json") of $(jq .lookups "$out/kload.json") lookups found a k-mer the cluster serves"
+echo "cluster-smoke: $(jq -r .lookups "$out/kload.json") lookups, all present, 0 errors, p99 $(jq -r .latency.p99_us "$out/kload.json")us"
 
 # The SLO accounting must be present, met (2s:p99 is deliberately
 # generous), and carry the build stamp.
@@ -151,6 +155,15 @@ grep -q '^build_info{' "$out/kproxy_metrics.prom" \
     || fail "kproxy /metrics is missing build_info"
 grep -q '^kcluster_stage_seconds_bucket{' "$out/kproxy_metrics.prom" \
     || fail "kproxy /metrics is missing kcluster_stage_seconds"
+
+# The proxy takes a shard's Up replicas in turn: both shard-0 replicas,
+# the straggler too, must have received lookups.
+for name in r0a r0b; do
+    eval "raddr=\$${name}_addr"
+    served=$(curl -sf "http://$raddr/metrics" | awk '$1 == "kserve_requests_total" {print $2}')
+    [ -n "$served" ] && [ "$served" -gt 0 ] 2>/dev/null \
+        || fail "$name kserve_requests_total = '$served', want > 0"
+done
 
 echo "cluster-smoke: joining per-process trace dumps"
 curl -sf "http://$PADDR/debug/trace" > "$out/trace_kproxy.json" || fail "kproxy /debug/trace"
