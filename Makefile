@@ -38,6 +38,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzTableReserve -fuzztime 30s ./internal/kcount/
 	$(GO) test -run xxx -fuzz FuzzWireRoundTrip -fuzztime 30s ./internal/kernels/
 	$(GO) test -run xxx -fuzz FuzzWireCorruptInput -fuzztime 30s ./internal/kernels/
+	$(GO) test -run xxx -fuzz FuzzParseKmers -fuzztime 30s ./internal/kernels/
 	$(GO) test -run xxx -fuzz FuzzTraceparent -fuzztime 30s ./internal/obs/
 	$(GO) test -run xxx -fuzz FuzzSpillBin -fuzztime 30s ./internal/pipeline/
 	$(GO) test -run xxx -fuzz FuzzHandlerKmer -fuzztime 30s -fuzzminimizetime 5s ./internal/kserve/

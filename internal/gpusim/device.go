@@ -14,8 +14,10 @@ type Device struct {
 	cfg Config
 	// contention is a hashed per-address atomic-op counter (single-row
 	// count-min sketch). The max bucket is a deterministic upper bound on
-	// the per-address maximum, used for the hotspot roofline term.
-	contention []uint64
+	// the per-address maximum, used for the hotspot roofline term. A bucket
+	// is 32 bits: exact while the launches between two ResetContention calls
+	// aim fewer than 2³² atomics at one bucket.
+	contention []uint32
 	arenaNext  uint64
 	// reg, when set via Observe, receives per-kernel efficiency counters
 	// after every launch.
@@ -31,7 +33,7 @@ type Device struct {
 // contentionBuckets is the sketch width. Counter-style hot addresses (a few
 // hundred buffer tails) essentially never collide at this width, and table
 // slots are individually cold, so the bound stays tight. The width is kept
-// modest (512 KiB per device) because large simulations instantiate one
+// modest (256 KiB per device) because large simulations instantiate one
 // device per simulated rank.
 const contentionBuckets = 1 << 16
 
@@ -40,7 +42,7 @@ func NewDevice(cfg Config) (*Device, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Device{cfg: cfg, contention: make([]uint64, contentionBuckets), arenaNext: 1 << 12}, nil
+	return &Device{cfg: cfg, contention: make([]uint32, contentionBuckets), arenaNext: 1 << 12}, nil
 }
 
 // MustDevice is NewDevice for known-good configs; it panics on error.
@@ -223,14 +225,14 @@ func (d *Device) Launch(spec LaunchSpec, body func(tid int, ctx *Ctx)) (KernelSt
 		stats.Add(partials[i]) // partials carry zero geometry, only work counters
 	}
 	// Hotspot bound from the contention sketch.
-	var maxBucket uint64
+	var maxBucket uint32
 	for _, c := range d.contention {
 		if c > maxBucket {
 			maxBucket = c
 		}
 	}
-	if maxBucket > stats.MaxAtomicPerAddr {
-		stats.MaxAtomicPerAddr = maxBucket
+	if uint64(maxBucket) > stats.MaxAtomicPerAddr {
+		stats.MaxAtomicPerAddr = uint64(maxBucket)
 	}
 	d.publishStats(&stats)
 	return stats, nil
@@ -322,7 +324,7 @@ func (d *Device) foldWarp(st *KernelStats, lanes []Ctx, fs *foldScratch) {
 		for _, addr := range fs.set.distinct(atomics) { // repeats are warp-aggregated
 			st.AtomicOps++
 			b := mixAddr(addr) % contentionBuckets
-			atomic.AddUint64(&d.contention[b], 1)
+			atomic.AddUint32(&d.contention[b], 1)
 		}
 		st.MemTransactions += uint64(len(fs.set.distinct(sectors)))
 	}

@@ -180,6 +180,36 @@ func TestAtomicHotspotTracking(t *testing.T) {
 	}
 }
 
+// TestAtomicHotspotExact has n threads aim one atomic each at one address,
+// every lane at its own warp step so none is warp-aggregated, and reads the
+// sketch's bound back as exactly n — on a fresh device, and on the same
+// device after ResetContention has zeroed what the first launch left.
+func TestAtomicHotspotExact(t *testing.T) {
+	d := testDevice(t)
+	ws := d.Config().WarpSize
+	base := d.Alloc(int64(4 * ws))
+	const n = 5000
+	hammer := func() KernelStats {
+		st, err := d.Launch(LaunchSpec{Name: "hammer", Threads: n}, func(tid int, ctx *Ctx) {
+			for i := 0; i < tid%ws; i++ {
+				ctx.Read(base+uint64(4*i), 4) // delays the atomic to step tid%ws
+			}
+			ctx.Atomic(base, 4)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	if st := hammer(); st.AtomicOps != n || st.MaxAtomicPerAddr != n {
+		t.Fatalf("fresh device: %d atomics, max %d per address; want %d and %d", st.AtomicOps, st.MaxAtomicPerAddr, n, n)
+	}
+	d.ResetContention()
+	if st := hammer(); st.AtomicOps != n || st.MaxAtomicPerAddr != n {
+		t.Fatalf("reused device: %d atomics, max %d per address; want %d and %d", st.AtomicOps, st.MaxAtomicPerAddr, n, n)
+	}
+}
+
 func TestKernelTimeRoofline(t *testing.T) {
 	cfg := V100()
 	// Memory-bound stats: time ≈ sectors×32/BW, derated by the calibrated

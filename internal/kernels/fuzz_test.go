@@ -2,9 +2,11 @@ package kernels
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"dedukt/internal/dna"
+	"dedukt/internal/gpusim"
 	"dedukt/internal/minimizer"
 )
 
@@ -61,6 +63,59 @@ func FuzzWireRoundTrip(f *testing.F) {
 			corrupt[len(corrupt)-1] = bad
 			if _, _, err := wire.Decode(corrupt); !errors.Is(err, ErrCorruptWire) {
 				t.Fatalf("corrupt length byte %d: err=%v, want ErrCorruptWire", bad, err)
+			}
+		}
+	})
+}
+
+// FuzzParseKmers checks ParseKmers' pass-2 re-derivation against a plain
+// host loop over arbitrary bytes: every position, ascending, whose k bases
+// all encode appends its k-mer (canonical when asked) to row DestOf(k-mer).
+// The rows must equal that reference exactly, order included, and the frame
+// header's room ahead of each row must hold what it held before the call.
+func FuzzParseKmers(f *testing.F) {
+	f.Add([]byte("ACGTACGTTGCA\x00GGATCCNNACGT"), uint8(4), uint8(3), false)
+	f.Add([]byte("ACGTTGCAAGGCATCTA\x00TAGATGCCTTGCAACGT"), uint8(16), uint8(4), true)
+	f.Add([]byte("acgtNNNN"), uint8(0), uint8(0), true)
+	f.Add([]byte{}, uint8(31), uint8(63), false)
+	f.Fuzz(func(t *testing.T, data []byte, kRaw, destRaw uint8, canonical bool) {
+		k, numDest := int(kRaw%32)+1, int(destRaw%64)+1
+		enc := &dna.Random
+		want := make([][]uint64, numDest)
+		for i := 0; i+k <= len(data); i++ {
+			w, err := dna.KmerFromString(enc, string(data[i:i+k]))
+			if err != nil {
+				continue
+			}
+			if canonical {
+				w = w.Canonical(enc, k)
+			}
+			d := DestOf(uint64(w), numDest)
+			want[d] = append(want[d], uint64(w))
+		}
+
+		const h, sentinel = WordFrameHeader, 0x5eed5eed5eed5eed
+		var pk Packed[uint64]
+		pk.buf = make([]uint64, len(data)+numDest*h)
+		for i := range pk.buf {
+			pk.buf[i] = sentinel
+		}
+		cfg := ParseConfig{Enc: enc, K: k, NumDest: numDest, Canonical: canonical, Headroom: h}
+		rows, _, err := ParseKmers(gpusim.MustDevice(gpusim.V100()), cfg, data, &ParseScratch{Out: &pk})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != numDest {
+			t.Fatalf("%d rows, want %d", len(rows), numDest)
+		}
+		for d, row := range rows {
+			for i, v := range row[:h] {
+				if v != sentinel {
+					t.Fatalf("row %d: headroom word %d overwritten with %#x", d, i, v)
+				}
+			}
+			if !slices.Equal(row[h:], want[d]) {
+				t.Fatalf("row %d: %d k-mers %x, reference %d %x", d, len(row)-h, row[h:], len(want[d]), want[d])
 			}
 		}
 	})

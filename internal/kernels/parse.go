@@ -99,10 +99,16 @@ type ParseScratch struct {
 // each k-mer (coalesced reads — consecutive threads read consecutive bases)
 // and bumps a per-warp destination histogram in shared memory; an exclusive
 // prefix sum over (warp × destination) then assigns every warp a private
-// cursor range; pass 2 replays the staged keys with contention-free
-// scattered writes into one contiguous buffer partitioned by destination.
-// No global atomics and no locks — the histogram lives in per-warp shared
-// memory and the scatter slots are disjoint by construction.
+// cursor range; pass 2 re-derives each position's k-mer and destination
+// from the same bases and scatters it, contention-free, into one contiguous
+// buffer partitioned by destination. No global atomics and no locks — the
+// histogram lives in per-warp shared memory and the scatter slots are
+// disjoint by construction.
+//
+// The device stages each position's key and destination between the passes,
+// and the cost model still charges those stores and reloads; the host
+// re-derives them instead, so all it holds between the passes is the
+// histogram (see stagingSlot).
 //
 // The returned out[d] holds the packed k-mers bound for rank d behind
 // cfg.Headroom words of room, as views into one contiguous arena (see
@@ -128,8 +134,6 @@ func ParseKmers(dev *gpusim.Device, cfg ParseConfig, data []byte, scr *ParseScra
 
 	stg := acquireStaging()
 	defer releaseStaging(stg)
-	stg.keys = growStaging(stg.keys, threads)
-	stg.dests = growStaging(stg.dests, threads)
 	stg.counts = growStaging(stg.counts, nWarps*numDest)
 	stg.destOff = growStaging(stg.destOff, numDest+1)
 	for i := range stg.counts {
@@ -143,7 +147,7 @@ func ParseKmers(dev *gpusim.Device, cfg ParseConfig, data []byte, scr *ParseScra
 	bufAddr := dev.Alloc(int64(8 * threads))
 
 	enc, k := cfg.Enc, cfg.K
-	keys, dests, counts := stg.keys, stg.dests, stg.counts
+	counts := stg.counts
 	dev.ResetContention()
 
 	// Pass 1: parse, hash, stage, histogram. The per-warp histogram bump is
@@ -151,29 +155,23 @@ func ParseKmers(dev *gpusim.Device, cfg ParseConfig, data []byte, scr *ParseScra
 	// goroutine, so no synchronization is needed — the same privatization a
 	// real kernel gets from shared memory plus warp-synchronous execution).
 	st, err = dev.Launch(gpusim.LaunchSpec{Name: "parse_kmers", Threads: threads}, func(tid int, ctx *gpusim.Ctx) {
-		dests[tid] = -1 // slot reuse leaves stale values
 		// One overlapped read of the thread's k bases; warp lanes share
 		// sectors, which is exactly the coalescing §III-B.1 engineers for.
 		ctx.Read(dataAddr+uint64(tid), k)
-		var w dna.Kmer
-		for i := 0; i < k; i++ {
-			code, ok := enc.Encode(data[tid+i])
-			ctx.Compute(OpsEncodeBase)
-			if !ok {
-				return // window crosses a separator or an N: no k-mer here
-			}
-			w = w.Append(k, code)
-			ctx.Compute(OpsKmerRoll)
+		w, rolled := kmerAt(enc, data[tid:tid+k], cfg.Canonical)
+		if rolled < k {
+			// The window crosses a separator or an N: no k-mer here. Every
+			// base up to and including the one that failed was encoded.
+			ctx.Compute((rolled+1)*OpsEncodeBase + rolled*OpsKmerRoll)
+			return
 		}
+		ctx.Compute(k * (OpsEncodeBase + OpsKmerRoll))
 		if cfg.Canonical {
-			w = w.Canonical(enc, k)
 			ctx.Compute(k * OpsKmerRoll) // reverse-complement unrolled
 		}
 		ctx.Compute(OpsHash + OpsDestSelect)
 		dest := DestOf(uint64(w), numDest)
 
-		keys[tid] = uint64(w)
-		dests[tid] = int32(dest)
 		counts[(tid/ws)*numDest+dest]++
 		ctx.Compute(OpsEmit) // shared-memory histogram bump
 		// Coalesced staging stores of key and destination.
@@ -202,7 +200,8 @@ func ParseKmers(dev *gpusim.Device, cfg ParseConfig, data []byte, scr *ParseScra
 
 	// Pass 2: contention-free scatter through the private cursors. A cursor
 	// is a logical slot; destination d's part lies (d+1)·headroom words
-	// further into the arena.
+	// further into the arena. The staged key and destination are reloaded
+	// on the device's bill and rebuilt from the bases on the host's.
 	packed := scr.Out
 	if packed == nil {
 		packed = &scr.own
@@ -213,14 +212,15 @@ func ParseKmers(dev *gpusim.Device, cfg ParseConfig, data []byte, scr *ParseScra
 	scatterSt, err := dev.Launch(gpusim.LaunchSpec{Name: "scatter_kmers", Threads: threads}, func(tid int, ctx *gpusim.Ctx) {
 		ctx.Read(keysAddr+uint64(tid*8), 8)
 		ctx.Read(destsAddr+uint64(tid*4), 4)
-		d := dests[tid]
-		if d < 0 {
+		w, rolled := kmerAt(enc, data[tid:tid+k], cfg.Canonical)
+		if rolled < k {
 			return // no k-mer at this position
 		}
-		cur := (tid/ws)*numDest + int(d)
+		d := DestOf(uint64(w), numDest)
+		cur := (tid/ws)*numDest + d
 		slot := cursors[cur]
 		cursors[cur] = slot + 1
-		outBuf[int(slot)+(int(d)+1)*headroom] = keys[tid]
+		outBuf[int(slot)+(d+1)*headroom] = uint64(w)
 		ctx.Compute(OpsEmit) // cursor bump + slot math
 		ctx.Write(bufAddr+uint64(slot)*8, 8)
 	})
@@ -229,6 +229,26 @@ func ParseKmers(dev *gpusim.Device, cfg ParseConfig, data []byte, scr *ParseScra
 	}
 	st.Add(scatterSt)
 	return out, st, nil
+}
+
+// kmerAt builds the k-mer of window win (k = len(win)), folded to its
+// canonical form when asked — the one derivation both passes of ParseKmers
+// use, without charging. rolled counts the bases rolled in: len(win) when
+// the window holds a k-mer, else the index of the first base that does not
+// encode.
+func kmerAt(enc *dna.Encoding, win []byte, canonical bool) (w dna.Kmer, rolled int) {
+	k := len(win)
+	for i, ch := range win {
+		code, ok := enc.Encode(ch)
+		if !ok {
+			return 0, i
+		}
+		w = w<<2 | dna.Kmer(code) // k ≤ 32 codes fill at most the word: no mask
+	}
+	if canonical {
+		w = w.Canonical(enc, k)
+	}
+	return w, k
 }
 
 // scanInPlace turns the (warp × destination) histogram into its

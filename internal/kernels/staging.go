@@ -9,18 +9,17 @@ import (
 	"dedukt/internal/obs"
 )
 
-// stagingSlot is the host side of what a packing kernel stages in device
-// memory for the length of one call: pass 1's per-thread output, which pass 2
-// reads back, and the per-warp histogram the scan turns into cursors. Nothing
-// in it is read after the kernel returns, so it belongs to the kernel in
-// flight, not to the rank that might run one: ParseKmers and BuildSupermers
-// take a slot from the process-wide pool on entry and return it on exit.
+// stagingSlot is the host side of what a packing kernel keeps between its
+// passes for the length of one call: the per-warp histogram the scan turns
+// into cursors and, for BuildSupermers, pass 1's per-thread descriptors,
+// which pass 2 reads back. Nothing in it is read after the kernel returns, so
+// it belongs to the kernel in flight, not to the rank that might run one:
+// ParseKmers and BuildSupermers take a slot from the process-wide pool on
+// entry and return it on exit.
 type stagingSlot struct {
-	keys  []uint64 // ParseKmers: one staged key per thread
-	dests []int32  // ParseKmers: its destination, -1 where no k-mer starts
-
-	descs  []superDesc // BuildSupermers: Window descriptors per thread
-	nDescs []int32     // BuildSupermers: descriptors the thread emitted
+	// BuildSupermers only: ParseKmers keeps nothing per position.
+	descs  []superDesc // Window descriptors per thread
+	nDescs []int32     // descriptors the thread emitted
 
 	counts  []int32 // (warp × destination) histogram, then cursors
 	destOff []int   // every destination's range in the output arena
@@ -30,8 +29,7 @@ type stagingSlot struct {
 
 // bytes is the capacity the slot holds.
 func (s *stagingSlot) bytes() int64 {
-	return int64(cap(s.keys))*8 + int64(cap(s.dests))*4 +
-		int64(cap(s.descs))*descBytes + int64(cap(s.nDescs))*4 +
+	return int64(cap(s.descs))*descBytes + int64(cap(s.nDescs))*4 +
 		int64(cap(s.counts))*4 + int64(cap(s.destOff))*(bits.UintSize/8)
 }
 

@@ -103,11 +103,18 @@ func TestStagingPoolBound(t *testing.T) {
 	}
 	before := Staging()
 	data := buildBuffer(randReads(rand.New(rand.NewSource(52)), 5, 200, 0))
-	done := make(chan error, 1)
+	d := gpusim.MustDevice(gpusim.V100())
+	done, started := make(chan error, 1), make(chan struct{})
 	go func() {
-		_, _, err := ParseKmers(gpusim.MustDevice(gpusim.V100()), ParseConfig{Enc: &dna.Random, K: 17, NumDest: 3}, data, nil)
+		close(started)
+		_, _, err := ParseKmers(d, ParseConfig{Enc: &dna.Random, K: 17, NumDest: 3}, data, nil)
 		done <- err
 	}()
+	// The kernel times its wait from when it reaches the pool, so the block
+	// is timed from its goroutine's start, with the device already built: a
+	// device built in the goroutine put up to 3.6 ms between the two under
+	// -race, and the accounted wait fell short of the block.
+	<-started
 	const blocked = 50 * time.Millisecond
 	select {
 	case err := <-done:

@@ -311,14 +311,10 @@ func TestKmerRowsAreNotRegrown(t *testing.T) {
 			// Each third of the reads is a rank's share of the megabase input.
 			for share := 0; share < 3; share++ {
 				src := &sliceChunker{reads: reads[share*len(reads)/3 : (share+1)*len(reads)/3], maxBases: roundBases}
+				var buf dna.SeqBuffer
 				for more := true; more; {
-					var recs []fastq.Record
-					recs, more, _ = src.nextChunk()
-					var buf dna.SeqBuffer
-					for _, rd := range recs {
-						buf.AppendRead(rd.Seq)
-					}
-					data := buf.Data()
+					var data []byte
+					data, more, _ = pullBases(src, &buf)
 					rows, _, _ := cpuParseKmers(cfg, nil, nProc, data, nil)
 					for dest, row := range rows {
 						if want := kernels.WordFrameHeader + kmerRowCap(len(data), nProc); cap(row) != want {

@@ -28,13 +28,14 @@ type rankCtx struct {
 	bloomBases int
 }
 
-// roundState is one parity's pooled round scratch: the staged base buffer,
-// the round's send rows (views into the engine's parseSlots-rotated
-// buffers), their fold onto a shrunk communicator, and the posted exchange
-// with what it delivered. Two of these double-buffer the overlapped
-// schedule; the serial schedule just alternates between them.
+// roundState is one parity's pooled round scratch: the round's send rows
+// (views into the engine's parseSlots-rotated buffers), their fold onto a
+// shrunk communicator, and the posted exchange with what it delivered. Two
+// of these double-buffer the overlapped schedule; the serial schedule just
+// alternates between them. The round's bases are not among them: they are
+// read only inside the parse, so one buffer per rank serves both schedules
+// (pullBases).
 type roundState[T unit] struct {
-	buf      dna.SeqBuffer
 	send     [][]T
 	routed   [][]T
 	bytesOut uint64
@@ -60,32 +61,25 @@ func runRank[T unit](rc rankCtx, cd codec[T], newEngine func(rankCtx) (engine[T]
 	// vanish entirely — no stage_h2d span, no modeled staging time.
 	staged := cfg.Layout.GPU != nil && !cfg.GPUDirect
 	ex := newExchanger(&cfg, rc.c, rank, rc.inj, out, cd)
-	var states [2]roundState[T]
+	var (
+		states [2]roundState[T]
+		bases  dna.SeqBuffer
+	)
 
 	// Round-start faults fire once per executed round, before its parse.
 	start := func(r int) error {
 		return killOrStall(rc.inj, rank, r, rec)
 	}
 
-	// Stage + parse: pull the round's chunk, build its concatenated base
-	// buffer, model its host→device transfer, and run the engine's parse
-	// into the parity slot.
+	// Stage + parse: pull the round's chunk into the rank's base buffer,
+	// model its host→device transfer, and run the engine's parse into the
+	// parity slot.
 	parse := func(r int) (bool, error) {
 		st := &states[r%2]
-		recs, more, err := rc.src.nextChunk()
+		data, more, err := pullBases(rc.src, &bases)
 		if err != nil {
 			return false, err
 		}
-		st.buf.Reset()
-		bases := 0
-		for _, rd := range recs {
-			bases += len(rd.Seq)
-		}
-		st.buf.Grow(len(recs), bases)
-		for _, rd := range recs {
-			st.buf.AppendRead(rd.Seq)
-		}
-		data := st.buf.Data()
 		if staged {
 			sp := rec.Begin(rank, r, obs.PhaseStageH2D)
 			h2dIn := eng.stage(uint64(len(data)))
@@ -197,6 +191,32 @@ func runRank[T unit](rc rankCtx, cd codec[T], newEngine func(rankCtx) (engine[T]
 	ts.publish(rec.Registry(), rank)
 	out.publishCount(rec.Registry(), rank)
 	return nil
+}
+
+// pullBases pulls src's next chunk and concatenates its reads into buf, the
+// rank's one base buffer, returning the bases and src's more flag. Once src
+// reports its input drained buf lets go of its array: the bases returned
+// stay valid for the parse that reads them and are garbage after it, so a
+// one-round run does not hold its input under the tables its count grows.
+func pullBases(src chunkSource, buf *dna.SeqBuffer) ([]byte, bool, error) {
+	recs, more, err := src.nextChunk()
+	if err != nil {
+		return nil, false, err
+	}
+	buf.Reset()
+	bases := 0
+	for _, rd := range recs {
+		bases += len(rd.Seq)
+	}
+	buf.Grow(len(recs), bases)
+	for _, rd := range recs {
+		buf.AppendRead(rd.Seq)
+	}
+	data := buf.Data()
+	if !more {
+		*buf = dna.SeqBuffer{}
+	}
+	return data, more, nil
 }
 
 // tableStats is the occupancy of the largest table a rank counted into: its

@@ -128,6 +128,8 @@ const parseSlots = 3
 //
 // The rank body's own roundState pair (r%2) holds nothing a peer reads:
 // round r is done with it at count(r), which precedes parse(r+2) locally.
+// Its one base buffer is read only inside parse(r), which ends before
+// parse(r+1) pulls the next chunk into it, so it needs no slot at all.
 //
 // base is the first round index (non-zero when resuming from a
 // checkpoint); hooks see global round numbers and the returned count is

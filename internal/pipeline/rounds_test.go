@@ -1,9 +1,13 @@
 package pipeline
 
 import (
+	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"dedukt/internal/cluster"
+	"dedukt/internal/dna"
 	"dedukt/internal/fastq"
 )
 
@@ -105,43 +109,96 @@ func TestUnevenTailDrain(t *testing.T) {
 
 func TestMultiRoundMatchesSingleRound(t *testing.T) {
 	// §III-A: multi-round execution must not change results; only the
-	// per-round buffer sizes differ.
+	// per-round buffer sizes differ. Overlapped, a rank pulls round r+1's
+	// bases into its one base buffer while round r's rows are still in
+	// flight: a send row that aliased that buffer would be overwritten under
+	// a peer (and reported under -race).
 	reads := testReads(t, 15_000, 6)
-	for _, mode := range []Mode{KmerMode, SupermerMode} {
-		single := Default(smallGPULayout(1), mode)
-		multi := single
-		multi.RoundBases = 5_000 // forces several rounds per rank
+	cpu := cluster.SummitCPU(1)
+	cpu.RanksPerNode, cpu.Net.RanksPerNode = 6, 6
+	for _, tc := range []struct {
+		engine string
+		layout cluster.Layout
+		mode   Mode
+	}{
+		{"gpu", smallGPULayout(1), KmerMode},
+		{"gpu", smallGPULayout(1), SupermerMode},
+		{"cpu", cpu, KmerMode},
+	} {
+		single := Default(tc.layout, tc.mode)
 		resS, err := Run(single, reads)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resM, err := Run(multi, reads)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resM.Rounds < 2 {
-			t.Fatalf("%s: expected multiple rounds, got %d", mode, resM.Rounds)
-		}
 		if resS.Rounds != 1 {
-			t.Fatalf("%s: single-round run reports %d rounds", mode, resS.Rounds)
+			t.Fatalf("%s %s: single-round run reports %d rounds", tc.engine, tc.mode, resS.Rounds)
 		}
-		if resS.TotalKmers != resM.TotalKmers || resS.DistinctKmers != resM.DistinctKmers {
-			t.Fatalf("%s: rounds changed results: %d/%d vs %d/%d", mode,
-				resS.TotalKmers, resS.DistinctKmers, resM.TotalKmers, resM.DistinctKmers)
-		}
-		for f, c := range resS.Histogram.Counts {
-			if resM.Histogram.Counts[f] != c {
-				t.Fatalf("%s: histogram class %d differs", mode, f)
+		for _, overlap := range []bool{false, true} {
+			name := fmt.Sprintf("%s %s overlap=%v", tc.engine, tc.mode, overlap)
+			multi := single
+			multi.RoundBases, multi.Overlap = 5_000, overlap // forces several rounds per rank
+			resM, err := Run(multi, reads)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if resM.Rounds < 2 {
+				t.Fatalf("%s: expected multiple rounds, got %d", name, resM.Rounds)
+			}
+			if resS.TotalKmers != resM.TotalKmers || resS.DistinctKmers != resM.DistinctKmers {
+				t.Fatalf("%s: rounds changed results: %d/%d vs %d/%d", name,
+					resS.TotalKmers, resS.DistinctKmers, resM.TotalKmers, resM.DistinctKmers)
+			}
+			if !reflect.DeepEqual(resM.Histogram.Counts, resS.Histogram.Counts) || !reflect.DeepEqual(resM.TopKmers, resS.TopKmers) {
+				t.Fatalf("%s: rounds changed the histogram or the top k-mers", name)
+			}
+			// Supermer boundaries are window-relative to each round's buffer,
+			// so the supermer count may shift by a handful of splits across
+			// rounds; the k-mer content (checked above) is what must match.
+			ratio := float64(resM.ItemsExchanged) / float64(resS.ItemsExchanged)
+			if ratio < 0.99 || ratio > 1.01 {
+				t.Fatalf("%s: exchanged items differ too much: %d vs %d", name, resS.ItemsExchanged, resM.ItemsExchanged)
+			}
+			checkAgainstOracle(t, multi, reads, resM)
 		}
-		// Supermer boundaries are window-relative to each round's buffer,
-		// so the supermer count may shift by a handful of splits across
-		// rounds; the k-mer content (checked above) is what must match.
-		ratio := float64(resM.ItemsExchanged) / float64(resS.ItemsExchanged)
-		if ratio < 0.99 || ratio > 1.01 {
-			t.Fatalf("%s: exchanged items differ too much: %d vs %d", mode, resS.ItemsExchanged, resM.ItemsExchanged)
+	}
+}
+
+// TestDrainedRankReleasesBases pins pullBases: the rank's base buffer keeps
+// its array while the input continues and lets go of it with the chunk that
+// drains the input — a one-round rank's first parse — while the bases that
+// parse reads stay intact; the empty pulls of a drained rank allocate none.
+func TestDrainedRankReleasesBases(t *testing.T) {
+	reads := mkReads(10, 20, 30)
+	for i := range reads {
+		for j := range reads[i].Seq {
+			reads[i].Seq[j] = "ACGT"[(i+j)%4]
 		}
-		checkAgainstOracle(t, single, reads, resM)
+	}
+	var want dna.SeqBuffer
+	for _, rd := range reads {
+		want.AppendRead(rd.Seq)
+	}
+	var buf dna.SeqBuffer
+	data, more, err := pullBases(&sliceChunker{reads: reads}, &buf)
+	if err != nil || more {
+		t.Fatalf("one-round pull: more %v, err %v", more, err)
+	}
+	if !bytes.Equal(data, want.Data()) {
+		t.Fatalf("bases %q, want %q", data, want.Data())
+	}
+	if c := cap(buf.Data()); c != 0 {
+		t.Fatalf("drained rank still holds a base buffer of capacity %d", c)
+	}
+
+	src := &sliceChunker{reads: reads, maxBases: 30}
+	if _, more, _ := pullBases(src, &buf); !more || cap(buf.Data()) == 0 {
+		t.Fatalf("first of several rounds: more %v, capacity %d; want true and the buffer kept", more, cap(buf.Data()))
+	}
+	if _, more, _ := pullBases(src, &buf); more || cap(buf.Data()) != 0 {
+		t.Fatalf("last round: more %v, capacity %d; want false and 0", more, cap(buf.Data()))
+	}
+	if data, more, _ := pullBases(src, &buf); len(data) != 0 || more || cap(buf.Data()) != 0 {
+		t.Fatalf("drained pull: %d bases, more %v, capacity %d", len(data), more, cap(buf.Data()))
 	}
 }
 

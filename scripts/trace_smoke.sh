@@ -76,6 +76,23 @@ grep -q 'slowest rank overall' "$report" || fail "-report missing slowest-rank a
 grep -q 'kernel staging pool: [1-9]' "$report" || fail "-report missing the kernel staging pool line"
 grep -q 'counter tables: at most [1-9]' "$report" || fail "-report missing the counter tables line"
 
+# --- GPU k-mer mode: ParseKmers keeps only its warp histogram between its
+# passes, nothing per position, so the staging pool's high-water mark is a
+# small fraction of the input's bases (≈ 0.28 B a base at 12 ranks; a key
+# and a destination staged per position would be ≈ 2.5 B).
+kjson="$TRACE_SMOKE_OUT/kmer.json"
+kmetrics="$TRACE_SMOKE_OUT/kmer_metrics.prom"
+
+echo "trace-smoke: running a GPU k-mer-mode pipeline"
+go run ./cmd/dedukt -mode kmer -nodes 2 -hist 0 -top 0 \
+    -json -metrics-out "$kmetrics" > "$kjson" 2>/dev/null \
+    || fail "dedukt GPU k-mer run"
+kbases=$(jq '.input_bases' "$kjson")
+kstaging=$(awk '/^kernels_staging_bytes / {print $2}' "$kmetrics")
+[ -n "$kstaging" ] || fail "k-mer metrics missing kernels_staging_bytes"
+awk -v s="$kstaging" -v b="$kbases" 'BEGIN { exit !(b > 0 && s + 0 < b + 0) }' \
+    || fail "k-mer staging held $kstaging bytes for $kbases input bases; want fewer bytes than bases"
+
 # --- CPU engine: it sizes each rank's table from a slice of the arrival, so
 # it too publishes what that reservation asked for and the wall time it took
 # (one node of the CPU layout is 42 ranks).
