@@ -111,14 +111,15 @@ experiments:
 
 examples:
 	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/genomeprofile
 	$(GO) run ./examples/metagenome
 	$(GO) run ./examples/commvolume
-	$(GO) run ./examples/assembly
 
+# gofmt and vet, and no package under internal/ that no command reaches
+# (scripts/orphans.sh).
 lint:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
+	sh scripts/orphans.sh
 
 clean:
 	$(GO) clean ./...

@@ -16,7 +16,6 @@ import (
 	"dedukt/internal/dna"
 	"dedukt/internal/expt"
 	"dedukt/internal/genome"
-	"dedukt/internal/kcount"
 	"dedukt/internal/minimizer"
 	"dedukt/internal/pipeline"
 )
@@ -217,23 +216,6 @@ func BenchmarkWindowAblation(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res := mustRun(b, cfg, reads)
 				b.ReportMetric(float64(res.PayloadBytes), "payload-bytes")
-			}
-		})
-	}
-}
-
-// BenchmarkProbingAblation compares linear vs quadratic probing in the
-// counting kernel (§III-B.3 mentions both).
-func BenchmarkProbingAblation(b *testing.B) {
-	reads := datasetReads(b, "E. coli 30X", benchScale)
-	for _, p := range []kcount.Probing{kcount.Linear, kcount.Quadratic} {
-		b.Run(p.String(), func(b *testing.B) {
-			cfg := pipeline.Default(paperGPU(4), pipeline.KmerMode)
-			cfg.Probing = p
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res := mustRun(b, cfg, reads)
-				b.ReportMetric(res.Modeled.Count.Seconds()*1e6, "count-us")
 			}
 		})
 	}

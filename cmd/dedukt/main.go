@@ -111,7 +111,6 @@ func main() {
 		*ckptDir = *resume
 	}
 
-	var reads []fastq.Record
 	if *stream {
 		// Streaming pulls records on demand inside the pipeline; nothing
 		// is preloaded here (that is the point).
@@ -120,17 +119,6 @@ func main() {
 		}
 		if *dataset != "" {
 			log.Fatal("-stream and -dataset are mutually exclusive")
-		}
-	} else {
-		var err error
-		reads, err = loadReads(*inPath, *dataset, *scale)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *trimQ > 0 {
-			before := len(reads)
-			reads = fastq.TrimAll(reads, *trimQ, *k)
-			log.Printf("quality trim q<%d: kept %d of %d reads", *trimQ, len(reads), before)
 		}
 	}
 
@@ -164,12 +152,6 @@ func main() {
 	}
 	if *ckptDir != "" && !*stream {
 		log.Fatal("-ckpt-dir requires -stream (checkpointing rides the streaming cursor protocol)")
-	}
-	if *spillDir != "" && (*outKCD != "" || *serve != "") {
-		log.Fatal("-spill-dir cannot be combined with -okcd or -serve (they keep the full per-rank tables spilling exists to avoid)")
-	}
-	if *spillBins != 0 && *spillDir == "" {
-		log.Fatal("-spill-bins requires -spill-dir")
 	}
 	var ckpt pipeline.CkptConfig
 	if *ckptDir != "" {
@@ -235,13 +217,6 @@ func main() {
 		cfg.Fault.FatalRank = *faultKillRank
 		cfg.Fault.FatalRound = *faultKillRound
 	}
-	obs.ServePprof(*pprofAddr, log.Printf)
-	var rec *obs.Recorder
-	if *runReport || *traceOut != "" || *metricsOut != "" || *serve != "" {
-		rec = obs.NewRecorder(layout.Ranks())
-		cfg.Obs = rec
-		obs.RegisterBuildInfo(rec.Registry(), "dedukt")
-	}
 	switch *mode {
 	case "kmer":
 		cfg.Mode = pipeline.KmerMode
@@ -250,24 +225,44 @@ func main() {
 	default:
 		log.Fatalf("unknown mode %q", *mode)
 	}
+	if *stream {
+		if cfg.MemBudgetBytes, err = parseSize(*memBudget); err != nil {
+			log.Fatalf("-mem-budget: %v", err)
+		}
+	}
+	// Reject a combination of flags before any input is read.
+	if err := cfg.Validate(); err != nil {
+		log.Fatal(err)
+	}
+
+	var reads []fastq.Record
+	if !*stream {
+		reads, err = loadReads(*inPath, *dataset, *scale)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if *trimQ > 0 {
+			before := len(reads)
+			reads = fastq.TrimAll(reads, *trimQ, *k)
+			log.Printf("quality trim q<%d: kept %d of %d reads", *trimQ, len(reads), before)
+		}
+	}
+
+	obs.ServePprof(*pprofAddr, log.Printf)
+	var rec *obs.Recorder
+	if *runReport || *traceOut != "" || *metricsOut != "" || *serve != "" {
+		rec = obs.NewRecorder(layout.Ranks())
+		cfg.Obs = rec
+		obs.RegisterBuildInfo(rec.Registry(), "dedukt")
+	}
 
 	var res *pipeline.Result
 	switch {
 	case *resume != "":
-		budget, perr := parseSize(*memBudget)
-		if perr != nil {
-			log.Fatalf("-mem-budget: %v", perr)
-		}
-		cfg.MemBudgetBytes = budget
 		// The checkpoint's Reopen hook supplies the fast-forwarded
 		// source; nothing to open here.
 		res, err = pipeline.ResumeStream(cfg)
 	case *stream:
-		budget, perr := parseSize(*memBudget)
-		if perr != nil {
-			log.Fatalf("-mem-budget: %v", perr)
-		}
-		cfg.MemBudgetBytes = budget
 		in, serr := fastq.OpenStream(splitPaths(*inPath)...)
 		if serr != nil {
 			log.Fatal(serr)

@@ -23,7 +23,6 @@
 package dedukt
 
 import (
-	"fmt"
 	"io"
 
 	"dedukt/internal/cluster"
@@ -34,7 +33,6 @@ import (
 	"dedukt/internal/minimizer"
 	"dedukt/internal/pipeline"
 	recov "dedukt/internal/recover"
-	"dedukt/internal/spectrum"
 )
 
 // Core types, re-exported from the implementation packages. External callers
@@ -104,8 +102,8 @@ func Count(reads []Read, opts Options) (*Result, error) {
 // materializing the input: ranks pull bounded chunks on demand and the
 // live working set stays under Options.MemBudgetBytes regardless of
 // input size. The counted spectrum is bit-identical to Count over the
-// same reads. Features that need the whole input up front
-// (BalancedPartition, FilterSingletons) are rejected.
+// same reads. BalancedPartition, which needs the whole input up front, is
+// rejected.
 func CountStream(src Source, opts Options) (*Result, error) {
 	return pipeline.RunStream(opts, src)
 }
@@ -166,31 +164,6 @@ func ParseKmer(s string) (Kmer, error) { return dna.KmerFromString(&dna.Random, 
 // (the paper's random-encoding order), "kmc2", or "hashed".
 func OrderingByName(name string) (minimizer.Ordering, error) {
 	return minimizer.ByName(name, &dna.Random)
-}
-
-// WideTable is the serial counter for wide k-mers (32 < k ≤ 64).
-type WideTable = kcount.WideTable
-
-// SpectrumModel is a fitted k-mer frequency spectrum (coverage peak, error
-// component, genome-size and repeat estimates).
-type SpectrumModel = spectrum.Model
-
-// FitSpectrum analyzes a counted histogram (§II-A's genome profiling).
-func FitSpectrum(h Histogram) (SpectrumModel, error) { return spectrum.Fit(h) }
-
-// CountLocal counts k-mers serially on the local machine for any k ≤ 64 —
-// no distributed simulation, no cost model. It extends the library beyond
-// the paper's k ≤ 32 distributed pipeline for long-read workloads that use
-// larger k. canonical folds reverse complements together.
-func CountLocal(reads []Read, k int, canonical bool) (*WideTable, error) {
-	if k <= 0 || k > dna.Max128K {
-		return nil, fmt.Errorf("dedukt: k=%d outside (0,%d]", k, dna.Max128K)
-	}
-	seqs := make([][]byte, len(reads))
-	for i, r := range reads {
-		seqs[i] = r.Seq
-	}
-	return kcount.CountWide(&dna.Random, seqs, k, canonical), nil
 }
 
 // Validate checks opts without running anything.

@@ -101,28 +101,3 @@ func TestFacadeModesDiffer(t *testing.T) {
 		t.Fatal("mode names wrong")
 	}
 }
-
-func TestFacadeCountLocalWideK(t *testing.T) {
-	reads := []dedukt.Read{
-		{ID: "a", Seq: []byte("ACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGT")}, // 48 bases
-		{ID: "b", Seq: []byte("ACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGT")},
-	}
-	const k = 45
-	tab, err := dedukt.CountLocal(reads, k, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Each read yields 4 k-mers (48-45+1), duplicated across the two reads.
-	if tab.Len() != 4 {
-		t.Fatalf("distinct = %d, want 4", tab.Len())
-	}
-	if tab.TotalCount() != 8 {
-		t.Fatalf("total = %d, want 8", tab.TotalCount())
-	}
-	if _, err := dedukt.CountLocal(reads, 65, false); err == nil {
-		t.Fatal("k=65 should be rejected")
-	}
-	if _, err := dedukt.CountLocal(reads, 0, false); err == nil {
-		t.Fatal("k=0 should be rejected")
-	}
-}

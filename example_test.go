@@ -31,19 +31,6 @@ func ExampleParseKmer() {
 	// Output: GATTACA
 }
 
-// Serial wide-k counting beyond the distributed pipeline's k ≤ 32.
-func ExampleCountLocal() {
-	reads := []dedukt.Read{
-		{ID: "r", Seq: []byte("ACGTACGTACGTACGTACGTACGTACGTACGTACGTACGT")}, // 40 bases
-	}
-	tab, err := dedukt.CountLocal(reads, 36, false)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("distinct 36-mers:", tab.Len())
-	// Output: distinct 36-mers: 4
-}
-
 // The paper's machine configurations.
 func ExampleSummitGPU() {
 	fmt.Println(dedukt.SummitGPU(64).Ranks(), "GPU ranks")

@@ -7,7 +7,7 @@ import (
 
 // MaxK is the largest k-mer length representable by the single-word Kmer
 // type (2 bits per base in a uint64). The paper's experiments use k=17,
-// comfortably within one word; longer k-mers use LongKmer.
+// comfortably within one word.
 const MaxK = 32
 
 // Kmer is a 2-bit-packed k-mer of length ≤ MaxK. The base at offset 0 (the

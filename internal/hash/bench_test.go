@@ -25,12 +25,3 @@ func BenchmarkSum128(b *testing.B) {
 		Sum128(data, 0)
 	}
 }
-
-func BenchmarkWords64(b *testing.B) {
-	words := []uint64{1, 2, 3, 4}
-	var h uint64
-	for i := 0; i < b.N; i++ {
-		h = Words64(words, h)
-	}
-	_ = h
-}

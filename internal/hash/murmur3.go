@@ -191,19 +191,3 @@ func Mix64(x uint64) uint64 { return fmix64(x) }
 // Mix64Seeded folds a seed into the word before finalizing; used to derive
 // independent hash functions (e.g. table slot vs. destination rank).
 func Mix64Seeded(x, seed uint64) uint64 { return fmix64(x ^ seed) }
-
-// Words64 hashes a packed multi-word key (e.g. a LongKmer) by chaining the
-// 64-bit finalizer with the x64_128 block constants, avoiding any byte
-// materialization.
-func Words64(words []uint64, seed uint64) uint64 {
-	h := seed ^ uint64(len(words))*c1x64
-	for _, w := range words {
-		k := w * c1x64
-		k = rotl64(k, 31)
-		k *= c2x64
-		h ^= k
-		h = rotl64(h, 27)
-		h = h*5 + 0x52dce729
-	}
-	return fmix64(h)
-}

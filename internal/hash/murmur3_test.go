@@ -83,20 +83,6 @@ func TestMix64SeededDiffers(t *testing.T) {
 	}
 }
 
-func TestWords64Consistency(t *testing.T) {
-	a := Words64([]uint64{1, 2, 3}, 0)
-	b := Words64([]uint64{1, 2, 3}, 0)
-	if a != b {
-		t.Fatal("Words64 not deterministic")
-	}
-	if Words64([]uint64{1, 2, 3}, 0) == Words64([]uint64{3, 2, 1}, 0) {
-		t.Fatal("Words64 ignores order")
-	}
-	if Words64([]uint64{1}, 0) == Words64([]uint64{1, 0}, 0) {
-		t.Fatal("Words64 ignores length")
-	}
-}
-
 func TestSum32IncrementalTails(t *testing.T) {
 	// Every tail length 0..15 exercised; hash must differ from neighbors.
 	data := []byte("abcdefghijklmnop")

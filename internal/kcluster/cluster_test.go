@@ -126,6 +126,26 @@ func newTestRegistry(t testing.TB, seeds []string) *Registry {
 	return reg
 }
 
+// TestReadyAfterProbeNow: once ProbeNow returns over live replicas the
+// cluster is ready, even when the probe loop's first pass is still running
+// beside it — a pass that found nothing new to rebuild must not return
+// before the one that did has published its view.
+func TestReadyAfterProbeNow(t *testing.T) {
+	_, seeds := startCluster(t, sampleDB(t, 15, 200, 3), 1, 2)
+	for i := 0; i < 20; i++ {
+		reg, err := NewRegistry(RegistryOptions{Seeds: seeds, ProbeInterval: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg.ProbeNow()
+		ready := reg.Ready()
+		reg.Close()
+		if !ready {
+			t.Fatalf("registry %d not ready after ProbeNow: %+v", i, reg.Snapshot())
+		}
+	}
+}
+
 func seqOf(key uint64, k int) string { return dna.Kmer(key).String(&dna.Random, k) }
 
 // candidatesOf is the candidate order the next request to shard would get.

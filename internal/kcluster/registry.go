@@ -80,6 +80,10 @@ type Registry struct {
 	mu    sync.Mutex // orders shape adoption and view rebuilds
 	shape shape      // shards == 0 until a replica has answered
 
+	// probing serialises probe passes: a pass that finds no change returns
+	// only after any pass before it has published what it found.
+	probing sync.Mutex
+
 	stop     chan struct{}
 	stopOnce sync.Once
 	done     chan struct{}
@@ -181,12 +185,15 @@ func (g *Registry) probeLoop() {
 	}
 }
 
-// ProbeNow runs one synchronous probe pass over every replica.
+// ProbeNow runs one synchronous probe pass over every replica, after any
+// pass already running; the view reflects both when it returns.
 func (g *Registry) ProbeNow() { g.probeAll() }
 
 // probeAll probes every replica concurrently, then rebuilds the view if
 // any routability or identity changed.
 func (g *Registry) probeAll() {
+	g.probing.Lock()
+	defer g.probing.Unlock()
 	changed := make([]bool, len(g.replicas))
 	var wg sync.WaitGroup
 	for i, rep := range g.replicas {

@@ -25,7 +25,6 @@ var ErrTableFull = errors.New("kcount: atomic table full")
 type AtomicTable struct {
 	segs   []segment
 	mask   uint64
-	prob   Probing
 	load   float64 // the ceiling the capacity was sized for
 	grows  int     // Reserve rehashes behind this table
 	moved  int     // keys those rehashes re-inserted, in total
@@ -61,12 +60,14 @@ func (t *AtomicTable) slot(idx uint64) (seg *segment, in uint64) {
 }
 
 // NewAtomicTable creates a table with capacity the next power of two above
-// expected/maxLoad (maxLoad 0 defaults to 0.5).
+// expected/maxLoad (maxLoad outside (0,1) defaults to 0.5). prob must be
+// Linear (see Probing). The pipeline and the benchmark module always pass
+// 0.5; the tests grow tables under other ceilings too.
 func NewAtomicTable(expected int, maxLoad float64, prob Probing) *AtomicTable {
 	if maxLoad <= 0 || maxLoad >= 1 {
 		maxLoad = 0.5
 	}
-	t := &AtomicTable{prob: prob, load: maxLoad}
+	t := &AtomicTable{load: maxLoad}
 	t.extend(t.capacityFor(expected))
 	return t
 }
@@ -170,7 +171,7 @@ func (t *AtomicTable) rehash(old int) {
 		}
 		home := slotOf(e.stored-1, t.mask)
 		for j := uint64(0); ; j++ {
-			idx := (home + t.prob.step(j)) & t.mask
+			idx := (home + j) & t.mask
 			if isSettled(idx) {
 				continue
 			}
@@ -222,7 +223,7 @@ func (t *AtomicTable) Add(key uint64, delta uint32) (isNew bool, probes int, err
 	stored := key + 1
 	home := slotOf(key, t.mask)
 	for i := uint64(0); i <= t.mask; i++ {
-		seg, in := t.slot((home + t.prob.step(i)) & t.mask)
+		seg, in := t.slot((home + i) & t.mask)
 		probes++
 		cur := seg.keys[in].Load()
 		if cur == 0 {
@@ -255,7 +256,7 @@ func (t *AtomicTable) Get(key uint64) uint32 {
 	stored := key + 1
 	home := slotOf(key, t.mask)
 	for i := uint64(0); i <= t.mask; i++ {
-		seg, in := t.slot((home + t.prob.step(i)) & t.mask)
+		seg, in := t.slot((home + i) & t.mask)
 		switch seg.keys[in].Load() {
 		case 0:
 			return 0
@@ -281,7 +282,7 @@ func (t *AtomicTable) ForEach(fn func(key uint64, count uint32)) {
 // Snapshot copies the contents into a serial Table (for histogramming and
 // reporting once the kernel has finished).
 func (t *AtomicTable) Snapshot() *Table {
-	out := NewTable(t.Len(), t.prob)
+	out := NewTable(t.Len(), Linear)
 	t.ForEach(func(k uint64, c uint32) { out.Add(k, c) })
 	return out
 }

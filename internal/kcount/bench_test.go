@@ -24,15 +24,6 @@ func BenchmarkTableInc(b *testing.B) {
 	}
 }
 
-func BenchmarkTableIncQuadratic(b *testing.B) {
-	keys := benchKeys(1<<16, 1<<14)
-	b.ResetTimer()
-	tab := NewTable(1<<14, Quadratic)
-	for i := 0; i < b.N; i++ {
-		tab.Inc(keys[i&(1<<16-1)])
-	}
-}
-
 func BenchmarkAtomicTableInc(b *testing.B) {
 	keys := benchKeys(1<<16, 1<<14)
 	tab := NewAtomicTable(1<<14, 0.5, Linear)

@@ -1,9 +1,8 @@
 // Package kcount implements the k-mer counter hash tables of §III-B.3: open
-// addressing with linear (or, as an ablation, quadratic) probing, slot
-// selection by MurmurHash3, and an atomic variant with the insert/increment
-// semantics of the GPU kernel. A map-based serial oracle is provided for
-// correctness testing, plus histogram/spectrum utilities over counted
-// tables.
+// addressing with linear probing, slot selection by MurmurHash3, and an
+// atomic variant with the insert/increment semantics of the GPU kernel. A
+// map-based serial oracle is provided for correctness testing, plus
+// histogram/spectrum utilities over counted tables.
 package kcount
 
 import (
@@ -16,28 +15,14 @@ import (
 	"dedukt/internal/kmer"
 )
 
-// Probing selects the collision resolution sequence (§III-B.3: "a probe
-// sequence (linear, quadratic, etc). In this work, we use linear probing").
+// Probing names the collision resolution sequence (§III-B.3: "In this work,
+// we use linear probing"). Linear, slots h, h+1, h+2, ..., is the only one:
+// the type and the constructors' prob parameter remain because the
+// benchmark module calls NewTable and NewAtomicTable with kcount.Linear.
 type Probing int
 
-const (
-	// Linear probes slots h, h+1, h+2, ...
-	Linear Probing = iota
-	// Quadratic probes slots h, h+1, h+3, h+6, ... (triangular offsets,
-	// a full cycle for power-of-two capacities).
-	Quadratic
-)
-
-func (p Probing) String() string {
-	switch p {
-	case Linear:
-		return "linear"
-	case Quadratic:
-		return "quadratic"
-	default:
-		return fmt.Sprintf("Probing(%d)", int(p))
-	}
-}
+// Linear probes slots h, h+1, h+2, ...
+const Linear Probing = 0
 
 // tableSeed is the slot-hash seed; it must differ from the seed used for
 // destination-rank hashing so table position is independent of rank
@@ -47,14 +32,6 @@ const tableSeed = 0x9e3779b97f4a7c15
 // slotOf returns the home slot for a key in a table of capacity mask+1.
 func slotOf(key uint64, mask uint64) uint64 {
 	return hash.Mix64Seeded(key, tableSeed) & mask
-}
-
-// step returns the i-th probe offset (i ≥ 1) for the configured policy.
-func (p Probing) step(i uint64) uint64 {
-	if p == Quadratic {
-		return i * (i + 1) / 2
-	}
-	return i
 }
 
 // Table is a serial open-addressing counter: packed k-mer keys to uint32
@@ -71,7 +48,6 @@ type Table struct {
 	limit  int // most keys held before a new one grows the table: ⌊0.7·Cap⌋
 	grows  int // rehashes so far
 	moved  int // keys those rehashes re-inserted, in total
-	prob   Probing
 	// Probes accumulates the total number of slots inspected across all
 	// operations — the quantity the GPU cost model charges memory traffic
 	// for.
@@ -82,7 +58,7 @@ type Table struct {
 const MaxKey = ^uint64(0) - 1
 
 // NewTable creates a table with capacity for at least expected entries at
-// ≤50% initial load.
+// ≤50% initial load. prob must be Linear (see Probing).
 func NewTable(expected int, prob Probing) *Table {
 	if expected < 1 {
 		expected = 1
@@ -91,7 +67,7 @@ func NewTable(expected int, prob Probing) *Table {
 	if capacity < 8 {
 		capacity = 8
 	}
-	t := &Table{prob: prob}
+	t := &Table{}
 	t.alloc(capacity)
 	return t
 }
@@ -134,7 +110,7 @@ func (t *Table) Add(key uint64, delta uint32) (isNew bool) {
 	stored := key + 1
 	slot := slotOf(key, t.mask)
 	for i := uint64(0); ; i++ {
-		idx := (slot + t.prob.step(i)) & t.mask
+		idx := (slot + i) & t.mask
 		t.Probes++
 		switch t.keys[idx] {
 		case 0:
@@ -163,7 +139,7 @@ func (t *Table) Get(key uint64) uint32 {
 	stored := key + 1
 	slot := slotOf(key, t.mask)
 	for i := uint64(0); ; i++ {
-		idx := (slot + t.prob.step(i)) & t.mask
+		idx := (slot + i) & t.mask
 		switch t.keys[idx] {
 		case 0:
 			return 0
@@ -218,7 +194,7 @@ func (t *Table) rehash(capacity int) {
 		}
 		slot := slotOf(stored-1, t.mask)
 		for j := uint64(0); ; j++ {
-			if idx := (slot + t.prob.step(j)) & t.mask; t.keys[idx] == 0 {
+			if idx := (slot + j) & t.mask; t.keys[idx] == 0 {
 				t.keys[idx], t.counts[idx] = stored, oldCounts[i]
 				break
 			}

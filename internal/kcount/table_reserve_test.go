@@ -56,51 +56,49 @@ func tablesEqual(t testing.TB, got, want *Table) {
 	}
 }
 
-// TestTableReserve: a reserved table holds what a plain-ladder table holds,
-// under both probings; it does not grow while no more new keys than it
+// TestTableReserve: a reserved table holds what a plain-ladder table holds;
+// it does not grow while no more new keys than it
 // reserved for are added, however many increments come with them; once they
 // are in it has the ladder's capacity, by one rehash where the ladder doubled
 // a dozen times; and a Reserve that fits the room is free.
 func TestTableReserve(t *testing.T) {
-	for _, prob := range []Probing{Linear, Quadratic} {
-		t.Run(prob.String(), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(23))
-			table, ladder := NewTable(1, prob), NewTable(1, prob)
-			add := func(key uint64, delta uint32) bool {
-				ladder.Add(key, delta)
-				return table.Add(key, delta)
-			}
-			next := uint64(0) // keys below next are held
-			for _, more := range []int{0, 1, 5, 6, 100, 3, 40_000, 0, 7_000, 200_000} {
-				tableReserveChecked(t, table, ladder, more)
-				slots, grows := table.Cap(), table.Grows()
-				for fresh := 0; fresh < more; {
-					// One add in three brings a new key, the others repeat one held.
-					key := next
-					isFresh := next == 0 || rng.Intn(3) == 0
-					if isFresh {
-						next++
-						fresh++
-					} else {
-						key = uint64(rng.Int63n(int64(next)))
-					}
-					if isNew := add(key*0x9e3779b97f4a7c15>>8, uint32(rng.Intn(3)+1)); isNew != isFresh {
-						t.Fatalf("Add of key %d reported new = %v with %d held", key, isNew, next)
-					}
+	t.Run("linear", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(23))
+		table, ladder := NewTable(1, Linear), NewTable(1, Linear)
+		add := func(key uint64, delta uint32) bool {
+			ladder.Add(key, delta)
+			return table.Add(key, delta)
+		}
+		next := uint64(0) // keys below next are held
+		for _, more := range []int{0, 1, 5, 6, 100, 3, 40_000, 0, 7_000, 200_000} {
+			tableReserveChecked(t, table, ladder, more)
+			slots, grows := table.Cap(), table.Grows()
+			for fresh := 0; fresh < more; {
+				// One add in three brings a new key, the others repeat one held.
+				key := next
+				isFresh := next == 0 || rng.Intn(3) == 0
+				if isFresh {
+					next++
+					fresh++
+				} else {
+					key = uint64(rng.Int63n(int64(next)))
 				}
-				if table.Cap() != slots || table.Grows() != grows {
-					t.Fatalf("%d new keys after Reserve(%d) took the table from %d slots to %d", more, more, slots, table.Cap())
-				}
-				tablesEqual(t, table, ladder)
-				if table.Cap() != ladder.Cap() {
-					t.Fatalf("%d slots for %d keys, the ladder ends with %d", table.Cap(), table.Len(), ladder.Cap())
+				if isNew := add(key*0x9e3779b97f4a7c15>>8, uint32(rng.Intn(3)+1)); isNew != isFresh {
+					t.Fatalf("Add of key %d reported new = %v with %d held", key, isNew, next)
 				}
 			}
-			if table.Grows() >= ladder.Grows() || table.Rehashed() >= ladder.Rehashed() {
-				t.Fatalf("%d grows and %d keys rehashed, the ladder %d and %d", table.Grows(), table.Rehashed(), ladder.Grows(), ladder.Rehashed())
+			if table.Cap() != slots || table.Grows() != grows {
+				t.Fatalf("%d new keys after Reserve(%d) took the table from %d slots to %d", more, more, slots, table.Cap())
 			}
-		})
-	}
+			tablesEqual(t, table, ladder)
+			if table.Cap() != ladder.Cap() {
+				t.Fatalf("%d slots for %d keys, the ladder ends with %d", table.Cap(), table.Len(), ladder.Cap())
+			}
+		}
+		if table.Grows() >= ladder.Grows() || table.Rehashed() >= ladder.Rehashed() {
+			t.Fatalf("%d grows and %d keys rehashed, the ladder %d and %d", table.Grows(), table.Rehashed(), ladder.Grows(), ladder.Rehashed())
+		}
+	})
 }
 
 // TestTableIncAtCeilingDoesNotGrow: a table holding ⌊0.7·Cap⌋ keys is where
@@ -169,8 +167,8 @@ func TestTableProbesAcrossGrowth(t *testing.T) {
 
 // FuzzTableReserve drives a reserved table and a plain-ladder one through the
 // same byte-coded adds, with Reserves only the first sees, each checked by
-// tableReserveChecked. The first byte picks the probing; an add is a byte of
-// key, dense enough to repeat, and one whose low nibble is the delta and whose
+// tableReserveChecked. The first byte is unused; an add is a byte of key,
+// dense enough to repeat, and one whose low nibble is the delta and whose
 // high nibble widens the key.
 func FuzzTableReserve(f *testing.F) {
 	f.Add([]byte{})
@@ -186,8 +184,7 @@ func FuzzTableReserve(f *testing.F) {
 		if len(ops) == 0 {
 			return
 		}
-		prob := Probing(ops[0] & 1)
-		table, ladder := NewTable(1, prob), NewTable(1, prob)
+		table, ladder := NewTable(1, Linear), NewTable(1, Linear)
 		reserved, slots := 0, table.Cap() // new keys the last Reserve still covers
 		for ops = ops[1:]; len(ops) >= 2; ops = ops[2:] {
 			if ops[0] == 0xff {

@@ -76,33 +76,31 @@ func TestTableGrowth(t *testing.T) {
 }
 
 func TestTableMatchesMapOracle(t *testing.T) {
-	for _, prob := range []Probing{Linear, Quadratic} {
-		rng := rand.New(rand.NewSource(31))
-		tab := NewTable(16, prob)
-		oracle := map[uint64]uint32{}
-		for i := 0; i < 50_000; i++ {
-			key := uint64(rng.Intn(5_000)) // heavy duplication
-			tab.Inc(key)
-			oracle[key]++
+	rng := rand.New(rand.NewSource(31))
+	tab := NewTable(16, Linear)
+	oracle := map[uint64]uint32{}
+	for i := 0; i < 50_000; i++ {
+		key := uint64(rng.Intn(5_000)) // heavy duplication
+		tab.Inc(key)
+		oracle[key]++
+	}
+	if tab.Len() != len(oracle) {
+		t.Fatalf("Len %d != oracle %d", tab.Len(), len(oracle))
+	}
+	for k, want := range oracle {
+		if got := tab.Get(k); got != want {
+			t.Fatalf("Get(%d) = %d, want %d", k, got, want)
 		}
-		if tab.Len() != len(oracle) {
-			t.Fatalf("%v: Len %d != oracle %d", prob, tab.Len(), len(oracle))
+	}
+	seen := 0
+	tab.ForEach(func(k uint64, c uint32) {
+		if oracle[k] != c {
+			t.Fatalf("ForEach key %d count %d, oracle %d", k, c, oracle[k])
 		}
-		for k, want := range oracle {
-			if got := tab.Get(k); got != want {
-				t.Fatalf("%v: Get(%d) = %d, want %d", prob, k, got, want)
-			}
-		}
-		seen := 0
-		tab.ForEach(func(k uint64, c uint32) {
-			if oracle[k] != c {
-				t.Fatalf("%v: ForEach key %d count %d, oracle %d", prob, k, c, oracle[k])
-			}
-			seen++
-		})
-		if seen != len(oracle) {
-			t.Fatalf("%v: ForEach visited %d, want %d", prob, seen, len(oracle))
-		}
+		seen++
+	})
+	if seen != len(oracle) {
+		t.Fatalf("ForEach visited %d, want %d", seen, len(oracle))
 	}
 }
 
@@ -271,7 +269,7 @@ func TestAtomicTableFull(t *testing.T) {
 }
 
 func TestAtomicSnapshot(t *testing.T) {
-	tab := NewAtomicTable(16, 0.5, Quadratic)
+	tab := NewAtomicTable(16, 0.5, Linear)
 	tab.Add(5, 3)
 	tab.Add(9, 1)
 	snap := tab.Snapshot()
@@ -303,19 +301,6 @@ func TestAtomicReserve(t *testing.T) {
 	table.Reserve(1)
 	if table.Cap() != want || table.Grows() != 1 {
 		t.Fatal("unneeded growth")
-	}
-}
-
-func TestQuadraticProbeFullCycle(t *testing.T) {
-	// Triangular quadratic probing must visit every slot of a power-of-two
-	// table — otherwise inserts could fail while slots remain free.
-	const capacity = 64
-	seen := map[uint64]bool{}
-	for i := uint64(0); i < capacity; i++ {
-		seen[Quadratic.step(i)%capacity] = true
-	}
-	if len(seen) != capacity {
-		t.Fatalf("quadratic probe visits %d/%d slots", len(seen), capacity)
 	}
 }
 

@@ -48,7 +48,7 @@ func (a *KmerArrival) Kmers() int { return a.offsets[len(a.parts)] }
 
 // Count is the GPU counting kernel of §III-B.3 over the window of at most
 // budget k-mers that starts at flat item from: one thread per k-mer; each
-// thread probes the open-addressing table (linear probing by default),
+// thread probes the open-addressing table (linear probing),
 // claims a slot with atomicCAS when the k-mer is new, and bumps the count
 // with atomicAdd. It returns the item after the window and the k-mers the
 // window held. Inserts beyond capacity surface as ErrTableFull, matching a

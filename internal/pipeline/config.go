@@ -127,13 +127,9 @@ type Config struct {
 	// Result.ModeledTotal). Off by default so the paper's bulk-synchronous
 	// baseline stays reproducible.
 	Overlap bool
-	// TableLoad is the counter table's maximum load factor (default 0.5).
-	TableLoad float64
-	// Probing selects the collision policy (default linear, §III-B.3).
-	Probing kcount.Probing
 	// Canonical, when true, counts canonical k-mers (min of k-mer and its
-	// reverse complement). The paper does not canonicalize; provided as a
-	// library feature.
+	// reverse complement); k-mer mode only. The paper does not
+	// canonicalize; provided as a library feature.
 	Canonical bool
 	// CPULoadLift evaluates the CPU baseline's load-dependent per-item
 	// cost at items×CPULoadLift: scaled-down experiments set it to the
@@ -157,22 +153,11 @@ type Config struct {
 	// is also set, the tighter of the two caps applies. Ignored by the
 	// in-memory Run.
 	MemBudgetBytes int64
-	// FilterSingletons enables the Bloom-filter singleton pre-filter of
-	// the diBELLA/HipMer lineage (BFCounter-style): a k-mer's first
-	// sighting is absorbed by a per-rank Bloom filter and only k-mers seen
-	// at least twice enter the counter table, keeping error k-mers (the
-	// bulk of distinct k-mers at high coverage) out of memory. Counts of
-	// surviving k-mers stay exact except when a first sighting hits a
-	// Bloom false positive (probability FilterFP). CPU engine only — the
-	// paper's GPU pipeline has no Bloom stage.
-	FilterSingletons bool
-	// FilterFP is the Bloom false-positive target (default 0.01).
-	FilterFP float64
 	// KeepTables retains each rank's counted table in Result.Tables (they
 	// are discarded by default: at scale they dominate memory). Downstream
-	// consumers — de Bruijn graph construction, set operations, database
-	// export — use them for per-k-mer access beyond the histogram. Run
-	// collects the heap around the ranks of such a run (see Run).
+	// consumers — set operations, database export, serving — use them for
+	// per-k-mer access beyond the histogram. Run collects the heap around
+	// the ranks of such a run (see Run).
 	KeepTables bool
 	// BalancedPartition enables the frequency-aware minimizer-to-rank
 	// assignment (supermer mode only): minimizer bins are weighted by
@@ -300,6 +285,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("pipeline: k=%d outside (0,%d]", c.K, dna.MaxK)
 	}
 	if c.Mode == SupermerMode {
+		if c.Canonical {
+			return fmt.Errorf("pipeline: canonical counting is supported in kmer mode only")
+		}
 		mc := c.minimizerConfig()
 		if err := mc.Validate(); err != nil {
 			return err
@@ -319,15 +307,6 @@ func (c Config) Validate() error {
 	}
 	if c.MemBudgetBytes < 0 {
 		return fmt.Errorf("pipeline: negative MemBudgetBytes %d", c.MemBudgetBytes)
-	}
-	if c.FilterSingletons && c.Layout.GPU != nil {
-		return fmt.Errorf("pipeline: the singleton Bloom filter is a CPU-baseline feature (GPU layout given)")
-	}
-	if c.FilterFP < 0 || c.FilterFP >= 1 {
-		return fmt.Errorf("pipeline: FilterFP %v outside [0,1)", c.FilterFP)
-	}
-	if c.TableLoad < 0 || c.TableLoad >= 1 {
-		return fmt.Errorf("pipeline: table load %.2f outside [0,1)", c.TableLoad)
 	}
 	if err := c.Fault.Validate(); err != nil {
 		return err
@@ -368,9 +347,6 @@ func (c Config) Validate() error {
 		if c.Ckpt.Dir != "" {
 			return fmt.Errorf("pipeline: spill counting and checkpointing are mutually exclusive (checkpoints persist the in-memory spectrum slice spilling never builds)")
 		}
-		if c.FilterSingletons {
-			return fmt.Errorf("pipeline: spill counting cannot use the singleton Bloom filter (first sightings must survive until their bin is counted)")
-		}
 	}
 	return nil
 }
@@ -398,12 +374,9 @@ func (c Config) minimizerConfig() minimizer.Config {
 	return minimizer.Config{K: c.K, M: c.M, Window: c.Window, Ord: c.ordering()}
 }
 
-func (c Config) tableLoad() float64 {
-	if c.TableLoad == 0 {
-		return 0.5
-	}
-	return c.TableLoad
-}
+// tableLoad is the device table's load ceiling (§III-B.3's open-addressing
+// table at ≤ 50 % occupancy).
+const tableLoad = 0.5
 
 // DefaultMemBudget is the streaming working-set budget when
 // Config.MemBudgetBytes is zero: 256 MiB across all simulated ranks.

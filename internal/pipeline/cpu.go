@@ -117,7 +117,7 @@ func cpuBuildSupermers(cfg Config, destMap []uint16, nProc int, data []byte, pre
 // cpuCountKmers is the scalar COUNTKMER of Alg. 1 over an open-addressing
 // table (the same structure the GPU uses, without atomics), consuming the
 // received per-source parts in place.
-func cpuCountKmers(cfg Config, table *kcount.Table, bloom *kcount.Bloom, parts [][]uint64) (work, error) {
+func cpuCountKmers(cfg Config, table *kcount.Table, parts [][]uint64) (work, error) {
 	kmers := 0
 	for _, part := range parts {
 		kmers += len(part)
@@ -126,7 +126,7 @@ func cpuCountKmers(cfg Config, table *kcount.Table, bloom *kcount.Bloom, parts [
 		for _, part := range parts {
 			for _, key := range part {
 				if sel.has(key) {
-					countOne(table, bloom, key, m)
+					countOne(table, key, m)
 				}
 			}
 		}
@@ -184,25 +184,12 @@ func countProvisioned(table *kcount.Table, kmers int, pass func(keySlice, *kerne
 	return w, pass(otherKeys, &w.meter)
 }
 
-// countOne inserts one received k-mer, routing first sightings through the
-// Bloom filter when the singleton pre-filter is active (BFCounter scheme:
-// a key enters the table on its second sighting, with count 2 so surviving
-// counts stay exact).
-func countOne(table *kcount.Table, bloom *kcount.Bloom, key uint64, m *kernels.WorkMeter) {
+// countOne inserts one received k-mer and meters its hash, probes and
+// increment.
+func countOne(table *kcount.Table, key uint64, m *kernels.WorkMeter) {
 	m.AddItems(1)
-	if bloom != nil {
-		m.AddOps(bloom.Hashes() * kernels.OpsHash)
-		m.AddBytes(bloom.Hashes()) // one bit-word touch per hash
-		if !bloom.TestAndSet(key) {
-			return // first sighting stays in the filter
-		}
-	}
 	before := table.Probes
-	isNew := table.Inc(key)
-	if bloom != nil && isNew {
-		// The Bloom filter absorbed the first sighting: account for it.
-		table.Add(key, 1)
-	}
+	table.Inc(key)
 	probes := int(table.Probes - before)
 	m.AddOps(kernels.OpsHash + probes*kernels.OpsProbe + kernels.OpsEmit)
 	m.AddBytes(8 + probes*8 + 4)
@@ -212,7 +199,7 @@ func countOne(table *kcount.Table, bloom *kcount.Bloom, key uint64, m *kernels.W
 // (Alg. 2 COUNTKMER), consuming the received per-source parts in place. The
 // received bytes are exchanged data: a decode failure surfaces as an error,
 // never a panic.
-func cpuCountSupermers(cfg Config, table *kcount.Table, bloom *kcount.Bloom, parts [][]byte) (work, error) {
+func cpuCountSupermers(cfg Config, table *kcount.Table, parts [][]byte) (work, error) {
 	wire := kernels.SupermerWire{K: cfg.K, Window: cfg.Window}
 	stride, mask := wire.Stride(), kmerMask(cfg.K)
 	images := 0
@@ -244,7 +231,7 @@ func cpuCountSupermers(cfg Config, table *kcount.Table, bloom *kcount.Bloom, par
 				for j := 0; j < cfg.K-1+nk; j++ {
 					kw = (kw<<2 | uint64(packed[j>>2]>>(2*uint(j&3))&3)) & mask
 					if j >= cfg.K-1 && sel.has(kw) {
-						countOne(table, bloom, kw, m)
+						countOne(table, kw, m)
 					}
 				}
 			}

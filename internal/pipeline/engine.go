@@ -96,7 +96,7 @@ func (w *work) ops() uint64 { return w.meter.Ops + w.stats.ComputeOps }
 func newKmerEngine(rc rankCtx) (engine[uint64], error) {
 	cfg := rc.cfg
 	if cfg.Layout.GPU == nil {
-		return newCPUEngine(rc, &cpuEngine[uint64]{parseRows: cpuParseKmers, countRows: cpuCountKmers})
+		return newCPUEngine(rc, &cpuEngine[uint64]{parseRows: cpuParseKmers, countRows: cpuCountKmers}), nil
 	}
 	pc := kernels.ParseConfig{Enc: cfg.Enc, K: cfg.K, NumDest: rc.seat.nOrig, Canonical: cfg.Canonical, Headroom: kernels.WordFrameHeader}
 	var rows [parseSlots]kernels.Packed[uint64]
@@ -113,7 +113,7 @@ func newKmerEngine(rc rankCtx) (engine[uint64], error) {
 func newSupermerEngine(rc rankCtx) (engine[byte], error) {
 	cfg := rc.cfg
 	if cfg.Layout.GPU == nil {
-		return newCPUEngine(rc, &cpuEngine[byte]{parseRows: cpuBuildSupermers, countRows: cpuCountSupermers})
+		return newCPUEngine(rc, &cpuEngine[byte]{parseRows: cpuBuildSupermers, countRows: cpuCountSupermers}), nil
 	}
 	sc := kernels.SupermerConfig{Enc: cfg.Enc, C: cfg.minimizerConfig(), NumDest: rc.seat.nOrig, DestMap: rc.destMap, Headroom: kernels.ByteFrameHeader}
 	wire := kernels.SupermerWire{K: cfg.K, Window: cfg.Window}
@@ -129,52 +129,36 @@ func newSupermerEngine(rc rankCtx) (engine[byte], error) {
 }
 
 // cpuEngine is the scalar baseline (Alg. 1, or the CPU-supermer ablation of
-// Alg. 2) over an open-addressing table with an optional singleton
-// pre-filter. The mode plugs in its scalar kernel pair (cpu.go), which
-// meters abstract work with the same constants the GPU kernels use; the
-// layout's CPUModel converts it to Power9 time.
+// Alg. 2) over an open-addressing table. The mode plugs in its scalar kernel
+// pair (cpu.go), which meters abstract work with the same constants the GPU
+// kernels use; the layout's CPUModel converts it to Power9 time.
 type cpuEngine[T unit] struct {
 	cfg       Config
 	destMap   []uint16
 	nDest     int
 	table     *kcount.Table
-	bloom     *kcount.Bloom
 	send      [parseSlots][][]T // per-slot send rows, truncated and reused
 	parseRows func(cfg Config, destMap []uint16, nDest int, data []byte, prev [][]T) ([][]T, kernels.WorkMeter, error)
-	countRows func(cfg Config, table *kcount.Table, bloom *kcount.Bloom, rows [][]T) (work, error)
+	countRows func(cfg Config, table *kcount.Table, rows [][]T) (work, error)
 }
 
 // newCPUEngine completes e, which arrives holding the mode's kernel pair:
 // it builds the table, preloaded with the seat's checkpointed spectrum
-// slices, and the Bloom filter when FilterSingletons is set.
-func newCPUEngine[T unit](rc rankCtx, e *cpuEngine[T]) (*cpuEngine[T], error) {
+// slices.
+func newCPUEngine[T unit](rc rankCtx, e *cpuEngine[T]) *cpuEngine[T] {
 	cfg, seat := rc.cfg, rc.seat
 	seedLen := 0
 	for _, db := range seat.seed {
 		seedLen += db.Len()
 	}
 	e.cfg, e.destMap, e.nDest = cfg, rc.destMap, seat.nOrig
-	e.table = kcount.NewTable(seedLen+1, cfg.Probing)
+	e.table = kcount.NewTable(seedLen+1, kcount.Linear)
 	for _, db := range seat.seed {
 		for _, en := range db.Entries {
 			e.table.Add(en.Key, en.Count)
 		}
 	}
-	if cfg.FilterSingletons {
-		fp := cfg.FilterFP
-		if fp == 0 {
-			fp = 0.01
-		}
-		// Size for this rank's expected distinct arrivals: its share of
-		// the partition's k-mers is bounded by its share of the input
-		// (bloomBases — known up front only on the in-memory path, which
-		// is why RunStream rejects the filter).
-		var err error
-		if e.bloom, err = kcount.NewBloom(rc.bloomBases+1, fp); err != nil {
-			return nil, err
-		}
-	}
-	return e, nil
+	return e
 }
 
 func (e *cpuEngine[T]) parse(slot int, data []byte) ([][]T, work, error) {
@@ -184,7 +168,7 @@ func (e *cpuEngine[T]) parse(slot int, data []byte) ([][]T, work, error) {
 }
 
 func (e *cpuEngine[T]) count(recv [][]T) (work, error) {
-	return e.countRows(e.cfg, e.table, e.bloom, recv)
+	return e.countRows(e.cfg, e.table, recv)
 }
 
 func (e *cpuEngine[T]) modeled(w work) time.Duration {
@@ -195,9 +179,8 @@ func (e *cpuEngine[T]) stage(uint64) time.Duration { return 0 }
 
 func (e *cpuEngine[T]) counted() countedTable { return e.table }
 
-// newBin also drops the singleton filter: a bin is counted exactly.
 func (e *cpuEngine[T]) newBin() {
-	e.table, e.bloom = kcount.NewTable(1, e.cfg.Probing), nil
+	e.table = kcount.NewTable(1, kcount.Linear)
 	e.send = [parseSlots][][]T{}
 }
 
@@ -244,7 +227,7 @@ func newGPUEngine[T unit](rc rankCtx, e *gpuEngine[T]) (*gpuEngine[T], error) {
 	for _, db := range rc.seat.seed {
 		n += db.Len()
 	}
-	e.table = kcount.NewAtomicTable(n, cfg.tableLoad(), cfg.Probing)
+	e.table = kcount.NewAtomicTable(n, tableLoad, kcount.Linear)
 	for _, db := range rc.seat.seed {
 		for _, en := range db.Entries {
 			if _, _, err := e.table.Add(en.Key, en.Count); err != nil {
@@ -316,6 +299,6 @@ func (e *gpuEngine[T]) stage(n uint64) time.Duration {
 func (e *gpuEngine[T]) counted() countedTable { return e.table }
 
 func (e *gpuEngine[T]) newBin() {
-	e.table = kcount.NewAtomicTable(1, e.cfg.tableLoad(), e.cfg.Probing)
+	e.table = kcount.NewAtomicTable(1, tableLoad, kcount.Linear)
 	e.parseRows = nil // the closure owns the packed send rows
 }

@@ -255,12 +255,15 @@ func TestConfigValidation(t *testing.T) {
 		{Layout: layout, Enc: &dna.Random, K: 40},
 		{Layout: layout, Enc: &dna.Random, K: 17, Mode: SupermerMode, M: 0, Window: 15},
 		{Layout: layout, Enc: &dna.Random, K: 17, Mode: SupermerMode, M: 7, Window: 0},
-		{Layout: layout, Enc: &dna.Random, K: 17, TableLoad: 1.5},
 		{Layout: cluster.Layout{}, Enc: &dna.Random, K: 17},
+		{Layout: layout, Enc: &dna.Random, K: 17, Mode: SupermerMode, M: 7, Window: 15, Canonical: true},
 	}
 	for i, cfg := range bad {
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("config %d should fail Validate", i)
+		}
 		if _, err := Run(cfg, nil); err == nil {
-			t.Errorf("config %d should be rejected", i)
+			t.Errorf("config %d should be rejected by Run", i)
 		}
 	}
 }

@@ -151,8 +151,8 @@ func testCountProvisioned(t *testing.T) {
 
 	// counted runs arrivals through a fresh engine of cfg and returns its
 	// table and the metered work.
-	counted := func(t *testing.T, cfg Config, seat *rankSeat, bloomBases int, arrivals ...[]uint64) (*kcount.Table, work) {
-		eng, err := newKmerEngine(rankCtx{cfg: cfg, seat: seat, bloomBases: bloomBases})
+	counted := func(t *testing.T, cfg Config, seat *rankSeat, arrivals ...[]uint64) (*kcount.Table, work) {
+		eng, err := newKmerEngine(rankCtx{cfg: cfg, seat: seat})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +180,7 @@ func testCountProvisioned(t *testing.T) {
 	}
 
 	t.Run("checkpoint seeded", func(t *testing.T) {
-		seeded := kcount.NewTable(1, cfg.Probing)
+		seeded := kcount.NewTable(1, kcount.Linear)
 		first := kmerRow(cfg, reads[:half])
 		for _, key := range first {
 			seeded.Inc(key)
@@ -188,7 +188,7 @@ func testCountProvisioned(t *testing.T) {
 		seat := identitySeat(0, 1)
 		seat.seed = []*kcount.Database{kcount.FromTable(seeded, cfg.K, 0)}
 		rest := kmerRow(cfg, reads[half:])
-		table, w := counted(t, cfg, seat, 0, rest)
+		table, w := counted(t, cfg, seat, rest)
 		check(t, table, w, oracle, len(rest))
 		if w.reserved == 0 {
 			t.Error("the arrival outgrew the seeded table without a Reserve")
@@ -196,25 +196,12 @@ func testCountProvisioned(t *testing.T) {
 	})
 	t.Run("two arrivals", func(t *testing.T) {
 		a, b := kmerRow(cfg, reads[:half]), kmerRow(cfg, reads[half:])
-		table, w := counted(t, cfg, identitySeat(0, 1), 0, a, b)
+		table, w := counted(t, cfg, identitySeat(0, 1), a, b)
 		check(t, table, w, oracle, len(a)+len(b))
-	})
-	t.Run("filter singletons", func(t *testing.T) {
-		cfg := cfg
-		cfg.FilterSingletons, cfg.FilterFP = true, 1e-6
-		row := kmerRow(cfg, reads)
-		table, w := counted(t, cfg, identitySeat(0, 1), len(row), row)
-		kept := map[dna.Kmer]uint32{}
-		for key, c := range oracle {
-			if c > 1 {
-				kept[key] = c
-			}
-		}
-		check(t, table, w, kept, len(row))
 	})
 	t.Run("tiny arrival", func(t *testing.T) {
 		row := kmerRow(cfg, reads[:1])[:9]
-		table, w := counted(t, cfg, identitySeat(0, 1), 0, row)
+		table, w := counted(t, cfg, identitySeat(0, 1), row)
 		check(t, table, w, kcount.SerialCount(cfg.Enc, [][]byte{reads[0].Seq[:9+cfg.K-1]}, cfg.K), len(row))
 	})
 	t.Run("no key in the slice", func(t *testing.T) {
@@ -226,7 +213,7 @@ func testCountProvisioned(t *testing.T) {
 				want[dna.Kmer(key)]++
 			}
 		}
-		table, w := counted(t, cfg, identitySeat(0, 1), 0, row)
+		table, w := counted(t, cfg, identitySeat(0, 1), row)
 		check(t, table, w, want, len(row))
 		if w.reserved != 0 {
 			t.Errorf("room reserved for %d keys from an empty sample", w.reserved)

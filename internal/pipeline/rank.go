@@ -23,9 +23,6 @@ type rankCtx struct {
 	src     chunkSource
 	seat    *rankSeat
 	out     *rankOutcome
-	// bloomBases is the rank's expected input bases for singleton-filter
-	// sizing (0 when unknown).
-	bloomBases int
 }
 
 // roundState is one parity's pooled round scratch: the round's send rows

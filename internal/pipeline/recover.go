@@ -362,7 +362,7 @@ func buildFingerprint(cfg Config) recov.Fingerprint {
 // The completed spectrum is bit-identical to an unfaulted run over the
 // same input.
 func ResumeStream(cfg Config) (*Result, error) {
-	if err := validateRun(cfg); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Ckpt.Dir == "" {

@@ -56,7 +56,7 @@ func TestGPUTableReservation(t *testing.T) {
 			}
 			checkAgainstOracle(t, cfg, reads, res)
 			sized := func(keys int) float64 {
-				return float64(kcount.NewAtomicTable(keys, cfg.tableLoad(), cfg.Probing).Cap())
+				return float64(kcount.NewAtomicTable(keys, tableLoad, kcount.Linear).Cap())
 			}
 			lo, hi := tc.launches(res)
 			for rank, kmers := range res.PerRankKmers {
@@ -64,8 +64,8 @@ func TestGPUTableReservation(t *testing.T) {
 					return rec.Registry().Gauge(name, "", obs.L("rank", strconv.Itoa(rank))).Value()
 				}
 				slots, load := gauge("pipeline_table_slots"), gauge("pipeline_table_load_factor")
-				if load <= 0 || load > cfg.tableLoad() {
-					t.Errorf("rank %d: load factor %.3f outside (0, %.2f]", rank, load, cfg.tableLoad())
+				if load <= 0 || load > tableLoad {
+					t.Errorf("rank %d: load factor %.3f outside (0, %.2f]", rank, load, tableLoad)
 				}
 				// Under spill load·slots is no one table's key count; the bound
 				// by k-mers received still holds for every bin table.
@@ -259,7 +259,7 @@ func TestCountLaunchLoop(t *testing.T) {
 				}
 				// old follows the rule the loop replaced: reserve the whole
 				// arrival's k-mers, then insert them.
-				old := kcount.NewAtomicTable(1, cfg.tableLoad(), cfg.Probing)
+				old := kcount.NewAtomicTable(1, tableLoad, kcount.Linear)
 				var all [][]byte
 				for i, a := range arrivals {
 					var kmers int
@@ -288,7 +288,7 @@ func TestCountLaunchLoop(t *testing.T) {
 				if diff := got.Snapshot().EqualToOracle(kcount.SerialCount(enc, all, k)); diff != "" {
 					t.Fatal(diff)
 				}
-				if most := kcount.NewAtomicTable(2*got.Len()+minLaunch, cfg.tableLoad(), cfg.Probing).Cap(); got.Cap() > most {
+				if most := kcount.NewAtomicTable(2*got.Len()+minLaunch, tableLoad, kcount.Linear).Cap(); got.Cap() > most {
 					t.Errorf("%d slots for %d keys, want at most %d", got.Cap(), got.Len(), most)
 				}
 				if got.Cap() > old.Cap() {

@@ -91,7 +91,7 @@ func TestUnevenTailDrain(t *testing.T) {
 		for r := 2; r < p; r++ {
 			sources[r] = &sliceChunker{maxBases: cfg.RoundBases}
 		}
-		res, err := runWorld(cfg, nil, sources, nil, nil, nil, nil, nil)
+		res, err := runWorld(cfg, nil, sources, nil, nil, nil, nil)
 		if err != nil {
 			t.Fatalf("overlap=%v: %v", overlap, err)
 		}

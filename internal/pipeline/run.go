@@ -59,7 +59,7 @@ type rankOutcome struct {
 // make room for the caller's database. Left to the collector's own timing the
 // same count → MergedTable → FromTable peaked anywhere from 186 to 281 MB.
 func Run(cfg Config, reads []fastq.Record) (*Result, error) {
-	if err := validateRun(cfg); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Ckpt.Dir != "" {
@@ -72,13 +72,11 @@ func Run(cfg Config, reads []fastq.Record) (*Result, error) {
 	p := cfg.Layout.Ranks()
 	parts := fastq.Partition(reads, p)
 	sources := make([]chunkSource, p)
-	bloomBases := make([]int, p)
 	var totalBases uint64
 	for r, part := range parts {
 		for _, rd := range part {
-			bloomBases[r] += len(rd.Seq)
+			totalBases += uint64(len(rd.Seq))
 		}
-		totalBases += uint64(bloomBases[r])
 		sources[r] = &sliceChunker{reads: part, maxBases: cfg.RoundBases}
 	}
 	spl, err := newSpillCtl(cfg)
@@ -88,7 +86,7 @@ func Run(cfg Config, reads []fastq.Record) (*Result, error) {
 	if cfg.KeepTables {
 		runtime.GC()
 	}
-	res, err := runWorld(cfg, destMap, sources, bloomBases, nil, nil, nil, spl)
+	res, err := runWorld(cfg, destMap, sources, nil, nil, nil, spl)
 	if err != nil {
 		return nil, err
 	}
@@ -100,24 +98,11 @@ func Run(cfg Config, reads []fastq.Record) (*Result, error) {
 	return res, nil
 }
 
-// validateRun is the config validation shared by Run and RunStream.
-func validateRun(cfg Config) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	if cfg.Canonical && cfg.Mode == SupermerMode {
-		return fmt.Errorf("pipeline: canonical counting is supported in kmer mode only")
-	}
-	return nil
-}
-
 // runWorld is the engine shared by Run, RunStream and ResumeStream: it
 // spins up the simulated world with one chunk producer per rank and
 // aggregates the rank outcomes. sources feeds each rank's round loop (a
 // preloaded partition for Run, handles on a shared bounded producer for
-// the streaming paths); bloomBases, when non-nil, gives each rank's
-// expected input bases for singleton-filter sizing (unknown when
-// streaming, which is why RunStream rejects FilterSingletons).
+// the streaming paths).
 //
 // seats, when non-nil, is a resumed world (possibly smaller than the
 // layout after earlier shrinks); nil means the identity world. ck
@@ -125,7 +110,7 @@ func validateRun(cfg Config) error {
 // rv set, a rank death no longer fails the run — survivors shrink the
 // communicator, replay from the last checkpoint, and the dead ranks'
 // expected failures are absorbed below.
-func runWorld(cfg Config, destMap []uint16, sources []chunkSource, bloomBases []int, seats []*rankSeat, ck *ckptCtl, rv *recoverRT, spl *spillCtl) (*Result, error) {
+func runWorld(cfg Config, destMap []uint16, sources []chunkSource, seats []*rankSeat, ck *ckptCtl, rv *recoverRT, spl *spillCtl) (*Result, error) {
 	nOrig := cfg.Layout.Ranks()
 	inj, err := fault.New(cfg.Fault, nOrig)
 	if err != nil {
@@ -164,9 +149,6 @@ func runWorld(cfg Config, destMap []uint16, sources []chunkSource, bloomBases []
 		rc := rankCtx{
 			cfg: cfg, destMap: destMap, inj: inj, ck: ck,
 			c: c, src: sources[c.Rank()], seat: seat, out: out,
-		}
-		if bloomBases != nil {
-			rc.bloomBases = bloomBases[c.Rank()]
 		}
 		if spl != nil {
 			rc.rsp = spl.rank(seat.old)

@@ -376,9 +376,6 @@ func TestSpillRejectsIncompatibleConfig(t *testing.T) {
 	ck := base()
 	ck.Ckpt = CkptConfig{Dir: t.TempDir(), Reopen: func(fastq.Cursor) (fastq.Source, error) { return nil, nil }}
 	cases["Ckpt"] = ck
-	fs := base()
-	fs.FilterSingletons = true
-	cases["FilterSingletons"] = fs
 	nb := base()
 	nb.Spill.Bins = -1
 	cases["negative bins"] = nb

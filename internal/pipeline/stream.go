@@ -20,10 +20,8 @@ import (
 // flag on each round's count announcement, when every rank has drained
 // (see runRounds).
 //
-// Two Config features are rejected because they need the whole input up
-// front: BalancedPartition (its minimizer-load profiling pass) and
-// FilterSingletons (per-rank Bloom sizing). Preload the reads and use
-// Run for those.
+// BalancedPartition is rejected because its minimizer-load profiling pass
+// needs the whole input up front. Preload the reads and use Run for it.
 //
 // With Config.Ckpt set, the run persists round-granularity checkpoints
 // and survives rank death by shrink recovery (see ResumeStream and
@@ -36,7 +34,7 @@ func RunStream(cfg Config, src fastq.Source) (*Result, error) {
 // ResumeStream (man holds the validated checkpoint manifest and src is
 // already fast-forwarded to its cursor).
 func runStream(cfg Config, src fastq.Source, man *recov.Manifest) (*Result, error) {
-	if err := validateRun(cfg); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if src == nil {
@@ -44,9 +42,6 @@ func runStream(cfg Config, src fastq.Source, man *recov.Manifest) (*Result, erro
 	}
 	if cfg.BalancedPartition {
 		return nil, fmt.Errorf("pipeline: BalancedPartition profiles the whole input before counting and cannot stream; preload the reads and use Run")
-	}
-	if cfg.FilterSingletons {
-		return nil, fmt.Errorf("pipeline: FilterSingletons sizes its Bloom filter from the input size, unknown when streaming; preload the reads and use Run")
 	}
 	ckpt := cfg.Ckpt.Dir != ""
 	if ckpt {
@@ -86,7 +81,7 @@ func runStream(cfg Config, src fastq.Source, man *recov.Manifest) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	res, err := runWorld(cfg, nil, sources, nil, seats, ck, rv, spl)
+	res, err := runWorld(cfg, nil, sources, seats, ck, rv, spl)
 	if err != nil {
 		return nil, err
 	}

@@ -225,11 +225,6 @@ func TestStreamRejectsWholeInputFeatures(t *testing.T) {
 	if _, err := RunStream(bp, src); err == nil {
 		t.Fatal("BalancedPartition must be rejected when streaming")
 	}
-	fs := Default(smallCPULayout(), KmerMode)
-	fs.FilterSingletons = true
-	if _, err := RunStream(fs, src); err == nil {
-		t.Fatal("FilterSingletons must be rejected when streaming")
-	}
 	if _, err := RunStream(Default(smallGPULayout(1), KmerMode), nil); err == nil {
 		t.Fatal("nil source must be rejected")
 	}
