@@ -41,6 +41,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzParseKmers -fuzztime 30s ./internal/kernels/
 	$(GO) test -run xxx -fuzz FuzzTraceparent -fuzztime 30s ./internal/obs/
 	$(GO) test -run xxx -fuzz FuzzSpillBin -fuzztime 30s ./internal/pipeline/
+	$(GO) test -run xxx -fuzz FuzzCheckpointManifest -fuzztime 30s ./internal/recover/
 	$(GO) test -run xxx -fuzz FuzzHandlerKmer -fuzztime 30s -fuzzminimizetime 5s ./internal/kserve/
 	$(GO) test -run xxx -fuzz FuzzHandlerBatch -fuzztime 30s -fuzzminimizetime 5s ./internal/kserve/
 	$(GO) test -run xxx -fuzz FuzzProxyKmer -fuzztime 30s -fuzzminimizetime 5s ./internal/kcluster/
@@ -49,7 +50,7 @@ fuzz:
 # Run every fuzz target over its checked-in seed corpus only (fast,
 # deterministic — what `ci` uses).
 fuzz-seeds:
-	$(GO) test -run 'Fuzz' ./internal/fastq/ ./internal/minimizer/ ./internal/kcount/ ./internal/kernels/ ./internal/obs/ ./internal/pipeline/ ./internal/kserve/ ./internal/kcluster/
+	$(GO) test -run 'Fuzz' ./internal/fastq/ ./internal/minimizer/ ./internal/kcount/ ./internal/kernels/ ./internal/obs/ ./internal/pipeline/ ./internal/recover/ ./internal/kserve/ ./internal/kcluster/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -114,12 +115,14 @@ examples:
 	$(GO) run ./examples/metagenome
 	$(GO) run ./examples/commvolume
 
-# gofmt and vet, and no package under internal/ that no command reaches
-# (scripts/orphans.sh).
+# gofmt and vet, no package under internal/ that no command reaches
+# (scripts/orphans.sh), and no fuzz target the `fuzz` recipe leaves out
+# (scripts/fuzz_targets.sh).
 lint:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	sh scripts/orphans.sh
+	sh scripts/fuzz_targets.sh
 
 clean:
 	$(GO) clean ./...

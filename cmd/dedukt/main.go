@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -635,24 +636,30 @@ func splitPaths(in string) []string {
 }
 
 // parseSize parses a byte size like "64M", "2G", "512k" or a plain byte
-// count. An empty string means "use the default" and parses to 0.
+// count. An empty string means "use the default" and parses to 0. A
+// negative size, or one whose byte count overflows int64, is an error.
 func parseSize(s string) (int64, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return 0, nil
 	}
-	mult := int64(1)
+	num, mult := s, int64(1)
 	switch s[len(s)-1] {
 	case 'k', 'K':
-		mult, s = 1<<10, s[:len(s)-1]
+		num, mult = s[:len(s)-1], 1<<10
 	case 'm', 'M':
-		mult, s = 1<<20, s[:len(s)-1]
+		num, mult = s[:len(s)-1], 1<<20
 	case 'g', 'G':
-		mult, s = 1<<30, s[:len(s)-1]
+		num, mult = s[:len(s)-1], 1<<30
 	}
-	n, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-	if err != nil {
+	n, err := strconv.ParseInt(strings.TrimSpace(num), 10, 64)
+	switch {
+	case err != nil:
 		return 0, fmt.Errorf("bad size %q (use a byte count or a K/M/G suffix)", s)
+	case n < 0:
+		return 0, fmt.Errorf("negative size %q", s)
+	case n > math.MaxInt64/mult:
+		return 0, fmt.Errorf("size %q overflows a 64-bit byte count", s)
 	}
 	return n * mult, nil
 }

@@ -62,19 +62,14 @@ func (m CPUModel) ItemCostNs(items uint64) float64 {
 	return m.PerItemBaseNs * math.Pow(float64(items), m.PerItemExp)
 }
 
-// RankTime converts one rank's accounted work into seconds: the roofline of
-// its op throughput and its share of node memory bandwidth, plus the
-// calibrated per-item software overhead at this load.
-func (m CPUModel) RankTime(ops, bytes, items uint64) time.Duration {
-	return m.RankTimeLifted(ops, bytes, items, 1)
-}
-
-// RankTimeLifted is RankTime with the per-item unit cost evaluated at
-// items×loadLift instead of items. Scaled-down experiments use the lift to
-// evaluate the baseline's load-dependent unit cost at the *real* dataset's
-// per-rank load (the operating point the paper measured) while charging it
-// for the scaled item count — preserving the paper's time ratios at any
-// simulation scale.
+// RankTimeLifted converts one rank's accounted work into seconds: the
+// roofline of its op throughput and its share of node memory bandwidth,
+// plus the calibrated per-item software overhead, with the per-item unit
+// cost evaluated at items×loadLift instead of items (loadLift 1 charges it
+// at this load). Scaled-down experiments use the lift to evaluate the
+// baseline's load-dependent unit cost at the *real* dataset's per-rank load
+// (the operating point the paper measured) while charging it for the scaled
+// item count — preserving the paper's time ratios at any simulation scale.
 func (m CPUModel) RankTimeLifted(ops, bytes, items uint64, loadLift float64) time.Duration {
 	compute := float64(ops) / (m.ClockGHz * 1e9 * m.IPC)
 	mem := float64(bytes) / (m.MemBandwidthGBs * 1e9 / float64(m.CoresPerNode))

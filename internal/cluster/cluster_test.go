@@ -49,24 +49,24 @@ func TestLayoutValidation(t *testing.T) {
 	}
 }
 
-func TestCPUModelRankTime(t *testing.T) {
+func TestCPUModelRankTimeLifted(t *testing.T) {
 	m := Power9()
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	// Compute-bound: 7.675e9 ops at 3.07 GHz × 2.5 IPC = 1 s.
 	ops := uint64(m.ClockGHz * 1e9 * m.IPC)
-	got := m.RankTime(ops, 0, 0)
+	got := m.RankTimeLifted(ops, 0, 0, 1)
 	if got < 990*time.Millisecond || got > 1010*time.Millisecond {
 		t.Fatalf("compute-bound rank time %v, want ~1s", got)
 	}
 	// Memory-bound: per-rank share is 340/42 GB/s.
 	share := m.MemBandwidthGBs * 1e9 / float64(m.CoresPerNode)
-	got = m.RankTime(0, uint64(share), 0)
+	got = m.RankTimeLifted(0, uint64(share), 0, 1)
 	if got < 990*time.Millisecond || got > 1010*time.Millisecond {
 		t.Fatalf("memory-bound rank time %v, want ~1s", got)
 	}
-	if m.RankTime(0, 0, 0) != 0 {
+	if m.RankTimeLifted(0, 0, 0, 1) != 0 {
 		t.Fatal("zero work should cost zero")
 	}
 	bad := CPUModel{}
@@ -93,7 +93,7 @@ func TestCPUModelItemCostCalibration(t *testing.T) {
 	}
 	// Per-item overhead dominates the op/bandwidth terms at real loads.
 	items := uint64(1_000_000)
-	withItems := m.RankTime(0, 0, items)
+	withItems := m.RankTimeLifted(0, 0, items, 1)
 	if withItems < time.Duration(float64(items)*m.ItemCostNs(items))*time.Nanosecond {
 		t.Fatal("item overhead not charged")
 	}

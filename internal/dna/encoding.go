@@ -115,11 +115,3 @@ func (e *Encoding) EncodeSeq(dst []Code, seq []byte) ([]Code, error) {
 	}
 	return dst, nil
 }
-
-// DecodeSeq decodes 2-bit codes into ASCII bases, appending to dst.
-func (e *Encoding) DecodeSeq(dst []byte, codes []Code) []byte {
-	for _, c := range codes {
-		dst = append(dst, e.Decode(c))
-	}
-	return dst
-}

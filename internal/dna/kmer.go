@@ -1,9 +1,6 @@
 package dna
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // MaxK is the largest k-mer length representable by the single-word Kmer
 // type (2 bits per base in a uint64). The paper's experiments use k=17,
@@ -17,18 +14,6 @@ const MaxK = 32
 // carried externally (it is uniform across a run), exactly as in the paper's
 // packed representation (§III-B.1).
 type Kmer uint64
-
-// KmerFromCodes packs k codes (k ≤ MaxK) into a Kmer.
-func KmerFromCodes(codes []Code) Kmer {
-	if len(codes) > MaxK {
-		panic(fmt.Sprintf("dna: k=%d exceeds MaxK=%d", len(codes), MaxK))
-	}
-	var w Kmer
-	for _, c := range codes {
-		w = w<<2 | Kmer(c&3)
-	}
-	return w
-}
 
 // KmerFromString encodes an ASCII string of length ≤ MaxK under e.
 func KmerFromString(e *Encoding, s string) (Kmer, error) {
@@ -132,30 +117,6 @@ func (w Kmer) Canonical(e *Encoding, k int) Kmer {
 	return w
 }
 
-// GCContent returns the number of G/C bases in w under encoding e.
-func (w Kmer) GCContent(e *Encoding, k int) int {
-	g := Kmer(e.MustEncode('G'))
-	c := Kmer(e.MustEncode('C'))
-	n := 0
-	for i := 0; i < k; i++ {
-		b := w & 3
-		if b == g || b == c {
-			n++
-		}
-		w >>= 2
-	}
-	return n
-}
-
-// Words reports how many 64-bit machine words a k-mer of length k occupies
-// when 2-bit packed: ⌈k/32⌉. Used to size exchange buffers (§III-B.1 notes
-// an 11-mer fits a 32-bit word instead of 88 bits of characters).
-func Words(k int) int { return (k + MaxK - 1) / MaxK }
-
 // PackedBytes reports the number of bytes needed for a 2-bit packed
 // sequence of n bases: ⌈n/4⌉.
 func PackedBytes(n int) int { return (n + 3) / 4 }
-
-// PopcountCodes is a helper used by tests: number of set bits in the packed
-// representation (useful for quick hashing sanity checks).
-func (w Kmer) PopcountCodes() int { return bits.OnesCount64(uint64(w)) }

@@ -88,13 +88,13 @@ func TestReverseComplement(t *testing.T) {
 func TestReverseComplementInvolution(t *testing.T) {
 	f := func(raw []byte, kRaw uint8) bool {
 		k := int(kRaw%MaxK) + 1
-		codes := make([]Code, k)
-		for i := range codes {
+		var w Kmer
+		for i := range k {
+			w <<= 2
 			if len(raw) > 0 {
-				codes[i] = Code(raw[i%len(raw)] & 3)
+				w |= Kmer(raw[i%len(raw)] & 3)
 			}
 		}
-		w := KmerFromCodes(codes)
 		rc2 := w.ReverseComplement(&Random, k).ReverseComplement(&Random, k)
 		return rc2 == w
 	}
@@ -117,16 +117,6 @@ func TestCanonical(t *testing.T) {
 	}
 }
 
-func TestGCContent(t *testing.T) {
-	w := MustKmer(&Lexicographic, "GGCCATAT")
-	if gc := w.GCContent(&Lexicographic, 8); gc != 4 {
-		t.Fatalf("GC = %d, want 4", gc)
-	}
-	if gc := MustKmer(&Random, "GGCCATAT").GCContent(&Random, 8); gc != 4 {
-		t.Fatalf("GC under random encoding = %d, want 4", gc)
-	}
-}
-
 func TestKmerMask(t *testing.T) {
 	if KmerMask(0) != 0 {
 		t.Error("mask(0) != 0")
@@ -142,14 +132,11 @@ func TestKmerMask(t *testing.T) {
 	}
 }
 
-func TestWordsAndPackedBytes(t *testing.T) {
-	cases := []struct{ k, words, bytes int }{
-		{1, 1, 1}, {4, 1, 1}, {5, 1, 2}, {17, 1, 5}, {32, 1, 8}, {33, 2, 9}, {64, 2, 16},
+func TestPackedBytes(t *testing.T) {
+	cases := []struct{ k, bytes int }{
+		{1, 1}, {4, 1}, {5, 2}, {17, 5}, {32, 8}, {33, 9}, {64, 16},
 	}
 	for _, c := range cases {
-		if got := Words(c.k); got != c.words {
-			t.Errorf("Words(%d) = %d, want %d", c.k, got, c.words)
-		}
 		if got := PackedBytes(c.k); got != c.bytes {
 			t.Errorf("PackedBytes(%d) = %d, want %d", c.k, got, c.bytes)
 		}

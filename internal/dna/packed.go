@@ -128,9 +128,6 @@ func (b *SeqBuffer) AppendRead(seq []byte) {
 // Data returns the concatenated array including separators.
 func (b *SeqBuffer) Data() []byte { return b.data }
 
-// NumReads returns how many reads were appended.
-func (b *SeqBuffer) NumReads() int { return len(b.starts) }
-
 // Read returns the i-th read's bases (excluding the separator).
 func (b *SeqBuffer) Read(i int) []byte {
 	start := b.starts[i]

@@ -63,16 +63,3 @@ func TrimAll(reads []Record, minQ, minLen int) []Record {
 	}
 	return out
 }
-
-// MeanQuality returns the average phred score of a record's quality string
-// (0 for FASTA records).
-func MeanQuality(rec Record) float64 {
-	if len(rec.Qual) == 0 {
-		return 0
-	}
-	sum := 0
-	for _, q := range rec.Qual {
-		sum += Phred(q)
-	}
-	return float64(sum) / float64(len(rec.Qual))
-}

@@ -87,13 +87,3 @@ func TestTrimAll(t *testing.T) {
 		t.Fatalf("survivors: %s", strings.Join(ids, ","))
 	}
 }
-
-func TestMeanQuality(t *testing.T) {
-	rec := Record{Seq: []byte("ACGT"), Qual: qual(10, 20, 30, 40)}
-	if got := MeanQuality(rec); got != 25 {
-		t.Fatalf("mean quality %f", got)
-	}
-	if MeanQuality(Record{Seq: []byte("AC")}) != 0 {
-		t.Fatal("FASTA mean quality should be 0")
-	}
-}

@@ -35,10 +35,4 @@ func TestFatalKillValidation(t *testing.T) {
 	if err := (Config{FatalKill: true, FatalRank: 0, FatalRound: -1}).Validate(); err == nil {
 		t.Fatal("negative fatal round accepted")
 	}
-	if (Config{}).Enabled() {
-		t.Fatal("zero config enabled")
-	}
-	if !(Config{FatalKill: true}).Enabled() {
-		t.Fatal("fatal kill config not enabled")
-	}
 }

@@ -59,11 +59,6 @@ type Config struct {
 	FatalRound int
 }
 
-// Enabled reports whether any fault has a non-zero probability.
-func (c Config) Enabled() bool {
-	return c.Kill > 0 || c.Delay > 0 || c.Drop > 0 || c.Corrupt > 0 || c.FatalKill
-}
-
 // Validate checks the probabilities.
 func (c Config) Validate() error {
 	for _, p := range []struct {

@@ -198,10 +198,4 @@ func TestValidate(t *testing.T) {
 	if _, err := New(Config{Drop: 0.5}, 0); err == nil {
 		t.Error("zero world size should be rejected")
 	}
-	if !(Config{Drop: 0.01}).Enabled() {
-		t.Error("non-zero drop should report enabled")
-	}
-	if (Config{}).Enabled() {
-		t.Error("zero config should report disabled")
-	}
 }

@@ -106,13 +106,9 @@ type access struct {
 // Ctx is the per-thread recorder handed to kernel bodies. It is only valid
 // during the call.
 type Ctx struct {
-	tid      int
 	ops      uint64
 	accesses []access
 }
-
-// TID returns the global thread index.
-func (c *Ctx) TID() int { return c.tid }
 
 // Compute records n abstract arithmetic/logic operations.
 func (c *Ctx) Compute(n int) { c.ops += uint64(n) }
@@ -207,9 +203,7 @@ func (d *Device) Launch(spec LaunchSpec, body func(tid int, ctx *Ctx)) (KernelSt
 					lanes[i].accesses = lanes[i].accesses[:0]
 				}
 				for tid := lo; tid < hi; tid++ {
-					lane := &lanes[tid-lo]
-					lane.tid = tid
-					body(tid, lane)
+					body(tid, &lanes[tid-lo])
 				}
 				d.foldWarp(&partials[slot], lanes[:hi-lo], fs)
 			}

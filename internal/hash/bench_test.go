@@ -9,19 +9,3 @@ func BenchmarkMix64(b *testing.B) {
 	}
 	_ = h
 }
-
-func BenchmarkSum32(b *testing.B) {
-	data := make([]byte, 1024)
-	b.SetBytes(int64(len(data)))
-	for i := 0; i < b.N; i++ {
-		Sum32(data, 0)
-	}
-}
-
-func BenchmarkSum128(b *testing.B) {
-	data := make([]byte, 1024)
-	b.SetBytes(int64(len(data)))
-	for i := 0; i < b.N; i++ {
-		Sum128(data, 0)
-	}
-}

@@ -1,8 +1,9 @@
 // Package kcount implements the k-mer counter hash tables of §III-B.3: open
-// addressing with linear probing, slot selection by MurmurHash3, and an
-// atomic variant with the insert/increment semantics of the GPU kernel. A
-// map-based serial oracle is provided for correctness testing, plus
-// histogram/spectrum utilities over counted tables.
+// addressing with linear probing, slot selection by MurmurHash3's fmix64
+// finalizer (hash.Mix64Seeded), and an atomic variant with the
+// insert/increment semantics of the GPU kernel. A map-based serial oracle
+// is provided for correctness testing, plus histogram/spectrum utilities
+// over counted tables.
 package kcount
 
 import (
@@ -90,9 +91,6 @@ func (t *Table) Len() int { return t.n }
 // Cap returns the current slot capacity.
 func (t *Table) Cap() int { return len(t.keys) }
 
-// LoadFactor returns occupied/capacity.
-func (t *Table) LoadFactor() float64 { return float64(t.n) / float64(len(t.keys)) }
-
 // Grows returns how many times the table has rehashed into a larger one.
 func (t *Table) Grows() int { return t.grows }
 
@@ -156,13 +154,6 @@ func (t *Table) ForEach(fn func(key uint64, count uint32)) {
 			fn(stored-1, t.counts[i])
 		}
 	}
-}
-
-// TotalCount sums all counts (the k-mer multiset size).
-func (t *Table) TotalCount() uint64 {
-	var total uint64
-	t.ForEach(func(_ uint64, c uint32) { total += uint64(c) })
-	return total
 }
 
 // Reserve makes room for more new keys and returns how many now fit before

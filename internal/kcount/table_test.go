@@ -32,8 +32,8 @@ func TestTableBasic(t *testing.T) {
 	if tab.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", tab.Len())
 	}
-	if tab.TotalCount() != 7 {
-		t.Fatalf("TotalCount = %d, want 7", tab.TotalCount())
+	if total := tab.Histogram().Total(); total != 7 {
+		t.Fatalf("Histogram().Total() = %d, want 7", total)
 	}
 }
 
@@ -70,8 +70,8 @@ func TestTableGrowth(t *testing.T) {
 			t.Fatalf("Get(%d) = %d after growth", i, got)
 		}
 	}
-	if tab.LoadFactor() > 0.7 {
-		t.Fatalf("load factor %.2f > 0.7 after growth", tab.LoadFactor())
+	if load := float64(tab.Len()) / float64(tab.Cap()); load > 0.7 {
+		t.Fatalf("load factor %.2f > 0.7 after growth", load)
 	}
 }
 

@@ -129,7 +129,7 @@ func FuzzWireCorruptInput(f *testing.F) {
 	f.Add(uint8(17), uint8(15), []byte{})
 	f.Add(uint8(17), uint8(15), []byte{0, 0, 0, 0, 0, 0, 0, 0, 16})
 	f.Add(uint8(5), uint8(3), []byte("dkfr\x01\x00\x00\x00garbage"))
-	f.Add(uint8(32), uint8(255), FrameBytes([]byte{1, 2, 3}, 1))
+	f.Add(uint8(32), uint8(255), AppendFrameBytes(nil, []byte{1, 2, 3}, 1))
 	f.Fuzz(func(t *testing.T, kRaw, windowRaw uint8, raw []byte) {
 		k := int(kRaw%32) + 1
 		window := int(windowRaw)

@@ -127,23 +127,9 @@ func TestWireValidate(t *testing.T) {
 	}
 }
 
-func TestWireEncodeInto(t *testing.T) {
-	wire := SupermerWire{K: 5, Window: 10}
-	codes := []dna.Code{0, 1, 2, 3, 0, 1, 2}
-	s := minimizer.Supermer{Seq: dna.PackCodes(codes), NKmers: 3}
-	buf := make([]byte, wire.Stride())
-	if n := wire.EncodeInto(buf, &s); n != wire.Stride() {
-		t.Fatalf("EncodeInto returned %d", n)
-	}
-	seq, nk := mustDecode(t, wire, buf)
-	if nk != 3 || seq.At(6) != 2 {
-		t.Fatal("EncodeInto round trip failed")
-	}
-}
-
 func TestFrameBytesRoundTrip(t *testing.T) {
 	payload := []byte("a supermer wire buffer stand-in")
-	frame := FrameBytes(payload, 7)
+	frame := AppendFrameBytes(nil, payload, 7)
 	got, items, err := UnframeBytes(frame)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +139,7 @@ func TestFrameBytesRoundTrip(t *testing.T) {
 	}
 	// Empty payloads still frame (count 0) — a dropped payload is nil and
 	// must stay distinguishable from an empty one.
-	empty := FrameBytes(nil, 0)
+	empty := AppendFrameBytes(nil, nil, 0)
 	if _, items, err := UnframeBytes(empty); err != nil || items != 0 {
 		t.Fatalf("empty frame: items=%d err=%v", items, err)
 	}
@@ -164,7 +150,7 @@ func TestFrameBytesRoundTrip(t *testing.T) {
 
 func TestFrameBytesDetectsCorruption(t *testing.T) {
 	payload := bytes.Repeat([]byte{0xA5, 0x3C}, 20)
-	frame := FrameBytes(payload, 5)
+	frame := AppendFrameBytes(nil, payload, 5)
 	// Flip every single bit in turn: each must be detected.
 	for bit := 0; bit < 8*len(frame); bit++ {
 		bad := append([]byte(nil), frame...)
@@ -188,7 +174,7 @@ func TestFrameBytesDetectsCorruption(t *testing.T) {
 
 func TestFrameWordsRoundTripAndCorruption(t *testing.T) {
 	words := []uint64{0, 1, 0xdeadbeefcafef00d, ^uint64(0)}
-	frame := FrameWords(words)
+	frame := AppendFrameWords(nil, words)
 	got, err := UnframeWords(frame)
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +200,7 @@ func TestFrameWordsRoundTripAndCorruption(t *testing.T) {
 	if _, err := UnframeWords(frame[:len(frame)-1]); err == nil {
 		t.Fatal("truncated word frame undetected")
 	}
-	if empty, err := UnframeWords(FrameWords(nil)); err != nil || len(empty) != 0 {
+	if empty, err := UnframeWords(AppendFrameWords(nil, nil)); err != nil || len(empty) != 0 {
 		t.Fatalf("empty word frame: %v", err)
 	}
 }
@@ -482,21 +468,6 @@ func TestCountSupermersBadBuffer(t *testing.T) {
 	}
 	if _, err := CountSupermers(dev(t), table, SupermerWire{K: 0, Window: 15}, nil); err == nil {
 		t.Fatal("bad wire should fail")
-	}
-}
-
-func TestCountDests(t *testing.T) {
-	kmers := []uint64{1, 2, 3, 1, 1}
-	counts := CountDests(kmers, 4)
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	if total != 5 {
-		t.Fatalf("total %d", total)
-	}
-	if counts[DestOf(1, 4)] < 3 {
-		t.Fatal("duplicate key counts missing")
 	}
 }
 

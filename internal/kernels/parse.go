@@ -268,15 +268,3 @@ func scanInPlace(counts []int32, destOff []int, nWarps int) {
 	}
 	destOff[numDest] = total
 }
-
-// CountDests is a host-side helper mirroring the kernel's destination
-// assignment: it returns per-destination k-mer counts for a batch of packed
-// k-mers (used to size buffers and to compute Table III-style partition
-// loads without running a device).
-func CountDests(kmers []uint64, numDest int) []uint64 {
-	counts := make([]uint64, numDest)
-	for _, w := range kmers {
-		counts[DestOf(w, numDest)]++
-	}
-	return counts
-}

@@ -59,24 +59,6 @@ func (w SupermerWire) Encode(dst []byte, s *minimizer.Supermer) []byte {
 	return append(dst, byte(s.NKmers))
 }
 
-// EncodeInto writes the wire image into buf (length ≥ Stride), for
-// preallocated kernel output buffers. It returns the stride.
-func (w SupermerWire) EncodeInto(buf []byte, s *minimizer.Supermer) int {
-	stride := w.Stride()
-	if len(buf) < stride {
-		panic("kernels: wire buffer too small")
-	}
-	if s.NKmers < 1 || s.NKmers > w.Window {
-		panic(fmt.Sprintf("kernels: supermer with %d kmers exceeds window %d", s.NKmers, w.Window))
-	}
-	n := copy(buf, s.Seq.Bytes())
-	for i := n; i < stride-1; i++ {
-		buf[i] = 0
-	}
-	buf[stride-1] = byte(s.NKmers)
-	return stride
-}
-
 // Decode reads one supermer image from buf, returning the packed sequence
 // view (no copy) and the k-mer count. The bytes are exchanged data and
 // therefore untrusted: a truncated image or an out-of-range length byte
@@ -160,12 +142,6 @@ var frameMagic = [4]byte{'d', 'k', 'f', 'r'}
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// FrameBytes wraps a byte payload of the given item count in a checksummed
-// frame.
-func FrameBytes(payload []byte, items int) []byte {
-	return AppendFrameBytes(make([]byte, 0, ByteFrameHeader+len(payload)), payload, items)
-}
-
 // SealFrameBytes writes the checksummed header of frame[ByteFrameHeader:],
 // a payload of the given item count, into the ByteFrameHeader bytes of room
 // ahead of it, making frame the payload's wire frame without moving a
@@ -231,12 +207,6 @@ func wordsCRC(words []uint64) uint32 {
 		words = words[n:]
 	}
 	return crc
-}
-
-// FrameWords wraps a word payload (packed k-mers) in a one-word
-// checksummed header.
-func FrameWords(words []uint64) []uint64 {
-	return AppendFrameWords(make([]uint64, 0, WordFrameHeader+len(words)), words)
 }
 
 // SealFrameWords writes the checksummed header of frame[WordFrameHeader:]

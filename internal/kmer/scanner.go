@@ -73,25 +73,10 @@ func Count(enc *dna.Encoding, seq []byte, k int) int {
 	return n
 }
 
-// Extract appends all valid k-mers of seq to dst.
+// Extract appends all valid k-mers of seq to dst. seq may be a
+// separator-delimited buffer of many reads (dna.SeqBuffer.Data): the
+// separator is an invalid base, so no window straddles two reads (§III-B.1).
 func Extract(dst []dna.Kmer, enc *dna.Encoding, seq []byte, k int) []dna.Kmer {
 	ForEach(enc, seq, k, func(w dna.Kmer, _ int) { dst = append(dst, w) })
 	return dst
-}
-
-// ExtractBuffer appends all valid k-mers from a concatenated, separator-
-// delimited base buffer (dna.SeqBuffer.Data). Because the separator is an
-// invalid base, k-mer windows never straddle two reads — this is exactly why
-// the GPU staging format marks read ends with special bytes (§III-B.1).
-func ExtractBuffer(dst []dna.Kmer, enc *dna.Encoding, data []byte, k int) []dna.Kmer {
-	return Extract(dst, enc, data, k)
-}
-
-// MaxKmers bounds the number of k-mers a read of length L can produce:
-// max(0, L-k+1). Used to presize outgoing buffers.
-func MaxKmers(readLen, k int) int {
-	if readLen < k {
-		return 0
-	}
-	return readLen - k + 1
 }

@@ -38,8 +38,8 @@ func TestScannerPositions(t *testing.T) {
 		}
 		i++
 	})
-	if i != MaxKmers(len(seq), k) {
-		t.Fatalf("yielded %d kmers, want %d", i, MaxKmers(len(seq), k))
+	if i != len(seq)-k+1 {
+		t.Fatalf("yielded %d kmers, want %d", i, len(seq)-k+1)
 	}
 }
 
@@ -87,12 +87,12 @@ func TestNewScannerPanics(t *testing.T) {
 	}
 }
 
-func TestExtractBufferRespectsSeparators(t *testing.T) {
+func TestExtractRespectsSeparators(t *testing.T) {
 	var b dna.SeqBuffer
 	b.AppendRead([]byte("ACGTA"))
 	b.AppendRead([]byte("GGCC"))
 	k := 3
-	kmers := ExtractBuffer(nil, &dna.Lexicographic, b.Data(), k)
+	kmers := Extract(nil, &dna.Lexicographic, b.Data(), k)
 	// Per-read extraction must match: no k-mer straddles the boundary.
 	var want []dna.Kmer
 	want = Extract(want, &dna.Lexicographic, []byte("ACGTA"), k)
@@ -145,15 +145,6 @@ func TestScannerMatchesNaive(t *testing.T) {
 			if got[i] != naive[i] {
 				t.Fatalf("trial %d: kmer %d mismatch", trial, i)
 			}
-		}
-	}
-}
-
-func TestMaxKmers(t *testing.T) {
-	cases := []struct{ l, k, want int }{{10, 3, 8}, {3, 3, 1}, {2, 3, 0}, {0, 5, 0}}
-	for _, c := range cases {
-		if got := MaxKmers(c.l, c.k); got != c.want {
-			t.Errorf("MaxKmers(%d,%d) = %d, want %d", c.l, c.k, got, c.want)
 		}
 	}
 }

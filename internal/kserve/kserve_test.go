@@ -133,21 +133,25 @@ func TestServiceBatch(t *testing.T) {
 	// Duplicates ride along.
 	seqs = append(seqs, seqs[0], seqs[1])
 	want = append(want, want[0], want[1])
-	got, err := svc.LookupBatch(ctx, seqs)
-	if err != nil {
-		t.Fatal(err)
+	keys := make([]uint64, len(seqs))
+	for i, q := range seqs {
+		key, err := svc.ParseQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[i] = key
 	}
-	if len(got) != len(want) {
-		t.Fatalf("batch len %d, want %d", len(got), len(want))
+	got := make([]uint32, len(keys))
+	if err := svc.LookupKeysInto(ctx, keys, got); err != nil {
+		t.Fatal(err)
 	}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("batch[%d] (%s) = %d, want %d", i, seqs[i], got[i], want[i])
 		}
 	}
-	// One bad k-mer fails the whole batch.
-	if _, err := svc.LookupBatch(ctx, []string{seqs[0], "NOPE"}); err == nil {
-		t.Fatal("malformed batch accepted")
+	if err := svc.LookupKeysInto(ctx, keys, got[1:]); err == nil {
+		t.Fatal("short out slice accepted")
 	}
 }
 

@@ -220,33 +220,10 @@ func (s *Service) LookupKey(ctx context.Context, key uint64) (uint32, error) {
 	return v, nil
 }
 
-// LookupBatch resolves a batch of ASCII k-mers under one admission. Any
-// malformed k-mer fails the whole batch.
-func (s *Service) LookupBatch(ctx context.Context, seqs []string) ([]uint32, error) {
-	keys := make([]uint64, len(seqs))
-	for i, q := range seqs {
-		key, err := s.ParseQuery(q)
-		if err != nil {
-			return nil, fmt.Errorf("kmer %d: %w", i, err)
-		}
-		keys[i] = key
-	}
-	return s.LookupKeys(ctx, keys)
-}
-
-// LookupKeys is LookupBatch over pre-packed keys.
-func (s *Service) LookupKeys(ctx context.Context, keys []uint64) ([]uint32, error) {
-	out := make([]uint32, len(keys))
-	if err := s.LookupKeysInto(ctx, keys, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// LookupKeysInto resolves keys into out (which must be exactly len(keys)
-// long), the allocation-free core of LookupBatch. The batch is one
-// admission: it is served whole or refused whole (ErrOverloaded /
-// ErrClosed), and out is untouched when it is refused.
+// LookupKeysInto resolves pre-packed keys into out (which must be exactly
+// len(keys) long) without allocating. The batch is one admission: it is
+// served whole or refused whole (ErrOverloaded / ErrClosed), and out is
+// untouched when it is refused.
 func (s *Service) LookupKeysInto(ctx context.Context, keys []uint64, out []uint32) error {
 	if len(out) != len(keys) {
 		return fmt.Errorf("kserve: out length %d != keys length %d", len(out), len(keys))

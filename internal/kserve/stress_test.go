@@ -60,7 +60,8 @@ func TestConcurrentLookupsDuringShutdown(t *testing.T) {
 					}
 				} else {
 					keys := []uint64{e.Key, db.Entries[(i+1)%len(db.Entries)].Key}
-					got, err := svc.LookupKeys(ctx, keys)
+					got := make([]uint32, len(keys))
+					err := svc.LookupKeysInto(ctx, keys, got)
 					switch {
 					case err == nil:
 						served.Add(1)

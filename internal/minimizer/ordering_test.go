@@ -57,11 +57,10 @@ func TestOfMatchesNaive(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		k := 2 + rng.Intn(30)
 		m := 1 + rng.Intn(k)
-		codes := make([]dna.Code, k)
-		for i := range codes {
-			codes[i] = dna.Code(rng.Intn(4))
+		var w dna.Kmer
+		for range k {
+			w = w<<2 | dna.Kmer(rng.Intn(4))
 		}
-		w := dna.KmerFromCodes(codes)
 		for _, ord := range []Ordering{Value{}, NewKMC2(&dna.Random), Hashed{Seed: 9}} {
 			got := Of(w, k, m, ord)
 			// Naive: enumerate all m-mers, track min rank.
@@ -153,11 +152,11 @@ func TestOrderingSkewRandomVsLex(t *testing.T) {
 	count := func(enc *dna.Encoding) int {
 		counts := make([]int, bins)
 		for i := 0; i < n; i++ {
-			codes := make([]dna.Code, k)
-			for j := range codes {
-				codes[j] = dna.Code(rng.Intn(4))
+			var w dna.Kmer
+			for range k {
+				w = w<<2 | dna.Kmer(rng.Intn(4))
 			}
-			min := Of(dna.KmerFromCodes(codes), k, m, Value{})
+			min := Of(w, k, m, Value{})
 			counts[uint64(min)%bins]++
 		}
 		max := 0

@@ -53,38 +53,9 @@ type Options struct {
 	// collective kind, deadline hits) in its registry and a deadline_hit
 	// instant event when a collective times out.
 	Obs *obs.Recorder
-	// WireTime, when non-nil, emulates fabric transfer time at wall level:
-	// each payload collective (Alltoallv and its nonblocking forms) returns
-	// its received payloads no earlier than WireTime(b) after the collective
-	// was initiated, where b is the bytes this rank ships to its peers
-	// (self-delivery stays free: b == 0 charges nothing). The clock starts
-	// at initiation — the blocking call or the nonblocking post — and the
-	// collective sleeps only whatever remains of WireTime(b) once the
-	// exchange itself is done, like an RDMA transfer that progresses while
-	// the CPU computes: compute done between an IAlltoallv post and its
-	// Wait genuinely overlaps the wire. A blocking caller pays the
-	// remainder on the rank's own goroutine, a nonblocking post on the
-	// background request. Ranks sleep concurrently, so a collective's wall
-	// cost is the slowest rank's wire time, not the sum. nil means an
-	// instantaneous wire (the default). The sleep happens after the barrier
-	// waits and therefore never trips Deadline.
-	WireTime func(sentBytes int) time.Duration
-	// WireMsg, when non-nil, adds a per-message α component to the emulated
-	// wire: a payload collective additionally waits WireMsg(m), where m is
-	// the number of distinct off-node destinations this rank shipped payload
-	// to. It composes with WireTime (the β/bandwidth component) under the
-	// same clock-from-initiation rule. A flat P×P Alltoallv pays m ≈ P−1 per
-	// rank; a hierarchical exchange routes everything through node leaders
-	// and pays m = leaders−1 — exactly the message-count reduction the
-	// two-stage exchange exists to buy.
-	WireMsg func(messages int) time.Duration
-	// RanksPerNode, when > 1, makes the emulated wire topology-aware: ranks
-	// are grouped into nodes of RanksPerNode consecutive ranks (the last
-	// node may be smaller) and payload between co-located ranks is credited
-	// as intra-node traffic — the NVLink/shared-memory tier — paying no
-	// WireTime and counting no WireMsg messages, mirroring how
-	// NetModel.CollectiveTime excludes intra-node bytes from fabric time.
-	// 0 or 1 charges every off-rank byte (the legacy flat accounting).
+	// RanksPerNode is inert: nothing in the simulator reads it. It
+	// survives only because the separately built bench/ module
+	// (bench/probes.go) sets it; it goes when that caller does.
 	RanksPerNode int
 }
 
@@ -111,9 +82,6 @@ type world struct {
 	size     int
 	deadline time.Duration
 	obs      *obs.Recorder
-	wireTime func(sentBytes int) time.Duration
-	wireMsg  func(messages int) time.Duration
-	topo     Topology
 	tr       *traceLog
 
 	mu      sync.Mutex
@@ -208,8 +176,7 @@ func RunRanks(size int, opt Options, body func(c *Comm) error) (trace []TraceEnt
 		return nil, nil, fmt.Errorf("mpisim: negative deadline %v", opt.Deadline)
 	}
 	w := &world{
-		size: size, deadline: opt.Deadline, obs: opt.Obs, wireTime: opt.WireTime,
-		wireMsg: opt.WireMsg, topo: Topology{RanksPerNode: opt.RanksPerNode},
+		size: size, deadline: opt.Deadline, obs: opt.Obs,
 		tr: &traceLog{}, slots: make([]any, size), dead: make([]bool, size),
 	}
 	w.cond = sync.NewCond(&w.mu)
@@ -315,9 +282,7 @@ func (c *Comm) Shrink() (survivors []int, err error) {
 				}
 			}
 			nw := &world{
-				size: len(alive), deadline: w.deadline, obs: w.obs,
-				wireTime: w.wireTime, wireMsg: w.wireMsg, topo: w.topo,
-				tr:    w.tr,
+				size: len(alive), deadline: w.deadline, obs: w.obs, tr: w.tr,
 				slots: make([]any, len(alive)), dead: make([]bool, len(alive)),
 			}
 			nw.cond = sync.NewCond(&nw.mu)
@@ -530,71 +495,19 @@ func Alltoallv[T Unit](c *Comm, send [][]T) ([][]T, error) {
 	if err := c.syncReady(); err != nil {
 		return nil, err
 	}
-	return alltoallv(c, send, c.wireClock())
+	return alltoallv(c, send)
 }
 
 // AlltoallvBytes forwards to Alltoallv for the separately built bench/ module.
 func (c *Comm) AlltoallvBytes(send [][]byte) ([][]byte, error) { return Alltoallv(c, send) }
 
-// wire pays whatever remains of the emulated wall-level wire time for a
-// payload this rank sends off-node: WireTime(bytes) for the bandwidth
-// component plus WireMsg(msgs) for the per-destination α component
-// (self-delivery — and, with Options.RanksPerNode set, delivery to
-// co-located ranks — is an intra-node copy and stays free). The clock
-// starts at `posted` — the moment the collective was initiated — because
-// the emulated fabric moves data without the CPU, like RDMA: wall time the
-// caller spent computing (or starved of the scheduler) since initiation
-// already counts toward the transfer.
-func (c *Comm) wire(sentBytes, msgs int, posted time.Time) {
-	w := c.world
-	if (w.wireTime == nil && w.wireMsg == nil) || sentBytes == 0 {
-		return // nothing left the node: the fabric (and its latency floor) is not involved
-	}
-	var d time.Duration
-	if w.wireTime != nil {
-		d += w.wireTime(sentBytes)
-	}
-	if w.wireMsg != nil && msgs > 0 {
-		d += w.wireMsg(msgs)
-	}
-	if d -= time.Since(posted); d > 0 {
-		time.Sleep(d)
-	}
-}
-
-// wireClock timestamps a payload collective's initiation; it is zero-cost
-// when no wire model is configured.
-func (c *Comm) wireClock() (t time.Time) {
-	if c.world.wireTime != nil || c.world.wireMsg != nil {
-		t = time.Now()
-	}
-	return t
-}
-
-// sentOffNode tallies the bytes and distinct destinations of the rows a
-// rank ships across the fabric: rows to itself — and, under a node-aware
-// topology, to co-located ranks — are intra-node copies and count nothing.
-func sentOffNode[T Unit](c *Comm, send [][]T) (sent, msgs int) {
-	topo := c.world.topo
-	for i, p := range send {
-		if len(p) == 0 || i == c.rank || topo.SameNode(i, c.rank) {
-			continue
-		}
-		sent += UnitBytes[T]() * len(p)
-		msgs++
-	}
-	return sent, msgs
-}
-
 // alltoallv is the unchecked implementation shared by the blocking and
-// nonblocking forms; posted is the collective's initiation time (see wire).
-func alltoallv[T Unit](c *Comm, send [][]T, posted time.Time) ([][]T, error) {
-	sent, msgs := sentOffNode(c, send)
+// nonblocking forms.
+func alltoallv[T Unit](c *Comm, send [][]T) ([][]T, error) {
 	all, err := exchange(c, send)
 	if err != nil {
 		return nil, err
 	}
-	c.wire(sent, msgs, posted)
 	recordMatrix(c, "alltoallv", all)
 	return column(c, all), nil
 }
@@ -621,11 +534,6 @@ func (c *Comm) AllreduceSum(v uint64) (uint64, error) {
 	return c.allreduce(v, func(acc, x uint64) uint64 { return acc + x })
 }
 
-// AllreduceMax returns the max of v across ranks.
-func (c *Comm) AllreduceMax(v uint64) (uint64, error) {
-	return c.allreduce(v, func(acc, x uint64) uint64 { return max(acc, x) })
-}
-
 // AllreduceOr returns the bitwise OR of v across ranks. The recovery
 // layer agrees on dead-rank sets with it: each survivor contributes a bit
 // mask of the deaths it observed, and the OR is the union — which max or
@@ -634,8 +542,8 @@ func (c *Comm) AllreduceOr(v uint64) (uint64, error) {
 	return c.allreduce(v, func(acc, x uint64) uint64 { return acc | x })
 }
 
-// allreduce folds every rank's v, starting from zero (the identity of all
-// three reductions over uint64).
+// allreduce folds every rank's v, starting from zero (the identity of both
+// reductions over uint64).
 func (c *Comm) allreduce(v uint64, fold func(acc, x uint64) uint64) (uint64, error) {
 	if err := c.syncReady(); err != nil {
 		return 0, err
@@ -649,15 +557,6 @@ func (c *Comm) allreduce(v uint64, fold func(acc, x uint64) uint64) (uint64, err
 		acc = fold(acc, x)
 	}
 	return acc, nil
-}
-
-// GatherUint64 returns every rank's value, indexed by rank (available on
-// all ranks — an allgather; the paper's reporting needs no rooted gather).
-func (c *Comm) GatherUint64(v uint64) ([]uint64, error) {
-	if err := c.syncReady(); err != nil {
-		return nil, err
-	}
-	return exchange(c, v)
 }
 
 func (c *Comm) checkLen(n int) error {
@@ -724,11 +623,10 @@ func (r *Request[T]) Wait() (T, error) {
 //
 // Posting yields to the scheduler before returning. On a real machine the
 // NIC picks up a posted isend immediately; with fewer cores than ranks the
-// Go scheduler would otherwise run each rank's post only at the start of
-// that rank's next CPU slice, staggering the ranks' wire clocks by up to a
-// full round of compute and charging that stagger to whichever collective
-// synchronizes next. The yield lets every runnable rank reach its post (and
-// every posted collective's goroutine start) before compute resumes.
+// Go scheduler would otherwise start each posted request only at the start
+// of the posting rank's next CPU slice, up to a full round of compute
+// later. The yield lets every runnable rank reach its post (and every
+// posted collective's goroutine start) before compute resumes.
 func post[T any](c *Comm, op func(at *Comm) (T, error)) *Request[T] {
 	r := &Request[T]{c: c, at: Comm{rank: c.rank, world: c.world}, ch: make(chan asyncResult[T], 1)}
 	prev := c.asyncTail
@@ -773,8 +671,7 @@ func IAlltoallv[T Unit](c *Comm, send [][]T) *Request[[][]T] {
 	if err := c.checkLen(len(send)); err != nil {
 		return postErr[[][]T](c, err)
 	}
-	posted := c.wireClock()
-	return post(c, func(at *Comm) ([][]T, error) { return alltoallv(at, send, posted) })
+	return post(c, func(at *Comm) ([][]T, error) { return alltoallv(at, send) })
 }
 
 // IAlltoallvBytes forwards to IAlltoallv for the separately built bench/ module.

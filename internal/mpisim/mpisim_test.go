@@ -149,23 +149,11 @@ func TestAlltoallvWords(t *testing.T) {
 	}
 }
 
-func TestReductionsAndGather(t *testing.T) {
+func TestReductions(t *testing.T) {
 	const p = 6
 	_, err := Run(p, func(c *Comm) error {
 		if got, err := c.AllreduceSum(uint64(c.Rank())); err != nil || got != p*(p-1)/2 {
 			t.Errorf("sum = %d, err = %v", got, err)
-		}
-		if got, err := c.AllreduceMax(uint64(c.Rank() * 10)); err != nil || got != (p-1)*10 {
-			t.Errorf("max = %d, err = %v", got, err)
-		}
-		all, err := c.GatherUint64(uint64(c.Rank() * c.Rank()))
-		if err != nil {
-			return err
-		}
-		for i, v := range all {
-			if v != uint64(i*i) {
-				t.Errorf("gather[%d] = %d", i, v)
-			}
 		}
 		return nil
 	})
@@ -496,16 +484,6 @@ func TestNetModelLatencyTerm(t *testing.T) {
 	}
 	if got := intra.CollectiveTime(node); got != 0 {
 		t.Fatalf("intra-node collective cost %v, want 0", got)
-	}
-}
-
-func TestNetModelTraceTime(t *testing.T) {
-	nm := NetModel{RanksPerNode: 1, InjectionGBs: 1, LatencyUs: 0}
-	m := [][]uint64{{0, 1_000_000_000}, {0, 0}}
-	trace := []TraceEntry{{Op: "alltoallv", Bytes: m}, {Op: "alltoallv", Bytes: m}, {Op: "barrier"}}
-	got := nm.TraceTime(trace).Seconds()
-	if got < 1.99 || got > 2.01 {
-		t.Fatalf("trace time %.3f, want 2s", got)
 	}
 }
 

@@ -61,7 +61,7 @@ func (n NetModel) NodeOf(r int) int { return r / n.RanksPerNode }
 func (n NetModel) Nodes(p int) int { return (p + n.RanksPerNode - 1) / n.RanksPerNode }
 
 // Topology returns the node grouping the model describes, for the
-// wall-level wire emulation and the hierarchical exchange.
+// hierarchical exchange.
 func (n NetModel) Topology() Topology { return Topology{RanksPerNode: n.RanksPerNode} }
 
 // CollectiveTime evaluates one traffic matrix. bytes[i][j] is the payload
@@ -118,17 +118,6 @@ func (n NetModel) CollectiveTime(bytes [][]uint64) time.Duration {
 		lat = n.LatencyUs * 1e-6 * float64(fabricRanks-1)
 	}
 	return time.Duration((bw + lat) * float64(time.Second))
-}
-
-// TraceTime sums CollectiveTime over a whole trace.
-func (n NetModel) TraceTime(trace []TraceEntry) time.Duration {
-	var total time.Duration
-	for _, e := range trace {
-		if e.Bytes != nil {
-			total += n.CollectiveTime(e.Bytes)
-		}
-	}
-	return total
 }
 
 // VolumeStats summarizes a traffic matrix.

@@ -223,11 +223,11 @@ func TestRankDeathMidRoundNeverMixesCollectives(t *testing.T) {
 	for iter := 0; iter < 300; iter++ {
 		_, errs, err := RunRanks(6, Options{}, func(c *Comm) error {
 			for round := 0; round < 3; round++ {
-				p := wirePost(c)
+				p := postRound(c)
 				if c.Rank() == 1 && round == 1 {
 					return boom // dies with its round posted, like a killed pipeline rank
 				}
-				if err := wireFinish(c, p); err != nil {
+				if err := finishRound(c, p); err != nil {
 					return err
 				}
 			}
@@ -245,4 +245,33 @@ func TestRankDeathMidRoundNeverMixesCollectives(t *testing.T) {
 			}
 		}
 	}
+}
+
+// roundPend is the round structure the pipeline drives: an announce
+// (IAlltoall), a payload (IAlltoallv), and a settle collective
+// (AllreduceSum) per round.
+type roundPend struct {
+	ann *Request[[]int]
+	pay *Request[[][]uint64]
+}
+
+func postRound(c *Comm) roundPend {
+	counts := make([]int, c.Size())
+	send := make([][]uint64, c.Size())
+	for i := range send {
+		counts[i] = 1
+		send[i] = []uint64{uint64(c.Rank())}
+	}
+	return roundPend{c.IAlltoall(counts), IAlltoallv(c, send)}
+}
+
+func finishRound(c *Comm, p roundPend) error {
+	if _, err := p.ann.Wait(); err != nil {
+		return err
+	}
+	if _, err := p.pay.Wait(); err != nil {
+		return err
+	}
+	_, err := c.AllreduceSum(0)
+	return err
 }

@@ -62,9 +62,9 @@ func nodeRowsOK[T any](t Topology, rank int, send [][]T) error {
 // same-order-everywhere collective rule trivially satisfied), but payload
 // may only travel between co-located ranks; a non-empty off-node row is
 // rejected. The traffic is recorded under the "node_alltoallv" trace op —
-// all intra-node, so the α–β model prices it at zero fabric time — and it
-// pays no emulated wire time by construction: this is the NVLink tier the
-// hierarchical exchange uses for its gather and scatter stages.
+// all intra-node, so the α–β model prices it at zero fabric time: this is
+// the NVLink tier the hierarchical exchange uses for its gather and scatter
+// stages.
 func NodeAlltoallv[T Unit](c *Comm, t Topology, send [][]T) ([][]T, error) {
 	if err := c.checkLen(len(send)); err != nil {
 		return nil, err

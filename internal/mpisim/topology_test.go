@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestTopologyGrouping pins the node arithmetic, including the ragged last
@@ -99,42 +98,5 @@ func TestNodeAlltoallvRejectsOffNodeRow(t *testing.T) {
 		if !errors.Is(errs[r], ErrPeerDead) {
 			t.Fatalf("rank %d error = %v, want ErrPeerDead", r, errs[r])
 		}
-	}
-}
-
-// TestWireNodeCrediting: with RanksPerNode set, intra-node payload pays no
-// emulated wire time, off-node payload does — per byte and per message.
-func TestWireNodeCrediting(t *testing.T) {
-	const perMsg = 2 * time.Millisecond
-	run := func(ranksPerNode, dest int) time.Duration {
-		opt := Options{
-			RanksPerNode: ranksPerNode,
-			WireMsg:      func(msgs int) time.Duration { return time.Duration(msgs) * perMsg },
-		}
-		start := time.Now()
-		_, err := RunWithOptions(4, opt, func(c *Comm) error {
-			send := make([][]uint64, c.Size())
-			if c.Rank() == 0 {
-				send[dest] = []uint64{1, 2, 3}
-			}
-			_, err := Alltoallv(c, send)
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return time.Since(start)
-	}
-	// Rank 0 → rank 3 crosses nodes (2-wide nodes): one fabric message.
-	if el := run(2, 3); el < perMsg {
-		t.Fatalf("off-node payload finished in %v, want >= %v of wire time", el, perMsg)
-	}
-	// Rank 0 → rank 1 stays on node: no fabric traffic, no wire sleep.
-	if el := run(2, 1); el >= perMsg {
-		t.Fatalf("intra-node payload took %v, want < %v (wire must not charge it)", el, perMsg)
-	}
-	// Flat accounting (no topology): the same neighbor transfer is fabric.
-	if el := run(0, 1); el < perMsg {
-		t.Fatalf("flat-world payload finished in %v, want >= %v", el, perMsg)
 	}
 }

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"io"
 	"testing"
-	"time"
 
 	"dedukt/internal/fastq"
 	"dedukt/internal/genome"
@@ -117,13 +116,10 @@ func BenchmarkPipelineStream(b *testing.B) {
 }
 
 // BenchmarkPipelineOverlap compares the bulk-synchronous schedule against
-// the overlapped one on a multi-round, two-node run with an emulated wire
-// (the simulator's collectives are otherwise free in wall terms, which is
-// exactly the cost §V says dominates). Serial ranks sit in the blocking
-// Alltoallv for the wire time every round; overlapped ranks post it and
-// parse the next round while it drains. The hier row overlaps the same
-// rounds with the hierarchical strategy, which also shrinks the wire cost
-// itself (fewer, node-credited fabric messages).
+// the overlapped one on a multi-round, two-node run, flat and hierarchical.
+// The simulator's collectives are free in wall terms, so ns/op is the host
+// cost of each schedule; the paper's clock is the modeled-ms metric, which
+// Result.ModeledTotal prices by the max(compute, exchange) overlap rule.
 func BenchmarkPipelineOverlap(b *testing.B) {
 	reads := benchReads(b)
 	for _, mode := range []struct {
@@ -140,7 +136,6 @@ func BenchmarkPipelineOverlap(b *testing.B) {
 			cfg.RoundBases = 3_000 // ~10 rounds at this input size
 			cfg.Overlap = mode.overlap
 			cfg.Exchange = mode.exch
-			benchWire(&cfg)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := Run(cfg, reads)
@@ -150,51 +145,7 @@ func BenchmarkPipelineOverlap(b *testing.B) {
 				if res.Rounds < 2 {
 					b.Fatal("want a multi-round run")
 				}
-			}
-		})
-	}
-}
-
-// benchWire installs the emulated wall-clock wire the exchange benchmarks
-// share: a per-message software/latency floor plus a bandwidth term, with
-// intra-node traffic credited (Layout.Net.RanksPerNode is already the node
-// width). The per-message floor is what the hierarchical exchange attacks:
-// a 12-rank two-node world pays 6 off-node messages per rank per flat
-// round, but only 1 per leader per hier round.
-func benchWire(cfg *Config) {
-	cfg.WireTime = func(sent int) time.Duration {
-		return time.Duration(sent) * 10 * time.Nanosecond
-	}
-	cfg.WireMsg = func(msgs int) time.Duration {
-		return time.Duration(msgs) * 750 * time.Microsecond
-	}
-}
-
-// BenchmarkPipelineHier races the flat P×P exchange against the two-stage
-// hierarchical one on a two-node world under the emulated wire. The flat
-// row pays the per-message floor for every off-node destination every
-// round; the hier row gathers on node leaders first, so only the L×L
-// leader exchange touches the fabric.
-func BenchmarkPipelineHier(b *testing.B) {
-	reads := benchReads(b)
-	for _, mode := range []struct {
-		name string
-		exch Exchange
-	}{{"flat", ExchangeFlat}, {"hier", ExchangeHier}} {
-		b.Run(mode.name, func(b *testing.B) {
-			cfg := Default(smallGPULayout(2), SupermerMode)
-			cfg.RoundBases = 3_000
-			cfg.Exchange = mode.exch
-			benchWire(&cfg)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := Run(cfg, reads)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Rounds < 2 {
-					b.Fatal("want a multi-round run")
-				}
+				b.ReportMetric(float64(res.ModeledTotal().Microseconds())/1e3, "modeled-ms")
 			}
 		})
 	}

@@ -181,23 +181,6 @@ type Config struct {
 	// mpisim.ErrDeadline (a live-but-stalled peer; dead peers unblock
 	// waiters immediately regardless). 0 disables the deadline.
 	ExchangeDeadline time.Duration
-	// WireTime, when non-nil, emulates fabric transfer time at wall level
-	// in the simulator: every payload Alltoallv sleeps WireTime(bytes this
-	// rank sent off-rank) before delivering. The simulator's collectives
-	// are otherwise instantaneous in wall terms, which hides exactly the
-	// communication cost the paper says dominates (§V); with a wire model
-	// the Overlap schedule's latency hiding becomes measurable in wall
-	// clock, not just in the modeled accounting. nil (the default) keeps
-	// the wire instantaneous.
-	WireTime func(sentBytes int) time.Duration
-	// WireMsg, when non-nil, adds a per-message α component to the
-	// emulated wire: a payload collective additionally waits WireMsg(m),
-	// m being the number of off-node destinations the rank shipped payload
-	// to. Together with the wire's node-aware byte crediting (intra-node
-	// payload is free, see mpisim.Options.RanksPerNode) this is what makes
-	// the hierarchical exchange's P²→(P/RanksPerNode)² message-count
-	// reduction visible in wall clock, not just in the modeled accounting.
-	WireMsg func(messages int) time.Duration
 	// Obs, when non-nil, records per-rank per-round phase spans, fault
 	// instants, and run metrics (see internal/obs). nil disables
 	// observability at zero cost to the hot paths.
@@ -599,23 +582,6 @@ func (r *Result) LoadImbalance() float64 {
 	}
 	avg := float64(sum) / float64(len(r.PerRankKmers))
 	return float64(max) / avg
-}
-
-// MinMaxPerRank returns the lightest and heaviest rank loads (Table III).
-func (r *Result) MinMaxPerRank() (min, max uint64) {
-	if len(r.PerRankKmers) == 0 {
-		return 0, 0
-	}
-	min = r.PerRankKmers[0]
-	for _, v := range r.PerRankKmers {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	return min, max
 }
 
 // InsertionRate returns counted k-mers per second of modeled compute time

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"dedukt/internal/cluster"
@@ -294,7 +295,7 @@ func TestLoadImbalanceSupermersWorse(t *testing.T) {
 	if liS <= liK {
 		t.Fatalf("supermer imbalance %.3f should exceed kmer imbalance %.3f", liS, liK)
 	}
-	minK, maxK := resK.MinMaxPerRank()
+	minK, maxK := slices.Min(resK.PerRankKmers), slices.Max(resK.PerRankKmers)
 	if minK == 0 || maxK < minK {
 		t.Fatalf("per-rank range broken: %d..%d", minK, maxK)
 	}
@@ -305,10 +306,6 @@ func TestResultHelpers(t *testing.T) {
 	r := &Result{PerRankKmers: []uint64{10, 20, 30}}
 	if li := r.LoadImbalance(); li < 1.49 || li > 1.51 {
 		t.Fatalf("imbalance = %.3f, want 1.5", li)
-	}
-	min, max := r.MinMaxPerRank()
-	if min != 10 || max != 30 {
-		t.Fatalf("min/max = %d/%d", min, max)
 	}
 	empty := &Result{}
 	if empty.LoadImbalance() != 0 || empty.InsertionRate() != 0 {
@@ -342,7 +339,7 @@ func TestKeepTablesAndGPUStats(t *testing.T) {
 	if merged == nil || uint64(merged.Len()) != res.DistinctKmers {
 		t.Fatalf("merged table has %d keys, result says %d", merged.Len(), res.DistinctKmers)
 	}
-	if merged.TotalCount() != res.TotalKmers {
+	if merged.Histogram().Total() != res.TotalKmers {
 		t.Fatal("merged table count mismatch")
 	}
 	// GPU kernel stats aggregated.

@@ -125,11 +125,7 @@ func runWorld(cfg Config, destMap []uint16, sources []chunkSource, seats []*rank
 	}
 
 	start := time.Now()
-	opt := mpisim.Options{
-		Deadline: cfg.ExchangeDeadline, Obs: cfg.Obs,
-		WireTime: cfg.WireTime, WireMsg: cfg.WireMsg,
-		RanksPerNode: cfg.Layout.Net.RanksPerNode,
-	}
+	opt := mpisim.Options{Deadline: cfg.ExchangeDeadline, Obs: cfg.Obs}
 	// The one mode fork of the pipeline: the mode fixes the payload unit
 	// the rank body is instantiated over — 64-bit k-mer words or supermer
 	// wire bytes — with its codec and engine family.
