@@ -41,6 +41,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzParseKmers -fuzztime 30s ./internal/kernels/
 	$(GO) test -run xxx -fuzz FuzzTraceparent -fuzztime 30s ./internal/obs/
 	$(GO) test -run xxx -fuzz FuzzSpillBin -fuzztime 30s ./internal/pipeline/
+	$(GO) test -run xxx -fuzz FuzzGPUCount -fuzztime 30s ./internal/pipeline/
 	$(GO) test -run xxx -fuzz FuzzCheckpointManifest -fuzztime 30s ./internal/recover/
 	$(GO) test -run xxx -fuzz FuzzHandlerKmer -fuzztime 30s -fuzzminimizetime 5s ./internal/kserve/
 	$(GO) test -run xxx -fuzz FuzzHandlerBatch -fuzztime 30s -fuzzminimizetime 5s ./internal/kserve/

@@ -341,9 +341,11 @@ func main() {
 
 // reportTables prints the -report line on the ranks' counter tables, each
 // figure the most over the ranks' gauges: what the largest table holds beside
-// what its rank reserved room for, and what growing the tables moved and took.
+// what its rank reserved room for, what growing the tables moved and took,
+// and how full the tables are beside the slots an insert probes — the figure
+// the load moves the modeled count by.
 func reportTables(w io.Writer, reg *obs.Registry, ranks int) {
-	var slots, keys, reserved, rehashed, grows, growing float64
+	var slots, keys, reserved, rehashed, grows, growing, load, probes float64
 	for r := 0; r < ranks; r++ {
 		gauge := func(name string) float64 {
 			return reg.Gauge("pipeline_table_"+name, "", obs.L("rank", strconv.Itoa(r))).Value()
@@ -354,9 +356,11 @@ func reportTables(w io.Writer, reg *obs.Registry, ranks int) {
 		rehashed = max(rehashed, gauge("rehashed_keys"))
 		grows = max(grows, gauge("grows"))
 		growing = max(growing, gauge("grow_seconds"))
+		load = max(load, gauge("load_factor"))
+		probes = max(probes, gauge("probes_per_insert"))
 	}
-	fmt.Fprintf(w, "\ncounter tables: at most %.0f slots holding %.0f keys, room reserved for %.0f; %.0f keys rehashed in %.0f grows, %s inside Reserve\n",
-		slots, keys, reserved, rehashed, grows, stats.Seconds(time.Duration(growing*float64(time.Second))))
+	fmt.Fprintf(w, "\ncounter tables: at most %.0f slots holding %.0f keys, room reserved for %.0f; %.0f keys rehashed in %.0f grows, %s inside Reserve; load %.3f, %.2f probes an insert\n",
+		slots, keys, reserved, rehashed, grows, stats.Seconds(time.Duration(growing*float64(time.Second))), load, probes)
 }
 
 // writeObsArtifacts saves the recorded trace and metrics exposition to the

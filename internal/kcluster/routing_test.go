@@ -234,13 +234,27 @@ func TestChurnLosesNoRequest(t *testing.T) {
 			health State
 			probes int
 		}{{StateDraining, 1}, {StateDown, failThreshold}, {StateUp, 1}} {
-			for _, f := range []*fakeReplica{fakes[j], fakes[2+j]} {
+			turning := []*fakeReplica{fakes[j], fakes[2+j]}
+			for _, f := range turning {
 				f.health.Store(int32(step.health))
 			}
-			for i := 0; i < step.probes; i++ {
+			settled := func() bool {
+				for _, f := range turning {
+					if findReplica(reg, f.addr()).State() != step.health {
+						return false
+					}
+				}
+				return true
+			}
+			// A request the replica answered before it went down — a hedge
+			// to it while it was draining — can report its success between
+			// the probes and clear the failure streak, leaving the replica a
+			// strike short after failThreshold of them. Every request after
+			// the change fails, so a few more probes get it there.
+			for i := 0; i < step.probes || (!settled() && i < 4*step.probes); i++ {
 				reg.ProbeNow()
 			}
-			for _, f := range []*fakeReplica{fakes[j], fakes[2+j]} {
+			for _, f := range turning {
 				if got := findReplica(reg, f.addr()).State(); got != step.health {
 					t.Errorf("cycle %d: replica %s of shard %d is %v, want %v", cycle, f.name, f.shard, got, step.health)
 				}

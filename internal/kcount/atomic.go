@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/bits"
 	"sync/atomic"
+
+	"dedukt/internal/hash"
 )
 
 // ErrTableFull is returned when an insert exhausts the probe budget of a
@@ -18,13 +20,14 @@ var ErrTableFull = errors.New("kcount: atomic table full")
 // fixed between Reserve calls exactly like a device-resident table; inserting
 // beyond capacity returns ErrTableFull.
 //
-// The slots live in segments so that Reserve can grow the table without
-// abandoning the memory it has: one short segment while the table is smaller
-// than a segment, whole segments of segSlots after that, and slot idx is
-// segs[idx>>segBits] at idx&segMask either way.
+// A capacity is any multiple of 64 slots, so a table is sized to the keys it
+// is asked to hold rather than to the next power of two. The slots live in
+// segments so that Reserve can grow the table without abandoning the memory
+// it has: whole segments of segSlots, then one short tail segment for the
+// rest, and slot idx is segs[idx>>segBits] at idx&segMask either way.
 type AtomicTable struct {
 	segs   []segment
-	mask   uint64
+	cap    uint64  // slots: a multiple of capAlign
 	load   float64 // the ceiling the capacity was sized for
 	grows  int     // Reserve rehashes behind this table
 	moved  int     // keys those rehashes re-inserted, in total
@@ -32,15 +35,17 @@ type AtomicTable struct {
 	probes atomic.Uint64
 }
 
-// segSlots is 2¹⁶: a 2¹⁹-slot table, what a rank of the lr8 benchmark input
-// ends with, is 8 segments and 16 allocations (2¹⁴ made it 64, and about 700
-// more allocations a run), and a table that outgrows its short segment
-// abandons at most 768 KB once.
+// segSlots is 2¹⁶: the ≈ 348 k-slot table a rank of the lr8 benchmark input
+// ends with is 5 whole segments and a tail, and a growth that replaces the
+// tail abandons at most 768 KB.
 const (
 	segBits  = 16
 	segSlots = 1 << segBits
 	segMask  = segSlots - 1
 )
+
+// capAlign is the granularity of a capacity, and the smallest one.
+const capAlign = 64
 
 // segment is a run of slots: keys biased (stored = key + 1; 0 = empty), and
 // their counts.
@@ -59,10 +64,26 @@ func (t *AtomicTable) slot(idx uint64) (seg *segment, in uint64) {
 	return &t.segs[idx>>segBits], idx & segMask
 }
 
-// NewAtomicTable creates a table with capacity the next power of two above
-// expected/maxLoad (maxLoad outside (0,1) defaults to 0.5). prob must be
-// Linear (see Probing). The pipeline and the benchmark module always pass
-// 0.5; the tests grow tables under other ceilings too.
+// home returns key's home slot: the high word of its hash times the
+// capacity, which spreads the hash over any capacity with one multiply. As
+// the capacity grows a key's home only moves up, which the rehash relies on.
+func (t *AtomicTable) home(key uint64) uint64 {
+	hi, _ := bits.Mul64(hash.Mix64Seeded(key, tableSeed), t.cap)
+	return hi
+}
+
+// next returns the slot probed after idx: the next one up, wrapping at Cap.
+func (t *AtomicTable) next(idx uint64) uint64 {
+	if idx++; idx == t.cap {
+		return 0
+	}
+	return idx
+}
+
+// NewAtomicTable creates a table with the fewest slots that hold expected
+// keys under the load ceiling maxLoad (outside (0,1) it defaults to 0.5).
+// prob must be Linear (see Probing). The pipeline and the benchmark module
+// always pass 0.5; the tests grow tables under other ceilings too.
 func NewAtomicTable(expected int, maxLoad float64, prob Probing) *AtomicTable {
 	if maxLoad <= 0 || maxLoad >= 1 {
 		maxLoad = 0.5
@@ -73,41 +94,43 @@ func NewAtomicTable(expected int, maxLoad float64, prob Probing) *AtomicTable {
 }
 
 // capacityFor returns the slots a table of t's load ceiling takes to hold
-// expected keys.
+// expected keys: a multiple of capAlign whose ceiling is at least expected.
 func (t *AtomicTable) capacityFor(expected int) int {
-	if expected < 1 {
-		expected = 1
-	}
-	want := int(float64(expected)/t.load) + 1
-	return max(8, 1<<uint(bits.Len(uint(want-1))))
+	want := int(float64(max(expected, 1))/t.load) + 1
+	return (want + capAlign - 1) / capAlign * capAlign
 }
 
-// extend appends the segments that take the table to capacity slots, a power
-// of two no smaller than Cap(). Only a short first segment is ever replaced:
-// by one as long as the capacity asks, up to a whole segment, holding the
-// same slots.
+// extend takes the table to capacity slots, no fewer than Cap(): the tail
+// segment, if there is one, is replaced by a whole segment or by a longer
+// tail holding the same slots, and whole segments and a new tail are
+// appended behind it. Every other segment stays where it is.
 func (t *AtomicTable) extend(capacity int) {
-	if first := min(capacity, segSlots); len(t.segs) == 0 || len(t.segs[0].keys) < first {
-		seg := newSegment(first)
-		if len(t.segs) > 0 {
-			short := t.segs[0]
-			for i := range short.keys {
-				seg.keys[i].Store(short.keys[i].Load())
-				seg.counts[i].Store(short.counts[i].Load())
-			}
+	whole, tail := capacity>>segBits, capacity&segMask
+	if n := len(t.segs); n > 0 && len(t.segs[n-1].keys) < segSlots {
+		short, size := t.segs[n-1], segSlots
+		if n-1 == whole {
+			size = tail
 		}
-		t.segs = append(t.segs[:0], seg)
+		seg := newSegment(size)
+		for i := range short.keys {
+			seg.keys[i].Store(short.keys[i].Load())
+			seg.counts[i].Store(short.counts[i].Load())
+		}
+		t.segs[n-1] = seg
 	}
-	for len(t.segs)<<segBits < capacity {
+	for len(t.segs) < whole {
 		t.segs = append(t.segs, newSegment(segSlots))
 	}
-	t.mask = uint64(capacity - 1)
+	if tail > 0 && len(t.segs) == whole {
+		t.segs = append(t.segs, newSegment(tail))
+	}
+	t.cap = uint64(capacity)
 }
 
 // Reserve makes room for incoming more distinct keys under the load ceiling
 // the table was built with: nothing when it has the room, else the table
 // grows to the capacity NewAtomicTable picks for Len()+incoming and its keys
-// are rehashed under the new mask. This models the device-side rehash a
+// are rehashed to their homes under it. This models the device-side rehash a
 // fixed-memory GPU table needs when it outgrows its allocation. The rehash
 // is uncharged by convention: no kernel is launched for it and no modeled
 // time is booked. That is not because it is small — priced as a kernel (one
@@ -115,12 +138,13 @@ func (t *AtomicTable) extend(capacity int) {
 // k-mer on the lr8 benchmark input, modeled count 5.75 → 8.62 ms — so
 // Rehashed meters the work the convention leaves out.
 //
-// The table grows in place: the slots it has stay where they are, the new
-// ones are appended behind them, and the only memory a Reserve allocates
-// beyond the added slots is the rehash's bitmap. It must not run
-// concurrently with Add or Get — growth is something a rank does between
-// kernel launches, on its own goroutine. Probes() is not touched: it keeps
-// counting inserts across the growth, and only inserts.
+// The table grows in place: the slots it has stay where they are (a short
+// tail is copied into its replacement), the new ones are appended behind
+// them, and the only memory a Reserve allocates beyond the added slots is
+// the rehash's bitmap. It must not run concurrently with Add or Get — growth
+// is something a rank does between kernel launches, on its own goroutine.
+// Probes() is not touched: it keeps counting inserts across the growth, and
+// only inserts.
 func (t *AtomicTable) Reserve(incoming int) {
 	if incoming <= t.Room() {
 		return
@@ -134,27 +158,31 @@ func (t *AtomicTable) Reserve(incoming int) {
 	}
 }
 
-// rehash moves the keys in the first old slots to where the grown mask puts
-// them, in place and in one ascending pass over those slots. A slot is
-// settled once a key has been placed in it under the new mask, and a settled
-// slot is never vacated, so every placed key stays reachable from its home
-// slot. Each old key in turn is lifted out of its slot and put in the first
-// unsettled slot of its probe sequence; if an old key whose turn has not
-// come sits there (a probe sequence that wrapped, in the old table or the
-// new), that key is evicted and waits aside for its turn. Taking the keys in
-// slot order whatever happens to their slots meanwhile makes the layout
-// exactly the one that inserting them in that order into an empty table of
-// the new capacity gives (the reference the tests compare every slot with):
-// growing in place costs no later Add a probe, and the model no transaction.
+// rehash moves the keys in the first old slots to their homes under the
+// grown capacity, in place and in one descending pass over those slots. A
+// slot is settled once a key has been placed in it under the new capacity,
+// and a settled slot is never vacated, so every placed key stays reachable
+// from its home slot. Each old key in turn is lifted out of its slot and put
+// in the first unsettled slot of its probe sequence; if an old key whose turn
+// has not come sits there, that key is evicted and waits aside for its turn.
+// A home only moves up as the capacity grows, so walking down puts nearly
+// every key above the slots still to come: evictions are left to the probe
+// sequences that wrap, where walking up would evict nearly every key. Taking
+// the keys in slot order whatever happens to their slots meanwhile makes the
+// layout exactly the one that inserting them in descending slot order into an
+// empty table of the new capacity gives (the reference the tests compare
+// every slot with): growing in place costs no later Add a probe, and the
+// model no transaction.
 func (t *AtomicTable) rehash(old int) {
 	type entry struct {
 		stored uint64
 		count  uint32
 	}
-	settled := make([]uint64, (t.Cap()+63)/64)
+	settled := make([]uint64, (t.cap+63)/64)
 	isSettled := func(idx uint64) bool { return settled[idx>>6]&(1<<(idx&63)) != 0 }
 	evicted := map[uint64]entry{}
-	for i := uint64(0); i < uint64(old); i++ {
+	for i := uint64(old); i > 0; {
+		i--
 		var e entry
 		if isSettled(i) {
 			// A key settled at i: what it found there, if anything, waits.
@@ -169,26 +197,22 @@ func (t *AtomicTable) rehash(old int) {
 		if e.stored == 0 {
 			continue
 		}
-		home := slotOf(e.stored-1, t.mask)
-		for j := uint64(0); ; j++ {
-			idx := (home + j) & t.mask
-			if isSettled(idx) {
-				continue
-			}
-			settled[idx>>6] |= 1 << (idx & 63)
-			seg, in := t.slot(idx)
-			if occupant := seg.keys[in].Load(); occupant != 0 {
-				evicted[idx] = entry{occupant, seg.counts[in].Load()}
-			}
-			seg.keys[in].Store(e.stored)
-			seg.counts[in].Store(e.count)
-			break
+		idx := t.home(e.stored - 1)
+		for isSettled(idx) {
+			idx = t.next(idx)
 		}
+		settled[idx>>6] |= 1 << (idx & 63)
+		seg, in := t.slot(idx)
+		if occupant := seg.keys[in].Load(); occupant != 0 {
+			evicted[idx] = entry{occupant, seg.counts[in].Load()}
+		}
+		seg.keys[in].Store(e.stored)
+		seg.counts[in].Store(e.count)
 	}
 }
 
 // Cap returns the slot capacity.
-func (t *AtomicTable) Cap() int { return int(t.mask) + 1 }
+func (t *AtomicTable) Cap() int { return int(t.cap) }
 
 // Ceiling returns the most keys the table may hold under its load ceiling:
 // ⌊load·Cap⌋.
@@ -221,9 +245,9 @@ func (t *AtomicTable) Add(key uint64, delta uint32) (isNew bool, probes int, err
 		panic("kcount: key collides with empty sentinel")
 	}
 	stored := key + 1
-	home := slotOf(key, t.mask)
-	for i := uint64(0); i <= t.mask; i++ {
-		seg, in := t.slot((home + i) & t.mask)
+	idx := t.home(key)
+	for i := uint64(0); i < t.cap; i, idx = i+1, t.next(idx) {
+		seg, in := t.slot(idx)
 		probes++
 		cur := seg.keys[in].Load()
 		if cur == 0 {
@@ -254,9 +278,9 @@ func (t *AtomicTable) Inc(key uint64) (bool, int, error) { return t.Add(key, 1) 
 // though counts read during insertion races may lag.
 func (t *AtomicTable) Get(key uint64) uint32 {
 	stored := key + 1
-	home := slotOf(key, t.mask)
-	for i := uint64(0); i <= t.mask; i++ {
-		seg, in := t.slot((home + i) & t.mask)
+	idx := t.home(key)
+	for i := uint64(0); i < t.cap; i, idx = i+1, t.next(idx) {
+		seg, in := t.slot(idx)
 		switch seg.keys[in].Load() {
 		case 0:
 			return 0

@@ -24,7 +24,7 @@ func slotsOf(table *AtomicTable) []KV {
 // and rehashed-key meters, an untouched probe counter, every key of the
 // oracle behind Len, Get and ForEach — and, slot for slot, the layout of the
 // reference rehash: a new table of that capacity that takes the old slots'
-// keys in slot order.
+// keys in descending slot order.
 func reserveChecked(t testing.TB, table *AtomicTable, incoming int, oracle map[uint64]uint32) {
 	t.Helper()
 	before := slotsOf(table)
@@ -32,8 +32,8 @@ func reserveChecked(t testing.TB, table *AtomicTable, incoming int, oracle map[u
 	want := before
 	if incoming > table.Room() {
 		ref := NewAtomicTable(keys+incoming, table.load, Linear)
-		for _, s := range before {
-			if s.Key != 0 {
+		for i := len(before) - 1; i >= 0; i-- {
+			if s := before[i]; s.Key != 0 {
 				if _, _, err := ref.Add(s.Key-1, s.Count); err != nil {
 					t.Fatal(err)
 				}
@@ -75,9 +75,23 @@ func reserveChecked(t testing.TB, table *AtomicTable, incoming int, oracle map[u
 	}
 }
 
-// TestAtomicReserveInPlace grows tables from 8 slots to 2¹⁸ against a Go
-// map, at a load ceiling that keeps clusters short and one that makes them
-// wrap: Reserves that double, one that skips doublings (room for 5× the keys
+// wrapped returns how many of the table's keys sit below their home slot:
+// their probe sequences wrapped past the last slot.
+func wrapped(table *AtomicTable) int {
+	n := 0
+	for i, s := range slotsOf(table) {
+		if s.Key != 0 && uint64(i) < table.home(s.Key-1) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestAtomicReserveInPlace grows tables from 64 slots to past 2¹⁸ against a
+// Go map, at a load ceiling that keeps clusters short and one that makes
+// probe sequences wrap: Reserves of uneven sizes, so that nearly every
+// capacity is no power of two and ends in a short tail segment, one that
+// grows by a single capAlign, one that skips far ahead (room for 5× the keys
 // held), below a segment, across the boundary and above it.
 func TestAtomicReserveInPlace(t *testing.T) {
 	for _, load := range []float64{0.5, 0.9} {
@@ -86,7 +100,7 @@ func TestAtomicReserveInPlace(t *testing.T) {
 			table := NewAtomicTable(4, load, Linear)
 			oracle := map[uint64]uint32{}
 			var held []uint64
-			reserves := 0
+			reserves, tails, wraps := 0, 0, 0
 			for table.Cap() < 1<<18 {
 				// Fill to the ceiling — every third time past it, which a
 				// table allows while it has empty slots — mixing new keys
@@ -110,16 +124,26 @@ func TestAtomicReserveInPlace(t *testing.T) {
 					}
 					oracle[key] += delta
 				}
-				incoming := table.Len() / 2 // the next power of two
-				if reserves == 4 {
+				wraps += wrapped(table)
+				incoming := table.Len()/3 + rng.Intn(table.Len()/2+1)
+				switch reserves {
+				case 2:
+					incoming = table.Room() + 1 // one capAlign more
+				case 4:
 					incoming = 5 * table.Len()
 				}
 				reserveChecked(t, table, incoming, oracle)
+				if table.Cap()&segMask != 0 {
+					tails++
+				}
 				reserves++
 			}
-			t.Logf("%d reserves, %d keys rehashed in all, %d held in %d slots", reserves, table.Rehashed(), table.Len(), table.Cap())
+			t.Logf("%d reserves, %d keys rehashed in all, %d held in %d slots, %d capacities with a tail, %d wrapped keys met", reserves, table.Rehashed(), table.Len(), table.Cap(), tails, wraps)
 			if table.Grows() != reserves || reserves < 12 {
 				t.Fatalf("%d grows behind %d reserves, want a dozen or more", table.Grows(), reserves)
+			}
+			if tails < reserves-1 || (load > 0.5 && wraps == 0) {
+				t.Fatalf("%d of %d capacities had a tail segment and %d keys wrapped: the walk was not exercised", tails, reserves, wraps)
 			}
 		})
 	}
@@ -192,37 +216,44 @@ func TestAtomicConcurrentAddAfterReserve(t *testing.T) {
 	}
 }
 
-// TestAtomicReserveAllocatesTheAddedSlots: growing a half-full 2¹⁸-slot table
-// to 2¹⁹ allocates the 2¹⁸ slots it adds and the rehash's bitmap, not a
-// second table of 2¹⁹.
+// TestAtomicReserveAllocatesTheAddedSlots: growing a table at its ceiling,
+// of whole segments and a short tail, allocates the slots it adds, a copy of
+// the tail it replaces and the rehash's bitmap — not a second table — both
+// when the tail becomes a whole segment behind which a new tail is appended,
+// and when it is replaced by a longer tail. The descending walk keeps the
+// evicted keys few: walking up evicted nearly every one, and their side map
+// alone took several times that budget.
 func TestAtomicReserveAllocatesTheAddedSlots(t *testing.T) {
-	const slots = 1 << 18
-	table := NewAtomicTable(slots/2-1, 0.5, Linear)
-	for key := uint64(0); table.Room() > 0; key++ {
-		table.Inc(key)
-	}
-	if table.Cap() != slots {
-		t.Fatalf("%d slots, want %d", table.Cap(), slots)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	table.Reserve(1)
-	runtime.ReadMemStats(&after)
-	if table.Cap() != 2*slots {
-		t.Fatalf("grew to %d slots, want %d", table.Cap(), 2*slots)
-	}
-	got, budget := after.TotalAlloc-before.TotalAlloc, uint64(12*slots+2*slots/8)*105/100
-	t.Logf("allocated %d B growing %d slots to %d, budget %d", got, slots, 2*slots, budget)
-	if got > budget {
-		t.Fatalf("allocated %d B, budget %d (12 B for each of the %d added slots, the bitmap, 5 %%)", got, budget, slots)
+	table := NewAtomicTable(100_000, 0.5, Linear)
+	key := uint64(0)
+	for _, incoming := range []int{60_000, 3_000} {
+		for ; table.Room() > 0; key++ {
+			table.Inc(key)
+		}
+		slots, tail := table.Cap(), table.Cap()&segMask
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		table.Reserve(incoming)
+		runtime.ReadMemStats(&after)
+		if tail == 0 || table.Cap()&segMask == 0 || table.Cap() >= 2*slots {
+			t.Fatalf("grew %d slots to %d, want a tail before and after and no doubling", slots, table.Cap())
+		}
+		got, budget := after.TotalAlloc-before.TotalAlloc, uint64(12*(table.Cap()-slots+tail)+table.Cap()/8)*105/100
+		t.Logf("allocated %d B growing %d slots to %d, budget %d", got, slots, table.Cap(), budget)
+		if got > budget {
+			t.Fatalf("allocated %d B, budget %d (12 B for each of the %d added slots and the %d-slot tail copied, the bitmap, 5 %%)", got, budget, table.Cap()-slots, tail)
+		}
 	}
 }
 
 // FuzzAtomicReserve reads the input as a sequence of adds and reserves on one
 // table, checked against a map and the reference rehash after every reserve.
-// The first byte picks the load ceiling; an add is a byte of
-// key, spread over the slots by the table's own hash and dense enough to
-// repeat, and one of delta.
+// The first byte picks the load ceiling and the keys the table starts sized
+// for — up to 63 000, so some tables start past a whole segment and every
+// capacity but the smallest ends in a short tail; an add is a byte of key,
+// spread over the slots by the table's own hash and dense enough to repeat,
+// and one of delta; a reserve asks for the square of a byte, any multiple of
+// capAlign the growth lands on.
 func FuzzAtomicReserve(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 1, 2, 1, 3, 1, 0xff, 9, 4, 1, 0xff, 0})
@@ -241,7 +272,7 @@ func FuzzAtomicReserve(f *testing.F) {
 		if ops[0]&2 != 0 {
 			load = 0.9
 		}
-		table := NewAtomicTable(1, load, Linear)
+		table := NewAtomicTable(1+int(ops[0]>>2)*1_000, load, Linear)
 		oracle := map[uint64]uint32{}
 		for ops = ops[1:]; len(ops) >= 2; ops = ops[2:] {
 			if ops[0] == 0xff {

@@ -138,13 +138,16 @@ func (a *SupermerArrival) Kmers() int { return a.kmers }
 // window that starts at flat image from and takes whole images while their
 // k-mers fit budget: one thread per supermer; the thread decodes its packed
 // bases, re-extracts the constituent k-mers, and inserts each into the
-// table. The per-thread k-mer count varies with supermer length, so warps
-// diverge — the cost model charges the warp-max path, reproducing the ~27%
-// counting overhead the paper measures for supermer mode (§IV-B). It
-// returns the image after the window and the k-mers the window held. A
-// budget of at least wire.Window k-mers always advances; one the next image
-// does not fit is an error, and nothing is launched.
-func (a *SupermerArrival) Count(table *kcount.AtomicTable, from, budget int) (next, kmers int, st gpusim.KernelStats, err error) {
+// table — each that keep selects, when keep is not nil, which lets a count
+// take an arrival in passes over disjoint slices of key space: every pass
+// reads and rolls every image of its windows, and pays the slice test for
+// every k-mer. The per-thread k-mer count varies with supermer length, so
+// warps diverge — the cost model charges the warp-max path, reproducing the
+// ~27% counting overhead the paper measures for supermer mode (§IV-B). It
+// returns the image after the window and the k-mers the window held,
+// inserted or not. A budget of at least wire.Window k-mers always advances;
+// one the next image does not fit is an error, and nothing is launched.
+func (a *SupermerArrival) Count(table *kcount.AtomicTable, from, budget int, keep func(key uint64) bool) (next, kmers int, st gpusim.KernelStats, err error) {
 	dev, parts, offsets, inAddr := a.dev, a.parts, a.offsets, a.inAddr
 	k, stride := a.wire.K, a.wire.Stride()
 	if images := offsets[len(parts)]; from == 0 && budget >= a.kmers {
@@ -187,6 +190,12 @@ func (a *SupermerArrival) Count(table *kcount.AtomicTable, from, budget int) (ne
 		for i := 0; i < nk; i++ {
 			w = w.Append(k, seq.At(i+k-1))
 			ctx.Compute(OpsKmerRoll)
+			if keep != nil {
+				ctx.Compute(OpsDestSelect) // the slice test: a multiply and a compare
+				if !keep(uint64(w)) {
+					continue
+				}
+			}
 			insert(ctx, table, uint64(w), keysAddr, countsAddr)
 		}
 	})
@@ -199,6 +208,6 @@ func CountSupermers(dev *gpusim.Device, table *kcount.AtomicTable, wire Supermer
 	if err != nil {
 		return gpusim.KernelStats{}, err
 	}
-	_, _, st, err := a.Count(table, 0, a.Kmers())
+	_, _, st, err := a.Count(table, 0, a.Kmers(), nil)
 	return st, err
 }

@@ -70,9 +70,11 @@ func FuzzWireRoundTrip(f *testing.F) {
 
 // FuzzParseKmers checks ParseKmers' pass-2 re-derivation against a plain
 // host loop over arbitrary bytes: every position, ascending, whose k bases
-// all encode appends its k-mer (canonical when asked) to row DestOf(k-mer).
-// The rows must equal that reference exactly, order included, and the frame
-// header's room ahead of each row must hold what it held before the call.
+// all encode appends its k-mer (canonical when asked) to row DestOf(k-mer) —
+// to the row's sample part when the k-mer lies in the sample slice, else to
+// its rest, the sample part shipped first. The rows must equal that
+// reference exactly, order included, and the frame header's room ahead of
+// each row must hold what it held before the call.
 func FuzzParseKmers(f *testing.F) {
 	f.Add([]byte("ACGTACGTTGCA\x00GGATCCNNACGT"), uint8(4), uint8(3), false)
 	f.Add([]byte("ACGTTGCAAGGCATCTA\x00TAGATGCCTTGCAACGT"), uint8(16), uint8(4), true)
@@ -81,7 +83,7 @@ func FuzzParseKmers(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, kRaw, destRaw uint8, canonical bool) {
 		k, numDest := int(kRaw%32)+1, int(destRaw%64)+1
 		enc := &dna.Random
-		want := make([][]uint64, numDest)
+		want, rest := make([][]uint64, numDest), make([][]uint64, numDest)
 		for i := 0; i+k <= len(data); i++ {
 			w, err := dna.KmerFromString(enc, string(data[i:i+k]))
 			if err != nil {
@@ -90,8 +92,14 @@ func FuzzParseKmers(f *testing.F) {
 			if canonical {
 				w = w.Canonical(enc, k)
 			}
-			d := DestOf(uint64(w), numDest)
-			want[d] = append(want[d], uint64(w))
+			if d := DestOf(uint64(w), numDest); inSample(uint64(w)) {
+				want[d] = append(want[d], uint64(w))
+			} else {
+				rest[d] = append(rest[d], uint64(w))
+			}
+		}
+		for d := range want {
+			want[d] = append(want[d], rest[d]...)
 		}
 
 		const h, sentinel = WordFrameHeader, 0x5eed5eed5eed5eed

@@ -97,22 +97,26 @@ type ParseScratch struct {
 // implemented as the real GPU buffer-packing pattern: pass 1 cuts the
 // concatenated base array into one position per thread, builds and hashes
 // each k-mer (coalesced reads — consecutive threads read consecutive bases)
-// and bumps a per-warp destination histogram in shared memory; an exclusive
-// prefix sum over (warp × destination) then assigns every warp a private
-// cursor range; pass 2 re-derives each position's k-mer and destination
-// from the same bases and scatters it, contention-free, into one contiguous
-// buffer partitioned by destination. No global atomics and no locks — the
-// histogram lives in per-warp shared memory and the scatter slots are
-// disjoint by construction.
+// and bumps a per-warp histogram in shared memory, binned by destination and
+// by whether the k-mer lies in the sample slice (inSample); an exclusive
+// prefix sum over (warp × bin), destination-major, then assigns every warp a
+// private cursor range; pass 2 re-derives each position's k-mer and bin from
+// the same bases and scatters it, contention-free, into one contiguous buffer
+// partitioned by destination, each destination's part its sample k-mers
+// first. No global atomics and no locks — the histogram lives in per-warp
+// shared memory and the scatter slots are disjoint by construction.
 //
-// The device stages each position's key and destination between the passes,
+// The device stages each position's key and histogram bin between the passes,
 // and the cost model still charges those stores and reloads; the host
 // re-derives them instead, so all it holds between the passes is the
 // histogram (see stagingSlot).
 //
 // The returned out[d] holds the packed k-mers bound for rank d behind
 // cfg.Headroom words of room, as views into one contiguous arena (see
-// ParseScratch; deterministic order: warp-major, then position). The headroom
+// ParseScratch; deterministic order: the sample slice's k-mers, then the
+// rest, each by position). A receiver finds where the sample ends by binary
+// search and sizes its table from the sample, with no extra byte on the
+// wire. The headroom
 // is host-side layout only: the simulated addresses the scatter charges are
 // the headroom-free slots, so the stats do not depend on it. The returned
 // stats aggregate all three launches; the pipeline prices them as one fused
@@ -134,7 +138,8 @@ func ParseKmers(dev *gpusim.Device, cfg ParseConfig, data []byte, scr *ParseScra
 
 	stg := acquireStaging()
 	defer releaseStaging(stg)
-	stg.counts = growStaging(stg.counts, nWarps*numDest)
+	nBins := sliceBins * numDest
+	stg.counts = growStaging(stg.counts, nWarps*nBins)
 	stg.destOff = growStaging(stg.destOff, numDest+1)
 	for i := range stg.counts {
 		stg.counts[i] = 0
@@ -142,8 +147,14 @@ func ParseKmers(dev *gpusim.Device, cfg ParseConfig, data []byte, scr *ParseScra
 
 	dataAddr := dev.Alloc(int64(len(data)))
 	keysAddr := dev.Alloc(int64(8 * threads))
-	destsAddr := dev.Alloc(int64(4 * threads))
-	countsAddr := dev.Alloc(int64(4 * nWarps * numDest))
+	// The staged bin is a 16-bit word while the bins fit one, as they do for
+	// every world up to 32 768 destinations.
+	binBytes := 2
+	if nBins > 1<<16 {
+		binBytes = 4
+	}
+	binsAddr := dev.Alloc(int64(binBytes * threads))
+	countsAddr := dev.Alloc(int64(4 * nWarps * nBins))
 	bufAddr := dev.Alloc(int64(8 * threads))
 
 	enc, k := cfg.Enc, cfg.K
@@ -169,26 +180,26 @@ func ParseKmers(dev *gpusim.Device, cfg ParseConfig, data []byte, scr *ParseScra
 		if cfg.Canonical {
 			ctx.Compute(k * OpsKmerRoll) // reverse-complement unrolled
 		}
-		ctx.Compute(OpsHash + OpsDestSelect)
-		dest := DestOf(uint64(w), numDest)
-
-		counts[(tid/ws)*numDest+dest]++
+		// The slice test is a destination select of its own: one multiply
+		// and a compare.
+		ctx.Compute(OpsHash + 2*OpsDestSelect)
+		counts[(tid/ws)*nBins+binOf(uint64(w), numDest)]++
 		ctx.Compute(OpsEmit) // shared-memory histogram bump
-		// Coalesced staging stores of key and destination.
+		// Coalesced staging stores of key and bin.
 		ctx.Write(keysAddr+uint64(tid*8), 8)
-		ctx.Write(destsAddr+uint64(tid*4), 4)
+		ctx.Write(binsAddr+uint64(tid*binBytes), binBytes)
 	})
 	if err != nil {
 		return nil, st, err
 	}
 
-	// Exclusive prefix sum over (warp × destination), destination-major, so
-	// each destination's range is contiguous in the output arena — in place,
-	// as on the device: every count becomes its warp's cursor. The host loop
-	// computes the real offsets; the cost-model launch charges the device
-	// price of the equivalent Blelloch scan.
-	scanInPlace(counts, stg.destOff, nWarps)
-	scanSt, err := dev.Launch(gpusim.LaunchSpec{Name: "scan_offsets", Threads: nWarps * numDest}, func(tid int, ctx *gpusim.Ctx) {
+	// Exclusive prefix sum over (warp × bin), bin-major, so each bin's range
+	// — and each destination's, its two bins side by side — is contiguous in
+	// the output arena; in place, as on the device: every count becomes its
+	// warp's cursor. The host loop computes the real offsets; the cost-model
+	// launch charges the device price of the equivalent Blelloch scan.
+	scanInPlace(counts, stg.destOff, nWarps, sliceBins)
+	scanSt, err := dev.Launch(gpusim.LaunchSpec{Name: "scan_offsets", Threads: nWarps * nBins}, func(tid int, ctx *gpusim.Ctx) {
 		ctx.Read(countsAddr+uint64(tid*4), 4)
 		ctx.Compute(OpsScanStep)
 		ctx.Write(countsAddr+uint64(tid*4), 4)
@@ -200,8 +211,8 @@ func ParseKmers(dev *gpusim.Device, cfg ParseConfig, data []byte, scr *ParseScra
 
 	// Pass 2: contention-free scatter through the private cursors. A cursor
 	// is a logical slot; destination d's part lies (d+1)·headroom words
-	// further into the arena. The staged key and destination are reloaded
-	// on the device's bill and rebuilt from the bases on the host's.
+	// further into the arena. The staged key and bin are reloaded on the
+	// device's bill and rebuilt from the bases on the host's.
 	packed := scr.Out
 	if packed == nil {
 		packed = &scr.own
@@ -211,16 +222,16 @@ func ParseKmers(dev *gpusim.Device, cfg ParseConfig, data []byte, scr *ParseScra
 	outBuf, cursors := packed.buf, counts
 	scatterSt, err := dev.Launch(gpusim.LaunchSpec{Name: "scatter_kmers", Threads: threads}, func(tid int, ctx *gpusim.Ctx) {
 		ctx.Read(keysAddr+uint64(tid*8), 8)
-		ctx.Read(destsAddr+uint64(tid*4), 4)
+		ctx.Read(binsAddr+uint64(tid*binBytes), binBytes)
 		w, rolled := kmerAt(enc, data[tid:tid+k], cfg.Canonical)
 		if rolled < k {
 			return // no k-mer at this position
 		}
-		d := DestOf(uint64(w), numDest)
-		cur := (tid/ws)*numDest + d
+		bin := binOf(uint64(w), numDest)
+		cur := (tid/ws)*nBins + bin
 		slot := cursors[cur]
 		cursors[cur] = slot + 1
-		outBuf[int(slot)+(d+1)*headroom] = uint64(w)
+		outBuf[int(slot)+(bin/sliceBins+1)*headroom] = uint64(w)
 		ctx.Compute(OpsEmit) // cursor bump + slot math
 		ctx.Write(bufAddr+uint64(slot)*8, 8)
 	})
@@ -251,18 +262,42 @@ func kmerAt(enc *dna.Encoding, win []byte, canonical bool) (w dna.Kmer, rolled i
 	return w, k
 }
 
-// scanInPlace turns the (warp × destination) histogram into its
-// destination-major exclusive prefix sum, each count replaced by the first
-// slot of its warp's range, and records every destination's range in destOff
-// (numDest+1 entries).
-func scanInPlace(counts []int32, destOff []int, nWarps int) {
+// sliceBins is the histogram bins ParseKmers keeps per destination: the
+// sample slice's k-mers, then the rest.
+const sliceBins = 2
+
+// binOf returns key's ParseKmers histogram bin: its destination's pair, the
+// first of the two when the key lies in the sample slice.
+func binOf(key uint64, numDest int) int {
+	bin := sliceBins * DestOf(key, numDest)
+	if !inSample(key) {
+		bin++
+	}
+	return bin
+}
+
+// inSample reports whether key lies in the sample slice, the sixteenth of
+// key space whose multiplicative hash has its top four bits clear: one
+// multiply, independent of the hashes that route a key to its rank and to
+// its slot. It is the slice a receiving rank sizes its table from (the
+// pipeline's sampleKeys, which must agree with it).
+func inSample(key uint64) bool { return key*0x9e3779b97f4a7c15>>60 == 0 }
+
+// scanInPlace turns the (warp × bin) histogram, bins binsPer to a
+// destination, into its bin-major exclusive prefix sum, each count replaced
+// by the first slot of its warp's range, and records every destination's
+// range in destOff (numDest+1 entries).
+func scanInPlace(counts []int32, destOff []int, nWarps, binsPer int) {
 	numDest := len(destOff) - 1
+	nBins := binsPer * numDest
 	total := 0
-	for d := 0; d < numDest; d++ {
-		destOff[d] = total
+	for b := 0; b < nBins; b++ {
+		if b%binsPer == 0 {
+			destOff[b/binsPer] = total
+		}
 		for w := 0; w < nWarps; w++ {
-			n := counts[w*numDest+d]
-			counts[w*numDest+d] = int32(total)
+			n := counts[w*nBins+b]
+			counts[w*nBins+b] = int32(total)
 			total += int(n)
 		}
 	}

@@ -27,12 +27,14 @@ func rowsCRC(rows [][]uint64, h int) uint32 {
 }
 
 // TestParseKmersStatsPinned pins ParseKmers' full KernelStats and its rows,
-// part for part and in order, to what they were while the host staged a key
-// and a destination per position for pass 2 to reload: re-deriving them
-// instead changes what the host holds, never what the device is charged or
-// what is shipped. The fixtures carry N's, separators, an empty read and
-// reads shorter than k; each runs with Canonical off and on, and with no
-// headroom and a word frame header's.
+// part for part and in order: the host re-derives each position's k-mer and
+// bin in pass 2 instead of staging them, which changes what the host holds,
+// never what the device is charged or what is shipped. The figures are those
+// of the kernel that ships every part sample slice first: the slice test's
+// ops in pass 1, a scan over two bins per destination, and a 16-bit bin
+// staged between the passes where a 32-bit destination was. The fixtures
+// carry N's, separators, an empty read and reads shorter than k; each runs
+// with Canonical off and on, and with no headroom and a word frame header's.
 func TestParseKmersStatsPinned(t *testing.T) {
 	short := []string{"", "A", "ACGTACGTACGTACGT", "NNNNNNNNNNNNNNNNNNNNN", "ACGTNACGTACGTACGTACGTAC"}
 	fixtures := map[string]struct {
@@ -52,10 +54,10 @@ func TestParseKmersStatsPinned(t *testing.T) {
 		crc       uint32
 		st        gpusim.KernelStats
 	}{
-		{"ragged dests", false, 0x59d4ffe2, stats(12312, 49, 0x92a00, 0x671ad, 0x156d, 0x382ef)},
-		{"ragged dests", true, 0xf1ac8ff4, stats(12312, 49, 0xd5f60, 0x8c28d, 0x156e, 0x382ef)},
-		{"lr8 dests", false, 0x70fe3914, stats(18224, 72, 0xcce80, 0xaf7ec, 0x260c, 0x58b2c)},
-		{"lr8 dests", true, 0xd73ecd8a, stats(18224, 72, 0x12bbc0, 0xf8d1f, 0x2609, 0x58b2c)},
+		{"ragged dests", false, 0xdf75e694, stats(13530, 54, 621664, 436117, 5403, 222825)},
+		{"ragged dests", true, 0x1960710f, stats(13530, 54, 897472, 587893, 5395, 222825)},
+		{"lr8 dests", false, 0x3bb52085, stats(21104, 83, 873664, 748015, 9806, 359226)},
+		{"lr8 dests", true, 0xe78331d0, stats(21104, 83, 1262080, 1048354, 9846, 359226)},
 	} {
 		fx := fixtures[want.fixture]
 		for _, h := range []int{0, WordFrameHeader} {
@@ -76,10 +78,11 @@ func TestParseKmersStatsPinned(t *testing.T) {
 
 // TestParseKmersStagingHasNoPerPositionTerm parses inputs of very different
 // lengths with a fresh pool and bounds what the slot grew to by the
-// histogram and the destination ranges alone, with growStaging's eighth to
-// spare: nothing ParseKmers keeps between its passes is per position. (While
-// the host staged a key and a destination per position, the slot held about
-// 13.5 B a position on top.)
+// histogram — sliceBins counts per warp and destination — and the
+// destination ranges alone, with growStaging's eighth to spare: nothing
+// ParseKmers keeps between its passes is per position. (While the host
+// staged a key and a destination per position, the slot held about 13.5 B a
+// position on top.)
 func TestParseKmersStagingHasNoPerPositionTerm(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	ws := gpusim.V100().WarpSize
@@ -92,7 +95,7 @@ func TestParseKmersStagingHasNoPerPositionTerm(t *testing.T) {
 				t.Fatal(err)
 			}
 			nWarps := (len(data) - cfg.K + 1 + ws - 1) / ws
-			bound := (9*(4*nWarps*numDest+8*(numDest+1)) + 7) / 8
+			bound := (9*(4*nWarps*sliceBins*numDest+8*(numDest+1)) + 7) / 8
 			if sg := Staging(); sg.Slots != 1 || sg.PeakBytes > int64(bound) {
 				t.Errorf("%d positions, %d destinations: %d slots holding %d B at peak, want 1 slot within %d B",
 					len(data)-cfg.K+1, numDest, sg.Slots, sg.PeakBytes, bound)

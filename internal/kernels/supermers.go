@@ -224,7 +224,7 @@ func BuildSupermers(dev *gpusim.Device, cfg SupermerConfig, data []byte, scr *Su
 
 	// Exclusive prefix sum over (warp × destination), destination-major, in
 	// place: the counts become the cursors.
-	scanInPlace(counts, stg.destOff, nWarps)
+	scanInPlace(counts, stg.destOff, nWarps, 1)
 	scanSt, err := dev.Launch(gpusim.LaunchSpec{Name: "scan_offsets", Threads: nWarps * numDest}, func(tid int, ctx *gpusim.Ctx) {
 		ctx.Read(countsAddr+uint64(tid*4), 4)
 		ctx.Compute(OpsScanStep)

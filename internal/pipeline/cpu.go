@@ -134,26 +134,6 @@ func cpuCountKmers(cfg Config, table *kcount.Table, parts [][]uint64) (work, err
 	})
 }
 
-// keySlice selects the k-mers one pass over an arrival inserts: all of them,
-// or the keys inside or outside one fixed sixteenth of key space.
-type keySlice int
-
-const (
-	allKeys keySlice = iota
-	sampleKeys
-	otherKeys
-)
-
-// sliceOdds is how many keys lie outside the sample for each one inside it.
-const sliceOdds = 15
-
-// has reports whether the pass inserts key. The sample is the keys whose
-// multiplicative hash has its top four bits clear: one multiply, independent
-// of the hashes that route a key to its rank and to its slot.
-func (s keySlice) has(key uint64) bool {
-	return s == allKeys || (key*0x9e3779b97f4a7c15>>60 == 0) == (s == sampleKeys)
-}
-
 // countProvisioned is the driver both CPU count kernels insert an arrival
 // through. pass walks the arrival once and puts the k-mers its keySlice has
 // through countOne. An arrival of at most kmers k-mers that fits the room

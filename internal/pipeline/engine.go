@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"fmt"
+	"math"
+	"sort"
 	"time"
 
 	"dedukt/internal/gpusim"
@@ -105,7 +107,7 @@ func newKmerEngine(rc rankCtx) (engine[uint64], error) {
 			return kernels.ParseKmers(dev, pc, data, &kernels.ParseScratch{Out: &rows[slot]})
 		},
 		index: func(dev *gpusim.Device, rows [][]uint64) (arrival, error) {
-			return kernels.IndexKmers(dev, rows), nil
+			return indexKmers(dev, rows), nil
 		},
 	})
 }
@@ -123,7 +125,8 @@ func newSupermerEngine(rc rankCtx) (engine[byte], error) {
 			return kernels.BuildSupermers(dev, sc, data, &kernels.SupermerScratch{Out: &rows[slot]})
 		},
 		index: func(dev *gpusim.Device, rows [][]byte) (arrival, error) {
-			return kernels.IndexSupermers(dev, wire, rows)
+			in, err := kernels.IndexSupermers(dev, wire, rows)
+			return supermerArrival{in}, err
 		},
 	})
 }
@@ -184,6 +187,29 @@ func (e *cpuEngine[T]) newBin() {
 	e.send = [parseSlots][][]T{}
 }
 
+// keySlice selects the k-mers one pass over an arrival inserts: all of them,
+// or the keys inside or outside one fixed sixteenth of key space. Both
+// engines size their table from the sample slice of an arrival that does not
+// fit it: the CPU engine's countProvisioned, the GPU engine's count.
+type keySlice int
+
+const (
+	allKeys keySlice = iota
+	sampleKeys
+	otherKeys
+)
+
+// sliceOdds is how many keys lie outside the sample for each one inside it.
+const sliceOdds = 15
+
+// has reports whether the pass inserts key. The sample is the keys whose
+// multiplicative hash has its top four bits clear: one multiply, independent
+// of the hashes that route a key to its rank and to its slot. It is the
+// slice kernels.ParseKmers ships first in every part.
+func (s keySlice) has(key uint64) bool {
+	return s == allKeys || (key*0x9e3779b97f4a7c15>>60 == 0) == (s == sampleKeys)
+}
+
 // gpuEngine is the GPU pipeline: the simulated device, the fixed-capacity
 // atomic table it counts into, and the mode's kernel pair. Each launch is
 // converted to modeled time by the device's cost model.
@@ -197,20 +223,85 @@ type gpuEngine[T unit] struct {
 
 // arrival is one count's received rows, verified and indexed by the mode's
 // kernel package type (kernels.KmerArrival, kernels.SupermerArrival) so the
-// count kernel can be launched over successive windows of them.
+// count kernel can be launched over successive windows of them, in a pass
+// over each slice of key space.
 type arrival interface {
 	// Kmers returns the k-mers the rows hold.
 	Kmers() int
+	// span returns the first item of a pass over sel's keys and the k-mers
+	// its windows walk: in k-mer mode the sample prefixes of the parts, or
+	// the rest; in supermer mode, where the slice cannot be a prefix, every
+	// image, filtered by the kernel.
+	span(sel keySlice) (from, kmers int)
+	// sampled returns the keys the pass over the sample slice is sized for:
+	// the sample prefixes' k-mers in k-mer mode, a sixteenth of the k-mers
+	// in supermer mode.
+	sampled() int
 	// Count launches the count kernel over the window of at most budget
-	// k-mers that starts at item from, returning the item after the window
-	// and the k-mers it held.
-	Count(table *kcount.AtomicTable, from, budget int) (next, kmers int, st gpusim.KernelStats, err error)
+	// k-mers that starts at item from, inserting sel's keys; it returns the
+	// item after the window and the k-mers the window walked.
+	Count(table *kcount.AtomicTable, sel keySlice, from, budget int) (next, kmers int, st gpusim.KernelStats, err error)
 }
 
-// minLaunch is the fewest k-mers the count loop grows the table for, and so
-// the fewest it cuts an arrival into: below it a launch is overhead-bound
-// (the 5 µs launch overhead is ≈ 550 k-mers of V100 count time), so a
-// smaller arrival is always one launch.
+// kmerArrival is a k-mer arrival indexed as [every part's sample prefix |
+// every part's rest], views of the received parts with no copy. ParseKmers
+// ships each part sample first, so a binary search finds where its sample
+// ends; a part that was not (spilled rows, a shrunk seat's folded rows) is
+// cut somewhere, and still counts every k-mer exactly once — only the
+// estimate the sample gives is worse.
+type kmerArrival struct {
+	in     *kernels.KmerArrival
+	sample int // k-mers of the sample prefixes, items [0, sample)
+}
+
+func indexKmers(dev *gpusim.Device, parts [][]uint64) kmerArrival {
+	views := make([][]uint64, 2*len(parts))
+	sample := 0
+	for i, part := range parts {
+		cut := sort.Search(len(part), func(j int) bool { return !sampleKeys.has(part[j]) })
+		views[i], views[len(parts)+i] = part[:cut], part[cut:]
+		sample += cut
+	}
+	return kmerArrival{kernels.IndexKmers(dev, views), sample}
+}
+
+func (a kmerArrival) Kmers() int   { return a.in.Kmers() }
+func (a kmerArrival) sampled() int { return a.sample }
+
+func (a kmerArrival) span(sel keySlice) (int, int) {
+	switch sel {
+	case sampleKeys:
+		return 0, a.sample
+	case otherKeys:
+		return a.sample, a.Kmers() - a.sample
+	}
+	return 0, a.Kmers()
+}
+
+func (a kmerArrival) Count(table *kcount.AtomicTable, _ keySlice, from, budget int) (int, int, gpusim.KernelStats, error) {
+	return a.in.Count(table, from, budget)
+}
+
+// supermerArrival is a supermer arrival, whose passes over a slice of key
+// space walk every image and insert the slice's keys.
+type supermerArrival struct{ in *kernels.SupermerArrival }
+
+func (a supermerArrival) Kmers() int               { return a.in.Kmers() }
+func (a supermerArrival) sampled() int             { return a.Kmers() / (sliceOdds + 1) }
+func (a supermerArrival) span(keySlice) (int, int) { return 0, a.Kmers() }
+
+func (a supermerArrival) Count(table *kcount.AtomicTable, sel keySlice, from, budget int) (int, int, gpusim.KernelStats, error) {
+	var keep func(uint64) bool
+	if sel != allKeys {
+		keep = sel.has
+	}
+	return a.in.Count(table, from, budget, keep)
+}
+
+// minLaunch is the arrival size up to which a count is one launch, and the
+// window a pass keeps the table large enough for, a quarter of it at least:
+// below it a launch is overhead-bound (the 5 µs launch overhead is ≈ 550
+// k-mers of V100 count time).
 const minLaunch = 1 << 15
 
 // newGPUEngine completes e, which arrives holding the mode's kernel pair:
@@ -249,46 +340,112 @@ func (e *gpuEngine[T]) parse(slot int, data []byte) ([][]T, work, error) {
 	return send, w, err
 }
 
-// count inserts the rows with as many kernel launches as the table needs
-// to grow with the keys it holds, not the k-mers that arrive. A launch of n
-// k-mers adds at most n keys, so each launch takes at most the room left
-// under the load ceiling — the ceiling and ErrTableFull hold exactly, with
-// no estimate of the distinct keys. When the room is short of both the rest
-// of the arrival and a worthwhile launch (a quarter of the ceiling, or
-// minLaunch), the table is first grown, in place, to have room for as many
-// keys again as it holds (at least minLaunch, never more than are left), so
-// its final size follows its keys however often they repeat, and all the
-// count allocates for it is that final size. An arrival that fits the
-// room, or holds under minLaunch k-mers, is one launch, as is an empty one.
+// count inserts the rows into a table sized, once, for the keys they hold. An
+// arrival that fits the room under the load ceiling, or holds at most
+// minLaunch k-mers, is one launch; if it does not fit, the table first grows
+// to room for the arrival or for as many keys again as its ceiling, whichever
+// is more, so a run of small arrivals grows it geometrically. Any other
+// arrival is its own sample: a pass over the sample slice — in k-mer mode one
+// launch over the parts' sample prefixes, with room reserved for every k-mer
+// they hold; then one Reserve for the keys that pass found new, fifteen times
+// over with a margin (see estimate), never more than the k-mers the rest
+// holds — and, once the table holds more keys than that, for as many as it
+// holds, so later arrivals grow it geometrically too; then a pass over the
+// rest. The table's capacity follows the keys the sample stands for, not a
+// ladder of doublings, and its keys are rehashed once, while it holds only
+// the sample's. The estimate may fall short: each launch takes at most the
+// table's free slots, so none can fill it, and when those fall short of a
+// worthwhile launch the table grows first; after the arrival one Reserve
+// restores the load ceiling.
 func (e *gpuEngine[T]) count(recv [][]T) (w work, err error) {
 	in, err := e.index(e.dev, recv)
 	if err != nil {
 		return w, err
 	}
-	for from, left := 0, in.Kmers(); ; {
-		room := e.table.Room()
-		if room < min(left, max(e.table.Ceiling()/4, minLaunch)) {
-			incoming := min(left, max(e.table.Len(), minLaunch))
-			w.reserved = max(w.reserved, e.table.Len()+incoming)
-			began := time.Now()
-			e.table.Reserve(incoming)
-			w.grow += time.Since(began)
-			room = e.table.Room()
+	if n := in.Kmers(); n <= e.table.Room() || n <= minLaunch {
+		e.reserve(&w, max(n, e.table.Ceiling()), n)
+		return w, e.pass(&w, in, allKeys)
+	}
+	held := e.table.Len()
+	e.reserve(&w, in.sampled(), in.sampled())
+	if err := e.pass(&w, in, sampleKeys); err != nil {
+		return w, err
+	}
+	_, rest := in.span(otherKeys)
+	more := min(estimate(e.table.Len()-held), rest)
+	e.reserve(&w, max(more, e.table.Len()), more)
+	if err := e.pass(&w, in, otherKeys); err != nil {
+		return w, err
+	}
+	e.reserve(&w, 0, 0)
+	return w, nil
+}
+
+// estimate returns the new keys to reserve room for behind a sample pass that
+// found fresh: fifteen for each, and four standard deviations of the
+// sample's count more. The margin is what makes the table's size final:
+// capacities are exact, so an estimate a few hundred keys short overflows
+// the ceiling and the count ends by rehashing every key — on an input of the
+// lr8 benchmark's shape, without the margin, five ranks of twelve did, and
+// with it (3.9 % of 168 k keys) none; its price is a load of 0.48 instead of
+// 0.5.
+func estimate(fresh int) int {
+	return (fresh + 4*int(math.Sqrt(float64(fresh)))) * sliceOdds
+}
+
+// reserve grows the table by room for incoming more keys when it has no
+// room for need of them, timing the growth and noting the keys reserved for.
+func (e *gpuEngine[T]) reserve(w *work, incoming, need int) {
+	if need <= e.table.Room() {
+		return
+	}
+	w.reserved = max(w.reserved, e.table.Len()+incoming)
+	began := time.Now()
+	e.table.Reserve(incoming)
+	w.grow += time.Since(began)
+}
+
+// pass launches the count kernel over in's span for sel, in windows of at
+// most the table's free slots — a launch of n k-mers adds at most n keys, so
+// none can fill the table, and ErrTableFull cannot occur. A table within its
+// load ceiling has half its slots free, and its keys fit: the windows shrink
+// only with the keys the launches add. The table grows first, geometrically
+// — by room for as many keys again as its ceiling, or for what is left up to
+// minLaunch if that is more — when a launch has taken it past its ceiling
+// (the estimate fell short), or when its free slots fall short of a quarter
+// of what is left up to minLaunch (a table too small for a launch to pay its
+// overhead). Either way every window then holds a whole supermer and every
+// launch makes progress. An empty span is no launch.
+func (e *gpuEngine[T]) pass(w *work, in arrival, sel keySlice) error {
+	from, left := in.span(sel)
+	for left > 0 {
+		if want := min(left, minLaunch); e.table.Room() < 0 || e.free() < want/4 {
+			grow := max(want, e.table.Ceiling())
+			e.reserve(w, grow, grow)
 		}
-		// The room is all that is left or at least minLaunch k-mers, more
-		// than one supermer holds: every launch makes progress.
-		next, took, st, err := in.Count(e.table, from, min(left, room))
-		if err == nil && took == 0 && left > 0 {
-			err = fmt.Errorf("pipeline: count launch at item %d took none of %d k-mers (room %d)", from, left, room)
+		budget := min(left, e.free())
+		if budget <= 0 {
+			return fmt.Errorf("pipeline: count window at item %d has a budget of %d for %d k-mers", from, budget, left)
+		}
+		next, took, st, err := in.Count(e.table, sel, from, budget)
+		if err == nil && took == 0 {
+			err = fmt.Errorf("pipeline: count launch at item %d took none of %d k-mers (budget %d)", from, left, budget)
 		}
 		lw, err := e.launched(st, err)
 		w.add(lw)
 		w.launches++
-		if from, left = next, left-took; err != nil || left == 0 {
-			return w, err
+		if err != nil {
+			return err
 		}
+		from, left = next, left-took
 	}
+	return nil
 }
+
+// free returns the table's empty slots but one: a window of at most that many
+// k-mers leaves an empty slot, where every probe sequence of a missing key
+// ends.
+func (e *gpuEngine[T]) free() int { return e.table.Cap() - e.table.Len() - 1 }
 
 func (e *gpuEngine[T]) modeled(w work) time.Duration { return w.kernel }
 

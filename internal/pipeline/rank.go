@@ -185,7 +185,7 @@ func runRank[T unit](rc rankCtx, cd codec[T], newEngine func(rankCtx) (engine[T]
 	}
 	var ts tableStats
 	ts.observe(table)
-	ts.publish(rec.Registry(), rank)
+	ts.publish(rec.Registry(), rank, out.sum.Total)
 	out.publishCount(rec.Registry(), rank)
 	return nil
 }
@@ -220,10 +220,12 @@ func pullBases(src chunkSource, buf *dna.SeqBuffer) ([]byte, bool, error) {
 // one table at rank end, or the per-figure maximum over its pass-2 bin
 // tables. Published per rank, it shows in -metrics-out an over-reservation
 // (slots far above what the load factor needs), or a rehash storm and the
-// keys it moved uncharged (kcount.AtomicTable.Reserve).
+// keys it moved uncharged (kcount.AtomicTable.Reserve) — and, summed over
+// the tables, the slots the inserts probed, which is what the load costs.
 type tableStats struct {
 	slots, grows, rehashed int
 	load                   float64
+	probes                 uint64
 }
 
 func (s *tableStats) observe(t countedTable) {
@@ -231,13 +233,26 @@ func (s *tableStats) observe(t countedTable) {
 	s.grows = max(s.grows, t.Grows())
 	s.rehashed = max(s.rehashed, t.Rehashed())
 	s.load = max(s.load, float64(t.Len())/float64(t.Cap()))
+	s.probes += probesOf(t)
 }
 
-func (s tableStats) publish(reg *obs.Registry, rank int) {
+// probesOf returns the slots t's inserts have probed: the CPU engine's
+// table keeps the figure in a field, the GPU engine's behind a method.
+func probesOf(t countedTable) uint64 {
+	if at, ok := t.(*kcount.AtomicTable); ok {
+		return at.Probes()
+	}
+	return t.(*kcount.Table).Probes
+}
+
+// publish publishes the figures for a rank that counted kmers k-mers into
+// the tables observed.
+func (s tableStats) publish(reg *obs.Registry, rank int, kmers uint64) {
 	if reg == nil {
 		return
 	}
 	l := obs.L("rank", strconv.Itoa(rank))
+	reg.Gauge("pipeline_table_probes_per_insert", "Slots the rank's inserts probed per k-mer counted (spill: over the pass-2 bin tables): the figure the load factor moves the modeled count by (a resumed rank's checkpointed entries were one insert each).", l).Set(float64(s.probes) / float64(max(kmers, 1)))
 	reg.Gauge("pipeline_table_rehashed_keys", "Keys those rehashes re-inserted, which no modeled time is charged for (spill: most over the pass-2 bin tables).", l).Set(float64(s.rehashed))
 	reg.Gauge("pipeline_table_slots", "Slots of the rank's counter table when counting ended (spill: largest pass-2 bin table).", l).Set(float64(s.slots))
 	reg.Gauge("pipeline_table_bytes", "Bytes those slots take: an 8-byte key and a 4-byte count each.", l).Set(float64(12 * s.slots))
@@ -327,7 +342,7 @@ func countBins[T unit](eng engine[T], cd codec[T], rsp *rankSpill, rec *obs.Reco
 		sp.End(chargeCount(out, eng, binWork), binItems)
 	}
 	rsp.cleanup(!out.incomplete)
-	ts.publish(rec.Registry(), rank)
+	ts.publish(rec.Registry(), rank, out.sum.Total)
 	out.publishCount(rec.Registry(), rank)
 	return nil
 }

@@ -93,6 +93,30 @@ kstaging=$(awk '/^kernels_staging_bytes / {print $2}' "$kmetrics")
 awk -v s="$kstaging" -v b="$kbases" 'BEGIN { exit !(b > 0 && s + 0 < b + 0) }' \
     || fail "k-mer staging held $kstaging bytes for $kbases input bases; want fewer bytes than bases"
 
+# --- GPU table shape: on an lr8-shaped input (8x of 800-base reads over a
+# genome a fifth repeats) each of 12 ranks receives ≈ 200 k k-mers, far past
+# the count's minLaunch, so it sizes its table once from its arrival's sample
+# slice: every rank's table ends at a load in [0.40, 0.50] (a power-of-two
+# ladder left it near 0.3), and a k-mer-mode count is at most 4 launches —
+# the sample, then the rest in free-slot windows (the ladder made 7–8). The
+# synthetic -dataset inputs are all 30x or deeper, where a rank's k-mers
+# outnumber its free slots several times over, so the input is generated.
+lr8="$TRACE_SMOKE_OUT/lr8s.fastq"
+go run ./cmd/genreads -genome-len 300000 -coverage 8 -repeat-frac 0.2 -model short \
+    -mean-len 800 -err 0.002 -ambig 0.002 -o "$lr8" 2>/dev/null \
+    || fail "genreads lr8-shaped input"
+for mode in kmer supermer; do
+    smetrics="$TRACE_SMOKE_OUT/shape_$mode.prom"
+    echo "trace-smoke: checking the GPU $mode-mode table shape"
+    go run ./cmd/dedukt -in "$lr8" -mode "$mode" -nodes 2 -hist 0 -top 0 \
+        -metrics-out "$smetrics" >/dev/null 2>&1 || fail "dedukt GPU $mode run on the lr8-shaped input"
+    awk -v mode="$mode" '
+        /^pipeline_table_load_factor\{/ { n++; if ($2 < 0.40 || $2 > 0.50) { print "  " $0; bad = 1 } }
+        /^pipeline_count_launches\{/ && mode == "kmer" && $2 > 4 { print "  " $0; bad = 1 }
+        END { exit bad || n != 12 }' "$smetrics" >&2 \
+        || fail "GPU $mode-mode table shape: want a load in [0.40, 0.50] on all 12 ranks (k-mer mode: at most 4 count launches)"
+done
+
 # --- CPU engine: it sizes each rank's table from a slice of the arrival, so
 # it too publishes what that reservation asked for and the wall time it took
 # (one node of the CPU layout is 42 ranks).
