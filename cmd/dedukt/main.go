@@ -342,10 +342,11 @@ func main() {
 // reportTables prints the -report line on the ranks' counter tables, each
 // figure the most over the ranks' gauges: what the largest table holds beside
 // what its rank reserved room for, what growing the tables moved and took,
-// and how full the tables are beside the slots an insert probes — the figure
-// the load moves the modeled count by.
+// how full the tables are beside the slots an insert probes — the figure the
+// load moves the modeled count by — and how many keys' counts outgrew their
+// one-byte lanes.
 func reportTables(w io.Writer, reg *obs.Registry, ranks int) {
-	var slots, keys, reserved, rehashed, grows, growing, load, probes float64
+	var slots, keys, reserved, rehashed, grows, growing, load, probes, escaped float64
 	for r := 0; r < ranks; r++ {
 		gauge := func(name string) float64 {
 			return reg.Gauge("pipeline_table_"+name, "", obs.L("rank", strconv.Itoa(r))).Value()
@@ -358,9 +359,10 @@ func reportTables(w io.Writer, reg *obs.Registry, ranks int) {
 		growing = max(growing, gauge("grow_seconds"))
 		load = max(load, gauge("load_factor"))
 		probes = max(probes, gauge("probes_per_insert"))
+		escaped = max(escaped, gauge("escaped_keys"))
 	}
-	fmt.Fprintf(w, "\ncounter tables: at most %.0f slots holding %.0f keys, room reserved for %.0f; %.0f keys rehashed in %.0f grows, %s inside Reserve; load %.3f, %.2f probes an insert\n",
-		slots, keys, reserved, rehashed, grows, stats.Seconds(time.Duration(growing*float64(time.Second))), load, probes)
+	fmt.Fprintf(w, "\ncounter tables: at most %.0f slots holding %.0f keys, room reserved for %.0f; %.0f keys rehashed in %.0f grows, %s inside Reserve; load %.3f, %.2f probes an insert; %.0f keys escaped their count lanes\n",
+		slots, keys, reserved, rehashed, grows, stats.Seconds(time.Duration(growing*float64(time.Second))), load, probes, escaped)
 }
 
 // writeObsArtifacts saves the recorded trace and metrics exposition to the

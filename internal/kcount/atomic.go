@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync"
 	"sync/atomic"
 
 	"dedukt/internal/hash"
@@ -15,10 +16,17 @@ var ErrTableFull = errors.New("kcount: atomic table full")
 
 // AtomicTable is the fixed-capacity concurrent counter with the GPU kernel's
 // semantics (§III-B.3): a slot is claimed by an atomic compare-and-swap on
-// the key word, and the count is bumped with an atomic add — "both
-// operations are handled atomically to avoid race conditions". Capacity is
-// fixed between Reserve calls exactly like a device-resident table; inserting
-// beyond capacity returns ErrTableFull.
+// the key word, and the count is bumped atomically — "both operations are
+// handled atomically to avoid race conditions". Capacity is fixed between
+// Reserve calls exactly like a device-resident table; inserting beyond
+// capacity returns ErrTableFull.
+//
+// A slot is 9 B of host memory: the key word and a one-byte count lane (see
+// the package doc), four lanes to a 32-bit word that an increment updates by
+// a compare-and-swap. The rare increment whose count carries out of its lane
+// into the side map takes the table's mutex for the map. The model is not
+// the host layout: kernels.insert still prices the device's 4-byte atomicAdd
+// on a 12-byte slot, so modeled times do not depend on it.
 //
 // A capacity is any multiple of 64 slots, so a table is sized to the keys it
 // is asked to hold rather than to the next power of two. The slots live in
@@ -33,11 +41,13 @@ type AtomicTable struct {
 	moved  int     // keys those rehashes re-inserted, in total
 	n      atomic.Int64
 	probes atomic.Uint64
+	mu     sync.Mutex        // guards side
+	side   map[uint64]uint32 // escaped keys' high counts, by stored key
 }
 
 // segSlots is 2¹⁶: the ≈ 348 k-slot table a rank of the lr8 benchmark input
 // ends with is 5 whole segments and a tail, and a growth that replaces the
-// tail abandons at most 768 KB.
+// tail abandons at most 576 KB.
 const (
 	segBits  = 16
 	segSlots = 1 << segBits
@@ -48,18 +58,31 @@ const (
 const capAlign = 64
 
 // segment is a run of slots: keys biased (stored = key + 1; 0 = empty), and
-// their counts.
+// their count lanes, four a word, slot in's in byte in%4 of lanes[in/4]. A
+// segment's slots are a multiple of capAlign, so its lanes fill whole words.
 type segment struct {
-	keys   []atomic.Uint64
-	counts []atomic.Uint32
+	keys  []atomic.Uint64
+	lanes []atomic.Uint32
 }
 
 func newSegment(slots int) segment {
-	return segment{keys: make([]atomic.Uint64, slots), counts: make([]atomic.Uint32, slots)}
+	return segment{keys: make([]atomic.Uint64, slots), lanes: make([]atomic.Uint32, slots/4)}
+}
+
+// lane returns slot in's lane.
+func (seg *segment) lane(in uint64) uint8 {
+	return uint8(seg.lanes[in/4].Load() >> (in % 4 * 8))
+}
+
+// setLane stores slot in's lane. Only a goroutine that owns the table, as
+// Reserve does, may call it.
+func (seg *segment) setLane(in uint64, lane uint8) {
+	word, shift := &seg.lanes[in/4], in%4*8
+	word.Store(word.Load()&^(0xff<<shift) | uint32(lane)<<shift)
 }
 
 // slot returns the segment slot idx lies in and its index there: the slot's
-// key word is seg.keys[in], its count seg.counts[in].
+// key word is seg.keys[in], its lane seg.lane(in).
 func (t *AtomicTable) slot(idx uint64) (seg *segment, in uint64) {
 	return &t.segs[idx>>segBits], idx & segMask
 }
@@ -114,7 +137,9 @@ func (t *AtomicTable) extend(capacity int) {
 		seg := newSegment(size)
 		for i := range short.keys {
 			seg.keys[i].Store(short.keys[i].Load())
-			seg.counts[i].Store(short.counts[i].Load())
+		}
+		for i := range short.lanes {
+			seg.lanes[i].Store(short.lanes[i].Load())
 		}
 		t.segs[n-1] = seg
 	}
@@ -141,7 +166,8 @@ func (t *AtomicTable) extend(capacity int) {
 // The table grows in place: the slots it has stay where they are (a short
 // tail is copied into its replacement), the new ones are appended behind
 // them, and the only memory a Reserve allocates beyond the added slots is
-// the rehash's bitmap. It must not run concurrently with Add or Get — growth
+// the rehash's bitmap. Lanes move with their keys; the side map, keyed by
+// key, is not touched. It must not run concurrently with Add or Get — growth
 // is something a rank does between kernel launches, on its own goroutine.
 // Probes() is not touched: it keeps counting inserts across the growth, and
 // only inserts.
@@ -176,7 +202,7 @@ func (t *AtomicTable) Reserve(incoming int) {
 func (t *AtomicTable) rehash(old int) {
 	type entry struct {
 		stored uint64
-		count  uint32
+		lane   uint8
 	}
 	settled := make([]uint64, (t.cap+63)/64)
 	isSettled := func(idx uint64) bool { return settled[idx>>6]&(1<<(idx&63)) != 0 }
@@ -190,9 +216,9 @@ func (t *AtomicTable) rehash(old int) {
 				delete(evicted, i)
 			}
 		} else if seg, in := t.slot(i); seg.keys[in].Load() != 0 {
-			e = entry{seg.keys[in].Load(), seg.counts[in].Load()}
+			e = entry{seg.keys[in].Load(), seg.lane(in)}
 			seg.keys[in].Store(0)
-			seg.counts[in].Store(0)
+			seg.setLane(in, 0)
 		}
 		if e.stored == 0 {
 			continue
@@ -204,10 +230,10 @@ func (t *AtomicTable) rehash(old int) {
 		settled[idx>>6] |= 1 << (idx & 63)
 		seg, in := t.slot(idx)
 		if occupant := seg.keys[in].Load(); occupant != 0 {
-			evicted[idx] = entry{occupant, seg.counts[in].Load()}
+			evicted[idx] = entry{occupant, seg.lane(in)}
 		}
 		seg.keys[in].Store(e.stored)
-		seg.counts[in].Store(e.count)
+		seg.setLane(in, e.lane)
 	}
 }
 
@@ -249,26 +275,65 @@ func (t *AtomicTable) Add(key uint64, delta uint32) (isNew bool, probes int, err
 	for i := uint64(0); i < t.cap; i, idx = i+1, t.next(idx) {
 		seg, in := t.slot(idx)
 		probes++
-		cur := seg.keys[in].Load()
+		// The lane's word is read beside the key, so that the two reads
+		// overlap: the compare-and-swap below needs the word's value.
+		word, shift := &seg.lanes[in/4], in%4*8
+		cur, old := seg.keys[in].Load(), word.Load()
 		if cur == 0 {
 			if seg.keys[in].CompareAndSwap(0, stored) {
 				// Slot claimed.
-				seg.counts[in].Add(delta)
 				t.n.Add(1)
-				t.probes.Add(uint64(probes))
-				return true, probes, nil
+				isNew, cur = true, stored
+			} else {
+				// Lost the race; re-read the winner's key.
+				cur = seg.keys[in].Load()
 			}
-			// Lost the race; re-read the winner's key.
-			cur = seg.keys[in].Load()
 		}
 		if cur == stored {
-			seg.counts[in].Add(delta)
+			lane, carry := addToLane(uint8(old>>shift), delta)
+			for !word.CompareAndSwap(old, old&^(0xff<<shift)|uint32(lane)<<shift) {
+				old = word.Load()
+				lane, carry = addToLane(uint8(old>>shift), delta)
+			}
 			t.probes.Add(uint64(probes))
-			return false, probes, nil
+			if carry != 0 {
+				t.carry(stored, carry)
+			}
+			return isNew, probes, nil
 		}
 	}
 	t.probes.Add(uint64(probes))
 	return false, probes, fmt.Errorf("%w (cap %d)", ErrTableFull, t.Cap())
+}
+
+// carry adds the carry out of a lane to its key's side-map entry.
+func (t *AtomicTable) carry(stored uint64, carry uint32) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.side == nil {
+		t.side = map[uint64]uint32{}
+	}
+	t.side[stored] += carry
+}
+
+// count returns the count of the key stored in slot in of seg. An escaped
+// lane is read again under the mutex, so a count read while its key carries
+// can lag the increments in flight but never runs ahead of them.
+func (t *AtomicTable) count(seg *segment, in, stored uint64) uint32 {
+	if lane := seg.lane(in); lane&escapedLane == 0 {
+		return uint32(lane)
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return escapedCount(seg.lane(in), t.side[stored])
+}
+
+// Escaped returns how many keys are escaped: their counts have reached 128
+// and live partly in the side map.
+func (t *AtomicTable) Escaped() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.side)
 }
 
 // Inc is Add(key, 1).
@@ -285,7 +350,7 @@ func (t *AtomicTable) Get(key uint64) uint32 {
 		case 0:
 			return 0
 		case stored:
-			return seg.counts[in].Load()
+			return t.count(seg, in, stored)
 		}
 	}
 	return 0
@@ -294,10 +359,11 @@ func (t *AtomicTable) Get(key uint64) uint32 {
 // ForEach calls fn for every (key, count) pair, in slot order. Callers must
 // ensure no concurrent writers.
 func (t *AtomicTable) ForEach(fn func(key uint64, count uint32)) {
-	for _, seg := range t.segs {
+	for s := range t.segs {
+		seg := &t.segs[s]
 		for i := range seg.keys {
 			if stored := seg.keys[i].Load(); stored != 0 {
-				fn(stored-1, seg.counts[i].Load())
+				fn(stored-1, t.count(seg, uint64(i), stored))
 			}
 		}
 	}

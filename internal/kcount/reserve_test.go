@@ -14,7 +14,8 @@ func slotsOf(table *AtomicTable) []KV {
 	out := make([]KV, table.Cap())
 	for i := range out {
 		seg, in := table.slot(uint64(i))
-		out[i] = KV{seg.keys[in].Load(), seg.counts[in].Load()}
+		stored := seg.keys[in].Load()
+		out[i] = KV{stored, table.count(seg, in, stored)}
 	}
 	return out
 }
@@ -217,8 +218,9 @@ func TestAtomicConcurrentAddAfterReserve(t *testing.T) {
 }
 
 // TestAtomicReserveAllocatesTheAddedSlots: growing a table at its ceiling,
-// of whole segments and a short tail, allocates the slots it adds, a copy of
-// the tail it replaces and the rehash's bitmap — not a second table — both
+// of whole segments and a short tail, allocates the slots it adds, 9 B each
+// (a key word and a lane), a copy of the tail it replaces and the rehash's
+// bitmap — not a second table, nor a 4-byte count a slot — both
 // when the tail becomes a whole segment behind which a new tail is appended,
 // and when it is replaced by a longer tail. The descending walk keeps the
 // evicted keys few: walking up evicted nearly every one, and their side map
@@ -238,12 +240,22 @@ func TestAtomicReserveAllocatesTheAddedSlots(t *testing.T) {
 		if tail == 0 || table.Cap()&segMask == 0 || table.Cap() >= 2*slots {
 			t.Fatalf("grew %d slots to %d, want a tail before and after and no doubling", slots, table.Cap())
 		}
-		got, budget := after.TotalAlloc-before.TotalAlloc, uint64(12*(table.Cap()-slots+tail)+table.Cap()/8)*105/100
+		got, budget := after.TotalAlloc-before.TotalAlloc, uint64(9*(table.Cap()-slots+tail)+table.Cap()/8)*105/100
 		t.Logf("allocated %d B growing %d slots to %d, budget %d", got, slots, table.Cap(), budget)
 		if got > budget {
-			t.Fatalf("allocated %d B, budget %d (12 B for each of the %d added slots and the %d-slot tail copied, the bitmap, 5 %%)", got, budget, table.Cap()-slots, tail)
+			t.Fatalf("allocated %d B, budget %d (9 B for each of the %d added slots and the %d-slot tail copied, the bitmap, 5 %%)", got, budget, table.Cap()-slots, tail)
 		}
 	}
+}
+
+// fuzzDelta decodes the delta of a fuzzed add from the low nibble of b:
+// itself, but 0xf stands for 250, so that a few adds to one key carry its
+// count out of its lane.
+func fuzzDelta(b byte) uint32 {
+	if d := uint32(b & 0xf); d != 0xf {
+		return d
+	}
+	return 250
 }
 
 // FuzzAtomicReserve reads the input as a sequence of adds and reserves on one
@@ -252,8 +264,10 @@ func TestAtomicReserveAllocatesTheAddedSlots(t *testing.T) {
 // for — up to 63 000, so some tables start past a whole segment and every
 // capacity but the smallest ends in a short tail; an add is a byte of key,
 // spread over the slots by the table's own hash and dense enough to repeat,
-// and one of delta; a reserve asks for the square of a byte, any multiple of
-// capAlign the growth lands on.
+// and one whose high nibble widens the key and whose low nibble is the delta,
+// 0xf standing for 250 so that a few adds to one key escape its lane; a
+// reserve asks for the square of a byte, any multiple of capAlign the growth
+// lands on.
 func FuzzAtomicReserve(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 1, 2, 1, 3, 1, 0xff, 9, 4, 1, 0xff, 0})
@@ -279,7 +293,7 @@ func FuzzAtomicReserve(f *testing.F) {
 				reserveChecked(t, table, int(ops[1])*int(ops[1]), oracle)
 				continue
 			}
-			key, delta := uint64(ops[0])|uint64(ops[1]&0xf0)<<4, uint32(ops[1]&0xf)
+			key, delta := uint64(ops[0])|uint64(ops[1]&0xf0)<<4, fuzzDelta(ops[1])
 			if table.Len() == table.Cap()-1 {
 				reserveChecked(t, table, 1, oracle) // keep an empty slot: Get ends on one
 			}

@@ -4,6 +4,20 @@
 // insert/increment semantics of the GPU kernel. A map-based serial oracle
 // is provided for correctness testing, plus histogram/spectrum utilities
 // over counted tables.
+//
+// Both tables keep an 8-byte key and a one-byte count lane a slot, 9 B where
+// the paper's device table keeps 12 (a 4-byte count). A lane below 128 is
+// its key's whole count. A key whose count reaches 128 is escaped: its lane
+// sets its top bit and keeps the count's low seven bits, and the rest, in
+// units of 128, lives in a per-table side map keyed by the stored key, so a
+// rehash moves the lane and never touches the map, which stays nil until the
+// first escape. Nearly every k-mer count stays under 128, so the map holds a
+// handful of keys, and an escaped key's increments touch it only when its
+// low bits carry. Counts read back are exactly the uint32 sums of the deltas
+// added, wrapping at 2³² like a uint32 counter. The lane is host memory only:
+// the count kernels still allocate and price the device table's 8-byte key
+// and 4-byte count a slot (kernels.insert), so the model does not depend on
+// it.
 package kcount
 
 import (
@@ -30,25 +44,54 @@ const Linear Probing = 0
 // assignment.
 const tableSeed = 0x9e3779b97f4a7c15
 
+// A lane is a slot's one-byte count. With escapedLane clear it is the key's
+// whole count; with it set the key is escaped, and its count is the lane's
+// low laneBits plus the side map's entry shifted up by laneBits.
+const (
+	laneBits    = 7
+	escapedLane = 1 << laneBits
+	laneMask    = escapedLane - 1
+)
+
+// addToLane returns lane with delta added to the count it holds, and the
+// carry out of its low bits that the side map takes: zero, or the units of
+// 2^laneBits the sum passed, which leaves the lane escaped.
+func addToLane(lane uint8, delta uint32) (uint8, uint32) {
+	low := uint64(lane&laneMask) + uint64(delta)
+	if low <= laneMask {
+		return lane&escapedLane | uint8(low), 0
+	}
+	return escapedLane | uint8(low&laneMask), uint32(low >> laneBits)
+}
+
+// escapedCount returns the count of an escaped key: its lane's low bits
+// below its side-map entry.
+func escapedCount(lane uint8, high uint32) uint32 {
+	return uint32(lane&laneMask) + high<<laneBits
+}
+
 // slotOf returns the home slot for a key in a table of capacity mask+1.
 func slotOf(key uint64, mask uint64) uint64 {
 	return hash.Mix64Seeded(key, tableSeed) & mask
 }
 
 // Table is a serial open-addressing counter: packed k-mer keys to uint32
-// counts. Keys are stored biased by +1 so the zero word can serve as the
-// empty sentinel; this supports every k ≤ 31 (and k = 32 except the all-T
-// k-mer under lexicographic encoding, which the constructor rejects via
-// MaxKey). The table grows by rehashing at 70% load: one doubling when a new
-// key finds it there, or one rehash to whatever Reserve is asked to hold.
+// counts, each held in a one-byte lane beside its key and, once the key is
+// escaped, the side map (see the package doc). Keys are stored biased by +1
+// so the zero word can serve as the empty sentinel; this supports every
+// k ≤ 31 (and k = 32 except the all-T k-mer under lexicographic encoding,
+// which the constructor rejects via MaxKey). The table grows by rehashing at
+// 70% load: one doubling when a new key finds it there, or one rehash to
+// whatever Reserve is asked to hold.
 type Table struct {
-	keys   []uint64 // biased: stored = key + 1; 0 = empty
-	counts []uint32
-	mask   uint64
-	n      int // occupied slots
-	limit  int // most keys held before a new one grows the table: ⌊0.7·Cap⌋
-	grows  int // rehashes so far
-	moved  int // keys those rehashes re-inserted, in total
+	keys  []uint64 // biased: stored = key + 1; 0 = empty
+	lanes []uint8
+	side  map[uint64]uint32 // escaped keys' high counts, by stored key
+	mask  uint64
+	n     int // occupied slots
+	limit int // most keys held before a new one grows the table: ⌊0.7·Cap⌋
+	grows int // rehashes so far
+	moved int // keys those rehashes re-inserted, in total
 	// Probes accumulates the total number of slots inspected across all
 	// operations — the quantity the GPU cost model charges memory traffic
 	// for.
@@ -76,7 +119,7 @@ func NewTable(expected int, prob Probing) *Table {
 // alloc replaces the table's slots by capacity empty ones, a power of two.
 func (t *Table) alloc(capacity int) {
 	t.keys = make([]uint64, capacity)
-	t.counts = make([]uint32, capacity)
+	t.lanes = make([]uint8, capacity)
 	t.mask = uint64(capacity - 1)
 	t.limit = ceilingOf(capacity)
 }
@@ -119,15 +162,40 @@ func (t *Table) Add(key uint64, delta uint32) (isNew bool) {
 				return t.Add(key, delta)
 			}
 			t.keys[idx] = stored
-			t.counts[idx] = delta
 			t.n++
+			t.add(idx, delta)
 			return true
 		case stored:
-			t.counts[idx] += delta
+			t.add(idx, delta)
 			return false
 		}
 	}
 }
+
+// add adds delta to the count of the key in slot idx.
+func (t *Table) add(idx uint64, delta uint32) {
+	lane, carry := addToLane(t.lanes[idx], delta)
+	t.lanes[idx] = lane
+	if carry != 0 {
+		if t.side == nil {
+			t.side = map[uint64]uint32{}
+		}
+		t.side[t.keys[idx]] += carry
+	}
+}
+
+// count returns the count of the key in slot idx.
+func (t *Table) count(idx uint64) uint32 {
+	lane := t.lanes[idx]
+	if lane&escapedLane == 0 {
+		return uint32(lane)
+	}
+	return escapedCount(lane, t.side[t.keys[idx]])
+}
+
+// Escaped returns how many keys are escaped: their counts have reached 128
+// and live partly in the side map.
+func (t *Table) Escaped() int { return len(t.side) }
 
 // Inc is Add(key, 1) — the per-k-mer hot path of COUNTKMER.
 func (t *Table) Inc(key uint64) bool { return t.Add(key, 1) }
@@ -142,7 +210,7 @@ func (t *Table) Get(key uint64) uint32 {
 		case 0:
 			return 0
 		case stored:
-			return t.counts[idx]
+			return t.count(idx)
 		}
 	}
 }
@@ -151,7 +219,7 @@ func (t *Table) Get(key uint64) uint32 {
 func (t *Table) ForEach(fn func(key uint64, count uint32)) {
 	for i, stored := range t.keys {
 		if stored != 0 {
-			fn(stored-1, t.counts[i])
+			fn(stored-1, t.count(uint64(i)))
 		}
 	}
 }
@@ -172,10 +240,11 @@ func (t *Table) Reserve(more int) (room int) {
 	return t.limit - t.n
 }
 
-// rehash moves the keys into a new table of capacity slots, in slot order.
-// Probes is Add's alone: the moves are Rehashed's to count.
+// rehash moves the keys and their lanes into a new table of capacity slots,
+// in slot order; the side map, keyed by key, stays as it is. Probes is Add's
+// alone: the moves are Rehashed's to count.
 func (t *Table) rehash(capacity int) {
-	oldKeys, oldCounts := t.keys, t.counts
+	oldKeys, oldLanes := t.keys, t.lanes
 	t.moved += t.n
 	t.grows++
 	t.alloc(capacity)
@@ -186,7 +255,7 @@ func (t *Table) rehash(capacity int) {
 		slot := slotOf(stored-1, t.mask)
 		for j := uint64(0); ; j++ {
 			if idx := (slot + j) & t.mask; t.keys[idx] == 0 {
-				t.keys[idx], t.counts[idx] = stored, oldCounts[i]
+				t.keys[idx], t.lanes[idx] = stored, oldLanes[i]
 				break
 			}
 		}

@@ -167,9 +167,9 @@ func TestTableProbesAcrossGrowth(t *testing.T) {
 
 // FuzzTableReserve drives a reserved table and a plain-ladder one through the
 // same byte-coded adds, with Reserves only the first sees, each checked by
-// tableReserveChecked. The first byte is unused; an add is a byte of key,
-// dense enough to repeat, and one whose low nibble is the delta and whose
-// high nibble widens the key.
+// tableReserveChecked, and at the end both against a map of the adds. The first byte is unused; an add is a byte of key,
+// dense enough to repeat, and one whose high nibble widens the key and whose
+// low nibble is the delta (fuzzDelta: 0xf is 250).
 func FuzzTableReserve(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 1, 2, 1, 3, 1, 0xff, 9, 4, 1, 0xff, 0})
@@ -185,6 +185,7 @@ func FuzzTableReserve(f *testing.F) {
 			return
 		}
 		table, ladder := NewTable(1, Linear), NewTable(1, Linear)
+		oracle := map[uint64]uint32{}
 		reserved, slots := 0, table.Cap() // new keys the last Reserve still covers
 		for ops = ops[1:]; len(ops) >= 2; ops = ops[2:] {
 			if ops[0] == 0xff {
@@ -193,16 +194,25 @@ func FuzzTableReserve(f *testing.F) {
 				slots = table.Cap()
 				continue
 			}
-			key, delta := uint64(ops[0])|uint64(ops[1]&0xf0)<<4, uint32(ops[1]&0xf)
+			key, delta := uint64(ops[0])|uint64(ops[1]&0xf0)<<4, fuzzDelta(ops[1])
 			if isNew := table.Add(key, delta); isNew != ladder.Add(key, delta) {
 				t.Fatalf("Add(%#x) reported new = %v, the ladder's table the opposite", key, isNew)
 			} else if isNew {
 				reserved--
 			}
+			oracle[key] += delta
 			if reserved >= 0 && table.Cap() != slots {
 				t.Fatalf("table grew from %d slots to %d with %d reserved keys still to come", slots, table.Cap(), reserved)
 			}
 		}
 		tableReserveChecked(t, table, ladder, table.Len())
+		if ladder.Len() != len(oracle) {
+			t.Fatalf("%d keys, the adds made %d", ladder.Len(), len(oracle))
+		}
+		for key, count := range oracle {
+			if got := ladder.Get(key); got != count {
+				t.Fatalf("Get(%#x) = %d, the adds sum to %d", key, got, count)
+			}
+		}
 	})
 }

@@ -52,6 +52,7 @@ type countedTable interface {
 	Cap() int
 	Grows() int
 	Rehashed() int
+	Escaped() int
 }
 
 // serialTable returns t as a serial table, for the two consumers that keep

@@ -223,15 +223,16 @@ func pullBases(src chunkSource, buf *dna.SeqBuffer) ([]byte, bool, error) {
 // keys it moved uncharged (kcount.AtomicTable.Reserve) — and, summed over
 // the tables, the slots the inserts probed, which is what the load costs.
 type tableStats struct {
-	slots, grows, rehashed int
-	load                   float64
-	probes                 uint64
+	slots, grows, rehashed, escaped int
+	load                            float64
+	probes                          uint64
 }
 
 func (s *tableStats) observe(t countedTable) {
 	s.slots = max(s.slots, t.Cap())
 	s.grows = max(s.grows, t.Grows())
 	s.rehashed = max(s.rehashed, t.Rehashed())
+	s.escaped = max(s.escaped, t.Escaped())
 	s.load = max(s.load, float64(t.Len())/float64(t.Cap()))
 	s.probes += probesOf(t)
 }
@@ -255,7 +256,8 @@ func (s tableStats) publish(reg *obs.Registry, rank int, kmers uint64) {
 	reg.Gauge("pipeline_table_probes_per_insert", "Slots the rank's inserts probed per k-mer counted (spill: over the pass-2 bin tables): the figure the load factor moves the modeled count by (a resumed rank's checkpointed entries were one insert each).", l).Set(float64(s.probes) / float64(max(kmers, 1)))
 	reg.Gauge("pipeline_table_rehashed_keys", "Keys those rehashes re-inserted, which no modeled time is charged for (spill: most over the pass-2 bin tables).", l).Set(float64(s.rehashed))
 	reg.Gauge("pipeline_table_slots", "Slots of the rank's counter table when counting ended (spill: largest pass-2 bin table).", l).Set(float64(s.slots))
-	reg.Gauge("pipeline_table_bytes", "Bytes those slots take: an 8-byte key and a 4-byte count each.", l).Set(float64(12 * s.slots))
+	reg.Gauge("pipeline_table_bytes", "Host bytes those slots take: an 8-byte key and a one-byte count lane each (the modeled device table keeps a 4-byte count).", l).Set(float64(9 * s.slots))
+	reg.Gauge("pipeline_table_escaped_keys", "Keys of the rank's counter table whose counts outgrew their one-byte lanes and live partly in the table's side map (spill: most over the pass-2 bin tables).", l).Set(float64(s.escaped))
 	reg.Gauge("pipeline_table_load_factor", "Occupied share of those slots (spill: highest over the pass-2 bin tables).", l).Set(s.load)
 	reg.Gauge("pipeline_table_grows", "Rehashes into a larger table the rank's counter table went through (spill: most over the pass-2 bin tables).", l).Set(float64(s.grows))
 }

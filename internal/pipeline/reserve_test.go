@@ -63,6 +63,9 @@ func TestGPUTableReservation(t *testing.T) {
 				}
 				slots, load := gauge("pipeline_table_slots"), gauge("pipeline_table_load_factor")
 				keys := load * slots // under spill, the fullest bin table's
+				if bytes := gauge("pipeline_table_bytes"); bytes != 9*slots {
+					t.Errorf("rank %d: %v table bytes for %v slots, want 9 a slot", rank, bytes, slots)
+				}
 				if load <= 0 || load > tableLoad {
 					t.Errorf("rank %d: load factor %.3f outside (0, %.2f]", rank, load, tableLoad)
 				}
@@ -90,10 +93,10 @@ func TestGPUTableReservation(t *testing.T) {
 
 // testCountAllocation is TestGPUTableReservation's allocation budget: one
 // rank's count of a k-mer arrival, shipped sample first, that takes its table
-// from 64 slots to the size its sample asks for may allocate 12 bytes for
-// every slot of the final table and a tenth more (the arrival's index, the
-// launches, the rehash bitmaps), and a whole segment's worth: the short tail
-// segment a growth replaces is left behind.
+// from 64 slots to the size its sample asks for may allocate 9 bytes (a key
+// and a one-byte count lane) for every slot of the final table and a tenth
+// more (the arrival's index, the launches, the rehash bitmaps), and a whole
+// segment's worth: the short tail segment a growth replaces is left behind.
 func testCountAllocation(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("alloc counts are inflated by the race detector")
@@ -119,13 +122,13 @@ func testCountAllocation(t *testing.T) {
 	}
 	counted() // warm the launch pools
 	got, table := counted()
-	budget := uint64(12*table.Cap()*11/10 + 12<<16)
+	budget := uint64(9*table.Cap()*11/10 + 9<<16)
 	t.Logf("allocated %d B counting %d k-mers into %d slots (%d grows, load %.3f), budget %d", got, len(row), table.Cap(), table.Grows(), float64(table.Len())/float64(table.Cap()), budget)
 	if load := float64(table.Len()) / float64(table.Cap()); load < 0.45 {
 		t.Fatalf("%d keys in %d slots, want a load of 0.45 or more", table.Len(), table.Cap())
 	}
 	if got > budget {
-		t.Errorf("allocated %d B, budget %d: 12 B x the final %d slots x 1.1, and a 2^16-slot segment", got, budget, table.Cap())
+		t.Errorf("allocated %d B, budget %d: 9 B x the final %d slots x 1.1, and a 2^16-slot segment", got, budget, table.Cap())
 	}
 }
 
@@ -344,10 +347,11 @@ func TestCountLaunchLoop(t *testing.T) {
 						sampled = max(sampled, inSample)
 					}
 				}
-				got := table()
-				if diff := got.Snapshot().EqualToOracle(kcount.SerialCount(enc, all, k)); diff != "" {
+				got, oracle := table(), kcount.SerialCount(enc, all, k)
+				if diff := got.Snapshot().EqualToOracle(oracle); diff != "" {
 					t.Fatal(diff)
 				}
+				checkEscaped(t, got, oracle)
 				if most := kcount.NewAtomicTable(max(2*got.Len(), sampled)+minLaunch, tableLoad, kcount.Linear).Cap(); got.Cap() > most {
 					t.Errorf("%d slots for %d keys, want at most %d", got.Cap(), got.Len(), most)
 				}
@@ -497,12 +501,14 @@ func TestSendRowsAreNotCopiedIntoFrames(t *testing.T) {
 // FuzzGPUCount drives gpuEngine.count in either mode over one or two
 // arrivals of fuzz-shaped keys, into a fresh table or one seeded from a
 // checkpoint slice: keys anywhere in key space, all in the sample slice or
-// none in it, each repeated 1 to 50 times, in parts shipped sample first or
-// scrambled (a shrunk seat's folded rows, a spill record). Whatever the
-// estimate the sample gives, the spectrum must be the serial oracle's, no
-// launch may have a zero budget or fill the table (checkedArrival), and
-// every count must leave the table under its load ceiling. Supermer
-// arrivals carry one k-mer an image, so the key mix is the fuzzer's.
+// none in it, each repeated 1 to 50 times — or 250 to 505, so that a few hot
+// keys carry their counts out of their lanes — in parts shipped sample first
+// or scrambled (a shrunk seat's folded rows, a spill record). Whatever the
+// estimate the sample gives, the spectrum must be the serial oracle's, its
+// counts of 128 or more the table's escaped keys, no launch may have a zero
+// budget or fill the table (checkedArrival), and every count must leave the
+// table under its load ceiling. Supermer arrivals carry one k-mer an image,
+// so the key mix is the fuzzer's.
 func FuzzGPUCount(f *testing.F) {
 	for _, mode := range []uint8{0, 1} {
 		for mix := uint8(0); mix < 3; mix++ {
@@ -512,6 +518,10 @@ func FuzzGPUCount(f *testing.F) {
 		}
 		f.Add(int64(5), uint32(minLaunch/3), uint8(0), uint8(1), mode|2)
 		f.Add(int64(6), uint32(0), uint8(1), uint8(0), mode|4)
+		// Hot keys: a few keys, each repeated past 255.
+		f.Add(int64(8), uint32(3_000), uint8(0), uint8(30), mode|16)
+		f.Add(int64(9), uint32(2*minLaunch+77), uint8(1), uint8(0), mode|2|4|16)
+		f.Add(int64(10), uint32(minLaunch+1), uint8(2), uint8(255), mode|8|16)
 	}
 	cfg := Default(smallGPULayout(1), KmerMode)
 	k, enc := cfg.K, cfg.Enc
@@ -523,6 +533,9 @@ func FuzzGPUCount(f *testing.F) {
 		}
 		arrivals, seeded, scrambled := 1+int(flags>>1&1), flags&4 != 0, flags&8 != 0
 		kmers, rep := int(n%(3*minLaunch)), 1+int(repeat%50)
+		if flags&16 != 0 {
+			rep = 250 + int(repeat)
+		}
 		key := func() uint64 {
 			for {
 				key := rng.Uint64() & kmerMask(k)
@@ -597,5 +610,19 @@ func FuzzGPUCount(f *testing.F) {
 		if diff := table().Snapshot().EqualToOracle(want); diff != "" {
 			t.Fatal(diff)
 		}
+		checkEscaped(t, table(), want)
 	})
+}
+
+// checkEscaped checks that the table's escaped keys are the oracle's counts
+// of 128 or more: those, and only those, outgrew a one-byte lane.
+func checkEscaped(t *testing.T, table *kcount.AtomicTable, oracle map[dna.Kmer]uint32) {
+	t.Helper()
+	want := 0
+	for _, c := range oracle {
+		want += b2i(c >= 128)
+	}
+	if table.Escaped() != want {
+		t.Errorf("%d keys escaped their lanes, the oracle has %d counts of 128 or more", table.Escaped(), want)
+	}
 }

@@ -24,6 +24,24 @@ fail() {
 
 command -v jq >/dev/null 2>&1 || fail "jq not installed"
 
+# nine_byte_slots FILE RANKS: each of the RANKS ranks in the metrics FILE
+# publishes a pipeline_table_bytes of 9 B a slot of its pipeline_table_slots —
+# an 8-byte key and a one-byte count lane — and a pipeline_table_escaped_keys.
+nine_byte_slots() {
+    awk -v ranks="$2" '
+        { label = $1; sub(/^[^{]*/, "", label) }
+        /^pipeline_table_slots\{/ { slots[label] = $2 }
+        /^pipeline_table_bytes\{/ { bytes[label] = $2 }
+        /^pipeline_table_escaped_keys\{/ { escaped++ }
+        END {
+            for (l in slots) {
+                n++
+                if (bytes[l] != 9 * slots[l]) { print "  " l ": " bytes[l] " bytes for " slots[l] " slots"; bad = 1 }
+            }
+            exit bad || n != ranks || escaped != ranks
+        }' "$1" >&2
+}
+
 trace="$TRACE_SMOKE_OUT/trace.json"
 metrics="$TRACE_SMOKE_OUT/metrics.prom"
 report="$TRACE_SMOKE_OUT/report.txt"
@@ -69,12 +87,14 @@ for series in pipeline_table_bytes pipeline_table_grow_seconds; do
     [ "$(grep -c "^$series{rank=\"[0-9]*\"} [0-9]" "$metrics")" = 12 ] \
         || fail "metrics missing $series for some of the 12 ranks"
 done
+nine_byte_slots "$metrics" 12 || fail "GPU supermer run: want 9 table bytes a slot, and the escaped keys, on all 12 ranks"
 
 echo "trace-smoke: validating -report output"
 grep -q 'observability report:' "$report" || fail "-report printed no report"
 grep -q 'slowest rank overall' "$report" || fail "-report missing slowest-rank attribution"
 grep -q 'kernel staging pool: [1-9]' "$report" || fail "-report missing the kernel staging pool line"
-grep -q 'counter tables: at most [1-9]' "$report" || fail "-report missing the counter tables line"
+grep -q 'counter tables: at most [1-9].* [0-9][0-9]* keys escaped their count lanes$' "$report" \
+    || fail "-report missing the counter tables line or its escaped keys"
 
 # --- GPU k-mer mode: ParseKmers keeps only its warp histogram between its
 # passes, nothing per position, so the staging pool's high-water mark is a
@@ -92,6 +112,7 @@ kstaging=$(awk '/^kernels_staging_bytes / {print $2}' "$kmetrics")
 [ -n "$kstaging" ] || fail "k-mer metrics missing kernels_staging_bytes"
 awk -v s="$kstaging" -v b="$kbases" 'BEGIN { exit !(b > 0 && s + 0 < b + 0) }' \
     || fail "k-mer staging held $kstaging bytes for $kbases input bases; want fewer bytes than bases"
+nine_byte_slots "$kmetrics" 12 || fail "GPU k-mer run: want 9 table bytes a slot, and the escaped keys, on all 12 ranks"
 
 # --- GPU table shape: on an lr8-shaped input (8x of 800-base reads over a
 # genome a fifth repeats) each of 12 ranks receives ≈ 200 k k-mers, far past
@@ -133,6 +154,7 @@ for series in pipeline_table_slots pipeline_table_reserved_keys pipeline_table_g
 done
 grep -q '^pipeline_table_reserved_keys{rank="0"} [1-9]' "$cmetrics" \
     || fail "CPU-engine rank 0 reserved no table room"
+nine_byte_slots "$cmetrics" 42 || fail "CPU-engine run: want 9 table bytes a slot, and the escaped keys, on all 42 ranks"
 grep -q 'counter tables: at most [1-9][0-9]* slots holding [1-9][0-9]* keys, room reserved for [1-9]' "$creport" \
     || fail "CPU-engine -report missing the counter tables line"
 
