@@ -36,6 +36,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzSupermerInvariants -fuzztime 30s ./internal/minimizer/
 	$(GO) test -run xxx -fuzz FuzzAtomicReserve -fuzztime 30s ./internal/kcount/
 	$(GO) test -run xxx -fuzz FuzzTableReserve -fuzztime 30s ./internal/kcount/
+	$(GO) test -run xxx -fuzz FuzzDatabase -fuzztime 30s ./internal/kcount/
 	$(GO) test -run xxx -fuzz FuzzWireRoundTrip -fuzztime 30s ./internal/kernels/
 	$(GO) test -run xxx -fuzz FuzzWireCorruptInput -fuzztime 30s ./internal/kernels/
 	$(GO) test -run xxx -fuzz FuzzParseKmers -fuzztime 30s ./internal/kernels/

@@ -37,6 +37,7 @@ import (
 
 	"dedukt/internal/cluster"
 	"dedukt/internal/dna"
+	"dedukt/internal/durable"
 	"dedukt/internal/fastq"
 	"dedukt/internal/fault"
 	"dedukt/internal/genome"
@@ -429,21 +430,14 @@ func exportDatabase(cfg pipeline.Config, res *pipeline.Result) (*kcount.Database
 	return kcount.FromTables(res.Tables, cfg.K, flags), nil
 }
 
-// writeKCD saves the counted spectrum as a KCD database.
+// writeKCD saves the counted spectrum as a KCD database, replacing path
+// atomically.
 func writeKCD(path string, cfg pipeline.Config, res *pipeline.Result) error {
 	db, err := exportDatabase(cfg, res)
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := db.Write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return durable.WriteFile(path, db.Write)
 }
 
 // reportGPUStats prints the kernel-level efficiency metrics aggregated

@@ -21,6 +21,7 @@ import (
 	"os"
 
 	"dedukt/internal/dna"
+	"dedukt/internal/durable"
 	"dedukt/internal/fastq"
 	"dedukt/internal/kcount"
 	"dedukt/internal/kmer"
@@ -76,20 +77,12 @@ func loadDB(path string) (*kcount.Database, error) {
 }
 
 func saveDB(path string, d *kcount.Database) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := d.Write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return durable.WriteFile(path, d.Write)
 }
 
 func runCount(args []string) error {
 	fs := flag.NewFlagSet("count", flag.ExitOnError)
-	in := fs.String("in", "", "input FASTQ/FASTA (.gz supported)")
+	in := fs.String("in", "", "input FASTQ/FASTA, plain or gzip")
 	k := fs.Int("k", 17, "k-mer length (1..32)")
 	out := fs.String("o", "", "output KCD path")
 	canonical := fs.Bool("canonical", false, "count canonical k-mers")
@@ -101,15 +94,15 @@ func runCount(args []string) error {
 	if *k <= 0 || *k > dna.MaxK {
 		return fmt.Errorf("count: k=%d outside (0,%d]", *k, dna.MaxK)
 	}
-	r, closer, err := fastq.Open(*in)
+	r, err := fastq.OpenStream(*in)
 	if err != nil {
 		return err
 	}
-	defer closer.Close()
+	defer r.Close()
 	table := kcount.NewTable(1024, kcount.Linear)
 	nReads := 0
 	for {
-		rec, rerr := r.Read()
+		rec, rerr := r.Next()
 		if rerr == io.EOF {
 			break
 		}

@@ -126,16 +126,17 @@ func OpenStream(paths ...string) (*fastq.Stream, error) {
 	return fastq.OpenStream(paths...)
 }
 
-// ReadFile loads every read of a FASTQ or FASTA file (".gz" supported).
+// ReadFile loads every read of a FASTQ or FASTA file, plain or gzip
+// (detected by magic bytes, whatever the file's name).
 func ReadFile(path string) ([]Read, error) {
-	r, closer, err := fastq.Open(path)
+	r, err := fastq.OpenStream(path)
 	if err != nil {
 		return nil, err
 	}
-	defer closer.Close()
+	defer r.Close()
 	var out []Read
 	for {
-		rec, err := r.Read()
+		rec, err := r.Next()
 		if err == io.EOF {
 			return out, nil
 		}

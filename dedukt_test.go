@@ -1,6 +1,8 @@
 package dedukt_test
 
 import (
+	"bytes"
+	"compress/gzip"
 	"os"
 	"path/filepath"
 	"testing"
@@ -90,6 +92,26 @@ func TestFacadeReadFile(t *testing.T) {
 	}
 	if _, err := dedukt.ReadFile(filepath.Join(dir, "missing.fastq")); err == nil {
 		t.Fatal("missing file should error")
+	}
+	// Gzip is told by magic bytes, not by the name: gzip content without a
+	// ".gz" suffix, and plain content with one, both read.
+	var gz bytes.Buffer
+	zw := gzip.NewWriter(&gz)
+	zw.Write([]byte("@r2\nGGGGCCCCAAAATTTTACGT\n+\nIIIIIIIIIIIIIIIIIIII\n"))
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		"gzip.fastq":  gz.Bytes(),
+		"plain.fq.gz": []byte(">r3\nACGTACGTACGTACGTACGT\n"),
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		reads, err := dedukt.ReadFile(filepath.Join(dir, name))
+		if err != nil || len(reads) != 1 || len(reads[0].Seq) != 20 {
+			t.Fatalf("%s: reads = %+v, %v", name, reads, err)
+		}
 	}
 }
 

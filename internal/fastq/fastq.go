@@ -10,10 +10,8 @@ package fastq
 import (
 	"bufio"
 	"bytes"
-	"compress/gzip"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strings"
 )
@@ -242,36 +240,6 @@ func ReadAll(r io.Reader) ([]Record, error) {
 		}
 		out = append(out, rec.Clone())
 	}
-}
-
-// Open opens a FASTQ/FASTA file, transparently decompressing ".gz" paths.
-// The returned closer must be closed by the caller.
-func Open(path string) (*Reader, io.Closer, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	if strings.HasSuffix(path, ".gz") {
-		gz, err := gzip.NewReader(f)
-		if err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		return NewReader(gz), multiCloser{gz, f}, nil
-	}
-	return NewReader(f), f, nil
-}
-
-type multiCloser []io.Closer
-
-func (m multiCloser) Close() error {
-	var first error
-	for _, c := range m {
-		if err := c.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }
 
 // Writer emits records in FASTQ format (or FASTA when a record has no

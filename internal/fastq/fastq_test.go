@@ -2,10 +2,7 @@ package fastq
 
 import (
 	"bytes"
-	"compress/gzip"
 	"io"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -119,67 +116,6 @@ func TestWriterFasta(t *testing.T) {
 	w.Flush()
 	if got := buf.String(); got != ">x\nACGT\n" {
 		t.Fatalf("got %q", got)
-	}
-}
-
-func TestOpenGzip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "reads.fastq.gz")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gz := gzip.NewWriter(f)
-	if _, err := gz.Write([]byte(sampleFastq)); err != nil {
-		t.Fatal(err)
-	}
-	gz.Close()
-	f.Close()
-
-	r, closer, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closer.Close()
-	rec, err := r.Read()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.ID != "read1" {
-		t.Fatalf("got %q", rec.ID)
-	}
-}
-
-func TestOpenPlain(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "reads.fastq")
-	if err := os.WriteFile(path, []byte(sampleFastq), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r, closer, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closer.Close()
-	recs := 0
-	for {
-		_, err := r.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs++
-	}
-	if recs != 2 {
-		t.Fatalf("read %d records, want 2", recs)
-	}
-}
-
-func TestOpenMissing(t *testing.T) {
-	if _, _, err := Open("/nonexistent/file.fastq"); err == nil {
-		t.Fatal("expected error")
 	}
 }
 

@@ -3,35 +3,14 @@ package kcount
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math/bits"
 	"sort"
-)
 
-// Sentinel errors for the two corruption classes a reader must distinguish:
-// a short file (interrupted download, partial write) versus a full-length
-// file whose bytes are wrong. Both are wrapped with positional context;
-// test with errors.Is.
-var (
-	// ErrTruncated marks a KCD stream that ended before the declared
-	// structure was complete (short magic, header, entry, or checksum).
-	ErrTruncated = errors.New("truncated database")
-	// ErrChecksum marks a structurally complete KCD whose trailing CRC32
-	// does not match the stream contents.
-	ErrChecksum = errors.New("checksum mismatch")
+	"dedukt/internal/durable"
 )
-
-// eofAs maps the io.ReadFull end-of-input errors onto sentinel, keeping any
-// other I/O error (permission, device) intact.
-func eofAs(err, sentinel error) error {
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return sentinel
-	}
-	return err
-}
 
 // The KCD (k-mer count database) on-disk format stores a counted table
 // sorted by packed key — the library's equivalent of a KMC database
@@ -47,7 +26,11 @@ func eofAs(err, sentinel error) error {
 //
 // All integers are little-endian. Keys are 2-bit packed k-mers under the
 // encoding the producer used (the format does not fix one; record it out of
-// band — the CLI always uses dna.Random).
+// band — the CLI always uses dna.Random). The readers report damage in
+// durable's vocabulary: a short stream is durable.ErrTruncated, a CRC that
+// disagrees durable.ErrChecksum, and a bad magic, version, k, entry count,
+// zero count or key order durable.ErrMismatch. The commands write KCD files
+// through durable.WriteFile, so an output replaces its path atomically.
 const (
 	kcdMagic   = "DKCD"
 	kcdVersion = 1
@@ -261,41 +244,38 @@ func ReadDatabase(r io.Reader) (*Database, error) {
 func readKCD(r io.Reader, fn func(key uint64, count uint32) error) (*Database, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("kcount: reading magic: %w", eofAs(err, ErrTruncated))
+	if _, err := durable.ReadFull(br, magic); err != nil {
+		return nil, fmt.Errorf("kcount: reading magic: %w", err)
 	}
 	if string(magic) != kcdMagic {
-		return nil, fmt.Errorf("kcount: bad magic %q", magic)
-	}
-	crc := uint32(0)
-	readFull := func(buf []byte) error {
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return eofAs(err, ErrTruncated)
-		}
-		crc = crc32.Update(crc, crc32.IEEETable, buf)
-		return nil
+		return nil, fmt.Errorf("kcount: bad magic %q: %w", magic, durable.ErrMismatch)
 	}
 	hdr := make([]byte, 2+2+4+8)
-	if err := readFull(hdr); err != nil {
+	if _, err := durable.ReadFull(br, hdr); err != nil {
 		return nil, fmt.Errorf("kcount: reading header: %w", err)
 	}
+	crc := crc32.ChecksumIEEE(hdr)
 	version := binary.LittleEndian.Uint16(hdr[0:])
 	if version != kcdVersion {
-		return nil, fmt.Errorf("kcount: unsupported KCD version %d", version)
+		return nil, fmt.Errorf("kcount: unsupported KCD version %d: %w", version, durable.ErrMismatch)
 	}
 	k := int(binary.LittleEndian.Uint16(hdr[2:]))
 	if k <= 0 || k > 32 {
-		return nil, fmt.Errorf("kcount: corrupt k=%d", k)
+		return nil, fmt.Errorf("kcount: corrupt k=%d: %w", k, durable.ErrMismatch)
 	}
 	flags := binary.LittleEndian.Uint32(hdr[4:])
 	n := binary.LittleEndian.Uint64(hdr[8:])
 	const maxEntries = 1 << 34 // 16 Gi entries ≈ 192 GiB: reject nonsense sizes
 	if n > maxEntries {
-		return nil, fmt.Errorf("kcount: implausible entry count %d", n)
+		return nil, fmt.Errorf("kcount: implausible entry count %d: %w", n, durable.ErrMismatch)
 	}
+	// n comes from the file: room is reserved for at most maxReserve
+	// entries up front and doubled, never past n, as entries arrive, so a
+	// short file that declares billions of entries cannot allocate for them.
+	const maxReserve = 1 << 22
 	d := &Database{K: k, Flags: flags}
 	if fn == nil {
-		d.Entries = make([]KV, 0, n)
+		d.Entries = make([]KV, 0, min(n, maxReserve))
 	}
 	block := make([]byte, kcdBlock*kcdEntry)
 	var prev uint64
@@ -304,16 +284,19 @@ func readKCD(r io.Reader, fn func(key uint64, count uint32) error) (*Database, e
 		// break: they are checked and delivered first, so a short file is
 		// reported at the entry it breaks in, behind any bad entry before it.
 		block = block[:min(n-i, kcdBlock)*kcdEntry]
-		got, readErr := io.ReadFull(br, block)
+		if fn == nil && cap(d.Entries)-len(d.Entries) < len(block)/kcdEntry {
+			d.Entries = append(make([]KV, 0, min(n, 2*uint64(cap(d.Entries)))), d.Entries...)
+		}
+		got, readErr := durable.ReadFull(br, block)
 		crc = crc32.Update(crc, crc32.IEEETable, block[:got])
 		for ent := block[:got-got%kcdEntry]; len(ent) > 0; ent, i = ent[kcdEntry:], i+1 {
 			key := binary.LittleEndian.Uint64(ent[0:])
 			count := binary.LittleEndian.Uint32(ent[8:])
 			if i > 0 && key <= prev {
-				return nil, fmt.Errorf("kcount: entries not ascending at %d", i)
+				return nil, fmt.Errorf("kcount: entries not ascending at %d: %w", i, durable.ErrMismatch)
 			}
 			if count == 0 {
-				return nil, fmt.Errorf("kcount: zero count at entry %d", i)
+				return nil, fmt.Errorf("kcount: zero count at entry %d: %w", i, durable.ErrMismatch)
 			}
 			prev = key
 			if fn != nil {
@@ -325,15 +308,15 @@ func readKCD(r io.Reader, fn func(key uint64, count uint32) error) (*Database, e
 			}
 		}
 		if readErr != nil {
-			return nil, fmt.Errorf("kcount: reading entry %d: %w", i, eofAs(readErr, ErrTruncated))
+			return nil, fmt.Errorf("kcount: reading entry %d: %w", i, readErr)
 		}
 	}
 	var tail [4]byte
-	if _, err := io.ReadFull(br, tail[:]); err != nil {
-		return nil, fmt.Errorf("kcount: reading checksum: %w", eofAs(err, ErrTruncated))
+	if _, err := durable.ReadFull(br, tail[:]); err != nil {
+		return nil, fmt.Errorf("kcount: reading checksum: %w", err)
 	}
 	if got := binary.LittleEndian.Uint32(tail[:]); got != crc {
-		return nil, fmt.Errorf("kcount: %w: file %08x, computed %08x", ErrChecksum, got, crc)
+		return nil, fmt.Errorf("kcount: %w: file %08x, computed %08x", durable.ErrChecksum, got, crc)
 	}
 	return d, nil
 }

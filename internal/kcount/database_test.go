@@ -2,13 +2,17 @@ package kcount
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
 	"testing"
+
+	"dedukt/internal/durable"
 )
 
-func sampleDB(t *testing.T, n int, seed int64) *Database {
+func sampleDB(t testing.TB, n int, seed int64) *Database {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	tab := NewTable(n, Linear)
@@ -79,6 +83,9 @@ func TestDatabaseSortedAndGet(t *testing.T) {
 	}
 }
 
+// TestDatabaseCorruptionDetected damages a KCD every way its reader tells
+// apart and pins the durable sentinel, and the message, each one gets. A
+// flipped bit may land anywhere, so it only has to be one of the three.
 func TestDatabaseCorruptionDetected(t *testing.T) {
 	d := sampleDB(t, 500, 103)
 	var buf bytes.Buffer
@@ -86,18 +93,38 @@ func TestDatabaseCorruptionDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
+	const entry3 = 4 + 16 + 3*kcdEntry
 
-	cases := map[string]func([]byte) []byte{
-		"bad magic":   func(b []byte) []byte { b[0] = 'X'; return b },
-		"bad version": func(b []byte) []byte { b[4] = 99; return b },
-		"flipped bit": func(b []byte) []byte { b[len(b)/2] ^= 0x40; return b },
-		"truncated":   func(b []byte) []byte { return b[:len(b)-5] },
-		"bad crc":     func(b []byte) []byte { b[len(b)-1] ^= 0xff; return b },
+	cases := map[string]struct {
+		corrupt func([]byte) []byte
+		want    error
+		text    string
+	}{
+		"bad magic":      {func(b []byte) []byte { b[0] = 'X'; return b }, durable.ErrMismatch, "bad magic"},
+		"bad version":    {func(b []byte) []byte { b[4] = 99; return b }, durable.ErrMismatch, "version 99"},
+		"bad k":          {func(b []byte) []byte { b[6] = 40; return b }, durable.ErrMismatch, "corrupt k=40"},
+		"entry count":    {func(b []byte) []byte { b[19] = 0xff; return b }, durable.ErrMismatch, "implausible entry count"},
+		"zero count":     {func(b []byte) []byte { copy(b[entry3+8:], []byte{0, 0, 0, 0}); return b }, durable.ErrMismatch, "zero count at entry 3"},
+		"descending key": {func(b []byte) []byte { copy(b[entry3:], b[entry3-kcdEntry:entry3]); return b }, durable.ErrMismatch, "not ascending at 3"},
+		"truncated":      {func(b []byte) []byte { return b[:len(b)-5] }, durable.ErrTruncated, "reading entry"},
+		"bad crc":        {func(b []byte) []byte { b[len(b)-1] ^= 0xff; return b }, durable.ErrChecksum, "checksum"},
+		"flipped bit":    {func(b []byte) []byte { b[len(b)/2] ^= 0x40; return b }, nil, "kcount"},
 	}
-	for name, corrupt := range cases {
-		data := corrupt(append([]byte(nil), good...))
-		if _, err := ReadDatabase(bytes.NewReader(data)); err == nil {
-			t.Errorf("%s: corruption not detected", name)
+	for name, c := range cases {
+		data := c.corrupt(append([]byte(nil), good...))
+		_, err := ReadDatabase(bytes.NewReader(data))
+		_, _, serr := StreamDatabase(bytes.NewReader(data), func(uint64, uint32) error { return nil })
+		for _, err := range []error{err, serr} {
+			switch {
+			case err == nil:
+				t.Errorf("%s: corruption not detected", name)
+			case c.want != nil && !errors.Is(err, c.want):
+				t.Errorf("%s: got %v, want %v", name, err, c.want)
+			case !errors.Is(err, durable.ErrTruncated) && !errors.Is(err, durable.ErrChecksum) && !errors.Is(err, durable.ErrMismatch):
+				t.Errorf("%s: unstructured error %v", name, err)
+			case !strings.Contains(err.Error(), c.text):
+				t.Errorf("%s: error %q does not say %q", name, err, c.text)
+			}
 		}
 	}
 }
@@ -355,4 +382,54 @@ func TestFromTablesMatchesSortSlice(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzDatabase: KCD files reach kserve, kload and kmertools from outside
+// the program. Whatever bytes one holds, ReadDatabase and StreamDatabase
+// agree — on the error, or on the header and every entry — any error is one
+// of durable's three sentinels, and what decodes re-encodes to the bytes it
+// was read from.
+func FuzzDatabase(f *testing.F) {
+	var buf bytes.Buffer
+	if err := sampleDB(f, 40, 108).Write(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(buf.Bytes()[:4+16])
+	f.Add([]byte(kcdMagic))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := ReadDatabase(bytes.NewReader(data))
+		var streamed []KV
+		k, flags, serr := StreamDatabase(bytes.NewReader(data), func(key uint64, count uint32) error {
+			streamed = append(streamed, KV{key, count})
+			return nil
+		})
+		if fmt.Sprint(err) != fmt.Sprint(serr) {
+			t.Fatalf("ReadDatabase: %v; StreamDatabase: %v", err, serr)
+		}
+		if err != nil {
+			if !errors.Is(err, durable.ErrTruncated) && !errors.Is(err, durable.ErrChecksum) && !errors.Is(err, durable.ErrMismatch) {
+				t.Fatalf("unstructured error %v", err)
+			}
+			return
+		}
+		if k != d.K || flags != d.Flags || len(streamed) != len(d.Entries) {
+			t.Fatalf("StreamDatabase read k=%d flags=%d and %d entries, ReadDatabase k=%d flags=%d and %d",
+				k, flags, len(streamed), d.K, d.Flags, len(d.Entries))
+		}
+		for i, e := range d.Entries {
+			if streamed[i] != e {
+				t.Fatalf("entry %d: streamed %+v, read %+v", i, streamed[i], e)
+			}
+		}
+		var out bytes.Buffer
+		if err := d.Write(&out); err != nil {
+			t.Fatalf("re-encoding a decoded database: %v", err)
+		}
+		if !bytes.HasPrefix(data, out.Bytes()) {
+			t.Fatalf("re-encoded %d bytes differ from the %d read", out.Len(), len(data))
+		}
+	})
 }

@@ -8,6 +8,8 @@ import (
 	"hash/crc32"
 	"io"
 	"testing"
+
+	"dedukt/internal/durable"
 )
 
 // entryWiseWrite is the KCD writer Write replaced: one CRC update and one
@@ -44,8 +46,8 @@ func entryWiseRead(data []byte, fn func(key uint64, count uint32)) error {
 	br := bytes.NewReader(data[len(kcdMagic):])
 	crc := uint32(0)
 	readFull := func(buf []byte) error {
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return eofAs(err, ErrTruncated)
+		if _, err := durable.ReadFull(br, buf); err != nil {
+			return err
 		}
 		crc = crc32.Update(crc, crc32.IEEETable, buf)
 		return nil
@@ -63,20 +65,20 @@ func entryWiseRead(data []byte, fn func(key uint64, count uint32)) error {
 		}
 		key, count := binary.LittleEndian.Uint64(ent[0:]), binary.LittleEndian.Uint32(ent[8:])
 		if i > 0 && key <= prev {
-			return fmt.Errorf("kcount: entries not ascending at %d", i)
+			return fmt.Errorf("kcount: entries not ascending at %d: %w", i, durable.ErrMismatch)
 		}
 		if count == 0 {
-			return fmt.Errorf("kcount: zero count at entry %d", i)
+			return fmt.Errorf("kcount: zero count at entry %d: %w", i, durable.ErrMismatch)
 		}
 		prev = key
 		fn(key, count)
 	}
 	var tail [4]byte
-	if _, err := io.ReadFull(br, tail[:]); err != nil {
-		return fmt.Errorf("kcount: reading checksum: %w", eofAs(err, ErrTruncated))
+	if _, err := durable.ReadFull(br, tail[:]); err != nil {
+		return fmt.Errorf("kcount: reading checksum: %w", err)
 	}
 	if got := binary.LittleEndian.Uint32(tail[:]); got != crc {
-		return fmt.Errorf("kcount: %w: file %08x, computed %08x", ErrChecksum, got, crc)
+		return fmt.Errorf("kcount: %w: file %08x, computed %08x", durable.ErrChecksum, got, crc)
 	}
 	return nil
 }

@@ -8,11 +8,12 @@ import (
 	"testing"
 
 	"dedukt/internal/dna"
+	"dedukt/internal/durable"
 )
 
 // TestDatabaseTruncationErrors pins the error classification of short
 // streams: every truncation point — mid-magic, mid-header, mid-entry,
-// mid-checksum — must surface ErrTruncated, never a bare EOF or a
+// mid-checksum — must surface durable.ErrTruncated, never a bare EOF or a
 // misleading structural error.
 func TestDatabaseTruncationErrors(t *testing.T) {
 	d := sampleDB(t, 200, 104)
@@ -33,22 +34,22 @@ func TestDatabaseTruncationErrors(t *testing.T) {
 	}
 	for name, cut := range cuts {
 		_, err := ReadDatabase(bytes.NewReader(good[:cut]))
-		if !errors.Is(err, ErrTruncated) {
-			t.Errorf("%s (cut at %d): got %v, want ErrTruncated", name, cut, err)
+		if !errors.Is(err, durable.ErrTruncated) {
+			t.Errorf("%s (cut at %d): got %v, want durable.ErrTruncated", name, cut, err)
 		}
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Errorf("%s: raw EOF leaked through: %v", name, err)
 		}
 		// The streaming reader must classify identically.
-		if _, _, serr := StreamDatabase(bytes.NewReader(good[:cut]), func(uint64, uint32) error { return nil }); !errors.Is(serr, ErrTruncated) {
-			t.Errorf("%s: StreamDatabase got %v, want ErrTruncated", name, serr)
+		if _, _, serr := StreamDatabase(bytes.NewReader(good[:cut]), func(uint64, uint32) error { return nil }); !errors.Is(serr, durable.ErrTruncated) {
+			t.Errorf("%s: StreamDatabase got %v, want durable.ErrTruncated", name, serr)
 		}
 	}
 }
 
 // TestDatabaseChecksumErrors flips single bytes and checks the CRC (or a
 // structural check that fires first) rejects the stream; a flip confined to
-// the trailing CRC itself must be reported as ErrChecksum.
+// the trailing CRC itself must be reported as durable.ErrChecksum.
 func TestDatabaseChecksumErrors(t *testing.T) {
 	d := sampleDB(t, 200, 105)
 	var buf bytes.Buffer
@@ -61,8 +62,8 @@ func TestDatabaseChecksumErrors(t *testing.T) {
 		data := append([]byte(nil), good...)
 		data[pos] ^= 0x01
 		_, err := ReadDatabase(bytes.NewReader(data))
-		if !errors.Is(err, ErrChecksum) {
-			t.Errorf("flipped CRC byte %d: got %v, want ErrChecksum", pos, err)
+		if !errors.Is(err, durable.ErrChecksum) {
+			t.Errorf("flipped CRC byte %d: got %v, want durable.ErrChecksum", pos, err)
 		}
 	}
 
@@ -71,14 +72,14 @@ func TestDatabaseChecksumErrors(t *testing.T) {
 	data := append([]byte(nil), good...)
 	firstCount := 4 + 16 + 8
 	data[firstCount] ^= 0x01
-	if _, err := ReadDatabase(bytes.NewReader(data)); !errors.Is(err, ErrChecksum) {
-		t.Errorf("flipped count byte: got %v, want ErrChecksum", err)
+	if _, err := ReadDatabase(bytes.NewReader(data)); !errors.Is(err, durable.ErrChecksum) {
+		t.Errorf("flipped count byte: got %v, want durable.ErrChecksum", err)
 	}
 
 	// Truncation takes precedence over checksum: a short file is reported
 	// as truncated even though its CRC cannot match either.
-	if _, err := ReadDatabase(bytes.NewReader(data[:len(data)-6])); !errors.Is(err, ErrTruncated) {
-		t.Errorf("corrupt+truncated: got %v, want ErrTruncated", err)
+	if _, err := ReadDatabase(bytes.NewReader(data[:len(data)-6])); !errors.Is(err, durable.ErrTruncated) {
+		t.Errorf("corrupt+truncated: got %v, want durable.ErrTruncated", err)
 	}
 }
 

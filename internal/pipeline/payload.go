@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"dedukt/internal/dna"
+	"dedukt/internal/durable"
 	"dedukt/internal/kernels"
 	"dedukt/internal/minimizer"
 	"dedukt/internal/mpisim"
@@ -84,7 +85,7 @@ func (kmerCodec) stageBins(rows [][]uint64, stage [][]byte, items []int) (uint64
 
 func (kmerCodec) unstage(payload []byte, items int, scratch []uint64) ([]uint64, error) {
 	if len(payload) != 8*items {
-		return nil, fmt.Errorf("spill record declares %d words for %d payload bytes: %w", items, len(payload), ErrSpillMismatch)
+		return nil, fmt.Errorf("spill record declares %d words for %d payload bytes: %w", items, len(payload), durable.ErrMismatch)
 	}
 	row := grow(scratch, items)
 	for i := range row {
@@ -160,8 +161,10 @@ func (c supermerCodec) stageBins(rows [][]byte, stage [][]byte, items []int) (ui
 
 func (c supermerCodec) unstage(payload []byte, items int, _ []byte) ([]byte, error) {
 	if stride := c.wire.Stride(); len(payload) != items*stride {
-		return nil, fmt.Errorf("spill record declares %d images for %d payload bytes (stride %d): %w", items, len(payload), stride, ErrSpillMismatch)
+		return nil, fmt.Errorf("spill record declares %d images for %d payload bytes (stride %d): %w", items, len(payload), stride, durable.ErrMismatch)
 	}
-	_, _, err := c.wire.VerifyImages(payload)
-	return payload, err
+	if _, _, err := c.wire.VerifyImages(payload); err != nil {
+		return nil, fmt.Errorf("spill record: %v: %w", err, durable.ErrMismatch)
+	}
+	return payload, nil
 }

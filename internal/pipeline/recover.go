@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"dedukt/internal/durable"
 	"dedukt/internal/fastq"
 	"dedukt/internal/kcount"
 	"dedukt/internal/mpisim"
@@ -273,7 +274,7 @@ func (rv *recoverRT) shrinkReload(c *mpisim.Comm, seat *rankSeat, out *rankOutco
 	if man != nil {
 		if man.Fingerprint.Hash() != rv.ck.fphash {
 			sp.End(0, 0)
-			return fmt.Errorf("pipeline: checkpoint in %s belongs to a different run: %w", rv.ck.dir, recov.ErrMismatch)
+			return fmt.Errorf("pipeline: checkpoint in %s belongs to a different run: %w", rv.ck.dir, durable.ErrMismatch)
 		}
 		seat.base = man.Round + 1
 		cursor, reads, bases = man.Cursor, man.Reads, man.Bases
@@ -356,7 +357,7 @@ func buildFingerprint(cfg Config) recov.Fingerprint {
 // manifest in cfg.Ckpt.Dir against the config fingerprint (k, ranks,
 // engine, encoding, mode, input list — resuming under a different
 // configuration would merge incompatible state and is refused with
-// recover.ErrMismatch), reopens the source fast-forwarded to the
+// durable.ErrMismatch), reopens the source fast-forwarded to the
 // recorded cursor via cfg.Ckpt.Reopen, reloads each surviving slot's
 // spectrum slice, and runs the round loop from the checkpointed round.
 // The completed spectrum is bit-identical to an unfaulted run over the
@@ -377,7 +378,7 @@ func ResumeStream(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("pipeline: checkpoint in %s was taken under a different configuration (k=%d mode=%s engine=%s ranks=%d, want k=%d mode=%s engine=%s ranks=%d): %w",
 			cfg.Ckpt.Dir,
 			man.Fingerprint.K, man.Fingerprint.Mode, man.Fingerprint.Engine, man.Fingerprint.Ranks,
-			fp.K, fp.Mode, fp.Engine, fp.Ranks, recov.ErrMismatch)
+			fp.K, fp.Mode, fp.Engine, fp.Ranks, durable.ErrMismatch)
 	}
 	src, err := cfg.Ckpt.Reopen(man.Cursor)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"dedukt/internal/durable"
 	"dedukt/internal/fastq"
 	"dedukt/internal/fault"
 	"dedukt/internal/obs"
@@ -174,7 +175,7 @@ func TestShrinkRecoveryWithoutCheckpoint(t *testing.T) {
 
 // TestResumeRefusesMismatchedConfig: a checkpoint taken under one
 // configuration must never resume under another — k, engine, ranks, or
-// input list changes surface as recover.ErrMismatch.
+// input list changes surface as durable.ErrMismatch.
 func TestResumeRefusesMismatchedConfig(t *testing.T) {
 	reads := testReads(t, 6_000, 3)
 	dir := t.TempDir()
@@ -187,13 +188,13 @@ func TestResumeRefusesMismatchedConfig(t *testing.T) {
 	bad := cfg
 	bad.Fault = fault.Config{}
 	bad.K = 19
-	if _, err := ResumeStream(bad); !errors.Is(err, recov.ErrMismatch) {
+	if _, err := ResumeStream(bad); !errors.Is(err, durable.ErrMismatch) {
 		t.Fatalf("k change: want ErrMismatch, got %v", err)
 	}
 	bad = cfg
 	bad.Fault = fault.Config{}
 	bad.Ckpt.Inputs = []recov.InputFile{{Path: "other.fastq", Size: 1}}
-	if _, err := ResumeStream(bad); !errors.Is(err, recov.ErrMismatch) {
+	if _, err := ResumeStream(bad); !errors.Is(err, durable.ErrMismatch) {
 		t.Fatalf("input change: want ErrMismatch, got %v", err)
 	}
 }

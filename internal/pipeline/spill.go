@@ -11,66 +11,44 @@ package pipeline
 // partition each rank's key set and the merged result is bit-identical to
 // the in-memory path.
 //
-// The on-disk format mirrors internal/recover's hardening idioms: magic +
-// version + CRC-framed header, CRC per record, atomic tmp+rename sealing,
-// and structured sentinels — a damaged bin can fail a run, but it can
-// never silently count wrong data.
+// Bins are written through internal/durable: a durable header, a CRC per
+// record, a file sealed by an atomic rename, and damage reported in
+// durable's vocabulary — a damaged bin can fail a run, but it can never
+// silently count wrong data.
 
 import (
 	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
+	"dedukt/internal/durable"
 	"dedukt/internal/obs"
-)
-
-// Sentinel errors of the spill-bin reader; test with errors.Is. They
-// mirror internal/recover's vocabulary (ErrTruncated/ErrChecksum/
-// ErrMismatch) under spill-specific identities so callers can tell which
-// durable layer failed.
-var (
-	// ErrSpillTruncated marks a bin file that ended inside its declared
-	// structure (header or record cut short).
-	ErrSpillTruncated = errors.New("pipeline: truncated spill bin")
-	// ErrSpillChecksum marks a structurally complete bin whose CRC32 does
-	// not match its contents.
-	ErrSpillChecksum = errors.New("pipeline: spill bin checksum mismatch")
-	// ErrSpillMismatch marks a bin that does not belong to this run: wrong
-	// magic/version, a fingerprint for a different configuration, wrong
-	// rank/bin coordinates, or a record whose declared item count cannot
-	// describe its payload.
-	ErrSpillMismatch = errors.New("pipeline: spill bin does not match this run")
 )
 
 // Spill bin file framing (all integers little-endian):
 //
-//	magic   "DKSB"   4 bytes
-//	version uint16   (1)
-//	rank    uint32   original rank id that owns the bin
-//	bin     uint32   bin index on that rank
-//	bins    uint32   total bins per rank this run
-//	fphash  uint64   recover.Fingerprint.Hash() of the run
-//	crc32   uint32   IEEE, over the 22 header bytes after the magic
+//	header  durable header: magic "DKSB", fields version uint16 (1),
+//	        rank uint32 (original rank id that owns the bin), bin uint32
+//	        (bin index on that rank), bins uint32 (bins per rank this run),
+//	        fphash uint64 (recover.Fingerprint.Hash() of the run)
 //
 // followed by zero or more records:
 //
 //	items   uint32   exchanged units in the payload (words or images)
-//	length  uint32   payload bytes
-//	crc32   uint32   IEEE, over the payload
-//	payload length bytes (LE uint64 k-mer keys, or supermer wire images)
+//	record  durable record: LE uint64 k-mer keys, or supermer wire images
 //
 // EOF at a record boundary is a clean end; EOF inside a record is
-// ErrSpillTruncated.
+// durable.ErrTruncated.
 const (
 	spillMagic      = "DKSB"
 	spillVersion    = 1
-	spillHeaderLen  = 4 + 22 + 4
+	spillFields     = 2 + 4 + 4 + 4 + 8 // version, rank, bin, bins, fphash
+	spillHeaderLen  = 4 + spillFields + 4
 	spillExt        = ".spill"
 	spillTmpSuffix  = ".spill.tmp"
 	spillQuarantine = ".partial"
@@ -85,59 +63,39 @@ type spillHeader struct {
 	fphash          uint64
 }
 
-// writeSpillHeader encodes the CRC-framed file header.
-func writeSpillHeader(w io.Writer, h spillHeader) error {
-	var buf [spillHeaderLen]byte
-	copy(buf[:4], spillMagic)
-	binary.LittleEndian.PutUint16(buf[4:6], spillVersion)
-	binary.LittleEndian.PutUint32(buf[6:10], uint32(h.rank))
-	binary.LittleEndian.PutUint32(buf[10:14], uint32(h.bin))
-	binary.LittleEndian.PutUint32(buf[14:18], uint32(h.bins))
-	binary.LittleEndian.PutUint64(buf[18:26], h.fphash)
-	binary.LittleEndian.PutUint32(buf[26:30], crc32.ChecksumIEEE(buf[4:26]))
-	_, err := w.Write(buf[:])
-	return err
+// fields encodes the header's fields, version first.
+func (h spillHeader) fields() []byte {
+	b := binary.LittleEndian.AppendUint16(make([]byte, 0, spillFields), spillVersion)
+	b = binary.LittleEndian.AppendUint32(b, uint32(h.rank))
+	b = binary.LittleEndian.AppendUint32(b, uint32(h.bin))
+	b = binary.LittleEndian.AppendUint32(b, uint32(h.bins))
+	return binary.LittleEndian.AppendUint64(b, h.fphash)
 }
 
-// readSpillHeader decodes and validates the file header, returning
-// ErrSpillTruncated / ErrSpillChecksum / ErrSpillMismatch on damage.
+// readSpillHeader decodes and validates a bin's header.
 func readSpillHeader(r io.Reader) (spillHeader, error) {
-	var buf [spillHeaderLen]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return spillHeader{}, fmt.Errorf("spill header: %w", spillEOF(err))
-	}
-	if string(buf[:4]) != spillMagic {
-		return spillHeader{}, fmt.Errorf("spill magic %q: %w", buf[:4], ErrSpillMismatch)
-	}
-	if got, want := binary.LittleEndian.Uint32(buf[26:30]), crc32.ChecksumIEEE(buf[4:26]); got != want {
-		return spillHeader{}, fmt.Errorf("spill header crc %08x != %08x: %w", got, want, ErrSpillChecksum)
-	}
-	if v := binary.LittleEndian.Uint16(buf[4:6]); v != spillVersion {
-		return spillHeader{}, fmt.Errorf("spill version %d (want %d): %w", v, spillVersion, ErrSpillMismatch)
+	b := make([]byte, spillFields)
+	if err := durable.ReadHeader(r, spillMagic, spillVersion, b); err != nil {
+		return spillHeader{}, fmt.Errorf("spill bin: %w", err)
 	}
 	return spillHeader{
-		rank:   int(binary.LittleEndian.Uint32(buf[6:10])),
-		bin:    int(binary.LittleEndian.Uint32(buf[10:14])),
-		bins:   int(binary.LittleEndian.Uint32(buf[14:18])),
-		fphash: binary.LittleEndian.Uint64(buf[18:26]),
+		rank:   int(binary.LittleEndian.Uint32(b[2:6])),
+		bin:    int(binary.LittleEndian.Uint32(b[6:10])),
+		bins:   int(binary.LittleEndian.Uint32(b[10:14])),
+		fphash: binary.LittleEndian.Uint64(b[14:22]),
 	}, nil
 }
 
 // appendSpillRecord frames one record onto dst.
 func appendSpillRecord(dst []byte, payload []byte, items int) []byte {
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(items))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[8:12], crc32.ChecksumIEEE(payload))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+	return durable.AppendRecord(binary.LittleEndian.AppendUint32(dst, uint32(items)), payload)
 }
 
 // readSpillBin decodes a bin stream: header, then records until a clean
 // EOF, calling fn with each verified payload (valid only during the
 // call — the buffer is reused). want, when non-nil, pins the expected
 // coordinates so a misnamed or foreign file can never be counted.
-// Damage surfaces as a sentinel-wrapped error, never a panic.
+// Damage surfaces as a durable sentinel, never a panic.
 func readSpillBin(r io.Reader, want *spillHeader, fn func(payload []byte, items int) error) error {
 	h, err := readSpillHeader(r)
 	if err != nil {
@@ -145,48 +103,24 @@ func readSpillBin(r io.Reader, want *spillHeader, fn func(payload []byte, items 
 	}
 	if want != nil && h != *want {
 		return fmt.Errorf("spill bin holds rank %d bin %d/%d run %016x, want rank %d bin %d/%d run %016x: %w",
-			h.rank, h.bin, h.bins, h.fphash, want.rank, want.bin, want.bins, want.fphash, ErrSpillMismatch)
+			h.rank, h.bin, h.bins, h.fphash, want.rank, want.bin, want.bins, want.fphash, durable.ErrMismatch)
 	}
-	var hdr [12]byte
+	var items [4]byte
 	var payload []byte
 	for {
-		if _, err := io.ReadFull(r, hdr[:1]); err != nil {
-			if errors.Is(err, io.EOF) {
+		if n, err := durable.ReadFull(r, items[:]); err != nil {
+			if n == 0 && errors.Is(err, durable.ErrTruncated) {
 				return nil // clean end at a record boundary
 			}
-			return fmt.Errorf("spill record header: %w", spillEOF(err))
+			return fmt.Errorf("spill record items: %w", err)
 		}
-		if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-			return fmt.Errorf("spill record header: %w", spillEOF(err))
+		if payload, err = durable.ReadRecord(r, payload, maxSpillRecord); err != nil {
+			return fmt.Errorf("spill %w", err)
 		}
-		items := int(binary.LittleEndian.Uint32(hdr[0:4]))
-		length := binary.LittleEndian.Uint32(hdr[4:8])
-		if length > maxSpillRecord {
-			return fmt.Errorf("spill record declares %d payload bytes: %w", length, ErrSpillMismatch)
-		}
-		if cap(payload) < int(length) {
-			payload = make([]byte, length)
-		}
-		payload = payload[:length]
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return fmt.Errorf("spill record payload: %w", spillEOF(err))
-		}
-		if got, want := binary.LittleEndian.Uint32(hdr[8:12]), crc32.ChecksumIEEE(payload); got != want {
-			return fmt.Errorf("spill record crc %08x != %08x: %w", got, want, ErrSpillChecksum)
-		}
-		if err := fn(payload, items); err != nil {
+		if err := fn(payload, int(binary.LittleEndian.Uint32(items[:]))); err != nil {
 			return err
 		}
 	}
-}
-
-// spillEOF maps io.ReadFull's end-of-input errors onto ErrSpillTruncated,
-// keeping other I/O errors intact (the recover package's eofAs idiom).
-func spillEOF(err error) error {
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return ErrSpillTruncated
-	}
-	return err
 }
 
 // spillBinsOf returns the effective bin count of a run, 0 when spilling
@@ -270,7 +204,7 @@ func (ctl *spillCtl) prepareDir() error {
 			}
 			if h.fphash != ctl.fphash || h.bins != ctl.bins {
 				return fmt.Errorf("pipeline: spill dir %s holds bin %s from a different configuration (run %016x, %d bins; this run %016x, %d bins): %w",
-					ctl.dir, name, h.fphash, h.bins, ctl.fphash, ctl.bins, ErrSpillMismatch)
+					ctl.dir, name, h.fphash, h.bins, ctl.fphash, ctl.bins, durable.ErrMismatch)
 			}
 			return fmt.Errorf("pipeline: spill dir %s holds leftover bin %s from a previous run of this configuration; remove it or use a fresh directory", ctl.dir, name)
 		}
@@ -290,12 +224,11 @@ func (ctl *spillCtl) rank(rank int) *rankSpill {
 }
 
 // spillBinWriter is one open bin file, written as .spill.tmp and renamed
-// to .spill at seal time (the recover package's atomic-write idiom), so a
-// crash mid-run never leaves a file pass 2 would mistake for complete.
+// to .spill at seal time (durable.File), so a killed run never leaves a
+// file pass 2 would mistake for complete.
 type spillBinWriter struct {
-	f     *os.File
+	f     *durable.File
 	bw    *bufio.Writer
-	path  string // final .spill path
 	frame []byte // pooled record-framing scratch
 }
 
@@ -340,14 +273,14 @@ func (s *rankSpill) flushStage() error {
 		}
 		w := s.wr[b]
 		if w == nil {
-			path := s.binPath(b)
-			f, err := os.Create(path + ".tmp") // r%04d-b%04d.spill.tmp
+			f, err := durable.Create(s.binPath(b)) // r%04d-b%04d.spill.tmp
 			if err != nil {
 				return err
 			}
-			w = &spillBinWriter{f: f, bw: bufio.NewWriter(f), path: path}
-			if err := writeSpillHeader(w.bw, spillHeader{rank: s.rank, bin: b, bins: s.ctl.bins, fphash: s.ctl.fphash}); err != nil {
-				f.Close()
+			w = &spillBinWriter{f: f, bw: bufio.NewWriter(f)}
+			h := spillHeader{rank: s.rank, bin: b, bins: s.ctl.bins, fphash: s.ctl.fphash}
+			if err := durable.WriteHeader(w.bw, spillMagic, h.fields()); err != nil {
+				f.Abort()
 				return err
 			}
 			s.wr[b] = w
@@ -373,13 +306,10 @@ func (s *rankSpill) seal() error {
 			continue
 		}
 		if err := w.bw.Flush(); err != nil {
-			w.f.Close()
+			w.f.Abort()
 			return err
 		}
-		if err := w.f.Close(); err != nil {
-			return err
-		}
-		if err := os.Rename(w.path+".tmp", w.path); err != nil {
+		if err := w.f.Commit(); err != nil {
 			return err
 		}
 		if s.ctl.sealed != nil {

@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -15,9 +17,13 @@ import (
 	"time"
 
 	"dedukt/internal/cluster"
+	"dedukt/internal/durable"
 	"dedukt/internal/fastq"
 	"dedukt/internal/fault"
 	"dedukt/internal/genome"
+	"dedukt/internal/kcount"
+	"dedukt/internal/kernels"
+	recov "dedukt/internal/recover"
 )
 
 // spillLeftovers lists the spill artifacts (bins, temps, quarantines)
@@ -308,9 +314,14 @@ func TestSpillRefusesDirtyDir(t *testing.T) {
 	})
 
 	t.Run("interrupted tmp refused", func(t *testing.T) {
+		// A bin whose durable.File was never committed: the temporary name
+		// it leaves is the one the hygiene check refuses.
 		cfg := mkcfg(t)
-		if err := os.WriteFile(filepath.Join(cfg.Spill.Dir, "r0000-b0001"+spillTmpSuffix), nil, 0o644); err != nil {
+		if _, err := durable.Create(filepath.Join(cfg.Spill.Dir, "r0000-b0001"+spillExt)); err != nil {
 			t.Fatal(err)
+		}
+		if names := spillLeftovers(t, cfg.Spill.Dir); len(names) != 1 || !strings.HasSuffix(names[0], spillTmpSuffix) {
+			t.Fatalf("uncommitted bin left %v, want one %s file", names, spillTmpSuffix)
 		}
 		if _, err := Run(cfg, reads); err == nil || !strings.Contains(err.Error(), "interrupted") {
 			t.Fatalf("got %v, want interrupted-run refusal", err)
@@ -320,14 +331,14 @@ func TestSpillRefusesDirtyDir(t *testing.T) {
 	t.Run("foreign config refused", func(t *testing.T) {
 		cfg := mkcfg(t)
 		var buf bytes.Buffer
-		if err := writeSpillHeader(&buf, spillHeader{rank: 0, bin: 0, bins: 4, fphash: 0xdeadbeef}); err != nil {
+		if err := durable.WriteHeader(&buf, spillMagic, spillHeader{rank: 0, bin: 0, bins: 4, fphash: 0xdeadbeef}.fields()); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(filepath.Join(cfg.Spill.Dir, "r0000-b0000"+spillExt), buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Run(cfg, reads); !errors.Is(err, ErrSpillMismatch) {
-			t.Fatalf("got %v, want ErrSpillMismatch", err)
+		if _, err := Run(cfg, reads); !errors.Is(err, durable.ErrMismatch) {
+			t.Fatalf("got %v, want durable.ErrMismatch", err)
 		}
 	})
 
@@ -335,7 +346,7 @@ func TestSpillRefusesDirtyDir(t *testing.T) {
 		cfg := mkcfg(t)
 		var buf bytes.Buffer
 		h := spillHeader{rank: 0, bin: 0, bins: cfg.Spill.bins(), fphash: buildFingerprint(cfg).Hash()}
-		if err := writeSpillHeader(&buf, h); err != nil {
+		if err := durable.WriteHeader(&buf, spillMagic, h.fields()); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(filepath.Join(cfg.Spill.Dir, "r0000-b0000"+spillExt), buf.Bytes(), 0o644); err != nil {
@@ -394,16 +405,16 @@ func TestSpillRejectsIncompatibleConfig(t *testing.T) {
 
 // FuzzSpillBin: whatever bytes a spill bin file holds — truncated,
 // bit-flipped, or pure garbage — the reader returns nil or an error
-// wrapping one of the spill sentinels. It never panics and never
+// wrapping one of durable's sentinels. It never panics and never
 // reports damage as an unstructured error.
 func FuzzSpillBin(f *testing.F) {
 	// A valid two-record bin as the structural seed.
 	var valid bytes.Buffer
-	if err := writeSpillHeader(&valid, spillHeader{rank: 3, bin: 1, bins: 8, fphash: 0x1234}); err != nil {
+	if err := durable.WriteHeader(&valid, spillMagic, spillHeader{rank: 3, bin: 1, bins: 8, fphash: 0x1234}.fields()); err != nil {
 		f.Fatal(err)
 	}
 	rec := appendSpillRecord(nil, []byte{1, 2, 3, 4, 5, 6, 7, 8}, 1)
-	rec = appendSpillRecord(rec, bytes.Repeat([]byte{0xab}, 40), 5)
+	rec = appendSpillRecord(rec, bytes.Repeat([]byte{0xab}, 35), 5) // five 7-byte supermer images
 	valid.Write(rec)
 	f.Add(valid.Bytes())
 	f.Add(valid.Bytes()[:spillHeaderLen])   // header only: clean empty bin
@@ -416,17 +427,26 @@ func FuzzSpillBin(f *testing.F) {
 	flipped[spillHeaderLen+14] ^= 0x40 // corrupt a payload byte
 	f.Add(flipped)
 
+	// Pass 2 decodes each record with its mode's codec: whichever mode the
+	// bin is not from refuses it, and that refusal is damage too.
+	structured := func(err error) bool {
+		return errors.Is(err, durable.ErrTruncated) || errors.Is(err, durable.ErrChecksum) || errors.Is(err, durable.ErrMismatch)
+	}
+	sm := supermerCodec{wire: kernels.SupermerWire{K: 17, Window: 8}}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		err := readSpillBin(bytes.NewReader(data), nil, func(payload []byte, items int) error {
 			if items < 0 {
 				t.Fatalf("negative item count %d", items)
 			}
+			if _, err := (kmerCodec{}).unstage(payload, items, nil); err != nil && !structured(err) {
+				t.Fatalf("k-mer record: unstructured error %v", err)
+			}
+			if _, err := sm.unstage(payload, items, nil); err != nil && !structured(err) {
+				t.Fatalf("supermer record: unstructured error %v", err)
+			}
 			return nil
 		})
-		if err == nil {
-			return
-		}
-		if errors.Is(err, ErrSpillTruncated) || errors.Is(err, ErrSpillChecksum) || errors.Is(err, ErrSpillMismatch) {
+		if err == nil || structured(err) {
 			return
 		}
 		t.Fatalf("unstructured error %v", err)
@@ -434,13 +454,13 @@ func FuzzSpillBin(f *testing.F) {
 }
 
 // TestSpillReaderPinsCoordinates: a structurally valid bin belonging to
-// a different rank/bin/run is rejected with ErrSpillMismatch when the
+// a different rank/bin/run is rejected with durable.ErrMismatch when the
 // caller pins expected coordinates — a misnamed or cross-wired file can
 // never be counted into the wrong partition.
 func TestSpillReaderPinsCoordinates(t *testing.T) {
 	var buf bytes.Buffer
 	h := spillHeader{rank: 2, bin: 5, bins: 8, fphash: 42}
-	if err := writeSpillHeader(&buf, h); err != nil {
+	if err := durable.WriteHeader(&buf, spillMagic, h.fields()); err != nil {
 		t.Fatal(err)
 	}
 	want := h
@@ -454,8 +474,55 @@ func TestSpillReaderPinsCoordinates(t *testing.T) {
 		"fphash": {rank: 2, bin: 5, bins: 8, fphash: 43},
 	} {
 		w := w
-		if err := readSpillBin(bytes.NewReader(buf.Bytes()), &w, nil); !errors.Is(err, ErrSpillMismatch) {
-			t.Fatalf("wrong %s: got %v, want ErrSpillMismatch", name, err)
+		if err := readSpillBin(bytes.NewReader(buf.Bytes()), &w, nil); !errors.Is(err, durable.ErrMismatch) {
+			t.Fatalf("wrong %s: got %v, want durable.ErrMismatch", name, err)
+		}
+	}
+}
+
+// TestDurableFormatsPinned holds the bytes of a fixed KCD database, rank
+// checkpoint file and spill bin to SHA-256 digests: the three layouts are
+// formats on disk, and sharing one framing package must not move a byte of
+// them. The spill bin goes through the rank's writer and seal.
+func TestDurableFormatsPinned(t *testing.T) {
+	db := &kcount.Database{K: 21, Flags: kcount.FlagCanonical, Entries: []kcount.KV{
+		{Key: 0x1, Count: 2}, {Key: 0x2, Count: 5}, {Key: 0x1234, Count: 300}, {Key: 0xdeadbeef, Count: 1}}}
+	var kcd, rank bytes.Buffer
+	if err := db.Write(&kcd); err != nil {
+		t.Fatal(err)
+	}
+	if err := recov.WriteRankFile(&rank, 3, 1, 0x0123456789abcdef, db); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	s := (&spillCtl{dir: dir, bins: 4, fphash: 0x0123456789abcdef}).rank(2)
+	s.stage[1] = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 0x11), 0x22)
+	s.items[1] = 2
+	if err := s.flushStage(); err != nil {
+		t.Fatal(err)
+	}
+	s.stage[1], s.items[1] = []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, 1
+	if err := s.flushStage(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.seal(); err != nil {
+		t.Fatal(err)
+	}
+	bin, err := os.ReadFile(s.binPath(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"KCD", kcd.Bytes(), "d8104deda8684dbde1ee8d249e11db68d22cd9caa1eda5fe62f3d4684452d03b"},
+		{"rank file", rank.Bytes(), "5aa79c9b5b3337c66af40eccc48c2de6d4abe37e46f1e521179cf7a390db4166"},
+		{"spill bin", bin, "155d52d408f0a41ef54c8f8ecb17fc922e9b1a9a283c2df9324b136190df8401"},
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(c.data)); got != c.want {
+			t.Errorf("%s: sha256 %s, want %s", c.name, got, c.want)
 		}
 	}
 }

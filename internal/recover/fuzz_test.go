@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"dedukt/internal/durable"
 	"dedukt/internal/fastq"
 	"dedukt/internal/kcount"
 )
@@ -41,8 +42,7 @@ func FuzzCheckpointManifest(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if m, err := ReadManifest(bytes.NewReader(data)); err != nil {
-			structured := errors.Is(err, ErrTruncated) || errors.Is(err, ErrChecksum) || errors.Is(err, ErrMismatch)
-			if !structured {
+			if !structured(err) {
 				t.Fatalf("ReadManifest: unstructured error %v", err)
 			}
 		} else {
@@ -56,9 +56,7 @@ func FuzzCheckpointManifest(f *testing.F) {
 			}
 		}
 		if round, slot, _, db, err := ReadRankFile(bytes.NewReader(data)); err != nil {
-			structured := errors.Is(err, ErrTruncated) || errors.Is(err, ErrChecksum) || errors.Is(err, ErrMismatch) ||
-				errors.Is(err, kcount.ErrTruncated) || errors.Is(err, kcount.ErrChecksum)
-			if !structured {
+			if !structured(err) {
 				t.Fatalf("ReadRankFile: unstructured error %v", err)
 			}
 		} else {
@@ -67,6 +65,11 @@ func FuzzCheckpointManifest(f *testing.F) {
 			}
 		}
 	})
+}
+
+// structured reports whether err is one of durable's three sentinels.
+func structured(err error) bool {
+	return errors.Is(err, durable.ErrTruncated) || errors.Is(err, durable.ErrChecksum) || errors.Is(err, durable.ErrMismatch)
 }
 
 func testFingerprintF() Fingerprint {

@@ -4,49 +4,38 @@
 // KCD-embedded spectrum slice per rank — and the deterministic successor
 // function that reassigns a dead rank's key ownership to a survivor.
 //
-// A checkpoint directory holds, atomically (tmp+rename, manifest last):
+// A checkpoint directory holds, each written through durable.WriteFile
+// (tmp+rename, manifest last):
 //
 //	MANIFEST                 the round/cursor manifest (see Manifest)
 //	r<round>-s<slot>.ckpt    slot's spectrum slice at that round
 //
-// Readers are hardened the same way kcount's database reader is: a short
-// file surfaces ErrTruncated, a full-length file with wrong bytes
-// ErrChecksum, and a file from a different run ErrMismatch — a resume can
-// fail, but it can never silently continue from the wrong state.
+// Readers report damage in durable's vocabulary: a short file surfaces
+// durable.ErrTruncated, a full-length file with wrong bytes
+// durable.ErrChecksum, and a file from a different run durable.ErrMismatch
+// — a resume can fail, but it can never silently continue from the wrong
+// state.
 package recover
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
+	"dedukt/internal/durable"
 	"dedukt/internal/fastq"
 	"dedukt/internal/kcount"
 )
 
-// Sentinel errors; test with errors.Is.
-var (
-	// ErrTruncated marks a manifest or rank checkpoint that ended before
-	// its declared structure was complete.
-	ErrTruncated = errors.New("recover: truncated checkpoint")
-	// ErrChecksum marks a structurally complete file whose CRC32 does not
-	// match its contents.
-	ErrChecksum = errors.New("recover: checkpoint checksum mismatch")
-	// ErrMismatch marks a checkpoint that does not belong to this run:
-	// wrong magic/version, a fingerprint for a different configuration or
-	// input set, or a rank file for a different round/slot.
-	ErrMismatch = errors.New("recover: checkpoint does not match this run")
-	// ErrNoCheckpoint reports a checkpoint directory with no manifest —
-	// nothing has been persisted yet, so recovery replays from the start.
-	ErrNoCheckpoint = errors.New("recover: no checkpoint manifest")
-)
+// ErrNoCheckpoint reports a checkpoint directory with no manifest —
+// nothing has been persisted yet, so recovery replays from the start.
+// Damaged or foreign checkpoint files are reported in durable's vocabulary.
+var ErrNoCheckpoint = errors.New("recover: no checkpoint manifest")
 
 // InputFile fingerprints one input by path and size; a resume refuses a
 // checkpoint whose input list differs (the cursor would land on the
@@ -116,29 +105,23 @@ type Manifest struct {
 	Incomplete bool `json:"incomplete,omitempty"`
 }
 
-// Manifest file framing:
+// Manifest file framing (version 2; all integers little-endian):
 //
-//	magic   "DKMF"       4 bytes
-//	version uint16       (1)
-//	length  uint32       JSON payload bytes
-//	payload length bytes of JSON (Manifest)
-//	crc32   uint32       IEEE, over everything after the magic
+//	header  durable header: magic "DKMF", fields version uint16
+//	record  durable record: the Manifest as JSON
+//
+// A version-1 manifest is refused as a mismatch.
 //
 // Rank checkpoint file framing:
 //
-//	magic   "DKCP"       4 bytes
-//	version uint16       (1)
-//	round   uint32
-//	slot    uint32
-//	fphash  uint64       Fingerprint.Hash() of the run
-//	crc32   uint32       IEEE, over the header after the magic
+//	header  durable header: magic "DKCP", fields version uint16 (1),
+//	        round uint32, slot uint32, fphash uint64 (Fingerprint.Hash())
 //	body    an embedded KCD database (kcount format, self-checksummed)
-//
-// All integers are little-endian.
 const (
 	manifestMagic   = "DKMF"
+	manifestVersion = 2
 	ckptMagic       = "DKCP"
-	formatVersion   = 1
+	ckptVersion     = 1
 	manifestName    = "MANIFEST"
 	maxManifestSize = 1 << 24 // a manifest is a few KB; cap the allocation
 )
@@ -152,82 +135,50 @@ func RankFilePath(dir string, round, slot int) string {
 	return filepath.Join(dir, fmt.Sprintf("r%08d-s%04d.ckpt", round, slot))
 }
 
-// WriteManifest encodes m into w with the CRC frame.
+// WriteManifest encodes m into w as a durable header and record.
 func WriteManifest(w io.Writer, m *Manifest) error {
 	payload, err := json.Marshal(m)
 	if err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	buf.WriteString(manifestMagic)
-	var hdr [6]byte
-	binary.LittleEndian.PutUint16(hdr[0:2], formatVersion)
-	binary.LittleEndian.PutUint32(hdr[2:6], uint32(len(payload)))
-	buf.Write(hdr[:])
-	buf.Write(payload)
-	crc := crc32.ChecksumIEEE(buf.Bytes()[len(manifestMagic):])
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc)
-	buf.Write(tail[:])
-	_, err = w.Write(buf.Bytes())
+	if err := durable.WriteHeader(w, manifestMagic, binary.LittleEndian.AppendUint16(nil, manifestVersion)); err != nil {
+		return err
+	}
+	_, err = w.Write(durable.AppendRecord(nil, payload))
 	return err
 }
 
-// ReadManifest decodes a CRC-framed manifest, returning ErrTruncated /
-// ErrChecksum / ErrMismatch on damage — never a wrong manifest.
+// ReadManifest decodes a manifest, returning an error wrapping
+// durable.ErrTruncated, ErrChecksum or ErrMismatch on damage — never a
+// wrong manifest.
 func ReadManifest(r io.Reader) (*Manifest, error) {
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, fmt.Errorf("manifest magic: %w", eofAs(err, ErrTruncated))
+	if err := durable.ReadHeader(r, manifestMagic, manifestVersion, make([]byte, 2)); err != nil {
+		return nil, fmt.Errorf("manifest: %w", err)
 	}
-	if string(magic[:]) != manifestMagic {
-		return nil, fmt.Errorf("manifest magic %q: %w", magic[:], ErrMismatch)
-	}
-	var hdr [6]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("manifest header: %w", eofAs(err, ErrTruncated))
-	}
-	if v := binary.LittleEndian.Uint16(hdr[0:2]); v != formatVersion {
-		return nil, fmt.Errorf("manifest version %d (want %d): %w", v, formatVersion, ErrMismatch)
-	}
-	n := binary.LittleEndian.Uint32(hdr[2:6])
-	if n > maxManifestSize {
-		return nil, fmt.Errorf("manifest declares %d payload bytes: %w", n, ErrMismatch)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("manifest payload: %w", eofAs(err, ErrTruncated))
-	}
-	var tail [4]byte
-	if _, err := io.ReadFull(r, tail[:]); err != nil {
-		return nil, fmt.Errorf("manifest checksum: %w", eofAs(err, ErrTruncated))
-	}
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[:])
-	crc.Write(payload)
-	if got := binary.LittleEndian.Uint32(tail[:]); got != crc.Sum32() {
-		return nil, fmt.Errorf("manifest crc %08x != %08x: %w", got, crc.Sum32(), ErrChecksum)
+	payload, err := durable.ReadRecord(r, nil, maxManifestSize)
+	if err != nil {
+		return nil, fmt.Errorf("manifest: %w", err)
 	}
 	var m Manifest
 	if err := json.Unmarshal(payload, &m); err != nil {
 		// The CRC matched, so this is a framing bug or handcrafted file,
 		// not wire damage; refuse it as a mismatch.
-		return nil, fmt.Errorf("manifest payload: %v: %w", err, ErrMismatch)
+		return nil, fmt.Errorf("manifest payload: %v: %w", err, durable.ErrMismatch)
 	}
 	if m.Round < 0 || len(m.Survivors) == 0 || len(m.Survivors) > m.Fingerprint.Ranks {
 		return nil, fmt.Errorf("manifest round %d / %d survivors of %d ranks: %w",
-			m.Round, len(m.Survivors), m.Fingerprint.Ranks, ErrMismatch)
+			m.Round, len(m.Survivors), m.Fingerprint.Ranks, durable.ErrMismatch)
 	}
 	seen := make(map[int]bool, len(m.Survivors))
 	for _, o := range m.Survivors {
 		if o < 0 || o >= m.Fingerprint.Ranks || seen[o] {
-			return nil, fmt.Errorf("manifest survivor %d of %d ranks: %w", o, m.Fingerprint.Ranks, ErrMismatch)
+			return nil, fmt.Errorf("manifest survivor %d of %d ranks: %w", o, m.Fingerprint.Ranks, durable.ErrMismatch)
 		}
 		seen[o] = true
 	}
 	for _, o := range m.Dead {
 		if o < 0 || o >= m.Fingerprint.Ranks || seen[o] {
-			return nil, fmt.Errorf("manifest dead rank %d: %w", o, ErrMismatch)
+			return nil, fmt.Errorf("manifest dead rank %d: %w", o, durable.ErrMismatch)
 		}
 		seen[o] = true
 	}
@@ -250,23 +201,16 @@ func LoadManifest(dir string) (*Manifest, error) {
 
 // SaveManifest atomically writes the manifest into dir.
 func SaveManifest(dir string, m *Manifest) error {
-	return atomicWrite(dir, manifestName, func(w io.Writer) error { return WriteManifest(w, m) })
+	return save(ManifestPath(dir), func(w io.Writer) error { return WriteManifest(w, m) })
 }
 
 // WriteRankFile encodes one slot's spectrum slice for a round.
 func WriteRankFile(w io.Writer, round, slot int, fphash uint64, db *kcount.Database) error {
-	var hdr bytes.Buffer
-	hdr.WriteString(ckptMagic)
-	var b [18]byte
-	binary.LittleEndian.PutUint16(b[0:2], formatVersion)
-	binary.LittleEndian.PutUint32(b[2:6], uint32(round))
-	binary.LittleEndian.PutUint32(b[6:10], uint32(slot))
-	binary.LittleEndian.PutUint64(b[10:18], fphash)
-	hdr.Write(b[:])
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc32.ChecksumIEEE(b[:]))
-	hdr.Write(tail[:])
-	if _, err := w.Write(hdr.Bytes()); err != nil {
+	fields := binary.LittleEndian.AppendUint16(nil, ckptVersion)
+	fields = binary.LittleEndian.AppendUint32(fields, uint32(round))
+	fields = binary.LittleEndian.AppendUint32(fields, uint32(slot))
+	fields = binary.LittleEndian.AppendUint64(fields, fphash)
+	if err := durable.WriteHeader(w, ckptMagic, fields); err != nil {
 		return err
 	}
 	return db.Write(w)
@@ -275,51 +219,34 @@ func WriteRankFile(w io.Writer, round, slot int, fphash uint64, db *kcount.Datab
 // ReadRankFile decodes a slot spectrum slice, verifying the header CRC
 // and the embedded database's own checksum.
 func ReadRankFile(r io.Reader) (round, slot int, fphash uint64, db *kcount.Database, err error) {
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return 0, 0, 0, nil, fmt.Errorf("checkpoint magic: %w", eofAs(err, ErrTruncated))
-	}
-	if string(magic[:]) != ckptMagic {
-		return 0, 0, 0, nil, fmt.Errorf("checkpoint magic %q: %w", magic[:], ErrMismatch)
-	}
 	var b [18]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, 0, 0, nil, fmt.Errorf("checkpoint header: %w", eofAs(err, ErrTruncated))
+	if err := durable.ReadHeader(r, ckptMagic, ckptVersion, b[:]); err != nil {
+		return 0, 0, 0, nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	var tail [4]byte
-	if _, err := io.ReadFull(r, tail[:]); err != nil {
-		return 0, 0, 0, nil, fmt.Errorf("checkpoint header crc: %w", eofAs(err, ErrTruncated))
-	}
-	if got, want := binary.LittleEndian.Uint32(tail[:]), crc32.ChecksumIEEE(b[:]); got != want {
-		return 0, 0, 0, nil, fmt.Errorf("checkpoint header crc %08x != %08x: %w", got, want, ErrChecksum)
-	}
-	if v := binary.LittleEndian.Uint16(b[0:2]); v != formatVersion {
-		return 0, 0, 0, nil, fmt.Errorf("checkpoint version %d (want %d): %w", v, formatVersion, ErrMismatch)
+	db, err = kcount.ReadDatabase(r)
+	if err != nil {
+		return 0, 0, 0, nil, fmt.Errorf("checkpoint body: %w", err)
 	}
 	round = int(binary.LittleEndian.Uint32(b[2:6]))
 	slot = int(binary.LittleEndian.Uint32(b[6:10]))
-	fphash = binary.LittleEndian.Uint64(b[10:18])
-	db, err = kcount.ReadDatabase(r)
-	if err != nil {
-		// Map the embedded database's sentinels onto ours so callers
-		// handle one error vocabulary.
-		switch {
-		case errors.Is(err, kcount.ErrTruncated):
-			err = fmt.Errorf("checkpoint body: %v: %w", err, ErrTruncated)
-		case errors.Is(err, kcount.ErrChecksum):
-			err = fmt.Errorf("checkpoint body: %v: %w", err, ErrChecksum)
-		}
-		return 0, 0, 0, nil, err
-	}
-	return round, slot, fphash, db, nil
+	return round, slot, binary.LittleEndian.Uint64(b[10:18]), db, nil
 }
 
 // SaveRankFile atomically writes one slot's slice into dir.
 func SaveRankFile(dir string, round, slot int, fphash uint64, db *kcount.Database) error {
-	name := fmt.Sprintf("r%08d-s%04d.ckpt", round, slot)
-	return atomicWrite(dir, name, func(w io.Writer) error {
+	return save(RankFilePath(dir, round, slot), func(w io.Writer) error {
 		return WriteRankFile(w, round, slot, fphash, db)
 	})
+}
+
+// save creates path's directory and writes path through durable.WriteFile,
+// so readers never observe a partially written checkpoint and a killed
+// writer leaves the previous file intact, plus a ".tmp" RemoveStale deletes.
+func save(path string, write func(io.Writer) error) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
+	return durable.WriteFile(path, write)
 }
 
 // LoadRankFile reads a slot slice and validates it against the expected
@@ -336,7 +263,7 @@ func LoadRankFile(path string, round, slot int, fphash uint64) (*kcount.Database
 	}
 	if r != round || s != slot || h != fphash {
 		return nil, fmt.Errorf("%s: holds round %d slot %d run %016x, want round %d slot %d run %016x: %w",
-			path, r, s, h, round, slot, fphash, ErrMismatch)
+			path, r, s, h, round, slot, fphash, durable.ErrMismatch)
 	}
 	return db, nil
 }
@@ -380,40 +307,4 @@ func Successor(r int, dead []bool) int {
 		}
 	}
 	return -1
-}
-
-// atomicWrite writes name into dir via a temp file + rename, so readers
-// never observe a partially written checkpoint and a crash mid-write
-// leaves the previous file intact.
-func atomicWrite(dir, name string, fn func(io.Writer) error) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, name+".*.tmp")
-	if err != nil {
-		return err
-	}
-	if err := fn(tmp); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
-}
-
-// eofAs maps io.ReadFull's end-of-input errors onto sentinel, keeping
-// other I/O errors intact (mirrors kcount's reader hardening).
-func eofAs(err, sentinel error) error {
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return sentinel
-	}
-	return err
 }

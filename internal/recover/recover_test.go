@@ -2,11 +2,13 @@ package recover
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"dedukt/internal/durable"
 	"dedukt/internal/fastq"
 	"dedukt/internal/kcount"
 )
@@ -76,7 +78,7 @@ func TestManifestCorruption(t *testing.T) {
 		if err == nil {
 			t.Fatalf("truncation at %d of %d accepted", cut, len(full))
 		}
-		if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrChecksum) && !errors.Is(err, ErrMismatch) {
+		if !errors.Is(err, durable.ErrTruncated) && !errors.Is(err, durable.ErrChecksum) && !errors.Is(err, durable.ErrMismatch) {
 			t.Fatalf("truncation at %d: unstructured error %v", cut, err)
 		}
 	}
@@ -106,9 +108,22 @@ func TestManifestRejectsBadShape(t *testing.T) {
 		if err := WriteManifest(&buf, &m); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadManifest(&buf); !errors.Is(err, ErrMismatch) {
+		if _, err := ReadManifest(&buf); !errors.Is(err, durable.ErrMismatch) {
 			t.Fatalf("case %d: got %v, want ErrMismatch", i, err)
 		}
+	}
+}
+
+// TestManifestV1Refused: a manifest the version-1 framing wrote (magic,
+// version, length, JSON, one CRC over all of it) is refused as a mismatch,
+// never misread under the version-2 framing.
+func TestManifestV1Refused(t *testing.T) {
+	v1, err := hex.DecodeString("444b4d460100ad0000007b2266696e6765727072696e74223a7b226b223a31372c226d6f6465223a226b6d6572222c22656e67696e65223a22637075222c22656e636f64696e67223a2232626974222c2272616e6b73223a322c226e6f646573223a317d2c22726f756e64223a312c22637572736f72223a7b22496e707574223a302c225265636f7264223a397d2c227265616473223a392c226261736573223a3930302c227375727669766f7273223a5b302c315d7d2eecba45")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadManifest(bytes.NewReader(v1)); !errors.Is(err, durable.ErrMismatch) {
+		t.Fatalf("version-1 manifest: got %v, want durable.ErrMismatch", err)
 	}
 }
 
@@ -133,13 +148,13 @@ func TestRankFileRoundTrip(t *testing.T) {
 	}
 
 	// Wrong coordinates must be refused.
-	if _, err := LoadRankFile(RankFilePath(dir, 3, 1), 4, 1, fp); !errors.Is(err, ErrMismatch) {
+	if _, err := LoadRankFile(RankFilePath(dir, 3, 1), 4, 1, fp); !errors.Is(err, durable.ErrMismatch) {
 		t.Fatalf("wrong round: got %v, want ErrMismatch", err)
 	}
-	if _, err := LoadRankFile(RankFilePath(dir, 3, 1), 3, 2, fp); !errors.Is(err, ErrMismatch) {
+	if _, err := LoadRankFile(RankFilePath(dir, 3, 1), 3, 2, fp); !errors.Is(err, durable.ErrMismatch) {
 		t.Fatalf("wrong slot: got %v, want ErrMismatch", err)
 	}
-	if _, err := LoadRankFile(RankFilePath(dir, 3, 1), 3, 1, fp+1); !errors.Is(err, ErrMismatch) {
+	if _, err := LoadRankFile(RankFilePath(dir, 3, 1), 3, 1, fp+1); !errors.Is(err, durable.ErrMismatch) {
 		t.Fatalf("wrong fingerprint: got %v, want ErrMismatch", err)
 	}
 }
@@ -156,20 +171,20 @@ func TestRankFileCorruption(t *testing.T) {
 		if err == nil {
 			t.Fatalf("truncation at %d of %d accepted", cut, len(full))
 		}
-		if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrChecksum) && !errors.Is(err, ErrMismatch) {
+		if !errors.Is(err, durable.ErrTruncated) && !errors.Is(err, durable.ErrChecksum) && !errors.Is(err, durable.ErrMismatch) {
 			t.Fatalf("truncation at %d: unstructured error %v", cut, err)
 		}
 	}
 	// Flip a byte in the embedded database body: its own CRC catches it.
 	mut := append([]byte(nil), full...)
 	mut[len(mut)-6] ^= 0xff
-	if _, _, _, _, err := ReadRankFile(bytes.NewReader(mut)); !errors.Is(err, ErrChecksum) {
+	if _, _, _, _, err := ReadRankFile(bytes.NewReader(mut)); !errors.Is(err, durable.ErrChecksum) {
 		t.Fatalf("body flip: got %v, want ErrChecksum", err)
 	}
 	// Flip a header byte: the header CRC catches it.
 	mut = append([]byte(nil), full...)
 	mut[6] ^= 0xff
-	if _, _, _, _, err := ReadRankFile(bytes.NewReader(mut)); !errors.Is(err, ErrChecksum) {
+	if _, _, _, _, err := ReadRankFile(bytes.NewReader(mut)); !errors.Is(err, durable.ErrChecksum) {
 		t.Fatalf("header flip: got %v, want ErrChecksum", err)
 	}
 }
@@ -201,8 +216,12 @@ func TestRemoveStale(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := os.WriteFile(filepath.Join(dir, "MANIFEST.123.tmp"), []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
+	// Writes a killed writer never committed, one of them of the kept round:
+	// the temporary names durable.File leaves are what RemoveStale deletes.
+	for _, path := range []string{ManifestPath(dir), RankFilePath(dir, 5, 1)} {
+		if _, err := durable.Create(path); err != nil {
+			t.Fatal(err)
+		}
 	}
 	RemoveStale(dir, 5)
 	entries, err := os.ReadDir(dir)
