@@ -370,29 +370,13 @@ func reportTables(w io.Writer, reg *obs.Registry, ranks int) {
 // paths given by -trace-out and -metrics-out (empty paths are skipped).
 func writeObsArtifacts(rec *obs.Recorder, tracePath, metricsPath string) error {
 	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return err
-		}
-		if err := rec.WriteTrace(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := durable.WriteFile(tracePath, rec.WriteTrace); err != nil {
 			return err
 		}
 		log.Printf("wrote trace %s", tracePath)
 	}
 	if metricsPath != "" {
-		f, err := os.Create(metricsPath)
-		if err != nil {
-			return err
-		}
-		if err := rec.Registry().WritePrometheus(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := durable.WriteFile(metricsPath, rec.Registry().WritePrometheus); err != nil {
 			return err
 		}
 		log.Printf("wrote metrics %s", metricsPath)

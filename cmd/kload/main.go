@@ -26,6 +26,7 @@ import (
 	"os/signal"
 	"syscall"
 
+	"dedukt/internal/durable"
 	"dedukt/internal/kcluster"
 	"dedukt/internal/kserve"
 	"dedukt/internal/obs"
@@ -70,7 +71,7 @@ func main() {
 	}
 	var tracer *obs.Tracer
 	if *traceSample > 0 {
-		tracer = obs.NewTracer("kload", *traceSample, 0)
+		tracer = obs.NewTracer("kload", *traceSample)
 	}
 	if *kcd == "" {
 		log.Fatal("-kcd is required")
@@ -99,7 +100,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if tracer != nil && *traceOut != "" {
-		if err := tracer.WriteSpansFile(*traceOut); err != nil {
+		if err := durable.WriteFile(*traceOut, tracer.WriteSpans); err != nil {
 			log.Fatal(err)
 		}
 		logf("wrote %d spans to %s", tracer.Len(), *traceOut)

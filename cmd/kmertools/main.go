@@ -318,16 +318,14 @@ func runTraceJoin(args []string) error {
 		dropped += d.Dropped
 		dumps = append(dumps, d)
 	}
-	w := io.Writer(os.Stdout)
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	join := func(w io.Writer) error { return obs.JoinTraces(w, dumps) }
+	var err error
+	if *out == "" {
+		err = join(os.Stdout)
+	} else {
+		err = durable.WriteFile(*out, join)
 	}
-	if err := obs.JoinTraces(w, dumps); err != nil {
+	if err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "kmertools: joined %d spans from %d process(es)", spans, len(dumps))

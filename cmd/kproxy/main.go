@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"dedukt/internal/dna"
+	"dedukt/internal/durable"
 	"dedukt/internal/kcluster"
 	"dedukt/internal/obs"
 )
@@ -106,7 +107,7 @@ func main() {
 
 	var tracer *obs.Tracer
 	if *traceSample > 0 || *traceOut != "" {
-		tracer = obs.NewTracer("kproxy", *traceSample, 0)
+		tracer = obs.NewTracer("kproxy", *traceSample)
 	}
 	obs.ServePprof(*pprofAddr, log.Printf)
 	router := kcluster.NewRouter(reg, kcluster.RouterOptions{
@@ -119,7 +120,7 @@ func main() {
 		if tracer == nil || *traceOut == "" {
 			return
 		}
-		if err := tracer.WriteSpansFile(*traceOut); err != nil {
+		if err := durable.WriteFile(*traceOut, tracer.WriteSpans); err != nil {
 			log.Printf("trace-out: %v", err)
 		} else {
 			log.Printf("wrote %d spans to %s", tracer.Len(), *traceOut)

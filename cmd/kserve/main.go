@@ -25,6 +25,7 @@ import (
 	"strings"
 
 	"dedukt/internal/dna"
+	"dedukt/internal/durable"
 	"dedukt/internal/kserve"
 	"dedukt/internal/obs"
 	"dedukt/internal/stats"
@@ -88,7 +89,7 @@ func main() {
 	}
 	var tracer *obs.Tracer
 	if *traceSample > 0 || *traceOut != "" {
-		tracer = obs.NewTracer(*replicaID, *traceSample, 0)
+		tracer = obs.NewTracer(*replicaID, *traceSample)
 	}
 	obs.ServePprof(*pprofAddr, log.Printf)
 	svc, err := kserve.New(db, kserve.Options{
@@ -113,7 +114,7 @@ func main() {
 	if tracer != nil && *traceOut != "" {
 		// Written after the drain so the dump holds the whole run (trace
 		// dumps survive a serve error too — that's when they matter most).
-		if err := tracer.WriteSpansFile(*traceOut); err != nil {
+		if err := durable.WriteFile(*traceOut, tracer.WriteSpans); err != nil {
 			log.Printf("trace-out: %v", err)
 		} else {
 			log.Printf("wrote %d spans to %s", tracer.Len(), *traceOut)

@@ -524,19 +524,19 @@ func TestEvalSLO(t *testing.T) {
 func TestEndToEndTracing(t *testing.T) {
 	const k = 17
 	db := sampleDB(t, k, 1500, 7)
-	fastTracer := obs.NewTracer("rep-fast", 1, 0)
-	slowTracer := obs.NewTracer("rep-slow", 1, 0)
+	fastTracer := obs.NewTracer("rep-fast", 1)
+	slowTracer := obs.NewTracer("rep-slow", 1)
 	fast := &testReplica{t: t, db: db, idx: 0, of: 1, tracer: fastTracer}
 	fast.start("")
 	slow := &testReplica{t: t, db: db, idx: 0, of: 1, slow: 50 * time.Millisecond, tracer: slowTracer}
 	slow.start("")
 	reg := newTestRegistry(t, []string{fast.addr, slow.addr})
-	proxyTracer := obs.NewTracer("kproxy", 1, 0)
+	proxyTracer := obs.NewTracer("kproxy", 1)
 	rt := NewRouter(reg, RouterOptions{HedgeMax: 5 * time.Millisecond, Tracer: proxyTracer})
 	srv := httptest.NewServer(NewHandler(rt))
 	defer srv.Close()
 
-	loadTracer := obs.NewTracer("kload", 1, 0)
+	loadTracer := obs.NewTracer("kload", 1)
 	sum, err := RunLoad(context.Background(), LoadOptions{
 		Target:      srv.URL,
 		Requests:    60,

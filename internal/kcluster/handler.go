@@ -112,11 +112,7 @@ func NewHandler(r *Router) http.Handler {
 // a tracer; unsampled requests keep their context unwrapped.
 func startProxySpan(r *Router, req *http.Request, name string) (context.Context, obs.ReqSpanHandle) {
 	ctx := req.Context()
-	t := r.opts.Tracer
-	if t == nil {
-		return ctx, obs.ReqSpanHandle{}
-	}
-	span := t.StartServer(req.Header, name, "http")
+	span := r.opts.Tracer.StartServer(req.Header, name, "http")
 	if span.Sampled() {
 		ctx = obs.ContextWithSpan(ctx, span.Context())
 	}

@@ -158,15 +158,11 @@ func (r *Router) hedgeDelay() time.Duration {
 // With no tracer, or an unsampled caller, the returned handle is a free
 // no-op.
 func (r *Router) startAttempt(ctx context.Context, rep *Replica, hedged bool) obs.ReqSpanHandle {
-	t := r.opts.Tracer
-	if t == nil {
-		return obs.ReqSpanHandle{}
-	}
 	parent := obs.SpanFromContext(ctx)
 	if !parent.Sampled {
 		return obs.ReqSpanHandle{}
 	}
-	span := t.StartSpan(parent, "upstream", rep.ID())
+	span := r.opts.Tracer.StartSpan(parent, "upstream", rep.ID())
 	span.SetAttr("replica", rep.ID())
 	span.SetAttr("addr", rep.Addr)
 	span.SetAttr("hedged", strconv.FormatBool(hedged))

@@ -45,7 +45,7 @@ func TestCountWindows(t *testing.T) {
 	}{
 		"kmers":               IndexKmers(d, [][]uint64{nil, parsed[0], {}, parsed[1], parsed[2], nil, parsed[3]}),
 		"supermers":           filtered{supermers, nil},
-		"supermers, 2 passes": filtered{supermers, inSample},
+		"supermers, 2 passes": filtered{supermers, InSample},
 	} {
 		table := kcount.NewAtomicTable(len(oracle), 0.5, kcount.Linear)
 		from, left := 0, in.Kmers()
@@ -53,7 +53,7 @@ func TestCountWindows(t *testing.T) {
 			// The rest of key space in one launch, then the sample slice in
 			// windows: every k-mer is counted by exactly one of the two passes
 			// over every image.
-			if _, _, _, err := supermers.Count(table, 0, supermers.Kmers(), func(key uint64) bool { return !inSample(key) }); err != nil {
+			if _, _, _, err := supermers.Count(table, 0, supermers.Kmers(), func(key uint64) bool { return !InSample(key) }); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -92,7 +92,7 @@ func FuzzParseKmers(f *testing.F) {
 			if canonical {
 				w = w.Canonical(enc, k)
 			}
-			if d := DestOf(uint64(w), numDest); inSample(uint64(w)) {
+			if d := DestOf(uint64(w), numDest); InSample(uint64(w)) {
 				want[d] = append(want[d], uint64(w))
 			} else {
 				rest[d] = append(rest[d], uint64(w))

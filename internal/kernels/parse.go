@@ -98,7 +98,7 @@ type ParseScratch struct {
 // concatenated base array into one position per thread, builds and hashes
 // each k-mer (coalesced reads — consecutive threads read consecutive bases)
 // and bumps a per-warp histogram in shared memory, binned by destination and
-// by whether the k-mer lies in the sample slice (inSample); an exclusive
+// by whether the k-mer lies in the sample slice (InSample); an exclusive
 // prefix sum over (warp × bin), destination-major, then assigns every warp a
 // private cursor range; pass 2 re-derives each position's k-mer and bin from
 // the same bases and scatters it, contention-free, into one contiguous buffer
@@ -270,18 +270,17 @@ const sliceBins = 2
 // first of the two when the key lies in the sample slice.
 func binOf(key uint64, numDest int) int {
 	bin := sliceBins * DestOf(key, numDest)
-	if !inSample(key) {
+	if !InSample(key) {
 		bin++
 	}
 	return bin
 }
 
-// inSample reports whether key lies in the sample slice, the sixteenth of
+// InSample reports whether key lies in the sample slice, the sixteenth of
 // key space whose multiplicative hash has its top four bits clear: one
 // multiply, independent of the hashes that route a key to its rank and to
-// its slot. It is the slice a receiving rank sizes its table from (the
-// pipeline's sampleKeys, which must agree with it).
-func inSample(key uint64) bool { return key*0x9e3779b97f4a7c15>>60 == 0 }
+// its slot. It is the slice a receiving rank sizes its table from.
+func InSample(key uint64) bool { return key*0x9e3779b97f4a7c15>>60 == 0 }
 
 // scanInPlace turns the (warp × bin) histogram, bins binsPer to a
 // destination, into its bin-major exclusive prefix sum, each count replaced

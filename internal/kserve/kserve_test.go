@@ -555,7 +555,7 @@ func TestBatchAllocRegression(t *testing.T) {
 // tax untraced traffic.
 func TestLookupAllocRegression(t *testing.T) {
 	db := sampleDB(t, 17, 50_000, 29, 0)
-	tracer := obs.NewTracer("kserve-test", 0, 0) // wired but never sampling
+	tracer := obs.NewTracer("kserve-test", 0) // wired but never sampling
 	svc := newService(t, db, Options{Tracer: tracer})
 	ctx := context.Background()
 	key := db.Entries[1234].Key
@@ -579,11 +579,11 @@ func TestLookupAllocRegression(t *testing.T) {
 // /debug/trace exposes the same dump.
 func TestHandlerTracing(t *testing.T) {
 	db := sampleDB(t, 17, 5_000, 31, 0)
-	tracer := obs.NewTracer("replica-test", 1, 0)
+	tracer := obs.NewTracer("replica-test", 1)
 	svc := newService(t, db, Options{Tracer: tracer})
 	h := NewHandler(svc)
 
-	client := obs.NewTracer("client", 1, 0)
+	client := obs.NewTracer("client", 1)
 	root := client.StartRoot("request", "load")
 	seq := dna.Kmer(db.Entries[7].Key).String(&dna.Random, 17)
 	req := httptest.NewRequest("GET", "/kmer/"+seq, nil)

@@ -17,7 +17,6 @@ import (
 	"dedukt/internal/dna"
 	"dedukt/internal/kcount"
 	"dedukt/internal/kernels"
-	"dedukt/internal/obs"
 )
 
 // maxBatchBody bounds a /batch request body; maxBatchKmers bounds how many
@@ -93,7 +92,9 @@ type healthResponse struct {
 func NewHandler(svc *Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /kmer/{seq}", func(w http.ResponseWriter, r *http.Request) {
-		span := startServerSpan(svc, r, "kserve_lookup")
+		// One span covers the whole request: the lookup under it is a direct
+		// read with no stage of its own to attribute.
+		span := svc.opts.Tracer.StartServer(r.Header, "kserve_lookup", "http")
 		defer span.End()
 		seq := r.PathValue("seq")
 		count, err := svc.Lookup(r.Context(), seq)
@@ -105,7 +106,7 @@ func NewHandler(svc *Service) http.Handler {
 		writeJSON(w, http.StatusOK, KmerResult{Kmer: seq, Count: count, Present: count > 0})
 	})
 	mux.HandleFunc("POST /batch", func(w http.ResponseWriter, r *http.Request) {
-		span := startServerSpan(svc, r, "kserve_batch")
+		span := svc.opts.Tracer.StartServer(r.Header, "kserve_batch", "http")
 		defer span.End()
 		var req batchRequest
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody))
@@ -202,19 +203,6 @@ func NewHandler(svc *Service) http.Handler {
 		_ = svc.Registry().WritePrometheus(w)
 	})
 	return mux
-}
-
-// startServerSpan continues (or roots) a trace for one HTTP request: the
-// incoming traceparent header decides trace identity and sampling, and the
-// span covers the whole request — the lookup under it is a direct read with
-// no stage of its own to attribute. With no tracer configured — or an
-// unsampled request — the handle is a free no-op.
-func startServerSpan(svc *Service, r *http.Request, name string) obs.ReqSpanHandle {
-	t := svc.opts.Tracer
-	if t == nil {
-		return obs.ReqSpanHandle{}
-	}
-	return t.StartServer(r.Header, name, "http")
 }
 
 // errBadRequest tags client errors the generic mapper should turn into 400.

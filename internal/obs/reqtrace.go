@@ -20,10 +20,10 @@ import (
 // Tracer captures *requests* as they cross the serving cluster — kload
 // mints a trace context, kproxy and every kserve replica continue it over
 // the W3C traceparent header, and each process keeps its own bounded span
-// buffer. kmertools trace-join (JoinTraces) merges the per-process dumps
-// into one Chrome/Perfetto trace keyed by trace ID, so a single hedged
-// lookup is visible end-to-end: router admission, both hedge attempts,
-// and each replica's server span.
+// buffer. kmertools trace-join (JoinTraces, the one Chrome trace writer
+// in trace.go) merges the per-process dumps into one Chrome/Perfetto trace
+// keyed by trace ID, so a single hedged lookup is visible end-to-end:
+// router admission, both hedge attempts, and each replica's server span.
 //
 // Spans carry wall-clock (unix) timestamps, not recorder-epoch offsets:
 // the processes being joined share a machine clock, not an epoch.
@@ -167,22 +167,25 @@ func SpanFromContext(ctx context.Context) SpanContext {
 	return sc
 }
 
-// ReqSpan is one completed request-scoped span, shaped for the per-process
-// JSON dump (WriteSpans) that kmertools trace-join consumes. Tid groups
-// spans onto display threads within the process — "shard 3" on a replica,
-// a replica address on the proxy, "client" on the load generator.
+// ReqSpan is one record of a TraceDump: a completed request span (a
+// Tracer's, with its IDs and string Attrs), or a run span or instant
+// (Recorder.Dump, with numeric Args and no IDs). Tid groups records onto
+// display threads within the process — "shard 3" on a replica, a replica
+// address on the proxy, "client" on the load generator, "rank 5" in a run.
 type ReqSpan struct {
-	Trace   string            `json:"trace"`
-	Span    string            `json:"span"`
-	Parent  string            `json:"parent,omitempty"`
-	Name    string            `json:"name"`
-	Tid     string            `json:"tid,omitempty"`
-	StartNS int64             `json:"start_unix_ns"`
-	DurNS   int64             `json:"dur_ns"`
-	Attrs   map[string]string `json:"attrs,omitempty"`
+	Trace   string             `json:"trace,omitempty"`
+	Span    string             `json:"span,omitempty"`
+	Parent  string             `json:"parent,omitempty"`
+	Name    string             `json:"name"`
+	Ph      string             `json:"ph,omitempty"` // "i" marks an instant; empty is a complete span
+	Tid     string             `json:"tid,omitempty"`
+	StartNS int64              `json:"start_unix_ns"`
+	DurNS   int64              `json:"dur_ns"`
+	Attrs   map[string]string  `json:"attrs,omitempty"`
+	Args    map[string]float64 `json:"args,omitempty"`
 }
 
-// TraceDump is one process's span buffer, the unit trace-join merges.
+// TraceDump is one process's span buffer, the unit JoinTraces merges.
 type TraceDump struct {
 	Process string    `json:"process"`
 	Dropped uint64    `json:"dropped,omitempty"`
@@ -194,7 +197,6 @@ type TraceDump struct {
 type Tracer struct {
 	process string
 	sample  int // root sampling: keep 1 in sample; <=0 never roots
-	limit   int // max buffered spans; older spans win, overflow is counted
 
 	ctr     atomic.Uint64 // root admission counter (head sampling)
 	dropped atomic.Uint64
@@ -204,30 +206,21 @@ type Tracer struct {
 	spans []ReqSpan
 }
 
+// spanLimit bounds a tracer's span buffer. Once it is full, new spans are
+// counted as dropped rather than evicting older ones, so the head of a
+// burst — the part a smoke test inspects — is kept.
+const spanLimit = 65536
+
 // NewTracer builds a tracer for the named process. sample is the head
 // sampling rate for locally minted roots: 1 keeps every request, N keeps 1
 // in N, <=0 roots nothing (the tracer still records spans continuing a
-// sampled incoming context). limit bounds the span buffer (default 65536);
-// once full, new spans are counted as dropped rather than evicting older
-// ones, so the head of a burst — the part a smoke test inspects — is kept.
-func NewTracer(process string, sample, limit int) *Tracer {
-	if limit <= 0 {
-		limit = 65536
-	}
+// sampled incoming context).
+func NewTracer(process string, sample int) *Tracer {
 	return &Tracer{
 		process: process,
 		sample:  sample,
-		limit:   limit,
 		rng:     rand.New(rand.NewSource(time.Now().UnixNano() ^ int64(os.Getpid())<<32)),
 	}
-}
-
-// Process returns the tracer's process name ("" for nil).
-func (t *Tracer) Process() string {
-	if t == nil {
-		return ""
-	}
-	return t.process
 }
 
 // mintIDs returns a fresh span ID and, when trace is zero, a fresh trace ID.
@@ -365,7 +358,7 @@ func parentString(p SpanID) string {
 
 func (t *Tracer) record(sp ReqSpan) {
 	t.mu.Lock()
-	if len(t.spans) >= t.limit {
+	if len(t.spans) >= spanLimit {
 		t.mu.Unlock()
 		t.dropped.Add(1)
 		return
@@ -411,19 +404,6 @@ func (t *Tracer) WriteSpans(w io.Writer) error {
 	return json.NewEncoder(w).Encode(t.Dump())
 }
 
-// WriteSpansFile writes the dump to path (the -trace-out flag).
-func (t *Tracer) WriteSpansFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := t.WriteSpans(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // DebugHandler serves the live span buffer as JSON — mounted at
 // /debug/trace on kserve and kproxy so a smoke script can collect dumps
 // without waiting for a graceful shutdown.
@@ -441,99 +421,4 @@ func ReadTraceDump(r io.Reader) (TraceDump, error) {
 		return TraceDump{}, err
 	}
 	return d, nil
-}
-
-// JoinTraces merges per-process span dumps into one Chrome trace-event
-// JSON document (Perfetto-loadable): pid = process (dump order), tid =
-// the span's Tid group within that process, and every event's args carry
-// the trace/span/parent IDs plus the process name, so a single request
-// can be filtered across processes by its trace ID. Timestamps are
-// re-based to the earliest span so the trace starts at zero.
-func JoinTraces(w io.Writer, dumps []TraceDump) error {
-	var origin int64
-	first := true
-	for _, d := range dumps {
-		for _, sp := range d.Spans {
-			if first || sp.StartNS < origin {
-				origin = sp.StartNS
-				first = false
-			}
-		}
-	}
-
-	f := traceFile{TraceEvents: []traceEvent{}, DisplayTimeUnit: "ms"}
-	var body []traceEvent
-	for pi, d := range dumps {
-		pid := pi + 1
-		f.TraceEvents = append(f.TraceEvents, traceEvent{
-			Name: "process_name", Ph: "M", Pid: pid,
-			Args: map[string]any{"name": d.Process},
-		})
-		// Stable thread numbering: tids sorted by name within the process.
-		names := map[string]bool{}
-		for _, sp := range d.Spans {
-			names[sp.Tid] = true
-		}
-		ordered := make([]string, 0, len(names))
-		for n := range names {
-			ordered = append(ordered, n)
-		}
-		sort.Strings(ordered)
-		tids := make(map[string]int, len(ordered))
-		for i, n := range ordered {
-			tids[n] = i
-			f.TraceEvents = append(f.TraceEvents, traceEvent{
-				Name: "thread_name", Ph: "M", Pid: pid, Tid: i,
-				Args: map[string]any{"name": threadName(n)},
-			})
-		}
-		for _, sp := range d.Spans {
-			dur := float64(sp.DurNS) / 1e3
-			args := map[string]any{
-				"trace": sp.Trace,
-				"span":  sp.Span,
-				"proc":  d.Process,
-			}
-			if sp.Parent != "" {
-				args["parent"] = sp.Parent
-			}
-			for k, v := range sp.Attrs {
-				args[k] = v
-			}
-			body = append(body, traceEvent{
-				Name: sp.Name, Ph: "X", Pid: pid, Tid: tids[sp.Tid],
-				Ts: float64(sp.StartNS-origin) / 1e3, Dur: &dur, Args: args,
-			})
-		}
-	}
-	// Same deterministic order as WriteTrace: by timestamp, longer spans
-	// first at equal start, then by pid/tid.
-	sort.SliceStable(body, func(a, b int) bool {
-		if body[a].Ts != body[b].Ts {
-			return body[a].Ts < body[b].Ts
-		}
-		da, db := 0.0, 0.0
-		if body[a].Dur != nil {
-			da = *body[a].Dur
-		}
-		if body[b].Dur != nil {
-			db = *body[b].Dur
-		}
-		if da != db {
-			return da > db
-		}
-		if body[a].Pid != body[b].Pid {
-			return body[a].Pid < body[b].Pid
-		}
-		return body[a].Tid < body[b].Tid
-	})
-	f.TraceEvents = append(f.TraceEvents, body...)
-	return json.NewEncoder(w).Encode(f)
-}
-
-func threadName(tid string) string {
-	if tid == "" {
-		return "main"
-	}
-	return tid
 }

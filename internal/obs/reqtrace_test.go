@@ -12,7 +12,7 @@ import (
 )
 
 func TestTraceparentRoundTrip(t *testing.T) {
-	tr := NewTracer("test", 1, 16)
+	tr := NewTracer("test", 1)
 	root := tr.StartRoot("req", "client")
 	sc := root.Context()
 	if !sc.Valid() || !sc.Sampled {
@@ -99,7 +99,7 @@ func TestNilAndUnsampledTracerAreFree(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tr := NewTracer("p", 0, 16) // sample 0: never roots
+	tr := NewTracer("p", 0) // sample 0: never roots
 	if h := tr.StartRoot("x", ""); h.Sampled() {
 		t.Fatal("sample=0 tracer rooted a span")
 	}
@@ -113,7 +113,7 @@ func TestNilAndUnsampledTracerAreFree(t *testing.T) {
 }
 
 func TestHeadSampling(t *testing.T) {
-	tr := NewTracer("p", 4, 1024)
+	tr := NewTracer("p", 4)
 	kept := 0
 	for i := 0; i < 100; i++ {
 		h := tr.StartRoot("req", "")
@@ -131,19 +131,19 @@ func TestHeadSampling(t *testing.T) {
 }
 
 func TestBufferLimitCountsDrops(t *testing.T) {
-	tr := NewTracer("p", 1, 4)
-	for i := 0; i < 10; i++ {
+	tr := NewTracer("p", 1)
+	for i := 0; i < spanLimit+6; i++ {
 		h := tr.StartRoot("req", "")
 		h.End()
 	}
 	d := tr.Dump()
-	if len(d.Spans) != 4 || d.Dropped != 6 {
-		t.Fatalf("dump has %d spans, %d dropped; want 4 and 6", len(d.Spans), d.Dropped)
+	if len(d.Spans) != spanLimit || d.Dropped != 6 {
+		t.Fatalf("dump has %d spans, %d dropped; want %d and 6", len(d.Spans), d.Dropped, spanLimit)
 	}
 }
 
 func TestSpanTreeAndAttrs(t *testing.T) {
-	tr := NewTracer("proxy", 1, 64)
+	tr := NewTracer("proxy", 1)
 	root := tr.StartRoot("request", "client")
 	child := tr.StartSpan(root.Context(), "attempt", "replica:1")
 	child.SetAttr("hedged", "true")
@@ -190,7 +190,7 @@ func TestContextCarriage(t *testing.T) {
 	if sc := SpanFromContext(context.Background()); sc.Valid() {
 		t.Fatal("background context carries a span")
 	}
-	tr := NewTracer("p", 1, 8)
+	tr := NewTracer("p", 1)
 	h := tr.StartRoot("req", "")
 	ctx := ContextWithSpan(context.Background(), h.Context())
 	if got := SpanFromContext(ctx); got != h.Context() {
@@ -199,8 +199,8 @@ func TestContextCarriage(t *testing.T) {
 }
 
 func TestStartServerContinuesOrRoots(t *testing.T) {
-	tr := NewTracer("serve", 1, 64)
-	up := NewTracer("client", 1, 64)
+	tr := NewTracer("serve", 1)
+	up := NewTracer("client", 1)
 	root := up.StartRoot("request", "")
 
 	hdr := http.Header{}
@@ -227,7 +227,7 @@ func TestStartServerContinuesOrRoots(t *testing.T) {
 }
 
 func TestDumpRoundTripAndDebugHandler(t *testing.T) {
-	tr := NewTracer("kproxy", 1, 16)
+	tr := NewTracer("kproxy", 1)
 	h2 := tr.StartRoot("request", "client")
 	h2.End()
 
@@ -258,9 +258,9 @@ func TestDumpRoundTripAndDebugHandler(t *testing.T) {
 // the Chrome trace shape trace-join promises: process/thread metadata,
 // pid = dump order, args carrying trace/span/proc, re-based timestamps.
 func TestJoinTraces(t *testing.T) {
-	client := NewTracer("kload", 1, 16)
-	proxy := NewTracer("kproxy", 1, 16)
-	replica := NewTracer("r0a", 1, 16)
+	client := NewTracer("kload", 1)
+	proxy := NewTracer("kproxy", 1)
+	replica := NewTracer("r0a", 1)
 
 	root := client.StartRoot("request", "client")
 	att := proxy.StartSpan(root.Context(), "attempt", "r0a")
@@ -326,7 +326,7 @@ func TestJoinTraces(t *testing.T) {
 // TestTracerConcurrent exercises rooting, child spans, recording and
 // dumping from many goroutines (run under -race).
 func TestTracerConcurrent(t *testing.T) {
-	tr := NewTracer("p", 2, 4096)
+	tr := NewTracer("p", 2)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"time"
 )
 
 // traceEvent is one entry of the Chrome trace-event format (the JSON array
@@ -28,73 +27,125 @@ type traceFile struct {
 	DisplayTimeUnit string       `json:"displayTimeUnit"`
 }
 
-// WriteTrace exports every recorded span and instant as Chrome trace-event
-// JSON. One trace thread per rank (tid = rank); span args carry the round,
-// the modeled Summit time in microseconds, and the item count, so both the
-// Go wall timeline and the modeled timeline are inspectable in Perfetto.
-// A nil recorder writes a valid empty trace.
-func (r *Recorder) WriteTrace(w io.Writer) error {
-	f := traceFile{TraceEvents: []traceEvent{}, DisplayTimeUnit: "ms"}
-	if r != nil {
-		f.TraceEvents = r.traceEvents()
+// Dump converts the recorded run into the TraceDump JoinTraces reads: one
+// record per span (name = phase, thread "rank N", args round, modeled_us
+// and, when nonzero, items) and one "i" record per instant (args round).
+// Times are unix nanoseconds, like a Tracer's. A nil recorder dumps no
+// records.
+func (r *Recorder) Dump() TraceDump {
+	if r == nil {
+		return TraceDump{Spans: []ReqSpan{}}
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(f)
+	spans, instants := r.Spans(), r.Instants()
+	d := TraceDump{Process: "dedukt", Spans: make([]ReqSpan, 0, len(spans)+len(instants))}
+	epoch := r.epoch.UnixNano()
+	for _, s := range spans {
+		args := map[string]float64{"round": float64(s.Round), "modeled_us": float64(s.Modeled) / 1e3}
+		if s.Items > 0 {
+			args["items"] = float64(s.Items)
+		}
+		d.Spans = append(d.Spans, ReqSpan{
+			Name: s.Phase, Tid: rankThread(s.Rank),
+			StartNS: epoch + int64(s.Start), DurNS: int64(s.Dur), Args: args,
+		})
+	}
+	for _, i := range instants {
+		d.Spans = append(d.Spans, ReqSpan{
+			Name: i.Name, Ph: "i", Tid: rankThread(i.Rank),
+			StartNS: epoch + int64(i.At), Args: map[string]float64{"round": float64(i.Round)},
+		})
+	}
+	return d
 }
 
-func (r *Recorder) traceEvents() []traceEvent {
-	spans := r.Spans()
-	instants := r.Instants()
+func rankThread(rank int) string { return "rank " + strconv.Itoa(rank) }
 
-	ranks := map[int]bool{}
-	for _, s := range spans {
-		ranks[s.Rank] = true
-	}
-	for _, i := range instants {
-		ranks[i.Rank] = true
-	}
-	rankIDs := make([]int, 0, len(ranks))
-	for rk := range ranks {
-		rankIDs = append(rankIDs, rk)
-	}
-	sort.Ints(rankIDs)
+// WriteTrace exports every recorded span and instant as Chrome trace-event
+// JSON, one trace thread per rank, so both the Go wall timeline and the
+// modeled timeline are inspectable in Perfetto. A nil recorder writes a
+// valid empty trace.
+func (r *Recorder) WriteTrace(w io.Writer) error {
+	return JoinTraces(w, []TraceDump{r.Dump()})
+}
 
-	events := make([]traceEvent, 0, len(spans)+len(instants)+len(rankIDs)+1)
-	events = append(events, traceEvent{
-		Name: "process_name", Ph: "M", Pid: 0,
-		Args: map[string]any{"name": "dedukt"},
-	})
-	for _, rk := range rankIDs {
-		events = append(events, traceEvent{
-			Name: "thread_name", Ph: "M", Pid: 0, Tid: rk,
-			Args: map[string]any{"name": "rank " + strconv.Itoa(rk)},
-		})
-	}
-
-	body := make([]traceEvent, 0, len(spans)+len(instants))
-	for _, s := range spans {
-		dur := micros(s.Dur)
-		args := map[string]any{
-			"round":      s.Round,
-			"modeled_us": micros(s.Modeled),
+// JoinTraces merges span dumps — a Recorder's run, or each process's
+// request spans — into one Chrome trace-event JSON document
+// (Perfetto-loadable): pid = dump order from 1, tid = the record's thread
+// within that process, numbered in name order with trailing numbers
+// compared as numbers ("rank 2" before "rank 10"). Every event's args
+// carry the process name, the trace/span/parent IDs a record has, and its
+// string and numeric annotations, so a single request can be filtered
+// across processes by its trace ID. Timestamps are re-based to the
+// earliest record so the trace starts at zero. A dump with no records adds
+// no events.
+func JoinTraces(w io.Writer, dumps []TraceDump) error {
+	var origin int64
+	first := true
+	for _, d := range dumps {
+		for _, sp := range d.Spans {
+			if first || sp.StartNS < origin {
+				origin = sp.StartNS
+				first = false
+			}
 		}
-		if s.Items > 0 {
-			args["items"] = s.Items
-		}
-		body = append(body, traceEvent{
-			Name: s.Phase, Ph: "X", Pid: 0, Tid: s.Rank,
-			Ts: micros(s.Start), Dur: &dur, Args: args,
-		})
 	}
-	for _, i := range instants {
-		body = append(body, traceEvent{
-			Name: i.Name, Ph: "i", Pid: 0, Tid: i.Rank,
-			Ts: micros(i.At), S: "t",
-			Args: map[string]any{"round": i.Round},
+
+	f := traceFile{TraceEvents: []traceEvent{}, DisplayTimeUnit: "ms"}
+	var body []traceEvent
+	for pi, d := range dumps {
+		if len(d.Spans) == 0 {
+			continue
+		}
+		pid := pi + 1
+		f.TraceEvents = append(f.TraceEvents, traceEvent{
+			Name: "process_name", Ph: "M", Pid: pid,
+			Args: map[string]any{"name": d.Process},
 		})
+		names := map[string]bool{}
+		for _, sp := range d.Spans {
+			names[sp.Tid] = true
+		}
+		ordered := make([]string, 0, len(names))
+		for n := range names {
+			ordered = append(ordered, n)
+		}
+		sort.Slice(ordered, func(a, b int) bool { return threadLess(ordered[a], ordered[b]) })
+		tids := make(map[string]int, len(ordered))
+		for i, n := range ordered {
+			tids[n] = i
+			f.TraceEvents = append(f.TraceEvents, traceEvent{
+				Name: "thread_name", Ph: "M", Pid: pid, Tid: i,
+				Args: map[string]any{"name": threadName(n)},
+			})
+		}
+		for _, sp := range d.Spans {
+			args := map[string]any{"proc": d.Process}
+			for _, id := range [...][2]string{{"trace", sp.Trace}, {"span", sp.Span}, {"parent", sp.Parent}} {
+				if id[1] != "" {
+					args[id[0]] = id[1]
+				}
+			}
+			for k, v := range sp.Attrs {
+				args[k] = v
+			}
+			for k, v := range sp.Args {
+				args[k] = v
+			}
+			ev := traceEvent{
+				Name: sp.Name, Ph: "X", Pid: pid, Tid: tids[sp.Tid],
+				Ts: float64(sp.StartNS-origin) / 1e3, Args: args,
+			}
+			if sp.Ph == "i" {
+				ev.Ph, ev.S = "i", "t"
+			} else {
+				dur := float64(sp.DurNS) / 1e3
+				ev.Dur = &dur
+			}
+			body = append(body, ev)
+		}
 	}
 	// Deterministic order: by timestamp, longer spans first at equal start
-	// so enclosing spans precede nested ones, then by rank.
+	// so enclosing spans precede nested ones, then by pid/tid.
 	sort.SliceStable(body, func(a, b int) bool {
 		if body[a].Ts != body[b].Ts {
 			return body[a].Ts < body[b].Ts
@@ -109,11 +160,39 @@ func (r *Recorder) traceEvents() []traceEvent {
 		if da != db {
 			return da > db
 		}
+		if body[a].Pid != body[b].Pid {
+			return body[a].Pid < body[b].Pid
+		}
 		return body[a].Tid < body[b].Tid
 	})
-	return append(events, body...)
+	f.TraceEvents = append(f.TraceEvents, body...)
+	return json.NewEncoder(w).Encode(f)
 }
 
-func micros(d time.Duration) float64 {
-	return float64(d.Nanoseconds()) / 1e3
+func threadName(tid string) string {
+	if tid == "" {
+		return "main"
+	}
+	return tid
+}
+
+// threadLess orders thread names by name, except that two names differing
+// only in a trailing number compare by that number.
+func threadLess(a, b string) bool {
+	pa, na, oka := trailingNumber(a)
+	pb, nb, okb := trailingNumber(b)
+	if oka && okb && pa == pb {
+		return na < nb
+	}
+	return a < b
+}
+
+// trailingNumber splits s into a prefix and the decimal number ending it.
+func trailingNumber(s string) (string, uint64, bool) {
+	i := len(s)
+	for i > 0 && s[i-1] >= '0' && s[i-1] <= '9' {
+		i--
+	}
+	n, err := strconv.ParseUint(s[i:], 10, 64)
+	return s[:i], n, err == nil
 }

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -133,5 +134,71 @@ func TestWriteTraceNil(t *testing.T) {
 	}
 	if evs, ok := f["traceEvents"].([]any); !ok || len(evs) != 0 {
 		t.Fatalf("nil-recorder trace events = %v, want empty array", f["traceEvents"])
+	}
+}
+
+// TestJoinTracesRecorderRanks sends a 12-rank run through Dump and
+// JoinTraces: threads are numbered in rank order ("rank 10" after
+// "rank 9"), instants stay thread-scoped "i" events, and the span args
+// stay JSON numbers.
+func TestJoinTracesRecorderRanks(t *testing.T) {
+	const ranks = 12
+	rec := NewRecorder(ranks)
+	for rank := ranks - 1; rank >= 0; rank-- {
+		sh := rec.shard(rank)
+		at := time.Duration(rank) * time.Microsecond
+		sh.spans = append(sh.spans, Span{
+			Rank: rank, Round: 2, Phase: PhaseCount,
+			Start: at, Dur: 5 * time.Microsecond, Modeled: 1500 * time.Nanosecond, Items: uint64(rank + 1),
+		})
+		sh.instants = append(sh.instants, Instant{Rank: rank, Round: 2, Name: EvCkpt, At: at + time.Microsecond})
+	}
+	var buf bytes.Buffer
+	if err := JoinTraces(&buf, []TraceDump{rec.Dump()}); err != nil {
+		t.Fatal(err)
+	}
+	var f struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Tid  int            `json:"tid"`
+			Ts   float64        `json:"ts"`
+			S    string         `json:"s"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
+		t.Fatal(err)
+	}
+	threads := 0
+	var spans, instants int
+	for _, ev := range f.TraceEvents {
+		switch {
+		case ev.Ph == "M" && ev.Name == "thread_name":
+			if want := "rank " + strconv.Itoa(ev.Tid); ev.Args["name"] != want {
+				t.Errorf("tid %d is %v, want %s", ev.Tid, ev.Args["name"], want)
+			}
+			threads++
+		case ev.Ph == "X":
+			spans++
+			// Rank r's span starts r µs after rank 0's and counts r+1 items.
+			if want := float64(ev.Tid); ev.Ts != want || ev.Args["items"] != want+1 {
+				t.Errorf("span on tid %d at ts %v with items %v: not rank %d's", ev.Tid, ev.Ts, ev.Args["items"], ev.Tid)
+			}
+			if ev.Args["round"] != 2.0 || ev.Args["modeled_us"] != 1.5 {
+				t.Errorf("span args %v, want numeric round 2 and modeled_us 1.5", ev.Args)
+			}
+			if _, ok := ev.Args["trace"]; ok {
+				t.Errorf("run span carries an empty trace id: %v", ev.Args)
+			}
+		case ev.Ph == "i":
+			instants++
+			if ev.S != "t" || ev.Name != EvCkpt || ev.Ts != float64(ev.Tid)+1 || ev.Args["round"] != 2.0 {
+				t.Errorf("instant %+v, want thread-scoped %s on its rank at round 2", ev, EvCkpt)
+			}
+		}
+	}
+	if threads != ranks || spans != ranks || instants != ranks {
+		t.Fatalf("threads=%d spans=%d instants=%d, want %d each", threads, spans, instants, ranks)
 	}
 }

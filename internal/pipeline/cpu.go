@@ -29,7 +29,7 @@ func cpuParseKmers(cfg Config, _ []uint16, nProc int, data []byte, prev [][]uint
 		}
 		out[i] = row[:h]
 	}
-	k, enc := cfg.K, cfg.Enc
+	k, enc, mask := cfg.K, cfg.Enc, uint64(dna.KmerMask(cfg.K))
 	var kw uint64
 	valid := 0
 	m.AddBytes(len(data)) // one streaming read of the partition
@@ -40,7 +40,7 @@ func cpuParseKmers(cfg Config, _ []uint16, nProc int, data []byte, prev [][]uint
 			valid = 0
 			continue
 		}
-		kw = (kw<<2 | uint64(code)) & kmerMask(k)
+		kw = (kw<<2 | uint64(code)) & mask
 		m.AddOps(kernels.OpsKmerRoll)
 		valid++
 		if valid < k {
@@ -181,7 +181,7 @@ func countOne(table *kcount.Table, key uint64, m *kernels.WorkMeter) {
 // never a panic.
 func cpuCountSupermers(cfg Config, table *kcount.Table, parts [][]byte) (work, error) {
 	wire := kernels.SupermerWire{K: cfg.K, Window: cfg.Window}
-	stride, mask := wire.Stride(), kmerMask(cfg.K)
+	stride, mask := wire.Stride(), uint64(dna.KmerMask(cfg.K))
 	images := 0
 	for _, recv := range parts {
 		n, err := wire.Count(recv)
@@ -218,11 +218,4 @@ func cpuCountSupermers(cfg Config, table *kcount.Table, parts [][]byte) (work, e
 		}
 		return nil
 	})
-}
-
-func kmerMask(k int) uint64 {
-	if k >= 32 {
-		return ^uint64(0)
-	}
-	return (uint64(1) << (2 * uint(k))) - 1
 }

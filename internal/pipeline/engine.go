@@ -203,12 +203,10 @@ const (
 // sliceOdds is how many keys lie outside the sample for each one inside it.
 const sliceOdds = 15
 
-// has reports whether the pass inserts key. The sample is the keys whose
-// multiplicative hash has its top four bits clear: one multiply, independent
-// of the hashes that route a key to its rank and to its slot. It is the
-// slice kernels.ParseKmers ships first in every part.
+// has reports whether the pass inserts key. The sample is kernels.InSample's
+// slice, the one kernels.ParseKmers ships first in every part.
 func (s keySlice) has(key uint64) bool {
-	return s == allKeys || (key*0x9e3779b97f4a7c15>>60 == 0) == (s == sampleKeys)
+	return s == allKeys || kernels.InSample(key) == (s == sampleKeys)
 }
 
 // gpuEngine is the GPU pipeline: the simulated device, the fixed-capacity

@@ -538,7 +538,7 @@ func FuzzGPUCount(f *testing.F) {
 		}
 		key := func() uint64 {
 			for {
-				key := rng.Uint64() & kmerMask(k)
+				key := rng.Uint64() & uint64(dna.KmerMask(k))
 				if in := sampleKeys.has(key); mix%3 == 0 || in == (mix%3 == 1) {
 					return key
 				}

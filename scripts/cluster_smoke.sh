@@ -37,7 +37,7 @@ cleanup() {
     for p in $pids; do kill "$p" 2>/dev/null || true; done
     for p in $pids; do wait "$p" 2>/dev/null || true; done
     rm -rf "$bin"
-    [ "$keep" = 0 ] && rm -rf "$out"
+    if [ "$keep" = 0 ]; then rm -rf "$out"; fi
 }
 trap cleanup EXIT INT TERM
 

@@ -17,7 +17,7 @@ if [ -z "${RECOVER_SMOKE_OUT:-}" ]; then
 fi
 mkdir -p "$RECOVER_SMOKE_OUT"
 cleanup() {
-    [ "$keep" = 0 ] && rm -rf "$RECOVER_SMOKE_OUT"
+    if [ "$keep" = 0 ]; then rm -rf "$RECOVER_SMOKE_OUT"; fi
 }
 trap cleanup EXIT INT TERM
 

@@ -16,7 +16,7 @@ if [ -z "${SPILL_SMOKE_OUT:-}" ]; then
 fi
 mkdir -p "$SPILL_SMOKE_OUT"
 cleanup() {
-    [ "$keep" = 0 ] && rm -rf "$SPILL_SMOKE_OUT"
+    if [ "$keep" = 0 ]; then rm -rf "$SPILL_SMOKE_OUT"; fi
 }
 trap cleanup EXIT INT TERM
 

@@ -15,7 +15,7 @@ if [ -z "${STREAM_SMOKE_OUT:-}" ]; then
 fi
 mkdir -p "$STREAM_SMOKE_OUT"
 cleanup() {
-    [ "$keep" = 0 ] && rm -rf "$STREAM_SMOKE_OUT"
+    if [ "$keep" = 0 ]; then rm -rf "$STREAM_SMOKE_OUT"; fi
 }
 trap cleanup EXIT INT TERM
 

@@ -13,7 +13,7 @@ if [ -z "${TRACE_SMOKE_OUT:-}" ]; then
 fi
 mkdir -p "$TRACE_SMOKE_OUT"
 cleanup() {
-    [ "$keep" = 0 ] && rm -rf "$TRACE_SMOKE_OUT"
+    if [ "$keep" = 0 ]; then rm -rf "$TRACE_SMOKE_OUT"; fi
 }
 trap cleanup EXIT INT TERM
 
