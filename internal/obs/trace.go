@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // traceEvent is one entry of the Chrome trace-event format (the JSON array
@@ -71,13 +72,14 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 // JoinTraces merges span dumps — a Recorder's run, or each process's
 // request spans — into one Chrome trace-event JSON document
 // (Perfetto-loadable): pid = dump order from 1, tid = the record's thread
-// within that process, numbered in name order with trailing numbers
-// compared as numbers ("rank 2" before "rank 10"). Every event's args
-// carry the process name, the trace/span/parent IDs a record has, and its
-// string and numeric annotations, so a single request can be filtered
-// across processes by its trace ID. Timestamps are re-based to the
-// earliest record so the trace starts at zero. A dump with no records adds
-// no events.
+// within that process, numbered in the order threadLess gives ("rank 2"
+// before "rank 10"). Every event's args carry the process name, the
+// trace/span/parent IDs a record has, and its string and numeric
+// annotations, so a single request can be filtered across processes by
+// its trace ID. Timestamps are re-based to the earliest record so the
+// trace starts at zero. A dump that names a process keeps its process row
+// even with no records (an idle replica still shows); a dump with neither
+// a process nor records — a nil Recorder's — adds no events.
 func JoinTraces(w io.Writer, dumps []TraceDump) error {
 	var origin int64
 	first := true
@@ -93,7 +95,7 @@ func JoinTraces(w io.Writer, dumps []TraceDump) error {
 	f := traceFile{TraceEvents: []traceEvent{}, DisplayTimeUnit: "ms"}
 	var body []traceEvent
 	for pi, d := range dumps {
-		if len(d.Spans) == 0 {
+		if d.Process == "" && len(d.Spans) == 0 {
 			continue
 		}
 		pid := pi + 1
@@ -176,23 +178,32 @@ func threadName(tid string) string {
 	return tid
 }
 
-// threadLess orders thread names by name, except that two names differing
-// only in a trailing number compare by that number.
+// threadLess orders thread names by their prefix before a trailing
+// number, then by that number (a name with none first), then by the whole
+// name. Each key is a total order, so the tuple is one too: "rank 9" <
+// "rank 10" < "rank 1x", and "a1" and "a01" keep one order from run to run.
 func threadLess(a, b string) bool {
-	pa, na, oka := trailingNumber(a)
-	pb, nb, okb := trailingNumber(b)
-	if oka && okb && pa == pb {
+	pa, na := splitNumber(a)
+	pb, nb := splitNumber(b)
+	if pa != pb {
+		return pa < pb
+	}
+	if len(na) != len(nb) {
+		return len(na) < len(nb)
+	}
+	if na != nb {
 		return na < nb
 	}
 	return a < b
 }
 
-// trailingNumber splits s into a prefix and the decimal number ending it.
-func trailingNumber(s string) (string, uint64, bool) {
+// splitNumber splits s into a prefix and the decimal digits ending it,
+// leading zeros dropped, so digit strings compare as numbers of any length
+// by (length, text).
+func splitNumber(s string) (prefix, digits string) {
 	i := len(s)
 	for i > 0 && s[i-1] >= '0' && s[i-1] <= '9' {
 		i--
 	}
-	n, err := strconv.ParseUint(s[i:], 10, 64)
-	return s[:i], n, err == nil
+	return s[:i], strings.TrimLeft(s[i:], "0")
 }

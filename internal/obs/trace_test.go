@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -200,5 +201,79 @@ func TestJoinTracesRecorderRanks(t *testing.T) {
 	}
 	if threads != ranks || spans != ranks || instants != ranks {
 		t.Fatalf("threads=%d spans=%d instants=%d, want %d each", threads, spans, instants, ranks)
+	}
+}
+
+// TestJoinTracesThreadOrder pins the thread order for names the rank rule
+// alone leaves open: a number compares as a number only under the same
+// prefix ("x1y" has none, so its prefix sorts after "x"), and names equal
+// as numbers ("a1", "a01") fall back to the whole name, so the tids do not
+// follow map iteration order from one join to the next.
+func TestJoinTracesThreadOrder(t *testing.T) {
+	want := []string{"a01", "a1", "a2", "x9", "x10", "x1y"}
+	var d TraceDump
+	d.Process = "p"
+	for _, i := range []int{5, 1, 3, 0, 4, 2} {
+		d.Spans = append(d.Spans, ReqSpan{Name: "s", Tid: want[i], StartNS: int64(i)})
+	}
+	for run := 0; run < 20; run++ {
+		var buf bytes.Buffer
+		if err := JoinTraces(&buf, []TraceDump{d}); err != nil {
+			t.Fatal(err)
+		}
+		var f struct {
+			TraceEvents []struct {
+				Name string         `json:"name"`
+				Tid  int            `json:"tid"`
+				Args map[string]any `json:"args"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, ev := range f.TraceEvents {
+			if ev.Name == "thread_name" {
+				if ev.Tid != len(got) {
+					t.Fatalf("thread %v has tid %d, want %d", ev.Args["name"], ev.Tid, len(got))
+				}
+				got = append(got, ev.Args["name"].(string))
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("join %d: threads %v, want %v", run, got, want)
+		}
+	}
+}
+
+// TestJoinTracesIdleProcess keeps the process row of a dump with a name and
+// no records (an idle replica), so pids and process counts match the dumps
+// given; only a nameless empty dump, a nil Recorder's, adds nothing.
+func TestJoinTracesIdleProcess(t *testing.T) {
+	busy := TraceDump{Process: "kproxy", Spans: []ReqSpan{{Name: "s", Tid: "http", DurNS: 1}}}
+	idle := TraceDump{Process: "r1a"}
+	var nilRec *Recorder
+	var buf bytes.Buffer
+	if err := JoinTraces(&buf, []TraceDump{busy, nilRec.Dump(), idle}); err != nil {
+		t.Fatal(err)
+	}
+	var f struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Pid  int            `json:"pid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
+		t.Fatal(err)
+	}
+	procs := map[int]any{}
+	for _, ev := range f.TraceEvents {
+		if ev.Name == "process_name" {
+			procs[ev.Pid] = ev.Args["name"]
+		}
+	}
+	if len(procs) != 2 || procs[1] != "kproxy" || procs[3] != "r1a" {
+		t.Fatalf("process rows %v, want pid 1 kproxy and pid 3 r1a", procs)
 	}
 }
