@@ -8,9 +8,9 @@ all: build test
 
 # The full gate CI runs: build, formatting/vet lint, race-enabled tests,
 # every fuzz target over its seed corpus, the separately built benchmark
-# module, and the serving-, cluster-, tracing-, streaming-, recovery- and
-# spill-layer smoke tests.
-ci: build lint race fuzz-seeds bench-build serve-smoke cluster-smoke trace-smoke stream-smoke recover-smoke spill-smoke
+# module, the example programs, and the serving-, cluster-, tracing-,
+# streaming-, recovery- and spill-layer smoke tests.
+ci: build lint race fuzz-seeds bench-build examples serve-smoke cluster-smoke trace-smoke stream-smoke recover-smoke spill-smoke
 
 build:
 	$(GO) build ./...
@@ -112,6 +112,8 @@ spill-smoke:
 experiments:
 	$(GO) run ./cmd/experiments -run all
 
+# Run the example programs (about 3 s together): they build their Configs
+# by hand, so they are the first callers a stricter Validate would refuse.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/metagenome

@@ -80,13 +80,9 @@ func main() {
 	if len(replicas) == 0 {
 		log.Fatal("at least one -replica address is required")
 	}
-	enc := &dna.Random
-	switch *encoding {
-	case "random":
-	case "lex":
-		enc = &dna.Lexicographic
-	default:
-		log.Fatalf("unknown encoding %q", *encoding)
+	enc, err := dna.EncodingByName(*encoding)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	reg, err := kcluster.NewRegistry(kcluster.RegistryOptions{

@@ -61,13 +61,9 @@ func main() {
 		log.Fatal("at least one -kcd database is required")
 	}
 
-	enc := &dna.Random
-	switch *encoding {
-	case "random":
-	case "lex":
-		enc = &dna.Lexicographic
-	default:
-		log.Fatalf("unknown encoding %q", *encoding)
+	enc, err := dna.EncodingByName(*encoding)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	db, err := kserve.LoadDatabases(kcds)

@@ -23,8 +23,6 @@
 package dedukt
 
 import (
-	"io"
-
 	"dedukt/internal/cluster"
 	"dedukt/internal/dna"
 	"dedukt/internal/fastq"
@@ -65,6 +63,15 @@ type (
 	// InputFile fingerprints one input path (path and size) so a
 	// checkpoint refuses to resume over changed inputs.
 	InputFile = recov.InputFile
+	// Entry names the call Validate checks options for.
+	Entry = pipeline.Entry
+)
+
+// Entry points, for Validate.
+const (
+	ForCount       = pipeline.InMemory
+	ForCountStream = pipeline.Streaming
+	ForResume      = pipeline.Resuming
 )
 
 // Exchange modes.
@@ -94,6 +101,7 @@ func DefaultOptions(nodes int) Options {
 // Count runs the distributed counting pipeline over the reads and returns
 // the global result. Counting is bit-exact (validated against a serial
 // oracle); timing is Summit-projected by the calibrated cost models.
+// Streaming-only options (MemBudgetBytes, checkpointing) are refused.
 func Count(reads []Read, opts Options) (*Result, error) {
 	return pipeline.Run(opts, reads)
 }
@@ -134,17 +142,7 @@ func ReadFile(path string) ([]Read, error) {
 		return nil, err
 	}
 	defer r.Close()
-	var out []Read
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rec.Clone())
-	}
+	return fastq.Drain(r)
 }
 
 // Datasets returns the scaled synthetic equivalents of the paper's Table I.
@@ -167,8 +165,9 @@ func OrderingByName(name string) (minimizer.Ordering, error) {
 	return minimizer.ByName(name, &dna.Random)
 }
 
-// Validate checks opts without running anything.
-func Validate(opts Options) error { return opts.Validate() }
+// Validate checks opts for the given entry point without running anything:
+// the options it accepts, that entry point runs.
+func Validate(opts Options, entry Entry) error { return opts.Validate(entry) }
 
 // Version identifies this reproduction.
 const Version = "1.0.0"

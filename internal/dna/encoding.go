@@ -74,6 +74,16 @@ var (
 // Name returns the encoding's short identifier ("lex" or "random").
 func (e *Encoding) Name() string { return e.name }
 
+// EncodingByName returns the encoding whose Name is name.
+func EncodingByName(name string) (*Encoding, error) {
+	for _, e := range []*Encoding{&Random, &Lexicographic} {
+		if e.name == name {
+			return e, nil
+		}
+	}
+	return nil, fmt.Errorf("dna: unknown encoding %q (want random or lex)", name)
+}
+
 // Encode converts an ASCII base (either case) to its 2-bit code.
 // ok is false for any non-ACGT character (including 'N' and the read
 // separator), in which case code is 0.

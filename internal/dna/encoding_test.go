@@ -114,3 +114,15 @@ func TestEncodeSeqQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestEncodingByName(t *testing.T) {
+	for _, e := range []*Encoding{&Lexicographic, &Random} {
+		got, err := EncodingByName(e.Name())
+		if err != nil || got != e {
+			t.Errorf("EncodingByName(%q) = %v, %v; want %v", e.Name(), got, err, e)
+		}
+	}
+	if _, err := EncodingByName("ascii"); err == nil {
+		t.Error("EncodingByName accepted an unknown name")
+	}
+}

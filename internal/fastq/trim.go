@@ -50,16 +50,3 @@ func TrimQuality(rec Record, minQ int) Record {
 	}
 	return Record{ID: rec.ID, Seq: rec.Seq[start:end], Qual: rec.Qual[start:end]}
 }
-
-// TrimAll quality-trims every record and drops reads shorter than minLen
-// afterwards, returning the survivors.
-func TrimAll(reads []Record, minQ, minLen int) []Record {
-	out := reads[:0:0]
-	for _, r := range reads {
-		t := TrimQuality(r, minQ)
-		if len(t.Seq) >= minLen {
-			out = append(out, t)
-		}
-	}
-	return out
-}

@@ -48,12 +48,7 @@ func TestBalancedPartitionCPU(t *testing.T) {
 }
 
 func TestBalancedPartitionValidation(t *testing.T) {
-	cfg := Default(smallGPULayout(1), KmerMode)
-	cfg.BalancedPartition = true
-	if _, err := Run(cfg, nil); err == nil {
-		t.Fatal("balanced partitioning in kmer mode should be rejected")
-	}
-	cfg = Default(smallGPULayout(1), SupermerMode)
+	cfg := Default(smallGPULayout(1), SupermerMode)
 	cfg.BalancedPartition = true
 	cfg.M = 13
 	if _, err := Run(cfg, nil); err == nil {

@@ -16,6 +16,8 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"dedukt/internal/cluster"
@@ -40,16 +42,16 @@ const (
 	SupermerMode
 )
 
-func (m Mode) String() string {
-	switch m {
-	case KmerMode:
-		return "kmer"
-	case SupermerMode:
-		return "supermer"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
+// modeNames and exchangeNames are the names String prints and
+// UnmarshalText (the -mode and -exchange flag values) parses.
+var (
+	modeNames     = []string{KmerMode: "kmer", SupermerMode: "supermer"}
+	exchangeNames = []string{ExchangeFlat: "flat", ExchangeHier: "hier"}
+)
+
+func (m Mode) String() string                { return nameOf(modeNames, int(m), "Mode") }
+func (m Mode) MarshalText() ([]byte, error)  { return []byte(m.String()), nil }
+func (m *Mode) UnmarshalText(b []byte) error { return parseName((*int)(m), b, modeNames, "mode") }
 
 // Exchange selects the exchange strategy (see internal/pipeline/exchange.go
 // and exchange_hier.go). Strategies are bit-identical in results; they
@@ -69,27 +71,27 @@ const (
 	ExchangeHier
 )
 
-func (e Exchange) String() string {
-	switch e {
-	case ExchangeFlat:
-		return "flat"
-	case ExchangeHier:
-		return "hier"
-	default:
-		return fmt.Sprintf("Exchange(%d)", int(e))
-	}
+func (e Exchange) String() string               { return nameOf(exchangeNames, int(e), "Exchange") }
+func (e Exchange) MarshalText() ([]byte, error) { return []byte(e.String()), nil }
+func (e *Exchange) UnmarshalText(b []byte) error {
+	return parseName((*int)(e), b, exchangeNames, "exchange strategy")
 }
 
-// ParseExchange parses an -exchange flag value.
-func ParseExchange(s string) (Exchange, error) {
-	switch s {
-	case "flat":
-		return ExchangeFlat, nil
-	case "hier":
-		return ExchangeHier, nil
-	default:
-		return 0, fmt.Errorf("pipeline: unknown exchange strategy %q (want flat or hier)", s)
+// nameOf returns names[i], or typ(i) for a value with no name.
+func nameOf(names []string, i int, typ string) string {
+	if i >= 0 && i < len(names) {
+		return names[i]
 	}
+	return fmt.Sprintf("%s(%d)", typ, i)
+}
+
+// parseName sets *dst to the index of the name b.
+func parseName(dst *int, b []byte, names []string, what string) error {
+	if i := slices.Index(names, string(b)); i >= 0 {
+		*dst = i
+		return nil
+	}
+	return fmt.Errorf("pipeline: unknown %s %q (want %s)", what, b, strings.Join(names, " or "))
 }
 
 // Config parameterizes one pipeline run.
@@ -116,7 +118,7 @@ type Config struct {
 	// GPUDirect, when true, models GPUDirect communication (§III-B.2):
 	// payloads move NIC↔GPU directly and the host staging legs are skipped
 	// entirely — no stage_h2d spans appear in traces and the modeled
-	// staging time drops to zero.
+	// staging time drops to zero. GPU layouts only.
 	GPUDirect bool
 	// Overlap, when true, runs each rank's round loop as a double-buffered
 	// pipeline: round r's exchange is posted with nonblocking collectives
@@ -150,8 +152,8 @@ type Config struct {
 	// itemization). The counter tables are excluded: they hold the
 	// output spectrum, which no out-of-core counting scheme can bound
 	// without spilling. 0 defaults to DefaultMemBudget; when RoundBases
-	// is also set, the tighter of the two caps applies. Ignored by the
-	// in-memory Run.
+	// is also set, the tighter of the two caps applies. Streaming runs
+	// only: the in-memory Run refuses it.
 	MemBudgetBytes int64
 	// KeepTables retains each rank's counted table in Result.Tables (they
 	// are discarded by default: at scale they dominate memory). Downstream
@@ -164,7 +166,7 @@ type Config struct {
 	// their k-mer load and LPT-assigned to ranks, implementing the
 	// "better partitioning algorithm that maintains the locality and at
 	// the same time partitions data evenly" the paper leaves as future
-	// work (§VII). Requires m ≤ 12.
+	// work (§VII). Requires m ≤ 12 and the in-memory Run.
 	BalancedPartition bool
 	// Fault configures the deterministic fault injector (see
 	// internal/fault): seeded kill/straggler/drop/corrupt events against
@@ -216,9 +218,10 @@ const (
 	maxSpillBins     = 4096
 )
 
-// bins returns the effective bin count.
+// bins returns the effective bin count, 0 when spilling is off (the
+// Result convention: SpillBins echoes the mode).
 func (c SpillConfig) bins() int {
-	if c.Bins == 0 {
+	if c.Bins == 0 && c.Dir != "" {
 		return defaultSpillBins
 	}
 	return c.Bins
@@ -232,7 +235,8 @@ type CkptConfig struct {
 	// rank death triggers shrink recovery instead of failing the run.
 	// Empty disables the subsystem.
 	Dir string
-	// Every is the checkpoint period in rounds (default 4).
+	// Every is the checkpoint period in rounds (default 4). Like
+	// NoShrink, it needs Dir.
 	Every int
 	// NoShrink disables the shrink-recovery path while keeping periodic
 	// checkpoints: a rank death fails the run (resumable offline via
@@ -256,8 +260,62 @@ func (c CkptConfig) every() int {
 	return c.Every
 }
 
-// Validate checks the configuration.
-func (c Config) Validate() error {
+// Entry names the call a configuration is validated for: which settings
+// combine can depend on whether the input is preloaded, streamed, or
+// resumed from a checkpoint.
+type Entry int
+
+const (
+	// InMemory is Run over preloaded reads.
+	InMemory Entry = iota
+	// Streaming is RunStream over a read source.
+	Streaming
+	// Resuming is ResumeStream continuing a checkpoint.
+	Resuming
+)
+
+// combinations is every rule about which Config settings combine and which
+// entry point a combination needs (DESIGN.md, "Valid configurations"): a
+// configuration for which a row's refused reports true is rejected with its
+// reason. Validate walks it, and nothing else in the pipeline refuses a
+// combination: a configuration it accepts runs. Each row is the reason for
+// at least one rejection in TestAllVariantsMatchOracle, which runs every
+// combination it accepts against the serial oracle.
+var combinations = []struct {
+	refused func(c *Config, e Entry) bool
+	reason  string
+}{
+	{func(c *Config, _ Entry) bool { return c.Canonical && c.Mode != KmerMode },
+		"canonical counting is supported in kmer mode only"},
+	{func(c *Config, _ Entry) bool { return c.BalancedPartition && c.Mode != SupermerMode },
+		"balanced partitioning applies to supermer mode only"},
+	{func(c *Config, e Entry) bool { return c.BalancedPartition && e != InMemory },
+		"balanced partitioning profiles the whole input before counting and cannot stream; preload the reads and use Run"},
+	{func(c *Config, _ Entry) bool { return c.GPUDirect && c.Layout.GPU == nil },
+		"GPUDirect models NIC-to-GPU transfers and needs a GPU layout"},
+	{func(c *Config, e Entry) bool { return c.MemBudgetBytes != 0 && e == InMemory },
+		"MemBudgetBytes bounds a streaming run; the in-memory Run holds its whole input (cap its rounds with RoundBases)"},
+	{func(c *Config, e Entry) bool { return c.Ckpt.Dir == "" && e == Resuming },
+		"ResumeStream needs Ckpt.Dir"},
+	{func(c *Config, _ Entry) bool { return c.Ckpt.Dir == "" && (c.Ckpt.Every != 0 || c.Ckpt.NoShrink) },
+		"Ckpt.Every and Ckpt.NoShrink configure checkpointing and need Ckpt.Dir"},
+	{func(c *Config, e Entry) bool { return c.Ckpt.Dir != "" && e == InMemory },
+		"checkpointing needs the streaming cursor protocol; use RunStream"},
+	{func(c *Config, _ Entry) bool { return c.Ckpt.Dir != "" && c.Ckpt.Reopen == nil },
+		"checkpointing requires Ckpt.Reopen (recovery re-feeds the source)"},
+	{func(c *Config, _ Entry) bool { return c.Spill.Bins != 0 && c.Spill.Dir == "" },
+		"Spill.Bins set without Spill.Dir"},
+	{func(c *Config, _ Entry) bool { return c.Spill.Dir != "" && c.KeepTables },
+		"spill counting cannot keep per-rank tables (the full-spectrum table is exactly what spilling avoids)"},
+	{func(c *Config, _ Entry) bool { return c.Spill.Dir != "" && c.Ckpt.Dir != "" },
+		"spill counting and checkpointing are mutually exclusive (checkpoints persist the in-memory spectrum slice spilling never builds)"},
+	{func(c *Config, _ Entry) bool { return c.Fault.FatalKill && c.Fault.FatalRank >= c.Layout.Ranks() },
+		"the fatal kill targets a rank outside the world"},
+}
+
+// Validate checks the configuration for the given entry point: each
+// setting's own range first, then every row of combinations.
+func (c Config) Validate(e Entry) error {
 	if err := c.Layout.Validate(); err != nil {
 		return err
 	}
@@ -268,9 +326,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("pipeline: k=%d outside (0,%d]", c.K, dna.MaxK)
 	}
 	if c.Mode == SupermerMode {
-		if c.Canonical {
-			return fmt.Errorf("pipeline: canonical counting is supported in kmer mode only")
-		}
 		mc := c.minimizerConfig()
 		if err := mc.Validate(); err != nil {
 			return err
@@ -281,9 +336,6 @@ func (c Config) Validate() error {
 		if c.BalancedPartition && c.M > 12 {
 			return fmt.Errorf("pipeline: balanced partitioning requires m ≤ 12 (got %d)", c.M)
 		}
-	}
-	if c.BalancedPartition && c.Mode != SupermerMode {
-		return fmt.Errorf("pipeline: balanced partitioning applies to supermer mode only")
 	}
 	if c.RoundBases < 0 {
 		return fmt.Errorf("pipeline: negative RoundBases %d", c.RoundBases)
@@ -314,21 +366,12 @@ func (c Config) Validate() error {
 	if c.Ckpt.Every < 0 {
 		return fmt.Errorf("pipeline: negative checkpoint period %d", c.Ckpt.Every)
 	}
-	if c.Ckpt.Dir != "" && c.Ckpt.Reopen == nil {
-		return fmt.Errorf("pipeline: checkpointing requires Ckpt.Reopen (recovery re-feeds the source)")
-	}
 	if c.Spill.Bins < 0 || c.Spill.Bins > maxSpillBins {
 		return fmt.Errorf("pipeline: spill bins %d outside [0,%d]", c.Spill.Bins, maxSpillBins)
 	}
-	if c.Spill.Bins > 0 && c.Spill.Dir == "" {
-		return fmt.Errorf("pipeline: Spill.Bins set without Spill.Dir")
-	}
-	if c.Spill.Dir != "" {
-		if c.KeepTables {
-			return fmt.Errorf("pipeline: spill counting cannot keep per-rank tables (the full-spectrum table is exactly what spilling avoids)")
-		}
-		if c.Ckpt.Dir != "" {
-			return fmt.Errorf("pipeline: spill counting and checkpointing are mutually exclusive (checkpoints persist the in-memory spectrum slice spilling never builds)")
+	for _, rule := range combinations {
+		if rule.refused(&c, e) {
+			return fmt.Errorf("pipeline: %s", rule.reason)
 		}
 	}
 	return nil
@@ -409,6 +452,7 @@ func Default(layout cluster.Layout, mode Mode) Config {
 		K:      17,
 		M:      7,
 		Window: 15,
+		Ord:    minimizer.Value{},
 	}
 }
 

@@ -113,7 +113,7 @@ func TestHierRaggedWorld(t *testing.T) {
 
 	cfg := Default(layout, SupermerMode)
 	cfg.Exchange = ExchangeHier
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.Validate(InMemory); err != nil {
 		t.Fatalf("Validate rejected a ragged hier world: %v", err)
 	}
 	res, err := Run(cfg, reads)
@@ -176,23 +176,35 @@ func TestGPUDirectElidesStageSpans(t *testing.T) {
 	}
 }
 
-// TestParseExchange pins the flag surface and Validate's strategy check.
-func TestParseExchange(t *testing.T) {
-	for s, want := range map[string]Exchange{"flat": ExchangeFlat, "hier": ExchangeHier} {
-		got, err := ParseExchange(s)
-		if err != nil || got != want {
-			t.Fatalf("ParseExchange(%q) = %v, %v", s, got, err)
-		}
-		if got.String() != s {
-			t.Fatalf("Exchange(%v).String() = %q, want %q", got, got.String(), s)
+// TestModeExchangeText pins the -mode and -exchange flag surface — each
+// name parses back to its value, unknown names are refused — and
+// Validate's strategy check.
+func TestModeExchangeText(t *testing.T) {
+	for _, want := range []Exchange{ExchangeFlat, ExchangeHier} {
+		b, _ := want.MarshalText()
+		var got Exchange
+		if err := got.UnmarshalText(b); err != nil || got != want {
+			t.Fatalf("Exchange.UnmarshalText(%q) = %v, %v", b, got, err)
 		}
 	}
-	if _, err := ParseExchange("ring"); err == nil {
-		t.Fatal("ParseExchange accepted an unknown strategy")
+	for _, want := range []Mode{KmerMode, SupermerMode} {
+		b, _ := want.MarshalText()
+		var got Mode
+		if err := got.UnmarshalText(b); err != nil || got != want {
+			t.Fatalf("Mode.UnmarshalText(%q) = %v, %v", b, got, err)
+		}
+	}
+	var e Exchange
+	if err := e.UnmarshalText([]byte("ring")); err == nil {
+		t.Fatal("Exchange.UnmarshalText accepted an unknown strategy")
+	}
+	var m Mode
+	if err := m.UnmarshalText([]byte("read")); err == nil {
+		t.Fatal("Mode.UnmarshalText accepted an unknown mode")
 	}
 	cfg := Default(smallGPULayout(1), KmerMode)
 	cfg.Exchange = Exchange(99)
-	if err := cfg.Validate(); err == nil {
+	if err := cfg.Validate(InMemory); err == nil {
 		t.Fatal("Validate accepted an unknown exchange strategy")
 	}
 }

@@ -363,11 +363,8 @@ func buildFingerprint(cfg Config) recov.Fingerprint {
 // The completed spectrum is bit-identical to an unfaulted run over the
 // same input.
 func ResumeStream(cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.Validate(Resuming); err != nil {
 		return nil, err
-	}
-	if cfg.Ckpt.Dir == "" {
-		return nil, fmt.Errorf("pipeline: ResumeStream needs Ckpt.Dir")
 	}
 	man, err := recov.LoadManifest(cfg.Ckpt.Dir)
 	if err != nil {

@@ -59,11 +59,8 @@ type rankOutcome struct {
 // make room for the caller's database. Left to the collector's own timing the
 // same count → MergedTable → FromTable peaked anywhere from 186 to 281 MB.
 func Run(cfg Config, reads []fastq.Record) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.Validate(InMemory); err != nil {
 		return nil, err
-	}
-	if cfg.Ckpt.Dir != "" {
-		return nil, fmt.Errorf("pipeline: checkpointing needs the streaming cursor protocol; use RunStream")
 	}
 	var destMap []uint16
 	if cfg.BalancedPartition {
@@ -269,7 +266,7 @@ func aggregate(cfg Config, trace []mpisim.TraceEntry, outcomes []rankOutcome, wa
 		Overlap:      cfg.Overlap,
 		Wall:         wall,
 		Spilled:      cfg.Spill.Dir != "",
-		SpillBins:    spillBinsOf(cfg),
+		SpillBins:    cfg.Spill.bins(),
 		PerRankKmers: make([]uint64, len(outcomes)),
 	}
 	// Ranks own disjoint k-mer partitions, so the global spectrum is the

@@ -123,15 +123,6 @@ func readSpillBin(r io.Reader, want *spillHeader, fn func(payload []byte, items 
 	}
 }
 
-// spillBinsOf returns the effective bin count of a run, 0 when spilling
-// is off (the Result convention: SpillBins echoes the mode).
-func spillBinsOf(cfg Config) int {
-	if cfg.Spill.Dir == "" {
-		return 0
-	}
-	return cfg.Spill.bins()
-}
-
 // spillCtl is the run-wide spill state shared by every rank: the
 // directory, bin geometry, run fingerprint, and the metrics the writers
 // feed. Built once per run after the directory hygiene check.

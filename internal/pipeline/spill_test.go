@@ -368,36 +368,27 @@ func TestSpillRefusesDirtyDir(t *testing.T) {
 	})
 }
 
-// TestSpillRejectsIncompatibleConfig pins the Validate rules: spilling
-// excludes exactly the features that require the full per-rank tables or
-// in-memory spectrum state, with structured errors.
+// TestSpillRejectsIncompatibleConfig pins the bin-count range. Which
+// features spilling excludes are rows of the combination table, covered by
+// TestAllVariantsMatchOracle.
 func TestSpillRejectsIncompatibleConfig(t *testing.T) {
 	base := func() Config {
 		cfg := Default(smallCPULayout(), KmerMode)
 		cfg.Spill = SpillConfig{Dir: t.TempDir()}
 		return cfg
 	}
-	if cfg := base(); cfg.Validate() != nil {
-		t.Fatalf("baseline spill config should validate: %v", cfg.Validate())
+	if cfg := base(); cfg.Validate(InMemory) != nil {
+		t.Fatalf("baseline spill config should validate: %v", cfg.Validate(InMemory))
 	}
 	cases := map[string]Config{}
-	kt := base()
-	kt.KeepTables = true
-	cases["KeepTables"] = kt
-	ck := base()
-	ck.Ckpt = CkptConfig{Dir: t.TempDir(), Reopen: func(fastq.Cursor) (fastq.Source, error) { return nil, nil }}
-	cases["Ckpt"] = ck
 	nb := base()
 	nb.Spill.Bins = -1
 	cases["negative bins"] = nb
 	hb := base()
 	hb.Spill.Bins = maxSpillBins + 1
 	cases["huge bins"] = hb
-	bo := base()
-	bo.Spill = SpillConfig{Bins: 8}
-	cases["bins without dir"] = bo
 	for name, cfg := range cases {
-		if err := cfg.Validate(); err == nil {
+		if err := cfg.Validate(InMemory); err == nil {
 			t.Errorf("%s: want a validation error, got nil", name)
 		}
 	}

@@ -20,28 +20,22 @@ import (
 // flag on each round's count announcement, when every rank has drained
 // (see runRounds).
 //
-// BalancedPartition is rejected because its minimizer-load profiling pass
-// needs the whole input up front. Preload the reads and use Run for it.
-//
 // With Config.Ckpt set, the run persists round-granularity checkpoints
 // and survives rank death by shrink recovery (see ResumeStream and
 // DESIGN.md §12); src must then be a fastq.CursorSource.
 func RunStream(cfg Config, src fastq.Source) (*Result, error) {
+	if err := cfg.Validate(Streaming); err != nil {
+		return nil, err
+	}
 	return runStream(cfg, src, nil)
 }
 
 // runStream is the shared core of RunStream (man == nil) and
 // ResumeStream (man holds the validated checkpoint manifest and src is
-// already fast-forwarded to its cursor).
+// already fast-forwarded to its cursor); both have validated cfg.
 func runStream(cfg Config, src fastq.Source, man *recov.Manifest) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if src == nil {
 		return nil, fmt.Errorf("pipeline: nil stream source")
-	}
-	if cfg.BalancedPartition {
-		return nil, fmt.Errorf("pipeline: BalancedPartition profiles the whole input before counting and cannot stream; preload the reads and use Run")
 	}
 	ckpt := cfg.Ckpt.Dir != ""
 	if ckpt {

@@ -216,15 +216,10 @@ func TestStreamSourceError(t *testing.T) {
 	}
 }
 
-// TestStreamRejectsWholeInputFeatures: config features that need the
-// whole input up front are structured errors, not silent misbehavior.
+// TestStreamRejectsWholeInputFeatures: a missing source is a structured
+// error, not a panic. (Settings that need the whole input up front are
+// rows of the combination table, covered by TestAllVariantsMatchOracle.)
 func TestStreamRejectsWholeInputFeatures(t *testing.T) {
-	src := fastq.NewSliceSource(nil)
-	bp := Default(smallGPULayout(1), SupermerMode)
-	bp.BalancedPartition = true
-	if _, err := RunStream(bp, src); err == nil {
-		t.Fatal("BalancedPartition must be rejected when streaming")
-	}
 	if _, err := RunStream(Default(smallGPULayout(1), KmerMode), nil); err == nil {
 		t.Fatal("nil source must be rejected")
 	}
