@@ -92,10 +92,10 @@ trace-smoke:
 stream-smoke:
 	sh scripts/stream_smoke.sh
 
-# End-to-end smoke test of checkpoint/restart and shrink recovery: a
-# seeded rank kill resumed with -resume and the same kill absorbed
-# in-place by the survivors, both asserted bit-identical (via jq) to the
-# unfaulted spectrum. Artifacts (recovery trace) land in
+# End-to-end smoke test of checkpoint/restart: a seeded rank kill resumed
+# with -resume and the same kill survived in one invocation by restarting
+# the survivors from the last checkpoint, both asserted bit-identical (via
+# jq) to the unfaulted spectrum. Artifacts (recovery trace) land in
 # RECOVER_SMOKE_OUT so CI can upload them.
 recover-smoke:
 	sh scripts/recover_smoke.sh

@@ -116,9 +116,9 @@ func parseArgs(args []string) (pipeline.Config, input, output, error) {
 	})
 	fs.StringVar(&cfg.Spill.Dir, "spill-dir", "", "count out-of-core: spill received items into minimizer-partitioned bins under this directory (pass 1), then count one bin at a time (pass 2); bit-identical to in-memory counting")
 	fs.IntVar(&cfg.Spill.Bins, "spill-bins", 0, "disk bins per rank when -spill-dir is set (default 32)")
-	fs.StringVar(&cfg.Ckpt.Dir, "ckpt-dir", "", "checkpoint the run into this directory every -ckpt-rounds rounds (requires -stream); enables -resume and shrink recovery")
+	fs.StringVar(&cfg.Ckpt.Dir, "ckpt-dir", "", "checkpoint the run into this directory every -ckpt-rounds rounds (requires -stream); enables -resume, and after a rank death the survivors restart from the last checkpoint")
 	fs.IntVar(&cfg.Ckpt.Every, "ckpt-rounds", 0, "rounds between checkpoints when -ckpt-dir is set (default 4)")
-	fs.BoolVar(&cfg.Ckpt.NoShrink, "no-shrink", false, "disable in-place shrink recovery after a rank death (the run fails instead; resume it with -resume; requires -ckpt-dir)")
+	fs.BoolVar(&cfg.Ckpt.NoShrink, "no-shrink", false, "do not restart the survivors after a rank death (the run fails instead; resume it with -resume; requires -ckpt-dir)")
 	fs.StringVar(&in.resume, "resume", "", "resume an interrupted run from this checkpoint directory (requires the same -in/-k/... configuration)")
 	fs.BoolVar(&out.gpuStats, "gpustats", false, "print GPU kernel efficiency metrics (GPU engine only)")
 	fs.StringVar(&out.kcd, "okcd", "", "write the counted k-mers to this KCD database (see cmd/kmertools)")
@@ -135,7 +135,7 @@ func parseArgs(args []string) (pipeline.Config, input, output, error) {
 	fs.Float64Var(&cfg.Fault.Corrupt, "fault-corrupt", 0, "per-payload probability one bit flips in flight")
 	fs.IntVar(&cfg.MaxRetries, "max-retries", 0, "exchange retry budget per round (0 = default of 2, -1 = none)")
 	fs.DurationVar(&cfg.ExchangeDeadline, "deadline", 0, "per-collective deadline before peers give up on a stalled rank (0 = none)")
-	fs.IntVar(&cfg.Fault.FatalRank, "fault-kill-rank", -1, "deterministically kill this rank at -fault-kill-round (both must be set; exercises checkpoint/resume and shrink recovery)")
+	fs.IntVar(&cfg.Fault.FatalRank, "fault-kill-rank", -1, "deterministically kill this rank at -fault-kill-round (both must be set; exercises checkpoint/resume and the restart after a rank death)")
 	fs.IntVar(&cfg.Fault.FatalRound, "fault-kill-round", -1, "round at which -fault-kill-rank dies")
 	if err := fs.Parse(args); err != nil {
 		return cfg, in, out, err

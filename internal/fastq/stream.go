@@ -378,6 +378,15 @@ type trimCursorSource struct {
 
 func (t *trimCursorSource) Cursor() Cursor { return t.cs.Cursor() }
 
+// Close closes src when it is an io.Closer, so abandoning a trimmed file
+// stream releases its file.
+func (t *trimSource) Close() error {
+	if c, ok := t.src.(io.Closer); ok {
+		return c.Close()
+	}
+	return nil
+}
+
 // owned reports whether src's records are the caller's: a trim only
 // re-slices them.
 func (t *trimSource) owned() bool {

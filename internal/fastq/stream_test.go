@@ -229,3 +229,31 @@ func TestTrimSource(t *testing.T) {
 		}
 	}
 }
+
+// closeRecorder is a cursor-capable source that records being closed.
+type closeRecorder struct {
+	*SliceSource
+	closed bool
+}
+
+func (c *closeRecorder) Close() error {
+	c.closed = true
+	return nil
+}
+
+// TestTrimSourceForwardsClose: closing a trimmed source closes the source
+// under it, so a trimmed file stream abandoned mid-read releases its file.
+func TestTrimSourceForwardsClose(t *testing.T) {
+	raw := &closeRecorder{SliceSource: NewSliceSource(nil)}
+	trimmed := NewTrimSource(raw, 20, 5)
+	if _, ok := trimmed.(CursorSource); !ok {
+		t.Fatal("trimming a cursor source lost its cursor")
+	}
+	c, ok := trimmed.(io.Closer)
+	if !ok {
+		t.Fatal("a trimmed source has no Close")
+	}
+	if err := c.Close(); err != nil || !raw.closed {
+		t.Fatalf("Close = %v, source closed %v", err, raw.closed)
+	}
+}

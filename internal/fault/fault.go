@@ -52,8 +52,8 @@ type Config struct {
 	// FatalRank dies at the start of round FatalRound and never comes
 	// back (unlike the probabilistic Kill, which a replay may re-roll
 	// past). This is the recovery subsystem's test fixture: checkpoint /
-	// resume and shrink recovery need a kill that is certain to fire at a
-	// known round. The zero value (false) is inert.
+	// resume and the restart after a rank death need a kill that is
+	// certain to fire at a known round. The zero value (false) is inert.
 	FatalKill  bool
 	FatalRank  int
 	FatalRound int
@@ -169,9 +169,9 @@ func (in *Injector) Kill(rank, round int) bool {
 
 // FatalKill reports whether the rank dies permanently at the start of the
 // round — an exact (rank, round) match of the scheduled fatal kill, not a
-// roll. It fires on any attempt at that round, including a shrink replay
-// that somehow revisits it, so recovery correctness cannot depend on the
-// dead rank participating.
+// roll. It fires on any attempt at that round, including a replay after
+// a restart that somehow revisits it, so recovery correctness cannot
+// depend on the dead rank participating.
 func (in *Injector) FatalKill(rank, round int) bool {
 	if !in.cfg.FatalKill || rank != in.cfg.FatalRank || round != in.cfg.FatalRound {
 		return false

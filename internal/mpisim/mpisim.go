@@ -74,15 +74,11 @@ type Comm struct {
 	pending int
 }
 
-// world holds the shared state of one Run. A Run may pass through several
-// worlds: Shrink retires a poisoned world and migrates the survivors into
-// a fresh, smaller one; the trace log is shared across them so the run's
-// collective history stays in one sequence.
+// world holds the shared state of one Run.
 type world struct {
 	size     int
 	deadline time.Duration
 	obs      *obs.Recorder
-	tr       *traceLog
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -92,29 +88,8 @@ type world struct {
 
 	// slots carries one deposit per rank for the collective in flight.
 	slots []any
-
-	// Shrink protocol state (see Comm.Shrink): which ranks of THIS world
-	// have died, and how many survivors have arrived in Shrink. The
-	// protocol completes when every rank is accounted for — dead or
-	// shrinking — and publishes the successor world in shrunk.
-	dead      []bool
-	numDead   int
-	shrinkers int
-	shrunk    *shrunkWorld
-	shrinkErr error
-}
-
-// shrunkWorld is the successor published by a completed shrink:
-// survivors[i] is the old-world rank now running as rank i of w.
-type shrunkWorld struct {
-	w         *world
-	survivors []int
-}
-
-// traceLog accumulates the run's collective trace across worlds.
-type traceLog struct {
-	mu      sync.Mutex
-	entries []TraceEntry
+	// trace lists every completed collective, appended under mu.
+	trace []TraceEntry
 }
 
 // TraceEntry records the traffic matrix of one collective.
@@ -163,11 +138,12 @@ func RunWithOptions(size int, opt Options, body func(c *Comm) error) (trace []Tr
 }
 
 // RunRanks is RunWithOptions exposing each rank's individual outcome:
-// errs[r] is rank r's return (nil on success). Callers running recovery
-// protocols need the split — after a shrink completes, a dead rank's
-// error is expected and must not mask the survivors' success — while
-// plain callers use RunWithOptions' joined form. The non-nil err return
-// reports only setup failures (bad size or options), not rank failures.
+// errs[r] is rank r's return (nil on success). The pipeline needs the
+// split to decide whether a failed world may restart on its survivors —
+// only when every failure is a rank death (see ErrPeerDead) — while plain
+// callers use RunWithOptions' joined form. Every rank's goroutine has
+// returned when RunRanks does. The non-nil err return reports only setup
+// failures (bad size or options), not rank failures.
 func RunRanks(size int, opt Options, body func(c *Comm) error) (trace []TraceEntry, errs []error, err error) {
 	if size <= 0 {
 		return nil, nil, fmt.Errorf("mpisim: non-positive world size %d", size)
@@ -175,10 +151,7 @@ func RunRanks(size int, opt Options, body func(c *Comm) error) (trace []TraceEnt
 	if opt.Deadline < 0 {
 		return nil, nil, fmt.Errorf("mpisim: negative deadline %v", opt.Deadline)
 	}
-	w := &world{
-		size: size, deadline: opt.Deadline, obs: opt.Obs,
-		tr: &traceLog{}, slots: make([]any, size), dead: make([]bool, size),
-	}
+	w := &world{size: size, deadline: opt.Deadline, obs: opt.Obs, slots: make([]any, size)}
 	w.cond = sync.NewCond(&w.mu)
 
 	errs = make([]error, size)
@@ -186,19 +159,16 @@ func RunRanks(size int, opt Options, body func(c *Comm) error) (trace []TraceEnt
 	for r := 0; r < size; r++ {
 		wg.Add(1)
 		go func(rank int) {
-			// The Comm outlives the body call so the defer can mark the
-			// rank dead in whatever world it migrated to (see Shrink).
-			c := &Comm{rank: rank, world: w}
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
 					errs[rank] = fmt.Errorf("mpisim: rank panicked: %v", p)
 				}
 				if errs[rank] != nil {
-					// Unblock peers stuck in a collective: mark this rank
-					// dead and poison its current world so their
-					// collectives fail instead of deadlocking.
-					c.die()
+					// Unblock peers stuck in a collective: poison the
+					// world so their collectives fail instead of
+					// deadlocking.
+					w.poison(fmt.Errorf("mpisim: rank %d dead: %w", rank, ErrPeerDead))
 				}
 			}()
 			// pprof labels attribute CPU samples of large simulated worlds
@@ -206,111 +176,14 @@ func RunRanks(size int, opt Options, body func(c *Comm) error) (trace []TraceEnt
 			// while phases are open.
 			pprof.Do(context.Background(), pprof.Labels("rank", strconv.Itoa(rank), "phase", "rank-body"),
 				func(context.Context) {
-					errs[rank] = body(c)
+					errs[rank] = body(&Comm{rank: rank, world: w})
 				})
 		}(r)
 	}
 	wg.Wait()
-	return w.tr.entries, errs, nil
-}
-
-// die marks the rank dead in its current world and poisons it, waking
-// both collective waiters (who fail with ErrPeerDead) and Shrink waiters
-// (whose completion condition now accounts for this rank).
-func (c *Comm) die() {
-	w := c.world
-	w.mu.Lock()
-	if !w.dead[c.rank] {
-		w.dead[c.rank] = true
-		w.numDead++
-	}
-	if w.failure == nil {
-		w.failure = fmt.Errorf("mpisim: rank %d dead: %w", c.rank, ErrPeerDead)
-	}
-	w.cond.Broadcast()
-	w.mu.Unlock()
-}
-
-// Shrink is the collective reconfiguration protocol of a world poisoned
-// by rank death (MPI-ULFM's MPI_Comm_shrink, DESIGN.md §12): every
-// surviving rank calls Shrink, the protocol completes once each of the
-// world's ranks is accounted for — dead (its goroutine exited) or
-// arrived here — and the survivors migrate onto a fresh communicator of
-// size Size()-numDead, reranked densely in old-rank order. The returned
-// slice maps new rank → previous-world rank (survivors[c.Rank()] is this
-// rank's old id); callers chain these mappings across repeated shrinks.
-//
-// Shrink refuses a healthy world and a world poisoned by anything other
-// than rank death (notably ErrDeadline: the stalled rank may still be
-// alive and mutating shared payloads, so shrinking would race it). It
-// waits at most the communicator deadline for its peers. Nonblocking
-// requests posted before the shrink belong to the retired world and must
-// be abandoned, never Waited, after Shrink returns.
-func (c *Comm) Shrink() (survivors []int, err error) {
-	w := c.world
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.failure == nil {
-		return nil, fmt.Errorf("mpisim: Shrink on a healthy communicator")
-	}
-	if !errors.Is(w.failure, ErrPeerDead) {
-		return nil, fmt.Errorf("mpisim: cannot shrink: %w", w.failure)
-	}
-	if w.dead[c.rank] {
-		return nil, fmt.Errorf("mpisim: dead rank %d cannot shrink", c.rank)
-	}
-	w.shrinkers++
-	if w.deadline > 0 {
-		timer := time.AfterFunc(w.deadline, func() {
-			w.mu.Lock()
-			if w.shrunk == nil && w.shrinkErr == nil {
-				w.shrinkErr = fmt.Errorf("mpisim: waited %v for survivors to shrink: %w", w.deadline, ErrDeadline)
-				w.cond.Broadcast()
-			}
-			w.mu.Unlock()
-		})
-		defer timer.Stop()
-	}
-	for w.shrunk == nil && w.shrinkErr == nil {
-		if w.shrinkers+w.numDead >= w.size {
-			// Last rank accounted for: build the successor world. Peers
-			// woken by the broadcast find it in w.shrunk.
-			alive := make([]int, 0, w.size-w.numDead)
-			for r := 0; r < w.size; r++ {
-				if !w.dead[r] {
-					alive = append(alive, r)
-				}
-			}
-			nw := &world{
-				size: len(alive), deadline: w.deadline, obs: w.obs, tr: w.tr,
-				slots: make([]any, len(alive)), dead: make([]bool, len(alive)),
-			}
-			nw.cond = sync.NewCond(&nw.mu)
-			w.shrunk = &shrunkWorld{w: nw, survivors: alive}
-			w.cond.Broadcast()
-			break
-		}
-		w.cond.Wait()
-	}
-	if w.shrinkErr != nil {
-		return nil, w.shrinkErr
-	}
-	sh := w.shrunk
-	newRank := -1
-	for i, o := range sh.survivors {
-		if o == c.rank {
-			newRank = i
-			break
-		}
-	}
-	if newRank < 0 {
-		return nil, fmt.Errorf("mpisim: rank %d missing from the shrunk world", c.rank)
-	}
-	c.world = sh.w
-	c.rank = newRank
-	c.pending = 0
-	c.asyncTail = nil
-	return append([]int(nil), sh.survivors...), nil
+	return w.trace, errs, nil
 }
 
 // poison marks the world failed with the given reason (first reason wins)
@@ -438,9 +311,9 @@ func (c *Comm) record(op string, cell func(i, j int) uint64) {
 			e.Bytes[i][j] = cell(i, j)
 		}
 	}
-	w.tr.mu.Lock()
-	w.tr.entries = append(w.tr.entries, e)
-	w.tr.mu.Unlock()
+	w.mu.Lock()
+	w.trace = append(w.trace, e)
+	w.mu.Unlock()
 	if w.obs != nil {
 		reg := w.obs.Registry()
 		reg.Counter("mpisim_collectives_total", "Completed collectives by kind.", obs.L("op", op)).Inc()
@@ -531,20 +404,6 @@ func recordMatrix[T Unit](c *Comm, op string, all [][][]T) {
 
 // AllreduceSum returns the sum of v across ranks.
 func (c *Comm) AllreduceSum(v uint64) (uint64, error) {
-	return c.allreduce(v, func(acc, x uint64) uint64 { return acc + x })
-}
-
-// AllreduceOr returns the bitwise OR of v across ranks. The recovery
-// layer agrees on dead-rank sets with it: each survivor contributes a bit
-// mask of the deaths it observed, and the OR is the union — which max or
-// sum cannot express when observations differ.
-func (c *Comm) AllreduceOr(v uint64) (uint64, error) {
-	return c.allreduce(v, func(acc, x uint64) uint64 { return acc | x })
-}
-
-// allreduce folds every rank's v, starting from zero (the identity of both
-// reductions over uint64).
-func (c *Comm) allreduce(v uint64, fold func(acc, x uint64) uint64) (uint64, error) {
 	if err := c.syncReady(); err != nil {
 		return 0, err
 	}
@@ -552,11 +411,11 @@ func (c *Comm) allreduce(v uint64, fold func(acc, x uint64) uint64) (uint64, err
 	if err != nil {
 		return 0, err
 	}
-	var acc uint64
+	var sum uint64
 	for _, x := range all {
-		acc = fold(acc, x)
+		sum += x
 	}
-	return acc, nil
+	return sum, nil
 }
 
 func (c *Comm) checkLen(n int) error {
@@ -594,10 +453,7 @@ type asyncResult[T any] struct {
 // and returns its result; calling Wait again returns the same result. A
 // Request must be waited by the rank that posted it.
 type Request[T any] struct {
-	c *Comm
-	// at freezes the posting rank's world and rank at post time: the request
-	// runs there even if it only starts after a Shrink moved c elsewhere.
-	at   Comm
+	c    *Comm
 	ch   chan asyncResult[T]
 	done bool
 	v    T
@@ -619,7 +475,9 @@ func (r *Request[T]) Wait() (T, error) {
 // post starts op on a background goroutine chained after the rank's previous
 // nonblocking request, preserving posting order. The result channel is
 // buffered so the goroutine never leaks even if Wait is never called (e.g.
-// the world was poisoned and the rank body bailed out).
+// the world was poisoned and the rank body bailed out). op may read the
+// posting Comm's rank and world, which never change, but not its request
+// bookkeeping, which the rank's own goroutine keeps writing.
 //
 // Posting yields to the scheduler before returning. On a real machine the
 // NIC picks up a posted isend immediately; with fewer cores than ranks the
@@ -627,8 +485,8 @@ func (r *Request[T]) Wait() (T, error) {
 // of the posting rank's next CPU slice, up to a full round of compute
 // later. The yield lets every runnable rank reach its post (and every
 // posted collective's goroutine start) before compute resumes.
-func post[T any](c *Comm, op func(at *Comm) (T, error)) *Request[T] {
-	r := &Request[T]{c: c, at: Comm{rank: c.rank, world: c.world}, ch: make(chan asyncResult[T], 1)}
+func post[T any](c *Comm, op func() (T, error)) *Request[T] {
+	r := &Request[T]{c: c, ch: make(chan asyncResult[T], 1)}
 	prev := c.asyncTail
 	done := make(chan struct{})
 	c.asyncTail = done
@@ -638,7 +496,7 @@ func post[T any](c *Comm, op func(at *Comm) (T, error)) *Request[T] {
 		if prev != nil {
 			<-prev
 		}
-		v, err := op(&r.at)
+		v, err := op()
 		r.ch <- asyncResult[T]{v, err}
 	}()
 	runtime.Gosched()
@@ -662,7 +520,7 @@ func (c *Comm) IAlltoall(send []int) *Request[[]int] {
 		return postErr[[]int](c, err)
 	}
 	owned := append([]int(nil), send...)
-	return post(c, func(at *Comm) ([]int, error) { return at.alltoall(owned) })
+	return post(c, func() ([]int, error) { return c.alltoall(owned) })
 }
 
 // IAlltoallv posts the payload exchange. Payloads are referenced: the caller
@@ -671,7 +529,7 @@ func IAlltoallv[T Unit](c *Comm, send [][]T) *Request[[][]T] {
 	if err := c.checkLen(len(send)); err != nil {
 		return postErr[[][]T](c, err)
 	}
-	return post(c, func(at *Comm) ([][]T, error) { return alltoallv(at, send) })
+	return post(c, func() ([][]T, error) { return alltoallv(c, send) })
 }
 
 // IAlltoallvBytes forwards to IAlltoallv for the separately built bench/ module.

@@ -757,3 +757,70 @@ func TestNonblockingDeadline(t *testing.T) {
 	})
 	_ = err // world is poisoned; per-rank outcomes checked above
 }
+
+// TestRankDeathMidRoundNeverMixesCollectives stresses the hazard a rank
+// death opens in the two-barrier exchange: poisoning releases ranks from
+// the barriers early, so a rank that bails out of one collective can reach
+// its next — of a different payload type, here the chained announce →
+// payload → settle of a pipeline round — while a slower peer is still
+// collecting the previous one. Deposits into a poisoned world must be
+// refused; otherwise the peer reads a wrong-typed slot and panics, from a
+// request goroutine that nothing recovers. Every survivor must instead see
+// ErrPeerDead.
+func TestRankDeathMidRoundNeverMixesCollectives(t *testing.T) {
+	boom := errors.New("boom")
+	for iter := 0; iter < 300; iter++ {
+		_, errs, err := RunRanks(6, Options{}, func(c *Comm) error {
+			for round := 0; round < 3; round++ {
+				p := postRound(c)
+				if c.Rank() == 1 && round == 1 {
+					return boom // dies with its round posted, like a killed pipeline rank
+				}
+				if err := finishRound(c, p); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, e := range errs {
+			switch {
+			case r == 1 && !errors.Is(e, boom):
+				t.Fatalf("iter %d: rank 1 returned %v, want its own failure", iter, e)
+			case r != 1 && !errors.Is(e, ErrPeerDead):
+				t.Fatalf("iter %d: rank %d returned %v, want ErrPeerDead", iter, r, e)
+			}
+		}
+	}
+}
+
+// roundPend is the round structure the pipeline drives: an announce
+// (IAlltoall), a payload (IAlltoallv), and a settle collective
+// (AllreduceSum) per round.
+type roundPend struct {
+	ann *Request[[]int]
+	pay *Request[[][]uint64]
+}
+
+func postRound(c *Comm) roundPend {
+	counts := make([]int, c.Size())
+	send := make([][]uint64, c.Size())
+	for i := range send {
+		counts[i] = 1
+		send[i] = []uint64{uint64(c.Rank())}
+	}
+	return roundPend{c.IAlltoall(counts), IAlltoallv(c, send)}
+}
+
+func finishRound(c *Comm, p roundPend) error {
+	if _, err := p.ann.Wait(); err != nil {
+		return err
+	}
+	if _, err := p.pay.Wait(); err != nil {
+		return err
+	}
+	_, err := c.AllreduceSum(0)
+	return err
+}

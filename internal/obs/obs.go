@@ -36,7 +36,7 @@ const (
 	PhaseRetry    = "retry"           // one retry attempt inside an exchange
 	PhaseCount    = "count"           // table insertion
 	PhaseCkpt     = "checkpoint"      // persisting a round checkpoint slice
-	PhaseRecovery = "recovery"        // shrink reconfiguration + state reload
+	PhaseRecovery = "recovery"        // restart after a rank death: checkpoint reload onto the survivors
 	PhaseSpill    = "spill_write"     // out-of-core pass 1: appending received items to disk bins
 	PhaseBinCount = "bin_count"       // out-of-core pass 2: counting one spill bin
 )
@@ -51,7 +51,7 @@ const (
 	EvDegraded = "degraded_round"
 	EvDeadline = "deadline_hit"
 	EvCkpt     = "checkpoint_round" // a round checkpoint was persisted
-	EvShrink   = "shrink_recovery"  // survivors completed a shrink recovery
+	EvShrink   = "shrink_recovery"  // a surviving rank restarted from the last checkpoint
 )
 
 // Span is one completed phase interval on one rank.

@@ -187,8 +187,8 @@ type Config struct {
 	// instants, and run metrics (see internal/obs). nil disables
 	// observability at zero cost to the hot paths.
 	Obs *obs.Recorder
-	// Ckpt configures round-granularity checkpointing and shrink recovery
-	// (DESIGN.md §12). Streaming runs only; the zero value disables both,
+	// Ckpt configures round-granularity checkpointing and the restart
+	// after a rank death (DESIGN.md §12). Streaming runs only; the zero value disables both,
 	// leaving PR 1's degrade-to-Incomplete as the terminal fault state.
 	Ckpt CkptConfig
 	// Spill configures two-pass out-of-core counting (DESIGN.md §16):
@@ -231,21 +231,21 @@ func (c SpillConfig) bins() int {
 type CkptConfig struct {
 	// Dir enables checkpointing: every Every rounds each rank persists
 	// its spectrum slice plus a round/cursor manifest into this
-	// directory (see internal/recover for the on-disk format), and a
-	// rank death triggers shrink recovery instead of failing the run.
-	// Empty disables the subsystem.
+	// directory (see internal/recover for the on-disk format), and after
+	// a rank death the survivors restart from the last checkpoint instead
+	// of failing the run. Empty disables the subsystem.
 	Dir string
 	// Every is the checkpoint period in rounds (default 4). Like
 	// NoShrink, it needs Dir.
 	Every int
-	// NoShrink disables the shrink-recovery path while keeping periodic
-	// checkpoints: a rank death fails the run (resumable offline via
-	// ResumeStream) instead of reconfiguring in place.
+	// NoShrink disables the restart after a rank death while keeping
+	// periodic checkpoints: a rank death fails the run (resumable offline
+	// via ResumeStream) instead of continuing on the survivors.
 	NoShrink bool
-	// Reopen opens a fresh source positioned at the given cursor. Shrink
-	// recovery calls it to re-feed the replayed rounds, and ResumeStream
-	// to fast-forward the input; required whenever Dir is set. The
-	// source must be a fastq.CursorSource.
+	// Reopen opens a fresh source positioned at the given cursor. Every
+	// restart from a checkpoint — after a rank death, and ResumeStream —
+	// calls it once to re-feed the replayed rounds; required whenever Dir
+	// is set. The source must be a fastq.CursorSource.
 	Reopen func(fastq.Cursor) (fastq.Source, error)
 	// Inputs fingerprints the input file list (path + size); a resume
 	// refuses a checkpoint taken over different inputs.
@@ -355,8 +355,9 @@ func (c Config) Validate(e Entry) error {
 		// A world size not divisible by Net.RanksPerNode is fine: the
 		// hierarchical strategy groups ranks by ceiling division, so the
 		// trailing node is simply smaller and its first rank still leads
-		// it. (Shrink recovery produces such worlds mid-run regardless of
-		// the configured layout, so raggedness must work anyway.)
+		// it. (The restart after a rank death produces such worlds
+		// regardless of the configured layout, so raggedness must work
+		// anyway.)
 	default:
 		return fmt.Errorf("pipeline: unknown exchange strategy %v", c.Exchange)
 	}
@@ -555,10 +556,10 @@ type Result struct {
 	// Checkpoints is the number of round checkpoints persisted (0 when
 	// Config.Ckpt is unset).
 	Checkpoints int
-	// Recovered reports that at least one shrink recovery completed: one
-	// or more ranks died, the survivors reconfigured, replayed, and the
-	// counts are nevertheless full and exact. DeadRanks lists the
-	// original ids of the ranks lost along the way.
+	// Recovered reports that the run restarted after a rank death: one
+	// or more ranks died, the survivors continued from the last
+	// checkpoint, and the counts are nevertheless full and exact.
+	// DeadRanks lists the original ids of the ranks lost along the way.
 	Recovered bool
 	DeadRanks []int
 	// Resumed reports that this run continued a checkpoint via

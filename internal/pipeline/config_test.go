@@ -128,7 +128,7 @@ func (v variant) config(reads []fastq.Record, dir string) Config {
 }
 
 // enter runs cfg through the variant's entry point. A resumed run first
-// fails under a fatal kill at killRound with shrink recovery off, then
+// fails under a fatal kill at killRound with the restart off, then
 // resumes from its checkpoint.
 func (v variant) enter(cfg Config, reads []fastq.Record) (*Result, error) {
 	switch v.entry {

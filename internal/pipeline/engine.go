@@ -21,7 +21,7 @@ import (
 type engine[T unit] interface {
 	// parse runs the parse (or supermer-build) phase over one round's
 	// concatenated bases and returns one send row per destination of the
-	// ORIGINAL world: the key→rank map never changes across shrinks
+	// ORIGINAL world: the key→rank map never changes across restarts
 	// (checkpointed slices stay valid); the seat folds dead destinations
 	// onto survivors at post time. Each row lies behind the mode's frame
 	// header room (codec.header), so the exchange seals and ships it in

@@ -48,7 +48,7 @@ import (
 // routes off-node frames through node leaders over the NVLink tier. The
 // announcement, CRC verification, retry, settle and degrade machinery is
 // shared — strategies only move opaque frames — which is what keeps every
-// strategy bit-identical under the fault × overlap × shrink matrix.
+// strategy bit-identical under the fault × overlap × restart matrix.
 //
 // When a recorder is configured, injected drops/corruptions surface as
 // instant events, each retry attempt gets its own span nested inside the
@@ -56,9 +56,9 @@ import (
 type exchanger[T unit] struct {
 	c *mpisim.Comm
 	// rank is the seat's original rank id — the coordinate for fault
-	// rolls and observability. It differs from c.Rank() after a shrink
-	// recovery: the fault schedule and the report's rank axis stay keyed
-	// to the original world.
+	// rolls and observability. It differs from c.Rank() once a rank has
+	// died: the fault schedule and the report's rank axis stay keyed to
+	// the original world.
 	rank    int
 	inj     *fault.Injector
 	retries int
@@ -92,9 +92,8 @@ type exchangeStrategy[T unit] interface {
 }
 
 // newExchanger builds the configured strategy's exchanger for one rank
-// body. It is re-created after a shrink recovery (the rank body is
-// re-entered with the shrunk communicator), so the hierarchical topology
-// always reflects the current world size.
+// body, so the hierarchical topology always reflects the current world
+// size, also in a world restarted on the survivors of a rank death.
 func newExchanger[T unit](cfg *Config, c *mpisim.Comm, rank int, inj *fault.Injector, out *rankOutcome, cd codec[T]) *exchanger[T] {
 	e := &exchanger[T]{
 		c: c, rank: rank, inj: inj,
@@ -359,7 +358,7 @@ func (e *exchanger[T]) settle(round, attempt int, bad uint64) (done bool, err er
 // the recovery tests use (the rank abandons the computation, poisoning the
 // world for its peers). rank is the seat's original id — the injector's
 // schedule is keyed to the original world so a fatal kill targets the same
-// rank whether or not earlier shrinks renumbered the communicator. Fired
+// rank whether or not earlier deaths renumbered the communicator. Fired
 // faults surface as instant events when a recorder is configured.
 func killOrStall(inj *fault.Injector, rank, round int, rec *obs.Recorder) error {
 	if d := inj.Delay(rank, round); d > 0 {

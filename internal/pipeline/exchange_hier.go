@@ -34,10 +34,10 @@ import (
 // pending at any post site (rounds.go). The strategy keeps its own
 // parity-indexed slot pair, written at post and finish time and so reused
 // under the two-slot liveness rule of rounds.go. Topology is derived from
-// the current communicator at construction time, so after a shrink recovery
-// the rebuilt exchanger re-groups the surviving (renumbered) ranks — a
-// ragged last node, whether configured or produced by a shrink, needs no
-// special casing beyond ceil division.
+// the current communicator at construction time, so the world that restarts
+// after a rank death re-groups the surviving (renumbered) ranks — a ragged
+// last node, whether configured or left by a death, needs no special casing
+// beyond ceil division.
 type hierStrategy[T unit] struct {
 	e     *exchanger[T]
 	topo  mpisim.Topology

@@ -185,7 +185,7 @@ func testCountProvisioned(t *testing.T) {
 		for _, key := range first {
 			seeded.Inc(key)
 		}
-		seat := identitySeat(0, 1)
+		seat := &rankSeat{nOrig: 1}
 		seat.seed = []*kcount.Database{kcount.FromTable(seeded, cfg.K, 0)}
 		rest := kmerRow(cfg, reads[half:])
 		table, w := counted(t, cfg, seat, rest)
@@ -196,12 +196,12 @@ func testCountProvisioned(t *testing.T) {
 	})
 	t.Run("two arrivals", func(t *testing.T) {
 		a, b := kmerRow(cfg, reads[:half]), kmerRow(cfg, reads[half:])
-		table, w := counted(t, cfg, identitySeat(0, 1), a, b)
+		table, w := counted(t, cfg, &rankSeat{nOrig: 1}, a, b)
 		check(t, table, w, oracle, len(a)+len(b))
 	})
 	t.Run("tiny arrival", func(t *testing.T) {
 		row := kmerRow(cfg, reads[:1])[:9]
-		table, w := counted(t, cfg, identitySeat(0, 1), row)
+		table, w := counted(t, cfg, &rankSeat{nOrig: 1}, row)
 		check(t, table, w, kcount.SerialCount(cfg.Enc, [][]byte{reads[0].Seq[:9+cfg.K-1]}, cfg.K), len(row))
 	})
 	t.Run("no key in the slice", func(t *testing.T) {
@@ -213,7 +213,7 @@ func testCountProvisioned(t *testing.T) {
 				want[dna.Kmer(key)]++
 			}
 		}
-		table, w := counted(t, cfg, identitySeat(0, 1), row)
+		table, w := counted(t, cfg, &rankSeat{nOrig: 1}, row)
 		check(t, table, w, want, len(row))
 		if w.reserved != 0 {
 			t.Errorf("room reserved for %d keys from an empty sample", w.reserved)
@@ -227,7 +227,7 @@ func testCountProvisioned(t *testing.T) {
 		var tables [2]*kcount.Table
 		var works [2]work
 		for i, reserve := range []int{0, len(oracle)} {
-			eng, err := newSupermerEngine(rankCtx{cfg: cfg, seat: identitySeat(0, 1)})
+			eng, err := newSupermerEngine(rankCtx{cfg: cfg, seat: &rankSeat{nOrig: 1}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -264,7 +264,7 @@ func testCPUCountAllocation(t *testing.T) {
 	}
 	cfg := Default(smallCPULayout(), KmerMode)
 	row := kmerRow(cfg, testReads(t, 100_000, 8))
-	eng, err := newKmerEngine(rankCtx{cfg: cfg, seat: identitySeat(0, 1)})
+	eng, err := newKmerEngine(rankCtx{cfg: cfg, seat: &rankSeat{nOrig: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

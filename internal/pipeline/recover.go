@@ -3,10 +3,9 @@ package pipeline
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"dedukt/internal/durable"
-	"dedukt/internal/fastq"
+	"dedukt/internal/fault"
 	"dedukt/internal/kcount"
 	"dedukt/internal/mpisim"
 	"dedukt/internal/obs"
@@ -14,29 +13,29 @@ import (
 )
 
 // This file wires the durable-state layer (internal/recover) into the
-// round loop: rank seats that survive communicator shrinks, the periodic
-// checkpoint protocol, the shrink-recovery reload, and ResumeStream.
-// See DESIGN.md §12 for the safety argument.
+// round loop: rank seats that outlive the world they started in, the
+// periodic checkpoint protocol, and the restart from the last checkpoint
+// that both recovery after a rank death and ResumeStream go through. See
+// DESIGN.md §12 for the safety argument.
 
-// rankSeat is one rank body's identity across communicator shrinks. The
-// engines always partition keys over the ORIGINAL world (NumDest =
-// nOrig) so checkpointed slices stay valid no matter how many ranks have
-// died; the seat then folds the nOrig-row send set onto the current
-// communicator via the successor remap. old is this seat's original rank
-// id — the coordinate used for fault rolls and observability, so the
-// injector's schedule and the report's rank axis stay stable across
-// shrinks.
+// rankSeat is one original rank's place in a world. The engines always
+// partition keys over the ORIGINAL world (NumDest = nOrig) so checkpointed
+// slices stay valid no matter how many ranks have died; the seat then folds
+// the nOrig-row send set onto the current communicator via the successor
+// remap. old is this seat's original rank id — the coordinate used for
+// fault rolls and observability, so the injector's schedule and the
+// report's rank axis stay stable across restarts.
 type rankSeat struct {
 	old   int
 	nOrig int
-	// slots[i] is the original rank running as current-comm rank i
-	// (identity until a shrink).
+	// slots[i] is the original rank running as comm rank i (identity
+	// until a rank dies).
 	slots []int
 	// remap[d] is the current-comm rank owning original destination d:
 	// the index in slots of recov.Successor(d, dead).
 	remap []int
 	// base is the first round this seat executes (man.Round+1 after a
-	// resume or reload).
+	// restart from a checkpoint).
 	base int
 	// seed holds checkpointed spectrum slices to preload into the seat's
 	// table before the round loop starts: its own slice plus those of
@@ -48,48 +47,14 @@ type rankSeat struct {
 	degraded bool
 }
 
-// identitySeat is the no-recovery seat: full world, round 0, no seed.
-func identitySeat(rank, nOrig int) *rankSeat {
-	slots := make([]int, nOrig)
-	for i := range slots {
-		slots[i] = i
-	}
-	return &rankSeat{old: rank, nOrig: nOrig, slots: slots}
-}
-
-// buildRemap rebuilds the successor remap for the given dead set (over
-// original rank ids). Every key keeps its kernels.DestOf destination;
-// dead destinations forward to their successor's seat.
-func (s *rankSeat) buildRemap(dead []bool) error {
-	idx := make(map[int]int, len(s.slots))
-	for i, o := range s.slots {
-		idx[o] = i
-	}
-	if s.remap == nil || len(s.remap) != s.nOrig {
-		s.remap = make([]int, s.nOrig)
-	}
-	for d := 0; d < s.nOrig; d++ {
-		o := recov.Successor(d, dead)
-		if o < 0 {
-			return fmt.Errorf("pipeline: every rank dead, nothing to remap to")
-		}
-		r, ok := idx[o]
-		if !ok {
-			return fmt.Errorf("pipeline: successor %d of destination %d is not a live slot", o, d)
-		}
-		s.remap[d] = r
-	}
-	return nil
-}
-
 // route folds an nOrig-row send set onto the current communicator. Every
 // row, in and out, lies behind h units of frame-header room. Identity seats
-// pass the rows through untouched; shrunk seats concatenate each dead
-// destination's row onto its successor's behind one header's room (counting
-// is order-invariant, so the fold preserves the spectrum exactly; k-mer
-// words and fixed-stride supermer images both concatenate whole). buf is
-// per-caller pooled scratch — the overlapped schedule routes two rounds
-// concurrently, so each parity owns its own.
+// pass the rows through untouched; the seats of a world that lost ranks
+// concatenate each dead destination's row onto its successor's behind one
+// header's room (counting is order-invariant, so the fold preserves the
+// spectrum exactly; k-mer words and fixed-stride supermer images both
+// concatenate whole). buf is per-caller pooled scratch — the overlapped
+// schedule routes two rounds concurrently, so each parity owns its own.
 func route[T unit](s *rankSeat, send [][]T, h int, buf *[][]T) [][]T {
 	if len(s.slots) == s.nOrig {
 		return send // identity: no rank has died
@@ -197,135 +162,6 @@ func (ck *ckptCtl) write(c *mpisim.Comm, seat *rankSeat, r int, db *kcount.Datab
 	return nil
 }
 
-// recoverRT is the shrink-recovery runtime handed to rank bodies when
-// Config.Ckpt enables in-place recovery.
-type recoverRT struct {
-	ck     *ckptCtl
-	prod   *chunkProducer
-	reopen func(fastq.Cursor) (fastq.Source, error)
-	rec    *obs.Recorder
-}
-
-// shrinkReload runs one survivor's half of the recovery protocol after
-// ErrPeerDead: shrink the communicator, agree on the dead set, rebuild
-// the ownership remap, reload the latest checkpoint (or reset to round 0
-// when none exists yet), and re-feed the shared source from the recorded
-// cursor. On return the caller restarts its engine segment from
-// seat.base with seat.seed preloaded; the replay is deterministic, so
-// the merged spectrum is bit-identical to an unfaulted run's.
-func (rv *recoverRT) shrinkReload(c *mpisim.Comm, seat *rankSeat, out *rankOutcome) error {
-	sp := rv.rec.Begin(seat.old, -1, obs.PhaseRecovery)
-	prev, err := c.Shrink()
-	if err != nil {
-		sp.End(0, 0)
-		return err
-	}
-	// prev maps new comm rank → previous-world rank; compose with the
-	// seat's previous slots to reach original ids.
-	newSlots := make([]int, len(prev))
-	for i, p := range prev {
-		newSlots[i] = seat.slots[p]
-	}
-	seat.slots = newSlots
-	if seat.slots[c.Rank()] != seat.old {
-		sp.End(0, 0)
-		return fmt.Errorf("pipeline: seat %d landed on slot %d owned by %d after shrink", seat.old, c.Rank(), seat.slots[c.Rank()])
-	}
-	dead := seat.deadOf()
-
-	// Agree on the dead set collectively: each survivor contributes its
-	// local view as a bit mask and the OR is the union. The views are
-	// derived from the same shrink, so any mismatch means the worlds
-	// diverged — fail loudly rather than count on a wrong partition.
-	for base := 0; base < seat.nOrig; base += 64 {
-		var mask uint64
-		for i := 0; i < 64 && base+i < seat.nOrig; i++ {
-			if dead[base+i] {
-				mask |= 1 << uint(i)
-			}
-		}
-		agreed, err := c.AllreduceOr(mask)
-		if err != nil {
-			sp.End(0, 0)
-			return err
-		}
-		if agreed != mask {
-			sp.End(0, 0)
-			return fmt.Errorf("pipeline: dead-set disagreement after shrink: local %x, union %x", mask, agreed)
-		}
-	}
-	if err := seat.buildRemap(dead); err != nil {
-		sp.End(0, 0)
-		return err
-	}
-
-	// Reload the latest checkpoint. No manifest yet means no round ever
-	// checkpointed: replay from the start of the stream.
-	man, err := recov.LoadManifest(rv.ck.dir)
-	if err != nil && !errors.Is(err, recov.ErrNoCheckpoint) {
-		sp.End(0, 0)
-		return err
-	}
-	seat.seed = nil
-	seat.base = 0
-	var cursor fastq.Cursor
-	var reads, bases uint64
-	out.incomplete = false
-	if man != nil {
-		if man.Fingerprint.Hash() != rv.ck.fphash {
-			sp.End(0, 0)
-			return fmt.Errorf("pipeline: checkpoint in %s belongs to a different run: %w", rv.ck.dir, durable.ErrMismatch)
-		}
-		seat.base = man.Round + 1
-		cursor, reads, bases = man.Cursor, man.Reads, man.Bases
-		out.incomplete = man.Incomplete
-		for j, oldID := range man.Survivors {
-			// The checkpoint slot's keys were owned by oldID when it was
-			// written; under the enlarged dead set their owner is
-			// Successor(oldID, dead) — Successor composes over growing
-			// dead sets, so this holds even when the checkpoint itself
-			// postdates an earlier shrink.
-			if recov.Successor(oldID, dead) != seat.old {
-				continue
-			}
-			db, err := recov.LoadRankFile(recov.RankFilePath(rv.ck.dir, man.Round, j), man.Round, j, rv.ck.fphash)
-			if err != nil {
-				sp.End(0, 0)
-				return err
-			}
-			seat.seed = append(seat.seed, db)
-		}
-	}
-
-	// Re-feed the shared producer from the checkpoint cursor: the new
-	// comm rank 0 reopens the source; everyone else waits on the
-	// barrier. If the reopen fails, rank 0 dies before the barrier and
-	// the survivors recurse into another shrink — each attempt loses a
-	// rank, so the recursion terminates.
-	if c.Rank() == 0 {
-		src, err := rv.reopen(cursor)
-		if err != nil {
-			sp.End(0, 0)
-			return err
-		}
-		if _, ok := src.(fastq.CursorSource); !ok {
-			sp.End(0, 0)
-			return fmt.Errorf("pipeline: Ckpt.Reopen returned a source without cursor support")
-		}
-		rv.prod.reset(src, reads, bases)
-	}
-	if err := c.Barrier(); err != nil {
-		sp.End(0, 0)
-		return err
-	}
-	out.recovered = true
-	out.deadRanks = deadList(dead)
-	out.replays++
-	rv.rec.Instant(seat.old, -1, obs.EvShrink)
-	sp.End(0, uint64(len(out.deadRanks)))
-	return nil
-}
-
 // deadList converts a dead mask to a sorted id list.
 func deadList(dead []bool) []int {
 	var out []int
@@ -353,15 +189,27 @@ func buildFingerprint(cfg Config) recov.Fingerprint {
 	}
 }
 
+// checkFingerprint refuses a checkpoint taken under another configuration
+// (k, ranks, engine, encoding, mode, input list): continuing it would merge
+// incompatible state.
+func checkFingerprint(cfg Config, man *recov.Manifest) error {
+	fp := buildFingerprint(cfg)
+	if man.Fingerprint.Hash() == fp.Hash() {
+		return nil
+	}
+	return fmt.Errorf("pipeline: checkpoint in %s was taken under a different configuration (k=%d mode=%s engine=%s ranks=%d, want k=%d mode=%s engine=%s ranks=%d): %w",
+		cfg.Ckpt.Dir,
+		man.Fingerprint.K, man.Fingerprint.Mode, man.Fingerprint.Engine, man.Fingerprint.Ranks,
+		fp.K, fp.Mode, fp.Engine, fp.Ranks, durable.ErrMismatch)
+}
+
 // ResumeStream continues a checkpointed streaming run: it validates the
-// manifest in cfg.Ckpt.Dir against the config fingerprint (k, ranks,
-// engine, encoding, mode, input list — resuming under a different
-// configuration would merge incompatible state and is refused with
-// durable.ErrMismatch), reopens the source fast-forwarded to the
-// recorded cursor via cfg.Ckpt.Reopen, reloads each surviving slot's
-// spectrum slice, and runs the round loop from the checkpointed round.
-// The completed spectrum is bit-identical to an unfaulted run over the
-// same input.
+// manifest in cfg.Ckpt.Dir against the config fingerprint (a mismatch is
+// refused with durable.ErrMismatch), then restarts the run from it exactly
+// as a run restarts after a rank death (see runStream): the manifest's
+// surviving ranks reload their spectrum slices and the input reopens at
+// the recorded cursor via cfg.Ckpt.Reopen. The completed spectrum is
+// bit-identical to an unfaulted run over the same input.
 func ResumeStream(cfg Config) (*Result, error) {
 	if err := cfg.Validate(Resuming); err != nil {
 		return nil, err
@@ -370,59 +218,104 @@ func ResumeStream(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	fp := buildFingerprint(cfg)
-	if man.Fingerprint.Hash() != fp.Hash() {
-		return nil, fmt.Errorf("pipeline: checkpoint in %s was taken under a different configuration (k=%d mode=%s engine=%s ranks=%d, want k=%d mode=%s engine=%s ranks=%d): %w",
-			cfg.Ckpt.Dir,
-			man.Fingerprint.K, man.Fingerprint.Mode, man.Fingerprint.Engine, man.Fingerprint.Ranks,
-			fp.K, fp.Mode, fp.Engine, fp.Ranks, durable.ErrMismatch)
+	if err := checkFingerprint(cfg, man); err != nil {
+		return nil, err
+	}
+	return runStream(cfg, nil)
+}
+
+// restart readies the world that continues a run from the last checkpoint
+// in cfg.Ckpt.Dir — none yet meaning round 0 with no seeds — on the ranks
+// dead spares: their seats (seatsFromManifest, which also marks dead the
+// ranks the checkpoint lost) and a producer over the input reopened at the
+// checkpoint's cursor, seeded with its read and base tallies.
+func restart(cfg Config, dead []bool) ([]*rankSeat, *chunkProducer, error) {
+	man, err := recov.LoadManifest(cfg.Ckpt.Dir)
+	switch {
+	case errors.Is(err, recov.ErrNoCheckpoint):
+		man, err = &recov.Manifest{Round: -1}, nil
+	case err == nil:
+		err = checkFingerprint(cfg, man)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	seats, err := seatsFromManifest(cfg, man, dead)
+	if err != nil {
+		return nil, nil, err
 	}
 	src, err := cfg.Ckpt.Reopen(man.Cursor)
 	if err != nil {
-		return nil, err
+		return nil, nil, fmt.Errorf("pipeline: reopening the input at the checkpoint: %w", err)
 	}
-	return runStream(cfg, src, man)
+	prod := newChunkProducer(cfg, src)
+	prod.reads, prod.bases = man.Reads, man.Bases
+	return seats, prod, nil
 }
 
-// seatsFromManifest rebuilds the world a checkpoint recorded: one seat
-// per surviving slot, seeded from its slice file, starting at
-// man.Round+1.
-func seatsFromManifest(cfg Config, man *recov.Manifest, fphash uint64) ([]*rankSeat, error) {
+// seatsFromManifest builds the seats of a world continuing from man: one
+// per original rank not in dead, starting at round man.Round+1. It first
+// marks dead every rank man itself records as lost. A seat is seeded from
+// every slot file j whose rank man.Survivors[j] hands its keys to the
+// seat's rank under dead — recov.Successor composes over growing dead
+// sets, so this holds when man postdates earlier deaths. A nil man (no
+// checkpoint) seeds nothing and starts at round 0.
+func seatsFromManifest(cfg Config, man *recov.Manifest, dead []bool) ([]*rankSeat, error) {
 	nOrig := cfg.Layout.Ranks()
-	seats := make([]*rankSeat, len(man.Survivors))
-	slots := append([]int(nil), man.Survivors...)
-	for j, oldID := range man.Survivors {
-		seat := &rankSeat{old: oldID, nOrig: nOrig, slots: slots, base: man.Round + 1}
-		if err := seat.buildRemap(seat.deadOf()); err != nil {
-			return nil, err
+	if man == nil {
+		man = &recov.Manifest{Round: -1}
+	}
+	for _, d := range man.Dead {
+		dead[d] = true
+	}
+	var slots []int
+	idx := make([]int, nOrig) // comm rank of each live original rank
+	for r := 0; r < nOrig; r++ {
+		if !dead[r] {
+			idx[r] = len(slots)
+			slots = append(slots, r)
 		}
-		db, err := recov.LoadRankFile(recov.RankFilePath(cfg.Ckpt.Dir, man.Round, j), man.Round, j, fphash)
-		if err != nil {
-			return nil, err
+	}
+	if len(slots) == 0 {
+		return nil, fmt.Errorf("pipeline: every rank dead, nothing to restart on")
+	}
+	remap := make([]int, nOrig)
+	for d := range remap {
+		remap[d] = idx[recov.Successor(d, dead)]
+	}
+	fphash := buildFingerprint(cfg).Hash()
+	seats := make([]*rankSeat, len(slots))
+	for i, old := range slots {
+		seats[i] = &rankSeat{old: old, nOrig: nOrig, slots: slots, remap: remap, base: man.Round + 1, degraded: man.Incomplete}
+		for j, id := range man.Survivors {
+			if recov.Successor(id, dead) != old {
+				continue
+			}
+			db, err := recov.LoadRankFile(recov.RankFilePath(cfg.Ckpt.Dir, man.Round, j), man.Round, j, fphash)
+			if err != nil {
+				return nil, err
+			}
+			seats[i].seed = append(seats[i].seed, db)
 		}
-		seat.seed = []*kcount.Database{db}
-		seat.degraded = man.Incomplete
-		seats[j] = seat
 	}
 	return seats, nil
 }
 
-// mergeDead folds per-outcome dead lists into one sorted, deduplicated
-// list for the Result.
-func mergeDead(outcomes []rankOutcome) []int {
-	seen := map[int]bool{}
-	for i := range outcomes {
-		for _, d := range outcomes[i].deadRanks {
-			seen[d] = true
+// restartable classifies a failed world by its ranks' errors. The
+// survivors may restart without the ranks in killed (slots of the world)
+// only when every failed rank was killed (fault.ErrKilled) or saw a peer
+// die (mpisim.ErrPeerDead), and at least one rank was not killed. Any
+// other failure — a collective deadline, a panic, an I/O error such as a
+// checkpoint write on a full disk — fails the run.
+func restartable(errs []error) (killed []int, ok bool) {
+	for slot, err := range errs {
+		switch {
+		case err == nil:
+		case errors.Is(err, fault.ErrKilled):
+			killed = append(killed, slot)
+		case !errors.Is(err, mpisim.ErrPeerDead):
+			return nil, false
 		}
 	}
-	if len(seen) == 0 {
-		return nil
-	}
-	out := make([]int, 0, len(seen))
-	for d := range seen {
-		out = append(out, d)
-	}
-	sort.Ints(out)
-	return out
+	return killed, len(killed) > 0 && len(killed) < len(errs)
 }

@@ -2,13 +2,19 @@ package pipeline
 
 import (
 	"errors"
+	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime/debug"
+	"slices"
+	"syscall"
 	"testing"
 
 	"dedukt/internal/durable"
 	"dedukt/internal/fastq"
 	"dedukt/internal/fault"
+	"dedukt/internal/mpisim"
 	"dedukt/internal/obs"
 	recov "dedukt/internal/recover"
 )
@@ -34,8 +40,9 @@ func ckptConfig(cfg Config, dir string, reads []fastq.Record, every int, noShrin
 // TestKillResumeShrinkEquivalence is the equivalence matrix of the
 // recovery subsystem: a run with a seeded fatal kill at a fixed round,
 // completed either by offline resume (-resume semantics: the failed
-// run's checkpoint continues in a fresh world) or by in-place shrink
-// recovery (survivors absorb the dead rank), must be bit-identical —
+// run's checkpoint continues in a fresh world) or by the in-process
+// restart (the survivors continue from the last checkpoint in a smaller
+// world, absorbing the dead rank's keys), must be bit-identical —
 // counts, histogram, top-k — to the unfaulted run, under both the serial
 // and the overlapped schedule and on both engines.
 func TestKillResumeShrinkEquivalence(t *testing.T) {
@@ -106,8 +113,8 @@ func TestKillResumeShrinkEquivalence(t *testing.T) {
 							got.InputReads, got.InputBases, want.InputReads, want.InputBases)
 					}
 
-					// Path 2: same kill with shrink recovery enabled — the
-					// run completes in one go, survivors absorbing rank 1.
+					// Path 2: same kill with the restart enabled — the run
+					// completes in one go, survivors absorbing rank 1.
 					rec := obs.NewRecorder(layout.Ranks())
 					shrunk := ckptConfig(base, t.TempDir(), reads, 2, false)
 					shrunk.Fault = faulted.Fault
@@ -140,6 +147,15 @@ func TestKillResumeShrinkEquivalence(t *testing.T) {
 					}
 					if shrinks == 0 || ckpts == 0 {
 						t.Fatalf("recovery instants missing: %d shrink, %d ckpt", shrinks, ckpts)
+					}
+					// The failed world's work still counts, and the one
+					// injector of the run saw the one kill.
+					if got2.ItemsExchanged <= want.ItemsExchanged {
+						t.Fatalf("recovered run exchanged %d items, unfaulted %d: the failed world's work is lost",
+							got2.ItemsExchanged, want.ItemsExchanged)
+					}
+					if k := killedTotal(got2); k != 1 {
+						t.Fatalf("recovered run counts %d kills, want 1", k)
 					}
 				})
 			}
@@ -261,5 +277,138 @@ func TestCheckpointCleanupKeepsLatestRound(t *testing.T) {
 	}
 	for name := range wantFiles {
 		t.Fatalf("missing checkpoint file %q", name)
+	}
+}
+
+// killedTotal sums the injected kills over a result's ranks.
+func killedTotal(res *Result) uint64 {
+	var n uint64
+	for _, c := range res.Faults {
+		n += c.Killed
+	}
+	return n
+}
+
+// TestTwoDeathsInOneRun: a second rank dies in the world that restarted
+// after the first death, and the run still completes exactly. The fatal
+// kill takes rank 1 at round 3; seed 4's kill roll at probability 0.004
+// fires once over the run, for rank 2 at round 12 — the rank that
+// inherited rank 1's keys — so the second restart hands both slices to
+// rank 3.
+func TestTwoDeathsInOneRun(t *testing.T) {
+	reads := testReads(t, 8_000, 6)
+	base := Default(smallGPULayout(1), KmerMode)
+	base.RoundBases = 350
+	want, err := RunStream(base, fastq.NewSliceSource(reads))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ckptConfig(base, t.TempDir(), reads, 2, false)
+	cfg.Fault = fault.Config{Seed: 4, Kill: 0.004, FatalKill: true, FatalRank: 1, FatalRound: 3}
+	got, err := RunStream(cfg, fastq.NewSliceSource(reads))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.DeadRanks, []int{1, 2}) {
+		t.Fatalf("DeadRanks = %v, want [1 2]", got.DeadRanks)
+	}
+	sameCounts(t, want, got)
+	checkAgainstOracle(t, base, reads, got)
+	if k := killedTotal(got); k != 2 {
+		t.Fatalf("Faults count %d kills, want 2", k)
+	}
+}
+
+// TestRestartClosesAbandonedInput: a restart closes the half-read source
+// it abandons. Ten runs over an opened FASTQ file, each losing a rank
+// mid-stream, must leave no descriptor behind; the collector is off, so a
+// leaked file cannot be closed by its finalizer instead.
+func TestRestartClosesAbandonedInput(t *testing.T) {
+	fds := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skip("no /proc/self/fd to count open files")
+		}
+		return len(ents)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	paths := writeGzFiles(t, testReads(t, 6_000, 3), 1)
+	cfg := Default(smallGPULayout(1), KmerMode)
+	cfg.RoundBases = 600
+	cfg.Ckpt = CkptConfig{Dir: t.TempDir(), Every: 100, Reopen: func(c fastq.Cursor) (fastq.Source, error) {
+		s, err := fastq.OpenStream(paths...)
+		if err != nil {
+			return nil, err
+		}
+		return s, s.SeekCursor(c)
+	}}
+	cfg.Fault = fault.Config{FatalKill: true, FatalRank: 2, FatalRound: 2}
+	before := fds()
+	for range 10 {
+		src, err := fastq.OpenStream(paths...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunStream(cfg, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Recovered {
+			t.Fatal("the run did not restart")
+		}
+	}
+	if after := fds(); after > before {
+		t.Fatalf("%d files open after 10 recoveries, %d before", after, before)
+	}
+}
+
+// TestReopenFailureFailsOnce: when the input cannot be reopened at the
+// checkpoint, the restart calls Reopen once and fails the run with its
+// error.
+func TestReopenFailureFailsOnce(t *testing.T) {
+	reads := testReads(t, 6_000, 3)
+	gone := errors.New("input gone")
+	calls := 0
+	cfg := Default(smallGPULayout(1), KmerMode)
+	cfg.RoundBases = 600
+	cfg.Ckpt = CkptConfig{Dir: t.TempDir(), Every: 2, Reopen: func(fastq.Cursor) (fastq.Source, error) {
+		calls++
+		return nil, gone
+	}}
+	cfg.Fault = fault.Config{FatalKill: true, FatalRank: 1, FatalRound: 3}
+	_, err := RunStream(cfg, fastq.NewSliceSource(reads))
+	if !errors.Is(err, gone) {
+		t.Fatalf("want the Reopen error, got %v", err)
+	}
+	if calls != 1 {
+		t.Fatalf("Reopen called %d times, want 1", calls)
+	}
+}
+
+// TestRestartable pins which failed worlds restart on their survivors:
+// only those whose every failure is a kill or a peer's death, with a
+// survivor left.
+func TestRestartable(t *testing.T) {
+	kill := fmt.Errorf("pipeline: rank 1 at round 3: %w", fault.ErrKilled)
+	peer := fmt.Errorf("exchange: %w", fmt.Errorf("mpisim: rank 1 dead: %w", mpisim.ErrPeerDead))
+	deadline := fmt.Errorf("mpisim: waited 1s in a collective: %w", mpisim.ErrDeadline)
+	panicked := errors.New("mpisim: rank panicked: index out of range")
+	full := &fs.PathError{Op: "write", Path: "r0003-s0002.ckpt", Err: syscall.ENOSPC}
+	for _, c := range []struct {
+		name   string
+		errs   []error
+		killed []int
+		ok     bool
+	}{
+		{"kill + peer-dead", []error{peer, kill, peer, kill}, []int{1, 3}, true},
+		{"deadline", []error{deadline, deadline, peer}, nil, false},
+		{"panic", []error{peer, panicked, peer}, nil, false},
+		{"I/O error", []error{peer, kill, full}, nil, false},
+		{"all killed", []error{kill, kill}, nil, false},
+	} {
+		killed, ok := restartable(c.errs)
+		if ok != c.ok || (ok && !slices.Equal(killed, c.killed)) {
+			t.Errorf("%s: restartable = %v, %v; want %v, %v", c.name, killed, ok, c.killed, c.ok)
+		}
 	}
 }

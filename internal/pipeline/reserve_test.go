@@ -108,7 +108,7 @@ func testCountAllocation(t *testing.T) {
 	}
 	row = sampleFirst(row)
 	counted := func() (uint64, *kcount.AtomicTable) {
-		eng, err := newKmerEngine(rankCtx{cfg: cfg, seat: identitySeat(0, 1)})
+		eng, err := newKmerEngine(rankCtx{cfg: cfg, seat: &rankSeat{nOrig: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,7 +291,7 @@ func TestCountLaunchLoop(t *testing.T) {
 			t.Run(name+"/"+mode.String(), func(t *testing.T) {
 				cfg := cfg
 				cfg.Mode = mode
-				rc := rankCtx{cfg: cfg, seat: identitySeat(0, 1)}
+				rc := rankCtx{cfg: cfg, seat: &rankSeat{nOrig: 1}}
 				var launches [3]int
 				var count func(a countLoopArrival) (work, error)
 				var table func() *kcount.AtomicTable
@@ -367,7 +367,7 @@ func TestCountLaunchLoop(t *testing.T) {
 // it anywhere.
 func TestKmerRowsShipSampleFirst(t *testing.T) {
 	cfg := Default(smallGPULayout(2), KmerMode)
-	eng, err := newKmerEngine(rankCtx{cfg: cfg, seat: identitySeat(0, cfg.Layout.Ranks())})
+	eng, err := newKmerEngine(rankCtx{cfg: cfg, seat: &rankSeat{nOrig: cfg.Layout.Ranks()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func (s stalledArrival) Count(_ *kcount.AtomicTable, _ keySlice, from, _ int) (i
 // k-mers are left ends the count with an error after that one launch,
 // instead of spinning on launch overheads.
 func TestCountLoopFailsWithoutProgress(t *testing.T) {
-	eng, err := newKmerEngine(rankCtx{cfg: Default(smallGPULayout(1), KmerMode), seat: identitySeat(0, 1)})
+	eng, err := newKmerEngine(rankCtx{cfg: Default(smallGPULayout(1), KmerMode), seat: &rankSeat{nOrig: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +545,7 @@ func FuzzGPUCount(f *testing.F) {
 			}
 		}
 		var reads [][]byte // one read a k-mer occurrence
-		seat := identitySeat(0, 1)
+		seat := &rankSeat{nOrig: 1}
 		want := map[dna.Kmer]uint32{}
 		if seeded {
 			db := &kcount.Database{K: k}

@@ -91,10 +91,14 @@ func TestUnevenTailDrain(t *testing.T) {
 		for r := 2; r < p; r++ {
 			sources[r] = &sliceChunker{maxBases: cfg.RoundBases}
 		}
-		res, err := runWorld(cfg, nil, sources, nil, nil, nil, nil)
+		rs, seats, err := newRunState(cfg)
 		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rs.world(nil, sources, seats, nil, nil); err != nil {
 			t.Fatalf("overlap=%v: %v", overlap, err)
 		}
+		res := rs.result()
 		// Every rank ran as many rounds as the heaviest one's chunks.
 		want, _ := drainChunker(t, &sliceChunker{reads: reads[:len(reads)-1], maxBases: cfg.RoundBases})
 		if res.Rounds != len(want) {

@@ -33,9 +33,6 @@ type rankOutcome struct {
 	rounds       int
 	incomplete   bool // a round degraded past its retry budget
 	ckpts        int  // round checkpoints this seat persisted
-	recovered    bool // this seat completed at least one shrink recovery
-	deadRanks    []int
-	replays      int // shrink recoveries this seat went through
 }
 
 // Run executes the configured pipeline over the reads and returns the
@@ -83,10 +80,14 @@ func Run(cfg Config, reads []fastq.Record) (*Result, error) {
 	if cfg.KeepTables {
 		runtime.GC()
 	}
-	res, err := runWorld(cfg, destMap, sources, nil, nil, nil, spl)
+	rs, seats, err := newRunState(cfg)
 	if err != nil {
 		return nil, err
 	}
+	if _, err := rs.world(destMap, sources, seats, nil, spl); err != nil {
+		return nil, err
+	}
+	res := rs.result()
 	if cfg.KeepTables {
 		runtime.GC()
 	}
@@ -95,33 +96,45 @@ func Run(cfg Config, reads []fastq.Record) (*Result, error) {
 	return res, nil
 }
 
-// runWorld is the engine shared by Run, RunStream and ResumeStream: it
-// spins up the simulated world with one chunk producer per rank and
-// aggregates the rank outcomes. sources feeds each rank's round loop (a
-// preloaded partition for Run, handles on a shared bounded producer for
-// the streaming paths).
-//
-// seats, when non-nil, is a resumed world (possibly smaller than the
-// layout after earlier shrinks); nil means the identity world. ck
-// enables periodic checkpointing and rv in-place shrink recovery; with
-// rv set, a rank death no longer fails the run — survivors shrink the
-// communicator, replay from the last checkpoint, and the dead ranks'
-// expected failures are absorbed below.
-func runWorld(cfg Config, destMap []uint16, sources []chunkSource, seats []*rankSeat, ck *ckptCtl, rv *recoverRT, spl *spillCtl) (*Result, error) {
-	nOrig := cfg.Layout.Ranks()
-	inj, err := fault.New(cfg.Fault, nOrig)
-	if err != nil {
-		return nil, err
-	}
-	outcomes := make([]rankOutcome, nOrig)
-	if seats == nil {
-		seats = make([]*rankSeat, nOrig)
-		for r := range seats {
-			seats[r] = identitySeat(r, nOrig)
-		}
-	}
+// runState is what a run keeps across the worlds it goes through: a world
+// that loses a rank ends, and the survivors continue in a new one (see
+// runStream). One fault injector spans the run, so Result.Faults and a
+// one-shot fatal kill cover every world; each original rank's outcome
+// accumulates, so a failed world's work still counts; and the worlds'
+// collective traces concatenate.
+type runState struct {
+	cfg      Config
+	inj      *fault.Injector
+	outcomes []rankOutcome // indexed by original rank
+	trace    []mpisim.TraceEntry
+	start    time.Time
+	wall     time.Duration // from the start to the end of the latest world
+	// dead marks the original ranks lost; restarts counts the worlds
+	// that continued after a death.
+	dead     []bool
+	restarts int
+}
 
-	start := time.Now()
+// newRunState starts a run, returning its state and the seats of its
+// first world: every rank, from round 0.
+func newRunState(cfg Config) (*runState, []*rankSeat, error) {
+	n := cfg.Layout.Ranks()
+	inj, err := fault.New(cfg.Fault, n)
+	if err != nil {
+		return nil, nil, err
+	}
+	rs := &runState{cfg: cfg, inj: inj, outcomes: make([]rankOutcome, n), start: time.Now(), dead: make([]bool, n)}
+	seats, err := seatsFromManifest(cfg, nil, rs.dead)
+	return rs, seats, err
+}
+
+// world runs one simulated world, one rank per seat, and returns each
+// seat's error and, when any failed, all of them joined under their
+// original rank ids. sources feeds each seat's round loop (a preloaded
+// partition for Run, handles on a shared bounded producer for the
+// streaming paths); ck, when non-nil, checkpoints periodically.
+func (rs *runState) world(destMap []uint16, sources []chunkSource, seats []*rankSeat, ck *ckptCtl, spl *spillCtl) ([]error, error) {
+	cfg := rs.cfg
 	opt := mpisim.Options{Deadline: cfg.ExchangeDeadline, Obs: cfg.Obs}
 	// The one mode fork of the pipeline: the mode fixes the payload unit
 	// the rank body is instantiated over — 64-bit k-mer words or supermer
@@ -134,88 +147,45 @@ func runWorld(cfg Config, destMap []uint16, sources []chunkSource, seats []*rank
 		rankBody = func(rc rankCtx) error { return runRank[byte](rc, cd, newSupermerEngine) }
 	}
 	trace, errs, err := mpisim.RunRanks(len(seats), opt, func(c *mpisim.Comm) error {
-		// The seat and source are bound to the starting slot; both stay
-		// with this goroutine when a shrink renumbers the communicator.
 		seat := seats[c.Rank()]
-		out := &outcomes[seat.old]
+		out := &rs.outcomes[seat.old]
 		out.incomplete = seat.degraded
 		rc := rankCtx{
-			cfg: cfg, destMap: destMap, inj: inj, ck: ck,
+			cfg: cfg, destMap: destMap, inj: rs.inj, ck: ck,
 			c: c, src: sources[c.Rank()], seat: seat, out: out,
 		}
 		if spl != nil {
 			rc.rsp = spl.rank(seat.old)
 		}
-		for {
-			err := rankBody(rc)
-			if err == nil {
-				return nil
-			}
-			if rv == nil || !errors.Is(err, mpisim.ErrPeerDead) {
-				return err
-			}
-			// A peer died mid-run and recovery is enabled: shrink,
-			// reload the last checkpoint, replay. Another death during
-			// the recovery itself surfaces as ErrPeerDead again and
-			// loops into a further shrink — each attempt loses at least
-			// one rank, so the loop terminates.
-			for {
-				rerr := rv.shrinkReload(c, seat, out)
-				if rerr == nil {
-					break
-				}
-				if !errors.Is(rerr, mpisim.ErrPeerDead) {
-					return rerr
-				}
-			}
-		}
+		return rankBody(rc)
 	})
-	wall := time.Since(start)
+	rs.trace = append(rs.trace, trace...)
+	rs.wall = time.Since(rs.start)
 	if err != nil {
 		return nil, err
 	}
-	if err := absorbRankErrors(seats, outcomes, errs); err != nil {
-		return nil, err
-	}
-	res := aggregate(cfg, trace, outcomes, wall)
-	res.Faults = inj.Snapshot()
-	if cfg.Obs != nil {
-		registerRunMetrics(cfg.Obs.Registry(), res)
-		inj.RegisterMetrics(cfg.Obs.Registry())
-	}
-	return res, nil
-}
-
-// absorbRankErrors decides whether the world's per-slot outcomes add up
-// to a successful run. Without recovery every failure is fatal
-// (RunWithOptions semantics). After a shrink recovery the dead ranks'
-// own failures are expected — the survivors completed the full
-// computation on their behalf — so a failure is absorbed exactly when
-// some seat recovered and the failing slot's original rank is in the
-// agreed dead set. Any other failure (or all ranks failing) still fails
-// the run.
-func absorbRankErrors(seats []*rankSeat, outcomes []rankOutcome, errs []error) error {
-	dead := map[int]bool{}
-	anyRecovered := false
-	for i := range outcomes {
-		if outcomes[i].recovered {
-			anyRecovered = true
-			for _, d := range outcomes[i].deadRanks {
-				dead[d] = true
-			}
-		}
-	}
 	var joined []error
 	for slot, e := range errs {
-		if e == nil {
-			continue
+		if e != nil {
+			joined = append(joined, fmt.Errorf("rank %d: %w", seats[slot].old, e))
 		}
-		if anyRecovered && dead[seats[slot].old] {
-			continue
-		}
-		joined = append(joined, fmt.Errorf("rank %d: %w", seats[slot].old, e))
 	}
-	return errors.Join(joined...)
+	return errs, errors.Join(joined...)
+}
+
+// result folds the run's outcomes and trace into its Result and publishes
+// the run's metrics.
+func (rs *runState) result() *Result {
+	res := aggregate(rs.cfg, rs.trace, rs.outcomes, rs.wall)
+	res.Faults = rs.inj.Snapshot()
+	if res.Recovered = rs.restarts > 0; res.Recovered {
+		res.DeadRanks = deadList(rs.dead)
+	}
+	if reg := rs.cfg.Obs.Registry(); reg != nil {
+		registerRunMetrics(reg, res)
+		rs.inj.RegisterMetrics(reg)
+	}
+	return res
 }
 
 // registerRunMetrics publishes the run's headline numbers into the shared
@@ -239,7 +209,7 @@ func registerRunMetrics(reg *obs.Registry, res *Result) {
 	if res.Recovered {
 		recovered = 1
 	}
-	reg.Counter("pipeline_recovery_shrinks_total", "Runs completed through shrink recovery after rank death.").Add(recovered)
+	reg.Counter("pipeline_recovery_shrinks_total", "Runs completed by restarting the survivors from the last checkpoint after a rank death.").Add(recovered)
 	reg.Gauge("pipeline_recovery_dead_ranks", "Ranks lost (and absorbed by survivors) during the latest run.").Set(float64(len(res.DeadRanks)))
 	for phase, d := range map[string]time.Duration{
 		"parse":    res.Modeled.Parse,
@@ -293,9 +263,6 @@ func aggregate(cfg Config, trace []mpisim.TraceEntry, outcomes []rankOutcome, wa
 		if o.ckpts > res.Checkpoints {
 			res.Checkpoints = o.ckpts
 		}
-		if o.recovered {
-			res.Recovered = true
-		}
 		res.ItemsExchanged += o.itemsSent
 		res.PayloadBytes += o.payloadSent
 		if o.sum != nil {
@@ -312,7 +279,6 @@ func aggregate(cfg Config, trace []mpisim.TraceEntry, outcomes []rankOutcome, wa
 	}
 	res.TotalKmers, res.DistinctKmers = total.Total, total.Distinct
 	res.Histogram, res.TopKmers = total.Hist, total.TopK()
-	res.DeadRanks = mergeDead(outcomes)
 	res.Modeled.Parse = maxParse
 	res.Modeled.Count = maxCount
 

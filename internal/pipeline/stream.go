@@ -6,7 +6,7 @@ import (
 	"sync"
 
 	"dedukt/internal/fastq"
-	recov "dedukt/internal/recover"
+	"dedukt/internal/obs"
 )
 
 // RunStream executes the configured pipeline over a streaming source,
@@ -21,69 +21,94 @@ import (
 // (see runRounds).
 //
 // With Config.Ckpt set, the run persists round-granularity checkpoints
-// and survives rank death by shrink recovery (see ResumeStream and
-// DESIGN.md §12); src must then be a fastq.CursorSource.
+// and survives rank death by restarting the survivors from the last one
+// (see runStream and DESIGN.md §12); src must then be a
+// fastq.CursorSource.
 func RunStream(cfg Config, src fastq.Source) (*Result, error) {
 	if err := cfg.Validate(Streaming); err != nil {
 		return nil, err
 	}
-	return runStream(cfg, src, nil)
-}
-
-// runStream is the shared core of RunStream (man == nil) and
-// ResumeStream (man holds the validated checkpoint manifest and src is
-// already fast-forwarded to its cursor); both have validated cfg.
-func runStream(cfg Config, src fastq.Source, man *recov.Manifest) (*Result, error) {
 	if src == nil {
 		return nil, fmt.Errorf("pipeline: nil stream source")
 	}
-	ckpt := cfg.Ckpt.Dir != ""
-	if ckpt {
-		if _, ok := src.(fastq.CursorSource); !ok {
-			return nil, fmt.Errorf("pipeline: checkpointing needs a source with cursor support (got %T)", src)
-		}
-	}
-	prod := &chunkProducer{src: src, maxBases: cfg.streamRoundBases(), track: ckpt}
+	return runStream(cfg, src)
+}
 
-	var ck *ckptCtl
-	var rv *recoverRT
-	var seats []*rankSeat
-	if ckpt {
-		ck = newCkptCtl(cfg, prod)
-		if !cfg.Ckpt.NoShrink {
-			rv = &recoverRT{ck: ck, prod: prod, reopen: cfg.Ckpt.Reopen, rec: cfg.Obs}
-		}
-	}
-	world := cfg.Layout.Ranks()
-	if man != nil {
-		// Resuming: the producer has already delivered the checkpointed
-		// prefix in the prior run; seed its tallies so Result reports the
-		// whole input, and rebuild the manifest's (possibly shrunk) world.
-		prod.reads, prod.bases = man.Reads, man.Bases
-		var err error
-		seats, err = seatsFromManifest(cfg, man, ck.fphash)
-		if err != nil {
-			return nil, err
-		}
-		world = len(seats)
-	}
-	sources := make([]chunkSource, world)
-	for r := range sources {
-		sources[r] = &streamHandle{prod: prod}
+// runStream is the shared core of RunStream and, with a nil src,
+// ResumeStream; both have validated cfg. It runs worlds until one
+// completes. A failed world ends with all its goroutines returned and
+// its source closed (when an io.Closer). When ranks died (restartable),
+// checkpointing is on and Ckpt.NoShrink off, the survivors then restart
+// from the last checkpoint in a smaller world (restart), exactly as
+// ResumeStream starts; any other failure fails the run. The replay is
+// deterministic, so the spectrum is bit-identical to an unfaulted run's.
+func runStream(cfg Config, src fastq.Source) (*Result, error) {
+	rs, seats, err := newRunState(cfg)
+	if err != nil {
+		return nil, err
 	}
 	spl, err := newSpillCtl(cfg)
 	if err != nil {
 		return nil, err
 	}
-	res, err := runWorld(cfg, nil, sources, seats, ck, rv, spl)
-	if err != nil {
+	var prod *chunkProducer
+	if src != nil {
+		prod = newChunkProducer(cfg, src)
+	} else if seats, prod, err = restart(cfg, rs.dead); err != nil {
 		return nil, err
 	}
+	ckpt := cfg.Ckpt.Dir != ""
+	for {
+		var ck *ckptCtl
+		if ckpt {
+			if _, ok := prod.src.(fastq.CursorSource); !ok {
+				return nil, fmt.Errorf("pipeline: checkpointing needs a source with cursor support (got %T)", prod.src)
+			}
+			ck = newCkptCtl(cfg, prod)
+		}
+		sources := make([]chunkSource, len(seats))
+		for r := range sources {
+			sources[r] = &streamHandle{prod: prod}
+		}
+		errs, err := rs.world(nil, sources, seats, ck, spl)
+		if err == nil {
+			break
+		}
+		// The failed world's half-read source is abandoned either way.
+		if c, ok := prod.src.(io.Closer); ok {
+			c.Close()
+		}
+		killed, ok := restartable(errs)
+		if !ok || !ckpt || cfg.Ckpt.NoShrink {
+			return nil, err
+		}
+		for _, slot := range killed {
+			rs.dead[seats[slot].old] = true
+		}
+		var live []int
+		var spans []obs.SpanHandle
+		for _, s := range seats {
+			if !rs.dead[s.old] {
+				live = append(live, s.old)
+				spans = append(spans, cfg.Obs.Begin(s.old, -1, obs.PhaseRecovery))
+			}
+		}
+		if seats, prod, err = restart(cfg, rs.dead); err != nil {
+			return nil, err
+		}
+		rs.restarts++
+		lost := uint64(len(deadList(rs.dead)))
+		for i, sp := range spans {
+			cfg.Obs.Instant(live[i], -1, obs.EvShrink)
+			sp.End(0, lost)
+		}
+	}
+	res := rs.result()
 	res.Streamed = true
 	res.MemBudget = cfg.memBudget()
 	res.InputReads = prod.reads
 	res.InputBases = prod.bases
-	res.Resumed = man != nil
+	res.Resumed = src == nil
 	return res, nil
 }
 
@@ -112,6 +137,12 @@ type chunkProducer struct {
 	// it.
 	track bool
 	cur   fastq.Cursor
+}
+
+// newChunkProducer cuts src into the configured streaming rounds, keeping
+// a checkpoint cursor when checkpointing is on.
+func newChunkProducer(cfg Config, src fastq.Source) *chunkProducer {
+	return &chunkProducer{src: src, maxBases: cfg.streamRoundBases(), track: cfg.Ckpt.Dir != ""}
 }
 
 // fill appends the next chunk's records into buf, reporting whether the
@@ -177,20 +208,6 @@ func (p *chunkProducer) ckptCursor() (c fastq.Cursor, reads, bases uint64) {
 		return p.cur, p.reads - 1, p.bases - uint64(len(p.pending.Seq))
 	}
 	return p.src.(fastq.CursorSource).Cursor(), p.reads, p.bases
-}
-
-// reset re-feeds the producer from a reopened source during shrink
-// recovery: the replayed rounds pull from src as if the run had just
-// resumed from the checkpoint the cursor came from.
-func (p *chunkProducer) reset(src fastq.Source, reads, bases uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.src = src
-	p.pending = nil
-	p.done = false
-	p.err = nil
-	p.reads = reads
-	p.bases = bases
 }
 
 // streamHandle adapts one rank's view of the shared producer to the

@@ -1,5 +1,6 @@
 // Package recover is the durable-state layer of the pipeline's
-// checkpoint/restart and shrink-recovery machinery (DESIGN.md §12): it
+// checkpoint/restart machinery (DESIGN.md §12) — both the offline resume
+// and the in-process restart of the survivors after a rank death: it
 // defines the on-disk checkpoint — one CRC-framed manifest plus one
 // KCD-embedded spectrum slice per rank — and the deterministic successor
 // function that reassigns a dead rank's key ownership to a survivor.
@@ -94,7 +95,7 @@ type Manifest struct {
 	Reads uint64 `json:"reads"`
 	Bases uint64 `json:"bases"`
 	// Survivors maps checkpoint slot → original rank id. On an unfaulted
-	// run it is the identity; after a shrink recovery it lists the live
+	// run it is the identity; once ranks have died it lists the live
 	// ranks, and Dead the original ranks whose ownership was remapped
 	// (see Successor).
 	Survivors []int `json:"survivors"`
@@ -292,12 +293,13 @@ func RemoveStale(dir string, keepRound int) {
 
 // Successor returns the live owner of original rank r under the dead
 // set: r itself while alive, else the next live rank cyclically. This is
-// the deterministic ownership remap of shrink recovery, applied on top
-// of kernels.DestOf — keys keep their original destination and dead
-// destinations forward to their successor, so checkpointed slices stay
-// valid across shrinks. The function composes: for dead sets D ⊆ D',
-// Successor(Successor(r, D), D') == Successor(r, D'), which is what lets
-// a checkpoint written after one shrink be reloaded after another.
+// the deterministic ownership remap of the restart after a rank death,
+// applied on top of kernels.DestOf — keys keep their original destination
+// and dead destinations forward to their successor, so checkpointed
+// slices stay valid across restarts. The function composes: for dead
+// sets D ⊆ D', Successor(Successor(r, D), D') == Successor(r, D'), which
+// is what lets a checkpoint written after one death be reloaded after
+// another.
 // Returns -1 when every rank is dead.
 func Successor(r int, dead []bool) int {
 	for i := 0; i < len(dead); i++ {
