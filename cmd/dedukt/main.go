@@ -133,7 +133,6 @@ func parseArgs(args []string) (pipeline.Config, input, output, error) {
 	fs.DurationVar(&cfg.Fault.DelayFor, "fault-delayfor", 0, "straggler stall length (default 2ms)")
 	fs.Float64Var(&cfg.Fault.Drop, "fault-drop", 0, "per-payload probability it vanishes in flight")
 	fs.Float64Var(&cfg.Fault.Corrupt, "fault-corrupt", 0, "per-payload probability one bit flips in flight")
-	fs.IntVar(&cfg.MaxRetries, "max-retries", 0, "exchange retry budget per round (0 = default of 2, -1 = none)")
 	fs.DurationVar(&cfg.ExchangeDeadline, "deadline", 0, "per-collective deadline before peers give up on a stalled rank (0 = none)")
 	fs.IntVar(&cfg.Fault.FatalRank, "fault-kill-rank", -1, "deterministically kill this rank at -fault-kill-round (both must be set; exercises checkpoint/resume and the restart after a rank death)")
 	fs.IntVar(&cfg.Fault.FatalRound, "fault-kill-round", -1, "round at which -fault-kill-rank dies")
@@ -290,18 +289,11 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	// An incomplete spectrum (retry budget exhausted, no checkpoint to
-	// recover from) is a degraded result: report it, but exit nonzero so
-	// scripts never mistake a lower bound for the real counts.
-	exitCode := 0
-	if res.Incomplete {
-		exitCode = 3
-	}
 	if out.json {
 		if err := reportJSON(os.Stdout, cfg, res, out.top); err != nil {
 			log.Fatal(err)
 		}
-		os.Exit(exitCode)
+		return
 	}
 	report(os.Stdout, cfg, res, out.top, out.histMax)
 	if out.gpuStats {
@@ -320,28 +312,16 @@ func main() {
 		}
 	}
 	if out.kcd != "" {
-		path := out.kcd
-		if res.Incomplete {
-			// Never let a degraded spectrum masquerade as a database a
-			// downstream tool would trust.
-			path += ".partial"
-			log.Printf("run incomplete: writing %s instead of %s", path, out.kcd)
-		}
-		if err := writeKCD(path, cfg, res); err != nil {
+		if err := writeKCD(out.kcd, cfg, res); err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("wrote %s", path)
+		log.Printf("wrote %s", out.kcd)
 	}
 	if out.serve != "" {
-		if res.Incomplete {
-			log.Print("run incomplete: refusing to serve a partial spectrum")
-			os.Exit(exitCode)
-		}
 		if err := serveResult(out.serve, cfg, res, rec); err != nil {
 			log.Fatal(err)
 		}
 	}
-	os.Exit(exitCode)
 }
 
 // reportTables prints the -report line on the ranks' counter tables, each
@@ -477,9 +457,6 @@ type jsonReport struct {
 	Top        []jsonKmer        `json:"top_kmers,omitempty"`
 	Build      obs.BuildInfo     `json:"build"`
 
-	// Incomplete is always present: automation checks it to decide whether
-	// the spectrum is exact or a degraded lower bound.
-	Incomplete  bool        `json:"incomplete"`
 	Resumed     bool        `json:"resumed,omitempty"`
 	Recovered   bool        `json:"recovered,omitempty"`
 	DeadRanks   []int       `json:"dead_ranks,omitempty"`
@@ -495,7 +472,6 @@ type jsonFaults struct {
 	Corrupted uint64 `json:"corrupted"`
 	BadFrames uint64 `json:"bad_frames"`
 	Retries   uint64 `json:"retries"`
-	Discarded uint64 `json:"discarded_items"`
 }
 
 type jsonKmer struct {
@@ -531,15 +507,14 @@ func reportJSON(w io.Writer, cfg pipeline.Config, res *pipeline.Result, top int)
 		rep.SpillBins = res.SpillBins
 	}
 	rep.InputReads, rep.InputBases = res.InputReads, res.InputBases
-	rep.Incomplete = res.Incomplete
 	rep.Resumed = res.Resumed
 	rep.Recovered = res.Recovered
 	rep.DeadRanks = res.DeadRanks
 	rep.Checkpoints = res.Checkpoints
-	if tf := res.TotalFaults(); tf.Total()+tf.BadFrames+tf.Retries+tf.Discarded > 0 || res.Incomplete {
+	if tf := res.TotalFaults(); tf.Total()+tf.BadFrames+tf.Retries > 0 {
 		rep.Faults = &jsonFaults{
 			Killed: tf.Killed, Delayed: tf.Delayed, Dropped: tf.Dropped, Corrupted: tf.Corrupted,
-			BadFrames: tf.BadFrames, Retries: tf.Retries, Discarded: tf.Discarded,
+			BadFrames: tf.BadFrames, Retries: tf.Retries,
 		}
 	}
 	if top > len(res.TopKmers) {
@@ -611,9 +586,6 @@ func parseSize(s string) (int64, error) {
 }
 
 func report(w io.Writer, cfg pipeline.Config, res *pipeline.Result, top, histMax int) {
-	if res.Incomplete {
-		fmt.Fprintf(w, "*** INCOMPLETE RUN: counts below are a lower bound, not the spectrum ***\n\n")
-	}
 	fmt.Fprintf(w, "dedukt run: %s, k=%d", res.Name, cfg.K)
 	if cfg.Mode == pipeline.SupermerMode {
 		fmt.Fprintf(w, ", m=%d, window=%d, ordering=%s", cfg.M, cfg.Window, cfg.Ord.Name())
@@ -651,12 +623,10 @@ func report(w io.Writer, cfg pipeline.Config, res *pipeline.Result, top, histMax
 		fmt.Fprintf(w, "shrunk:    rank(s) %v died; survivors replayed and absorbed their shares — counts are exact\n", res.DeadRanks)
 	}
 
-	if tf := res.TotalFaults(); tf.Total()+tf.BadFrames+tf.Retries+tf.Discarded > 0 || res.Incomplete {
+	if tf := res.TotalFaults(); tf.Total()+tf.BadFrames+tf.Retries > 0 {
 		fmt.Fprintf(w, "faults:    injected %d (%d killed, %d delayed, %d dropped, %d corrupted); observed %d bad frames, %d retries\n",
 			tf.Total(), tf.Killed, tf.Delayed, tf.Dropped, tf.Corrupted, tf.BadFrames, tf.Retries)
-		if res.Incomplete {
-			fmt.Fprintf(w, "INCOMPLETE: retry budget exhausted, %d items discarded — counts are a lower bound\n", tf.Discarded)
-		} else if tf.Retries > 0 {
+		if tf.Retries > 0 {
 			fmt.Fprintf(w, "recovered: every faulted round verified after retry; counts are exact\n")
 		} else {
 			fmt.Fprintf(w, "recovered: no payload damage; counts are exact\n")

@@ -84,8 +84,8 @@ type Counts struct {
 	// Injected events (sender side).
 	Killed, Delayed, Dropped, Corrupted uint64
 	// Observed events (receiver / recovery side): frames that failed
-	// verification, rounds retried, and items lost to degraded rounds.
-	BadFrames, Retries, Discarded uint64
+	// verification and rounds retried.
+	BadFrames, Retries uint64
 }
 
 // Total returns the sum of injected events.
@@ -99,14 +99,13 @@ func (c *Counts) Add(other Counts) {
 	c.Corrupted += other.Corrupted
 	c.BadFrames += other.BadFrames
 	c.Retries += other.Retries
-	c.Discarded += other.Discarded
 }
 
 // atomicCounts is the concurrent mirror of Counts (ranks run as
 // goroutines, so counters must be race-free).
 type atomicCounts struct {
 	killed, delayed, dropped, corrupted atomic.Uint64
-	badFrames, retries, discarded       atomic.Uint64
+	badFrames, retries                  atomic.Uint64
 }
 
 // Injector makes the seeded fault decisions and records per-rank tallies.
@@ -229,17 +228,9 @@ func (in *Injector) RecordBadFrames(rank int, n uint64) {
 // RecordRetry notes one retried exchange round.
 func (in *Injector) RecordRetry(rank int) { in.counts[rank].retries.Add(1) }
 
-// RecordDiscarded notes items lost when a round degrades past its retry
-// budget.
-func (in *Injector) RecordDiscarded(rank int, items uint64) {
-	if items > 0 {
-		in.counts[rank].discarded.Add(items)
-	}
-}
-
 // RegisterMetrics publishes the injector's run-wide tallies into an
 // observability registry: injected events by kind plus the recovery-side
-// observations (bad frames, retries, discarded items). Call after a run
+// observations (bad frames, retries). Call after a run
 // completes; counters accumulate across runs sharing one registry.
 func (in *Injector) RegisterMetrics(reg *obs.Registry) {
 	if reg == nil {
@@ -260,7 +251,6 @@ func (in *Injector) RegisterMetrics(reg *obs.Registry) {
 	}
 	reg.Counter("fault_bad_frames_total", "Frames that failed verification on receive.").Add(sum.BadFrames)
 	reg.Counter("fault_retries_total", "Exchange rounds retried.").Add(sum.Retries)
-	reg.Counter("fault_discarded_items_total", "Items lost to rounds degraded past the retry budget.").Add(sum.Discarded)
 }
 
 // Snapshot returns the per-rank tallies.
@@ -275,7 +265,6 @@ func (in *Injector) Snapshot() []Counts {
 			Corrupted: c.corrupted.Load(),
 			BadFrames: c.badFrames.Load(),
 			Retries:   c.retries.Load(),
-			Discarded: c.discarded.Load(),
 		}
 	}
 	return out

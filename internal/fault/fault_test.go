@@ -163,12 +163,11 @@ func TestCountersAndSnapshot(t *testing.T) {
 	Corrupt(in, 1, 0, 0, 2, []byte{1})
 	in.RecordBadFrames(2, 3)
 	in.RecordRetry(2)
-	in.RecordDiscarded(2, 17)
 	s := in.Snapshot()
 	if s[1].Killed != 1 || s[1].Delayed != 1 || s[1].Dropped != 1 || s[1].Corrupted != 1 {
 		t.Fatalf("rank 1 counts = %+v", s[1])
 	}
-	if s[2].BadFrames != 3 || s[2].Retries != 1 || s[2].Discarded != 17 {
+	if s[2].BadFrames != 3 || s[2].Retries != 1 {
 		t.Fatalf("rank 2 counts = %+v", s[2])
 	}
 	if s[0].Total() != 0 {
@@ -178,7 +177,7 @@ func TestCountersAndSnapshot(t *testing.T) {
 	for _, c := range s {
 		sum.Add(c)
 	}
-	if sum.Total() != 4 || sum.Discarded != 17 {
+	if sum.Total() != 4 || sum.BadFrames != 3 {
 		t.Fatalf("aggregate = %+v", sum)
 	}
 }

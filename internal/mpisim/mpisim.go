@@ -269,7 +269,12 @@ func (w *world) barrier(rank int, enter func()) error {
 		w.cond.Wait()
 	}
 	satisfied = true
-	return w.failure // nil on normal completion
+	if w.phase != phase {
+		// Every rank arrived: the barrier completed, whatever failed
+		// before this waiter woke.
+		return nil
+	}
+	return w.failure
 }
 
 // exchange is the generic all-to-all primitive: every rank deposits one

@@ -280,6 +280,30 @@ func TestErrorReturnPoisonsWorld(t *testing.T) {
 	}
 }
 
+// TestCompletedCollectiveSurvivesLaterDeath: a collective every rank
+// entered completes on every rank, even when a peer fails right after it
+// and poisons the world before the other ranks have woken: each rank then
+// reports its own failure, not a peer's death.
+func TestCompletedCollectiveSurvivesLaterDeath(t *testing.T) {
+	own := errors.New("failed after the collective")
+	for iter := 0; iter < 20; iter++ {
+		_, errs, err := RunRanks(32, Options{}, func(c *Comm) error {
+			if _, err := c.AllreduceSum(1); err != nil {
+				return err
+			}
+			return own
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, e := range errs {
+			if e != own {
+				t.Fatalf("iter %d: rank %d returned %v, want its own failure", iter, r, e)
+			}
+		}
+	}
+}
+
 func TestRankDeathUnblocksCollectives(t *testing.T) {
 	// Poisoned-world semantics: a rank dying inside each collective must
 	// unblock all peers with ErrPeerDead within the deadline.

@@ -48,7 +48,6 @@ const (
 	EvDrop     = "fault_drop"
 	EvCorrupt  = "fault_corrupt"
 	EvRetry    = "retry_round"
-	EvDegraded = "degraded_round"
 	EvDeadline = "deadline_hit"
 	EvCkpt     = "checkpoint_round" // a round checkpoint was persisted
 	EvShrink   = "shrink_recovery"  // a surviving rank restarted from the last checkpoint
@@ -71,7 +70,7 @@ type Span struct {
 }
 
 // Instant is one point event on one rank (an injected fault, a retry
-// decision, a degraded round).
+// decision, a checkpoint).
 type Instant struct {
 	Rank, Round int
 	Name        string

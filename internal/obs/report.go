@@ -26,8 +26,6 @@ type RoundReport struct {
 	// Retries and Faults tally the round's retry_round instants and
 	// injected-fault instants (kill/delay/drop/corrupt).
 	Retries, Faults uint64
-	// Degraded reports that the round exhausted its retry budget somewhere.
-	Degraded bool
 	// ModeledCompute is the slowest rank's modeled compute time this round
 	// (stage_h2d + parse + count); ModeledExchange the slowest rank's
 	// modeled exchange time. These feed the overlap estimate below.
@@ -177,8 +175,6 @@ func (r *Recorder) BuildReport() *Report {
 			rr.Retries++
 		case EvKill, EvDelay, EvDrop, EvCorrupt:
 			rr.Faults++
-		case EvDegraded:
-			rr.Degraded = true
 		}
 	}
 	for rk, w := range runWall {
@@ -198,14 +194,10 @@ func (rep *Report) WriteText(w io.Writer) error {
 	}
 	fmt.Fprintf(w, "observability report: %d ranks, %d rounds\n\n", rep.Ranks, len(rep.Rounds))
 
-	t := stats.NewTable("round", "counted items", "imbalance", "slowest rank", "rank wall", "retries", "faults", "degraded")
+	t := stats.NewTable("round", "counted items", "imbalance", "slowest rank", "rank wall", "retries", "faults")
 	for _, rr := range rep.Rounds {
-		deg := ""
-		if rr.Degraded {
-			deg = "DEGRADED"
-		}
 		t.Row(rr.Round, stats.Count(rr.Items), rr.Imbalance,
-			rr.SlowestRank, rr.SlowestWall, rr.Retries, rr.Faults, deg)
+			rr.SlowestRank, rr.SlowestWall, rr.Retries, rr.Faults)
 	}
 	fmt.Fprint(w, t)
 

@@ -173,11 +173,6 @@ type Config struct {
 	// the exchange path. The zero value injects nothing; the detection and
 	// recovery machinery (checksummed frames, retry) runs either way.
 	Fault fault.Config
-	// MaxRetries bounds how many times a round whose exchange arrived
-	// corrupted or incomplete is retried from the retained send buffers
-	// before the round degrades (verified payloads only, Result.Incomplete
-	// set). 0 means the default of 2; -1 disables retries entirely.
-	MaxRetries int
 	// ExchangeDeadline bounds how long a rank may wait inside one
 	// collective for its peers before the run fails with
 	// mpisim.ErrDeadline (a live-but-stalled peer; dead peers unblock
@@ -188,8 +183,8 @@ type Config struct {
 	// observability at zero cost to the hot paths.
 	Obs *obs.Recorder
 	// Ckpt configures round-granularity checkpointing and the restart
-	// after a rank death (DESIGN.md §12). Streaming runs only; the zero value disables both,
-	// leaving PR 1's degrade-to-Incomplete as the terminal fault state.
+	// after a rank death (DESIGN.md §12). Streaming runs only; the zero
+	// value disables both, so a rank death fails the run.
 	Ckpt CkptConfig
 	// Spill configures two-pass out-of-core counting (DESIGN.md §16):
 	// pass 1 appends each rank's received items to minimizer-partitioned
@@ -346,9 +341,6 @@ func (c Config) Validate(e Entry) error {
 	if err := c.Fault.Validate(); err != nil {
 		return err
 	}
-	if c.MaxRetries < -1 {
-		return fmt.Errorf("pipeline: MaxRetries %d below -1", c.MaxRetries)
-	}
 	switch c.Exchange {
 	case ExchangeFlat:
 	case ExchangeHier:
@@ -376,18 +368,6 @@ func (c Config) Validate(e Entry) error {
 		}
 	}
 	return nil
-}
-
-// maxRetries returns the retry budget (default 2; -1 configures zero).
-func (c Config) maxRetries() int {
-	switch {
-	case c.MaxRetries == 0:
-		return 2
-	case c.MaxRetries < 0:
-		return 0
-	default:
-		return c.MaxRetries
-	}
 }
 
 func (c Config) ordering() minimizer.Ordering {
@@ -544,14 +524,13 @@ type Result struct {
 	// set (nil otherwise). Partitions are disjoint; merge with
 	// kcount.Table.Merge for a global table.
 	Tables []*kcount.Table
-	// Incomplete reports that at least one exchange round exhausted its
-	// retry budget and degraded: unverifiable payloads were discarded, so
-	// the counts are a lower bound rather than exact. Faults itemizes the
-	// damage per rank.
+	// Incomplete is always false: a run returns the exact spectrum or an
+	// error (ErrExchangeLost once a round's retries are spent). It stays
+	// only because the benchmark module reads it.
 	Incomplete bool
 	// Faults is the per-rank fault and recovery tally (indexed by rank):
-	// injected kills/delays/drops/corruptions plus observed bad frames,
-	// retried rounds, and discarded items. All-zero on a healthy run.
+	// injected kills/delays/drops/corruptions plus observed bad frames and
+	// retried rounds. All-zero on a healthy run.
 	Faults []fault.Counts
 	// Checkpoints is the number of round checkpoints persisted (0 when
 	// Config.Ckpt is unset).

@@ -117,7 +117,6 @@ func (v variant) config(reads []fastq.Record, dir string) Config {
 	}
 	if v.faults {
 		cfg.Fault = fault.Config{Seed: 1, Drop: 0.05, Corrupt: 0.05}
-		cfg.MaxRetries = 8
 	}
 	for _, s := range strays {
 		if s.name == v.stray {

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -19,8 +20,8 @@ import (
 // maxRetries times. Payloads that already verified are kept across
 // attempts — a retry only needs the previously-bad sources to clear — and
 // the fault injector re-rolls per attempt, so transient faults do. A round
-// that exhausts its budget degrades: the verified payloads are counted,
-// the rest are discarded, and the rank's outcome is flagged incomplete.
+// still damaged after its last retry fails the run on every rank with
+// ErrExchangeLost: a run returns the exact spectrum or an error.
 //
 // The exchange is split into a post half (announce the counts and ship
 // attempt 0 with nonblocking collectives) and a finish half (wait, verify,
@@ -46,26 +47,24 @@ import (
 // HOW attempt-0 frames travel is pluggable (exchangeStrategy): the flat
 // strategy ships the P×P Alltoallv directly; the hierarchical strategy
 // routes off-node frames through node leaders over the NVLink tier. The
-// announcement, CRC verification, retry, settle and degrade machinery is
+// announcement, CRC verification, retry and settle machinery is
 // shared — strategies only move opaque frames — which is what keeps every
 // strategy bit-identical under the fault × overlap × restart matrix.
 //
 // When a recorder is configured, injected drops/corruptions surface as
-// instant events, each retry attempt gets its own span nested inside the
-// exchange span, and a degraded round emits a degraded_round instant.
+// instant events and each retry attempt gets its own span nested inside the
+// exchange span.
 type exchanger[T unit] struct {
 	c *mpisim.Comm
 	// rank is the seat's original rank id — the coordinate for fault
 	// rolls and observability. It differs from c.Rank() once a rank has
 	// died: the fault schedule and the report's rank axis stay keyed to
 	// the original world.
-	rank    int
-	inj     *fault.Injector
-	retries int
-	out     *rankOutcome
-	rec     *obs.Recorder
-	cd      codec[T]
-	strat   exchangeStrategy[T]
+	rank  int
+	inj   *fault.Injector
+	rec   *obs.Recorder
+	cd    codec[T]
+	strat exchangeStrategy[T]
 	// msgs counts the fabric messages posted by attempt-0 payload
 	// exchanges (pipeline_exchange_messages_total); nil without a recorder.
 	// roundMsgs is one round's tally: P² flat, ceil(P/RanksPerNode)²
@@ -94,11 +93,8 @@ type exchangeStrategy[T unit] interface {
 // newExchanger builds the configured strategy's exchanger for one rank
 // body, so the hierarchical topology always reflects the current world
 // size, also in a world restarted on the survivors of a rank death.
-func newExchanger[T unit](cfg *Config, c *mpisim.Comm, rank int, inj *fault.Injector, out *rankOutcome, cd codec[T]) *exchanger[T] {
-	e := &exchanger[T]{
-		c: c, rank: rank, inj: inj,
-		retries: cfg.maxRetries(), out: out, rec: cfg.Obs, cd: cd,
-	}
+func newExchanger[T unit](cfg *Config, c *mpisim.Comm, rank int, inj *fault.Injector, cd codec[T]) *exchanger[T] {
+	e := &exchanger[T]{c: c, rank: rank, inj: inj, rec: cfg.Obs, cd: cd}
 	switch cfg.Exchange {
 	case ExchangeHier:
 		topo := cfg.Layout.Net.Topology()
@@ -253,11 +249,11 @@ func (e *exchanger[T]) frames(p *pendingExchange[T], attempt int) [][]T {
 // attempt-0 payloads, verify every frame (checksum, announced item count
 // and — for supermers — image structure; see codec.unframe), retry bad
 // rounds with blocking collectives, and settle. It returns the per-source
-// verified payloads (nil for a source whose payload was lost past the retry
-// budget) plus the announcement's end-of-stream agreement: anyMore is true
-// while any rank's input continues (see moreFlag). On error the exchange
-// span is closed; on success it stays open for the caller to End with the
-// staging time.
+// verified payloads plus the announcement's end-of-stream agreement:
+// anyMore is true while any rank's input continues (see moreFlag). On error
+// — ErrExchangeLost once the retries are spent — the exchange span is
+// closed; on success it stays open for the caller to End with the staging
+// time.
 func (e *exchanger[T]) finish(p *pendingExchange[T]) ([][]T, bool, error) {
 	rank := e.rank
 	slot := p.slot
@@ -311,29 +307,27 @@ func (e *exchanger[T]) finish(p *pendingExchange[T]) ([][]T, bool, error) {
 			p.sp.End(0, 0)
 			return nil, false, err
 		}
-		if !done {
-			continue
+		if done {
+			return parts, anyMore, nil
 		}
-		if bad > 0 {
-			// Payloads lost for good: flag the rank outcome degraded.
-			var lost uint64
-			for i := range parts {
-				if !ok[i] {
-					lost += uint64(expect[i])
-				}
-			}
-			e.out.incomplete = true
-			e.inj.RecordDiscarded(rank, lost)
-			e.rec.Instant(rank, p.round, obs.EvDegraded)
-		}
-		return parts, anyMore, nil
 	}
 }
 
-// settle agrees world-wide on this attempt's outcome: done=true means the
-// caller must release the (possibly degraded) payloads; done=false means
-// every rank retries. The AllreduceSum keeps the decision collective —
-// ranks never diverge on whether a retry happens.
+// maxRetries is how many times a round whose exchange arrived corrupted or
+// incomplete is retried from the retained send rows before the run fails.
+const maxRetries = 8
+
+// ErrExchangeLost reports a round whose exchange was still damaged after
+// maxRetries retries. Every rank returns it, and it is final: the drop and
+// corrupt rolls are keyed on (rank, round, attempt, dest), so a replay of
+// the round would lose the same frames.
+var ErrExchangeLost = errors.New("pipeline: exchange lost")
+
+// settle agrees world-wide on this attempt's outcome: done=true means every
+// frame verified and the caller releases the payloads; done=false means
+// every rank retries; past maxRetries every rank fails with
+// ErrExchangeLost. The AllreduceSum keeps the decision collective — ranks
+// never diverge on whether a retry happens.
 func (e *exchanger[T]) settle(round, attempt int, bad uint64) (done bool, err error) {
 	rank := e.rank
 	e.inj.RecordBadFrames(rank, bad)
@@ -344,12 +338,12 @@ func (e *exchanger[T]) settle(round, attempt int, bad uint64) (done bool, err er
 	if totalBad == 0 {
 		return true, nil
 	}
-	if attempt < e.retries {
-		e.inj.RecordRetry(rank)
-		e.rec.Instant(rank, round, obs.EvRetry)
-		return false, nil
+	if attempt == maxRetries {
+		return false, fmt.Errorf("%w: round %d has %d bad frames after %d retries", ErrExchangeLost, round, totalBad, maxRetries)
 	}
-	return true, nil // budget exhausted: degrade
+	e.inj.RecordRetry(rank)
+	e.rec.Instant(rank, round, obs.EvRetry)
+	return false, nil
 }
 
 // killOrStall applies the injector's round-start faults for this rank: a

@@ -2,10 +2,12 @@ package pipeline
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
 	"dedukt/internal/cluster"
+	"dedukt/internal/fastq"
 	"dedukt/internal/fault"
 	"dedukt/internal/mpisim"
 )
@@ -60,7 +62,6 @@ func TestFaultRecoveryViaRetry(t *testing.T) {
 				}
 				cfg := base
 				cfg.Fault = fault.Config{Seed: 1, Drop: 0.05, Corrupt: 0.05}
-				cfg.MaxRetries = 8
 				res, err := Run(cfg, reads)
 				if err != nil {
 					t.Fatal(err)
@@ -85,41 +86,43 @@ func TestFaultRecoveryViaRetry(t *testing.T) {
 	}
 }
 
-// TestFaultDegradesPastRetryBudget: with retries disabled and persistent
-// drops, the run must neither deadlock nor panic — it returns a partial
-// result flagged Incomplete, with the damage itemized in Faults.
-func TestFaultDegradesPastRetryBudget(t *testing.T) {
-	reads := testReads(t, 10_000, 4)
+// TestFaultExchangeLostFailsRun: a round whose exchange is still damaged
+// after maxRetries retries fails the run — no partial spectrum, on every
+// entry point, engine, mode, exchange strategy and schedule, and on every
+// rank. Every payload is dropped, so round 0 never verifies.
+func TestFaultExchangeLostFailsRun(t *testing.T) {
+	reads := testReads(t, 4_000, 3)
+	entries := map[string]func(Config) (*Result, error){
+		"run":    func(cfg Config) (*Result, error) { return Run(cfg, reads) },
+		"stream": func(cfg Config) (*Result, error) { return RunStream(cfg, fastq.NewSliceSource(reads)) },
+	}
 	for engName, layout := range faultEngines() {
 		for _, mode := range []Mode{KmerMode, SupermerMode} {
 			t.Run(engName+"/"+mode.String(), func(t *testing.T) {
-				base := Default(layout, mode)
-				clean, err := Run(base, reads)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg := base
-				cfg.Fault = fault.Config{Seed: 2, Drop: 0.5}
-				cfg.MaxRetries = -1 // no retries: every drop is final
-				res, err := Run(cfg, reads)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !res.Incomplete {
-					t.Fatal("half the payloads dropped with no retries, yet Incomplete is false")
-				}
-				tf := res.TotalFaults()
-				if tf.Dropped == 0 || tf.BadFrames == 0 {
-					t.Fatalf("degraded run recorded no damage: %+v", tf)
-				}
-				if tf.Discarded == 0 {
-					t.Fatal("payloads were lost but no discarded items recorded")
-				}
-				if res.TotalKmers >= clean.TotalKmers {
-					t.Fatalf("degraded run counted %d k-mers, clean run %d", res.TotalKmers, clean.TotalKmers)
-				}
-				if res.Histogram.Total() != res.TotalKmers {
-					t.Fatal("degraded result is internally inconsistent")
+				for entry, run := range entries {
+					for _, exch := range []Exchange{ExchangeFlat, ExchangeHier} {
+						for _, overlap := range []bool{false, true} {
+							t.Run(fmt.Sprintf("%s/%s/overlap=%v", entry, exch, overlap), func(t *testing.T) {
+								cfg := Default(layout, mode)
+								cfg.Exchange, cfg.Overlap = exch, overlap
+								if exch == ExchangeHier {
+									// 3 fabric nodes of 2 out of the 6 test ranks.
+									cfg.Layout.Net.RanksPerNode = 2
+								}
+								cfg.Fault = fault.Config{Seed: 1, Drop: 1}
+								res, err := run(cfg)
+								if res != nil {
+									t.Fatal("a run that lost an exchange returned a result")
+								}
+								if !errors.Is(err, ErrExchangeLost) {
+									t.Fatalf("want ErrExchangeLost, got %v", err)
+								}
+								if errors.Is(err, mpisim.ErrPeerDead) {
+									t.Fatalf("every rank should report the lost exchange, not a peer's death: %v", err)
+								}
+							})
+						}
+					}
 				}
 			})
 		}
@@ -210,7 +213,6 @@ func TestFaultScheduleDeterministic(t *testing.T) {
 	cfg := Default(smallGPULayout(1), SupermerMode)
 	cfg.RoundBases = 4_000
 	cfg.Fault = fault.Config{Seed: 1, Drop: 0.05, Corrupt: 0.05}
-	cfg.MaxRetries = 8
 	a, err := Run(cfg, reads)
 	if err != nil {
 		t.Fatal(err)

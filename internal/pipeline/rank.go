@@ -57,7 +57,7 @@ func runRank[T unit](rc rankCtx, cd codec[T], newEngine func(rankCtx) (engine[T]
 	// pinned host staging area; under GPUDirect (and on the CPU) the legs
 	// vanish entirely — no stage_h2d span, no modeled staging time.
 	staged := cfg.Layout.GPU != nil && !cfg.GPUDirect
-	ex := newExchanger(&cfg, rc.c, rank, rc.inj, out, cd)
+	ex := newExchanger(&cfg, rc.c, rank, rc.inj, cd)
 	var (
 		states [2]roundState[T]
 		bases  dna.SeqBuffer
@@ -343,7 +343,6 @@ func countBins[T unit](eng engine[T], cd codec[T], rsp *rankSpill, rec *obs.Reco
 		ts.observe(table)
 		sp.End(chargeCount(out, eng, binWork), binItems)
 	}
-	rsp.cleanup(!out.incomplete)
 	ts.publish(rec.Registry(), rank, out.sum.Total)
 	out.publishCount(rec.Registry(), rank)
 	return nil

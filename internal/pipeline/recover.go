@@ -41,10 +41,6 @@ type rankSeat struct {
 	// table before the round loop starts: its own slice plus those of
 	// dead ranks it inherited.
 	seed []*kcount.Database
-	// degraded carries a resumed manifest's Incomplete bit into the
-	// seat's outcome: a checkpoint taken after a degraded round stays a
-	// lower bound when resumed.
-	degraded bool
 }
 
 // route folds an nOrig-row send set onto the current communicator. Every
@@ -111,11 +107,10 @@ func newCkptCtl(cfg Config, prod *chunkProducer) *ckptCtl {
 func (ck *ckptCtl) at(r int) bool { return (r+1)%ck.every == 0 }
 
 // write persists one rank's slice and, on comm rank 0, the manifest, in
-// crash-safe order: all slices land (the AllreduceSum is the collective
-// round barrier, doubling as the degraded-state agreement), then the
-// manifest (tmp+rename — a crash mid-protocol leaves the previous
-// checkpoint intact and loadable), then a barrier so no rank runs ahead
-// of a durable manifest, then stale-round cleanup.
+// crash-safe order: all slices land (a barrier), then the manifest
+// (tmp+rename — a crash mid-protocol leaves the previous checkpoint intact
+// and loadable), then a barrier so no rank runs ahead of a durable
+// manifest, then stale-round cleanup.
 func (ck *ckptCtl) write(c *mpisim.Comm, seat *rankSeat, r int, db *kcount.Database, out *rankOutcome) error {
 	sp := ck.rec.Begin(seat.old, r, obs.PhaseCkpt)
 	slot := c.Rank()
@@ -123,12 +118,7 @@ func (ck *ckptCtl) write(c *mpisim.Comm, seat *rankSeat, r int, db *kcount.Datab
 		sp.End(0, 0)
 		return err
 	}
-	var degraded uint64
-	if out.incomplete {
-		degraded = 1
-	}
-	worldDegraded, err := c.AllreduceSum(degraded)
-	if err != nil {
+	if err := c.Barrier(); err != nil {
 		sp.End(0, 0)
 		return err
 	}
@@ -142,7 +132,6 @@ func (ck *ckptCtl) write(c *mpisim.Comm, seat *rankSeat, r int, db *kcount.Datab
 			Bases:       bases,
 			Survivors:   append([]int(nil), seat.slots...),
 			Dead:        deadList(seat.deadOf()),
-			Incomplete:  worldDegraded > 0,
 		}
 		if err := recov.SaveManifest(ck.dir, man); err != nil {
 			sp.End(0, 0)
@@ -286,7 +275,7 @@ func seatsFromManifest(cfg Config, man *recov.Manifest, dead []bool) ([]*rankSea
 	fphash := buildFingerprint(cfg).Hash()
 	seats := make([]*rankSeat, len(slots))
 	for i, old := range slots {
-		seats[i] = &rankSeat{old: old, nOrig: nOrig, slots: slots, remap: remap, base: man.Round + 1, degraded: man.Incomplete}
+		seats[i] = &rankSeat{old: old, nOrig: nOrig, slots: slots, remap: remap, base: man.Round + 1}
 		for j, id := range man.Survivors {
 			if recov.Successor(id, dead) != old {
 				continue
@@ -306,7 +295,9 @@ func seatsFromManifest(cfg Config, man *recov.Manifest, dead []bool) ([]*rankSea
 // only when every failed rank was killed (fault.ErrKilled) or saw a peer
 // die (mpisim.ErrPeerDead), and at least one rank was not killed. Any
 // other failure — a collective deadline, a panic, an I/O error such as a
-// checkpoint write on a full disk — fails the run.
+// checkpoint write on a full disk, an exchange lost past its retries
+// (ErrExchangeLost, which a replay would lose the same way) — fails the
+// run.
 func restartable(errs []error) (killed []int, ok bool) {
 	for slot, err := range errs {
 		switch {

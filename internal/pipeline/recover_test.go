@@ -324,13 +324,6 @@ func TestTwoDeathsInOneRun(t *testing.T) {
 // mid-stream, must leave no descriptor behind; the collector is off, so a
 // leaked file cannot be closed by its finalizer instead.
 func TestRestartClosesAbandonedInput(t *testing.T) {
-	fds := func() int {
-		ents, err := os.ReadDir("/proc/self/fd")
-		if err != nil {
-			t.Skip("no /proc/self/fd to count open files")
-		}
-		return len(ents)
-	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	paths := writeGzFiles(t, testReads(t, 6_000, 3), 1)
 	cfg := Default(smallGPULayout(1), KmerMode)
@@ -343,7 +336,7 @@ func TestRestartClosesAbandonedInput(t *testing.T) {
 		return s, s.SeekCursor(c)
 	}}
 	cfg.Fault = fault.Config{FatalKill: true, FatalRank: 2, FatalRound: 2}
-	before := fds()
+	before := openFiles(t)
 	for range 10 {
 		src, err := fastq.OpenStream(paths...)
 		if err != nil {
@@ -357,9 +350,20 @@ func TestRestartClosesAbandonedInput(t *testing.T) {
 			t.Fatal("the run did not restart")
 		}
 	}
-	if after := fds(); after > before {
+	if after := openFiles(t); after > before {
 		t.Fatalf("%d files open after 10 recoveries, %d before", after, before)
 	}
+}
+
+// openFiles counts the process's open descriptors, skipping the test where
+// /proc/self/fd is unavailable.
+func openFiles(t *testing.T) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skip("no /proc/self/fd to count open files")
+	}
+	return len(ents)
 }
 
 // TestReopenFailureFailsOnce: when the input cannot be reopened at the
@@ -394,6 +398,7 @@ func TestRestartable(t *testing.T) {
 	deadline := fmt.Errorf("mpisim: waited 1s in a collective: %w", mpisim.ErrDeadline)
 	panicked := errors.New("mpisim: rank panicked: index out of range")
 	full := &fs.PathError{Op: "write", Path: "r0003-s0002.ckpt", Err: syscall.ENOSPC}
+	lost := fmt.Errorf("%w: round 2 has 12 bad frames after %d retries", ErrExchangeLost, maxRetries)
 	for _, c := range []struct {
 		name   string
 		errs   []error
@@ -405,6 +410,7 @@ func TestRestartable(t *testing.T) {
 		{"panic", []error{peer, panicked, peer}, nil, false},
 		{"I/O error", []error{peer, kill, full}, nil, false},
 		{"all killed", []error{kill, kill}, nil, false},
+		{"exchange lost", []error{lost, lost, lost}, nil, false},
 	} {
 		killed, ok := restartable(c.errs)
 		if ok != c.ok || (ok && !slices.Equal(killed, c.killed)) {

@@ -31,8 +31,7 @@ type rankOutcome struct {
 	grow         time.Duration // wall time the count phase spent growing the table
 	reserved     int           // most keys the count phase reserved table room for
 	rounds       int
-	incomplete   bool // a round degraded past its retry budget
-	ckpts        int  // round checkpoints this seat persisted
+	ckpts        int // round checkpoints this seat persisted
 }
 
 // Run executes the configured pipeline over the reads and returns the
@@ -42,9 +41,8 @@ type rankOutcome struct {
 // Failures are structured, never a panic or deadlock: a rank death
 // (injected or real) poisons the communicator and surfaces as an error
 // joining every rank's failure (see mpisim.Run); a corrupted or dropped
-// exchange is retried up to Config.MaxRetries times and, past that budget,
-// degrades the run to a partial result with Result.Incomplete set and the
-// per-rank damage in Result.Faults.
+// exchange is retried up to maxRetries times and, past that budget, fails
+// the run with ErrExchangeLost. A run never returns a partial spectrum.
 //
 // Under Config.KeepTables the run collects the heap before the ranks start
 // and again once they have ended. Such a run is the first step of something
@@ -148,14 +146,13 @@ func (rs *runState) world(destMap []uint16, sources []chunkSource, seats []*rank
 	}
 	trace, errs, err := mpisim.RunRanks(len(seats), opt, func(c *mpisim.Comm) error {
 		seat := seats[c.Rank()]
-		out := &rs.outcomes[seat.old]
-		out.incomplete = seat.degraded
 		rc := rankCtx{
 			cfg: cfg, destMap: destMap, inj: rs.inj, ck: ck,
-			c: c, src: sources[c.Rank()], seat: seat, out: out,
+			c: c, src: sources[c.Rank()], seat: seat, out: &rs.outcomes[seat.old],
 		}
 		if spl != nil {
 			rc.rsp = spl.rank(seat.old)
+			defer rc.rsp.close()
 		}
 		return rankBody(rc)
 	})
@@ -199,11 +196,6 @@ func registerRunMetrics(reg *obs.Registry, res *Result) {
 	reg.Gauge("pipeline_distinct_kmers", "Distinct k-mers in the counted spectrum.").Set(float64(res.DistinctKmers))
 	reg.Gauge("pipeline_rounds", "Parse-exchange-count rounds executed.").Set(float64(res.Rounds))
 	reg.Gauge("pipeline_load_imbalance", "Max/avg of per-rank counted k-mers (Table III).").Set(res.LoadImbalance())
-	incomplete := 0.0
-	if res.Incomplete {
-		incomplete = 1
-	}
-	reg.Gauge("pipeline_incomplete", "1 when a round degraded past its retry budget (counts are a lower bound).").Set(incomplete)
 	reg.Counter("pipeline_ckpt_rounds_total", "Round checkpoints persisted.").Add(uint64(res.Checkpoints))
 	recovered := uint64(0)
 	if res.Recovered {
@@ -256,9 +248,6 @@ func aggregate(cfg Config, trace []mpisim.TraceEntry, outcomes []rankOutcome, wa
 		}
 		if o.rounds > res.Rounds {
 			res.Rounds = o.rounds
-		}
-		if o.incomplete {
-			res.Incomplete = true
 		}
 		if o.ckpts > res.Checkpoints {
 			res.Checkpoints = o.ckpts

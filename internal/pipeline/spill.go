@@ -45,13 +45,12 @@ import (
 // EOF at a record boundary is a clean end; EOF inside a record is
 // durable.ErrTruncated.
 const (
-	spillMagic      = "DKSB"
-	spillVersion    = 1
-	spillFields     = 2 + 4 + 4 + 4 + 8 // version, rank, bin, bins, fphash
-	spillHeaderLen  = 4 + spillFields + 4
-	spillExt        = ".spill"
-	spillTmpSuffix  = ".spill.tmp"
-	spillQuarantine = ".partial"
+	spillMagic     = "DKSB"
+	spillVersion   = 1
+	spillFields    = 2 + 4 + 4 + 4 + 8 // version, rank, bin, bins, fphash
+	spillHeaderLen = 4 + spillFields + 4
+	spillExt       = ".spill"
+	spillTmpSuffix = ".spill.tmp"
 	// maxSpillRecord caps one record's payload allocation; real records
 	// are bounded by a round's received payload, far below this.
 	maxSpillRecord = 1 << 28
@@ -163,11 +162,10 @@ func newSpillCtl(cfg Config) (*spillCtl, error) {
 
 // prepareDir refuses a spill directory holding prior spill state — from
 // a different configuration (counting into it would mix incompatible
-// partitions), from an interrupted run (.spill.tmp), or quarantined by a
-// degraded one (.partial). Spill bins are scratch, not a resume format:
-// a fresh run always starts from an empty bin set, so any leftover is a
-// refusal with a clear reason, never silent reuse. Unrelated files are
-// ignored — a shared temp dir stays usable.
+// partitions) or from a killed process (.spill.tmp). Spill bins are
+// scratch, not a resume format: a fresh run always starts from an empty
+// bin set, so any leftover is a refusal with a clear reason, never silent
+// reuse. Unrelated files are ignored — a shared temp dir stays usable.
 func (ctl *spillCtl) prepareDir() error {
 	if err := os.MkdirAll(ctl.dir, 0o755); err != nil {
 		return err
@@ -181,8 +179,6 @@ func (ctl *spillCtl) prepareDir() error {
 		switch {
 		case strings.HasSuffix(name, spillTmpSuffix):
 			return fmt.Errorf("pipeline: spill dir %s holds partial bin %s from an interrupted run; remove it or use a fresh directory", ctl.dir, name)
-		case strings.HasSuffix(name, spillQuarantine):
-			return fmt.Errorf("pipeline: spill dir %s holds quarantined bin %s from a degraded run; remove it or use a fresh directory", ctl.dir, name)
 		case strings.HasSuffix(name, spillExt):
 			f, err := os.Open(filepath.Join(ctl.dir, name))
 			if err != nil {
@@ -216,7 +212,7 @@ func (ctl *spillCtl) rank(rank int) *rankSpill {
 
 // spillBinWriter is one open bin file, written as .spill.tmp and renamed
 // to .spill at seal time (durable.File), so a killed run never leaves a
-// file pass 2 would mistake for complete.
+// file pass 2 would mistake for complete. f is nil once sealed.
 type spillBinWriter struct {
 	f     *durable.File
 	bw    *bufio.Writer
@@ -297,10 +293,11 @@ func (s *rankSpill) seal() error {
 			continue
 		}
 		if err := w.bw.Flush(); err != nil {
-			w.f.Abort()
 			return err
 		}
-		if err := w.f.Commit(); err != nil {
+		err := w.f.Commit()
+		w.f = nil
+		if err != nil {
 			return err
 		}
 		if s.ctl.sealed != nil {
@@ -328,21 +325,18 @@ func (s *rankSpill) readBin(bin int, fn func(payload []byte, items int) error) e
 	return nil
 }
 
-// cleanup disposes of this rank's bins after pass 2: removed outright on
-// an exact run, renamed to .partial on a degraded one so the discarded
-// state is quarantined for inspection rather than silently deleted.
-// Failures are ignored — the counts are already folded; leftover files
-// only make the next run's hygiene check refuse the directory.
-func (s *rankSpill) cleanup(exact bool) {
+// close disposes of this rank's bins when its body returns, whatever the
+// outcome: an unsealed writer is aborted (its file closed, its .spill.tmp
+// removed) and a sealed bin is removed. Failures are ignored — a leftover
+// file only makes the next run's hygiene check refuse the directory.
+func (s *rankSpill) close() {
 	for b, w := range s.wr {
-		if w == nil {
-			continue
-		}
-		path := s.binPath(b)
-		if exact {
-			os.Remove(path)
-		} else {
-			os.Rename(path, path+spillQuarantine)
+		switch {
+		case w == nil:
+		case w.f != nil:
+			w.f.Abort()
+		default:
+			os.Remove(s.binPath(b))
 		}
 	}
 }

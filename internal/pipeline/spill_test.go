@@ -26,8 +26,8 @@ import (
 	recov "dedukt/internal/recover"
 )
 
-// spillLeftovers lists the spill artifacts (bins, temps, quarantines)
-// remaining in dir.
+// spillLeftovers lists the spill artifacts (bins and temps) remaining in
+// dir.
 func spillLeftovers(t *testing.T, dir string) []string {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
@@ -39,7 +39,7 @@ func spillLeftovers(t *testing.T, dir string) []string {
 	}
 	var names []string
 	for _, e := range entries {
-		if strings.Contains(e.Name(), spillExt) || strings.HasSuffix(e.Name(), spillQuarantine) {
+		if strings.Contains(e.Name(), spillExt) {
 			names = append(names, e.Name())
 		}
 	}
@@ -104,7 +104,6 @@ func TestSpillMatchesInMemory(t *testing.T) {
 					Seed: uint64(200 + i), Delay: 0.02, DelayFor: 100 * time.Microsecond,
 					Drop: 0.03, Corrupt: 0.02,
 				}
-				cfg.MaxRetries = 8 // plenty: every payload must recover
 			}
 			want, err := Run(cfg, reads)
 			if err != nil {
@@ -256,38 +255,31 @@ func TestSpillBoundedMemory(t *testing.T) {
 	}
 }
 
-// TestSpillQuarantineOnDegraded: when the retry budget exhausts and the
-// run degrades to a lower bound, the degraded ranks' bins are renamed to
-// .partial instead of deleted — discarded state is quarantined for
-// inspection, never silently thrown away — and no live .spill files
-// remain.
-func TestSpillQuarantineOnDegraded(t *testing.T) {
-	reads := testReads(t, 6_000, 3)
+// TestSpillFailedRunReleasesBins: a spill run that fails mid-pass closes
+// every bin it opened and leaves no spill file behind, so a failed run
+// can neither exhaust the process's descriptors nor make the next run in
+// the directory refuse it. Five runs each lose rank 1 at round 3, after
+// every rank has written its bins; the collector is off, so a leaked file
+// cannot be closed by its finalizer instead. (TestSpillRefusesDirtyDir
+// pins what a killed process, which closes nothing, leaves behind.)
+func TestSpillFailedRunReleasesBins(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	reads := testReads(t, 20_000, 4)
 	cfg := Default(smallGPULayout(1), SupermerMode)
-	cfg.Spill = SpillConfig{Dir: t.TempDir(), Bins: 5}
-	cfg.Fault = fault.Config{Seed: 7, Drop: 0.8}
-	cfg.MaxRetries = -1 // no retries: degrade immediately
-	res, err := Run(cfg, reads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Incomplete {
-		t.Fatal("run with Drop=0.8 and no retries should degrade")
-	}
-	left := spillLeftovers(t, cfg.Spill.Dir)
-	partials := 0
-	for _, name := range left {
-		if !strings.HasSuffix(name, spillQuarantine) {
-			t.Fatalf("degraded run left a non-quarantined artifact %s (all: %v)", name, left)
+	cfg.RoundBases = 2_000
+	cfg.Fault = fault.Config{FatalKill: true, FatalRank: 1, FatalRound: 3}
+	before := openFiles(t)
+	for range 5 {
+		cfg.Spill = SpillConfig{Dir: t.TempDir(), Bins: 8}
+		if _, err := Run(cfg, reads); !errors.Is(err, fault.ErrKilled) {
+			t.Fatalf("want fault.ErrKilled, got %v", err)
 		}
-		partials++
+		if left := spillLeftovers(t, cfg.Spill.Dir); len(left) != 0 {
+			t.Fatalf("failed run left spill artifacts behind: %v", left)
+		}
 	}
-	if partials == 0 {
-		t.Fatal("degraded run should quarantine at least one bin as .partial")
-	}
-	// The quarantined directory is refused by the next run, not reused.
-	if _, err := Run(cfg, reads); err == nil || !strings.Contains(err.Error(), "quarantined") {
-		t.Fatalf("dir with .partial bins: got %v, want quarantine refusal", err)
+	if after := openFiles(t); after > before {
+		t.Fatalf("%d files open after 5 failed spill runs, %d before", after, before)
 	}
 }
 

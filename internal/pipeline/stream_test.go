@@ -123,7 +123,6 @@ func TestStreamMatchesInMemory(t *testing.T) {
 					Seed: uint64(100 + i), Delay: 0.02, DelayFor: 100 * time.Microsecond,
 					Drop: 0.03, Corrupt: 0.02,
 				}
-				cfg.MaxRetries = 8 // plenty: every payload must recover
 			}
 			want, err := Run(cfg, reads)
 			if err != nil {

@@ -19,6 +19,7 @@
 package recover
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -100,10 +101,6 @@ type Manifest struct {
 	// (see Successor).
 	Survivors []int `json:"survivors"`
 	Dead      []int `json:"dead,omitempty"`
-	// Incomplete records that a round covered by this checkpoint degraded
-	// past its retry budget, so state resumed from it stays a lower
-	// bound; the flag re-seeds Result.Incomplete across a resume.
-	Incomplete bool `json:"incomplete,omitempty"`
 }
 
 // Manifest file framing (version 2; all integers little-endian):
@@ -161,9 +158,12 @@ func ReadManifest(r io.Reader) (*Manifest, error) {
 		return nil, fmt.Errorf("manifest: %w", err)
 	}
 	var m Manifest
-	if err := json.Unmarshal(payload, &m); err != nil {
-		// The CRC matched, so this is a framing bug or handcrafted file,
-		// not wire damage; refuse it as a mismatch.
+	dec := json.NewDecoder(bytes.NewReader(payload))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&m); err != nil {
+		// The CRC matched, so this is a framing bug, a handcrafted file or
+		// a field this version does not know (an older build's "incomplete"
+		// bit): refuse it as a mismatch, never drop what it says.
 		return nil, fmt.Errorf("manifest payload: %v: %w", err, durable.ErrMismatch)
 	}
 	if m.Round < 0 || len(m.Survivors) == 0 || len(m.Survivors) > m.Fingerprint.Ranks {

@@ -127,6 +127,29 @@ func TestManifestV1Refused(t *testing.T) {
 	}
 }
 
+// TestManifestIncompleteRefused: older builds marked a checkpoint taken
+// after a round that lost payloads with "incomplete": true. Its slices are
+// a lower bound, so the manifest is refused as a mismatch rather than
+// resumed as exact; the same manifest without the field loads.
+func TestManifestIncompleteRefused(t *testing.T) {
+	const exact = `{"fingerprint":{"k":17,"mode":"kmer","engine":"cpu","encoding":"2bit","ranks":2,"nodes":1},` +
+		`"round":1,"cursor":{"Input":0,"Record":9},"reads":9,"bases":900,"survivors":[0,1]`
+	frame := func(payload string) *bytes.Reader {
+		var buf bytes.Buffer
+		if err := durable.WriteHeader(&buf, manifestMagic, []byte{manifestVersion, 0}); err != nil {
+			t.Fatal(err)
+		}
+		buf.Write(durable.AppendRecord(nil, []byte(payload)))
+		return bytes.NewReader(buf.Bytes())
+	}
+	if _, err := ReadManifest(frame(exact + `}`)); err != nil {
+		t.Fatalf("exact manifest: %v", err)
+	}
+	if _, err := ReadManifest(frame(exact + `,"incomplete":true}`)); !errors.Is(err, durable.ErrMismatch) {
+		t.Fatalf("incomplete manifest: got %v, want durable.ErrMismatch", err)
+	}
+}
+
 func TestRankFileRoundTrip(t *testing.T) {
 	db := testDatabase(t)
 	fp := testFingerprint().Hash()

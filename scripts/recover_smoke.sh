@@ -4,9 +4,10 @@
 # with -no-shrink the run fails and is resumed with -resume; without it
 # the survivors restart from the last checkpoint in the same invocation
 # and finish. Both recovered spectra must be bit-identical (total,
-# distinct, histogram, top k-mers) to the unfaulted run, and neither may
-# be incomplete; the in-process restart must also count exactly one kill
-# and the baseline's input reads and bases. Run
+# distinct, histogram, top k-mers) to the unfaulted run; the in-process
+# restart must also count exactly one kill and the baseline's input reads
+# and bases. Last, a run whose every payload is dropped must fail with a
+# lost exchange and write no database. Run
 # via `make recover-smoke`; part of `make ci`. Artifacts (including the
 # recovery trace) go to RECOVER_SMOKE_OUT (default: a temp dir removed
 # on exit).
@@ -45,8 +46,8 @@ go run ./cmd/genreads -genome-len 20000 -coverage 8 -mean-len 600 -seed 3 \
 
 echo "recover-smoke: unfaulted baseline run"
 go run ./cmd/dedukt $run > "$want" 2>/dev/null || fail "unfaulted run"
-jq -e '.rounds >= 12 and .incomplete == false' "$want" >/dev/null \
-    || fail "baseline too short or incomplete (the kill round would not be reached)"
+jq -e '.rounds >= 12' "$want" >/dev/null \
+    || fail "baseline too short (the kill round would not be reached)"
 
 spectrum() {
     jq -S '[.total_kmers, .distinct_kmers, .histogram, .top_kmers]' "$1"
@@ -66,8 +67,8 @@ grep -q "killed by injector" "$RECOVER_SMOKE_OUT/killed.err" \
 echo "recover-smoke: resuming from the checkpoint"
 go run ./cmd/dedukt $run -resume "$RECOVER_SMOKE_OUT/ckpt" -ckpt-rounds 3 \
     > "$resumed" 2>/dev/null || fail "resume run"
-jq -e '.incomplete == false and .resumed == true' "$resumed" >/dev/null \
-    || fail "resumed run incomplete or not flagged resumed"
+jq -e '.resumed == true' "$resumed" >/dev/null \
+    || fail "resumed run not flagged resumed"
 [ "$(spectrum "$want")" = "$(spectrum "$resumed")" ] \
     || fail "resumed spectrum differs from the unfaulted spectrum"
 
@@ -80,9 +81,9 @@ echo "recover-smoke: same kill, survivors restart in-process"
 go run ./cmd/dedukt $run -ckpt-dir "$RECOVER_SMOKE_OUT/ckpt2" -ckpt-rounds 3 \
     -fault-kill-rank 1 -fault-kill-round 9 -trace-out "$trace" \
     > "$shrunk" 2>/dev/null || fail "restarted run exited nonzero"
-jq -e '.incomplete == false and .recovered == true and .dead_ranks == [1]
+jq -e '.recovered == true and .dead_ranks == [1]
        and .checkpoints > 0 and .faults.killed == 1' "$shrunk" >/dev/null \
-    || fail "restarted run incomplete, missing recovery fields, or not one kill"
+    || fail "restarted run missing recovery fields, or not one kill"
 [ "$(jq -c '[.input_reads, .input_bases]' "$want")" = "$(jq -c '[.input_reads, .input_bases]' "$shrunk")" ] \
     || fail "restarted run's input tallies differ from the baseline's"
 [ "$(spectrum "$want")" = "$(spectrum "$shrunk")" ] \
@@ -96,5 +97,19 @@ jq -e '[.traceEvents[] | select(.ph == "i" and .name == "shrink_recovery")]
 jq -e '[.traceEvents[] | select(.ph == "i" and .name == "checkpoint_round")]
        | length > 0' "$trace" >/dev/null \
     || fail "recovery trace missing checkpoint_round instants"
+
+# --- Path 3: every payload dropped. No retry can recover the round, so
+# the run fails with a lost exchange: non-zero exit, the error on
+# stderr, and no database, partial or otherwise.
+echo "recover-smoke: every payload dropped"
+lost="$RECOVER_SMOKE_OUT/lost.kcd"
+if go run ./cmd/dedukt $run -fault-seed 1 -fault-drop 1 -okcd "$lost" \
+    >/dev/null 2>"$RECOVER_SMOKE_OUT/lost.err"; then
+    fail "run with every payload dropped exited zero"
+fi
+grep -q "exchange lost" "$RECOVER_SMOKE_OUT/lost.err" \
+    || fail "failed run did not name the lost exchange"
+[ ! -e "$lost" ] && [ ! -e "$lost.partial" ] \
+    || fail "failed run wrote a database"
 
 echo "recover-smoke: PASS"

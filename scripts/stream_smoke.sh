@@ -52,8 +52,6 @@ echo "stream-smoke: validating $sjson"
 jq -e '.streamed == true and .rounds >= 2 and .input_reads > 0
        and .input_bases > 0 and .mem_budget_bytes == 4194304' \
     "$sjson" >/dev/null || fail "streamed JSON missing stream fields"
-jq -e '.incomplete != true' "$sjson" >/dev/null \
-    || fail "streamed run incomplete"
 
 echo "stream-smoke: comparing spectra"
 scount=$(jq -S '[.total_kmers, .distinct_kmers, .histogram]' "$sjson")

@@ -166,11 +166,7 @@ otrace="$TRACE_SMOKE_OUT/overlap_trace.json"
 oreport="$TRACE_SMOKE_OUT/overlap_report.txt"
 ojson="$TRACE_SMOKE_OUT/overlap.json"
 sjson="$TRACE_SMOKE_OUT/serial.json"
-# The retry budget is raised above the default 2 so the run recovers
-# fully: at these drop/corrupt rates a round can need several attempts,
-# and an exhausted budget degrades the counts to a lower bound (exit 3),
-# which would break the count-equality asserts below.
-faults="-fault-seed 3 -fault-drop 0.05 -fault-corrupt 0.02 -max-retries 8"
+faults="-fault-seed 3 -fault-drop 0.05 -fault-corrupt 0.02"
 
 echo "trace-smoke: running a faulted overlapped pipeline"
 # shellcheck disable=SC2086
