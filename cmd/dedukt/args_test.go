@@ -39,6 +39,19 @@ func TestParseArgsResume(t *testing.T) {
 	}
 }
 
+// TestParseArgsInMemoryCkpt: an in-memory run takes a memory budget and
+// checkpoints like a stream, leaving Reopen to Run, which re-seeks the
+// reads it was given.
+func TestParseArgsInMemoryCkpt(t *testing.T) {
+	cfg, in, _, err := parseArgs(strings.Fields("-in a.fastq -mem-budget 1k -ckpt-dir ck -fault-kill-rank 1 -fault-kill-round 2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.entry != pipeline.InMemory || in.stream || cfg.MemBudgetBytes != 1<<10 || cfg.Ckpt.Dir != "ck" || cfg.Ckpt.Reopen != nil {
+		t.Errorf("entry %v, stream %v, budget %d, Ckpt %+v", in.entry, in.stream, cfg.MemBudgetBytes, cfg.Ckpt)
+	}
+}
+
 // TestParseArgsBinds: flags land in their Config fields.
 func TestParseArgsBinds(t *testing.T) {
 	cfg, in, out, err := parseArgs(strings.Fields("-in a.fastq,b.fastq -stream -mem-budget 4M -mode kmer -exchange hier -engine cpu -nodes 2 -encoding lex -ordering kmc2 -canonical -fault-kill-rank 1 -fault-kill-round 9 -okcd x.kcd"))
@@ -62,10 +75,9 @@ func TestParseArgsBinds(t *testing.T) {
 // here, every other combination by pipeline.Config.Validate.
 func TestParseArgsRejects(t *testing.T) {
 	for args, want := range map[string]string{
-		"-mem-budget 1k":                          "MemBudgetBytes",
 		"-ckpt-rounds 9":                          "Ckpt.Every",
 		"-no-shrink":                              "Ckpt.NoShrink",
-		"-in a.fastq -ckpt-dir ck":                "streaming cursor protocol",
+		"-trimq 20 -ckpt-dir ck":                  "-stream",
 		"-gpudirect -engine cpu":                  "GPUDirect",
 		"-gpustats -engine cpu":                   "-gpustats",
 		"-fault-kill-rank 24 -fault-kill-round 1": "outside the world",

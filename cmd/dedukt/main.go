@@ -15,9 +15,10 @@
 //
 // -in accepts a comma-separated file list; gzip inputs are detected by
 // their magic bytes, so any mix of plain and compressed files works
-// regardless of suffix. With -stream the input is never materialized:
-// ranks pull bounded chunks on demand and the live working set stays
-// under -mem-budget however large the dataset is.
+// regardless of suffix. Either way the ranks' shared producer deals the
+// reads out in rounds; with -stream the input is never materialized, and
+// the live working set stays under -mem-budget however large the dataset
+// is.
 //
 // Without -in or -dataset, a small synthetic dataset is used, so
 // fault-injection demos run standalone.
@@ -108,15 +109,15 @@ func parseArgs(args []string) (pipeline.Config, input, output, error) {
 	fs.IntVar(&out.histMax, "hist", 10, "print histogram classes up to this frequency")
 	fs.BoolVar(&out.json, "json", false, "emit a machine-readable JSON report instead of text")
 	fs.IntVar(&in.trimQ, "trimq", 0, "quality-trim read ends below this phred score before counting (0 = off)")
-	fs.IntVar(&cfg.RoundBases, "round-bases", 0, "cap the bases a rank processes per round, forcing multi-round operation (0 = one round)")
+	fs.IntVar(&cfg.RoundBases, "round-bases", 0, "cap the bases a rank processes per round, forcing multi-round operation (0 = one round, or the -mem-budget cap)")
 	fs.BoolVar(&in.stream, "stream", false, "stream -in files through the pipeline without preloading them (bounded memory; requires -in)")
-	fs.Func("mem-budget", "streaming working-set budget, e.g. 64M or 2G (default 256M; implies multi-round ingestion; requires -stream)", func(s string) (err error) {
+	fs.Func("mem-budget", "working-set budget, e.g. 64M or 2G: sizes each round's chunks (default 256M with -stream, no cap without)", func(s string) (err error) {
 		cfg.MemBudgetBytes, err = parseSize(s)
 		return err
 	})
 	fs.StringVar(&cfg.Spill.Dir, "spill-dir", "", "count out-of-core: spill received items into minimizer-partitioned bins under this directory (pass 1), then count one bin at a time (pass 2); bit-identical to in-memory counting")
 	fs.IntVar(&cfg.Spill.Bins, "spill-bins", 0, "disk bins per rank when -spill-dir is set (default 32)")
-	fs.StringVar(&cfg.Ckpt.Dir, "ckpt-dir", "", "checkpoint the run into this directory every -ckpt-rounds rounds (requires -stream); enables -resume, and after a rank death the survivors restart from the last checkpoint")
+	fs.StringVar(&cfg.Ckpt.Dir, "ckpt-dir", "", "checkpoint the run into this directory every -ckpt-rounds rounds; enables -resume, and after a rank death the survivors restart from the last checkpoint")
 	fs.IntVar(&cfg.Ckpt.Every, "ckpt-rounds", 0, "rounds between checkpoints when -ckpt-dir is set (default 4)")
 	fs.BoolVar(&cfg.Ckpt.NoShrink, "no-shrink", false, "do not restart the survivors after a rank death (the run fails instead; resume it with -resume; requires -ckpt-dir)")
 	fs.StringVar(&in.resume, "resume", "", "resume an interrupted run from this checkpoint directory (requires the same -in/-k/... configuration)")
@@ -176,8 +177,12 @@ func parseArgs(args []string) (pipeline.Config, input, output, error) {
 		return cfg, in, out, fmt.Errorf("-stream and -resume read -in files (synthetic datasets are generated in memory already)")
 	case out.gpuStats && cfg.Layout.GPU == nil:
 		return cfg, in, out, fmt.Errorf("-gpustats reports GPU kernels and needs -engine gpu")
+	case cfg.Ckpt.Dir != "" && !in.stream && in.trimQ > 0:
+		return cfg, in, out, fmt.Errorf("-ckpt-dir with -trimq needs -stream (an in-memory checkpoint addresses the trimmed reads, which -resume cannot find in the files)")
 	}
-	if cfg.Ckpt.Dir != "" {
+	// A stream's checkpoints address the -in records, reopened here; an
+	// in-memory run's address its drained reads, which Run re-seeks itself.
+	if in.stream {
 		cfg.Ckpt.Reopen = in.open
 	}
 	return cfg, in, out, cfg.Validate(in.entry)

@@ -55,7 +55,7 @@ type (
 	// Source yields reads one at a time for CountStream; see OpenStream.
 	Source = fastq.Source
 	// CkptConfig (Options.Ckpt) enables round-granularity checkpointing
-	// and rank-death recovery for CountStream; see Resume.
+	// and rank-death recovery for Count and CountStream; see Resume.
 	CkptConfig = pipeline.CkptConfig
 	// Cursor is a replayable position in a read stream; CkptConfig.Reopen
 	// receives one to fast-forward the input on resume or replay.
@@ -100,16 +100,19 @@ func DefaultOptions(nodes int) Options {
 
 // Count runs the distributed counting pipeline over the reads and returns
 // the global result. Counting is bit-exact (validated against a serial
-// oracle); timing is Summit-projected by the calibrated cost models.
-// Streaming-only options (MemBudgetBytes, checkpointing) are refused.
+// oracle); timing is Summit-projected by the calibrated cost models. It
+// runs the same round loop as CountStream over the slice: without
+// RoundBases or MemBudgetBytes the reads are one round of even shares,
+// and checkpointing works as on a stream, Ckpt.Reopen defaulting to
+// re-seeking the reads.
 func Count(reads []Read, opts Options) (*Result, error) {
 	return pipeline.Run(opts, reads)
 }
 
 // CountStream runs the counting pipeline over a read source without
-// materializing the input: ranks pull bounded chunks on demand and the
-// live working set stays under Options.MemBudgetBytes regardless of
-// input size. The counted spectrum is bit-identical to Count over the
+// materializing the input: the source is dealt to the ranks in bounded
+// rounds and the live working set stays under Options.MemBudgetBytes
+// regardless of input size. The counted spectrum is bit-identical to Count over the
 // same reads. BalancedPartition, which needs the whole input up front, is
 // rejected.
 func CountStream(src Source, opts Options) (*Result, error) {

@@ -139,21 +139,23 @@ type Config struct {
 	// sits at the paper's measured operating point (see
 	// cluster.CPUModel.RankTimeLifted). Values ≤ 1 mean no lift.
 	CPULoadLift float64
-	// RoundBases caps the bases a rank processes per round; larger inputs
-	// run in multiple parse-exchange-count rounds (§III-A's
-	// memory-bounded multi-round execution). 0 = single round (in-memory
-	// Run) or the MemBudgetBytes-derived cap (RunStream).
+	// RoundBases caps the bases a round deals each rank; larger inputs run
+	// in multiple parse-exchange-count rounds (§III-A's memory-bounded
+	// multi-round execution). A round of P ranks takes at most
+	// P·RoundBases bases: rank i's chunk ends at the last read boundary
+	// within (i+1)·RoundBases of the round's start (one read at least). 0
+	// = no cap of its own: one round of even shares (Run) or the
+	// MemBudgetBytes-derived cap (RunStream).
 	RoundBases int
-	// MemBudgetBytes bounds the live working-set of a streaming run
-	// (RunStream): the per-rank round chunk is sized so that every rank's
-	// round-loop buffers — the staged base chunk, the packed send
-	// vectors, the framed wire arenas, and the received payloads —
-	// together stay under the budget (see streamBytesPerBase for the
-	// itemization). The counter tables are excluded: they hold the
-	// output spectrum, which no out-of-core counting scheme can bound
-	// without spilling. 0 defaults to DefaultMemBudget; when RoundBases
-	// is also set, the tighter of the two caps applies. Streaming runs
-	// only: the in-memory Run refuses it.
+	// MemBudgetBytes bounds the live working-set of a run: the per-rank
+	// round chunk is sized so that every rank's round-loop buffers — the
+	// staged base chunk, the packed send vectors, the framed wire arenas,
+	// and the received payloads — together stay under the budget (see
+	// streamBytesPerBase for the itemization). The counter tables are
+	// excluded: they hold the output spectrum, which no out-of-core
+	// counting scheme can bound without spilling. 0 defaults to
+	// DefaultMemBudget on a stream and to no cap on Run; when RoundBases
+	// is also set, the tighter of the two caps applies.
 	MemBudgetBytes int64
 	// KeepTables retains each rank's counted table in Result.Tables (they
 	// are discarded by default: at scale they dominate memory). Downstream
@@ -183,8 +185,8 @@ type Config struct {
 	// observability at zero cost to the hot paths.
 	Obs *obs.Recorder
 	// Ckpt configures round-granularity checkpointing and the restart
-	// after a rank death (DESIGN.md §12). Streaming runs only; the zero
-	// value disables both, so a rank death fails the run.
+	// after a rank death (DESIGN.md §12). The zero value disables both,
+	// so a rank death fails the run.
 	Ckpt CkptConfig
 	// Spill configures two-pass out-of-core counting (DESIGN.md §16):
 	// pass 1 appends each rank's received items to minimizer-partitioned
@@ -222,7 +224,7 @@ func (c SpillConfig) bins() int {
 	return c.Bins
 }
 
-// CkptConfig parameterizes the recovery subsystem of a streaming run.
+// CkptConfig parameterizes the recovery subsystem of a run.
 type CkptConfig struct {
 	// Dir enables checkpointing: every Every rounds each rank persists
 	// its spectrum slice plus a round/cursor manifest into this
@@ -240,7 +242,8 @@ type CkptConfig struct {
 	// Reopen opens a fresh source positioned at the given cursor. Every
 	// restart from a checkpoint — after a rank death, and ResumeStream —
 	// calls it once to re-feed the replayed rounds; required whenever Dir
-	// is set. The source must be a fastq.CursorSource.
+	// is set on a stream (Run defaults it to re-seeking its reads). The
+	// source must be a fastq.CursorSource.
 	Reopen func(fastq.Cursor) (fastq.Source, error)
 	// Inputs fingerprints the input file list (path + size); a resume
 	// refuses a checkpoint taken over different inputs.
@@ -288,16 +291,12 @@ var combinations = []struct {
 		"balanced partitioning profiles the whole input before counting and cannot stream; preload the reads and use Run"},
 	{func(c *Config, _ Entry) bool { return c.GPUDirect && c.Layout.GPU == nil },
 		"GPUDirect models NIC-to-GPU transfers and needs a GPU layout"},
-	{func(c *Config, e Entry) bool { return c.MemBudgetBytes != 0 && e == InMemory },
-		"MemBudgetBytes bounds a streaming run; the in-memory Run holds its whole input (cap its rounds with RoundBases)"},
 	{func(c *Config, e Entry) bool { return c.Ckpt.Dir == "" && e == Resuming },
 		"ResumeStream needs Ckpt.Dir"},
 	{func(c *Config, _ Entry) bool { return c.Ckpt.Dir == "" && (c.Ckpt.Every != 0 || c.Ckpt.NoShrink) },
 		"Ckpt.Every and Ckpt.NoShrink configure checkpointing and need Ckpt.Dir"},
-	{func(c *Config, e Entry) bool { return c.Ckpt.Dir != "" && e == InMemory },
-		"checkpointing needs the streaming cursor protocol; use RunStream"},
-	{func(c *Config, _ Entry) bool { return c.Ckpt.Dir != "" && c.Ckpt.Reopen == nil },
-		"checkpointing requires Ckpt.Reopen (recovery re-feeds the source)"},
+	{func(c *Config, e Entry) bool { return c.Ckpt.Dir != "" && c.Ckpt.Reopen == nil && e != InMemory },
+		"checkpointing a stream requires Ckpt.Reopen (recovery re-feeds the source)"},
 	{func(c *Config, _ Entry) bool { return c.Spill.Bins != 0 && c.Spill.Dir == "" },
 		"Spill.Bins set without Spill.Dir"},
 	{func(c *Config, _ Entry) bool { return c.Spill.Dir != "" && c.KeepTables },
@@ -392,7 +391,7 @@ const DefaultMemBudget = 256 << 20
 // streamBytesPerBase is the modeled live bytes one input base pins across
 // a streaming rank's round-loop buffers, used to translate a memory
 // budget into a per-rank round chunk. Itemized per base: the staged
-// chunk records and SeqBuffer copy (~3B), the packed send words or wire
+// chunk, one buffer per round parity (~3B), the packed send words or wire
 // bytes plus the checksummed frame arena, double-buffered for the
 // overlapped schedule (~4×8B upper bound: k-mer mode emits up to one
 // 8-byte word per base), and the received payload views (~2×8B). The
@@ -499,12 +498,12 @@ type Result struct {
 	// metrics §III-B's kernel design targets.
 	GPUParse, GPUCount gpusim.KernelStats
 	// Rounds is the number of parse-exchange-count rounds executed
-	// (1 unless Config.RoundBases or a streaming memory budget forced
-	// multi-round operation).
+	// (1 unless Config.RoundBases or a memory budget forced multi-round
+	// operation).
 	Rounds int
 	// Streamed reports that the run ingested its input out-of-core via
 	// RunStream; MemBudget echoes the effective memory budget it ran
-	// under (0 for in-memory runs).
+	// under (on Run, Config.MemBudgetBytes: 0 without one).
 	Streamed  bool
 	MemBudget int64
 	// Spilled reports that counting ran the two-pass out-of-core path

@@ -29,17 +29,20 @@ type variant struct {
 	ckpt       bool
 	faults     bool
 	entry      Entry
-	// stray is one setting the combination does not otherwise use, or "":
-	// each is refused wherever it appears (see strays).
+	// stray is one setting the combination does not otherwise use, or ""
+	// (see strays).
 	stray string
 }
 
-// strays are the settings that only ever appear alone in the enumeration,
-// each where the rest of the combination leaves it meaningless: a memory
-// budget on the in-memory Run, a checkpoint period or a spill bin count
-// without its directory, GPUDirect on the CPU engine, a checkpoint without
-// its Reopen hook, a fatal kill outside the world. (GPUDirect runs are
-// TestGPUDirectSkipsStaging's and TestGPUDirectElidesStageSpans'.)
+// strays are the settings that only ever appear alone in the enumeration.
+// Most are refused wherever they appear, the rest of the combination
+// leaving them meaningless: a checkpoint period or a spill bin count
+// without its directory, GPUDirect on the CPU engine, a stream's checkpoint
+// without its Reopen hook, a fatal kill outside the world. Two are accepted
+// on Run, which must count exactly under them: a memory budget (it caps
+// Run's rounds as a stream's) and a checkpoint without Reopen (Run
+// re-seeks its reads). (GPUDirect runs are TestGPUDirectSkipsStaging's and
+// TestGPUDirectElidesStageSpans'.)
 var strays = []struct {
 	name    string
 	applies func(v variant) bool

@@ -7,7 +7,7 @@ import (
 	"dedukt/internal/obs"
 )
 
-// hierStrategy is the topology-aware two-stage exchange (ROADMAP item 1,
+// hierStrategy is the topology-aware two-stage exchange (DESIGN.md §15,
 // mirroring the communication hierarchy of the Summit-era codes the paper
 // cites): instead of the flat P×P Alltoallv, each round's frames travel
 //

@@ -297,11 +297,17 @@ func TestKmerRowsAreNotRegrown(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			// Each third of the reads is a rank's share of the megabase input.
 			for share := 0; share < 3; share++ {
-				src := &sliceChunker{reads: reads[share*len(reads)/3 : (share+1)*len(reads)/3], maxBases: roundBases}
-				var buf dna.SeqBuffer
-				for more := true; more; {
+				part := reads[share*len(reads)/3 : (share+1)*len(reads)/3]
+				bases := roundBases
+				if bases == 0 {
+					for _, rd := range part {
+						bases += len(rd.Seq)
+					}
+				}
+				src := newChunkProducer(Config{}, fastq.NewSliceSource(part), bases, 1, 0)
+				for r, more := 0, true; more; r++ {
 					var data []byte
-					data, more, _ = pullBases(src, &buf)
+					data, more, _ = src.deal(0, r)
 					rows, _, _ := cpuParseKmers(cfg, nil, nProc, data, nil)
 					for dest, row := range rows {
 						if want := kernels.WordFrameHeader + kmerRowCap(len(data), nProc); cap(row) != want {

@@ -4,7 +4,6 @@ import (
 	"strconv"
 	"time"
 
-	"dedukt/internal/dna"
 	"dedukt/internal/fault"
 	"dedukt/internal/kcount"
 	"dedukt/internal/mpisim"
@@ -12,7 +11,8 @@ import (
 )
 
 // rankCtx is everything one entry of the rank body is handed: the run-wide
-// shared state plus this seat's communicator, chunk source and outcome.
+// shared state, the world's chunk source, and this seat's communicator and
+// outcome.
 type rankCtx struct {
 	cfg     Config
 	destMap []uint16
@@ -29,9 +29,8 @@ type rankCtx struct {
 // (views into the engine's parseSlots-rotated buffers), their fold onto a
 // shrunk communicator, and the posted exchange with what it delivered. Two
 // of these double-buffer the overlapped schedule; the serial schedule just
-// alternates between them. The round's bases are not among them: they are
-// read only inside the parse, so one buffer per rank serves both schedules
-// (pullBases).
+// alternates between them. The round's bases are not among them: the
+// chunk source owns them (see chunkProducer).
 type roundState[T unit] struct {
 	send     [][]T
 	routed   [][]T
@@ -58,22 +57,18 @@ func runRank[T unit](rc rankCtx, cd codec[T], newEngine func(rankCtx) (engine[T]
 	// vanish entirely — no stage_h2d span, no modeled staging time.
 	staged := cfg.Layout.GPU != nil && !cfg.GPUDirect
 	ex := newExchanger(&cfg, rc.c, rank, rc.inj, cd)
-	var (
-		states [2]roundState[T]
-		bases  dna.SeqBuffer
-	)
+	var states [2]roundState[T]
 
 	// Round-start faults fire once per executed round, before its parse.
 	start := func(r int) error {
 		return killOrStall(rc.inj, rank, r, rec)
 	}
 
-	// Stage + parse: pull the round's chunk into the rank's base buffer,
-	// model its host→device transfer, and run the engine's parse into the
-	// parity slot.
+	// Stage + parse: take the round's chunk, model its host→device
+	// transfer, and run the engine's parse into the parity slot.
 	parse := func(r int) (bool, error) {
 		st := &states[r%2]
-		data, more, err := pullBases(rc.src, &bases)
+		data, more, err := rc.src.deal(rc.c.Rank(), r)
 		if err != nil {
 			return false, err
 		}
@@ -164,7 +159,7 @@ func runRank[T unit](rc rankCtx, cd codec[T], newEngine func(rankCtx) (engine[T]
 
 	hooks := roundHooks{start: start, parse: parse, post: post, finish: finish, count: count}
 	if ck := rc.ck; ck != nil {
-		hooks.ckptAt, hooks.resync = ck.at, rc.c.Barrier
+		hooks.ckptAt = ck.at
 		hooks.ckpt = func(r int) error {
 			return ck.write(rc.c, seat, r, kcount.FromTable(serialTable(eng.counted()), cfg.K, ck.flags), out)
 		}
@@ -188,32 +183,6 @@ func runRank[T unit](rc rankCtx, cd codec[T], newEngine func(rankCtx) (engine[T]
 	ts.publish(rec.Registry(), rank, out.sum.Total)
 	out.publishCount(rec.Registry(), rank)
 	return nil
-}
-
-// pullBases pulls src's next chunk and concatenates its reads into buf, the
-// rank's one base buffer, returning the bases and src's more flag. Once src
-// reports its input drained buf lets go of its array: the bases returned
-// stay valid for the parse that reads them and are garbage after it, so a
-// one-round run does not hold its input under the tables its count grows.
-func pullBases(src chunkSource, buf *dna.SeqBuffer) ([]byte, bool, error) {
-	recs, more, err := src.nextChunk()
-	if err != nil {
-		return nil, false, err
-	}
-	buf.Reset()
-	bases := 0
-	for _, rd := range recs {
-		bases += len(rd.Seq)
-	}
-	buf.Grow(len(recs), bases)
-	for _, rd := range recs {
-		buf.AppendRead(rd.Seq)
-	}
-	data := buf.Data()
-	if !more {
-		*buf = dna.SeqBuffer{}
-	}
-	return data, more, nil
 }
 
 // tableStats is the occupancy of the largest table a rank counted into: its

@@ -172,8 +172,8 @@ func buildFingerprint(cfg Config) recov.Fingerprint {
 	return recov.Fingerprint{
 		K: cfg.K, M: cfg.M, Window: cfg.Window,
 		Mode: cfg.Mode.String(), Engine: engine, Encoding: cfg.Enc.Name(),
-		Canonical: cfg.Canonical,
-		Ranks:     cfg.Layout.Ranks(), Nodes: cfg.Layout.Nodes,
+		Canonical: cfg.Canonical, Balanced: cfg.BalancedPartition,
+		Ranks: cfg.Layout.Ranks(), Nodes: cfg.Layout.Nodes,
 		Inputs: cfg.Ckpt.Inputs,
 	}
 }
@@ -210,15 +210,16 @@ func ResumeStream(cfg Config) (*Result, error) {
 	if err := checkFingerprint(cfg, man); err != nil {
 		return nil, err
 	}
-	return runStream(cfg, nil)
+	return runStream(cfg, Resuming, nil, nil, cfg.streamRoundBases())
 }
 
 // restart readies the world that continues a run from the last checkpoint
 // in cfg.Ckpt.Dir — none yet meaning round 0 with no seeds — on the ranks
 // dead spares: their seats (seatsFromManifest, which also marks dead the
-// ranks the checkpoint lost) and a producer over the input reopened at the
-// checkpoint's cursor, seeded with its read and base tallies.
-func restart(cfg Config, dead []bool) ([]*rankSeat, *chunkProducer, error) {
+// ranks the checkpoint lost) and a producer dealing share bases a seat
+// from the input reopened at the checkpoint's cursor, seeded with its read
+// and base tallies.
+func restart(cfg Config, dead []bool, share int) ([]*rankSeat, *chunkProducer, error) {
 	man, err := recov.LoadManifest(cfg.Ckpt.Dir)
 	switch {
 	case errors.Is(err, recov.ErrNoCheckpoint):
@@ -237,7 +238,7 @@ func restart(cfg Config, dead []bool) ([]*rankSeat, *chunkProducer, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("pipeline: reopening the input at the checkpoint: %w", err)
 	}
-	prod := newChunkProducer(cfg, src)
+	prod := newChunkProducer(cfg, src, share, len(seats), man.Round+1)
 	prod.reads, prod.bases = man.Reads, man.Bases
 	return seats, prod, nil
 }

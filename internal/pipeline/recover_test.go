@@ -19,18 +19,6 @@ import (
 	recov "dedukt/internal/recover"
 )
 
-// sliceReopen is the Ckpt.Reopen for an in-memory read set: a fresh
-// SliceSource fast-forwarded to the cursor, like reopening input files.
-func sliceReopen(reads []fastq.Record) func(fastq.Cursor) (fastq.Source, error) {
-	return func(c fastq.Cursor) (fastq.Source, error) {
-		s := fastq.NewSliceSource(reads)
-		if err := s.SeekCursor(c); err != nil {
-			return nil, err
-		}
-		return s, nil
-	}
-}
-
 // ckptConfig enables checkpointing into dir for an in-memory read set.
 func ckptConfig(cfg Config, dir string, reads []fastq.Record, every int, noShrink bool) Config {
 	cfg.Ckpt = CkptConfig{Dir: dir, Every: every, NoShrink: noShrink, Reopen: sliceReopen(reads)}
@@ -190,14 +178,14 @@ func TestShrinkRecoveryWithoutCheckpoint(t *testing.T) {
 }
 
 // TestResumeRefusesMismatchedConfig: a checkpoint taken under one
-// configuration must never resume under another — k, engine, ranks, or
-// input list changes surface as durable.ErrMismatch.
+// configuration must never resume under another — k, engine, ranks,
+// input list or balanced-partition changes surface as durable.ErrMismatch.
 func TestResumeRefusesMismatchedConfig(t *testing.T) {
 	reads := testReads(t, 6_000, 3)
 	dir := t.TempDir()
 	cfg := ckptConfig(Default(smallGPULayout(1), KmerMode), dir, reads, 2, true)
-	cfg.RoundBases = 600
-	cfg.Fault = fault.Config{FatalKill: true, FatalRank: 0, FatalRound: 5}
+	cfg.RoundBases = 600 // five rounds, a checkpoint after round 1
+	cfg.Fault = fault.Config{FatalKill: true, FatalRank: 0, FatalRound: 3}
 	if _, err := RunStream(cfg, fastq.NewSliceSource(reads)); !errors.Is(err, fault.ErrKilled) {
 		t.Fatalf("setup kill: %v", err)
 	}
@@ -212,6 +200,18 @@ func TestResumeRefusesMismatchedConfig(t *testing.T) {
 	bad.Ckpt.Inputs = []recov.InputFile{{Path: "other.fastq", Size: 1}}
 	if _, err := ResumeStream(bad); !errors.Is(err, durable.ErrMismatch) {
 		t.Fatalf("input change: want ErrMismatch, got %v", err)
+	}
+	// A balanced Run's slices are partitioned by its minimizer map, which a
+	// stream (hash-partitioned) cannot continue.
+	balanced := ckptConfig(Default(smallGPULayout(1), SupermerMode), t.TempDir(), reads, 2, true)
+	balanced.BalancedPartition, balanced.RoundBases, balanced.Fault = true, 600, cfg.Fault
+	if _, err := Run(balanced, reads); !errors.Is(err, fault.ErrKilled) {
+		t.Fatalf("balanced setup kill: %v", err)
+	}
+	bad = balanced
+	bad.Fault, bad.BalancedPartition = fault.Config{}, false
+	if _, err := ResumeStream(bad); !errors.Is(err, durable.ErrMismatch) {
+		t.Fatalf("balanced partition dropped: want ErrMismatch, got %v", err)
 	}
 }
 

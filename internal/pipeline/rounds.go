@@ -1,52 +1,20 @@
 package pipeline
 
-import "dedukt/internal/fastq"
-
-// chunkSource feeds one rank's round loop: nextChunk returns the next
-// round's read set plus a more flag reporting whether this rank's input
-// may continue past it. A drained source keeps returning (nil, false,
-// nil) — a rank whose input ends early pulls empty chunks and keeps
-// participating in the world's collectives until every rank drains (the
-// end-of-stream agreement rides on the exchange announcement, see
-// exchanger.post*). The returned records are only valid until the next
-// call; the round loop copies the bases it needs into its own buffers
-// before pulling again.
+// chunkSource deals a world's input to its seats: deal(slot, r) returns
+// the bases of round r's chunk for the seat in comm slot — its reads
+// concatenated behind separators, valid until that seat's parse of round r
+// has read them — and whether records remain after round r. A seat whose
+// chunk is empty still runs the round, keeping the world's collectives
+// matched until every rank agrees the input is drained (the end-of-stream
+// agreement rides on the exchange announcement, see exchanger.post*).
+// chunkProducer is the one implementation.
 type chunkSource interface {
-	nextChunk() (recs []fastq.Record, more bool, err error)
-}
-
-// sliceChunker is the in-memory producer: it cuts a preloaded partition
-// into contiguous chunks of at most maxBases each (at least one read per
-// chunk), implementing the paper's multi-round processing: "Depending on
-// the total size of the input, relative to software limits
-// (approximating available memory), the computation and communication
-// may proceed in multiple rounds" (§III-A). maxBases ≤ 0 yields a single
-// chunk; a final partial chunk below maxBases is still delivered.
-type sliceChunker struct {
-	reads    []fastq.Record
-	maxBases int
-	i        int
-}
-
-func (s *sliceChunker) nextChunk() ([]fastq.Record, bool, error) {
-	if s.i >= len(s.reads) {
-		return nil, false, nil
-	}
-	start, bases := s.i, 0
-	for s.i < len(s.reads) {
-		n := len(s.reads[s.i].Seq)
-		if s.maxBases > 0 && bases > 0 && bases+n > s.maxBases {
-			break
-		}
-		bases += n
-		s.i++
-	}
-	return s.reads[start:s.i], s.i < len(s.reads), nil
+	deal(slot, r int) (bases []byte, more bool, err error)
 }
 
 // roundHooks is one rank's round-loop stage set. start(r) applies
-// round-start faults; parse(r) pulls round r's chunk and builds its send
-// buffers, reporting whether this rank's own input continues past it;
+// round-start faults; parse(r) takes round r's chunk and builds its send
+// buffers, reporting whether the input continues past it;
 // post(r, more) posts round r's exchange with nonblocking collectives,
 // piggybacking the more flag on the count announcement; finish(r)
 // completes the exchange (verification, retries, the settle collective)
@@ -55,8 +23,7 @@ func (s *sliceChunker) nextChunk() ([]fastq.Record, bool, error) {
 // The optional checkpoint hooks ride along: ckptAt(r) reports whether
 // round r is a checkpoint round — it must be a pure function of r, the
 // same on every rank, because ckpt(r) runs collective barriers — ckpt(r)
-// persists the rank's state as of the end of round r, and resync is a
-// world barrier (see runRounds on why a checkpoint round needs one).
+// persists the rank's state as of the end of round r.
 type roundHooks struct {
 	start  func(r int) error
 	parse  func(r int) (more bool, err error)
@@ -65,7 +32,6 @@ type roundHooks struct {
 	count  func(r int) error
 	ckptAt func(r int) bool
 	ckpt   func(r int) error
-	resync func() error
 }
 
 // parseSlots is how many buffers a rank's parse output rotates over (see
@@ -128,8 +94,11 @@ const parseSlots = 3
 //
 // The rank body's own roundState pair (r%2) holds nothing a peer reads:
 // round r is done with it at count(r), which precedes parse(r+2) locally.
-// Its one base buffer is read only inside parse(r), which ends before
-// parse(r+1) pulls the next chunk into it, so it needs no slot at all.
+// The bases a rank parses in round r are not its own: whichever rank first
+// asks for round r cuts every rank's chunk of it (see chunkProducer), and
+// round r+2 is cut into the same parity's buffers by a parse(r+2) — which
+// follows that rank's finish(r), hence, by the same settle argument, every
+// rank's parse(r). Two base buffers a rank, by r%2, suffice.
 //
 // base is the first round index (non-zero when resuming from a
 // checkpoint); hooks see global round numbers and the returned count is
@@ -137,17 +106,16 @@ const parseSlots = 3
 // reports the same Rounds as an unfaulted one.
 //
 // Checkpoint rounds drain the overlap: a checkpoint must capture the
-// stream cursor *before* round r+1's chunk is pulled, so when ckptAt(r)
+// stream cursor *before* round r+1 is cut, so when ckptAt(r)
 // the speculative parse(r+1) is suppressed and the iteration runs
 // finish(r); count(r); ckpt(r); parse(r+1); post(r+1) — a pipeline
 // bubble every Ckpt.Every rounds, which is the checkpoint's entire
 // steady-state cost. ckpt(r) runs blocking collectives, which is legal
 // exactly there: round r's requests were waited by finish(r) and round
-// r+1's are not yet posted. resync follows the deferred parse(r+1):
-// elsewhere a rank's pull for round r+1 precedes its settle collective of
-// round r, hence every peer's pull for r+2; a pull deferred past the
-// checkpoint has no collective behind it, so a fast rank's speculative
-// parse(r+2) could overtake it and make the round count scheduling-dependent.
+// r+1's are not yet posted. A fast rank's speculative parse(r+2) may
+// then run before a slow rank's deferred parse(r+1): both rounds are cut
+// whole, in order, so neither what a rank parses nor the round count
+// depends on which rank asks first.
 func runRounds(overlap bool, base int, h roundHooks) (rounds int, err error) {
 	ckptDue := func(r int) bool { return h.ckptAt != nil && h.ckptAt(r) }
 	if !overlap {
@@ -240,11 +208,6 @@ func runRounds(overlap bool, base int, h roundHooks) (rounds int, err error) {
 			}
 			if nextMore, err = h.parse(r + 1); err != nil {
 				return r, err
-			}
-			if drain {
-				if err := h.resync(); err != nil {
-					return r, err
-				}
 			}
 			if err := h.post(r+1, nextMore); err != nil {
 				return r, err

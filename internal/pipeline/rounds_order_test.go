@@ -7,13 +7,11 @@ import (
 )
 
 // TestRunRoundsCheckpointOrder pins the overlapped schedule's hook order
-// around a checkpoint round: the speculative parse is suppressed, the
-// deferred parse(r+1) follows ckpt(r), and resync — the barrier that keeps
-// a fast rank's next speculative pull from overtaking a slow rank's
-// deferred one — runs after that parse and before post(r+1), where no
-// nonblocking request is pending. Without the barrier the round count of a
-// checkpointing overlapped run over a shared stream depended on
-// scheduling (about 3 in 1000 resumed runs took one round more).
+// around a checkpoint round: the speculative parse is suppressed, and the
+// deferred parse(r+1) follows ckpt(r) and precedes post(r+1), where no
+// nonblocking request is pending. (Nothing orders a fast rank's next
+// speculative parse behind a slow rank's deferred one: rounds are cut
+// whole, so which rank asks first changes nothing.)
 func TestRunRoundsCheckpointOrder(t *testing.T) {
 	var calls []string
 	log := func(name string, r int) { calls = append(calls, fmt.Sprintf("%s%d", name, r)) }
@@ -26,7 +24,6 @@ func TestRunRoundsCheckpointOrder(t *testing.T) {
 		count:  func(r int) error { log("count", r); return nil },
 		ckptAt: func(r int) bool { return r == 1 },
 		ckpt:   func(r int) error { log("ckpt", r); return nil },
-		resync: func() error { calls = append(calls, "resync"); return nil },
 	}
 	rounds, err := runRounds(true, 0, h)
 	if err != nil || rounds != last+1 {
@@ -34,7 +31,7 @@ func TestRunRoundsCheckpointOrder(t *testing.T) {
 	}
 	want := "start0 parse0 post0 " +
 		"start1 parse1 finish0 post1 count0 " + // round 0: speculative parse(1)
-		"finish1 count1 ckpt1 start2 parse2 resync post2 " + // round 1 checkpoints: drained
+		"finish1 count1 ckpt1 start2 parse2 post2 " + // round 1 checkpoints: drained
 		"start3 parse3 finish2 post3 count2 " + // round 2: overlap resumes
 		"finish3 count3"
 	if got := strings.Join(calls, " "); got != want {

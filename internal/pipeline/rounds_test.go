@@ -19,55 +19,28 @@ func mkReads(lens ...int) []fastq.Record {
 	return out
 }
 
-// drainChunker pulls a chunk source dry, returning the chunk sizes (in
-// records) and the more-flag sequence.
-func drainChunker(t *testing.T, src chunkSource) (sizes []int, mores []bool) {
-	t.Helper()
-	for i := 0; i < 1000; i++ {
-		recs, more, err := src.nextChunk()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sizes = append(sizes, len(recs))
-		mores = append(mores, more)
-		if !more {
-			return sizes, mores
-		}
-	}
-	t.Fatal("chunk source never drained")
-	return nil, nil
+// splitSource is a chunkSource that deals every seat its own reads, in
+// chunks of at most maxBases (at least one read): the per-rank input split
+// the shared producer never makes.
+type splitSource struct {
+	parts    [][]fastq.Record
+	maxBases int
+	next     []int // each seat's next read
 }
 
-func TestSliceChunker(t *testing.T) {
-	// No cap: single chunk holding everything.
-	sizes, mores := drainChunker(t, &sliceChunker{reads: mkReads(10, 20)})
-	if len(sizes) != 1 || sizes[0] != 2 || mores[0] {
-		t.Fatalf("uncapped chunking wrong: sizes=%v mores=%v", sizes, mores)
+func newSplitSource(maxBases int, parts ...[]fastq.Record) *splitSource {
+	return &splitSource{parts: parts, maxBases: maxBases, next: make([]int, len(parts))}
+}
+
+func (s *splitSource) deal(slot, _ int) ([]byte, bool, error) {
+	part, i := s.parts[slot], s.next[slot]
+	var buf dna.SeqBuffer
+	for bases := 0; i < len(part) && (bases == 0 || bases+len(part[i].Seq) <= s.maxBases); i++ {
+		bases += len(part[i].Seq)
+		buf.AppendRead(part[i].Seq)
 	}
-	// Cap 25: [10,10] [20] [30] — the final partial chunk (30 > what's
-	// left of nothing) still arrives, with more=false only on the last.
-	sizes, mores = drainChunker(t, &sliceChunker{reads: mkReads(10, 10, 20, 30), maxBases: 25})
-	if len(sizes) != 3 || sizes[0] != 2 || sizes[1] != 1 || sizes[2] != 1 {
-		t.Fatalf("chunk sizes: %v, want [2 1 1]", sizes)
-	}
-	if !mores[0] || !mores[1] || mores[2] {
-		t.Fatalf("more flags: %v, want [true true false]", mores)
-	}
-	// A read larger than the cap still forms its own chunk.
-	sizes, _ = drainChunker(t, &sliceChunker{reads: mkReads(100), maxBases: 10})
-	if len(sizes) != 1 || sizes[0] != 1 {
-		t.Fatalf("oversized read should be its own chunk, got %v", sizes)
-	}
-	// Empty input: one empty pull with more=false, then steady-state
-	// empties — a drained rank keeps pulling while peers finish.
-	empty := &sliceChunker{maxBases: 10}
-	sizes, mores = drainChunker(t, empty)
-	if len(sizes) != 1 || sizes[0] != 0 || mores[0] {
-		t.Fatalf("empty input: sizes=%v mores=%v", sizes, mores)
-	}
-	if recs, more, err := empty.nextChunk(); err != nil || more || len(recs) != 0 {
-		t.Fatal("drained chunker must keep returning empty chunks")
-	}
+	s.next[slot] = i
+	return buf.Data(), i < len(part), nil
 }
 
 // TestUnevenTailDrain pins the last-chunk boundary fix: ranks with wildly
@@ -85,24 +58,23 @@ func TestUnevenTailDrain(t *testing.T) {
 		cfg.Overlap = overlap
 		// Skewed hand-built split: rank 0 gets nearly everything, rank 1
 		// a single read, the rest nothing.
-		sources := make([]chunkSource, p)
-		sources[0] = &sliceChunker{reads: reads[:len(reads)-1], maxBases: cfg.RoundBases}
-		sources[1] = &sliceChunker{reads: reads[len(reads)-1:], maxBases: cfg.RoundBases}
-		for r := 2; r < p; r++ {
-			sources[r] = &sliceChunker{maxBases: cfg.RoundBases}
-		}
+		parts := make([][]fastq.Record, p)
+		parts[0], parts[1] = reads[:len(reads)-1], reads[len(reads)-1:]
 		rs, seats, err := newRunState(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := rs.world(nil, sources, seats, nil, nil); err != nil {
+		if _, err := rs.world(nil, newSplitSource(cfg.RoundBases, parts...), seats, nil, nil); err != nil {
 			t.Fatalf("overlap=%v: %v", overlap, err)
 		}
 		res := rs.result()
 		// Every rank ran as many rounds as the heaviest one's chunks.
-		want, _ := drainChunker(t, &sliceChunker{reads: reads[:len(reads)-1], maxBases: cfg.RoundBases})
-		if res.Rounds != len(want) {
-			t.Fatalf("overlap=%v: rounds=%d, want %d", overlap, res.Rounds, len(want))
+		heaviest, want := newSplitSource(cfg.RoundBases, parts[0]), 0
+		for more := true; more; want++ {
+			_, more, _ = heaviest.deal(0, want)
+		}
+		if res.Rounds != want {
+			t.Fatalf("overlap=%v: rounds=%d, want %d", overlap, res.Rounds, want)
 		}
 		if res.Rounds < 3 {
 			t.Fatalf("overlap=%v: want a multi-round run, got %d", overlap, res.Rounds)
@@ -167,42 +139,37 @@ func TestMultiRoundMatchesSingleRound(t *testing.T) {
 	}
 }
 
-// TestDrainedRankReleasesBases pins pullBases: the rank's base buffer keeps
-// its array while the input continues and lets go of it with the chunk that
-// drains the input — a one-round rank's first parse — while the bases that
-// parse reads stay intact; the empty pulls of a drained rank allocate none.
+// TestDrainedRankReleasesBases pins the producer's release: a seat's base
+// buffers stay while the input continues and are let go with the chunk
+// that ends it — a one-round seat's first parse — while the bases that
+// parse reads stay intact; the deals after the end allocate none.
 func TestDrainedRankReleasesBases(t *testing.T) {
-	reads := mkReads(10, 20, 30)
-	for i := range reads {
-		for j := range reads[i].Seq {
-			reads[i].Seq[j] = "ACGT"[(i+j)%4]
-		}
-	}
+	reads := readsOf(10, 20, 30)
 	var want dna.SeqBuffer
 	for _, rd := range reads {
 		want.AppendRead(rd.Seq)
 	}
-	var buf dna.SeqBuffer
-	data, more, err := pullBases(&sliceChunker{reads: reads}, &buf)
+	p := newChunkProducer(Config{}, fastq.NewSliceSource(reads), 60, 1, 0)
+	data, more, err := p.deal(0, 0)
 	if err != nil || more {
-		t.Fatalf("one-round pull: more %v, err %v", more, err)
+		t.Fatalf("one-round deal: more %v, err %v", more, err)
 	}
 	if !bytes.Equal(data, want.Data()) {
 		t.Fatalf("bases %q, want %q", data, want.Data())
 	}
-	if c := cap(buf.Data()); c != 0 {
-		t.Fatalf("drained rank still holds a base buffer of capacity %d", c)
+	if c := cap(p.bufs[0][0]); c != 0 {
+		t.Fatalf("drained seat still holds a base buffer of capacity %d", c)
 	}
 
-	src := &sliceChunker{reads: reads, maxBases: 30}
-	if _, more, _ := pullBases(src, &buf); !more || cap(buf.Data()) == 0 {
-		t.Fatalf("first of several rounds: more %v, capacity %d; want true and the buffer kept", more, cap(buf.Data()))
+	p = newChunkProducer(Config{}, fastq.NewSliceSource(reads), 30, 1, 0)
+	if _, more, _ := p.deal(0, 0); !more || cap(p.bufs[0][0]) == 0 {
+		t.Fatalf("first of several rounds: more %v, capacity %d; want true and the buffer kept", more, cap(p.bufs[0][0]))
 	}
-	if _, more, _ := pullBases(src, &buf); more || cap(buf.Data()) != 0 {
-		t.Fatalf("last round: more %v, capacity %d; want false and 0", more, cap(buf.Data()))
+	if _, more, _ := p.deal(0, 1); more || cap(p.bufs[0][0]) != 0 || cap(p.bufs[0][1]) != 0 {
+		t.Fatalf("last round: more %v, capacities %d and %d; want false and 0", more, cap(p.bufs[0][0]), cap(p.bufs[0][1]))
 	}
-	if data, more, _ := pullBases(src, &buf); len(data) != 0 || more || cap(buf.Data()) != 0 {
-		t.Fatalf("drained pull: %d bases, more %v, capacity %d", len(data), more, cap(buf.Data()))
+	if data, more, _ := p.deal(0, 2); len(data) != 0 || more || cap(p.bufs[0][0]) != 0 {
+		t.Fatalf("drained deal: %d bases, more %v, capacity %d", len(data), more, cap(p.bufs[0][0]))
 	}
 }
 

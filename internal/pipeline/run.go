@@ -3,7 +3,6 @@ package pipeline
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"dedukt/internal/fastq"
@@ -34,25 +33,22 @@ type rankOutcome struct {
 	ckpts        int // round checkpoints this seat persisted
 }
 
-// Run executes the configured pipeline over the reads and returns the
-// global result. The reads are partitioned across ranks by balanced base
-// count (the paper's parallel-I/O assumption, §IV-D).
+// Run executes the configured pipeline over preloaded reads and returns the
+// global result. It is RunStream over the slice (see runStream): the ranks'
+// shared producer deals the reads out in rounds, in order, each rank's
+// chunk of a round ending at an even share of its bases (the paper's
+// parallel-I/O assumption, §IV-D). With neither RoundBases nor
+// MemBudgetBytes set the whole input is one round of even shares; either
+// caps the rounds as it does a stream's (§III-A's multi-round execution).
+// Under BalancedPartition, the whole input is profiled first to build the
+// minimizer-to-rank map. Checkpoints and the restart after a rank death
+// work as on a stream; Ckpt.Reopen, when unset, re-seeks the slice.
 //
 // Failures are structured, never a panic or deadlock: a rank death
 // (injected or real) poisons the communicator and surfaces as an error
 // joining every rank's failure (see mpisim.Run); a corrupted or dropped
 // exchange is retried up to maxRetries times and, past that budget, fails
 // the run with ErrExchangeLost. A run never returns a partial spectrum.
-//
-// Under Config.KeepTables the run collects the heap before the ranks start
-// and again once they have ended. Such a run is the first step of something
-// larger — a KCD export, a server — whose peak memory is the run's own or
-// what it leaves plus what the caller builds from the tables. The run's big
-// transient is the world's send rows (8 B a k-mer), allocated as the ranks
-// start and dead when they end: collected before, the caller's garbage makes
-// room for the rows instead of lying under them; collected after, the rows
-// make room for the caller's database. Left to the collector's own timing the
-// same count → MergedTable → FromTable peaked anywhere from 186 to 281 MB.
 func Run(cfg Config, reads []fastq.Record) (*Result, error) {
 	if err := cfg.Validate(InMemory); err != nil {
 		return nil, err
@@ -61,37 +57,33 @@ func Run(cfg Config, reads []fastq.Record) (*Result, error) {
 	if cfg.BalancedPartition {
 		destMap = buildBalancedMap(cfg, reads)
 	}
-	p := cfg.Layout.Ranks()
-	parts := fastq.Partition(reads, p)
-	sources := make([]chunkSource, p)
-	var totalBases uint64
-	for r, part := range parts {
-		for _, rd := range part {
-			totalBases += uint64(len(rd.Seq))
+	if cfg.Ckpt.Dir != "" && cfg.Ckpt.Reopen == nil {
+		cfg.Ckpt.Reopen = sliceReopen(reads)
+	}
+	share := cfg.RoundBases
+	if cfg.MemBudgetBytes != 0 {
+		share = cfg.streamRoundBases()
+	} else if share == 0 {
+		var total int
+		for _, rd := range reads {
+			total += len(rd.Seq)
 		}
-		sources[r] = &sliceChunker{reads: part, maxBases: cfg.RoundBases}
+		p := cfg.Layout.Ranks()
+		share = (total + p - 1) / p
 	}
-	spl, err := newSpillCtl(cfg)
-	if err != nil {
-		return nil, err
+	return runStream(cfg, InMemory, fastq.NewSliceSource(reads), destMap, share)
+}
+
+// sliceReopen is the Ckpt.Reopen of a preloaded read set: a fresh
+// SliceSource fast-forwarded to the cursor, like reopening input files.
+func sliceReopen(reads []fastq.Record) func(fastq.Cursor) (fastq.Source, error) {
+	return func(c fastq.Cursor) (fastq.Source, error) {
+		s := fastq.NewSliceSource(reads)
+		if err := s.SeekCursor(c); err != nil {
+			return nil, err
+		}
+		return s, nil
 	}
-	if cfg.KeepTables {
-		runtime.GC()
-	}
-	rs, seats, err := newRunState(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := rs.world(destMap, sources, seats, nil, spl); err != nil {
-		return nil, err
-	}
-	res := rs.result()
-	if cfg.KeepTables {
-		runtime.GC()
-	}
-	res.InputReads = uint64(len(reads))
-	res.InputBases = totalBases
-	return res, nil
 }
 
 // runState is what a run keeps across the worlds it goes through: a world
@@ -128,10 +120,9 @@ func newRunState(cfg Config) (*runState, []*rankSeat, error) {
 
 // world runs one simulated world, one rank per seat, and returns each
 // seat's error and, when any failed, all of them joined under their
-// original rank ids. sources feeds each seat's round loop (a preloaded
-// partition for Run, handles on a shared bounded producer for the
-// streaming paths); ck, when non-nil, checkpoints periodically.
-func (rs *runState) world(destMap []uint16, sources []chunkSource, seats []*rankSeat, ck *ckptCtl, spl *spillCtl) ([]error, error) {
+// original rank ids. src deals each seat's chunk of every round; ck, when
+// non-nil, checkpoints periodically.
+func (rs *runState) world(destMap []uint16, src chunkSource, seats []*rankSeat, ck *ckptCtl, spl *spillCtl) ([]error, error) {
 	cfg := rs.cfg
 	opt := mpisim.Options{Deadline: cfg.ExchangeDeadline, Obs: cfg.Obs}
 	// The one mode fork of the pipeline: the mode fixes the payload unit
@@ -148,7 +139,7 @@ func (rs *runState) world(destMap []uint16, sources []chunkSource, seats []*rank
 		seat := seats[c.Rank()]
 		rc := rankCtx{
 			cfg: cfg, destMap: destMap, inj: rs.inj, ck: ck,
-			c: c, src: sources[c.Rank()], seat: seat, out: &rs.outcomes[seat.old],
+			c: c, src: src, seat: seat, out: &rs.outcomes[seat.old],
 		}
 		if spl != nil {
 			rc.rsp = spl.rank(seat.old)

@@ -3,22 +3,25 @@ package pipeline
 import (
 	"fmt"
 	"io"
+	"runtime"
+	"slices"
 	"sync"
 
+	"dedukt/internal/dna"
 	"dedukt/internal/fastq"
 	"dedukt/internal/obs"
 )
 
 // RunStream executes the configured pipeline over a streaming source,
-// never materializing the dataset: each rank pulls bounded read chunks
-// on demand from a shared producer, so the live working set stays under
-// Config.MemBudgetBytes (counter tables excluded — they hold the output
-// spectrum) regardless of input size. The spectrum is bit-identical to
-// Run over the same records: k-mers are routed to their owning rank by
+// never materializing the dataset: the ranks' shared producer deals the
+// source out one bounded round at a time, so the live working set stays
+// under Config.MemBudgetBytes (counter tables excluded — they hold the
+// output spectrum) regardless of input size. The spectrum is bit-identical
+// to Run over the same records: k-mers are routed to their owning rank by
 // key hash, so which rank parses a read never changes what is counted.
 // The number of rounds is open-ended — ranks agree collectively, via a
-// flag on each round's count announcement, when every rank has drained
-// (see runRounds).
+// flag on each round's count announcement, when the input is drained (see
+// runRounds).
 //
 // With Config.Ckpt set, the run persists round-granularity checkpoints
 // and survives rank death by restarting the survivors from the last one
@@ -31,18 +34,30 @@ func RunStream(cfg Config, src fastq.Source) (*Result, error) {
 	if src == nil {
 		return nil, fmt.Errorf("pipeline: nil stream source")
 	}
-	return runStream(cfg, src)
+	return runStream(cfg, Streaming, src, nil, cfg.streamRoundBases())
 }
 
-// runStream is the shared core of RunStream and, with a nil src,
-// ResumeStream; both have validated cfg. It runs worlds until one
-// completes. A failed world ends with all its goroutines returned and
-// its source closed (when an io.Closer). When ranks died (restartable),
-// checkpointing is on and Ckpt.NoShrink off, the survivors then restart
-// from the last checkpoint in a smaller world (restart), exactly as
-// ResumeStream starts; any other failure fails the run. The replay is
-// deterministic, so the spectrum is bit-identical to an unfaulted run's.
-func runStream(cfg Config, src fastq.Source) (*Result, error) {
+// runStream is the one loop behind the entry points — Run, RunStream and,
+// with a nil src, ResumeStream — each of which has validated cfg for e. It
+// deals src out in rounds of share bases a seat, routes supermers by
+// destMap when non-nil, and runs worlds until one completes. A failed
+// world ends with all its goroutines returned and its source closed (when
+// an io.Closer). When ranks died (restartable), checkpointing is on and
+// Ckpt.NoShrink off, the survivors then restart from the last checkpoint
+// in a smaller world (restart), exactly as ResumeStream starts; any other
+// failure fails the run. The replay is deterministic, so the spectrum is
+// bit-identical to an unfaulted run's.
+//
+// Under Config.KeepTables the run collects the heap before the ranks start
+// and again once they have ended. Such a run is the first step of something
+// larger — a KCD export, a server — whose peak memory is the run's own or
+// what it leaves plus what the caller builds from the tables. The run's big
+// transient is the world's send rows (8 B a k-mer), allocated as the ranks
+// start and dead when they end: collected before, the caller's garbage makes
+// room for the rows instead of lying under them; collected after, the rows
+// make room for the caller's database. Left to the collector's own timing the
+// same count → MergedTable → FromTable peaked anywhere from 186 to 281 MB.
+func runStream(cfg Config, e Entry, src fastq.Source, destMap []uint16, share int) (*Result, error) {
 	rs, seats, err := newRunState(cfg)
 	if err != nil {
 		return nil, err
@@ -53,9 +68,12 @@ func runStream(cfg Config, src fastq.Source) (*Result, error) {
 	}
 	var prod *chunkProducer
 	if src != nil {
-		prod = newChunkProducer(cfg, src)
-	} else if seats, prod, err = restart(cfg, rs.dead); err != nil {
+		prod = newChunkProducer(cfg, src, share, len(seats), 0)
+	} else if seats, prod, err = restart(cfg, rs.dead, share); err != nil {
 		return nil, err
+	}
+	if cfg.KeepTables {
+		runtime.GC()
 	}
 	ckpt := cfg.Ckpt.Dir != ""
 	for {
@@ -66,11 +84,7 @@ func runStream(cfg Config, src fastq.Source) (*Result, error) {
 			}
 			ck = newCkptCtl(cfg, prod)
 		}
-		sources := make([]chunkSource, len(seats))
-		for r := range sources {
-			sources[r] = &streamHandle{prod: prod}
-		}
-		errs, err := rs.world(nil, sources, seats, ck, spl)
+		errs, err := rs.world(destMap, prod, seats, ck, spl)
 		if err == nil {
 			break
 		}
@@ -93,7 +107,7 @@ func runStream(cfg Config, src fastq.Source) (*Result, error) {
 				spans = append(spans, cfg.Obs.Begin(s.old, -1, obs.PhaseRecovery))
 			}
 		}
-		if seats, prod, err = restart(cfg, rs.dead); err != nil {
+		if seats, prod, err = restart(cfg, rs.dead, share); err != nil {
 			return nil, err
 		}
 		rs.restarts++
@@ -104,33 +118,49 @@ func runStream(cfg Config, src fastq.Source) (*Result, error) {
 		}
 	}
 	res := rs.result()
-	res.Streamed = true
-	res.MemBudget = cfg.memBudget()
-	res.InputReads = prod.reads
-	res.InputBases = prod.bases
-	res.Resumed = src == nil
+	if cfg.KeepTables {
+		runtime.GC()
+	}
+	res.InputReads, res.InputBases = prod.reads, prod.bases
+	res.Streamed, res.Resumed = e != InMemory, e == Resuming
+	if res.MemBudget = cfg.MemBudgetBytes; res.Streamed {
+		res.MemBudget = cfg.memBudget()
+	}
 	return res, nil
 }
 
-// chunkProducer cuts a shared Source into bounded chunks, handed to rank
-// round loops in pull order. The cut points are deterministic — records
-// are taken greedily until the next one would push the chunk past
-// maxBases (a chunk always holds at least one record, so an oversized
-// read still travels; the record that overflowed is retained as pending
-// for the next chunk, never dropped) — but which rank receives which
-// chunk depends on goroutine scheduling. That is safe because counting
-// is partition-invariant: a k-mer's owning rank is a function of its key
-// alone. A source error is sticky and surfaces on every subsequent pull,
-// failing all ranks rather than silently truncating the input.
+// chunkProducer deals a shared Source to the seats of one world, a whole
+// round at a time and in a fixed order. The first seat to ask for round t
+// cuts all of it: chunk i goes to the seat in comm slot i and ends at the
+// last record boundary within (i+1)·share bases of the round's start (at
+// least one record a chunk while the source lasts), so the chunks stay
+// even however the read lengths fall, and a preloaded input whose share
+// is a 1/P of it is one round. Each chunk's bases are copied once,
+// straight into its seat's buffer for the round's parity. Which seat
+// parses what is thus a function of the input alone, never of goroutine
+// scheduling, and so is every modeled figure of the parse. Every seat's
+// more flag says exactly whether records remain after the round, so the
+// world runs ⌈chunks/P⌉ rounds. A source error is sticky and surfaces on
+// every later deal, failing all ranks rather than silently truncating the
+// input. Two buffers a seat, by round parity, suffice: see "Buffer
+// lifetimes" on runRounds.
 type chunkProducer struct {
-	mu       sync.Mutex
-	src      fastq.Source
-	maxBases int
-	pending  *fastq.Record // overflow record from the previous chunk
-	done     bool
-	err      error
-	reads    uint64 // records delivered (retained past drain for Result)
-	bases    uint64
+	mu    sync.Mutex
+	src   fastq.Source
+	share int
+	next  int // the next round to cut
+	// bufs[slot][r%2] holds the bases of round r's chunk for the seat in
+	// comm slot — its reads concatenated behind separators, the layout
+	// dna.SeqBuffer stages — and more[r%2] whether records remain after
+	// round r.
+	bufs    [][2][]byte
+	more    [2]bool
+	pending fastq.Record // pulled, but past its chunk's target: the next chunk's first
+	held    bool
+	done    bool
+	err     error
+	reads   uint64 // records pulled (retained past drain for Result)
+	bases   uint64
 	// track enables checkpoint cursor maintenance (requires src to be a
 	// fastq.CursorSource); cur is the source position just before the
 	// pending record was pulled, i.e. the replay point that re-delivers
@@ -139,110 +169,117 @@ type chunkProducer struct {
 	cur   fastq.Cursor
 }
 
-// newChunkProducer cuts src into the configured streaming rounds, keeping
-// a checkpoint cursor when checkpointing is on.
-func newChunkProducer(cfg Config, src fastq.Source) *chunkProducer {
-	return &chunkProducer{src: src, maxBases: cfg.streamRoundBases(), track: cfg.Ckpt.Dir != ""}
+// newChunkProducer deals src to a world of seats seats starting at round
+// base, keeping a checkpoint cursor when checkpointing is on.
+func newChunkProducer(cfg Config, src fastq.Source, share, seats, base int) *chunkProducer {
+	return &chunkProducer{src: src, share: max(share, 1), next: base, bufs: make([][2][]byte, seats), track: cfg.Ckpt.Dir != ""}
 }
 
-// fill appends the next chunk's records into buf, reporting whether the
-// source continues past it. more is exact, not a guess: the producer
-// stops filling only when a record is actually in hand that did not fit
-// (it becomes pending, proving a next chunk exists) or when the source
-// reports EOF.
-func (p *chunkProducer) fill(buf *chunkBuf) (more bool, err error) {
+// deal returns round r's chunk for the seat in comm slot, cutting the round
+// if it is the first to ask. The bases stay valid until the seat's parse
+// of round r has read them; once the input ends with round r the producer
+// lets go of the seat's buffers, so a one-round run does not hold its
+// input under the tables its count grows.
+func (p *chunkProducer) deal(slot, r int) ([]byte, bool, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.err != nil {
-		return false, p.err
+		return nil, false, p.err
 	}
-	if p.done && p.pending == nil {
-		return false, nil
-	}
-	bases := 0
-	if p.pending != nil {
-		bases += len(p.pending.Seq)
-		buf.append(*p.pending)
-		p.pending = nil
-	}
-	for !p.done {
-		var pos fastq.Cursor
-		if p.track {
-			pos = p.src.(fastq.CursorSource).Cursor()
+	if r == p.next {
+		if p.err = p.cut(); p.err != nil {
+			return nil, false, p.err
 		}
-		rec, err := p.src.Next()
-		if err != nil {
-			if err == io.EOF {
-				p.done = true
-				break
-			}
-			p.err = err
-			return false, err
-		}
-		p.reads++
-		p.bases += uint64(len(rec.Seq))
-		if p.maxBases > 0 && bases > 0 && bases+len(rec.Seq) > p.maxBases {
-			// Does not fit: retain it (deep-copied — the source reuses
-			// its buffers) as the next chunk's first record.
-			clone := rec.Clone()
-			p.pending = &clone
-			p.cur = pos
-			return true, nil
-		}
-		bases += len(rec.Seq)
-		buf.append(rec)
+		p.next++
 	}
-	return p.pending != nil, nil
+	if r < p.next-2 {
+		return nil, false, fmt.Errorf("pipeline: round %d dealt after round %d was cut", r, p.next-1)
+	}
+	bases, more := p.bufs[slot][r%2], p.more[r%2]
+	if !more {
+		p.bufs[slot] = [2][]byte{}
+	}
+	return bases, more, nil
 }
 
-// ckptCursor returns the resume point as of the last delivered chunk:
-// the source position from which a replay re-delivers exactly the
-// records no chunk has carried yet, plus the read/base tallies of
-// everything before it. A retained pending record has been pulled from
-// the source but delivered to no round, so the cursor steps back over it
-// — otherwise one read per checkpoint would vanish on resume.
+// cut deals round p.next to every seat.
+func (p *chunkProducer) cut() error {
+	par, bases := p.next%2, 0
+	for i := range p.bufs {
+		buf, target := p.bufs[i][par][:0], (i+1)*p.share
+		for {
+			rec, pos, ok, err := p.pull()
+			if err != nil {
+				return err
+			}
+			if !ok {
+				break
+			}
+			if len(buf) > 0 && bases+len(rec.Seq) > target {
+				// Past the chunk's target: hold it for the next chunk.
+				p.pending, p.cur, p.held = rec, pos, true
+				break
+			}
+			if len(buf) == 0 {
+				// Room for a share of reads as long as the first: a
+				// one-round chunk grows once, not by doubling.
+				n := max(len(rec.Seq), 1)
+				buf = slices.Grow(buf, p.share+n+p.share/n+1)
+			}
+			buf = append(append(buf, rec.Seq...), dna.SeparatorByte)
+			bases += len(rec.Seq)
+		}
+		p.bufs[i][par] = buf
+	}
+	// A held record proves the input goes on; the source's end, that it
+	// ends with this round.
+	p.more[par] = p.held
+	return nil
+}
+
+// pull returns the held record, else the source's next one, with the
+// source position before it (when checkpointing tracks it); ok is false
+// once the source has ended. A record's bases are valid until the next
+// call, the Source contract: cut copies them before pulling again.
+func (p *chunkProducer) pull() (rec fastq.Record, pos fastq.Cursor, ok bool, err error) {
+	if p.held {
+		p.held = false
+		return p.pending, p.cur, true, nil
+	}
+	if p.done {
+		return rec, pos, false, nil
+	}
+	pos = p.cursor()
+	if rec, err = p.src.Next(); err == io.EOF {
+		p.done = true
+		return rec, pos, false, nil
+	} else if err != nil {
+		return rec, pos, false, err
+	}
+	p.reads++
+	p.bases += uint64(len(rec.Seq))
+	return rec, pos, true, nil
+}
+
+// cursor returns the source's position when checkpointing tracks it.
+func (p *chunkProducer) cursor() fastq.Cursor {
+	if !p.track {
+		return fastq.Cursor{}
+	}
+	return p.src.(fastq.CursorSource).Cursor()
+}
+
+// ckptCursor returns the resume point as of the last round cut: the
+// source position from which a replay re-delivers exactly the records no
+// round has carried yet, plus the read/base tallies of everything before
+// it. A held record has been pulled from the source but dealt to no round,
+// so the cursor steps back over it — otherwise one read per checkpoint
+// would vanish on resume.
 func (p *chunkProducer) ckptCursor() (c fastq.Cursor, reads, bases uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.pending != nil {
+	if p.held {
 		return p.cur, p.reads - 1, p.bases - uint64(len(p.pending.Seq))
 	}
-	return p.src.(fastq.CursorSource).Cursor(), p.reads, p.bases
-}
-
-// streamHandle adapts one rank's view of the shared producer to the
-// chunkSource interface, owning a reusable chunk buffer so steady-state
-// pulls allocate nothing.
-type streamHandle struct {
-	prod *chunkProducer
-	buf  chunkBuf
-}
-
-func (h *streamHandle) nextChunk() ([]fastq.Record, bool, error) {
-	h.buf.reset()
-	more, err := h.prod.fill(&h.buf)
-	if err != nil {
-		return nil, false, err
-	}
-	return h.buf.recs, more, nil
-}
-
-// chunkBuf accumulates one chunk's records with the sequence bytes in a
-// single reusable arena. Only the bases survive the copy: the round loop
-// concatenates sequences and never looks at IDs or qualities, so
-// dropping them keeps the live per-base footprint minimal.
-type chunkBuf struct {
-	recs  []fastq.Record
-	arena []byte
-}
-
-func (b *chunkBuf) reset() {
-	b.recs = b.recs[:0]
-	b.arena = b.arena[:0]
-}
-
-func (b *chunkBuf) append(rec fastq.Record) {
-	off := len(b.arena)
-	b.arena = append(b.arena, rec.Seq...)
-	b.recs = append(b.recs, fastq.Record{Seq: b.arena[off:len(b.arena):len(b.arena)]})
+	return p.cursor(), p.reads, p.bases
 }

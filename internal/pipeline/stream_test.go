@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"bytes"
 	"compress/gzip"
 	"errors"
 	"fmt"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"dedukt/internal/cluster"
+	"dedukt/internal/dna"
 	"dedukt/internal/fastq"
 	"dedukt/internal/fault"
 	"dedukt/internal/genome"
@@ -224,69 +226,115 @@ func TestStreamRejectsWholeInputFeatures(t *testing.T) {
 	}
 }
 
-// TestChunkProducer pins the shared producer's contract: deterministic
-// cut points matching sliceChunker's, an exact more flag (the overflow
-// record is retained as pending, never dropped), empty-source behavior,
-// and steady-state empties after drain.
-func TestChunkProducer(t *testing.T) {
-	pull := func(p *chunkProducer) (sizes []int, mores []bool) {
-		h := &streamHandle{prod: p}
-		for i := 0; i < 100; i++ {
-			recs, more, err := h.nextChunk()
+// dealRounds deals p's rounds to its seats until the input ends, each
+// round asked for by the seats in the order given, and returns every
+// round's chunks as read lengths and its more flag.
+func dealRounds(t *testing.T, p *chunkProducer, order ...int) (rounds [][][]int, mores []bool) {
+	t.Helper()
+	for r := 0; r < 100; r++ {
+		chunks := make([][]int, len(p.bufs))
+		more := false
+		for _, slot := range order {
+			bases, m, err := p.deal(slot, r)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sizes = append(sizes, len(recs))
-			mores = append(mores, more)
-			if !more {
-				return sizes, mores
+			if slot != order[0] && m != more {
+				t.Fatalf("round %d: seat %d says more=%v, seat %d %v", r, slot, m, order[0], more)
+			}
+			more = m
+			for _, read := range bytes.Split(bases, []byte{dna.SeparatorByte}) {
+				if len(read) > 0 {
+					chunks[slot] = append(chunks[slot], len(read))
+				}
 			}
 		}
-		t.Fatal("producer never drained")
-		return nil, nil
+		rounds, mores = append(rounds, chunks), append(mores, more)
+		if !more {
+			return rounds, mores
+		}
 	}
-	// Same cut points as the in-memory sliceChunker: [10,10] [20] [30].
-	reads := mkReads(10, 10, 20, 30)
-	p := &chunkProducer{src: fastq.NewSliceSource(reads), maxBases: 25}
-	sizes, mores := pull(p)
-	if !reflect.DeepEqual(sizes, []int{2, 1, 1}) {
-		t.Fatalf("chunk sizes %v, want [2 1 1]", sizes)
+	t.Fatal("producer never drained")
+	return nil, nil
+}
+
+// readsOf returns reads of the given lengths with non-empty bases.
+func readsOf(lens ...int) []fastq.Record {
+	reads := mkReads(lens...)
+	for _, rd := range reads {
+		for j := range rd.Seq {
+			rd.Seq[j] = "ACGT"[j%4]
+		}
 	}
-	if !reflect.DeepEqual(mores, []bool{true, true, false}) {
-		t.Fatalf("more flags %v, want [true true false]", mores)
+	return reads
+}
+
+// TestChunkProducer pins the producer's contract: whole rounds dealt in a
+// fixed order whatever order the seats ask in, each chunk ending at the
+// last read boundary within its cumulative share of the round (at least
+// one read a chunk while the source lasts), a more flag that is the same
+// on every seat and exact (no empty trailing round), a whole uncapped
+// input in one round, the read and base tallies, a checkpoint cursor that
+// steps back over the held record, and bases copied out of the source's
+// buffers.
+func TestChunkProducer(t *testing.T) {
+	deal := func(reads []fastq.Record, seats, share int, order ...int) ([][][]int, []bool) {
+		return dealRounds(t, newChunkProducer(Config{}, fastq.NewSliceSource(reads), share, seats, 0), order...)
 	}
-	if p.reads != 4 || p.bases != 70 {
-		t.Fatalf("tallies %d reads / %d bases, want 4/70", p.reads, p.bases)
+	// Three seats of 25 bases a round: chunks end at the last read
+	// boundary within 25, 50 and 75 bases of the round's start, each
+	// taking at least one read.
+	reads := readsOf(10, 10, 20, 30, 5, 10, 40, 10)
+	for _, order := range [][]int{{0, 1, 2}, {2, 0, 1}} {
+		rounds, mores := deal(reads, 3, 25, order...)
+		want := [][][]int{{{10, 10}, {20}, {30, 5}}, {{10}, {40}, {10}}}
+		if !reflect.DeepEqual(rounds, want) || !reflect.DeepEqual(mores, []bool{true, false}) {
+			t.Fatalf("order %v: rounds %v more %v, want %v [true false]", order, rounds, mores, want)
+		}
 	}
-	// Drained producer keeps serving empty chunks.
-	h := &streamHandle{prod: p}
-	if recs, more, err := h.nextChunk(); err != nil || more || len(recs) != 0 {
-		t.Fatal("drained producer must keep returning empty chunks")
+	// A round that fills exactly ends the input: no empty round follows.
+	if rounds, mores := deal(readsOf(10, 10, 10, 10), 2, 20, 0, 1); len(rounds) != 1 || mores[0] {
+		t.Fatalf("exactly one round of input: rounds %v more %v", rounds, mores)
 	}
-	// Empty source: one empty pull, more=false.
-	sizes, mores = pull(&chunkProducer{src: fastq.NewSliceSource(nil), maxBases: 25})
-	if !reflect.DeepEqual(sizes, []int{0}) || mores[0] {
-		t.Fatalf("empty source: sizes=%v mores=%v", sizes, mores)
+	// A share of 1/P of the input is one round of even shares.
+	if rounds, mores := deal(readsOf(5, 5, 5, 5, 5, 5, 5), 3, 12, 1, 2, 0); !reflect.DeepEqual(rounds, [][][]int{{{5, 5}, {5, 5}, {5, 5, 5}}}) || mores[0] {
+		t.Fatalf("uncapped input: rounds %v more %v", rounds, mores)
 	}
-	// The producer deep-copies chunks: mutating the source's buffers
-	// after a pull must not change delivered bases.
-	mut := []fastq.Record{{Seq: []byte("AAAA")}, {Seq: []byte("CCCC")}}
-	p = &chunkProducer{src: fastq.NewSliceSource(mut), maxBases: 4}
-	h = &streamHandle{prod: p}
-	recs, _, err := h.nextChunk()
+	// A read longer than the share still forms a chunk of its own.
+	if rounds, mores := deal(readsOf(100, 5), 2, 10, 0, 1); !reflect.DeepEqual(rounds, [][][]int{{{100}, {5}}}) || mores[0] {
+		t.Fatalf("oversized read: rounds %v more %v", rounds, mores)
+	}
+	// An empty source: one round of empty chunks, more=false.
+	if rounds, mores := deal(nil, 2, 25, 0, 1); !reflect.DeepEqual(rounds, [][][]int{{nil, nil}}) || mores[0] {
+		t.Fatalf("empty source: rounds %v more %v", rounds, mores)
+	}
+
+	// Tallies and the checkpoint cursor: after round 0 the producer holds
+	// round 1's first read, so the cursor replays it.
+	cfg := Config{Ckpt: CkptConfig{Dir: "x"}}
+	p := newChunkProducer(cfg, fastq.NewSliceSource(reads), 25, 3, 0)
+	if _, _, err := p.deal(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if cur, n, b := p.ckptCursor(); cur.Record != 5 || n != 5 || b != 75 {
+		t.Fatalf("cursor after round 0: record %d, %d reads, %d bases; want 5, 5, 75", cur.Record, n, b)
+	}
+	dealRounds(t, p, 0, 1, 2)
+	if p.reads != 8 || p.bases != 135 {
+		t.Fatalf("tallies %d reads / %d bases, want 8/135", p.reads, p.bases)
+	}
+
+	// The producer copies bases: mutating the source's buffers after a
+	// deal must not change what was dealt.
+	mut := readsOf(4, 4)
+	p = newChunkProducer(Config{}, fastq.NewSliceSource(mut), 4, 1, 0)
+	dealt, _, err := p.deal(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mut[0].Seq[0] = 'T' // the pending record for chunk 2 was cloned
-	if string(recs[0].Seq) != "AAAA" {
-		t.Fatalf("chunk aliases source buffer: %q", recs[0].Seq)
-	}
-	recs, _, err = h.nextChunk()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(recs[0].Seq) != "CCCC" {
-		t.Fatalf("pending record corrupted: %q", recs[0].Seq)
+	mut[0].Seq[0] = 'T'
+	if want := "ACGT" + string(dna.SeparatorByte); string(dealt) != want {
+		t.Fatalf("dealt %q after the source changed, want %q", dealt, want)
 	}
 }
 

@@ -58,6 +58,7 @@ type Fingerprint struct {
 	Engine    string      `json:"engine"`
 	Encoding  string      `json:"encoding"`
 	Canonical bool        `json:"canonical,omitempty"`
+	Balanced  bool        `json:"balanced,omitempty"`
 	Ranks     int         `json:"ranks"`
 	Nodes     int         `json:"nodes"`
 	Inputs    []InputFile `json:"inputs,omitempty"`

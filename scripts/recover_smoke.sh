@@ -6,7 +6,8 @@
 # and finish. Both recovered spectra must be bit-identical (total,
 # distinct, histogram, top k-mers) to the unfaulted run; the in-process
 # restart must also count exactly one kill and the baseline's input reads
-# and bases. Last, a run whose every payload is dropped must fail with a
+# and bases. The in-process restart runs again without -stream, on the
+# preloaded reads. Last, a run whose every payload is dropped must fail with a
 # lost exchange and write no database. Run
 # via `make recover-smoke`; part of `make ci`. Artifacts (including the
 # recovery trace) go to RECOVER_SMOKE_OUT (default: a temp dir removed
@@ -88,6 +89,21 @@ jq -e '.recovered == true and .dead_ranks == [1]
     || fail "restarted run's input tallies differ from the baseline's"
 [ "$(spectrum "$want")" = "$(spectrum "$shrunk")" ] \
     || fail "restarted spectrum differs from the unfaulted spectrum"
+
+# --- Path 2b: the same kill on an in-memory run (no -stream). Run is
+# the stream loop over its preloaded reads, so it checkpoints the same
+# rounds and its survivors restart the same way, re-seeking the reads.
+echo "recover-smoke: same kill, in-memory run restarts in-process"
+memrun="$RECOVER_SMOKE_OUT/inmemory.json"
+go run ./cmd/dedukt -in "$reads" -round-bases 500 -nodes 2 -json \
+    -ckpt-dir "$RECOVER_SMOKE_OUT/ckpt3" -ckpt-rounds 3 \
+    -fault-kill-rank 1 -fault-kill-round 9 \
+    > "$memrun" 2>/dev/null || fail "in-memory restarted run exited nonzero"
+jq -e '.streamed != true and .recovered == true and .faults.killed == 1' \
+    "$memrun" >/dev/null \
+    || fail "in-memory restarted run not recovered, or not one kill"
+[ "$(spectrum "$want")" = "$(spectrum "$memrun")" ] \
+    || fail "in-memory restarted spectrum differs from the unfaulted spectrum"
 
 echo "recover-smoke: validating $trace"
 jq -e . "$trace" >/dev/null || fail "recovery trace is not valid JSON"

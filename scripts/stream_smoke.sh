@@ -3,7 +3,8 @@
 # gzip fixtures with genreads (one by .gz suffix, one by -gzip behind a
 # plain name so magic-byte detection is exercised), streams them through
 # dedukt under a small memory budget, and asserts the counted spectrum is
-# identical to the in-memory run over the same files. Run via
+# identical to the in-memory run over the same files, and that the same
+# budget without -stream runs the same rounds to the same spectrum. Run via
 # `make stream-smoke`; part of `make ci`. Artifacts go to
 # STREAM_SMOKE_OUT (default: a temp dir removed on exit).
 set -eu
@@ -30,6 +31,7 @@ a="$STREAM_SMOKE_OUT/a.fastq.gz"
 b="$STREAM_SMOKE_OUT/b.fastq"   # gzip content behind a plain name
 sjson="$STREAM_SMOKE_OUT/stream.json"
 mjson="$STREAM_SMOKE_OUT/memory.json"
+bjson="$STREAM_SMOKE_OUT/memory_budget.json"
 trace="$STREAM_SMOKE_OUT/stream_trace.json"
 
 echo "stream-smoke: generating gzip fixtures"
@@ -47,6 +49,9 @@ go run ./cmd/dedukt -in "$a,$b" -stream -mem-budget 4M -nodes 2 -json \
 echo "stream-smoke: in-memory run over the same files"
 go run ./cmd/dedukt -in "$a,$b" -nodes 2 -json \
     > "$mjson" 2>/dev/null || fail "dedukt in-memory run"
+echo "stream-smoke: in-memory run under the same 4M budget"
+go run ./cmd/dedukt -in "$a,$b" -mem-budget 4M -nodes 2 -json \
+    > "$bjson" 2>/dev/null || fail "dedukt in-memory budgeted run"
 
 echo "stream-smoke: validating $sjson"
 jq -e '.streamed == true and .rounds >= 2 and .input_reads > 0
@@ -58,6 +63,13 @@ scount=$(jq -S '[.total_kmers, .distinct_kmers, .histogram]' "$sjson")
 mcount=$(jq -S '[.total_kmers, .distinct_kmers, .histogram]' "$mjson")
 [ "$scount" = "$mcount" ] \
     || fail "streamed spectrum differs from in-memory spectrum"
+# The budget caps an in-memory run's rounds exactly as a stream's: the
+# same deal, so the same rounds and the same spectrum.
+jq -e '.streamed != true and .rounds >= 2' "$bjson" >/dev/null \
+    || fail "budgeted in-memory run streamed, or ran one round"
+[ "$(jq -S '[.rounds, .total_kmers, .distinct_kmers, .histogram]' "$bjson")" = \
+  "$(jq -S '[.rounds, .total_kmers, .distinct_kmers, .histogram]' "$sjson")" ] \
+    || fail "budgeted in-memory run differs from the streamed run"
 
 # --- traced streamed run: every executed round must show up as parse
 # spans with round args, and the run must actually be multi-round.
