@@ -46,6 +46,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzCheckpointManifest -fuzztime 30s ./internal/recover/
 	$(GO) test -run xxx -fuzz FuzzHandlerKmer -fuzztime 30s -fuzzminimizetime 5s ./internal/kserve/
 	$(GO) test -run xxx -fuzz FuzzHandlerBatch -fuzztime 30s -fuzzminimizetime 5s ./internal/kserve/
+	$(GO) test -run xxx -fuzz FuzzServeIndex -fuzztime 30s ./internal/kserve/
 	$(GO) test -run xxx -fuzz FuzzProxyKmer -fuzztime 30s -fuzzminimizetime 5s ./internal/kcluster/
 	$(GO) test -run xxx -fuzz FuzzProxyBatch -fuzztime 30s -fuzzminimizetime 5s ./internal/kcluster/
 

@@ -1,8 +1,9 @@
 // Command kserve serves counted k-mer spectra (KCD databases, see
-// cmd/kmertools and dedukt -okcd) over HTTP: every lookup is a binary
-// search of the sorted database, read in place, behind an in-flight bound
-// that sheds load with 429s; -shard keeps only one slice of the key space
-// (split by the pipeline's exchange owner hash) for use behind cmd/kproxy.
+// cmd/kmertools and dedukt -okcd) over HTTP from a prefix index built at
+// load (about 4 B per k-mer; the loaded database is not kept): every lookup
+// searches one small prefix bucket, behind an in-flight bound that sheds
+// load with 429s; -shard keeps only one slice of the key space (split by
+// the pipeline's exchange owner hash) for use behind cmd/kproxy.
 //
 //	dedukt -okcd counts.kcd && kserve -kcd counts.kcd -addr :8080
 //	kserve -kcd a.kcd -kcd b.kcd      # union of compatible databases

@@ -20,7 +20,7 @@
 //   - Every change of membership or routability publishes a new immutable
 //     view (a rebalance event): the learned shape and, per shard, its
 //     routable replicas — Up ahead of Draining — with a round-robin
-//     cursor. A replica is the sorted spectrum read in place, so any Up
+//     cursor. A replica is an immutable index of its shard, so any Up
 //     replica of a shard answers any of its keys equally well: a request
 //     loads the view once and takes the shard's Up replicas rotated by the
 //     cursor (primary, then hedge/retry targets), draining ones last.

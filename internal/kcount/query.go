@@ -37,12 +37,3 @@ func (d *Database) Lookup(e *dna.Encoding, seq string) (uint32, error) {
 	}
 	return d.Get(key), nil
 }
-
-// GetBatch resolves a batch of packed keys, appending one count per key
-// (0 for absent keys) to dst and returning it.
-func (d *Database) GetBatch(dst []uint32, keys []uint64) []uint32 {
-	for _, key := range keys {
-		dst = append(dst, d.Get(key))
-	}
-	return dst
-}

@@ -143,20 +143,6 @@ func TestDatabaseLookup(t *testing.T) {
 	}
 }
 
-func TestDatabaseGetBatch(t *testing.T) {
-	d := dbFrom(KV{2, 10}, KV{5, 20}, KV{9, 30})
-	got := d.GetBatch(nil, []uint64{5, 1, 9, 2, 2})
-	want := []uint32{20, 0, 30, 10, 10}
-	if len(got) != len(want) {
-		t.Fatalf("GetBatch len = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("GetBatch[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-}
-
 // TestDatabaseGarbageStreams feeds structured garbage that is not a
 // truncation of a valid file.
 func TestDatabaseGarbageStreams(t *testing.T) {

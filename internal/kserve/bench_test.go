@@ -39,7 +39,7 @@ func BenchmarkLookupKey(b *testing.B) {
 }
 
 // BenchmarkLookupKeys64 measures the 64-key bulk call the /batch handler
-// makes: one admission, 64 binary searches.
+// makes: one admission, 64 bucket searches.
 func BenchmarkLookupKeys64(b *testing.B) {
 	svc, db := benchService(b)
 	ctx := context.Background()

@@ -332,6 +332,7 @@ func TestHTTPEndpoints(t *testing.T) {
 			"# TYPE kserve_rejected_total counter",
 			"# TYPE kserve_inflight gauge",
 			"# TYPE kserve_distinct_kmers gauge",
+			"# TYPE kserve_index_bytes gauge",
 			"kserve_rejected_total 0",
 			"kserve_inflight 0",
 			"kserve_draining 0",

@@ -25,8 +25,9 @@ func (s *Service) initMetrics(reg *obs.Registry) {
 		requests: reg.Counter("kserve_requests_total", "Lookups received (a batch counts each of its keys)."),
 		rejected: reg.Counter("kserve_rejected_total", "Requests shed by admission control (HTTP 429)."),
 	}
-	reg.Gauge("kserve_k", "Served k-mer length.").Set(float64(s.db.K))
+	reg.Gauge("kserve_k", "Served k-mer length.").Set(float64(s.k))
 	reg.Gauge("kserve_distinct_kmers", "Distinct k-mers in the served spectrum.").Set(float64(s.Distinct()))
+	reg.Gauge("kserve_index_bytes", "Bytes the served spectrum's prefix index holds.").Set(float64(s.idx.bytes()))
 	reg.Gauge("kserve_cluster_shard_index", "Cluster shard of the key space this replica holds.").Set(float64(s.opts.ShardIndex))
 	reg.Gauge("kserve_cluster_shard_count", "Total cluster shards the key space is split into.").Set(float64(s.opts.ShardCount))
 	reg.GaugeFunc("kserve_inflight", "Admitted requests not yet answered (bounded by the -queue depth).", func() float64 {
@@ -74,8 +75,8 @@ func (s *Service) Metrics() Metrics {
 	up := time.Since(s.met.start).Seconds()
 	m := Metrics{
 		UptimeSec:     up,
-		K:             s.db.K,
-		Canonical:     s.db.Canonical(),
+		K:             s.k,
+		Canonical:     s.Canonical(),
 		DistinctKmers: s.Distinct(),
 		Requests:      s.met.requests.Value(),
 		Rejected:      s.met.rejected.Value(),

@@ -317,7 +317,7 @@ func FilterShard(db *kcount.Database, idx, n int) (*kcount.Database, error) {
 		return db, nil
 	}
 	// Two passes — count, then fill an exactly sized slice — instead of
-	// growing by append: a replica holds this slice for its lifetime.
+	// growing by append, so the copy New indexes costs its size once.
 	owned := 0
 	for _, e := range db.Entries {
 		if kernels.DestOf(e.Key, n) == idx {

@@ -2,12 +2,13 @@
 // a KCD database (internal/kcount) and answers point, batch, histogram and
 // top-N queries over HTTP. The batch counter's output is the product — KMC3
 // ships a database + query toolkit beside its counter for the same reason —
-// and it is served the way KMC3 serves it: the database's sorted entries,
-// read in place by binary search, with nothing in front.
+// and it is served in the layout KMC 2/3 store theirs in: an offsets array
+// over a k-mer prefix and only each key's suffix, built once at load (see
+// index), with nothing in front.
 //
-//   - A lookup is admit → kcount.Database.Get per key → release: lock-free
-//     and allocation-free. The spectrum is immutable while served, so
-//     concurrent readers need no coordination.
+//   - A lookup is admit → read the key's prefix bucket and search its few
+//     suffixes → release: lock-free and allocation-free. The index is
+//     immutable while served, so concurrent readers need no coordination.
 //   - Admission is one atomic in-flight counter: past Options.QueueDepth a
 //     request is shed (HTTP 429), never queued or blocked.
 //   - Across processes the key space is split with the exchange phase's
@@ -104,10 +105,13 @@ func (o Options) withDefaults() Options {
 
 // Service serves lookups against one immutable counted spectrum.
 type Service struct {
-	opts Options
-	db   *kcount.Database // sorted entries, read in place and never written
-	met  serviceMetrics
-	reg  *obs.Registry
+	opts  Options
+	k     int
+	flags uint32 // the database's kcount.Flag* bits
+	n     int    // distinct k-mers served
+	idx   *index
+	met   serviceMetrics
+	reg   *obs.Registry
 
 	// Precomputed at load: whole-spectrum queries never search.
 	hist kcount.Histogram
@@ -118,14 +122,20 @@ type Service struct {
 	draining atomic.Bool // BeginDrain called; still serving
 }
 
-// New builds a service over db, which it retains and reads in place: the
-// caller must not modify db.Entries afterwards.
+// New builds a service over db: it indexes db.Entries, which must ascend
+// strictly, into a prefix index of about 4 B a k-mer, precomputes the
+// histogram and top-N, and keeps nothing else of db, so a caller that drops
+// db lets it be collected.
 func New(db *kcount.Database, opts Options) (*Service, error) {
 	opts = opts.withDefaults()
 	if db == nil {
 		return nil, fmt.Errorf("kserve: nil database")
 	}
-	s := &Service{opts: opts, db: db}
+	idx, err := newIndex(db.K, db.Entries)
+	if err != nil {
+		return nil, err
+	}
+	s := &Service{opts: opts, k: db.K, flags: db.Flags, n: db.Len(), idx: idx}
 	sum := kcount.Summarize(db, opts.TopN)
 	s.hist, s.top = sum.Hist, sum.TopK()
 	reg := opts.Registry
@@ -142,13 +152,13 @@ func New(db *kcount.Database, opts Options) (*Service, error) {
 func (s *Service) Registry() *obs.Registry { return s.reg }
 
 // K returns the database k-mer length.
-func (s *Service) K() int { return s.db.K }
+func (s *Service) K() int { return s.k }
 
 // Canonical reports whether the served spectrum holds canonical counts.
-func (s *Service) Canonical() bool { return s.db.Canonical() }
+func (s *Service) Canonical() bool { return s.flags&kcount.FlagCanonical != 0 }
 
 // Distinct returns the number of distinct k-mers served.
-func (s *Service) Distinct() uint64 { return uint64(s.db.Len()) }
+func (s *Service) Distinct() uint64 { return uint64(s.n) }
 
 // Histogram returns the precomputed frequency spectrum.
 func (s *Service) Histogram() kcount.Histogram { return s.hist }
@@ -169,7 +179,7 @@ func (s *Service) Top(n int) []kcount.KV {
 // check, encoding, canonical folding) — kcount.ParseQuery under the
 // service's parameters.
 func (s *Service) ParseQuery(seq string) (uint64, error) {
-	return kcount.ParseQuery(s.opts.Enc, s.db.K, s.db.Canonical(), seq)
+	return kcount.ParseQuery(s.opts.Enc, s.k, s.Canonical(), seq)
 }
 
 // Lookup resolves one ASCII k-mer. Absent k-mers return 0, nil.
@@ -209,13 +219,13 @@ func (s *Service) admit(ctx context.Context, n int) error {
 
 func (s *Service) release() { s.inflight.Add(-1) }
 
-// LookupKey resolves one packed key: admit, binary-search the sorted
-// spectrum, release. Absent keys return 0, nil.
+// LookupKey resolves one packed key: admit, search the key's prefix
+// bucket, release. Absent keys return 0, nil.
 func (s *Service) LookupKey(ctx context.Context, key uint64) (uint32, error) {
 	if err := s.admit(ctx, 1); err != nil {
 		return 0, err
 	}
-	v := s.db.Get(key)
+	v := s.idx.get(key)
 	s.release()
 	return v, nil
 }
@@ -234,7 +244,9 @@ func (s *Service) LookupKeysInto(ctx context.Context, keys []uint64, out []uint3
 	if err := s.admit(ctx, len(keys)); err != nil {
 		return err
 	}
-	s.db.GetBatch(out[:0], keys) // len(out) == len(keys): fills out in place
+	for i, key := range keys {
+		out[i] = s.idx.get(key)
+	}
 	s.release()
 	return nil
 }
@@ -254,7 +266,7 @@ func (s *Service) Draining() bool { return s.draining.Load() || s.closed.Load() 
 // and concurrently with lookups.
 func (s *Service) Close() {
 	s.closed.Store(true)
-	// An admitted lookup is a binary search (or a Slow test sleep) away
+	// An admitted lookup is a bucket search (or a Slow test sleep) away
 	// from releasing, so polling beats carrying a wake-up on the hot path.
 	for s.inflight.Load() != 0 {
 		time.Sleep(50 * time.Microsecond)

@@ -7,6 +7,7 @@ import (
 	"dedukt/internal/durable"
 	"dedukt/internal/fault"
 	"dedukt/internal/kcount"
+	"dedukt/internal/minimizer"
 	"dedukt/internal/mpisim"
 	"dedukt/internal/obs"
 	recov "dedukt/internal/recover"
@@ -169,10 +170,16 @@ func buildFingerprint(cfg Config) recov.Fingerprint {
 	if cfg.Layout.GPU != nil {
 		engine = "gpu"
 	}
+	// The value ordering stays unnamed, so its checkpoints keep the hash
+	// they had before orderings were fingerprinted.
+	var ordering string
+	if _, value := cfg.ordering().(minimizer.Value); cfg.Mode == SupermerMode && !value {
+		ordering = cfg.ordering().Name()
+	}
 	return recov.Fingerprint{
 		K: cfg.K, M: cfg.M, Window: cfg.Window,
 		Mode: cfg.Mode.String(), Engine: engine, Encoding: cfg.Enc.Name(),
-		Canonical: cfg.Canonical, Balanced: cfg.BalancedPartition,
+		Canonical: cfg.Canonical, Balanced: cfg.BalancedPartition, Ordering: ordering,
 		Ranks: cfg.Layout.Ranks(), Nodes: cfg.Layout.Nodes,
 		Inputs: cfg.Ckpt.Inputs,
 	}

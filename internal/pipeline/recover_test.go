@@ -14,6 +14,7 @@ import (
 	"dedukt/internal/durable"
 	"dedukt/internal/fastq"
 	"dedukt/internal/fault"
+	"dedukt/internal/minimizer"
 	"dedukt/internal/mpisim"
 	"dedukt/internal/obs"
 	recov "dedukt/internal/recover"
@@ -212,6 +213,30 @@ func TestResumeRefusesMismatchedConfig(t *testing.T) {
 	bad.Fault, bad.BalancedPartition = fault.Config{}, false
 	if _, err := ResumeStream(bad); !errors.Is(err, durable.ErrMismatch) {
 		t.Fatalf("balanced partition dropped: want ErrMismatch, got %v", err)
+	}
+}
+
+// TestResumeRefusesOtherOrdering: a supermer run's minimizer ordering
+// decides every k-mer's owner rank, so a checkpoint taken under kmc2 must
+// not resume under the value ordering.
+func TestResumeRefusesOtherOrdering(t *testing.T) {
+	reads := testReads(t, 6_000, 3)
+	cfg := ckptConfig(Default(smallGPULayout(1), SupermerMode), t.TempDir(), reads, 2, true)
+	cfg.Ord = minimizer.NewKMC2(cfg.Enc)
+	cfg.RoundBases = 600
+	cfg.Fault = fault.Config{FatalKill: true, FatalRank: 0, FatalRound: 3}
+	if _, err := RunStream(cfg, fastq.NewSliceSource(reads)); !errors.Is(err, fault.ErrKilled) {
+		t.Fatalf("setup kill: %v", err)
+	}
+	bad := cfg
+	bad.Fault, bad.Ord = fault.Config{}, minimizer.Value{}
+	if _, err := ResumeStream(bad); !errors.Is(err, durable.ErrMismatch) {
+		t.Fatalf("ordering change: want ErrMismatch, got %v", err)
+	}
+	same := cfg
+	same.Fault = fault.Config{}
+	if _, err := ResumeStream(same); err != nil {
+		t.Fatalf("same ordering: %v", err)
 	}
 }
 

@@ -50,6 +50,9 @@ type InputFile struct {
 // Fingerprint identifies the run configuration a checkpoint belongs to.
 // Every field changes what the spectrum or its partition looks like;
 // resuming under a different value would merge incompatible state.
+// Ordering names a supermer run's minimizer ordering, which decides every
+// k-mer's owner rank; it is empty for the value ordering, so fingerprints
+// taken before the field existed keep their hash.
 type Fingerprint struct {
 	K         int         `json:"k"`
 	M         int         `json:"m,omitempty"`
@@ -59,6 +62,7 @@ type Fingerprint struct {
 	Encoding  string      `json:"encoding"`
 	Canonical bool        `json:"canonical,omitempty"`
 	Balanced  bool        `json:"balanced,omitempty"`
+	Ordering  string      `json:"ordering,omitempty"`
 	Ranks     int         `json:"ranks"`
 	Nodes     int         `json:"nodes"`
 	Inputs    []InputFile `json:"inputs,omitempty"`

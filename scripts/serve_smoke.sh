@@ -72,6 +72,10 @@ grep -q '^kserve_rejected_total 0$' "$tmp/metrics.prom" \
     || fail "/metrics missing kserve_rejected_total (or a lookup was shed)"
 grep -q '^kserve_inflight ' "$tmp/metrics.prom" \
     || fail "/metrics missing the kserve_inflight gauge"
+# The served prefix index is reported, at under 6 B per distinct k-mer.
+awk '$1 == "kserve_index_bytes" { b = $2 } $1 == "kserve_distinct_kmers" { d = $2 }
+     END { exit !(b > 0 && d > 0 && b < 6 * d) }' "$tmp/metrics.prom" \
+    || fail "/metrics kserve_index_bytes missing or not below 6 x kserve_distinct_kmers"
 
 # The legacy JSON snapshot stays reachable under ?format=json.
 curl -sf "http://$ADDR/metrics?format=json" > "$tmp/metrics.json" || fail "/metrics?format=json"
