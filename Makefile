@@ -40,6 +40,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzWireRoundTrip -fuzztime 30s ./internal/kernels/
 	$(GO) test -run xxx -fuzz FuzzWireCorruptInput -fuzztime 30s ./internal/kernels/
 	$(GO) test -run xxx -fuzz FuzzParseKmers -fuzztime 30s ./internal/kernels/
+	$(GO) test -run xxx -fuzz FuzzTrafficFold -fuzztime 30s ./internal/mpisim/
 	$(GO) test -run xxx -fuzz FuzzTraceparent -fuzztime 30s ./internal/obs/
 	$(GO) test -run xxx -fuzz FuzzSpillBin -fuzztime 30s ./internal/pipeline/
 	$(GO) test -run xxx -fuzz FuzzGPUCount -fuzztime 30s ./internal/pipeline/
@@ -53,7 +54,7 @@ fuzz:
 # Run every fuzz target over its checked-in seed corpus only (fast,
 # deterministic — what `ci` uses).
 fuzz-seeds:
-	$(GO) test -run 'Fuzz' ./internal/fastq/ ./internal/minimizer/ ./internal/kcount/ ./internal/kernels/ ./internal/obs/ ./internal/pipeline/ ./internal/recover/ ./internal/kserve/ ./internal/kcluster/
+	$(GO) test -run 'Fuzz' ./internal/fastq/ ./internal/minimizer/ ./internal/kcount/ ./internal/kernels/ ./internal/mpisim/ ./internal/obs/ ./internal/pipeline/ ./internal/recover/ ./internal/kserve/ ./internal/kcluster/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -317,24 +317,20 @@ func (p ReadProfile) sampleLen(rng *rand.Rand) int {
 	}
 }
 
+// complement maps each base to its Watson–Crick partner; every other byte
+// maps to itself.
+var complement = func() (t [256]byte) {
+	for i := range t {
+		t[i] = byte(i)
+	}
+	t['A'], t['T'], t['C'], t['G'] = 'T', 'A', 'G', 'C'
+	return t
+}()
+
 // reverseComplement flips seq to the opposite strand in place.
 func reverseComplement(seq []byte) {
-	comp := func(b byte) byte {
-		switch b {
-		case 'A':
-			return 'T'
-		case 'T':
-			return 'A'
-		case 'C':
-			return 'G'
-		case 'G':
-			return 'C'
-		default:
-			return b
-		}
-	}
 	for i, j := 0, len(seq)-1; i <= j; i, j = i+1, j-1 {
-		seq[i], seq[j] = comp(seq[j]), comp(seq[i])
+		seq[i], seq[j] = complement[seq[j]], complement[seq[i]]
 	}
 }
 
@@ -349,10 +345,8 @@ func applyErrors(rng *rand.Rand, seq, qual []byte, p ReadProfile) {
 			continue
 		}
 		prob := p.ErrRate
-		if q := float64(qual[i]) - 33; q < 45 {
-			if fromQ := pow10neg(q / 10); fromQ > prob {
-				prob = fromQ
-			}
+		if fromQ := qualErr[qual[i]]; fromQ > prob {
+			prob = fromQ
 		}
 		if prob > 0 && rng.Float64() < prob {
 			// Substitute with one of the three other bases.
@@ -367,6 +361,18 @@ func applyErrors(rng *rand.Rand, seq, qual []byte, p ReadProfile) {
 		}
 	}
 }
+
+// qualErr[c] is the error probability 10^(-q/10) that the quality byte c
+// (phred q = c-33) claims; from q = 45 on it is 0, so such scores never
+// raise the ErrRate floor.
+var qualErr = func() (t [256]float64) {
+	for c := range t {
+		if q := float64(c) - 33; q < 45 {
+			t[c] = pow10neg(q / 10)
+		}
+	}
+	return t
+}()
 
 // pow10neg returns 10^(-x).
 func pow10neg(x float64) float64 { return math.Exp(-x * math.Ln10) }

@@ -23,18 +23,21 @@ func BenchmarkAlltoallv(b *testing.B) {
 	}
 }
 
+// BenchmarkCollectiveTimeEval times pricing one collective of the paper's
+// largest world — P = 2 688 (64 Summit nodes × 42 CPU ranks), 64 KiB per
+// pair: the fold of its P² pairs and the model's read of the result.
 func BenchmarkCollectiveTimeEval(b *testing.B) {
-	nm := NetModel{RanksPerNode: 6, InjectionGBs: 23, Efficiency: 0.04, LatencyUs: 2}
-	m := make([][]uint64, 96)
-	for i := range m {
-		m[i] = make([]uint64, 96)
-		for j := range m[i] {
-			m[i][j] = 1 << 16
-		}
-	}
+	const p = 2688
+	nm := NetModel{RanksPerNode: 42, InjectionGBs: 23, Efficiency: 0.04, LatencyUs: 2}
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if nm.CollectiveTime(m) <= 0 {
+	for n := 0; n < b.N; n++ {
+		f := newFold("alltoallv", nm.Topology(), p)
+		for i := 0; i < p; i++ {
+			for j := 0; j < p; j++ {
+				f.add(i, j, 1<<16)
+			}
+		}
+		if nm.CollectiveTime(f.entry()) <= 0 {
 			b.Fatal("non-positive")
 		}
 	}

@@ -4,8 +4,9 @@
 // Ranks run as goroutines inside one process and exchange data through
 // shared memory, so payloads are moved bit-exactly; the *cost* of the
 // paper's many-to-many exchanges (MPI_Alltoall + MPI_Alltoallv, Alg. 1
-// line 8) is evaluated separately by a calibrated network model over the
-// recorded traffic matrices (see netmodel.go).
+// line 8) is evaluated separately by a calibrated network model. Each
+// collective is folded, as it completes, into the four numbers that model
+// reads (TraceEntry); no traffic matrix is ever kept (see netmodel.go).
 //
 // The collective semantics mirror MPI: every rank must call the same
 // collectives in the same order; a collective returns only after all ranks
@@ -53,9 +54,10 @@ type Options struct {
 	// collective kind, deadline hits) in its registry and a deadline_hit
 	// instant event when a collective times out.
 	Obs *obs.Recorder
-	// RanksPerNode is inert: nothing in the simulator reads it. It
-	// survives only because the separately built bench/ module
-	// (bench/probes.go) sets it; it goes when that caller does.
+	// RanksPerNode groups ranks into nodes (Topology) when each
+	// collective's traffic is folded into its TraceEntry: bytes between
+	// ranks of one node are not fabric traffic. 0 or 1 puts every rank on
+	// its own node; a negative value is refused.
 	RanksPerNode int
 }
 
@@ -77,6 +79,7 @@ type Comm struct {
 // world holds the shared state of one Run.
 type world struct {
 	size     int
+	topo     Topology // groups ranks into nodes for the fold (see transpose)
 	deadline time.Duration
 	obs      *obs.Recorder
 
@@ -92,24 +95,68 @@ type world struct {
 	trace []TraceEntry
 }
 
-// TraceEntry records the traffic matrix of one collective.
+// TraceEntry is one completed collective, folded under the world's
+// Topology into what NetModel.CollectiveTime reads.
 type TraceEntry struct {
 	// Op names the collective ("alltoallv", "alltoall", ...).
 	Op string
-	// Bytes[i][j] is the payload rank i sent to rank j (nil for
-	// zero-payload collectives like barriers).
-	Bytes [][]uint64
+	// Volume is the collective's traffic: all of it, the fabric part, and
+	// the busiest node's max(in, out) fabric bytes.
+	Volume VolumeStats
+	// FabricRanks counts the ranks that sent or received any fabric byte.
+	FabricRanks int
 }
 
-// TotalBytes sums the whole matrix.
-func (e TraceEntry) TotalBytes() uint64 {
-	var n uint64
-	for _, row := range e.Bytes {
-		for _, b := range row {
-			n += b
+// VolumeStats summarizes one collective's traffic, or a run's.
+type VolumeStats struct {
+	// TotalBytes is all payload, intra-node traffic and self-sends included.
+	TotalBytes uint64
+	// FabricBytes excludes intra-node traffic.
+	FabricBytes uint64
+	// MaxNodeBytes is the busiest node's max(in, out) fabric traffic.
+	MaxNodeBytes uint64
+}
+
+// fold accumulates one collective's traffic, one (sender, receiver) pair at
+// a time, into its TraceEntry.
+type fold struct {
+	topo    Topology
+	e       TraceEntry
+	in, out []uint64 // fabric bytes per node
+	active  []bool   // per rank: any fabric byte sent or received
+}
+
+// newFold starts the fold of one collective, op, on a size-rank world.
+func newFold(op string, topo Topology, size int) *fold {
+	nodes := topo.Nodes(size)
+	return &fold{topo: topo, e: TraceEntry{Op: op},
+		in: make([]uint64, nodes), out: make([]uint64, nodes), active: make([]bool, size)}
+}
+
+// add counts b bytes sent from rank i to rank j.
+func (f *fold) add(i, j int, b uint64) {
+	f.e.Volume.TotalBytes += b
+	ni, nj := f.topo.NodeOf(i), f.topo.NodeOf(j)
+	if b == 0 || ni == nj {
+		return
+	}
+	f.e.Volume.FabricBytes += b
+	f.out[ni] += b
+	f.in[nj] += b
+	f.active[i], f.active[j] = true, true
+}
+
+// entry returns the folded collective.
+func (f *fold) entry() TraceEntry {
+	for n := range f.out {
+		f.e.Volume.MaxNodeBytes = max(f.e.Volume.MaxNodeBytes, f.out[n], f.in[n])
+	}
+	for _, a := range f.active {
+		if a {
+			f.e.FabricRanks++
 		}
 	}
-	return n
+	return f.e
 }
 
 // Run executes body once per rank on size ranks and returns after all
@@ -117,12 +164,12 @@ func (e TraceEntry) TotalBytes() uint64 {
 // peers blocked in or later entering a collective fail with an error
 // wrapping ErrPeerDead instead of deadlocking. The returned error joins
 // every rank's failure (errors.Join), each wrapped with its rank id; the
-// Trace lists every completed collective's traffic matrix in program order.
+// trace lists every completed collective, folded, in program order.
 func Run(size int, body func(c *Comm) error) (trace []TraceEntry, err error) {
 	return RunWithOptions(size, Options{}, body)
 }
 
-// RunWithOptions is Run with collective deadlines configured.
+// RunWithOptions is Run with collective deadlines and node width configured.
 func RunWithOptions(size int, opt Options, body func(c *Comm) error) (trace []TraceEntry, err error) {
 	trace, errs, err := RunRanks(size, opt, body)
 	if err != nil {
@@ -151,7 +198,10 @@ func RunRanks(size int, opt Options, body func(c *Comm) error) (trace []TraceEnt
 	if opt.Deadline < 0 {
 		return nil, nil, fmt.Errorf("mpisim: negative deadline %v", opt.Deadline)
 	}
-	w := &world{size: size, deadline: opt.Deadline, obs: opt.Obs, slots: make([]any, size)}
+	if opt.RanksPerNode < 0 {
+		return nil, nil, fmt.Errorf("mpisim: negative ranks per node %d", opt.RanksPerNode)
+	}
+	w := &world{size: size, topo: Topology{RanksPerNode: opt.RanksPerNode}, deadline: opt.Deadline, obs: opt.Obs, slots: make([]any, size)}
 	w.cond = sync.NewCond(&w.mu)
 
 	errs = make([]error, size)
@@ -278,52 +328,61 @@ func (w *world) barrier(rank int, enter func()) error {
 }
 
 // exchange is the generic all-to-all primitive: every rank deposits one
-// value and receives everyone's deposits (including its own). Two barriers
-// delimit the deposit and collection phases so slots can be reused by the
-// next collective.
+// value, then read runs on every rank over all P deposits (its own
+// included), in place. Two barriers delimit the deposit and read phases so
+// slots can be reused by the next collective.
 //
 // The deposit happens inside the first barrier, under the world lock and
 // only while the world is healthy: poisoning releases ranks from barriers
 // early, and a rank that bailed out of the second barrier must not deposit
-// for its next collective while a slower peer is still collecting this one.
-func exchange[T any](c *Comm, v T) ([]T, error) {
+// for its next collective while a slower peer is still reading this one.
+func exchange(c *Comm, v any, read func(slots []any)) error {
 	w := c.world
 	if err := w.barrier(c.rank, func() { w.slots[c.rank] = v }); err != nil {
-		return nil, err
+		return err
 	}
-	out := make([]T, w.size)
-	for i, s := range w.slots {
-		out[i] = s.(T)
-	}
-	if err := w.barrier(c.rank, nil); err != nil {
-		return nil, err
-	}
-	return out, nil
+	read(w.slots)
+	return w.barrier(c.rank, nil)
 }
 
-// record appends a trace entry exactly once per collective (rank 0 builds
-// the P×P traffic matrix from cell and writes it) and, when a recorder is
-// attached, publishes per-op collective metrics.
-func (c *Comm) record(op string, cell func(i, j int) uint64) {
-	if c.rank != 0 {
-		return
-	}
+// transpose is the traced all-to-all of send vectors: send[j] goes to rank
+// j, and recv[i] is what rank i addressed to this rank, read in place. Rank
+// 0 folds the deposits (size(x) is the wire size of entry x) into the
+// collective's TraceEntry while every deposit is still in its slot, and
+// appends it once the collective has completed; when a recorder is
+// attached it also publishes per-op collective metrics.
+func transpose[S any](c *Comm, op string, send []S, size func(S) uint64) ([]S, error) {
 	w := c.world
-	e := TraceEntry{Op: op, Bytes: make([][]uint64, w.size)}
-	for i := range e.Bytes {
-		e.Bytes[i] = make([]uint64, w.size)
-		for j := range e.Bytes[i] {
-			e.Bytes[i][j] = cell(i, j)
+	recv := make([]S, w.size)
+	var f *fold
+	err := exchange(c, send, func(slots []any) {
+		for i, s := range slots {
+			recv[i] = s.([]S)[c.rank]
+		}
+		if c.rank == 0 {
+			f = newFold(op, w.topo, w.size)
+			for i, s := range slots {
+				for j, x := range s.([]S) {
+					f.add(i, j, size(x))
+				}
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	if f != nil {
+		e := f.entry()
+		w.mu.Lock()
+		w.trace = append(w.trace, e)
+		w.mu.Unlock()
+		if w.obs != nil {
+			reg := w.obs.Registry()
+			reg.Counter("mpisim_collectives_total", "Completed collectives by kind.", obs.L("op", op)).Inc()
+			reg.Counter("mpisim_collective_bytes_total", "Payload bytes moved by collectives, by kind.", obs.L("op", op)).Add(e.Volume.TotalBytes)
 		}
 	}
-	w.mu.Lock()
-	w.trace = append(w.trace, e)
-	w.mu.Unlock()
-	if w.obs != nil {
-		reg := w.obs.Registry()
-		reg.Counter("mpisim_collectives_total", "Completed collectives by kind.", obs.L("op", op)).Inc()
-		reg.Counter("mpisim_collective_bytes_total", "Payload bytes moved by collectives, by kind.", obs.L("op", op)).Add(e.TotalBytes())
-	}
+	return recv, nil
 }
 
 // Alltoall exchanges one int per destination: rank i's send[j] arrives as
@@ -342,16 +401,7 @@ func (c *Comm) Alltoall(send []int) ([]int, error) {
 // alltoall is the unchecked implementation; it owns send (callers copy when
 // the caller may still mutate the slice).
 func (c *Comm) alltoall(send []int) ([]int, error) {
-	all, err := exchange(c, send)
-	if err != nil {
-		return nil, err
-	}
-	recv := make([]int, c.Size())
-	for i, row := range all {
-		recv[i] = row[c.rank]
-	}
-	c.record("alltoall", func(i, j int) uint64 { return 8 }) // one count word per pair
-	return recv, nil
+	return transpose(c, "alltoall", send, func(int) uint64 { return 8 }) // one count word per pair
 }
 
 // Unit is the element type of a variable-size payload collective: bytes
@@ -373,38 +423,17 @@ func Alltoallv[T Unit](c *Comm, send [][]T) ([][]T, error) {
 	if err := c.syncReady(); err != nil {
 		return nil, err
 	}
-	return alltoallv(c, send)
+	return alltoallv(c, "alltoallv", send)
 }
 
 // AlltoallvBytes forwards to Alltoallv for the separately built bench/ module.
 func (c *Comm) AlltoallvBytes(send [][]byte) ([][]byte, error) { return Alltoallv(c, send) }
 
 // alltoallv is the unchecked implementation shared by the blocking and
-// nonblocking forms.
-func alltoallv[T Unit](c *Comm, send [][]T) ([][]T, error) {
-	all, err := exchange(c, send)
-	if err != nil {
-		return nil, err
-	}
-	recordMatrix(c, "alltoallv", all)
-	return column(c, all), nil
-}
-
-// column extracts this rank's receive vector from the deposited send
-// vectors: recv[i] is what rank i addressed to this rank.
-func column[T any](c *Comm, all [][][]T) [][]T {
-	recv := make([][]T, c.Size())
-	for i, row := range all {
-		recv[i] = row[c.rank]
-	}
-	return recv
-}
-
-// recordMatrix traces a payload collective: entry [i][j] is the wire size
-// of what rank i sent to rank j.
-func recordMatrix[T Unit](c *Comm, op string, all [][][]T) {
+// nonblocking forms and the node tier; op names its trace entry.
+func alltoallv[T Unit](c *Comm, op string, send [][]T) ([][]T, error) {
 	width := uint64(UnitBytes[T]())
-	c.record(op, func(i, j int) uint64 { return width * uint64(len(all[i][j])) })
+	return transpose(c, op, send, func(p []T) uint64 { return width * uint64(len(p)) })
 }
 
 // AllreduceSum returns the sum of v across ranks.
@@ -412,13 +441,14 @@ func (c *Comm) AllreduceSum(v uint64) (uint64, error) {
 	if err := c.syncReady(); err != nil {
 		return 0, err
 	}
-	all, err := exchange(c, v)
+	var sum uint64
+	err := exchange(c, v, func(slots []any) {
+		for _, x := range slots {
+			sum += x.(uint64)
+		}
+	})
 	if err != nil {
 		return 0, err
-	}
-	var sum uint64
-	for _, x := range all {
-		sum += x
 	}
 	return sum, nil
 }
@@ -534,7 +564,7 @@ func IAlltoallv[T Unit](c *Comm, send [][]T) *Request[[][]T] {
 	if err := c.checkLen(len(send)); err != nil {
 		return postErr[[][]T](c, err)
 	}
-	return post(c, func() ([][]T, error) { return alltoallv(c, send) })
+	return post(c, func() ([][]T, error) { return alltoallv(c, "alltoallv", send) })
 }
 
 // IAlltoallvBytes forwards to IAlltoallv for the separately built bench/ module.

@@ -37,6 +37,9 @@ func TestRunRejectsBadSize(t *testing.T) {
 	if _, err := RunWithOptions(2, Options{Deadline: -time.Second}, func(*Comm) error { return nil }); err == nil {
 		t.Fatal("negative deadline should fail")
 	}
+	if _, err := RunWithOptions(2, Options{RanksPerNode: -1}, func(*Comm) error { return nil }); err == nil {
+		t.Fatal("negative node width should fail")
+	}
 }
 
 func TestBarrierOrdering(t *testing.T) {
@@ -183,33 +186,58 @@ func TestMultipleCollectivesInSequence(t *testing.T) {
 	}
 }
 
+// TestTraceRecorded checks the folded entry of each traced collective on a
+// 12-rank world of two 6-rank nodes. Rank i sends (i+1)(j+1) units to rank
+// j, so node 0 holds send weights 1..6 (sum 21) and node 1 weights 7..12
+// (sum 57): the fabric carries 2·21·57 units, 21·57 each way per node.
 func TestTraceRecorded(t *testing.T) {
-	const p = 3
-	trace, err := Run(p, func(c *Comm) error {
-		send := make([][]byte, p)
-		for j := range send {
-			send[j] = make([]byte, (c.Rank()+1)*(j+1))
+	const p, perNode = 12, 6
+	topo := Topology{RanksPerNode: perNode}
+	trace, err := RunWithOptions(p, Options{RanksPerNode: perNode}, func(c *Comm) error {
+		bytes := make([][]byte, p)
+		words := make([][]uint64, p)
+		node := make([][]byte, p)
+		for j := range bytes {
+			n := (c.Rank() + 1) * (j + 1)
+			bytes[j] = make([]byte, n)
+			words[j] = make([]uint64, n)
+			if topo.SameNode(c.Rank(), j) {
+				node[j] = bytes[j]
+			}
 		}
-		_, err := c.AlltoallvBytes(send)
+		if _, err := c.Alltoall(make([]int, p)); err != nil {
+			return err
+		}
+		if _, err := c.AlltoallvBytes(bytes); err != nil {
+			return err
+		}
+		if _, err := IAlltoallv(c, words).Wait(); err != nil {
+			return err
+		}
+		if _, err := c.NodeAlltoallvBytes(topo, node); err != nil {
+			return err
+		}
+		_, err := c.AllreduceSum(1) // not traced: no payload
 		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(trace) != 1 || trace[0].Op != "alltoallv" {
+	want := []TraceEntry{
+		// One 8-byte count word per ordered pair, self included.
+		{Op: "alltoall", Volume: VolumeStats{TotalBytes: 8 * p * p, FabricBytes: 8 * p * perNode, MaxNodeBytes: 8 * perNode * perNode}, FabricRanks: p},
+		{Op: "alltoallv", Volume: VolumeStats{TotalBytes: 78 * 78, FabricBytes: 2 * 21 * 57, MaxNodeBytes: 21 * 57}, FabricRanks: p},
+		{Op: "alltoallv", Volume: VolumeStats{TotalBytes: 8 * 78 * 78, FabricBytes: 8 * 2 * 21 * 57, MaxNodeBytes: 8 * 21 * 57}, FabricRanks: p},
+		// The node tier never touches the fabric.
+		{Op: "node_alltoallv", Volume: VolumeStats{TotalBytes: 21*21 + 57*57}},
+	}
+	if len(trace) != len(want) {
 		t.Fatalf("trace = %+v", trace)
 	}
-	if got := trace[0].Bytes[1][2]; got != 2*3 {
-		t.Fatalf("bytes[1][2] = %d, want 6", got)
-	}
-	var want uint64
-	for i := 1; i <= p; i++ {
-		for j := 1; j <= p; j++ {
-			want += uint64(i * j)
+	for i := range want {
+		if trace[i] != want[i] {
+			t.Errorf("entry %d = %+v, want %+v", i, trace[i], want[i])
 		}
-	}
-	if trace[0].TotalBytes() != want {
-		t.Fatalf("TotalBytes = %d, want %d", trace[0].TotalBytes(), want)
 	}
 }
 
@@ -416,12 +444,11 @@ func TestMismatchedSendLengthFails(t *testing.T) {
 func TestNetModelIntraNodeFree(t *testing.T) {
 	nm := NetModel{RanksPerNode: 2, InjectionGBs: 10, LatencyUs: 0}
 	// Two ranks on one node exchanging: no fabric time.
-	intra := [][]uint64{{0, 1 << 30}, {1 << 30, 0}}
+	intra := foldMatrix(nm.Topology(), [][]uint64{{0, 1 << 30}, {1 << 30, 0}})
 	if d := nm.CollectiveTime(intra); d != 0 {
 		t.Fatalf("intra-node traffic cost %v, want 0", d)
 	}
-	vs := nm.Volumes(intra)
-	if vs.FabricBytes != 0 || vs.TotalBytes != 2<<30 {
+	if vs := intra.Volume; vs.FabricBytes != 0 || vs.TotalBytes != 2<<30 {
 		t.Fatalf("volumes = %+v", vs)
 	}
 }
@@ -429,14 +456,13 @@ func TestNetModelIntraNodeFree(t *testing.T) {
 func TestNetModelInjectionBound(t *testing.T) {
 	nm := NetModel{RanksPerNode: 1, InjectionGBs: 10, LatencyUs: 0}
 	// Rank 0 sends 10 GB to rank 1: 1 second at 10 GB/s.
-	m := [][]uint64{{0, 10_000_000_000}, {0, 0}}
-	got := nm.CollectiveTime(m).Seconds()
+	e := foldMatrix(nm.Topology(), [][]uint64{{0, 10_000_000_000}, {0, 0}})
+	got := nm.CollectiveTime(e).Seconds()
 	if got < 0.99 || got > 1.01 {
 		t.Fatalf("time = %.3fs, want 1s", got)
 	}
-	vs := nm.Volumes(m)
-	if vs.MaxNodeBytes != 10_000_000_000 {
-		t.Fatalf("MaxNodeBytes = %d", vs.MaxNodeBytes)
+	if e.Volume.MaxNodeBytes != 10_000_000_000 {
+		t.Fatalf("MaxNodeBytes = %d", e.Volume.MaxNodeBytes)
 	}
 }
 
@@ -459,8 +485,8 @@ func TestNetModelSkewRaisesTime(t *testing.T) {
 	skewed[1][3] = 3 << 20
 	skewed[2][3] = 3 << 20
 	skewed[0][1] = 1 << 20 // residual to keep totals close
-	tb := nm.CollectiveTime(balanced)
-	ts := nm.CollectiveTime(skewed)
+	tb := nm.CollectiveTime(foldMatrix(nm.Topology(), balanced))
+	ts := nm.CollectiveTime(foldMatrix(nm.Topology(), skewed))
 	if ts <= tb {
 		t.Fatalf("skewed exchange (%v) should cost more than balanced (%v)", ts, tb)
 	}
@@ -477,7 +503,7 @@ func TestNetModelLatencyTerm(t *testing.T) {
 			}
 		}
 	}
-	got := nm.CollectiveTime(m)
+	got := nm.CollectiveTime(foldMatrix(nm.Topology(), m))
 	want := time.Duration(100*8) * time.Microsecond
 	if got < want-time.Microsecond || got > want+time.Millisecond {
 		t.Fatalf("latency-only time %v, want ≈%v", got, want)
@@ -490,10 +516,10 @@ func TestNetModelLatencyTerm(t *testing.T) {
 		leaders[i] = make([]uint64, 9)
 	}
 	leaders[0][3], leaders[3][6], leaders[6][0] = 1, 1, 1
-	if got := nm.CollectiveTime(leaders); got < 199*time.Microsecond || got > 201*time.Microsecond {
+	if got := nm.CollectiveTime(foldMatrix(nm.Topology(), leaders)); got < 199*time.Microsecond || got > 201*time.Microsecond {
 		t.Fatalf("leader exchange latency %v, want ≈200µs", got)
 	}
-	if got := nm.CollectiveTime(make([][]uint64, 9)); got != 0 {
+	if got := nm.CollectiveTime(foldMatrix(nm.Topology(), make([][]uint64, 9))); got != 0 {
 		t.Fatalf("empty collective cost %v, want 0", got)
 	}
 	intra := NetModel{RanksPerNode: 3, InjectionGBs: 1000, LatencyUs: 100}
@@ -506,7 +532,7 @@ func TestNetModelLatencyTerm(t *testing.T) {
 			}
 		}
 	}
-	if got := intra.CollectiveTime(node); got != 0 {
+	if got := intra.CollectiveTime(foldMatrix(intra.Topology(), node)); got != 0 {
 		t.Fatalf("intra-node collective cost %v, want 0", got)
 	}
 }
@@ -528,11 +554,11 @@ func TestNetModelValidate(t *testing.T) {
 }
 
 func TestNetModelNodeMapping(t *testing.T) {
-	nm := NetModel{RanksPerNode: 6, InjectionGBs: 23}
-	if nm.NodeOf(0) != 0 || nm.NodeOf(5) != 0 || nm.NodeOf(6) != 1 {
+	tp := NetModel{RanksPerNode: 6, InjectionGBs: 23}.Topology()
+	if tp.NodeOf(0) != 0 || tp.NodeOf(5) != 0 || tp.NodeOf(6) != 1 {
 		t.Fatal("node mapping wrong")
 	}
-	if nm.Nodes(96) != 16 || nm.Nodes(97) != 17 {
+	if tp.Nodes(96) != 16 || tp.Nodes(97) != 17 {
 		t.Fatal("node count wrong")
 	}
 }

@@ -62,9 +62,9 @@ func nodeRowsOK[T any](t Topology, rank int, send [][]T) error {
 // same-order-everywhere collective rule trivially satisfied), but payload
 // may only travel between co-located ranks; a non-empty off-node row is
 // rejected. The traffic is recorded under the "node_alltoallv" trace op —
-// all intra-node, so the α–β model prices it at zero fabric time: this is
-// the NVLink tier the hierarchical exchange uses for its gather and scatter
-// stages.
+// all intra-node when t is the world's topology, so the α–β model prices it
+// at zero fabric time: this is the NVLink tier the hierarchical exchange
+// uses for its gather and scatter stages.
 func NodeAlltoallv[T Unit](c *Comm, t Topology, send [][]T) ([][]T, error) {
 	if err := c.checkLen(len(send)); err != nil {
 		return nil, err
@@ -75,12 +75,7 @@ func NodeAlltoallv[T Unit](c *Comm, t Topology, send [][]T) ([][]T, error) {
 	if err := c.syncReady(); err != nil {
 		return nil, err
 	}
-	all, err := exchange(c, send)
-	if err != nil {
-		return nil, err
-	}
-	recordMatrix(c, "node_alltoallv", all)
-	return column(c, all), nil
+	return alltoallv(c, "node_alltoallv", send)
 }
 
 // NodeAlltoallvBytes forwards to NodeAlltoallv for the separately built

@@ -472,7 +472,8 @@ type Result struct {
 	// PayloadBytes is the exchanged payload volume including supermer
 	// length bytes.
 	PayloadBytes uint64
-	// Volume summarizes the Alltoallv traffic matrix.
+	// Volume sums the traffic of the payload Alltoallv collectives; its
+	// MaxNodeBytes is the largest of theirs.
 	Volume mpisim.VolumeStats
 	// AlltoallvTime is the fabric time of the payload exchange alone
 	// (Fig. 8 compares exactly this).

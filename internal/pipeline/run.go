@@ -124,7 +124,7 @@ func newRunState(cfg Config) (*runState, []*rankSeat, error) {
 // non-nil, checkpoints periodically.
 func (rs *runState) world(destMap []uint16, src chunkSource, seats []*rankSeat, ck *ckptCtl, spl *spillCtl) ([]error, error) {
 	cfg := rs.cfg
-	opt := mpisim.Options{Deadline: cfg.ExchangeDeadline, Obs: cfg.Obs}
+	opt := mpisim.Options{Deadline: cfg.ExchangeDeadline, Obs: cfg.Obs, RanksPerNode: cfg.Layout.Net.RanksPerNode}
 	// The one mode fork of the pipeline: the mode fixes the payload unit
 	// the rank body is instantiated over — 64-bit k-mer words or supermer
 	// wire bytes — with its codec and engine family.
@@ -264,19 +264,13 @@ func aggregate(cfg Config, trace []mpisim.TraceEntry, outcomes []rankOutcome, wa
 
 	var fabric time.Duration
 	for _, e := range trace {
-		if e.Bytes == nil {
-			continue
-		}
-		t := cfg.Layout.Net.CollectiveTime(e.Bytes)
+		t := cfg.Layout.Net.CollectiveTime(e)
 		fabric += t
 		if e.Op == "alltoallv" {
 			res.AlltoallvTime += t
-			vs := cfg.Layout.Net.Volumes(e.Bytes)
-			res.Volume.TotalBytes += vs.TotalBytes
-			res.Volume.FabricBytes += vs.FabricBytes
-			if vs.MaxNodeBytes > res.Volume.MaxNodeBytes {
-				res.Volume.MaxNodeBytes = vs.MaxNodeBytes
-			}
+			res.Volume.TotalBytes += e.Volume.TotalBytes
+			res.Volume.FabricBytes += e.Volume.FabricBytes
+			res.Volume.MaxNodeBytes = max(res.Volume.MaxNodeBytes, e.Volume.MaxNodeBytes)
 		}
 	}
 	res.Modeled.Exchange = maxStage + fabric
