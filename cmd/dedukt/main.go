@@ -104,7 +104,7 @@ func parseArgs(args []string) (pipeline.Config, input, output, error) {
 	fs.BoolVar(&cfg.Canonical, "canonical", false, "count canonical k-mers (kmer mode only)")
 	fs.BoolVar(&cfg.GPUDirect, "gpudirect", false, "model GPUDirect transfers (skip host staging; GPU engine only)")
 	fs.TextVar(&cfg.Exchange, "exchange", cfg.Exchange, "exchange strategy: flat (direct P×P Alltoallv) or hier (intra-node gather → leader Alltoallv → intra-node scatter)")
-	fs.BoolVar(&cfg.Overlap, "overlap", false, "overlap each round's exchange with the next round's parse (nonblocking collectives; needs -round-bases for multi-round input)")
+	fs.BoolVar(&cfg.Overlap, "overlap", false, "price each round's exchange as hidden behind the next round's compute: the modeled total takes max(compute, exchange) per steady-state round; rounds still run bulk-synchronously, and only multi-round runs (-round-bases, or -stream under -mem-budget) differ")
 	fs.IntVar(&out.top, "top", 5, "print the N most frequent k-mers")
 	fs.IntVar(&out.histMax, "hist", 10, "print histogram classes up to this frequency")
 	fs.BoolVar(&out.json, "json", false, "emit a machine-readable JSON report instead of text")

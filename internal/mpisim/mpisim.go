@@ -395,13 +395,9 @@ func (c *Comm) Alltoall(send []int) ([]int, error) {
 	if err := c.syncReady(); err != nil {
 		return nil, err
 	}
-	return c.alltoall(append([]int(nil), send...))
-}
-
-// alltoall is the unchecked implementation; it owns send (callers copy when
-// the caller may still mutate the slice).
-func (c *Comm) alltoall(send []int) ([]int, error) {
-	return transpose(c, "alltoall", send, func(int) uint64 { return 8 }) // one count word per pair
+	// Peers read the deposit in place: the copy leaves the caller free to
+	// reuse send once Alltoall returns.
+	return transpose(c, "alltoall", append([]int(nil), send...), func(int) uint64 { return 8 }) // one count word per pair
 }
 
 // Unit is the element type of a variable-size payload collective: bytes
@@ -462,17 +458,16 @@ func (c *Comm) checkLen(n int) error {
 
 // ---- Nonblocking collectives ------------------------------------------------
 //
-// IAlltoall / IAlltoallv post a collective and return immediately with a
+// IAlltoallv posts the payload exchange and returns immediately with a
 // Request; the exchange runs on a background goroutine while the posting rank
-// keeps computing (the overlap the paper's communication-bound rounds leave on
-// the table). As in MPI:
+// keeps computing. The pipeline runs its rounds bulk-synchronously and never
+// posts one; the benchmark module's ialltoallv probe does. As in MPI:
 //
 //   - posted requests on one rank complete in posting order (each request's
 //     goroutine waits for the previous one), so the same-collective-order rule
 //     still holds across ranks as long as every rank posts in the same order;
-//   - vector payloads are referenced, not copied — the sender must not mutate
-//     them until Wait returns (IAlltoall copies its small count vector at post
-//     time, so that buffer may be reused immediately);
+//   - payloads are referenced, not copied — the sender must not mutate them
+//     until Wait returns;
 //   - blocking collectives may not be issued while requests are outstanding
 //     (syncReady); Wait every request first.
 //
@@ -546,16 +541,6 @@ func postErr[T any](c *Comm, err error) *Request[T] {
 	var zero T
 	r.ch <- asyncResult[T]{zero, err}
 	return r
-}
-
-// IAlltoall posts the count exchange. The send vector is copied at post time,
-// so the caller may reuse it immediately.
-func (c *Comm) IAlltoall(send []int) *Request[[]int] {
-	if err := c.checkLen(len(send)); err != nil {
-		return postErr[[]int](c, err)
-	}
-	owned := append([]int(nil), send...)
-	return post(c, func() ([]int, error) { return c.alltoall(owned) })
 }
 
 // IAlltoallv posts the payload exchange. Payloads are referenced: the caller

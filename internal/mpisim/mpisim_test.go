@@ -583,26 +583,29 @@ func TestBigWorld(t *testing.T) {
 
 // ---- Nonblocking collective tests ------------------------------------------
 
+// TestNonblockingAlltoallMatchesBlocking: one value per destination, posted
+// as a one-word IAlltoallv row, arrives exactly as the blocking Alltoall
+// delivers it.
 func TestNonblockingAlltoallMatchesBlocking(t *testing.T) {
 	const p = 5
 	_, err := Run(p, func(c *Comm) error {
 		send := make([]int, p)
+		rows := make([][]uint64, p)
 		for j := range send {
 			send[j] = c.Rank()*100 + j
+			rows[j] = []uint64{uint64(send[j])}
 		}
-		req := c.IAlltoall(send)
-		// The send vector is copied at post time: clobbering it here must
-		// not affect the exchange.
-		for j := range send {
-			send[j] = -1
-		}
-		recv, err := req.Wait()
+		got, err := IAlltoallv(c, rows).Wait()
 		if err != nil {
 			return err
 		}
-		for i, v := range recv {
-			if want := i*100 + c.Rank(); v != want {
-				t.Errorf("rank %d recv[%d] = %d, want %d", c.Rank(), i, v, want)
+		want, err := c.Alltoall(send)
+		if err != nil {
+			return err
+		}
+		for i, v := range want {
+			if v != i*100+c.Rank() || len(got[i]) != 1 || got[i][0] != uint64(v) {
+				t.Errorf("rank %d from %d: nonblocking %v, blocking %d, want %d", c.Rank(), i, got[i], v, i*100+c.Rank())
 			}
 		}
 		return nil
@@ -647,8 +650,7 @@ func TestNonblockingAlltoallvPayloads(t *testing.T) {
 }
 
 // TestNonblockingOverlapsCompute posts an exchange, performs local work
-// before Wait, and checks the result is still delivered intact — the
-// overlap pattern the pipeline's double-buffered round loop uses.
+// before Wait, and checks the result is still delivered intact.
 func TestNonblockingOverlapsCompute(t *testing.T) {
 	const p = 6
 	_, err := Run(p, func(c *Comm) error {
@@ -686,14 +688,14 @@ func TestNonblockingPostingOrderPreserved(t *testing.T) {
 	// order, even though both run on background goroutines.
 	const p = 4
 	_, err := Run(p, func(c *Comm) error {
-		first := make([]int, p)
-		second := make([]int, p)
+		first := make([][]uint64, p)
+		second := make([][]uint64, p)
 		for j := range first {
-			first[j] = 1
-			second[j] = 2
+			first[j] = []uint64{1}
+			second[j] = []uint64{2}
 		}
-		r1 := c.IAlltoall(first)
-		r2 := c.IAlltoall(second)
+		r1 := IAlltoallv(c, first)
+		r2 := IAlltoallv(c, second)
 		got2, err := r2.Wait() // waiting out of order is legal
 		if err != nil {
 			return err
@@ -703,8 +705,8 @@ func TestNonblockingPostingOrderPreserved(t *testing.T) {
 			return err
 		}
 		for i := 0; i < p; i++ {
-			if got1[i] != 1 || got2[i] != 2 {
-				t.Errorf("rank %d got1[%d]=%d got2[%d]=%d", c.Rank(), i, got1[i], i, got2[i])
+			if got1[i][0] != 1 || got2[i][0] != 2 {
+				t.Errorf("rank %d got1[%d]=%v got2[%d]=%v", c.Rank(), i, got1[i], i, got2[i])
 			}
 		}
 		return nil
@@ -716,7 +718,7 @@ func TestNonblockingPostingOrderPreserved(t *testing.T) {
 
 func TestWaitIdempotent(t *testing.T) {
 	_, err := Run(3, func(c *Comm) error {
-		req := c.IAlltoall([]int{1, 2, 3})
+		req := IAlltoallv(c, [][]uint64{{1}, {2}, {3}})
 		a, err := req.Wait()
 		if err != nil {
 			return err
@@ -726,7 +728,7 @@ func TestWaitIdempotent(t *testing.T) {
 			return err
 		}
 		for i := range a {
-			if a[i] != b[i] {
+			if a[i][0] != b[i][0] {
 				t.Errorf("second Wait returned different data: %v vs %v", a, b)
 			}
 		}
@@ -740,7 +742,7 @@ func TestWaitIdempotent(t *testing.T) {
 
 func TestBlockingWhilePendingErrors(t *testing.T) {
 	_, err := Run(2, func(c *Comm) error {
-		req := c.IAlltoall([]int{0, 0})
+		req := IAlltoallv(c, make([][]uint64, 2))
 		if _, berr := c.AllreduceSum(1); berr == nil {
 			t.Error("AllreduceSum with pending request should error")
 		} else if !strings.Contains(berr.Error(), "outstanding") {
@@ -759,7 +761,7 @@ func TestBlockingWhilePendingErrors(t *testing.T) {
 
 func TestNonblockingValidationError(t *testing.T) {
 	_, err := Run(2, func(c *Comm) error {
-		req := c.IAlltoall([]int{1}) // wrong length
+		req := IAlltoallv(c, make([][]uint64, 1)) // wrong length
 		if _, werr := req.Wait(); werr == nil {
 			t.Error("bad send length should surface from Wait")
 		}
@@ -796,7 +798,7 @@ func TestNonblockingDeadline(t *testing.T) {
 		if c.Rank() == 1 {
 			time.Sleep(200 * time.Millisecond) // stall past the deadline
 		}
-		req := c.IAlltoall([]int{1, 1})
+		req := IAlltoallv(c, [][]uint64{{1}, {1}})
 		_, werr := req.Wait()
 		if c.Rank() == 0 {
 			if werr == nil || !errors.Is(werr, ErrDeadline) {
@@ -811,8 +813,8 @@ func TestNonblockingDeadline(t *testing.T) {
 // TestRankDeathMidRoundNeverMixesCollectives stresses the hazard a rank
 // death opens in the two-barrier exchange: poisoning releases ranks from
 // the barriers early, so a rank that bails out of one collective can reach
-// its next — of a different payload type, here the chained announce →
-// payload → settle of a pipeline round — while a slower peer is still
+// its next — of a different payload type, here a chained announce →
+// payload → settle round — while a slower peer is still
 // collecting the previous one. Deposits into a poisoned world must be
 // refused; otherwise the peer reads a wrong-typed slot and panics, from a
 // request goroutine that nothing recovers. Every survivor must instead see
@@ -846,22 +848,22 @@ func TestRankDeathMidRoundNeverMixesCollectives(t *testing.T) {
 	}
 }
 
-// roundPend is the round structure the pipeline drives: an announce
-// (IAlltoall), a payload (IAlltoallv), and a settle collective
-// (AllreduceSum) per round.
+// roundPend is a round of chained collectives of different payload types:
+// an announce and a payload, both posted (IAlltoallv of words and of
+// bytes), then a settle collective (AllreduceSum).
 type roundPend struct {
-	ann *Request[[]int]
+	ann *Request[[][]byte]
 	pay *Request[[][]uint64]
 }
 
 func postRound(c *Comm) roundPend {
-	counts := make([]int, c.Size())
+	counts := make([][]byte, c.Size())
 	send := make([][]uint64, c.Size())
 	for i := range send {
-		counts[i] = 1
+		counts[i] = []byte{1}
 		send[i] = []uint64{uint64(c.Rank())}
 	}
-	return roundPend{c.IAlltoall(counts), IAlltoallv(c, send)}
+	return roundPend{IAlltoallv(c, counts), IAlltoallv(c, send)}
 }
 
 func finishRound(c *Comm, p roundPend) error {

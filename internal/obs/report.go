@@ -46,9 +46,10 @@ type Report struct {
 	SlowestRank int
 	SlowestWall time.Duration
 	// ModeledSerial is the modeled round-pipeline time when every round runs
-	// compute then exchange back to back; ModeledOverlapped applies the
-	// overlapped schedule, where round r's exchange hides behind round r+1's
-	// compute: compute(0) + Σ max(exchange(r), compute(r+1)) + exchange(last).
+	// compute then exchange back to back; ModeledOverlapped prices the same
+	// rounds as an overlapped pipeline, where round r's exchange hides
+	// behind round r+1's compute:
+	// compute(0) + Σ max(exchange(r), compute(r+1)) + exchange(last).
 	ModeledSerial, ModeledOverlapped time.Duration
 }
 

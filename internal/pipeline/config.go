@@ -120,14 +120,13 @@ type Config struct {
 	// entirely — no stage_h2d spans appear in traces and the modeled
 	// staging time drops to zero. GPU layouts only.
 	GPUDirect bool
-	// Overlap, when true, runs each rank's round loop as a double-buffered
-	// pipeline: round r's exchange is posted with nonblocking collectives
-	// and round r+1's parse runs while it is in flight, hiding exchange
-	// time behind compute (and vice versa). Results are bit-identical to
-	// the serial schedule; the modeled steady-state round time becomes
-	// max(compute, exchange) instead of their sum (see
-	// Result.ModeledTotal). Off by default so the paper's bulk-synchronous
-	// baseline stays reproducible.
+	// Overlap, when true, prices the run as if round r's exchange were
+	// hidden behind round r+1's compute (and vice versa): the modeled
+	// steady-state round time becomes max(compute, exchange) instead of
+	// their sum (see Result.ModeledTotal). It selects a model only — every
+	// run executes its rounds bulk-synchronously, so nothing else in the
+	// Result changes. Off by default so the paper's bulk-synchronous
+	// baseline stays the reported total.
 	Overlap bool
 	// Canonical, when true, counts canonical k-mers (min of k-mer and its
 	// reverse complement); k-mer mode only. The paper does not
@@ -392,11 +391,11 @@ const DefaultMemBudget = 256 << 20
 // a streaming rank's round-loop buffers, used to translate a memory
 // budget into a per-rank round chunk. Itemized per base: the staged
 // chunk, one buffer per round parity (~3B), the packed send words or wire
-// bytes plus the checksummed frame arena, double-buffered for the
-// overlapped schedule (~4×8B upper bound: k-mer mode emits up to one
-// 8-byte word per base), and the received payload views (~2×8B). The
-// constant deliberately rounds up — streaming wants to be safely under
-// budget, not precisely at it.
+// bytes plus the checksummed frame arena, one per round parity (~2×8B:
+// k-mer mode emits up to one 8-byte word per base), and the received
+// payload views (~2×8B). The constant deliberately rounds up — streaming
+// wants to be safely under budget, not precisely at it — and stays at 48,
+// which fixes the round count of every budgeted run.
 const streamBytesPerBase = 48
 
 // memBudget returns the effective streaming budget.
@@ -516,9 +515,8 @@ type Result struct {
 	// for streamed runs the only place the input size is known, since
 	// the dataset is never materialized.
 	InputReads, InputBases uint64
-	// Overlap echoes Config.Overlap: whether the rank round loops ran the
-	// double-buffered overlapped schedule. ModeledTotal applies the
-	// overlap rule when set.
+	// Overlap echoes Config.Overlap: whether ModeledTotal applies the
+	// overlap rule. The rounds ran bulk-synchronously either way.
 	Overlap bool
 	// Tables holds each rank's counted partition when Config.KeepTables is
 	// set (nil otherwise). Partitions are disjoint; merge with
@@ -547,12 +545,13 @@ type Result struct {
 }
 
 // ModeledTotal returns the end-to-end modeled time under the run's
-// schedule. Serial (bulk-synchronous) runs pay compute + exchange in full.
-// Overlapped runs hide the shorter of the two behind the longer in every
-// steady-state round: with R rounds, R-1 exchanges overlap the next round's
-// compute, so the total is R·max(compute, exchange) plus the un-overlapped
-// pipeline fill (the first round's compute or the last round's drain),
-// approximated here as one round of compute.
+// pricing rule. Serial (bulk-synchronous) runs pay compute + exchange in
+// full. Overlap prices the rounds as a pipeline that hides the shorter of
+// the two behind the longer in every steady-state round: with R rounds,
+// R-1 exchanges overlap the next round's compute, so the total is
+// R·max(compute, exchange) plus the un-overlapped pipeline fill (the first
+// round's compute or the last round's drain), approximated here as one
+// round of compute.
 func (r *Result) ModeledTotal() time.Duration {
 	compute := r.Modeled.Parse + r.Modeled.Count
 	if !r.Overlap || r.Rounds < 2 {

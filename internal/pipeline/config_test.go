@@ -22,7 +22,6 @@ type variant struct {
 	canonical  bool
 	balanced   bool
 	hier       bool
-	overlap    bool
 	multiRound bool
 	keep       bool
 	spill      bool
@@ -86,7 +85,7 @@ func (v variant) String() string {
 		name string
 	}{
 		{v.canonical, "canonical"}, {v.balanced, "balanced"}, {v.hier, "hier"},
-		{v.overlap, "overlap"}, {v.multiRound, "rounds"}, {v.keep, "keep"},
+		{v.multiRound, "rounds"}, {v.keep, "keep"},
 		{v.spill, "spill"}, {v.ckpt, "ckpt"}, {v.faults, "faults"},
 		{v.stray != "", v.stray},
 	} {
@@ -101,7 +100,7 @@ func (v variant) String() string {
 // and checkpoints go.
 func (v variant) config(reads []fastq.Record, dir string) Config {
 	cfg := Default(variantLayout(v.gpu), v.mode)
-	cfg.Canonical, cfg.BalancedPartition, cfg.Overlap = v.canonical, v.balanced, v.overlap
+	cfg.Canonical, cfg.BalancedPartition = v.canonical, v.balanced
 	cfg.KeepTables = v.keep
 	if v.hier {
 		cfg.Exchange = ExchangeHier
@@ -154,13 +153,13 @@ func (v variant) enter(cfg Config, reads []fastq.Record) (*Result, error) {
 // only where it applies.
 func allVariants(gpu bool, mode Mode) []variant {
 	var out []variant
-	for bits := 0; bits < 1<<9; bits++ {
+	for bits := 0; bits < 1<<8; bits++ {
 		on := func(i int) bool { return bits>>i&1 == 1 }
 		for _, entry := range []Entry{InMemory, Streaming, Resuming} {
 			v := variant{
 				gpu: gpu, mode: mode, canonical: on(0), balanced: on(1), hier: on(2),
-				overlap: on(3), multiRound: on(4), keep: on(5), spill: on(6),
-				ckpt: on(7), faults: on(8), entry: entry,
+				multiRound: on(3), keep: on(4), spill: on(5), ckpt: on(6),
+				faults: on(7), entry: entry,
 			}
 			for _, s := range strays {
 				if s.applies(v) {
@@ -175,8 +174,8 @@ func allVariants(gpu bool, mode Mode) []variant {
 
 // TestAllVariantsMatchOracle holds the combination table to its promise,
 // over every combination of engine, mode, canonical, balanced, exchange,
-// overlap, multi-round, kept tables, spill, checkpoint, seeded drop and
-// corrupt faults and entry point (Run, RunStream, ResumeStream after a
+// multi-round, kept tables, spill, checkpoint, seeded drop and corrupt
+// faults and entry point (Run, RunStream, ResumeStream after a
 // fatal kill), plus one stray setting at a time:
 //
 //   - (a) every combination Validate accepts runs through its entry point

@@ -23,21 +23,19 @@ import (
 // still damaged after its last retry fails the run on every rank with
 // ErrExchangeLost: a run returns the exact spectrum or an error.
 //
-// The exchange is split into a post half (announce the counts and ship
-// attempt 0 with nonblocking collectives) and a finish half (wait, verify,
-// retry, settle), so the round loop can run the next round's parse between
-// them (Config.Overlap). The exchanger owns no payload memory: a send row
-// arrives from the parse phase with the frame header's room ahead of it
-// (codec.header), attempt 0 seals the header into that room and ships the
-// row where it lies, and peers read it zero-copy until their count of the
-// round ends — which is why the parse phase rotates its rows over
-// parseSlots buffers (rounds.go has the lifetime argument). Retry attempts
-// frame private copies instead: receivers may retain verified views of
-// earlier attempts, and a corrupted or dropped attempt must leave the send
-// row clean, so a live round's rows are sealed once and never rewritten.
-// What the exchanger does pool, in two parity-indexed slots written at post
-// and finish time, is the round's bookkeeping: the counts vector, the frame
-// and part vectors, the verification flags.
+// The exchanger owns no payload memory: a send row arrives from the parse
+// phase with the frame header's room ahead of it (codec.header), attempt 0
+// seals the header into that room and ships the row where it lies, and
+// peers read it zero-copy until their count of the round ends — which is
+// why the parse phase rotates its rows over parseSlots buffers (rounds.go
+// has the lifetime argument). Retry attempts frame private copies instead:
+// receivers may retain verified views of earlier attempts, and a corrupted
+// or dropped attempt must leave the send row clean, so a live round's rows
+// are sealed once and never rewritten. What the exchanger does pool is the
+// round's bookkeeping: the counts vector, the frame and part vectors, the
+// verification flags. One set serves every round: peers read the counts
+// and frame vectors only inside the collectives, and the rank body is done
+// with the part vector at count(r), before exchange(r+1) reuses it.
 //
 // The exchanger is written once over the payload unit T (words in k-mer
 // mode, bytes in supermer mode); what a row of units means — its item
@@ -47,13 +45,13 @@ import (
 // HOW attempt-0 frames travel is pluggable (exchangeStrategy): the flat
 // strategy ships the P×P Alltoallv directly; the hierarchical strategy
 // routes off-node frames through node leaders over the NVLink tier. The
-// announcement, CRC verification, retry and settle machinery is
-// shared — strategies only move opaque frames — which is what keeps every
-// strategy bit-identical under the fault × overlap × restart matrix.
+// verification, retry and settle machinery is shared — strategies only
+// move the announcement and opaque frames — which is what keeps every
+// strategy bit-identical under the fault × restart matrix.
 //
 // When a recorder is configured, injected drops/corruptions surface as
 // instant events and each retry attempt gets its own span nested inside the
-// exchange span.
+// rank body's exchange span.
 type exchanger[T unit] struct {
 	c *mpisim.Comm
 	// rank is the seat's original rank id — the coordinate for fault
@@ -65,29 +63,29 @@ type exchanger[T unit] struct {
 	rec   *obs.Recorder
 	cd    codec[T]
 	strat exchangeStrategy[T]
-	// msgs counts the fabric messages posted by attempt-0 payload
+	// msgs counts the fabric messages shipped by attempt-0 payload
 	// exchanges (pipeline_exchange_messages_total); nil without a recorder.
 	// roundMsgs is one round's tally: P² flat, ceil(P/RanksPerNode)²
 	// hierarchical.
 	msgs      *obs.Counter
 	roundMsgs int
-	slots     [2]exchangeSlot[T]
+	// The pooled round bookkeeping (see above).
+	counts []int
+	framed [][]T
+	parts  [][]T
+	ok     []bool
 }
 
 // exchangeStrategy is the pluggable attempt-0 shipping layer of the
-// exchange. post runs inside the exchanger's post half and must post the
-// count announcement onto p.ann plus whatever payload collectives the
-// strategy needs; it may issue blocking intra-node collectives first — the
-// round loop guarantees no nonblocking requests are pending at any post
-// site, in both schedules. finish waits for those collectives and returns
-// the attempt-0 frames indexed by (current-communicator) source rank, nil
-// marking a frame lost in flight — the shared verifier treats every
-// returned frame exactly as a flat Alltoallv row, and retries always use
-// the flat blocking path (the rare path optimizes for simplicity, and its
-// frames are freshly framed from the retained send buffers either way).
+// exchange. ship exchanges the round's count announcement (the Alltoall)
+// and its attempt-0 frames, returning the announcement received and the
+// frames indexed by (current-communicator) source rank, nil marking a
+// frame lost in flight — the shared verifier treats every returned frame
+// exactly as a flat Alltoallv row, and retries always use the flat path
+// (the rare path optimizes for simplicity, and its frames are freshly
+// framed from the retained send buffers either way).
 type exchangeStrategy[T unit] interface {
-	post(p *pendingExchange[T], counts []int, framed [][]T)
-	finish(p *pendingExchange[T]) ([][]T, error)
+	ship(round int, counts []int, framed [][]T) (expect []int, recv [][]T, err error)
 }
 
 // newExchanger builds the configured strategy's exchanger for one rank
@@ -101,7 +99,7 @@ func newExchanger[T unit](cfg *Config, c *mpisim.Comm, rank int, inj *fault.Inje
 		e.strat = &hierStrategy[T]{e: e, topo: topo}
 		e.roundMsgs = kernels.HierExchangeMessages(c.Size(), topo.RanksPerNode)
 	default:
-		e.strat = flatStrategy[T]{e}
+		e.strat = flatStrategy[T]{c}
 		e.roundMsgs = kernels.FlatExchangeMessages(c.Size())
 	}
 	if reg := cfg.Obs.Registry(); reg != nil {
@@ -112,45 +110,17 @@ func newExchanger[T unit](cfg *Config, c *mpisim.Comm, rank int, inj *fault.Inje
 	return e
 }
 
-// flatStrategy ships attempt-0 frames with the direct P×P nonblocking
-// Alltoallv — the paper's baseline exchange.
-type flatStrategy[T unit] struct{ e *exchanger[T] }
+// flatStrategy ships attempt-0 frames with the direct P×P Alltoallv — the
+// paper's baseline exchange (Alg. 1 line 8).
+type flatStrategy[T unit] struct{ c *mpisim.Comm }
 
-func (s flatStrategy[T]) post(p *pendingExchange[T], counts []int, framed [][]T) {
-	p.ann = s.e.c.IAlltoall(counts)
-	p.req = mpisim.IAlltoallv(s.e.c, framed)
-}
-
-func (s flatStrategy[T]) finish(p *pendingExchange[T]) ([][]T, error) {
-	return p.req.Wait()
-}
-
-// exchangeSlot is one parity's pooled round bookkeeping.
-type exchangeSlot[T unit] struct {
-	counts []int
-	framed [][]T
-	parts  [][]T
-	ok     []bool
-}
-
-// pendingExchange is one posted round exchange awaiting its finish half.
-type pendingExchange[T unit] struct {
-	round int
-	// sp is the round's exchange span: opened at post, ended by the caller
-	// after finish (or by finish itself on error).
-	sp  obs.SpanHandle
-	ann *mpisim.Request[[]int]
-	// req is the strategy's nonblocking payload collective: the P×P
-	// Alltoallv under flat, the inter-node leader Alltoallv under hier.
-	req *mpisim.Request[[][]T]
-	// postErr records a failure of a strategy's blocking post stage (the
-	// intra-node gather); it surfaces when the round is finished.
-	postErr error
-	hier    *hierSlot[T]
-	// send is the round's routed send set — rows behind header room, sealed
-	// into frames by attempt 0 — retained as the retry source.
-	send [][]T
-	slot *exchangeSlot[T]
+func (s flatStrategy[T]) ship(_ int, counts []int, framed [][]T) ([]int, [][]T, error) {
+	expect, err := s.c.Alltoall(counts)
+	if err != nil {
+		return nil, nil, err
+	}
+	recv, err := mpisim.Alltoallv(s.c, framed)
+	return expect, recv, err
 }
 
 // grow resizes a pooled slice to n elements, reallocating only when the
@@ -164,13 +134,13 @@ func grow[E any](s []E, n int) []E {
 
 // moreFlag is the end-of-stream agreement bit piggybacked on the count
 // announcement: a rank whose input continues past this round sets it on
-// every outgoing count, and finish folds the incoming flags into anyMore
-// before stripping them. Because every rank derives anyMore from the same
-// announcement, termination of the open-ended round loop is collective
-// with zero extra collectives — and the announcement travels outside the
-// fault injector's reach, so the agreement survives dropped and corrupted
-// payload frames. Bit 30 leaves per-destination counts up to ~10⁹ items
-// representable, far beyond any RoundBases-bounded round.
+// every outgoing count, and the exchange folds the incoming flags into
+// anyMore before stripping them. Because every rank derives anyMore from
+// the same announcement, termination of the open-ended round loop is
+// collective with zero extra collectives — and the announcement travels
+// outside the fault injector's reach, so the agreement survives dropped
+// and corrupted payload frames. Bit 30 leaves per-destination counts up to
+// ~10⁹ items representable, far beyond any RoundBases-bounded round.
 const moreFlag = 1 << 30
 
 // stripMore extracts the more-bits from a received announcement in
@@ -185,112 +155,55 @@ func stripMore(expect []int) (anyMore bool) {
 	return anyMore
 }
 
-// post posts one round's exchange: the send rows are sealed into their
-// attempt-0 frames and handed to the strategy, which posts the count
-// announcement (IAlltoall — the vector is copied at post time, so the pooled
-// slot is immediately reusable) and ships the frames. Each send[d] is
-// destination d's row behind codec.header units of room; it must stay
-// unmutated until finish returns (it is also the retry source) and, under
-// the flat strategy, until every peer has counted the round. more announces
-// that this rank's input continues past this round (see moreFlag).
-func (e *exchanger[T]) post(round int, send [][]T, more bool) *pendingExchange[T] {
-	slot := &e.slots[round%2]
-	p := &pendingExchange[T]{round: round, send: send, slot: slot}
-	p.sp = e.rec.Begin(e.rank, round, obs.PhaseExchange)
-
+// exchange runs one round's exchange: the send rows are sealed into their
+// attempt-0 frames and shipped by the strategy together with the count
+// announcement; every arriving frame is verified (checksum, announced item
+// count and — for supermers — image structure; see codec.unframe), bad
+// rounds are retried from the send rows, and settle agrees on the outcome.
+// Each send[d] is destination d's row behind codec.header units of room;
+// it must stay unmutated until every peer has counted the round. more
+// announces that this rank's input continues past this round (see
+// moreFlag). It returns the per-source verified payloads plus the
+// announcement's end-of-stream agreement: anyMore is true while any rank's
+// input continues. A failure — ErrExchangeLost once the retries are spent
+// — fails the rank.
+func (e *exchanger[T]) exchange(round int, send [][]T, more bool) ([][]T, bool, error) {
 	h := e.cd.header()
-	slot.counts = grow(slot.counts, len(send))
+	e.counts = grow(e.counts, len(send))
 	for d, frame := range send {
-		slot.counts[d] = e.cd.items(frame[h:])
+		e.counts[d] = e.cd.items(frame[h:])
 		if more {
-			slot.counts[d] |= moreFlag
+			e.counts[d] |= moreFlag
 		}
 	}
-	e.strat.post(p, slot.counts, e.frames(p, 0))
+	framed := e.frames(round, 0, send)
 	// Rank 0 of the current communicator credits the whole round's fabric
 	// message tally, so the counter reads as messages-per-run, not
 	// per-rank shares.
 	if e.msgs != nil && e.c.Rank() == 0 {
 		e.msgs.Add(uint64(e.roundMsgs))
 	}
-	return p
-}
-
-// frames builds one attempt's per-destination frames from the retained
-// send set, applying the injector's drop and corrupt rolls for that
-// attempt. Attempt 0 seals every send row in place — the row is the frame;
-// a retry frames a private copy of the row (see the exchanger comment). A
-// dropped destination gets nil; Corrupt copies on hit, so the send row
-// itself stays clean.
-func (e *exchanger[T]) frames(p *pendingExchange[T], attempt int) [][]T {
-	rank, slot, h := e.rank, p.slot, e.cd.header()
-	slot.framed = grow(slot.framed, len(p.send))
-	for d, frame := range p.send {
-		if e.inj.Drop(rank, p.round, attempt, d) {
-			slot.framed[d] = nil
-			e.rec.Instant(rank, p.round, obs.EvDrop)
-			continue
-		}
-		if attempt == 0 {
-			e.cd.seal(frame)
-		} else {
-			frame = e.cd.appendFrame(make([]T, 0, len(frame)), frame[h:])
-		}
-		var hit bool
-		slot.framed[d], hit = fault.Corrupt(e.inj, rank, p.round, attempt, d, frame)
-		if hit {
-			e.rec.Instant(rank, p.round, obs.EvCorrupt)
-		}
-	}
-	return slot.framed
-}
-
-// finish completes a posted exchange: wait for the announcement and
-// attempt-0 payloads, verify every frame (checksum, announced item count
-// and — for supermers — image structure; see codec.unframe), retry bad
-// rounds with blocking collectives, and settle. It returns the per-source
-// verified payloads plus the announcement's end-of-stream agreement:
-// anyMore is true while any rank's input continues (see moreFlag). On error
-// — ErrExchangeLost once the retries are spent — the exchange span is
-// closed; on success it stays open for the caller to End with the staging
-// time.
-func (e *exchanger[T]) finish(p *pendingExchange[T]) ([][]T, bool, error) {
-	rank := e.rank
-	slot := p.slot
-	if p.postErr != nil {
-		p.sp.End(0, 0)
-		return nil, false, p.postErr
-	}
-	expect, err := p.ann.Wait()
+	expect, recv, err := e.strat.ship(round, e.counts, framed)
 	if err != nil {
-		p.sp.End(0, 0)
 		return nil, false, err
 	}
 	anyMore := stripMore(expect)
-	n := len(p.send)
-	slot.parts = grow(slot.parts, n)
-	slot.ok = grow(slot.ok, n)
-	parts, ok := slot.parts, slot.ok
+	e.parts = grow(e.parts, len(send))
+	e.ok = grow(e.ok, len(send))
+	parts, ok := e.parts, e.ok
 	for i := range parts {
 		parts[i], ok[i] = nil, false
 	}
 	for attempt := 0; ; attempt++ {
 		// Attempt 0 lives inside the enclosing exchange span; each retry
 		// gets its own (End on the zero handle is a no-op).
-		var (
-			sp   obs.SpanHandle
-			recv [][]T
-		)
-		if attempt == 0 {
-			recv, err = e.strat.finish(p)
-		} else {
-			sp = e.rec.Begin(rank, p.round, obs.PhaseRetry)
-			recv, err = mpisim.Alltoallv(e.c, e.frames(p, attempt))
-		}
-		if err != nil {
-			sp.End(0, 0)
-			p.sp.End(0, 0)
-			return nil, false, err
+		var sp obs.SpanHandle
+		if attempt > 0 {
+			sp = e.rec.Begin(e.rank, round, obs.PhaseRetry)
+			if recv, err = mpisim.Alltoallv(e.c, e.frames(round, attempt, send)); err != nil {
+				sp.End(0, 0)
+				return nil, false, err
+			}
 		}
 		var bad uint64
 		for i, f := range recv {
@@ -301,16 +214,44 @@ func (e *exchanger[T]) finish(p *pendingExchange[T]) ([][]T, bool, error) {
 				bad++
 			}
 		}
-		done, err := e.settle(p.round, attempt, bad)
+		done, err := e.settle(round, attempt, bad)
 		sp.End(0, bad)
 		if err != nil {
-			p.sp.End(0, 0)
 			return nil, false, err
 		}
 		if done {
 			return parts, anyMore, nil
 		}
 	}
+}
+
+// frames builds one attempt's per-destination frames from the retained
+// send set, applying the injector's drop and corrupt rolls for that
+// attempt. Attempt 0 seals every send row in place — the row is the frame;
+// a retry frames a private copy of the row (see the exchanger comment). A
+// dropped destination gets nil; Corrupt copies on hit, so the send row
+// itself stays clean.
+func (e *exchanger[T]) frames(round, attempt int, send [][]T) [][]T {
+	rank, h := e.rank, e.cd.header()
+	e.framed = grow(e.framed, len(send))
+	for d, frame := range send {
+		if e.inj.Drop(rank, round, attempt, d) {
+			e.framed[d] = nil
+			e.rec.Instant(rank, round, obs.EvDrop)
+			continue
+		}
+		if attempt == 0 {
+			e.cd.seal(frame)
+		} else {
+			frame = e.cd.appendFrame(make([]T, 0, len(frame)), frame[h:])
+		}
+		var hit bool
+		e.framed[d], hit = fault.Corrupt(e.inj, rank, round, attempt, d, frame)
+		if hit {
+			e.rec.Instant(rank, round, obs.EvCorrupt)
+		}
+	}
+	return e.framed
 }
 
 // maxRetries is how many times a round whose exchange arrived corrupted or

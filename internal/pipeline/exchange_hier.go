@@ -16,8 +16,7 @@ import (
 //	          its node leader (NodeAlltoallv: NVLink, free in wire terms);
 //	leader  — the leaders run one L×L Alltoallv, L = ceil(P/RanksPerNode),
 //	          each row batching every frame its node sends to one peer
-//	          node — the only fabric hop, posted nonblocking so it
-//	          overlaps the next round's parse exactly like the flat path;
+//	          node — the only fabric hop;
 //	scatter — leaders sort arrivals per member and deliver them over the
 //	          node tier again.
 //
@@ -29,15 +28,13 @@ import (
 // flat path would have delivered — dropped frames simply have no record —
 // and the exchanger's shared CRC/verify/retry machinery runs unchanged.
 //
-// The gather stage is a blocking collective inside the post half; that is
-// legal because the round loop guarantees no nonblocking requests are
-// pending at any post site (rounds.go). The strategy keeps its own
-// parity-indexed slot pair, written at post and finish time and so reused
-// under the two-slot liveness rule of rounds.go. Topology is derived from
-// the current communicator at construction time, so the world that restarts
-// after a rank death re-groups the surviving (renumbered) ranks — a ragged
-// last node, whether configured or left by a death, needs no special casing
-// beyond ceil division.
+// The strategy keeps its own parity-indexed slot pair, reused under the
+// two-slot rule of rounds.go: peers read this rank's gather and scatter
+// rows in place until they have counted the round. Topology is derived
+// from the current communicator at construction time, so the world that
+// restarts after a rank death re-groups the surviving (renumbered) ranks —
+// a ragged last node, whether configured or left by a death, needs no
+// special casing beyond ceil division.
 type hierStrategy[T unit] struct {
 	e     *exchanger[T]
 	topo  mpisim.Topology
@@ -50,7 +47,6 @@ type hierSlot[T unit] struct {
 	gather  [][]T // per-rank node-tier rows (stage 1 send)
 	leader  [][]T // per-rank fabric rows, non-empty on leaders only
 	scatter [][]T // per-member node-tier rows (stage 3 send)
-	recvGat [][]T // stage 1 receive, retained from post to finish
 	recv    [][]T // assembled per-source frames
 }
 
@@ -122,11 +118,10 @@ func eachRecord[T unit](blob []T, fn func(src, dest int, frame []T)) error {
 	return nil
 }
 
-func (s *hierStrategy[T]) post(p *pendingExchange[T], counts []int, framed [][]T) {
+func (s *hierStrategy[T]) ship(round int, counts []int, framed [][]T) ([]int, [][]T, error) {
 	e, c := s.e, s.e.c
 	me, n := c.Rank(), c.Size()
-	hs := &s.slots[p.round%2]
-	p.hier = hs
+	hs := &s.slots[round%2]
 
 	// Stage 1: route each destination's frame over the node tier — direct
 	// to same-node destinations, onto this rank's leader otherwise. A
@@ -146,23 +141,18 @@ func (s *hierStrategy[T]) post(p *pendingExchange[T], counts []int, framed [][]T
 		hs.gather[row] = appendRecord(hs.gather[row], me, d, f)
 		packed++
 	}
-	sp := e.rec.Begin(e.rank, p.round, obs.PhaseGather)
-	recv, err := mpisim.NodeAlltoallv(c, s.topo, hs.gather)
+	sp := e.rec.Begin(e.rank, round, obs.PhaseGather)
+	gat, err := mpisim.NodeAlltoallv(c, s.topo, hs.gather)
 	sp.End(0, packed)
 	if err != nil {
-		p.postErr = err
-		return
+		return nil, nil, err
 	}
-	hs.recvGat = recv
 
 	// Leaders re-bucket the forwarded records by destination node; records
-	// addressed to this node stay in recvGat for the finish half. On a
-	// container error (a routing bug, not a wire fault) the collectives
-	// below are still posted so the world-wide collective order stays
-	// consistent; the error surfaces when the round is finished.
+	// addressed to this node stay in gat for the assembly below.
 	hs.leader = growRows(hs.leader, n)
 	if s.topo.IsLeader(me) {
-		for _, blob := range recv {
+		for _, blob := range gat {
 			err := eachRecord(blob, func(src, dest int, frame []T) {
 				if s.topo.SameNode(me, dest) {
 					return
@@ -171,28 +161,22 @@ func (s *hierStrategy[T]) post(p *pendingExchange[T], counts []int, framed [][]T
 				hs.leader[lr] = appendRecord(hs.leader[lr], src, dest, frame)
 			})
 			if err != nil {
-				p.postErr = err
-				break
+				return nil, nil, err
 			}
 		}
 	}
 
-	// Stage 2, posted nonblocking: the L×L leader exchange (non-leader
-	// rows are all empty) overlaps the next round's parse.
-	p.ann = c.IAlltoall(counts)
-	p.req = mpisim.IAlltoallv(c, hs.leader)
-}
-
-func (s *hierStrategy[T]) finish(p *pendingExchange[T]) ([][]T, error) {
-	e, c := s.e, s.e.c
-	me, n := c.Rank(), c.Size()
-	hs := p.hier
-
-	sp := e.rec.Begin(e.rank, p.round, obs.PhaseLeader)
-	lrecv, err := p.req.Wait()
+	// Stage 2: the announcement, then the L×L leader exchange (non-leader
+	// rows are all empty).
+	expect, err := c.Alltoall(counts)
+	if err != nil {
+		return nil, nil, err
+	}
+	sp = e.rec.Begin(e.rank, round, obs.PhaseLeader)
+	lrecv, err := mpisim.Alltoallv(c, hs.leader)
 	sp.End(0, 0)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Stage 3: leaders sort fabric arrivals into per-member rows (their
@@ -205,15 +189,15 @@ func (s *hierStrategy[T]) finish(p *pendingExchange[T]) ([][]T, error) {
 				hs.scatter[dest] = appendRecord(hs.scatter[dest], src, dest, frame)
 			})
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 	}
-	sp = e.rec.Begin(e.rank, p.round, obs.PhaseScatter)
+	sp = e.rec.Begin(e.rank, round, obs.PhaseScatter)
 	srecv, err := mpisim.NodeAlltoallv(c, s.topo, hs.scatter)
 	sp.End(0, 0)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Assemble the per-source frame vector the shared verifier expects:
@@ -226,7 +210,7 @@ func (s *hierStrategy[T]) finish(p *pendingExchange[T]) ([][]T, error) {
 	for i := range hs.recv {
 		hs.recv[i] = nil
 	}
-	for _, stage := range [2][][]T{hs.recvGat, srecv} {
+	for _, stage := range [2][][]T{gat, srecv} {
 		for _, blob := range stage {
 			err := eachRecord(blob, func(src, dest int, frame []T) {
 				if dest == me {
@@ -234,9 +218,9 @@ func (s *hierStrategy[T]) finish(p *pendingExchange[T]) ([][]T, error) {
 				}
 			})
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 	}
-	return hs.recv, nil
+	return expect, hs.recv, nil
 }

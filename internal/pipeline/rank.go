@@ -27,15 +27,14 @@ type rankCtx struct {
 
 // roundState is one parity's pooled round scratch: the round's send rows
 // (views into the engine's parseSlots-rotated buffers), their fold onto a
-// shrunk communicator, and the posted exchange with what it delivered. Two
-// of these double-buffer the overlapped schedule; the serial schedule just
-// alternates between them. The round's bases are not among them: the
-// chunk source owns them (see chunkProducer).
+// shrunk communicator — which peers read until they have counted the
+// round, hence a pair (see "Buffer lifetimes" on runRounds) — and what the
+// exchange delivered. The round's bases are not among them: the chunk
+// source owns them (see chunkProducer).
 type roundState[T unit] struct {
 	send     [][]T
 	routed   [][]T
 	bytesOut uint64
-	pend     *pendingExchange[T]
 	recv     [][]T
 	items    uint64 // exchanged units received this round
 }
@@ -99,24 +98,16 @@ func runRank[T unit](rc rankCtx, cd codec[T], newEngine func(rankCtx) (engine[T]
 		return more, nil
 	}
 
-	// Post: announce counts (carrying the end-of-stream more flag) and
-	// ship the round's framed payloads with nonblocking collectives
-	// (errors surface at finish time).
-	post := func(r int, more bool) error {
+	// Exchange: ship the round's framed payloads behind the count
+	// announcement (carrying the end-of-stream more flag), verify and retry
+	// what arrives, and model the host staging legs. The received rows stay
+	// in the parity slot for count.
+	exchange := func(r int, more bool) (bool, error) {
 		st := &states[r%2]
-		st.pend = ex.post(r, route(seat, st.send, cd.header(), &st.routed), more)
-		return nil
-	}
-
-	// Finish: complete the exchange (verify, retry, settle) and model the
-	// host staging legs. The received rows stay in the parity slot for
-	// count.
-	finish := func(r int) (bool, error) {
-		st := &states[r%2]
-		pend := st.pend
-		st.pend = nil
-		recv, anyMore, err := ex.finish(pend)
+		sp := rec.Begin(rank, r, obs.PhaseExchange)
+		recv, anyMore, err := ex.exchange(r, route(seat, st.send, cd.header(), &st.routed), more)
 		if err != nil {
+			sp.End(0, 0)
 			return false, err
 		}
 		var bytesIn uint64
@@ -127,7 +118,7 @@ func runRank[T unit](rc rankCtx, cd codec[T], newEngine func(rankCtx) (engine[T]
 			stage = eng.stage(st.bytesOut) + eng.stage(bytesIn)
 			out.stage += stage
 		}
-		pend.sp.End(stage, st.items)
+		sp.End(stage, st.items)
 		return anyMore, nil
 	}
 
@@ -157,14 +148,14 @@ func runRank[T unit](rc rankCtx, cd codec[T], newEngine func(rankCtx) (engine[T]
 		return nil
 	}
 
-	hooks := roundHooks{start: start, parse: parse, post: post, finish: finish, count: count}
+	hooks := roundHooks{start: start, parse: parse, exchange: exchange, count: count}
 	if ck := rc.ck; ck != nil {
 		hooks.ckptAt = ck.at
 		hooks.ckpt = func(r int) error {
 			return ck.write(rc.c, seat, r, kcount.FromTable(serialTable(eng.counted()), cfg.K, ck.flags), out)
 		}
 	}
-	rounds, err := runRounds(cfg.Overlap, seat.base, hooks)
+	rounds, err := runRounds(seat.base, hooks)
 	if err != nil {
 		return err
 	}

@@ -50,8 +50,9 @@ type rankSeat struct {
 // concatenate each dead destination's row onto its successor's behind one
 // header's room (counting is order-invariant, so the fold preserves the
 // spectrum exactly; k-mer words and fixed-stride supermer images both
-// concatenate whole). buf is per-caller pooled scratch — the overlapped
-// schedule routes two rounds concurrently, so each parity owns its own.
+// concatenate whole). buf is per-caller pooled scratch: peers read the
+// routed rows until they have counted the round, so each round parity owns
+// its own (see "Buffer lifetimes" on runRounds).
 func route[T unit](s *rankSeat, send [][]T, h int, buf *[][]T) [][]T {
 	if len(s.slots) == s.nOrig {
 		return send // identity: no rank has died

@@ -47,48 +47,44 @@ func (s *splitSource) deal(slot, _ int) ([]byte, bool, error) {
 // uneven inputs — including a rank with no reads at all — must keep
 // participating in the collectives until the longest rank drains, a
 // final partial chunk below the cap must still be counted, and the
-// result must match the oracle. Exercised on both schedules, since the
-// overlapped loop takes a different path for drained ranks.
+// result must match the oracle.
 func TestUnevenTailDrain(t *testing.T) {
 	reads := testReads(t, 9_000, 4)
 	cfg := Default(smallGPULayout(1), KmerMode)
 	cfg.RoundBases = 2_500
 	p := cfg.Layout.Ranks()
-	for _, overlap := range []bool{false, true} {
-		cfg.Overlap = overlap
-		// Skewed hand-built split: rank 0 gets nearly everything, rank 1
-		// a single read, the rest nothing.
-		parts := make([][]fastq.Record, p)
-		parts[0], parts[1] = reads[:len(reads)-1], reads[len(reads)-1:]
-		rs, seats, err := newRunState(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := rs.world(nil, newSplitSource(cfg.RoundBases, parts...), seats, nil, nil); err != nil {
-			t.Fatalf("overlap=%v: %v", overlap, err)
-		}
-		res := rs.result()
-		// Every rank ran as many rounds as the heaviest one's chunks.
-		heaviest, want := newSplitSource(cfg.RoundBases, parts[0]), 0
-		for more := true; more; want++ {
-			_, more, _ = heaviest.deal(0, want)
-		}
-		if res.Rounds != want {
-			t.Fatalf("overlap=%v: rounds=%d, want %d", overlap, res.Rounds, want)
-		}
-		if res.Rounds < 3 {
-			t.Fatalf("overlap=%v: want a multi-round run, got %d", overlap, res.Rounds)
-		}
-		checkAgainstOracle(t, cfg, reads, res)
+	// Skewed hand-built split: rank 0 gets nearly everything, rank 1 a
+	// single read, the rest nothing.
+	parts := make([][]fastq.Record, p)
+	parts[0], parts[1] = reads[:len(reads)-1], reads[len(reads)-1:]
+	rs, seats, err := newRunState(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if _, err := rs.world(nil, newSplitSource(cfg.RoundBases, parts...), seats, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	res := rs.result()
+	// Every rank ran as many rounds as the heaviest one's chunks.
+	heaviest, want := newSplitSource(cfg.RoundBases, parts[0]), 0
+	for more := true; more; want++ {
+		_, more, _ = heaviest.deal(0, want)
+	}
+	if res.Rounds != want {
+		t.Fatalf("rounds=%d, want %d", res.Rounds, want)
+	}
+	if res.Rounds < 3 {
+		t.Fatalf("want a multi-round run, got %d", res.Rounds)
+	}
+	checkAgainstOracle(t, cfg, reads, res)
 }
 
 func TestMultiRoundMatchesSingleRound(t *testing.T) {
 	// §III-A: multi-round execution must not change results; only the
-	// per-round buffer sizes differ. Overlapped, a rank pulls round r+1's
-	// bases into its one base buffer while round r's rows are still in
-	// flight: a send row that aliased that buffer would be overwritten under
-	// a peer (and reported under -race).
+	// per-round buffer sizes differ. A rank parses round r+1 while a slow
+	// peer may still be counting round r: a send row that aliased the
+	// round's base buffer would be overwritten under that peer (and
+	// reported under -race).
 	reads := testReads(t, 15_000, 6)
 	cpu := cluster.SummitCPU(1)
 	cpu.RanksPerNode, cpu.Net.RanksPerNode = 6, 6
@@ -109,33 +105,31 @@ func TestMultiRoundMatchesSingleRound(t *testing.T) {
 		if resS.Rounds != 1 {
 			t.Fatalf("%s %s: single-round run reports %d rounds", tc.engine, tc.mode, resS.Rounds)
 		}
-		for _, overlap := range []bool{false, true} {
-			name := fmt.Sprintf("%s %s overlap=%v", tc.engine, tc.mode, overlap)
-			multi := single
-			multi.RoundBases, multi.Overlap = 5_000, overlap // forces several rounds per rank
-			resM, err := Run(multi, reads)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resM.Rounds < 2 {
-				t.Fatalf("%s: expected multiple rounds, got %d", name, resM.Rounds)
-			}
-			if resS.TotalKmers != resM.TotalKmers || resS.DistinctKmers != resM.DistinctKmers {
-				t.Fatalf("%s: rounds changed results: %d/%d vs %d/%d", name,
-					resS.TotalKmers, resS.DistinctKmers, resM.TotalKmers, resM.DistinctKmers)
-			}
-			if !reflect.DeepEqual(resM.Histogram.Counts, resS.Histogram.Counts) || !reflect.DeepEqual(resM.TopKmers, resS.TopKmers) {
-				t.Fatalf("%s: rounds changed the histogram or the top k-mers", name)
-			}
-			// Supermer boundaries are window-relative to each round's buffer,
-			// so the supermer count may shift by a handful of splits across
-			// rounds; the k-mer content (checked above) is what must match.
-			ratio := float64(resM.ItemsExchanged) / float64(resS.ItemsExchanged)
-			if ratio < 0.99 || ratio > 1.01 {
-				t.Fatalf("%s: exchanged items differ too much: %d vs %d", name, resS.ItemsExchanged, resM.ItemsExchanged)
-			}
-			checkAgainstOracle(t, multi, reads, resM)
+		name := fmt.Sprintf("%s %s", tc.engine, tc.mode)
+		multi := single
+		multi.RoundBases = 5_000 // forces several rounds per rank
+		resM, err := Run(multi, reads)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if resM.Rounds < 2 {
+			t.Fatalf("%s: expected multiple rounds, got %d", name, resM.Rounds)
+		}
+		if resS.TotalKmers != resM.TotalKmers || resS.DistinctKmers != resM.DistinctKmers {
+			t.Fatalf("%s: rounds changed results: %d/%d vs %d/%d", name,
+				resS.TotalKmers, resS.DistinctKmers, resM.TotalKmers, resM.DistinctKmers)
+		}
+		if !reflect.DeepEqual(resM.Histogram.Counts, resS.Histogram.Counts) || !reflect.DeepEqual(resM.TopKmers, resS.TopKmers) {
+			t.Fatalf("%s: rounds changed the histogram or the top k-mers", name)
+		}
+		// Supermer boundaries are window-relative to each round's buffer,
+		// so the supermer count may shift by a handful of splits across
+		// rounds; the k-mer content (checked above) is what must match.
+		ratio := float64(resM.ItemsExchanged) / float64(resS.ItemsExchanged)
+		if ratio < 0.99 || ratio > 1.01 {
+			t.Fatalf("%s: exchanged items differ too much: %d vs %d", name, resS.ItemsExchanged, resM.ItemsExchanged)
+		}
+		checkAgainstOracle(t, multi, reads, resM)
 	}
 }
 
