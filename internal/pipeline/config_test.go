@@ -22,6 +22,7 @@ type variant struct {
 	canonical  bool
 	balanced   bool
 	hier       bool
+	overlap    bool
 	multiRound bool
 	keep       bool
 	spill      bool
@@ -85,7 +86,7 @@ func (v variant) String() string {
 		name string
 	}{
 		{v.canonical, "canonical"}, {v.balanced, "balanced"}, {v.hier, "hier"},
-		{v.multiRound, "rounds"}, {v.keep, "keep"},
+		{v.overlap, "overlap"}, {v.multiRound, "rounds"}, {v.keep, "keep"},
 		{v.spill, "spill"}, {v.ckpt, "ckpt"}, {v.faults, "faults"},
 		{v.stray != "", v.stray},
 	} {
@@ -100,7 +101,7 @@ func (v variant) String() string {
 // and checkpoints go.
 func (v variant) config(reads []fastq.Record, dir string) Config {
 	cfg := Default(variantLayout(v.gpu), v.mode)
-	cfg.Canonical, cfg.BalancedPartition = v.canonical, v.balanced
+	cfg.Canonical, cfg.BalancedPartition, cfg.Overlap = v.canonical, v.balanced, v.overlap
 	cfg.KeepTables = v.keep
 	if v.hier {
 		cfg.Exchange = ExchangeHier
@@ -153,13 +154,13 @@ func (v variant) enter(cfg Config, reads []fastq.Record) (*Result, error) {
 // only where it applies.
 func allVariants(gpu bool, mode Mode) []variant {
 	var out []variant
-	for bits := 0; bits < 1<<8; bits++ {
+	for bits := 0; bits < 1<<9; bits++ {
 		on := func(i int) bool { return bits>>i&1 == 1 }
 		for _, entry := range []Entry{InMemory, Streaming, Resuming} {
 			v := variant{
 				gpu: gpu, mode: mode, canonical: on(0), balanced: on(1), hier: on(2),
-				multiRound: on(3), keep: on(4), spill: on(5), ckpt: on(6),
-				faults: on(7), entry: entry,
+				overlap: on(3), multiRound: on(4), keep: on(5), spill: on(6),
+				ckpt: on(7), faults: on(8), entry: entry,
 			}
 			for _, s := range strays {
 				if s.applies(v) {
@@ -174,8 +175,8 @@ func allVariants(gpu bool, mode Mode) []variant {
 
 // TestAllVariantsMatchOracle holds the combination table to its promise,
 // over every combination of engine, mode, canonical, balanced, exchange,
-// multi-round, kept tables, spill, checkpoint, seeded drop and corrupt
-// faults and entry point (Run, RunStream, ResumeStream after a
+// overlap, multi-round, kept tables, spill, checkpoint, seeded drop and
+// corrupt faults and entry point (Run, RunStream, ResumeStream after a
 // fatal kill), plus one stray setting at a time:
 //
 //   - (a) every combination Validate accepts runs through its entry point
@@ -309,6 +310,9 @@ func (o *variantOracle) check(t *testing.T, v variant, res *Result) {
 	t.Helper()
 	if res.Incomplete {
 		t.Fatal("run incomplete")
+	}
+	if res.Overlap != v.overlap {
+		t.Fatalf("Result.Overlap = %v, Config.Overlap %v", res.Overlap, v.overlap)
 	}
 	if res.TotalKmers != o.total || res.DistinctKmers != uint64(len(o.counts)) {
 		t.Fatalf("counted %d/%d k-mers, oracle %d/%d", res.TotalKmers, res.DistinctKmers, o.total, len(o.counts))

@@ -11,10 +11,10 @@ import (
 )
 
 // TestOverlapMatchesSerial checks that Config.Overlap selects a model and
-// nothing else: on multi-round runs with injected faults, for every engine,
-// mode and exchange strategy, the Result with Overlap set differs from the
-// one without only in Result.Overlap — and so in ModeledTotal — and both
-// match the serial oracle.
+// nothing else: on multi-round runs, clean and with injected faults, for
+// every engine, mode and exchange strategy, the Result with Overlap set
+// differs from the one without only in Result.Overlap — and so in
+// ModeledTotal — and both match the serial oracle.
 func TestOverlapMatchesSerial(t *testing.T) {
 	reads := testReads(t, 20_000, 8)
 	layouts := map[string]cluster.Layout{
@@ -26,55 +26,61 @@ func TestOverlapMatchesSerial(t *testing.T) {
 			return l
 		}(),
 	}
+	faults := map[string]fault.Config{
+		"clean": {},
+		"faulted": {
+			Seed: 11, Delay: 0.1, DelayFor: 200 * time.Microsecond,
+			Drop: 0.04, Corrupt: 0.04,
+		},
+	}
 	for engName, layout := range layouts {
 		for _, mode := range []Mode{KmerMode, SupermerMode} {
-			for _, exch := range []Exchange{ExchangeFlat, ExchangeHier} {
-				t.Run(engName+"/"+mode.String()+"/"+exch.String(), func(t *testing.T) {
-					cfg := Default(layout, mode)
-					cfg.RoundBases = 6000 // force a multi-round run
-					cfg.Fault = fault.Config{
-						Seed: 11, Delay: 0.1, DelayFor: 200 * time.Microsecond,
-						Drop: 0.04, Corrupt: 0.04,
-					}
-					cfg.Exchange = exch
-					if exch == ExchangeHier {
-						// 3 fabric nodes of 2 out of the 6 test ranks.
-						cfg.Layout.Net.RanksPerNode = 2
-					}
-					serial, err := Run(cfg, reads)
-					if err != nil {
-						t.Fatalf("serial run: %v", err)
-					}
-					cfg.Overlap = true
-					overlapped, err := Run(cfg, reads)
-					if err != nil {
-						t.Fatalf("overlapped run: %v", err)
-					}
-					if serial.Rounds < 2 {
-						t.Fatalf("want a multi-round run, got %d rounds", serial.Rounds)
-					}
-					if serial.TotalFaults().Retries == 0 {
-						t.Fatal("no round retried; pick a seed that faults")
-					}
-					if !overlapped.Overlap || serial.Overlap {
-						t.Fatal("Result.Overlap does not echo Config.Overlap")
-					}
-					checkAgainstOracle(t, cfg, reads, overlapped)
-
-					// Wall time is the host's, and the GPU count's modeled
-					// cost depends on the order its warps' atomics land in,
-					// which goroutine scheduling sets.
-					got, want := *overlapped, *serial
-					for _, r := range []*Result{&got, &want} {
-						r.Overlap, r.Wall = false, 0
-						if r.GPU {
-							r.Modeled.Count, r.CountCompute, r.GPUCount = 0, 0, gpusim.KernelStats{}
+			for fName, fc := range faults {
+				for _, exch := range []Exchange{ExchangeFlat, ExchangeHier} {
+					t.Run(engName+"/"+mode.String()+"/"+fName+"/"+exch.String(), func(t *testing.T) {
+						cfg := Default(layout, mode)
+						cfg.RoundBases = 6000 // force a multi-round run
+						cfg.Fault = fc
+						cfg.Exchange = exch
+						if exch == ExchangeHier {
+							// 3 fabric nodes of 2 out of the 6 test ranks.
+							cfg.Layout.Net.RanksPerNode = 2
 						}
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("Overlap changed more than the modeled total:\n serial %+v\nOverlap %+v", want, got)
-					}
-				})
+						serial, err := Run(cfg, reads)
+						if err != nil {
+							t.Fatalf("serial run: %v", err)
+						}
+						cfg.Overlap = true
+						overlapped, err := Run(cfg, reads)
+						if err != nil {
+							t.Fatalf("overlapped run: %v", err)
+						}
+						if serial.Rounds < 2 {
+							t.Fatalf("want a multi-round run, got %d rounds", serial.Rounds)
+						}
+						if fc.Seed != 0 && serial.TotalFaults().Retries == 0 {
+							t.Fatal("no round retried; pick a seed that faults")
+						}
+						if !overlapped.Overlap || serial.Overlap {
+							t.Fatal("Result.Overlap does not echo Config.Overlap")
+						}
+						checkAgainstOracle(t, cfg, reads, overlapped)
+
+						// Wall time is the host's, and the GPU count's modeled
+						// cost depends on the order its warps' atomics land in,
+						// which goroutine scheduling sets.
+						got, want := *overlapped, *serial
+						for _, r := range []*Result{&got, &want} {
+							r.Overlap, r.Wall = false, 0
+							if r.GPU {
+								r.Modeled.Count, r.CountCompute, r.GPUCount = 0, 0, gpusim.KernelStats{}
+							}
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("Overlap changed more than the modeled total:\n serial %+v\nOverlap %+v", want, got)
+						}
+					})
+				}
 			}
 		}
 	}
