@@ -81,7 +81,10 @@ func (c Config) Validate() error {
 // Counts tallies one rank's faults: what the injector did to it and what
 // the recovery layer observed. All fields are cumulative over a run.
 type Counts struct {
-	// Injected events (sender side).
+	// Injected events. Kills and stalls strike the rank itself; drops and
+	// corruptions strike a frame the rank sent, rolled on arrival and
+	// tallied only while its receiver still awaits it, so over a run
+	// Dropped + Corrupted equals the BadFrames its receivers observed.
 	Killed, Delayed, Dropped, Corrupted uint64
 	// Observed events (receiver / recovery side): frames that failed
 	// verification and rounds retried.

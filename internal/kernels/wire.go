@@ -154,8 +154,8 @@ func SealFrameBytes(frame []byte, items int) {
 
 // AppendFrameBytes appends the checksummed frame of payload to dst and
 // returns the extended slice: a copy of the payload behind header room,
-// sealed. It is for a frame that must not share memory with the payload —
-// the exchange path's retries frame private copies this way.
+// sealed. It is for a frame that must not share memory with the payload,
+// such as a test fixture or the framing benchmark probe.
 func AppendFrameBytes(dst []byte, payload []byte, items int) []byte {
 	off := len(dst)
 	var room [ByteFrameHeader]byte

@@ -63,9 +63,9 @@ type Span struct {
 	// Modeled is the Summit-projected time of the phase slice (0 when the
 	// phase has no model component).
 	Modeled time.Duration
-	// Items is the number of items the phase handled (parsed, exchanged or
-	// counted units) — the per-round load the report's imbalance trajectory
-	// is computed over.
+	// Items is the number of items the phase handled (parsed or exchanged
+	// units, counted k-mers) — count spans are the per-round load the
+	// report's imbalance trajectory is computed over.
 	Items uint64
 }
 
@@ -77,9 +77,10 @@ type Instant struct {
 	At          time.Duration // offset from the recorder epoch
 }
 
-// rankShard is one rank's private span/instant buffer. Rank goroutines only
-// touch their own shard, so the mutex is uncontended in steady state; it
-// exists so exporters can read concurrently with a live run.
+// rankShard is one rank's span/instant buffer. A rank goroutine writes its
+// own shard, and a receiver also records the drop and corrupt instants of
+// the frames it was sent on the sender's shard; the mutex serializes those
+// writers and lets exporters read concurrently with a live run.
 type rankShard struct {
 	mu       sync.Mutex
 	spans    []Span

@@ -12,12 +12,12 @@ import (
 // RoundReport summarizes one parse-exchange-count round across ranks.
 type RoundReport struct {
 	Round int
-	// Imbalance is max/avg over per-rank counted items this round — the
-	// paper's Table III metric (stats.Imbalance) resolved per round, which
-	// is where minimizer-induced skew actually shows up.
+	// Imbalance is max/avg over the per-rank k-mers counted this round —
+	// the paper's Table III metric (stats.Imbalance) resolved per round,
+	// which is where minimizer-induced skew actually shows up.
 	Imbalance float64
-	// Items is the total counted-item load of the round; MaxItems the
-	// heaviest rank's share.
+	// Items is the total of k-mers the round's count spans carry; MaxItems
+	// the heaviest rank's share.
 	Items, MaxItems uint64
 	// SlowestRank spent the most wall time in the round's spans;
 	// SlowestWall is that time.
@@ -26,10 +26,6 @@ type RoundReport struct {
 	// Retries and Faults tally the round's retry_round instants and
 	// injected-fault instants (kill/delay/drop/corrupt).
 	Retries, Faults uint64
-	// ModeledCompute is the slowest rank's modeled compute time this round
-	// (stage_h2d + parse + count); ModeledExchange the slowest rank's
-	// modeled exchange time. These feed the overlap estimate below.
-	ModeledCompute, ModeledExchange time.Duration
 }
 
 // Report is the human-readable digest of one recorded run.
@@ -45,12 +41,6 @@ type Report struct {
 	// SlowestRank spent the most wall time across the whole run.
 	SlowestRank int
 	SlowestWall time.Duration
-	// ModeledSerial is the modeled round-pipeline time when every round runs
-	// compute then exchange back to back; ModeledOverlapped prices the same
-	// rounds as an overlapped pipeline, where round r's exchange hides
-	// behind round r+1's compute:
-	// compute(0) + Σ max(exchange(r), compute(r+1)) + exchange(last).
-	ModeledSerial, ModeledOverlapped time.Duration
 }
 
 // BuildReport folds the recorded spans and instants into a Report. A nil
@@ -85,18 +75,14 @@ func (r *Recorder) BuildReport() *Report {
 	}
 
 	type roundAcc struct {
-		items    []uint64 // per rank: counted items
+		items    []uint64 // per rank: counted k-mers
 		rankWall []uint64 // per rank: wall ns over all phases
-		compute  []uint64 // per rank: modeled ns in stage_h2d+parse+count
-		exch     []uint64 // per rank: modeled ns in exchange
 	}
 	accs := make([]roundAcc, maxRound+1)
 	for i := range accs {
 		accs[i] = roundAcc{
 			items:    make([]uint64, rep.Ranks),
 			rankWall: make([]uint64, rep.Ranks),
-			compute:  make([]uint64, rep.Ranks),
-			exch:     make([]uint64, rep.Ranks),
 		}
 	}
 	runWall := make([]uint64, rep.Ranks)
@@ -110,14 +96,8 @@ func (r *Recorder) BuildReport() *Report {
 		a := &accs[s.Round]
 		a.rankWall[s.Rank] += uint64(s.Dur)
 		runWall[s.Rank] += uint64(s.Dur)
-		switch s.Phase {
-		case PhaseCount:
+		if s.Phase == PhaseCount {
 			a.items[s.Rank] += s.Items
-			a.compute[s.Rank] += uint64(s.Modeled)
-		case PhaseStageH2D, PhaseParse:
-			a.compute[s.Rank] += uint64(s.Modeled)
-		case PhaseExchange:
-			a.exch[s.Rank] += uint64(s.Modeled)
 		}
 	}
 	for _, i := range instants {
@@ -141,30 +121,7 @@ func (r *Recorder) BuildReport() *Report {
 		if rr.SlowestRank >= 0 {
 			rr.SlowestWall = time.Duration(a.rankWall[rr.SlowestRank])
 		}
-		for rk := range a.compute {
-			if d := time.Duration(a.compute[rk]); d > rr.ModeledCompute {
-				rr.ModeledCompute = d
-			}
-			if d := time.Duration(a.exch[rk]); d > rr.ModeledExchange {
-				rr.ModeledExchange = d
-			}
-		}
 		rep.Rounds[rd] = rr
-	}
-	for rd, rr := range rep.Rounds {
-		rep.ModeledSerial += rr.ModeledCompute + rr.ModeledExchange
-		if rd == 0 {
-			rep.ModeledOverlapped += rr.ModeledCompute
-		}
-		if rd+1 < len(rep.Rounds) {
-			hidden := rep.Rounds[rd+1].ModeledCompute
-			if rr.ModeledExchange > hidden {
-				hidden = rr.ModeledExchange
-			}
-			rep.ModeledOverlapped += hidden
-		} else {
-			rep.ModeledOverlapped += rr.ModeledExchange
-		}
 	}
 	for _, i := range instants {
 		if i.Round < 0 || i.Round > maxRound {
@@ -195,7 +152,7 @@ func (rep *Report) WriteText(w io.Writer) error {
 	}
 	fmt.Fprintf(w, "observability report: %d ranks, %d rounds\n\n", rep.Ranks, len(rep.Rounds))
 
-	t := stats.NewTable("round", "counted items", "imbalance", "slowest rank", "rank wall", "retries", "faults")
+	t := stats.NewTable("round", "counted k-mers", "imbalance", "slowest rank", "rank wall", "retries", "faults")
 	for _, rr := range rep.Rounds {
 		t.Row(rr.Round, stats.Count(rr.Items), rr.Imbalance,
 			rr.SlowestRank, rr.SlowestWall, rr.Retries, rr.Faults)
@@ -213,13 +170,7 @@ func (rep *Report) WriteText(w io.Writer) error {
 		pt.Row(p, rep.PhaseWall[p], rep.PhaseModeled[p])
 	}
 	fmt.Fprint(w, pt)
-
-	if rep.ModeledSerial > 0 {
-		saved := rep.ModeledSerial - rep.ModeledOverlapped
-		fmt.Fprintf(w, "\nmodeled round pipeline: serial %s, overlapped %s (%.1f%% hidden by overlap)\n",
-			stats.Seconds(rep.ModeledSerial), stats.Seconds(rep.ModeledOverlapped),
-			100*float64(saved)/float64(rep.ModeledSerial))
-	}
+	fmt.Fprintln(w, "(exchange rows count host staging only: the collectives are priced after the run)")
 
 	if len(rep.Events) > 0 {
 		fmt.Fprintf(w, "\nevents:\n")

@@ -351,4 +351,9 @@ func (o *variantOracle) check(t *testing.T, v variant, res *Result) {
 	if res.ItemsExchanged == 0 || res.PayloadBytes == 0 {
 		t.Fatal("exchange accounting missing")
 	}
+	// Faults strike frames on arrival, and only frames still awaited, so
+	// each injected drop or corruption is exactly one bad frame.
+	if tf := res.TotalFaults(); tf.Dropped+tf.Corrupted != tf.BadFrames {
+		t.Fatalf("%d dropped + %d corrupted frames, but %d bad frames observed", tf.Dropped, tf.Corrupted, tf.BadFrames)
+	}
 }

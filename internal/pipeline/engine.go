@@ -71,7 +71,7 @@ func serialTable(t countedTable) *kcount.Table {
 // law of the item count, not linear. GPU engines convert each kernel launch
 // as it happens and carry the sum.
 type work struct {
-	meter    kernels.WorkMeter  // CPU engines
+	meter    kernels.WorkMeter  // CPU engines; the GPU count notes only its k-mers in Items
 	stats    gpusim.KernelStats // GPU engines
 	kernel   time.Duration      // GPU engines: per-launch kernel times, summed
 	launches int                // GPU engines: count-kernel launches
@@ -361,7 +361,9 @@ func (e *gpuEngine[T]) count(recv [][]T) (w work, err error) {
 	if err != nil {
 		return w, err
 	}
-	if n := in.Kmers(); n <= e.table.Room() || n <= minLaunch {
+	n := in.Kmers()
+	w.meter.AddItems(n)
+	if n <= e.table.Room() || n <= minLaunch {
 		e.reserve(&w, max(n, e.table.Ceiling()), n)
 		return w, e.pass(&w, in, allKeys)
 	}

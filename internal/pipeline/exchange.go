@@ -16,26 +16,27 @@ import (
 // byte or word frame); the receiver verifies each frame and cross-checks
 // its item count against the Alltoall announcement. When
 // any rank receives a bad or missing frame, the world agrees (via
-// AllreduceSum) to retry the round from the retained send buffers, up to
+// AllreduceSum) to retry the round from the retained send rows, up to
 // maxRetries times. Payloads that already verified are kept across
-// attempts — a retry only needs the previously-bad sources to clear — and
-// the fault injector re-rolls per attempt, so transient faults do. A round
-// still damaged after its last retry fails the run on every rank with
-// ErrExchangeLost: a run returns the exact spectrum or an error.
+// attempts — a retry only needs the previously-bad sources to clear. A
+// round still damaged after its last retry fails the run on every rank
+// with ErrExchangeLost: a run returns the exact spectrum or an error.
+//
+// Faults strike where a lossy fabric would: on arrival (arrive). The
+// injector rolls each awaited frame's drop and corruption per attempt, so
+// transient faults clear under retry, and a row itself is never touched —
+// Corrupt flips its bit in a copy.
 //
 // The exchanger owns no payload memory: a send row arrives from the parse
-// phase with the frame header's room ahead of it (codec.header), attempt 0
-// seals the header into that room and ships the row where it lies, and
-// peers read it zero-copy until their count of the round ends — which is
-// why the parse phase rotates its rows over parseSlots buffers (rounds.go
-// has the lifetime argument). Retry attempts frame private copies instead:
-// receivers may retain verified views of earlier attempts, and a corrupted
-// or dropped attempt must leave the send row clean, so a live round's rows
-// are sealed once and never rewritten. What the exchanger does pool is the
-// round's bookkeeping: the counts vector, the frame and part vectors, the
+// phase with the frame header's room ahead of it (codec.header), exchange
+// seals the header into that room once, and every attempt ships the row
+// where it lies; peers read it zero-copy until their count of the round
+// ends — which is why the parse phase rotates its rows over parseSlots
+// buffers (rounds.go has the lifetime argument). What the exchanger does
+// pool is the round's bookkeeping: the counts and part vectors and the
 // verification flags. One set serves every round: peers read the counts
-// and frame vectors only inside the collectives, and the rank body is done
-// with the part vector at count(r), before exchange(r+1) reuses it.
+// only inside the announcement, and the rank body is done with the part
+// vector at count(r), before exchange(r+1) reuses it.
 //
 // The exchanger is written once over the payload unit T (words in k-mer
 // mode, bytes in supermer mode); what a row of units means — its item
@@ -45,20 +46,22 @@ import (
 // HOW attempt-0 frames travel is pluggable (exchangeStrategy): the flat
 // strategy ships the P×P Alltoallv directly; the hierarchical strategy
 // routes off-node frames through node leaders over the NVLink tier. The
-// verification, retry and settle machinery is shared — strategies only
-// move the announcement and opaque frames — which is what keeps every
+// announcement, fault, verification, retry and settle machinery is shared
+// — strategies only move sealed frames — which is what keeps every
 // strategy bit-identical under the fault × restart matrix.
 //
-// When a recorder is configured, injected drops/corruptions surface as
-// instant events and each retry attempt gets its own span nested inside the
+// When a recorder is configured, faults surface as instant events on the
+// sender's rank and each retry attempt gets its own span nested inside the
 // rank body's exchange span.
 type exchanger[T unit] struct {
 	c *mpisim.Comm
 	// rank is the seat's original rank id — the coordinate for fault
 	// rolls and observability. It differs from c.Rank() once a rank has
 	// died: the fault schedule and the report's rank axis stay keyed to
-	// the original world.
+	// the original world. slots maps each comm rank to its original id,
+	// the sender coordinate of an arriving frame's rolls.
 	rank  int
+	slots []int
 	inj   *fault.Injector
 	rec   *obs.Recorder
 	cd    codec[T]
@@ -71,28 +74,25 @@ type exchanger[T unit] struct {
 	roundMsgs int
 	// The pooled round bookkeeping (see above).
 	counts []int
-	framed [][]T
 	parts  [][]T
 	ok     []bool
 }
 
 // exchangeStrategy is the pluggable attempt-0 shipping layer of the
-// exchange. ship exchanges the round's count announcement (the Alltoall)
-// and its attempt-0 frames, returning the announcement received and the
-// frames indexed by (current-communicator) source rank, nil marking a
-// frame lost in flight — the shared verifier treats every returned frame
-// exactly as a flat Alltoallv row, and retries always use the flat path
-// (the rare path optimizes for simplicity, and its frames are freshly
-// framed from the retained send buffers either way).
+// exchange. ship moves the round's sealed frames and returns the frames
+// received, indexed by (current-communicator) source rank — the shared
+// verifier treats every returned frame exactly as a flat Alltoallv row.
+// Retries always use the flat path: the rare path optimizes for
+// simplicity.
 type exchangeStrategy[T unit] interface {
-	ship(round int, counts []int, framed [][]T) (expect []int, recv [][]T, err error)
+	ship(round int, frames [][]T) (recv [][]T, err error)
 }
 
 // newExchanger builds the configured strategy's exchanger for one rank
 // body, so the hierarchical topology always reflects the current world
 // size, also in a world restarted on the survivors of a rank death.
-func newExchanger[T unit](cfg *Config, c *mpisim.Comm, rank int, inj *fault.Injector, cd codec[T]) *exchanger[T] {
-	e := &exchanger[T]{c: c, rank: rank, inj: inj, rec: cfg.Obs, cd: cd}
+func newExchanger[T unit](cfg *Config, c *mpisim.Comm, seat *rankSeat, inj *fault.Injector, cd codec[T]) *exchanger[T] {
+	e := &exchanger[T]{c: c, rank: seat.old, slots: seat.slots, inj: inj, rec: cfg.Obs, cd: cd}
 	switch cfg.Exchange {
 	case ExchangeHier:
 		topo := cfg.Layout.Net.Topology()
@@ -114,13 +114,8 @@ func newExchanger[T unit](cfg *Config, c *mpisim.Comm, rank int, inj *fault.Inje
 // paper's baseline exchange (Alg. 1 line 8).
 type flatStrategy[T unit] struct{ c *mpisim.Comm }
 
-func (s flatStrategy[T]) ship(_ int, counts []int, framed [][]T) ([]int, [][]T, error) {
-	expect, err := s.c.Alltoall(counts)
-	if err != nil {
-		return nil, nil, err
-	}
-	recv, err := mpisim.Alltoallv(s.c, framed)
-	return expect, recv, err
+func (s flatStrategy[T]) ship(_ int, frames [][]T) ([][]T, error) {
+	return mpisim.Alltoallv(s.c, frames)
 }
 
 // grow resizes a pooled slice to n elements, reallocating only when the
@@ -156,17 +151,17 @@ func stripMore(expect []int) (anyMore bool) {
 }
 
 // exchange runs one round's exchange: the send rows are sealed into their
-// attempt-0 frames and shipped by the strategy together with the count
-// announcement; every arriving frame is verified (checksum, announced item
-// count and — for supermers — image structure; see codec.unframe), bad
-// rounds are retried from the send rows, and settle agrees on the outcome.
-// Each send[d] is destination d's row behind codec.header units of room;
-// it must stay unmutated until every peer has counted the round. more
-// announces that this rank's input continues past this round (see
-// moreFlag). It returns the per-source verified payloads plus the
-// announcement's end-of-stream agreement: anyMore is true while any rank's
-// input continues. A failure — ErrExchangeLost once the retries are spent
-// — fails the rank.
+// frames, the count announcement goes out, and the strategy ships the
+// frames; every frame a receiver still awaits meets the fabric's faults
+// (arrive) and is verified (checksum, announced item count and — for
+// supermers — image structure; see codec.unframe), bad rounds re-ship the
+// sealed rows, and settle agrees on the outcome. Each send[d] is
+// destination d's row behind codec.header units of room; it must stay
+// unmutated until every peer has counted the round. more announces that
+// this rank's input continues past this round (see moreFlag). It returns
+// the per-source verified payloads plus the announcement's end-of-stream
+// agreement: anyMore is true while any rank's input continues. A failure —
+// ErrExchangeLost once the retries are spent — fails the rank.
 func (e *exchanger[T]) exchange(round int, send [][]T, more bool) ([][]T, bool, error) {
 	h := e.cd.header()
 	e.counts = grow(e.counts, len(send))
@@ -175,15 +170,15 @@ func (e *exchanger[T]) exchange(round int, send [][]T, more bool) ([][]T, bool, 
 		if more {
 			e.counts[d] |= moreFlag
 		}
+		e.cd.seal(frame)
 	}
-	framed := e.frames(round, 0, send)
 	// Rank 0 of the current communicator credits the whole round's fabric
 	// message tally, so the counter reads as messages-per-run, not
 	// per-rank shares.
 	if e.msgs != nil && e.c.Rank() == 0 {
 		e.msgs.Add(uint64(e.roundMsgs))
 	}
-	expect, recv, err := e.strat.ship(round, e.counts, framed)
+	expect, err := e.c.Alltoall(e.counts)
 	if err != nil {
 		return nil, false, err
 	}
@@ -197,20 +192,26 @@ func (e *exchanger[T]) exchange(round int, send [][]T, more bool) ([][]T, bool, 
 	for attempt := 0; ; attempt++ {
 		// Attempt 0 lives inside the enclosing exchange span; each retry
 		// gets its own (End on the zero handle is a no-op).
-		var sp obs.SpanHandle
-		if attempt > 0 {
+		var (
+			sp   obs.SpanHandle
+			recv [][]T
+		)
+		if attempt == 0 {
+			recv, err = e.strat.ship(round, send)
+		} else {
 			sp = e.rec.Begin(e.rank, round, obs.PhaseRetry)
-			if recv, err = mpisim.Alltoallv(e.c, e.frames(round, attempt, send)); err != nil {
-				sp.End(0, 0)
-				return nil, false, err
-			}
+			recv, err = mpisim.Alltoallv(e.c, send)
+		}
+		if err != nil {
+			sp.End(0, 0)
+			return nil, false, err
 		}
 		var bad uint64
 		for i, f := range recv {
 			if ok[i] {
 				continue // verified on an earlier attempt
 			}
-			if parts[i], ok[i] = e.cd.unframe(f, expect[i]); !ok[i] {
+			if parts[i], ok[i] = e.cd.unframe(e.arrive(round, attempt, i, f), expect[i]); !ok[i] {
 				bad++
 			}
 		}
@@ -225,33 +226,22 @@ func (e *exchanger[T]) exchange(round int, send [][]T, more bool) ([][]T, bool, 
 	}
 }
 
-// frames builds one attempt's per-destination frames from the retained
-// send set, applying the injector's drop and corrupt rolls for that
-// attempt. Attempt 0 seals every send row in place — the row is the frame;
-// a retry frames a private copy of the row (see the exchanger comment). A
-// dropped destination gets nil; Corrupt copies on hit, so the send row
-// itself stays clean.
-func (e *exchanger[T]) frames(round, attempt int, send [][]T) [][]T {
-	rank, h := e.rank, e.cd.header()
-	e.framed = grow(e.framed, len(send))
-	for d, frame := range send {
-		if e.inj.Drop(rank, round, attempt, d) {
-			e.framed[d] = nil
-			e.rec.Instant(rank, round, obs.EvDrop)
-			continue
-		}
-		if attempt == 0 {
-			e.cd.seal(frame)
-		} else {
-			frame = e.cd.appendFrame(make([]T, 0, len(frame)), frame[h:])
-		}
-		var hit bool
-		e.framed[d], hit = fault.Corrupt(e.inj, rank, round, attempt, d, frame)
-		if hit {
-			e.rec.Instant(rank, round, obs.EvCorrupt)
-		}
+// arrive applies the injector's drop and corrupt rolls to the frame comm
+// rank src shipped this rank on this attempt, keyed on the sender's
+// original rank, the round, the attempt and this rank's comm rank. A
+// dropped frame arrives as nil; Corrupt copies on a hit, so the sender's
+// row stays clean. Tallies and instants go to the sender's rank.
+func (e *exchanger[T]) arrive(round, attempt, src int, frame []T) []T {
+	from, me := e.slots[src], e.c.Rank()
+	if e.inj.Drop(from, round, attempt, me) {
+		e.rec.Instant(from, round, obs.EvDrop)
+		return nil
 	}
-	return e.framed
+	frame, hit := fault.Corrupt(e.inj, from, round, attempt, me, frame)
+	if hit {
+		e.rec.Instant(from, round, obs.EvCorrupt)
+	}
+	return frame
 }
 
 // maxRetries is how many times a round whose exchange arrived corrupted or

@@ -25,8 +25,8 @@ import (
 // intra-node copies. Frames are opaque to the routing: each travels inside
 // a record [header, frame...] whose header packs (src, dest, length), so
 // the receiving rank reassembles exactly the per-source frame vector the
-// flat path would have delivered — dropped frames simply have no record —
-// and the exchanger's shared CRC/verify/retry machinery runs unchanged.
+// flat path would have delivered, and the exchanger's shared
+// fault/verify/retry machinery runs unchanged.
 //
 // The strategy keeps its own parity-indexed slot pair, reused under the
 // two-slot rule of rounds.go: peers read this rank's gather and scatter
@@ -118,22 +118,17 @@ func eachRecord[T unit](blob []T, fn func(src, dest int, frame []T)) error {
 	return nil
 }
 
-func (s *hierStrategy[T]) ship(round int, counts []int, framed [][]T) ([]int, [][]T, error) {
+func (s *hierStrategy[T]) ship(round int, frames [][]T) ([][]T, error) {
 	e, c := s.e, s.e.c
 	me, n := c.Rank(), c.Size()
 	hs := &s.slots[round%2]
 
 	// Stage 1: route each destination's frame over the node tier — direct
-	// to same-node destinations, onto this rank's leader otherwise. A
-	// dropped frame (nil) has no record: its destination assembles a nil
-	// entry and the shared verifier sees exactly a dropped flat payload.
+	// to same-node destinations, onto this rank's leader otherwise.
 	hs.gather = growRows(hs.gather, n)
 	leader := s.topo.LeaderOf(me)
 	var packed uint64
-	for d, f := range framed {
-		if f == nil {
-			continue
-		}
+	for d, f := range frames {
 		row := d
 		if !s.topo.SameNode(me, d) {
 			row = leader
@@ -145,7 +140,7 @@ func (s *hierStrategy[T]) ship(round int, counts []int, framed [][]T) ([]int, []
 	gat, err := mpisim.NodeAlltoallv(c, s.topo, hs.gather)
 	sp.End(0, packed)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// Leaders re-bucket the forwarded records by destination node; records
@@ -161,22 +156,17 @@ func (s *hierStrategy[T]) ship(round int, counts []int, framed [][]T) ([]int, []
 				hs.leader[lr] = appendRecord(hs.leader[lr], src, dest, frame)
 			})
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 	}
 
-	// Stage 2: the announcement, then the L×L leader exchange (non-leader
-	// rows are all empty).
-	expect, err := c.Alltoall(counts)
-	if err != nil {
-		return nil, nil, err
-	}
+	// Stage 2: the L×L leader exchange (non-leader rows are all empty).
 	sp = e.rec.Begin(e.rank, round, obs.PhaseLeader)
 	lrecv, err := mpisim.Alltoallv(c, hs.leader)
 	sp.End(0, 0)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// Stage 3: leaders sort fabric arrivals into per-member rows (their
@@ -189,7 +179,7 @@ func (s *hierStrategy[T]) ship(round int, counts []int, framed [][]T) ([]int, []
 				hs.scatter[dest] = appendRecord(hs.scatter[dest], src, dest, frame)
 			})
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 	}
@@ -197,15 +187,15 @@ func (s *hierStrategy[T]) ship(round int, counts []int, framed [][]T) ([]int, []
 	srecv, err := mpisim.NodeAlltoallv(c, s.topo, hs.scatter)
 	sp.End(0, 0)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// Assemble the per-source frame vector the shared verifier expects:
 	// direct same-node frames from the gather stage (a leader also holds
 	// forwarded records there — skipped by the dest filter), off-node
-	// frames from the scatter. The vector distinguishes nil (dropped in
-	// flight: no record) from empty (a legitimate zero-item frame),
-	// matching the flat Alltoallv's semantics.
+	// frames from the scatter. Every source ships a record; the nil reset
+	// keeps a lost record from leaving a stale frame of an earlier round
+	// in its place, which the verifier then rejects as a missing frame.
 	hs.recv = grow(hs.recv, n)
 	for i := range hs.recv {
 		hs.recv[i] = nil
@@ -218,9 +208,9 @@ func (s *hierStrategy[T]) ship(round int, counts []int, framed [][]T) ([]int, []
 				}
 			})
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 	}
-	return expect, hs.recv, nil
+	return hs.recv, nil
 }

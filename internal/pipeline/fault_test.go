@@ -3,6 +3,7 @@ package pipeline
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -227,5 +228,44 @@ func TestFaultScheduleDeterministic(t *testing.T) {
 			t.Fatalf("rank %d fault tally differs across identical runs: %+v vs %+v",
 				r, a.Faults[r], b.Faults[r])
 		}
+	}
+}
+
+// TestFaultRetriesDoNotCopyRounds is an allocation budget: a retry re-ships
+// the round's sealed send rows as they lie, and a fault strikes a frame on
+// arrival, copying only the one frame it corrupts. So a faulted multi-round
+// run may allocate at most a tenth more than its fault-free twin. When
+// every retry framed a private copy of every row it allocated 1.32 times
+// as much.
+func TestFaultRetriesDoNotCopyRounds(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("alloc counts are inflated by the race detector")
+	}
+	reads := testReads(t, 60_000, 8)
+	base := Default(smallGPULayout(1), KmerMode)
+	base.RoundBases = 20_000
+	allocated := func(cfg Config) (uint64, *Result) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Run(cfg, reads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, res
+	}
+	faulted := base
+	faulted.Fault = fault.Config{Seed: 1, Drop: 0.05, Corrupt: 0.05}
+	allocated(faulted) // warm the pools runs share
+	clean, cres := allocated(base)
+	got, res := allocated(faulted)
+	if tf := res.TotalFaults(); tf.Retries == 0 || res.Rounds < 2 {
+		t.Fatalf("%d rounds, %d retries: the budget measured no retried round", res.Rounds, tf.Retries)
+	}
+	sameCounts(t, cres, res)
+	ratio := float64(got) / float64(clean)
+	t.Logf("faulted run %d B (%d retries), fault-free twin %d B (%.2fx)", got, res.TotalFaults().Retries, clean, ratio)
+	if ratio > 1.10 {
+		t.Fatalf("faulted run allocated %.2fx its fault-free twin, budget 1.10x", ratio)
 	}
 }

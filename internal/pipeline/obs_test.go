@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"dedukt/internal/cluster"
 	"dedukt/internal/fault"
 	"dedukt/internal/obs"
 )
@@ -153,4 +154,31 @@ func TestTracedRunMetrics(t *testing.T) {
 		}
 	}
 	_ = res
+}
+
+// TestReportImbalanceIsTableIII: count spans carry the k-mers a rank
+// inserted, not the units it received, so on a one-round supermer run the
+// report's round is the whole spectrum and its imbalance is the run's load
+// imbalance — the paper's Table III metric — on either engine.
+func TestReportImbalanceIsTableIII(t *testing.T) {
+	reads := testReads(t, 10_000, 4)
+	for name, layout := range map[string]cluster.Layout{"cpu": smallCPULayout(), "gpu": smallGPULayout(1)} {
+		t.Run(name, func(t *testing.T) {
+			cfg := Default(layout, SupermerMode)
+			rec := obs.NewRecorder(cfg.Layout.Ranks())
+			cfg.Obs = rec
+			res, err := Run(cfg, reads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := rec.BuildReport()
+			if res.Rounds != 1 || len(rep.Rounds) != 1 {
+				t.Fatalf("%d rounds run, %d reported, want one", res.Rounds, len(rep.Rounds))
+			}
+			if r0 := rep.Rounds[0]; r0.Items != res.TotalKmers || r0.Imbalance != res.LoadImbalance() {
+				t.Fatalf("report round: %d k-mers, imbalance %v; run: %d k-mers, load imbalance %v",
+					r0.Items, r0.Imbalance, res.TotalKmers, res.LoadImbalance())
+			}
+		})
+	}
 }

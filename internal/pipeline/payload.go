@@ -30,10 +30,9 @@ type codec[T unit] interface {
 	// row and its wire frame are the same memory.
 	header() int
 	// seal writes the checksummed header of the row frame[header():] into
-	// the room ahead of it, in place.
+	// the room ahead of it, in place. A row is sealed once a round, and
+	// every attempt ships it as sealed.
 	seal(frame []T)
-	// appendFrame appends a private copy of row's checksummed frame to dst.
-	appendFrame(dst, row []T) []T
 	// unframe verifies a received frame against the announced item count
 	// and returns its payload (a view, not a copy); ok is false for a
 	// missing, corrupt or miscounted frame.
@@ -57,10 +56,6 @@ type kmerCodec struct{}
 func (kmerCodec) items(row []uint64) int { return len(row) }
 func (kmerCodec) header() int            { return kernels.WordFrameHeader }
 func (kmerCodec) seal(frame []uint64)    { kernels.SealFrameWords(frame) }
-
-func (kmerCodec) appendFrame(dst, row []uint64) []uint64 {
-	return kernels.AppendFrameWords(dst, row)
-}
 
 func (kmerCodec) unframe(frame []uint64, want int) ([]uint64, bool) {
 	row, err := kernels.UnframeWords(frame)
@@ -106,10 +101,6 @@ func (c supermerCodec) header() int          { return kernels.ByteFrameHeader }
 
 func (c supermerCodec) seal(frame []byte) {
 	kernels.SealFrameBytes(frame, c.items(frame[kernels.ByteFrameHeader:]))
-}
-
-func (c supermerCodec) appendFrame(dst, row []byte) []byte {
-	return kernels.AppendFrameBytes(dst, row, c.items(row))
 }
 
 // unframe goes beyond the frame checksum: each accepted payload's images

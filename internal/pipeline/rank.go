@@ -36,7 +36,6 @@ type roundState[T unit] struct {
 	routed   [][]T
 	bytesOut uint64
 	recv     [][]T
-	items    uint64 // exchanged units received this round
 }
 
 // runRank is the one rank body: the three-phase round of Alg. 1 and Alg. 2
@@ -55,7 +54,7 @@ func runRank[T unit](rc rankCtx, cd codec[T], newEngine func(rankCtx) (engine[T]
 	// pinned host staging area; under GPUDirect (and on the CPU) the legs
 	// vanish entirely — no stage_h2d span, no modeled staging time.
 	staged := cfg.Layout.GPU != nil && !cfg.GPUDirect
-	ex := newExchanger(&cfg, rc.c, rank, rc.inj, cd)
+	ex := newExchanger(&cfg, rc.c, seat, rc.inj, cd)
 	var states [2]roundState[T]
 
 	// Round-start faults fire once per executed round, before its parse.
@@ -110,22 +109,21 @@ func runRank[T unit](rc rankCtx, cd codec[T], newEngine func(rankCtx) (engine[T]
 			sp.End(0, 0)
 			return false, err
 		}
-		var bytesIn uint64
 		st.recv = recv
-		st.items, bytesIn = tally(cd, recv, 0)
+		items, bytesIn := tally(cd, recv, 0)
 		var stage time.Duration
 		if staged {
 			stage = eng.stage(st.bytesOut) + eng.stage(bytesIn)
 			out.stage += stage
 		}
-		sp.End(stage, st.items)
+		sp.End(stage, items)
 		return anyMore, nil
 	}
 
 	// Count: insert the round's received rows into this rank's table
-	// partition in place. In spill mode (pass 1) the verified rows are
-	// appended to the rank's disk bins instead and the insert is deferred
-	// to the per-bin pass below.
+	// partition in place; the span carries the k-mers inserted. In spill
+	// mode (pass 1) the verified rows are appended to the rank's disk bins
+	// instead and the insert is deferred to the per-bin pass below.
 	count := func(r int) error {
 		st := &states[r%2]
 		if rc.rsp != nil {
@@ -144,7 +142,7 @@ func runRank[T unit](rc rankCtx, cd codec[T], newEngine func(rankCtx) (engine[T]
 			sp.End(0, 0)
 			return err
 		}
-		sp.End(chargeCount(out, eng, w), st.items)
+		sp.End(chargeCount(out, eng, w), w.meter.Items)
 		return nil
 	}
 

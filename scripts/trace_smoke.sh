@@ -160,7 +160,7 @@ grep -q 'counter tables: at most [1-9][0-9]* slots holding [1-9][0-9]* keys, roo
 
 # --- overlap pricing: a faulted multi-round run with -overlap must produce
 # a valid trace whose retry spans nest inside their round's exchange span
-# and report the modeled overlap split. -overlap selects how the modeled
+# and report the overlapped modeled total. -overlap selects how the modeled
 # total is priced and nothing else: its -json report must equal the serial
 # one's but for the overlap fields. Both -json runs use one core, because
 # the GPU count's modeled time depends on the order its warps' atomics
@@ -199,11 +199,15 @@ jq -e '
     "$otrace" >/dev/null || fail "retry span not nested in its exchange span"
 
 echo "trace-smoke: validating overlapped report and JSON"
-grep -q 'modeled round pipeline: serial' "$oreport" \
-    || fail "overlap report missing modeled round pipeline split"
+grep -q 'total (overlapped)' "$oreport" \
+    || fail "overlap report missing the overlapped modeled total"
 jq -e '.overlap == true and .rounds >= 2 and .overlap_total_sec > 0' \
     "$ojson" >/dev/null || fail "overlap JSON report missing overlap fields"
 jq -e '.faults.retries > 0' "$sjson" >/dev/null || fail "serial run retried no round"
+# Faults strike frames on arrival, and only frames still awaited, so each
+# injected drop or corruption is exactly one bad frame.
+jq -e '.faults.dropped + .faults.corrupted == .faults.bad_frames' "$sjson" >/dev/null \
+    || fail "serial run: dropped + corrupted frames differ from bad frames"
 same='del(.build, .overlap, .overlap_total_sec)'
 jq -S "$same" "$sjson" > "$TRACE_SMOKE_OUT/serial_unpriced.json"
 jq -S "$same" "$ojson" > "$TRACE_SMOKE_OUT/overlap_unpriced.json"
@@ -242,6 +246,8 @@ done
 echo "trace-smoke: validating hierarchical counts and message metric"
 jq -e '.exchange == "hier"' "$hjson" >/dev/null \
     || fail "hier JSON report does not record the strategy"
+jq -e '.faults.dropped + .faults.corrupted == .faults.bad_frames' "$hjson" >/dev/null \
+    || fail "hier run: dropped + corrupted frames differ from bad frames"
 hcount=$(jq '[.total_kmers, .distinct_kmers]' "$hjson")
 [ "$hcount" = "$scount" ] \
     || fail "hier counts $hcount differ from flat serial counts $scount"
