@@ -78,7 +78,6 @@ func TestParseArgsRejects(t *testing.T) {
 		"-ckpt-rounds 9":                          "Ckpt.Every",
 		"-no-shrink":                              "Ckpt.NoShrink",
 		"-trimq 20 -ckpt-dir ck":                  "-stream",
-		"-gpudirect -engine cpu":                  "GPUDirect",
 		"-gpustats -engine cpu":                   "-gpustats",
 		"-fault-kill-rank 24 -fault-kill-round 1": "outside the world",
 		"-fault-kill-rank 1":                      "both must be >= 0",

@@ -102,16 +102,14 @@ func parseArgs(args []string) (pipeline.Config, input, output, error) {
 		return err
 	})
 	fs.BoolVar(&cfg.Canonical, "canonical", false, "count canonical k-mers (kmer mode only)")
-	fs.BoolVar(&cfg.GPUDirect, "gpudirect", false, "model GPUDirect transfers (skip host staging; GPU engine only)")
 	fs.TextVar(&cfg.Exchange, "exchange", cfg.Exchange, "exchange strategy: flat (direct P×P Alltoallv) or hier (intra-node gather → leader Alltoallv → intra-node scatter)")
-	fs.BoolVar(&cfg.Overlap, "overlap", false, "price each round's exchange as hidden behind the next round's compute: the modeled total takes max(compute, exchange) per steady-state round; rounds still run bulk-synchronously, and only multi-round runs (-round-bases, or -stream under -mem-budget) differ")
+	fs.BoolVar(&cfg.Overlap, "overlap", false, "price each round's exchange as hidden behind the next round's compute: the modeled total takes max(compute, exchange) per steady-state round; rounds still run bulk-synchronously, and only multi-round runs (a -mem-budget, or -stream's default one, smaller than the input needs) differ")
 	fs.IntVar(&out.top, "top", 5, "print the N most frequent k-mers")
 	fs.IntVar(&out.histMax, "hist", 10, "print histogram classes up to this frequency")
 	fs.BoolVar(&out.json, "json", false, "emit a machine-readable JSON report instead of text")
 	fs.IntVar(&in.trimQ, "trimq", 0, "quality-trim read ends below this phred score before counting (0 = off)")
-	fs.IntVar(&cfg.RoundBases, "round-bases", 0, "cap the bases a rank processes per round, forcing multi-round operation (0 = one round, or the -mem-budget cap)")
 	fs.BoolVar(&in.stream, "stream", false, "stream -in files through the pipeline without preloading them (bounded memory; requires -in)")
-	fs.Func("mem-budget", "working-set budget, e.g. 64M or 2G: sizes each round's chunks (default 256M with -stream, no cap without)", func(s string) (err error) {
+	fs.Func("mem-budget", "working-set budget, e.g. 64M or 2G: caps every rank's round at budget/(48·ranks) bases, forcing multi-round operation on a larger input (default 256M with -stream; without -stream, one round)", func(s string) (err error) {
 		cfg.MemBudgetBytes, err = parseSize(s)
 		return err
 	})
@@ -442,6 +440,7 @@ type jsonReport struct {
 	Rounds     int               `json:"rounds"`
 	ParseSec   float64           `json:"parse_sec"`
 	ExchSec    float64           `json:"exchange_sec"`
+	StagingSec float64           `json:"staging_sec"`
 	CountSec   float64           `json:"count_sec"`
 	TotalSec   float64           `json:"total_sec"`
 	Overlap    bool              `json:"overlap,omitempty"`
@@ -489,7 +488,7 @@ func reportJSON(w io.Writer, cfg pipeline.Config, res *pipeline.Result, top int)
 		Run: res.Name, K: cfg.K, Mode: res.Mode.String(),
 		Exchange: cfg.Exchange.String(),
 		Nodes:    res.Nodes, Ranks: res.Ranks, Rounds: res.Rounds,
-		ParseSec: res.Modeled.Parse.Seconds(), ExchSec: res.Modeled.Exchange.Seconds(),
+		ParseSec: res.Modeled.Parse.Seconds(), ExchSec: res.Modeled.Exchange.Seconds(), StagingSec: res.Staging.Seconds(),
 		CountSec: res.Modeled.Count.Seconds(), TotalSec: res.Modeled.Total().Seconds(),
 		Items: res.ItemsExchanged, Payload: res.PayloadBytes, Fabric: res.Volume.FabricBytes,
 		Total: res.TotalKmers, Distinct: res.DistinctKmers,
@@ -599,7 +598,7 @@ func report(w io.Writer, cfg pipeline.Config, res *pipeline.Result, top, histMax
 
 	t := stats.NewTable("phase", "Summit-projected time")
 	t.Row("parse & process", res.Modeled.Parse)
-	t.Row("exchange", res.Modeled.Exchange)
+	t.Row("exchange", fmt.Sprintf("%s (host staging %s)", stats.Seconds(res.Modeled.Exchange), stats.Seconds(res.Staging)))
 	t.Row("count", res.Modeled.Count)
 	t.Row("total (excl. I/O)", res.Modeled.Total())
 	if res.Overlap {

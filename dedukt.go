@@ -102,9 +102,11 @@ func DefaultOptions(nodes int) Options {
 // the global result. Counting is bit-exact (validated against a serial
 // oracle); timing is Summit-projected by the calibrated cost models. It
 // runs the same round loop as CountStream over the slice: without
-// RoundBases or MemBudgetBytes the reads are one round of even shares,
-// and checkpointing works as on a stream, Ckpt.Reopen defaulting to
-// re-seeking the reads.
+// MemBudgetBytes the reads are one round of even shares, a budget sizes
+// the rounds as it does a stream's, and checkpointing works as on a
+// stream, Ckpt.Reopen defaulting to re-seeking the reads. On the GPU,
+// Result.Staging is the host staging Modeled.Exchange includes, which
+// GPUDirect would not pay.
 func Count(reads []Read, opts Options) (*Result, error) {
 	return pipeline.Run(opts, reads)
 }

@@ -64,8 +64,9 @@ type Span struct {
 	// phase has no model component).
 	Modeled time.Duration
 	// Items is the number of items the phase handled (parsed or exchanged
-	// units, counted k-mers) — count spans are the per-round load the
-	// report's imbalance trajectory is computed over.
+	// units, counted k-mers) — count spans, or on a spill run spill spans,
+	// are the per-round load the report's imbalance trajectory is computed
+	// over.
 	Items uint64
 }
 

@@ -12,11 +12,13 @@ import (
 // RoundReport summarizes one parse-exchange-count round across ranks.
 type RoundReport struct {
 	Round int
-	// Imbalance is max/avg over the per-rank k-mers counted this round —
-	// the paper's Table III metric (stats.Imbalance) resolved per round,
-	// which is where minimizer-induced skew actually shows up.
+	// Imbalance is max/avg over the per-rank items of the round — the
+	// paper's Table III metric (stats.Imbalance) resolved per round, which
+	// is where minimizer-induced skew actually shows up.
 	Imbalance float64
-	// Items is the total of k-mers the round's count spans carry; MaxItems
+	// Items is the total the round's count spans carry (the k-mers
+	// inserted), or on a spill run its spill spans (the received k-mers or
+	// supermers written to disk: pass 2 counts after the rounds); MaxItems
 	// the heaviest rank's share.
 	Items, MaxItems uint64
 	// SlowestRank spent the most wall time in the round's spans;
@@ -32,6 +34,8 @@ type RoundReport struct {
 type Report struct {
 	Ranks  int
 	Rounds []RoundReport
+	// Spilled reports that the rounds' items are spilled, not counted.
+	Spilled bool
 	// PhaseWall is the total wall time per phase, summed over ranks and
 	// rounds; PhaseModeled the same for the modeled Summit time.
 	PhaseWall    map[string]time.Duration
@@ -75,7 +79,7 @@ func (r *Recorder) BuildReport() *Report {
 	}
 
 	type roundAcc struct {
-		items    []uint64 // per rank: counted k-mers
+		items    []uint64 // per rank: counted k-mers, or spilled items
 		rankWall []uint64 // per rank: wall ns over all phases
 	}
 	accs := make([]roundAcc, maxRound+1)
@@ -96,8 +100,10 @@ func (r *Recorder) BuildReport() *Report {
 		a := &accs[s.Round]
 		a.rankWall[s.Rank] += uint64(s.Dur)
 		runWall[s.Rank] += uint64(s.Dur)
-		if s.Phase == PhaseCount {
+		// A run records count spans or, spilling, spill spans: never both.
+		if s.Phase == PhaseCount || s.Phase == PhaseSpill {
 			a.items[s.Rank] += s.Items
+			rep.Spilled = rep.Spilled || s.Phase == PhaseSpill
 		}
 	}
 	for _, i := range instants {
@@ -152,7 +158,11 @@ func (rep *Report) WriteText(w io.Writer) error {
 	}
 	fmt.Fprintf(w, "observability report: %d ranks, %d rounds\n\n", rep.Ranks, len(rep.Rounds))
 
-	t := stats.NewTable("round", "counted k-mers", "imbalance", "slowest rank", "rank wall", "retries", "faults")
+	items := "counted k-mers"
+	if rep.Spilled {
+		items = "spilled items"
+	}
+	t := stats.NewTable("round", items, "imbalance", "slowest rank", "rank wall", "retries", "faults")
 	for _, rr := range rep.Rounds {
 		t.Row(rr.Round, stats.Count(rr.Items), rr.Imbalance,
 			rr.SlowestRank, rr.SlowestWall, rr.Retries, rr.Faults)

@@ -101,7 +101,7 @@ func benchRunCPU(b *testing.B, mode Mode) {
 func BenchmarkPipelineStream(b *testing.B) {
 	reads := benchReads(b)
 	cfg := Default(smallGPULayout(1), SupermerMode)
-	cfg.MemBudgetBytes = int64(cfg.Layout.Ranks() * streamBytesPerBase * 3_000) // ~10 rounds
+	cfg.MemBudgetBytes = roundBudget(cfg, 3_000) // ~10 rounds
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := RunStream(cfg, fastq.NewSliceSource(reads))
@@ -123,7 +123,7 @@ func BenchmarkPipelineStream(b *testing.B) {
 func BenchmarkPipelineOverlap(b *testing.B) {
 	reads := benchReads(b)
 	cfg := Default(smallGPULayout(2), SupermerMode)
-	cfg.RoundBases = 3_000 // ~10 rounds at this input size
+	cfg.MemBudgetBytes = roundBudget(cfg, 3_000) // ~10 rounds at this input size
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := Run(cfg, reads)

@@ -115,11 +115,6 @@ type Config struct {
 	// paper's P×P Alltoallv) or ExchangeHier (two-stage, node-leader
 	// routed). Results are bit-identical either way.
 	Exchange Exchange
-	// GPUDirect, when true, models GPUDirect communication (§III-B.2):
-	// payloads move NIC↔GPU directly and the host staging legs are skipped
-	// entirely — no stage_h2d spans appear in traces and the modeled
-	// staging time drops to zero. GPU layouts only.
-	GPUDirect bool
 	// Overlap, when true, prices the run as if round r's exchange were
 	// hidden behind round r+1's compute (and vice versa): the modeled
 	// steady-state round time becomes max(compute, exchange) instead of
@@ -138,23 +133,18 @@ type Config struct {
 	// sits at the paper's measured operating point (see
 	// cluster.CPUModel.RankTimeLifted). Values ≤ 1 mean no lift.
 	CPULoadLift float64
-	// RoundBases caps the bases a round deals each rank; larger inputs run
-	// in multiple parse-exchange-count rounds (§III-A's memory-bounded
-	// multi-round execution). A round of P ranks takes at most
-	// P·RoundBases bases: rank i's chunk ends at the last read boundary
-	// within (i+1)·RoundBases of the round's start (one read at least). 0
-	// = no cap of its own: one round of even shares (Run) or the
-	// MemBudgetBytes-derived cap (RunStream).
-	RoundBases int
-	// MemBudgetBytes bounds the live working-set of a run: the per-rank
+	// MemBudgetBytes bounds the live working-set of a run, and so sizes its
+	// rounds (§III-A's memory-bounded multi-round execution): the per-rank
 	// round chunk is sized so that every rank's round-loop buffers — the
 	// staged base chunk, the packed send vectors, the framed wire arenas,
 	// and the received payloads — together stay under the budget (see
-	// streamBytesPerBase for the itemization). The counter tables are
-	// excluded: they hold the output spectrum, which no out-of-core
-	// counting scheme can bound without spilling. 0 defaults to
-	// DefaultMemBudget on a stream and to no cap on Run; when RoundBases
-	// is also set, the tighter of the two caps applies.
+	// streamBytesPerBase for the itemization). A budget of B bytes over P
+	// ranks caps each rank's round at B/(P·streamBytesPerBase) bases: rank
+	// i's chunk ends at the last read boundary within (i+1) caps of the
+	// round's start (one read at least). The counter tables are excluded:
+	// they hold the output spectrum, which no out-of-core counting scheme
+	// can bound without spilling. 0 defaults to DefaultMemBudget on a
+	// stream and to one round of even shares on Run.
 	MemBudgetBytes int64
 	// KeepTables retains each rank's counted table in Result.Tables (they
 	// are discarded by default: at scale they dominate memory). Downstream
@@ -288,8 +278,6 @@ var combinations = []struct {
 		"balanced partitioning applies to supermer mode only"},
 	{func(c *Config, e Entry) bool { return c.BalancedPartition && e != InMemory },
 		"balanced partitioning profiles the whole input before counting and cannot stream; preload the reads and use Run"},
-	{func(c *Config, _ Entry) bool { return c.GPUDirect && c.Layout.GPU == nil },
-		"GPUDirect models NIC-to-GPU transfers and needs a GPU layout"},
 	{func(c *Config, e Entry) bool { return c.Ckpt.Dir == "" && e == Resuming },
 		"ResumeStream needs Ckpt.Dir"},
 	{func(c *Config, _ Entry) bool { return c.Ckpt.Dir == "" && (c.Ckpt.Every != 0 || c.Ckpt.NoShrink) },
@@ -329,9 +317,6 @@ func (c Config) Validate(e Entry) error {
 		if c.BalancedPartition && c.M > 12 {
 			return fmt.Errorf("pipeline: balanced partitioning requires m ≤ 12 (got %d)", c.M)
 		}
-	}
-	if c.RoundBases < 0 {
-		return fmt.Errorf("pipeline: negative RoundBases %d", c.RoundBases)
 	}
 	if c.MemBudgetBytes < 0 {
 		return fmt.Errorf("pipeline: negative MemBudgetBytes %d", c.MemBudgetBytes)
@@ -408,17 +393,9 @@ func (c Config) memBudget() int64 {
 
 // streamRoundBases derives the per-rank round chunk cap from the memory
 // budget: the budget is shared by all ranks' live round buffers, each of
-// which pins streamBytesPerBase per chunk base. An explicitly tighter
-// RoundBases still wins.
+// which pins streamBytesPerBase per chunk base.
 func (c Config) streamRoundBases() int {
-	per := int(c.memBudget() / int64(c.Layout.Ranks()*streamBytesPerBase))
-	if per < 1 {
-		per = 1
-	}
-	if c.RoundBases > 0 && c.RoundBases < per {
-		per = c.RoundBases
-	}
-	return per
+	return max(int(c.memBudget()/int64(c.Layout.Ranks()*streamBytesPerBase)), 1)
 }
 
 // Default returns the paper's operating point on the given layout: k=17,
@@ -439,8 +416,8 @@ func Default(layout cluster.Layout, mode Mode) Config {
 type PhaseBreakdown struct {
 	// Parse is "parse & process k-mers" (GPU kernels or CPU loop).
 	Parse time.Duration
-	// Exchange is "exchange (incl. MPI call)": host↔device staging plus
-	// the fabric time of Alltoall + Alltoallv.
+	// Exchange is "exchange (incl. MPI call)": host↔device staging
+	// (Result.Staging) plus the fabric time of Alltoall + Alltoallv.
 	Exchange time.Duration
 	// Count is "k-mer counter" (table insertion).
 	Count time.Duration
@@ -462,6 +439,14 @@ type Result struct {
 	GPU bool
 	// Modeled is the Summit-projected phase breakdown.
 	Modeled PhaseBreakdown
+	// Staging is the host↔device staging term Modeled.Exchange includes:
+	// the largest per-rank sum of the GPU engine's pinned-buffer copies
+	// (input chunks in, send rows out, received rows in). GPUDirect
+	// (§III-B.2) moves payloads NIC↔GPU without them, so
+	// Modeled.Exchange−Staging is the GPUDirect exchange and
+	// Modeled.Total()−Staging the GPUDirect bulk-synchronous total. 0 on
+	// the CPU engine.
+	Staging time.Duration
 	// Wall is the wall-clock time of the whole simulated run (Go time —
 	// useful only for judging simulation cost, not Summit performance).
 	Wall time.Duration
@@ -498,8 +483,7 @@ type Result struct {
 	// metrics §III-B's kernel design targets.
 	GPUParse, GPUCount gpusim.KernelStats
 	// Rounds is the number of parse-exchange-count rounds executed
-	// (1 unless Config.RoundBases or a memory budget forced multi-round
-	// operation).
+	// (1 unless a memory budget forced multi-round operation).
 	Rounds int
 	// Streamed reports that the run ingested its input out-of-core via
 	// RunStream; MemBudget echoes the effective memory budget it ran

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -37,23 +38,26 @@ type variant struct {
 // strays are the settings that only ever appear alone in the enumeration.
 // Most are refused wherever they appear, the rest of the combination
 // leaving them meaningless: a checkpoint period or a spill bin count
-// without its directory, GPUDirect on the CPU engine, a stream's checkpoint
-// without its Reopen hook, a fatal kill outside the world. Two are accepted
-// on Run, which must count exactly under them: a memory budget (it caps
-// Run's rounds as a stream's) and a checkpoint without Reopen (Run
-// re-seeks its reads). (GPUDirect runs are TestGPUDirectSkipsStaging's and
-// TestGPUDirectElidesStageSpans'.)
+// without its directory, a stream's checkpoint without its Reopen hook, a
+// fatal kill outside the world. Two are accepted on Run, which must count
+// exactly under them: a memory budget (it caps Run's rounds as a stream's;
+// a multi-round Run already has one) and a checkpoint without Reopen (Run
+// re-seeks its reads). One is accepted wherever it applies: a rank death at
+// killRound in a checkpointing run of several rounds, which the survivors
+// restart from the last checkpoint, and which must count exactly too.
 var strays = []struct {
 	name    string
 	applies func(v variant) bool
 	apply   func(c *Config)
 }{
 	{"", func(variant) bool { return true }, func(*Config) {}},
-	{"mem-budget", func(v variant) bool { return v.entry == InMemory }, func(c *Config) { c.MemBudgetBytes = streamBudget }},
+	{"mem-budget", func(v variant) bool { return v.entry == InMemory && !v.multiRound }, func(c *Config) { c.MemBudgetBytes = streamBudget }},
 	{"ckpt-every", func(v variant) bool { return !v.ckpt }, func(c *Config) { c.Ckpt.Every = 1 }},
 	{"spill-bins", func(v variant) bool { return !v.spill }, func(c *Config) { c.Spill.Bins = 4 }},
-	{"gpudirect", func(v variant) bool { return !v.gpu }, func(c *Config) { c.GPUDirect = true }},
 	{"no-reopen", func(v variant) bool { return v.ckpt }, func(c *Config) { c.Ckpt.Reopen = nil }},
+	{"restart", func(v variant) bool {
+		return v.ckpt && (v.entry == Streaming || v.entry == InMemory && v.multiRound)
+	}, func(c *Config) { c.Fault.FatalKill, c.Fault.FatalRank, c.Fault.FatalRound = true, 1, killRound }},
 	{"fatal-rank", func(variant) bool { return true }, func(c *Config) {
 		c.Fault.FatalKill, c.Fault.FatalRank, c.Fault.FatalRound = true, c.Layout.Ranks(), 0
 	}},
@@ -63,8 +67,8 @@ var strays = []struct {
 // engine, so the exchange crosses the fabric and the hierarchical exchange
 // has two leaders. A streamed run always runs under streamBudget, several
 // rounds over this input, so a resumed run has a checkpoint (every second
-// round) behind its kill; multiRound caps every rank's rounds at 1 000
-// bases on top.
+// round) behind its kill; multiRound tightens the budget, on any entry
+// point, to rounds of 1 000 bases a rank.
 const (
 	streamBudget = 1_500 * 4 * streamBytesPerBase
 	killRound    = 2
@@ -106,11 +110,11 @@ func (v variant) config(reads []fastq.Record, dir string) Config {
 	if v.hier {
 		cfg.Exchange = ExchangeHier
 	}
-	if v.multiRound {
-		cfg.RoundBases = 1_000
-	}
 	if v.entry != InMemory {
 		cfg.MemBudgetBytes = streamBudget
+	}
+	if v.multiRound {
+		cfg.MemBudgetBytes = roundBudget(cfg, 1_000)
 	}
 	if v.spill {
 		cfg.Spill = SpillConfig{Dir: filepath.Join(dir, "spill"), Bins: 4}
@@ -302,14 +306,17 @@ func newVariantOracle(counts map[dna.Kmer]uint32) *variantOracle {
 	return o
 }
 
-// check asserts res is complete and bit-identical to the oracle: totals,
-// the whole histogram, every top k-mer's count, per-rank counts that add up
-// to the total, every kept table entry, and a populated phase breakdown and
-// exchange tally.
+// check asserts res is complete, restarted exactly when the variant kills a
+// rank, and bit-identical to the oracle: totals, the whole histogram, every
+// top k-mer's count, per-rank counts that add up to the total, every kept
+// table entry, and a populated phase breakdown and exchange tally.
 func (o *variantOracle) check(t *testing.T, v variant, res *Result) {
 	t.Helper()
 	if res.Incomplete {
 		t.Fatal("run incomplete")
+	}
+	if restarted := v.stray == "restart"; res.Recovered != restarted || restarted && !slices.Equal(res.DeadRanks, []int{1}) {
+		t.Fatalf("recovered %v with dead ranks %v, want a restart %v", res.Recovered, res.DeadRanks, restarted)
 	}
 	if res.Overlap != v.overlap {
 		t.Fatalf("Result.Overlap = %v, Config.Overlap %v", res.Overlap, v.overlap)
@@ -347,6 +354,11 @@ func (o *variantOracle) check(t *testing.T, v variant, res *Result) {
 	}
 	if res.Modeled.Parse <= 0 || res.Modeled.Exchange <= 0 || res.Modeled.Count <= 0 {
 		t.Fatalf("phase breakdown not populated: %+v", res.Modeled)
+	}
+	// The host staging the exchange includes: some on every GPU run, none
+	// on the CPU.
+	if res.Staging < 0 || res.Staging > res.Modeled.Exchange || (res.Staging > 0) != res.GPU {
+		t.Fatalf("staging %v of a %v exchange (GPU %v)", res.Staging, res.Modeled.Exchange, res.GPU)
 	}
 	if res.ItemsExchanged == 0 || res.PayloadBytes == 0 {
 		t.Fatal("exchange accounting missing")

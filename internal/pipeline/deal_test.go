@@ -60,14 +60,14 @@ func TestDealIsDeterministic(t *testing.T) {
 	for _, exch := range []Exchange{ExchangeFlat, ExchangeHier} {
 		for _, overlap := range []bool{false, true} {
 			cfg := Default(smallGPULayout(1), SupermerMode)
-			cfg.Exchange, cfg.Overlap, cfg.RoundBases = exch, overlap, 700
+			cfg.Exchange, cfg.Overlap, cfg.MemBudgetBytes = exch, overlap, roundBudget(cfg, 700)
 			cfg.Layout.Net.RanksPerNode = 2
 			name := fmt.Sprintf("%s/overlap=%v", exch, overlap)
 			variants = append(variants, variant{"run/" + name, cfg, runIn}, variant{"stream/" + name, cfg, runStream})
 		}
 	}
 	killed := Default(smallGPULayout(1), SupermerMode)
-	killed.Overlap, killed.RoundBases = true, 700
+	killed.Overlap, killed.MemBudgetBytes = true, roundBudget(killed, 700)
 	killed.Fault = fault.Config{FatalKill: true, FatalRank: 1, FatalRound: 3}
 	variants = append(variants, variant{"stream/killed", killed, runStream})
 
@@ -115,7 +115,7 @@ func TestNoTrailingRound(t *testing.T) {
 	for _, roundBases := range []int{700, 1_000, 4_000} {
 		t.Run(fmt.Sprint(roundBases), func(t *testing.T) {
 			cfg := Default(smallGPULayout(1), KmerMode)
-			cfg.RoundBases = roundBases
+			cfg.MemBudgetBytes = roundBudget(cfg, roundBases)
 			rec := obs.NewRecorder(cfg.Layout.Ranks())
 			cfg.Obs = rec
 			res, err := RunStream(cfg, fastq.NewSliceSource(reads))

@@ -33,7 +33,7 @@ type engine[T unit] interface {
 	// modeled converts metered work into this engine's modeled time.
 	modeled(w work) time.Duration
 	// stage models one host↔device staging leg of n bytes; the rank body
-	// only asks engines that stage (GPU without GPUDirect).
+	// asks only the GPU engine, the one that stages.
 	stage(n uint64) time.Duration
 	// counted returns the engine's table for reading, between counts.
 	counted() countedTable

@@ -135,7 +135,7 @@ func grow[E any](s []E, n int) []E {
 // collective with zero extra collectives — and the announcement travels
 // outside the fault injector's reach, so the agreement survives dropped
 // and corrupted payload frames. Bit 30 leaves per-destination counts up to
-// ~10⁹ items representable, far beyond any RoundBases-bounded round.
+// ~10⁹ items representable, far beyond any budget-bounded round.
 const moreFlag = 1 << 30
 
 // stripMore extracts the more-bits from a received announcement in

@@ -1,8 +1,11 @@
 package pipeline
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
+	"time"
 
 	"dedukt/internal/cluster"
 	"dedukt/internal/kernels"
@@ -42,7 +45,7 @@ func TestHierMatchesFlatExactly(t *testing.T) {
 			run := func(exch Exchange) (*Result, *obs.Recorder) {
 				cfg := Default(layout, mode)
 				cfg.Exchange = exch
-				cfg.RoundBases = 3000 // multi-round: the metric must scale with rounds
+				cfg.MemBudgetBytes = roundBudget(cfg, 3000) // multi-round: the metric must scale with rounds
 				cfg.Obs = obs.NewRecorder(p)
 				res, err := Run(cfg, reads)
 				if err != nil {
@@ -135,43 +138,52 @@ func TestHierRaggedWorld(t *testing.T) {
 	}
 }
 
-// TestGPUDirectElidesStageSpans: under -gpudirect no stage_h2d span may be
-// recorded at all — the input leg streams straight to device memory and the
-// exchange legs skip the host bounce — and the counted spectrum is
-// unchanged.
-func TestGPUDirectElidesStageSpans(t *testing.T) {
+// TestStagingIsGPUDirectProjection pins Result.Staging, the host staging
+// term the modeled exchange includes, so that Modeled.Exchange−Staging is
+// the GPUDirect exchange: on multi-round GPU runs in either mode over
+// either strategy it is the heaviest rank's stage_h2d plus exchange span
+// time (the input leg and both exchange legs, recorded every round), short
+// of the whole exchange by the fabric time; the CPU engine stages nothing.
+func TestStagingIsGPUDirectProjection(t *testing.T) {
 	reads := testReads(t, 10_000, 4)
-	layout := smallGPULayout(2)
-	run := func(direct bool, exch Exchange) (*Result, *obs.Recorder) {
-		cfg := Default(layout, SupermerMode)
-		cfg.GPUDirect = direct
-		cfg.Exchange = exch
-		cfg.RoundBases = 3000
-		cfg.Obs = obs.NewRecorder(layout.Ranks())
-		res, err := Run(cfg, reads)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, cfg.Obs
-	}
-	staged, stagedRec := run(false, ExchangeFlat)
-	if n := phaseSpans(stagedRec, obs.PhaseStageH2D); n == 0 {
-		t.Fatal("staged run recorded no stage_h2d spans")
-	}
-	for _, exch := range []Exchange{ExchangeFlat, ExchangeHier} {
-		direct, directRec := run(true, exch)
-		if n := phaseSpans(directRec, obs.PhaseStageH2D); n != 0 {
-			t.Fatalf("%v gpudirect run recorded %d stage_h2d spans, want 0", exch, n)
-		}
-		// Modeled exchange folds the staging legs in; dropping them must
-		// strictly shrink it.
-		if direct.Modeled.Exchange >= staged.Modeled.Exchange {
-			t.Fatalf("%v gpudirect modeled exchange %v, staged %v — staging not elided",
-				exch, direct.Modeled.Exchange, staged.Modeled.Exchange)
-		}
-		if direct.TotalKmers != staged.TotalKmers || direct.DistinctKmers != staged.DistinctKmers {
-			t.Fatalf("%v gpudirect changed the spectrum: %d/%d vs %d/%d", exch,
-				direct.TotalKmers, direct.DistinctKmers, staged.TotalKmers, staged.DistinctKmers)
+	cpu := smallCPULayout()
+	cpu.Nodes = 2 // the fabric is priced between nodes only
+	for _, layout := range []cluster.Layout{smallGPULayout(2), cpu} {
+		for _, mode := range []Mode{KmerMode, SupermerMode} {
+			for _, exch := range []Exchange{ExchangeFlat, ExchangeHier} {
+				t.Run(fmt.Sprintf("gpu=%v/%v/%v", layout.GPU != nil, mode, exch), func(t *testing.T) {
+					cfg := Default(layout, mode)
+					cfg.Exchange = exch
+					cfg.MemBudgetBytes = roundBudget(cfg, 3000)
+					cfg.Obs = obs.NewRecorder(layout.Ranks())
+					res, err := Run(cfg, reads)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Rounds < 2 {
+						t.Fatalf("%d rounds, want several", res.Rounds)
+					}
+					staged := make([]time.Duration, layout.Ranks())
+					for _, sp := range cfg.Obs.Spans() {
+						if sp.Phase == obs.PhaseStageH2D || sp.Phase == obs.PhaseExchange {
+							staged[sp.Rank] += sp.Modeled
+						}
+					}
+					if want := slices.Max(staged); res.Staging != want {
+						t.Fatalf("Staging %v, heaviest rank's staging spans %v", res.Staging, want)
+					}
+					if res.Staging >= res.Modeled.Exchange {
+						t.Fatalf("Staging %v leaves no fabric time in the %v exchange", res.Staging, res.Modeled.Exchange)
+					}
+					spans, want := phaseSpans(cfg.Obs, obs.PhaseStageH2D), 0
+					if res.GPU {
+						want = layout.Ranks() * res.Rounds
+					}
+					if spans != want || (res.Staging > 0) != res.GPU {
+						t.Fatalf("%d stage_h2d spans (want %d), Staging %v on GPU=%v", spans, want, res.Staging, res.GPU)
+					}
+				})
+			}
 		}
 	}
 }

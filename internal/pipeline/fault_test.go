@@ -56,7 +56,7 @@ func TestFaultRecoveryViaRetry(t *testing.T) {
 		for _, mode := range []Mode{KmerMode, SupermerMode} {
 			t.Run(engName+"/"+mode.String(), func(t *testing.T) {
 				base := Default(layout, mode)
-				base.RoundBases = 4_000 // several rounds: more fault opportunities
+				base.MemBudgetBytes = roundBudget(base, 4_000) // several rounds: more fault opportunities
 				clean, err := Run(base, reads)
 				if err != nil {
 					t.Fatal(err)
@@ -139,7 +139,7 @@ func TestFaultKillReturnsStructuredError(t *testing.T) {
 		for _, mode := range []Mode{KmerMode, SupermerMode} {
 			t.Run(engName+"/"+mode.String(), func(t *testing.T) {
 				cfg := Default(layout, mode)
-				cfg.RoundBases = 4_000
+				cfg.MemBudgetBytes = roundBudget(cfg, 4_000)
 				cfg.Fault = fault.Config{Seed: 3, Kill: 0.3}
 				res, err := Run(cfg, reads)
 				if err == nil {
@@ -168,7 +168,7 @@ func TestFaultStragglerCompletes(t *testing.T) {
 	for _, mode := range []Mode{KmerMode, SupermerMode} {
 		t.Run(mode.String(), func(t *testing.T) {
 			base := Default(layout, mode)
-			base.RoundBases = 4_000
+			base.MemBudgetBytes = roundBudget(base, 4_000)
 			clean, err := Run(base, reads)
 			if err != nil {
 				t.Fatal(err)
@@ -212,7 +212,7 @@ func TestFaultStragglerTripsDeadline(t *testing.T) {
 func TestFaultScheduleDeterministic(t *testing.T) {
 	reads := testReads(t, 10_000, 4)
 	cfg := Default(smallGPULayout(1), SupermerMode)
-	cfg.RoundBases = 4_000
+	cfg.MemBudgetBytes = roundBudget(cfg, 4_000)
 	cfg.Fault = fault.Config{Seed: 1, Drop: 0.05, Corrupt: 0.05}
 	a, err := Run(cfg, reads)
 	if err != nil {
@@ -243,7 +243,7 @@ func TestFaultRetriesDoNotCopyRounds(t *testing.T) {
 	}
 	reads := testReads(t, 60_000, 8)
 	base := Default(smallGPULayout(1), KmerMode)
-	base.RoundBases = 20_000
+	base.MemBudgetBytes = roundBudget(base, 20_000)
 	allocated := func(cfg Config) (uint64, *Result) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

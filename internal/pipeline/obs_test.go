@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,7 +21,7 @@ import (
 func TestTracedRunSpanInvariants(t *testing.T) {
 	reads := testReads(t, 12_000, 6)
 	cfg := Default(smallGPULayout(1), SupermerMode)
-	cfg.RoundBases = 4_000 // force several rounds
+	cfg.MemBudgetBytes = roundBudget(cfg, 4_000) // force several rounds
 	cfg.Fault = fault.Config{Seed: 3, Delay: 0.15, DelayFor: 200 * time.Microsecond, Drop: 0.08}
 	rec := obs.NewRecorder(cfg.Layout.Ranks())
 	cfg.Obs = rec
@@ -31,7 +32,7 @@ func TestTracedRunSpanInvariants(t *testing.T) {
 	}
 	checkAgainstOracle(t, cfg, reads, res)
 	if res.Rounds < 2 {
-		t.Fatalf("rounds = %d, want ≥ 2 (shrink RoundBases)", res.Rounds)
+		t.Fatalf("rounds = %d, want ≥ 2 (shrink the budget)", res.Rounds)
 	}
 
 	phases := []string{obs.PhaseParse, obs.PhaseStageH2D, obs.PhaseExchange, obs.PhaseCount}
@@ -180,5 +181,43 @@ func TestReportImbalanceIsTableIII(t *testing.T) {
 					r0.Items, r0.Imbalance, res.TotalKmers, res.LoadImbalance())
 			}
 		})
+	}
+}
+
+// TestSpillReportRounds: a spill run counts after its rounds (pass 2 records
+// round -1), so the report's rounds read its spill spans instead: every
+// round of a two-round GPU spill run has items and an imbalance, the rounds
+// add up to the exchanged supermers, and the column says what it counts.
+func TestSpillReportRounds(t *testing.T) {
+	reads := testReads(t, 20_000, 4)
+	cfg := Default(smallGPULayout(1), SupermerMode)
+	cfg.Spill.Dir = t.TempDir()
+	cfg.MemBudgetBytes = roundBudget(cfg, 8_000)
+	rec := obs.NewRecorder(cfg.Layout.Ranks())
+	cfg.Obs = rec
+	res, err := Run(cfg, reads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := rec.BuildReport()
+	if res.Rounds != 2 || len(rep.Rounds) != 2 || !rep.Spilled {
+		t.Fatalf("%d rounds run, %d reported (spilled %v), want two spilled", res.Rounds, len(rep.Rounds), rep.Spilled)
+	}
+	var items uint64
+	for _, rr := range rep.Rounds {
+		if rr.Items == 0 || rr.Imbalance == 0 {
+			t.Fatalf("round %d: %d items, imbalance %v", rr.Round, rr.Items, rr.Imbalance)
+		}
+		items += rr.Items
+	}
+	if items != res.ItemsExchanged {
+		t.Fatalf("rounds spilled %d items, the run exchanged %d", items, res.ItemsExchanged)
+	}
+	var sb strings.Builder
+	if err := rep.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "spilled items") {
+		t.Fatalf("report does not label its items as spilled:\n%s", sb.String())
 	}
 }

@@ -39,7 +39,7 @@ func TestOverlapMatchesSerial(t *testing.T) {
 				for _, exch := range []Exchange{ExchangeFlat, ExchangeHier} {
 					t.Run(engName+"/"+mode.String()+"/"+fName+"/"+exch.String(), func(t *testing.T) {
 						cfg := Default(layout, mode)
-						cfg.RoundBases = 6000 // force a multi-round run
+						cfg.MemBudgetBytes = roundBudget(cfg, 6000) // force a multi-round run
 						cfg.Fault = fc
 						cfg.Exchange = exch
 						if exch == ExchangeHier {
@@ -127,7 +127,7 @@ func TestRoundLoopAllocs(t *testing.T) {
 	reads := testReads(t, 20_000, 8)
 	run := func(roundBases int) (rounds int) {
 		cfg := Default(smallGPULayout(1), SupermerMode)
-		cfg.RoundBases = roundBases
+		cfg.MemBudgetBytes = roundBudget(cfg, roundBases)
 		res, err := Run(cfg, reads)
 		if err != nil {
 			t.Fatal(err)

@@ -64,7 +64,7 @@ func TestCPUProvisioning(t *testing.T) {
 	reads := lr8Reads(t)
 	for name, set := range map[string]func(*Config){
 		"one round": func(*Config) {},
-		"14 rounds": func(c *Config) { c.RoundBases = 12_000 },
+		"14 rounds": func(c *Config) { c.MemBudgetBytes = roundBudget(*c, 12_000) },
 		"supermers": func(c *Config) { c.Mode = SupermerMode },
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -50,10 +50,11 @@ func runRank[T unit](rc rankCtx, cd codec[T], newEngine func(rankCtx) (engine[T]
 	if err != nil {
 		return err
 	}
-	// Without GPUDirect the GPU pipeline bounces every buffer through a
-	// pinned host staging area; under GPUDirect (and on the CPU) the legs
-	// vanish entirely — no stage_h2d span, no modeled staging time.
-	staged := cfg.Layout.GPU != nil && !cfg.GPUDirect
+	// The GPU pipeline bounces every buffer through a pinned host staging
+	// area; the CPU has no such legs — no stage_h2d span, no modeled
+	// staging time. Result.Staging reports the legs' total, so a GPUDirect
+	// run is this one without them.
+	staged := cfg.Layout.GPU != nil
 	ex := newExchanger(&cfg, rc.c, seat, rc.inj, cd)
 	var states [2]roundState[T]
 

@@ -63,7 +63,7 @@ func TestKillResumeShrinkEquivalence(t *testing.T) {
 						// 5-rank world regroups ragged (2,2,1).
 						base.Layout.Net.RanksPerNode = 2
 					}
-					base.RoundBases = 350 // many rounds: kills and checkpoints mid-run
+					base.MemBudgetBytes = roundBudget(base, 350) // many rounds: kills and checkpoints mid-run
 					want, err := RunStream(base, fastq.NewSliceSource(reads))
 					if err != nil {
 						t.Fatal(err)
@@ -158,7 +158,7 @@ func TestKillResumeShrinkEquivalence(t *testing.T) {
 func TestShrinkRecoveryWithoutCheckpoint(t *testing.T) {
 	reads := testReads(t, 6_000, 3)
 	base := Default(smallGPULayout(1), KmerMode)
-	base.RoundBases = 600
+	base.MemBudgetBytes = roundBudget(base, 600)
 	want, err := RunStream(base, fastq.NewSliceSource(reads))
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +185,7 @@ func TestResumeRefusesMismatchedConfig(t *testing.T) {
 	reads := testReads(t, 6_000, 3)
 	dir := t.TempDir()
 	cfg := ckptConfig(Default(smallGPULayout(1), KmerMode), dir, reads, 2, true)
-	cfg.RoundBases = 600 // five rounds, a checkpoint after round 1
+	cfg.MemBudgetBytes = roundBudget(cfg, 600) // five rounds, a checkpoint after round 1
 	cfg.Fault = fault.Config{FatalKill: true, FatalRank: 0, FatalRound: 3}
 	if _, err := RunStream(cfg, fastq.NewSliceSource(reads)); !errors.Is(err, fault.ErrKilled) {
 		t.Fatalf("setup kill: %v", err)
@@ -205,7 +205,7 @@ func TestResumeRefusesMismatchedConfig(t *testing.T) {
 	// A balanced Run's slices are partitioned by its minimizer map, which a
 	// stream (hash-partitioned) cannot continue.
 	balanced := ckptConfig(Default(smallGPULayout(1), SupermerMode), t.TempDir(), reads, 2, true)
-	balanced.BalancedPartition, balanced.RoundBases, balanced.Fault = true, 600, cfg.Fault
+	balanced.BalancedPartition, balanced.MemBudgetBytes, balanced.Fault = true, roundBudget(balanced, 600), cfg.Fault
 	if _, err := Run(balanced, reads); !errors.Is(err, fault.ErrKilled) {
 		t.Fatalf("balanced setup kill: %v", err)
 	}
@@ -223,7 +223,7 @@ func TestResumeRefusesOtherOrdering(t *testing.T) {
 	reads := testReads(t, 6_000, 3)
 	cfg := ckptConfig(Default(smallGPULayout(1), SupermerMode), t.TempDir(), reads, 2, true)
 	cfg.Ord = minimizer.NewKMC2(cfg.Enc)
-	cfg.RoundBases = 600
+	cfg.MemBudgetBytes = roundBudget(cfg, 600)
 	cfg.Fault = fault.Config{FatalKill: true, FatalRank: 0, FatalRound: 3}
 	if _, err := RunStream(cfg, fastq.NewSliceSource(reads)); !errors.Is(err, fault.ErrKilled) {
 		t.Fatalf("setup kill: %v", err)
@@ -274,7 +274,7 @@ func TestCheckpointCleanupKeepsLatestRound(t *testing.T) {
 	reads := testReads(t, 6_000, 3)
 	dir := t.TempDir()
 	cfg := ckptConfig(Default(smallGPULayout(1), KmerMode), dir, reads, 2, true)
-	cfg.RoundBases = 600
+	cfg.MemBudgetBytes = roundBudget(cfg, 600)
 	res, err := RunStream(cfg, fastq.NewSliceSource(reads))
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +323,7 @@ func killedTotal(res *Result) uint64 {
 func TestTwoDeathsInOneRun(t *testing.T) {
 	reads := testReads(t, 8_000, 6)
 	base := Default(smallGPULayout(1), KmerMode)
-	base.RoundBases = 350
+	base.MemBudgetBytes = roundBudget(base, 350)
 	want, err := RunStream(base, fastq.NewSliceSource(reads))
 	if err != nil {
 		t.Fatal(err)
@@ -352,7 +352,7 @@ func TestRestartClosesAbandonedInput(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	paths := writeGzFiles(t, testReads(t, 6_000, 3), 1)
 	cfg := Default(smallGPULayout(1), KmerMode)
-	cfg.RoundBases = 600
+	cfg.MemBudgetBytes = roundBudget(cfg, 600)
 	cfg.Ckpt = CkptConfig{Dir: t.TempDir(), Every: 100, Reopen: func(c fastq.Cursor) (fastq.Source, error) {
 		s, err := fastq.OpenStream(paths...)
 		if err != nil {
@@ -399,7 +399,7 @@ func TestReopenFailureFailsOnce(t *testing.T) {
 	gone := errors.New("input gone")
 	calls := 0
 	cfg := Default(smallGPULayout(1), KmerMode)
-	cfg.RoundBases = 600
+	cfg.MemBudgetBytes = roundBudget(cfg, 600)
 	cfg.Ckpt = CkptConfig{Dir: t.TempDir(), Every: 2, Reopen: func(fastq.Cursor) (fastq.Source, error) {
 		calls++
 		return nil, gone

@@ -39,7 +39,7 @@ func TestGPUTableReservation(t *testing.T) {
 		launches func(res *Result) (lo, hi int)
 	}{
 		"one round": {400_000, func(*Config) {}, true, func(*Result) (int, int) { return 2, 16 }},
-		"rounds":    {20_000, func(c *Config) { c.RoundBases = 4_000 }, false, func(res *Result) (int, int) { return res.Rounds, res.Rounds }},
+		"rounds":    {20_000, func(c *Config) { c.MemBudgetBytes = roundBudget(*c, 4_000) }, false, func(res *Result) (int, int) { return res.Rounds, res.Rounds }},
 		"kmer mode": {400_000, func(c *Config) { c.Mode = KmerMode }, true, func(*Result) (int, int) { return 2, 4 }},
 		"spill bins": {20_000, func(c *Config) { c.Spill = SpillConfig{Dir: t.TempDir(), Bins: bins} }, false,
 			func(*Result) (int, int) { return bins, bins }},

@@ -51,7 +51,7 @@ func (s *splitSource) deal(slot, _ int) ([]byte, bool, error) {
 func TestUnevenTailDrain(t *testing.T) {
 	reads := testReads(t, 9_000, 4)
 	cfg := Default(smallGPULayout(1), KmerMode)
-	cfg.RoundBases = 2_500
+	const roundBases = 2_500
 	p := cfg.Layout.Ranks()
 	// Skewed hand-built split: rank 0 gets nearly everything, rank 1 a
 	// single read, the rest nothing.
@@ -61,12 +61,12 @@ func TestUnevenTailDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rs.world(nil, newSplitSource(cfg.RoundBases, parts...), seats, nil, nil); err != nil {
+	if _, err := rs.world(nil, newSplitSource(roundBases, parts...), seats, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	res := rs.result()
 	// Every rank ran as many rounds as the heaviest one's chunks.
-	heaviest, want := newSplitSource(cfg.RoundBases, parts[0]), 0
+	heaviest, want := newSplitSource(roundBases, parts[0]), 0
 	for more := true; more; want++ {
 		_, more, _ = heaviest.deal(0, want)
 	}
@@ -107,7 +107,7 @@ func TestMultiRoundMatchesSingleRound(t *testing.T) {
 		}
 		name := fmt.Sprintf("%s %s", tc.engine, tc.mode)
 		multi := single
-		multi.RoundBases = 5_000 // forces several rounds per rank
+		multi.MemBudgetBytes = roundBudget(multi, 5_000) // forces several rounds per rank
 		resM, err := Run(multi, reads)
 		if err != nil {
 			t.Fatal(err)
@@ -173,7 +173,7 @@ func TestMultiRoundCPU(t *testing.T) {
 	layout.RanksPerNode = 8
 	layout.Net.RanksPerNode = 8
 	cfg := Default(layout, SupermerMode)
-	cfg.RoundBases = 3_000
+	cfg.MemBudgetBytes = roundBudget(cfg, 3_000)
 	res, err := Run(cfg, reads)
 	if err != nil {
 		t.Fatal(err)
@@ -182,12 +182,4 @@ func TestMultiRoundCPU(t *testing.T) {
 		t.Fatalf("expected multi-round CPU run, got %d rounds", res.Rounds)
 	}
 	checkAgainstOracle(t, cfg, reads, res)
-}
-
-func TestRoundBasesValidation(t *testing.T) {
-	cfg := Default(smallGPULayout(1), KmerMode)
-	cfg.RoundBases = -1
-	if _, err := Run(cfg, nil); err == nil {
-		t.Fatal("negative RoundBases should be rejected")
-	}
 }

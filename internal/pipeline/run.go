@@ -37,9 +37,9 @@ type rankOutcome struct {
 // global result. It is RunStream over the slice (see runStream): the ranks'
 // shared producer deals the reads out in rounds, in order, each rank's
 // chunk of a round ending at an even share of its bases (the paper's
-// parallel-I/O assumption, §IV-D). With neither RoundBases nor
-// MemBudgetBytes set the whole input is one round of even shares; either
-// caps the rounds as it does a stream's (§III-A's multi-round execution).
+// parallel-I/O assumption, §IV-D). Without MemBudgetBytes the whole input
+// is one round of even shares; a budget caps the rounds as it does a
+// stream's (§III-A's multi-round execution).
 // Under BalancedPartition, the whole input is profiled first to build the
 // minimizer-to-rank map. Checkpoints and the restart after a rank death
 // work as on a stream; Ckpt.Reopen, when unset, re-seeks the slice.
@@ -60,10 +60,8 @@ func Run(cfg Config, reads []fastq.Record) (*Result, error) {
 	if cfg.Ckpt.Dir != "" && cfg.Ckpt.Reopen == nil {
 		cfg.Ckpt.Reopen = sliceReopen(reads)
 	}
-	share := cfg.RoundBases
-	if cfg.MemBudgetBytes != 0 {
-		share = cfg.streamRoundBases()
-	} else if share == 0 {
+	share := cfg.streamRoundBases()
+	if cfg.MemBudgetBytes == 0 {
 		var total int
 		for _, rd := range reads {
 			total += len(rd.Seq)
@@ -273,6 +271,7 @@ func aggregate(cfg Config, trace []mpisim.TraceEntry, outcomes []rankOutcome, wa
 			res.Volume.MaxNodeBytes = max(res.Volume.MaxNodeBytes, e.Volume.MaxNodeBytes)
 		}
 	}
+	res.Staging = maxStage
 	res.Modeled.Exchange = maxStage + fabric
 	return res
 }

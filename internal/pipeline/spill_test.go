@@ -113,7 +113,7 @@ func TestSpillMatchesInMemory(t *testing.T) {
 			scfg.Spill = SpillConfig{Dir: t.TempDir(), Bins: 7}
 			var got *Result
 			if tc.streamed {
-				scfg.MemBudgetBytes = int64(cfg.Layout.Ranks() * streamBytesPerBase * 2_500)
+				scfg.MemBudgetBytes = roundBudget(cfg, 2_500)
 				got, err = RunStream(scfg, fastq.NewSliceSource(reads))
 			} else {
 				got, err = Run(scfg, reads)
@@ -266,7 +266,7 @@ func TestSpillFailedRunReleasesBins(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	reads := testReads(t, 20_000, 4)
 	cfg := Default(smallGPULayout(1), SupermerMode)
-	cfg.RoundBases = 2_000
+	cfg.MemBudgetBytes = roundBudget(cfg, 2_000)
 	cfg.Fault = fault.Config{FatalKill: true, FatalRank: 1, FatalRound: 3}
 	before := openFiles(t)
 	for range 5 {

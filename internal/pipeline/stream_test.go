@@ -133,7 +133,7 @@ func TestStreamMatchesInMemory(t *testing.T) {
 			// The streamed run pulls through the shared bounded producer,
 			// sized to force several rounds.
 			scfg := cfg
-			scfg.MemBudgetBytes = int64(cfg.Layout.Ranks() * streamBytesPerBase * 2_500)
+			scfg.MemBudgetBytes = roundBudget(cfg, 2_500)
 			var src fastq.Source
 			if fromFiles {
 				stream, err := fastq.OpenStream(writeGzFiles(t, reads, 3)...)
@@ -479,7 +479,7 @@ func TestStreamLoopAllocs(t *testing.T) {
 	reads := testReads(t, 20_000, 8)
 	run := func(basesPerRank int) (rounds int) {
 		cfg := Default(smallGPULayout(1), SupermerMode)
-		cfg.MemBudgetBytes = int64(cfg.Layout.Ranks() * streamBytesPerBase * basesPerRank)
+		cfg.MemBudgetBytes = roundBudget(cfg, basesPerRank)
 		res, err := RunStream(cfg, fastq.NewSliceSource(reads))
 		if err != nil {
 			t.Fatal(err)

@@ -38,8 +38,10 @@ resumed="$RECOVER_SMOKE_OUT/resumed.json"
 shrunk="$RECOVER_SMOKE_OUT/shrunk.json"
 trace="$RECOVER_SMOKE_OUT/recover_trace.json"
 # Shared flags: enough reads and small enough rounds that the kill at
-# round 9 lands mid-run with checkpoints (rounds 2, 5, 8) before it.
-run="-in $reads -stream -round-bases 500 -nodes 2 -json"
+# round 9 lands mid-run with checkpoints (rounds 2, 5, 8) before it:
+# -mem-budget 288000 caps every rank's round at 500 bases (12 ranks × 48
+# budget bytes a base).
+run="-in $reads -stream -mem-budget 288000 -nodes 2 -json"
 
 echo "recover-smoke: generating fixture"
 go run ./cmd/genreads -genome-len 20000 -coverage 8 -mean-len 600 -seed 3 \
@@ -95,7 +97,7 @@ jq -e '.recovered == true and .dead_ranks == [1]
 # rounds and its survivors restart the same way, re-seeking the reads.
 echo "recover-smoke: same kill, in-memory run restarts in-process"
 memrun="$RECOVER_SMOKE_OUT/inmemory.json"
-go run ./cmd/dedukt -in "$reads" -round-bases 500 -nodes 2 -json \
+go run ./cmd/dedukt -in "$reads" -mem-budget 288000 -nodes 2 -json \
     -ckpt-dir "$RECOVER_SMOKE_OUT/ckpt3" -ckpt-rounds 3 \
     -fault-kill-rank 1 -fault-kill-round 9 \
     > "$memrun" 2>/dev/null || fail "in-memory restarted run exited nonzero"

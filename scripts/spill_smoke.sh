@@ -34,6 +34,7 @@ sjson="$SPILL_SMOKE_OUT/spill.json"
 ssjson="$SPILL_SMOKE_OUT/spill_stream.json"
 trace="$SPILL_SMOKE_OUT/spill_trace.json"
 metrics="$SPILL_SMOKE_OUT/spill_metrics.prom"
+report="$SPILL_SMOKE_OUT/spill_report.txt"
 
 echo "spill-smoke: generating fixture"
 go run ./cmd/genreads -genome-len 20000 -coverage 6 -seed 5 -o "$reads" \
@@ -69,12 +70,19 @@ echo "spill-smoke: checking bin hygiene"
 leftover=$(find "$bins" -name '*.spill*' -o -name '*.partial' | wc -l)
 [ "$leftover" = 0 ] || fail "successful runs left $leftover bin files in $bins"
 
-# --- traced + metered spilled run: pass 1 must emit spill_write spans,
-# pass 2 bin_count spans, and the registry must carry the spill series.
+# --- traced + metered spilled run over several rounds: pass 1 must emit
+# spill_write spans, pass 2 bin_count spans, the registry must carry the
+# spill series, and every round of the -report table must have spilled
+# items (pass 2 counts after the rounds, so the rounds have no count spans).
 echo "spill-smoke: traced spilled run"
 go run ./cmd/dedukt -in "$reads" -nodes 2 -spill-dir "$bins" -spill-bins 16 \
-    -hist 0 -top 0 -trace-out "$trace" -metrics-out "$metrics" \
-    >/dev/null 2>&1 || fail "dedukt traced spilled run"
+    -mem-budget 4M -hist 0 -top 0 -report -trace-out "$trace" -metrics-out "$metrics" \
+    > "$report" 2>&1 || fail "dedukt traced spilled run"
+awk '/^round +spilled items/ {t = 1; next}
+     t && NF == 0 {exit}
+     t && $1 ~ /^[0-9]+$/ {rows++; if ($2 == "0") bad = 1}
+     END {exit bad || rows < 2}' "$report" \
+    || fail "report does not show spilled items in each of several rounds"
 jq -e . "$trace" >/dev/null || fail "spill trace is not valid JSON"
 jq -e '[.traceEvents[] | select(.ph == "X" and .name == "spill_write")]
        | length > 0' \

@@ -170,17 +170,19 @@ oreport="$TRACE_SMOKE_OUT/overlap_report.txt"
 ojson="$TRACE_SMOKE_OUT/overlap.json"
 sjson="$TRACE_SMOKE_OUT/serial.json"
 faults="-fault-seed 3 -fault-drop 0.05 -fault-corrupt 0.02"
+# -mem-budget 4608000 caps every rank's round at 8 000 bases: 12 ranks × 48
+# budget bytes a base.
 
 echo "trace-smoke: running a faulted overlapped pipeline"
 # shellcheck disable=SC2086
-go run ./cmd/dedukt -nodes 2 -hist 0 -top 0 -round-bases 8000 -overlap \
+go run ./cmd/dedukt -nodes 2 -hist 0 -top 0 -mem-budget 4608000 -overlap \
     $faults -report -trace-out "$otrace" \
     > "$oreport" 2>&1 || { cat "$oreport" >&2; fail "dedukt overlapped run"; }
 # shellcheck disable=SC2086
-GOMAXPROCS=1 go run ./cmd/dedukt -nodes 2 -hist 0 -top 0 -round-bases 8000 -overlap \
+GOMAXPROCS=1 go run ./cmd/dedukt -nodes 2 -hist 0 -top 0 -mem-budget 4608000 -overlap \
     $faults -json > "$ojson" 2>/dev/null || fail "dedukt overlapped json run"
 # shellcheck disable=SC2086
-GOMAXPROCS=1 go run ./cmd/dedukt -nodes 2 -hist 0 -top 0 -round-bases 8000 \
+GOMAXPROCS=1 go run ./cmd/dedukt -nodes 2 -hist 0 -top 0 -mem-budget 4608000 \
     $faults -json > "$sjson" 2>/dev/null || fail "dedukt serial run"
 
 echo "trace-smoke: validating $otrace"
@@ -215,28 +217,29 @@ diff "$TRACE_SMOKE_OUT/serial_unpriced.json" "$TRACE_SMOKE_OUT/overlap_unpriced.
     || fail "-overlap changed more than the modeled total"
 scount=$(jq '[.total_kmers, .distinct_kmers]' "$sjson")
 
-# --- hierarchical exchange + GPUDirect: the same faulted multi-round run
-# through the two-stage exchange with staging elided must (a) record NO
-# stage_h2d spans, (b) stage every round through the gather →
-# leader_alltoall → scatter span triple, (c) count exactly what the flat
-# serial run counts, and (d) report the collapsed fabric message count:
-# 12 ranks at 6 per node is 2 leaders, so each round is 2² = 4 leader
-# messages instead of 12² = 144.
+# --- hierarchical exchange: the same faulted multi-round run through the
+# two-stage exchange must (a) record stage_h2d spans and report the host
+# staging its modeled exchange includes (positive, and at most the whole
+# exchange: the GPUDirect exchange is exchange_sec - staging_sec), (b)
+# stage every round through the gather → leader_alltoall → scatter span
+# triple, (c) count exactly what the flat serial run counts, and (d) report
+# the collapsed fabric message count: 12 ranks at 6 per node is 2 leaders,
+# so each round is 2² = 4 leader messages instead of 12² = 144.
 htrace="$TRACE_SMOKE_OUT/hier_trace.json"
 hmetrics="$TRACE_SMOKE_OUT/hier_metrics.prom"
 hjson="$TRACE_SMOKE_OUT/hier.json"
 
-echo "trace-smoke: running a faulted hierarchical + gpudirect pipeline"
+echo "trace-smoke: running a faulted hierarchical pipeline"
 # shellcheck disable=SC2086
-go run ./cmd/dedukt -nodes 2 -hist 0 -top 0 -round-bases 8000 \
-    -exchange hier -gpudirect \
+go run ./cmd/dedukt -nodes 2 -hist 0 -top 0 -mem-budget 4608000 \
+    -exchange hier \
     $faults -json -trace-out "$htrace" -metrics-out "$hmetrics" \
     > "$hjson" 2>/dev/null || fail "dedukt hierarchical run"
 
 echo "trace-smoke: validating $htrace"
 jq -e . "$htrace" >/dev/null || fail "hier trace is not valid JSON"
-jq -e '[.traceEvents[] | select(.ph == "X" and .name == "stage_h2d")] | length == 0' \
-    "$htrace" >/dev/null || fail "gpudirect trace still has stage_h2d spans"
+jq -e '[.traceEvents[] | select(.ph == "X" and .name == "stage_h2d")] | length > 0' \
+    "$htrace" >/dev/null || fail "hier trace has no stage_h2d spans"
 for phase in gather leader_alltoall scatter; do
     jq -e --arg p "$phase" \
         '[.traceEvents[] | select(.ph == "X" and .name == $p)] | length > 0' \
@@ -246,6 +249,8 @@ done
 echo "trace-smoke: validating hierarchical counts and message metric"
 jq -e '.exchange == "hier"' "$hjson" >/dev/null \
     || fail "hier JSON report does not record the strategy"
+jq -e '.staging_sec > 0 and .staging_sec <= .exchange_sec' "$hjson" >/dev/null \
+    || fail "hier JSON report's staging_sec is not positive and within exchange_sec"
 jq -e '.faults.dropped + .faults.corrupted == .faults.bad_frames' "$hjson" >/dev/null \
     || fail "hier run: dropped + corrupted frames differ from bad frames"
 hcount=$(jq '[.total_kmers, .distinct_kmers]' "$hjson")
