@@ -93,6 +93,7 @@ func TestParseArgsRejects(t *testing.T) {
 		"-engine tpu":                                   "unknown engine",
 		"-ordering random":                              "unknown ordering",
 		"-mem-budget 1.5G -stream -in a.fastq":          "bad size",
+		"-overlap":                                      "not defined",
 	} {
 		_, _, _, err := parseArgs(strings.Fields(args))
 		if err == nil || !strings.Contains(err.Error(), want) {

@@ -115,13 +115,11 @@ type Config struct {
 	// paper's P×P Alltoallv) or ExchangeHier (two-stage, node-leader
 	// routed). Results are bit-identical either way.
 	Exchange Exchange
-	// Overlap, when true, prices the run as if round r's exchange were
-	// hidden behind round r+1's compute (and vice versa): the modeled
-	// steady-state round time becomes max(compute, exchange) instead of
-	// their sum (see Result.ModeledTotal). It selects a model only — every
-	// run executes its rounds bulk-synchronously, so nothing else in the
-	// Result changes. Off by default so the paper's bulk-synchronous
-	// baseline stays the reported total.
+	// Overlap is read by nothing: every run executes its rounds
+	// bulk-synchronously, and Result.ModeledTotal prices every run as
+	// overlapped.
+	//
+	// Deprecated: it stays only because the benchmark module sets it.
 	Overlap bool
 	// Canonical, when true, counts canonical k-mers (min of k-mer and its
 	// reverse complement); k-mer mode only. The paper does not
@@ -499,9 +497,6 @@ type Result struct {
 	// for streamed runs the only place the input size is known, since
 	// the dataset is never materialized.
 	InputReads, InputBases uint64
-	// Overlap echoes Config.Overlap: whether ModeledTotal applies the
-	// overlap rule. The rounds ran bulk-synchronously either way.
-	Overlap bool
 	// Tables holds each rank's counted partition when Config.KeepTables is
 	// set (nil otherwise). Partitions are disjoint; merge with
 	// kcount.Table.Merge for a global table.
@@ -528,24 +523,22 @@ type Result struct {
 	Resumed bool
 }
 
-// ModeledTotal returns the end-to-end modeled time under the run's
-// pricing rule. Serial (bulk-synchronous) runs pay compute + exchange in
-// full. Overlap prices the rounds as a pipeline that hides the shorter of
-// the two behind the longer in every steady-state round: with R rounds,
-// R-1 exchanges overlap the next round's compute, so the total is
-// R·max(compute, exchange) plus the un-overlapped pipeline fill (the first
-// round's compute or the last round's drain), approximated here as one
-// round of compute.
+// ModeledTotal returns the run's modeled time with each round's exchange
+// hidden behind its neighbours' compute: the overlapped price of the
+// rounds Modeled.Total adds up bulk-synchronously. Over R rounds, C is the
+// round compute (parse, plus count unless the run spilled) and E the
+// exchange. Equal rounds pipeline to (R−1)/R·max(C, E) + (C+E)/R: R−1
+// steady-state rounds at the longer of the two, plus one round's fill and
+// drain. A spilled run's count is pass 2, which follows every exchange, so
+// it adds in full. The price lies between max(C, E) plus pass 2 and
+// Modeled.Total, and equals Modeled.Total on one round.
 func (r *Result) ModeledTotal() time.Duration {
-	compute := r.Modeled.Parse + r.Modeled.Count
-	if !r.Overlap || r.Rounds < 2 {
-		return compute + r.Modeled.Exchange
+	compute, drain := r.Modeled.Parse+r.Modeled.Count, time.Duration(0)
+	if r.Spilled {
+		compute, drain = r.Modeled.Parse, r.Modeled.Count
 	}
-	steady := r.Modeled.Exchange
-	if compute > steady {
-		steady = compute
-	}
-	return steady + compute/time.Duration(r.Rounds)
+	rounds := time.Duration(max(r.Rounds, 1))
+	return ((rounds-1)*max(compute, r.Modeled.Exchange)+compute+r.Modeled.Exchange)/rounds + drain
 }
 
 // TotalFaults folds the per-rank fault tallies into one.

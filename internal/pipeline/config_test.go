@@ -23,7 +23,6 @@ type variant struct {
 	canonical  bool
 	balanced   bool
 	hier       bool
-	overlap    bool
 	multiRound bool
 	keep       bool
 	spill      bool
@@ -90,8 +89,8 @@ func (v variant) String() string {
 		name string
 	}{
 		{v.canonical, "canonical"}, {v.balanced, "balanced"}, {v.hier, "hier"},
-		{v.overlap, "overlap"}, {v.multiRound, "rounds"}, {v.keep, "keep"},
-		{v.spill, "spill"}, {v.ckpt, "ckpt"}, {v.faults, "faults"},
+		{v.multiRound, "rounds"}, {v.keep, "keep"}, {v.spill, "spill"},
+		{v.ckpt, "ckpt"}, {v.faults, "faults"},
 		{v.stray != "", v.stray},
 	} {
 		if f.on {
@@ -105,7 +104,7 @@ func (v variant) String() string {
 // and checkpoints go.
 func (v variant) config(reads []fastq.Record, dir string) Config {
 	cfg := Default(variantLayout(v.gpu), v.mode)
-	cfg.Canonical, cfg.BalancedPartition, cfg.Overlap = v.canonical, v.balanced, v.overlap
+	cfg.Canonical, cfg.BalancedPartition = v.canonical, v.balanced
 	cfg.KeepTables = v.keep
 	if v.hier {
 		cfg.Exchange = ExchangeHier
@@ -158,13 +157,13 @@ func (v variant) enter(cfg Config, reads []fastq.Record) (*Result, error) {
 // only where it applies.
 func allVariants(gpu bool, mode Mode) []variant {
 	var out []variant
-	for bits := 0; bits < 1<<9; bits++ {
+	for bits := 0; bits < 1<<8; bits++ {
 		on := func(i int) bool { return bits>>i&1 == 1 }
 		for _, entry := range []Entry{InMemory, Streaming, Resuming} {
 			v := variant{
 				gpu: gpu, mode: mode, canonical: on(0), balanced: on(1), hier: on(2),
-				overlap: on(3), multiRound: on(4), keep: on(5), spill: on(6),
-				ckpt: on(7), faults: on(8), entry: entry,
+				multiRound: on(3), keep: on(4), spill: on(5), ckpt: on(6),
+				faults: on(7), entry: entry,
 			}
 			for _, s := range strays {
 				if s.applies(v) {
@@ -179,7 +178,7 @@ func allVariants(gpu bool, mode Mode) []variant {
 
 // TestAllVariantsMatchOracle holds the combination table to its promise,
 // over every combination of engine, mode, canonical, balanced, exchange,
-// overlap, multi-round, kept tables, spill, checkpoint, seeded drop and
+// multi-round, kept tables, spill, checkpoint, seeded drop and
 // corrupt faults and entry point (Run, RunStream, ResumeStream after a
 // fatal kill), plus one stray setting at a time:
 //
@@ -318,9 +317,6 @@ func (o *variantOracle) check(t *testing.T, v variant, res *Result) {
 	if restarted := v.stray == "restart"; res.Recovered != restarted || restarted && !slices.Equal(res.DeadRanks, []int{1}) {
 		t.Fatalf("recovered %v with dead ranks %v, want a restart %v", res.Recovered, res.DeadRanks, restarted)
 	}
-	if res.Overlap != v.overlap {
-		t.Fatalf("Result.Overlap = %v, Config.Overlap %v", res.Overlap, v.overlap)
-	}
 	if res.TotalKmers != o.total || res.DistinctKmers != uint64(len(o.counts)) {
 		t.Fatalf("counted %d/%d k-mers, oracle %d/%d", res.TotalKmers, res.DistinctKmers, o.total, len(o.counts))
 	}
@@ -359,6 +355,12 @@ func (o *variantOracle) check(t *testing.T, v variant, res *Result) {
 	// on the CPU.
 	if res.Staging < 0 || res.Staging > res.Modeled.Exchange || (res.Staging > 0) != res.GPU {
 		t.Fatalf("staging %v of a %v exchange (GPU %v)", res.Staging, res.Modeled.Exchange, res.GPU)
+	}
+	// The overlapped price hides at most the shorter of compute and
+	// exchange, never a spilled run's pass 2, and nothing on one round.
+	lo, hi := overlapBounds(res)
+	if got := res.ModeledTotal(); got < lo || got > hi || res.Rounds == 1 && got != hi {
+		t.Fatalf("overlapped total %v over %d rounds, want within [%v, %v]", got, res.Rounds, lo, hi)
 	}
 	if res.ItemsExchanged == 0 || res.PayloadBytes == 0 {
 		t.Fatal("exchange accounting missing")

@@ -43,8 +43,9 @@ const parseSlots = 2
 // runRounds drives one rank's open-ended round loop until the world
 // agrees no rank has input left, returning the number of rounds
 // executed. Every round runs bulk-synchronously — start, parse, exchange,
-// count, then the checkpoint when one is due — as the paper's rounds do;
-// Config.Overlap changes only how Result.ModeledTotal prices the rounds.
+// count, then the checkpoint when one is due — as the paper's rounds do.
+// Result.ModeledTotal prices the same rounds as an overlapped pipeline, a
+// projection over the phase totals that no setting selects.
 // The round count is not known up front — a streaming source reveals its
 // end only by draining — so termination is collective: every outgoing
 // announcement carries the sender's "my input continues" flag, exchange(r)

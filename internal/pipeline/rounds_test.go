@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"dedukt/internal/cluster"
 	"dedukt/internal/dna"
@@ -182,4 +183,101 @@ func TestMultiRoundCPU(t *testing.T) {
 		t.Fatalf("expected multi-round CPU run, got %d rounds", res.Rounds)
 	}
 	checkAgainstOracle(t, cfg, reads, res)
+}
+
+// overlapBounds returns the range Result.ModeledTotal must lie in: from
+// max(compute, exchange) plus a spilled run's pass-2 count, everything
+// overlapped, to the bulk-synchronous Modeled.Total.
+func overlapBounds(res *Result) (lo, hi time.Duration) {
+	compute, drain := res.Modeled.Parse+res.Modeled.Count, time.Duration(0)
+	if res.Spilled {
+		compute, drain = res.Modeled.Parse, res.Modeled.Count
+	}
+	return max(compute, res.Modeled.Exchange) + drain, res.Modeled.Total()
+}
+
+// TestModeledTotal pins the overlapped price of R equal rounds,
+// (R−1)/R·max(C, E) + (C+E)/R plus a spilled run's pass 2, where C is the
+// compute a round overlaps (parse, plus count unless the run spilled) and
+// E the exchange.
+func TestModeledTotal(t *testing.T) {
+	const ms, us = time.Millisecond, time.Microsecond
+	for _, tc := range []struct {
+		name                   string
+		rounds                 int
+		spilled                bool
+		parse, exchange, count time.Duration
+		want                   time.Duration
+	}{
+		// One round has nothing to overlap: it pays every phase.
+		{"one round", 1, false, 30 * ms, 100 * ms, 10 * ms, 140 * ms},
+		{"one spilled round", 1, true, 30 * ms, 100 * ms, 10 * ms, 140 * ms},
+		// 3/4·100 + 140/4: three rounds at the exchange, one fill and drain.
+		{"exchange-bound", 4, false, 30 * ms, 100 * ms, 10 * ms, 110 * ms},
+		// 3/4·40 + 60/4: the exchange hides behind the compute.
+		{"compute-bound", 4, false, 30 * ms, 20 * ms, 10 * ms, 45 * ms},
+		// 3/4·40 + 45/4: a small exchange still prices under the 45 ms
+		// bulk-synchronous total.
+		{"compute-bound, small exchange", 4, false, 30 * ms, 5 * ms, 10 * ms, 41_250 * us},
+		// ooc-spill-hs54's terms: 14/15·4.128 + 5.649/15 + 4.936, above the
+		// 9.064 ms its exchange and pass 2 take back to back.
+		{"spilled", 15, true, 1_521 * us, 4_128 * us, 4_936 * us, 9_165_400 * time.Nanosecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := &Result{Rounds: tc.rounds, Spilled: tc.spilled}
+			res.Modeled = PhaseBreakdown{Parse: tc.parse, Exchange: tc.exchange, Count: tc.count}
+			got := res.ModeledTotal()
+			if got != tc.want {
+				t.Fatalf("ModeledTotal = %v, want %v", got, tc.want)
+			}
+			if lo, hi := overlapBounds(res); got < lo || got > hi {
+				t.Fatalf("ModeledTotal = %v, outside [%v, %v]", got, lo, hi)
+			}
+		})
+	}
+}
+
+// TestRoundLoopAllocs pins the hot round loop's marginal allocation cost:
+// doubling the round count over the same input may only add a small
+// per-round overhead (pooled scratch, parity buffers), not per-item
+// allocations. Regressions that reintroduce per-round flattening or
+// per-part framing garbage trip this.
+func TestRoundLoopAllocs(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("alloc counts are inflated by the race detector")
+	}
+	reads := testReads(t, 20_000, 8)
+	run := func(roundBases int) (rounds int) {
+		cfg := Default(smallGPULayout(1), SupermerMode)
+		cfg.MemBudgetBytes = roundBudget(cfg, roundBases)
+		res, err := Run(cfg, reads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Rounds
+	}
+	measure := func(roundBases int) (float64, int) {
+		var rounds int
+		allocs := testing.AllocsPerRun(3, func() {
+			rounds = run(roundBases)
+		})
+		return allocs, rounds
+	}
+	aFew, rFew := measure(12_000)
+	aMany, rMany := measure(3_000)
+	if rMany <= rFew || rFew < 2 {
+		t.Fatalf("want rMany > rFew >= 2, got %d and %d rounds", rMany, rFew)
+	}
+	perRound := (aMany - aFew) / float64(rMany-rFew)
+	t.Logf("rounds %d -> %d, allocs %.0f -> %.0f, marginal %.1f allocs/round", rFew, rMany, aFew, aMany, perRound)
+	// Measured ~360 allocs/round across the 6-rank world now that the
+	// device pools per-worker launch scratch (lane access logs, fold
+	// buffers) across a rank's kernel launches; what remains is per-launch
+	// goroutine spawn and per-collective bookkeeping. Before pooling, every
+	// launch re-grew each lane's access log — ~3600 allocs/round, and worse
+	// still when framing allocated per part.
+	const budget = 1200
+	if perRound > budget {
+		t.Fatalf("marginal cost %.1f allocs/round exceeds budget %d", perRound, budget)
+	}
 }

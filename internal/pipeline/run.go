@@ -214,7 +214,6 @@ func aggregate(cfg Config, trace []mpisim.TraceEntry, outcomes []rankOutcome, wa
 		Nodes:        cfg.Layout.Nodes,
 		Mode:         cfg.Mode,
 		GPU:          cfg.Layout.GPU != nil,
-		Overlap:      cfg.Overlap,
 		Wall:         wall,
 		Spilled:      cfg.Spill.Dir != "",
 		SpillBins:    cfg.Spill.bins(),

@@ -47,8 +47,7 @@ func spillLeftovers(t *testing.T, dir string) []string {
 }
 
 // TestSpillMatchesInMemory is the out-of-core equivalence property at the
-// heart of the spill mode: across engines, modes, Overlap on and off,
-// exchange strategies, streaming, randomized k/m/window choices, and recoverable
+// heart of the spill mode: across engines, modes, exchange strategies, streaming, randomized k/m/window choices, and recoverable
 // fault injection, the two-pass spill path must reproduce the in-memory
 // spectrum bit-for-bit — counts, histogram, top-k, and per-rank loads —
 // and leave no bin files behind on success.
@@ -57,18 +56,15 @@ func TestSpillMatchesInMemory(t *testing.T) {
 	type tcase struct {
 		engine   string
 		streamed bool
-		overlap  bool
 		faulted  bool
 		exch     Exchange
 	}
 	var cases []tcase
 	for _, engine := range []string{"gpu", "cpu"} {
 		for _, streamed := range []bool{false, true} {
-			for _, overlap := range []bool{false, true} {
-				for _, faulted := range []bool{false, true} {
-					for _, exch := range []Exchange{ExchangeFlat, ExchangeHier} {
-						cases = append(cases, tcase{engine, streamed, overlap, faulted, exch})
-					}
+			for _, faulted := range []bool{false, true} {
+				for _, exch := range []Exchange{ExchangeFlat, ExchangeHier} {
+					cases = append(cases, tcase{engine, streamed, faulted, exch})
 				}
 			}
 		}
@@ -79,8 +75,8 @@ func TestSpillMatchesInMemory(t *testing.T) {
 		// every other dimension.
 		mode := []Mode{KmerMode, SupermerMode}[i%2]
 		canonical := mode == KmerMode && i%4 == 0
-		name := fmt.Sprintf("%s/%s/stream=%v/overlap=%v/faulted=%v/%s",
-			tc.engine, mode, tc.streamed, tc.overlap, tc.faulted, tc.exch)
+		name := fmt.Sprintf("%s/%s/stream=%v/faulted=%v/%s",
+			tc.engine, mode, tc.streamed, tc.faulted, tc.exch)
 		// Per-case randomized operating point and dataset.
 		k := []int{15, 17, 21}[rng.Intn(3)]
 		m := []int{5, 7}[rng.Intn(2)]
@@ -94,7 +90,6 @@ func TestSpillMatchesInMemory(t *testing.T) {
 			cfg := Default(layout, mode)
 			cfg.K, cfg.M, cfg.Window = k, m, window
 			cfg.Canonical = canonical
-			cfg.Overlap = tc.overlap
 			cfg.Exchange = tc.exch
 			if tc.exch == ExchangeHier {
 				cfg.Layout.Net.RanksPerNode = 2

@@ -68,8 +68,7 @@ func writeGzFiles(t *testing.T, reads []fastq.Record, n int) []string {
 }
 
 // TestStreamMatchesInMemory is the streaming/in-memory equivalence
-// property: across engines, modes, Overlap on and off, exchange
-// strategies, randomized k/m/window choices, and recoverable fault
+// property: across engines, modes, exchange strategies, randomized k/m/window choices, and recoverable fault
 // injection, RunStream over a bounded producer must reproduce Run's
 // spectrum bit-for-bit — counts, histogram, top-k, and per-rank loads —
 // while actually running multi-round under its memory budget. Half the cases stream from
@@ -80,24 +79,21 @@ func TestStreamMatchesInMemory(t *testing.T) {
 	type tcase struct {
 		engine  string
 		mode    Mode
-		overlap bool
 		faulted bool
 		exch    Exchange
 	}
 	var cases []tcase
 	for _, engine := range []string{"gpu", "cpu"} {
 		for _, mode := range []Mode{KmerMode, SupermerMode} {
-			for _, overlap := range []bool{false, true} {
-				for _, faulted := range []bool{false, true} {
-					for _, exch := range []Exchange{ExchangeFlat, ExchangeHier} {
-						cases = append(cases, tcase{engine, mode, overlap, faulted, exch})
-					}
+			for _, faulted := range []bool{false, true} {
+				for _, exch := range []Exchange{ExchangeFlat, ExchangeHier} {
+					cases = append(cases, tcase{engine, mode, faulted, exch})
 				}
 			}
 		}
 	}
 	for i, tc := range cases {
-		name := fmt.Sprintf("%s/%s/overlap=%v/faulted=%v/%s", tc.engine, tc.mode, tc.overlap, tc.faulted, tc.exch)
+		name := fmt.Sprintf("%s/%s/faulted=%v/%s", tc.engine, tc.mode, tc.faulted, tc.exch)
 		// Per-case randomized operating point and dataset.
 		k := []int{15, 17, 21}[rng.Intn(3)]
 		m := []int{5, 7}[rng.Intn(2)]
@@ -113,7 +109,6 @@ func TestStreamMatchesInMemory(t *testing.T) {
 			}
 			cfg := Default(layout, tc.mode)
 			cfg.K, cfg.M, cfg.Window = k, m, window
-			cfg.Overlap = tc.overlap
 			cfg.Exchange = tc.exch
 			if tc.exch == ExchangeHier {
 				// Group the 6 test ranks into 3 fabric nodes of 2 so the
