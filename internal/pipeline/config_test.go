@@ -20,6 +20,7 @@ import (
 type variant struct {
 	gpu        bool
 	mode       Mode
+	odd        bool
 	canonical  bool
 	balanced   bool
 	hier       bool
@@ -62,9 +63,10 @@ var strays = []struct {
 	}},
 }
 
-// The enumeration's input and world: a 2-node world of 4 ranks on either
+// The enumeration's input and worlds: a 2-node world of 4 ranks on either
 // engine, so the exchange crosses the fabric and the hierarchical exchange
-// has two leaders. A streamed run always runs under streamBudget, several
+// has two leaders, and an odd world of 3 single-rank nodes, so the rank
+// count is no power of two and every rank leads its node. A streamed run always runs under streamBudget, several
 // rounds over this input, so a resumed run has a checkpoint (every second
 // round) behind its kill; multiRound tightens the budget, on any entry
 // point, to rounds of 1 000 bases a rank.
@@ -73,12 +75,16 @@ const (
 	killRound    = 2
 )
 
-func variantLayout(gpu bool) cluster.Layout {
-	l := cluster.SummitCPU(2)
-	if gpu {
-		l = cluster.SummitGPU(2)
+func variantLayout(gpu, odd bool) cluster.Layout {
+	nodes, perNode := 2, 2
+	if odd {
+		nodes, perNode = 3, 1
 	}
-	l.RanksPerNode, l.Net.RanksPerNode = 2, 2
+	l := cluster.SummitCPU(nodes)
+	if gpu {
+		l = cluster.SummitGPU(nodes)
+	}
+	l.RanksPerNode, l.Net.RanksPerNode = perNode, perNode
 	return l
 }
 
@@ -88,7 +94,7 @@ func (v variant) String() string {
 		on   bool
 		name string
 	}{
-		{v.canonical, "canonical"}, {v.balanced, "balanced"}, {v.hier, "hier"},
+		{v.odd, "odd"}, {v.canonical, "canonical"}, {v.balanced, "balanced"}, {v.hier, "hier"},
 		{v.multiRound, "rounds"}, {v.keep, "keep"}, {v.spill, "spill"},
 		{v.ckpt, "ckpt"}, {v.faults, "faults"},
 		{v.stray != "", v.stray},
@@ -103,7 +109,7 @@ func (v variant) String() string {
 // config builds the variant's configuration; dir is where its spill bins
 // and checkpoints go.
 func (v variant) config(reads []fastq.Record, dir string) Config {
-	cfg := Default(variantLayout(v.gpu), v.mode)
+	cfg := Default(variantLayout(v.gpu, v.odd), v.mode)
 	cfg.Canonical, cfg.BalancedPartition = v.canonical, v.balanced
 	cfg.KeepTables = v.keep
 	if v.hier {
@@ -157,13 +163,13 @@ func (v variant) enter(cfg Config, reads []fastq.Record) (*Result, error) {
 // only where it applies.
 func allVariants(gpu bool, mode Mode) []variant {
 	var out []variant
-	for bits := 0; bits < 1<<8; bits++ {
+	for bits := 0; bits < 1<<9; bits++ {
 		on := func(i int) bool { return bits>>i&1 == 1 }
 		for _, entry := range []Entry{InMemory, Streaming, Resuming} {
 			v := variant{
 				gpu: gpu, mode: mode, canonical: on(0), balanced: on(1), hier: on(2),
-				multiRound: on(3), keep: on(4), spill: on(5), ckpt: on(6),
-				faults: on(7), entry: entry,
+				odd: on(3), multiRound: on(4), keep: on(5), spill: on(6),
+				ckpt: on(7), faults: on(8), entry: entry,
 			}
 			for _, s := range strays {
 				if s.applies(v) {
@@ -177,10 +183,11 @@ func allVariants(gpu bool, mode Mode) []variant {
 }
 
 // TestAllVariantsMatchOracle holds the combination table to its promise,
-// over every combination of engine, mode, canonical, balanced, exchange,
-// multi-round, kept tables, spill, checkpoint, seeded drop and
-// corrupt faults and entry point (Run, RunStream, ResumeStream after a
-// fatal kill), plus one stray setting at a time:
+// over every combination of engine, world (4 ranks or an odd 3), mode,
+// canonical, balanced, exchange, multi-round, kept tables, spill,
+// checkpoint, seeded drop and corrupt faults and entry point (Run,
+// RunStream, ResumeStream after a fatal kill), plus one stray setting at a
+// time:
 //
 //   - (a) every combination Validate accepts runs through its entry point
 //     without error, complete, and bit-identical to kcount.SerialCount —
@@ -192,7 +199,7 @@ func TestAllVariantsMatchOracle(t *testing.T) {
 	reads := testReads(t, 6_000, 4)
 	oracles := map[bool]*variantOracle{}
 	for _, canonical := range []bool{false, true} {
-		cfg := Default(variantLayout(false), KmerMode)
+		cfg := Default(variantLayout(false, false), KmerMode)
 		cfg.Canonical = canonical
 		oracles[canonical] = newVariantOracle(oracleFor(cfg, reads))
 	}

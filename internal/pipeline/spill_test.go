@@ -55,28 +55,29 @@ func TestSpillMatchesInMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	type tcase struct {
 		engine   string
+		mode     Mode
 		streamed bool
 		faulted  bool
 		exch     Exchange
 	}
 	var cases []tcase
 	for _, engine := range []string{"gpu", "cpu"} {
-		for _, streamed := range []bool{false, true} {
-			for _, faulted := range []bool{false, true} {
-				for _, exch := range []Exchange{ExchangeFlat, ExchangeHier} {
-					cases = append(cases, tcase{engine, streamed, faulted, exch})
+		for _, mode := range []Mode{KmerMode, SupermerMode} {
+			for _, streamed := range []bool{false, true} {
+				for _, faulted := range []bool{false, true} {
+					for _, exch := range []Exchange{ExchangeFlat, ExchangeHier} {
+						cases = append(cases, tcase{engine, mode, streamed, faulted, exch})
+					}
 				}
 			}
 		}
 	}
 	for i, tc := range cases {
-		// Alternate the exchanged unit across cases so both wire formats
-		// (and, in kmer mode, canonical folding every fourth case) cover
-		// every other dimension.
-		mode := []Mode{KmerMode, SupermerMode}[i%2]
-		canonical := mode == KmerMode && i%4 == 0
+		// Canonical folding runs on every other k-mer case, alternating
+		// with the exchange strategy and the faults so it meets both.
+		canonical := tc.mode == KmerMode && (i^i>>1)&1 == 0
 		name := fmt.Sprintf("%s/%s/stream=%v/faulted=%v/%s",
-			tc.engine, mode, tc.streamed, tc.faulted, tc.exch)
+			tc.engine, tc.mode, tc.streamed, tc.faulted, tc.exch)
 		// Per-case randomized operating point and dataset.
 		k := []int{15, 17, 21}[rng.Intn(3)]
 		m := []int{5, 7}[rng.Intn(2)]
@@ -87,7 +88,7 @@ func TestSpillMatchesInMemory(t *testing.T) {
 			if tc.engine == "cpu" {
 				layout = smallCPULayout()
 			}
-			cfg := Default(layout, mode)
+			cfg := Default(layout, tc.mode)
 			cfg.K, cfg.M, cfg.Window = k, m, window
 			cfg.Canonical = canonical
 			cfg.Exchange = tc.exch

@@ -71,9 +71,9 @@ func writeGzFiles(t *testing.T, reads []fastq.Record, n int) []string {
 // property: across engines, modes, exchange strategies, randomized k/m/window choices, and recoverable fault
 // injection, RunStream over a bounded producer must reproduce Run's
 // spectrum bit-for-bit — counts, histogram, top-k, and per-rank loads —
-// while actually running multi-round under its memory budget. Half the cases stream from
-// gzip-compressed multi-file fixtures, the other half from an in-memory
-// source.
+// while actually running multi-round under its memory budget. Every
+// combination streams once from gzip-compressed multi-file fixtures and
+// once from an in-memory source.
 func TestStreamMatchesInMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	type tcase struct {
@@ -81,27 +81,28 @@ func TestStreamMatchesInMemory(t *testing.T) {
 		mode    Mode
 		faulted bool
 		exch    Exchange
+		files   bool
 	}
 	var cases []tcase
 	for _, engine := range []string{"gpu", "cpu"} {
 		for _, mode := range []Mode{KmerMode, SupermerMode} {
 			for _, faulted := range []bool{false, true} {
 				for _, exch := range []Exchange{ExchangeFlat, ExchangeHier} {
-					cases = append(cases, tcase{engine, mode, faulted, exch})
+					for _, files := range []bool{false, true} {
+						cases = append(cases, tcase{engine, mode, faulted, exch, files})
+					}
 				}
 			}
 		}
 	}
 	for i, tc := range cases {
-		name := fmt.Sprintf("%s/%s/faulted=%v/%s", tc.engine, tc.mode, tc.faulted, tc.exch)
+		name := fmt.Sprintf("%s/%s/faulted=%v/%s/%s", tc.engine, tc.mode, tc.faulted, tc.exch,
+			map[bool]string{false: "slice", true: "files"}[tc.files])
 		// Per-case randomized operating point and dataset.
 		k := []int{15, 17, 21}[rng.Intn(3)]
 		m := []int{5, 7}[rng.Intn(2)]
 		window := []int{9, 15}[rng.Intn(2)]
 		reads := testReads(t, 6_000+rng.Intn(4_000), 3+rng.Float64()*2)
-		// Alternate at stride 2 so both exchange strategies (the innermost
-		// dimension) see both file-backed and in-memory sources.
-		fromFiles := i%4 < 2
 		t.Run(name, func(t *testing.T) {
 			layout := smallGPULayout(1)
 			if tc.engine == "cpu" {
@@ -130,7 +131,7 @@ func TestStreamMatchesInMemory(t *testing.T) {
 			scfg := cfg
 			scfg.MemBudgetBytes = roundBudget(cfg, 2_500)
 			var src fastq.Source
-			if fromFiles {
+			if tc.files {
 				stream, err := fastq.OpenStream(writeGzFiles(t, reads, 3)...)
 				if err != nil {
 					t.Fatal(err)
