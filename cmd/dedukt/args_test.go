@@ -54,11 +54,11 @@ func TestParseArgsInMemoryCkpt(t *testing.T) {
 
 // TestParseArgsBinds: flags land in their Config fields.
 func TestParseArgsBinds(t *testing.T) {
-	cfg, in, out, err := parseArgs(strings.Fields("-in a.fastq,b.fastq -stream -mem-budget 4M -mode kmer -exchange hier -engine cpu -nodes 2 -encoding lex -ordering kmc2 -canonical -fault-kill-rank 1 -fault-kill-round 9 -okcd x.kcd"))
+	cfg, in, out, err := parseArgs(strings.Fields("-in a.fastq,b.fastq -stream -mem-budget 4M -mode kmer -engine cpu -nodes 2 -encoding lex -ordering kmc2 -canonical -fault-kill-rank 1 -fault-kill-round 9 -okcd x.kcd"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Mode != pipeline.KmerMode || cfg.Exchange != pipeline.ExchangeHier || cfg.Layout.CPU == nil || cfg.Layout.Nodes != 2 ||
+	if cfg.Mode != pipeline.KmerMode || cfg.Layout.CPU == nil || cfg.Layout.Nodes != 2 ||
 		cfg.Enc.Name() != "lex" || cfg.Ord.Name() != "kmc2" || !cfg.Canonical || cfg.MemBudgetBytes != 4<<20 || !cfg.KeepTables {
 		t.Errorf("config %+v", cfg)
 	}
@@ -88,12 +88,12 @@ func TestParseArgsRejects(t *testing.T) {
 		"-in a.fastq -stream -spill-dir s -ckpt-dir ck": "mutually exclusive",
 		"-okcd x.kcd -spill-dir s":                      "per-rank tables",
 		"-mode read":                                    "unknown mode",
-		"-exchange ring":                                "unknown exchange",
 		"-encoding ascii":                               "unknown encoding",
 		"-engine tpu":                                   "unknown engine",
 		"-ordering random":                              "unknown ordering",
 		"-mem-budget 1.5G -stream -in a.fastq":          "bad size",
 		"-overlap":                                      "not defined",
+		"-exchange hier":                                "not defined",
 	} {
 		_, _, _, err := parseArgs(strings.Fields(args))
 		if err == nil || !strings.Contains(err.Error(), want) {

@@ -54,11 +54,12 @@ func DestOf(key uint64, nProc int) int {
 // Alltoallv round: every rank addresses every rank.
 func FlatExchangeMessages(p int) int { return p * p }
 
-// HierExchangeMessages is the fabric message count of one two-stage
-// hierarchical exchange round: intra-node gather and scatter ride the
-// NVLink tier (no fabric messages), so the fabric only carries the L×L
-// leader Alltoallv where L = ceil(p / ranksPerNode) — a ragged last node
-// still fields a leader. ranksPerNode <= 1 degenerates to the flat count.
+// HierExchangeMessages is the fabric message count of one leader-routed
+// exchange round, the route pipeline.Result.HierExchange prices: intra-node
+// gather and scatter ride the NVLink tier (no fabric messages), so the
+// fabric only carries the L×L leader Alltoallv where L = ceil(p /
+// ranksPerNode) — a ragged last node still fields a leader. ranksPerNode
+// <= 1 degenerates to the flat count.
 func HierExchangeMessages(p, ranksPerNode int) int {
 	if ranksPerNode <= 1 {
 		return FlatExchangeMessages(p)

@@ -3,6 +3,7 @@ package mpisim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -153,6 +154,55 @@ func checkFold(width int, m [][]uint64) error {
 		if got, want := nm.CollectiveTime(e), refCollectiveTime(nm, width, ref); got != want {
 			return fmt.Errorf("entry %d costs %v, want %v", k, got, want)
 		}
+		if err := checkLeaderRouted(nm, width, e, ref); err != nil {
+			return fmt.Errorf("entry %d: %v", k, err)
+		}
+	}
+	return nil
+}
+
+// refHeader is the record header the leader-routed references carry.
+const refHeader = 8
+
+// refLeaderMatrix routes a traffic matrix through node leaders: every
+// off-node (src, dest) frame, empty or not, travels behind a refHeader-byte
+// header from src's leader to dest's, so the routed matrix holds leader to
+// leader traffic only; same-node frames never reach it.
+func refLeaderMatrix(width int, bytes [][]uint64) [][]uint64 {
+	w := max(width, 1)
+	routed := make([][]uint64, len(bytes))
+	for i := range routed {
+		routed[i] = make([]uint64, len(bytes))
+	}
+	for i, row := range bytes {
+		for j, b := range row {
+			if refNodeOf(width, i) != refNodeOf(width, j) {
+				routed[i/w*w][j/w*w] += refHeader + b
+			}
+		}
+	}
+	return routed
+}
+
+// checkLeaderRouted compares the leader-routed projection of folded entry
+// e — its volume, busiest node, fabric ranks and price — with the fold of
+// the routed reference matrix, and each node's bytes with the routed
+// per-node reference.
+func checkLeaderRouted(nm NetModel, width int, e TraceEntry, bytes [][]uint64) error {
+	topo := Topology{RanksPerNode: width}
+	got := topo.LeaderRouted(e, refHeader)
+	routed := refLeaderMatrix(width, bytes)
+	if want := refVolumes(width, routed); got.Volume != want {
+		return fmt.Errorf("leader-routed volume %+v, want %+v", got.Volume, want)
+	}
+	if want := refFabricRanks(width, routed); got.FabricRanks != want {
+		return fmt.Errorf("leader-routed: %d fabric ranks, want %d", got.FabricRanks, want)
+	}
+	if want := foldMatrix(topo, routed).NodeBytes; !slices.Equal(got.NodeBytes, want) {
+		return fmt.Errorf("leader-routed node bytes %v, want %v", got.NodeBytes, want)
+	}
+	if g, want := nm.CollectiveTime(got), refCollectiveTime(nm, width, routed); g != want {
+		return fmt.Errorf("leader-routed cost %v, want %v", g, want)
 	}
 	return nil
 }
@@ -170,9 +220,10 @@ func refFabricRanks(width int, bytes [][]uint64) int {
 	return len(active)
 }
 
-// TestTrafficFoldMatchesMatrix holds the fold to the matrix model over
-// random traffic with silent ranks, self-sends and empty pairs, at node
-// widths from flat to one node holding the whole world.
+// TestTrafficFoldMatchesMatrix holds the fold, and its leader-routed
+// projection, to the matrix model over random traffic with silent ranks,
+// self-sends and empty pairs, at node widths from flat to one node holding
+// the whole world, ragged last nodes included.
 func TestTrafficFoldMatchesMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, p := range []int{1, 2, 7, 12, 13} {
@@ -198,11 +249,14 @@ func TestTrafficFoldMatchesMatrix(t *testing.T) {
 	}
 }
 
-// FuzzTrafficFold drives the same comparison from arbitrary input: the
-// first two bytes pick P (1..13) and the node width (0..P+1), the rest fill
-// the matrix row by row, one byte a pair (zero once the input runs out).
+// FuzzTrafficFold drives the same comparison, the leader-routed projection
+// included, from arbitrary input: the first two bytes pick P (1..13) and
+// the node width (0..P+1, most of which leave a ragged last node), the rest
+// fill the matrix row by row, one byte a pair (zero once the input runs
+// out).
 func FuzzTrafficFold(f *testing.F) {
 	f.Add([]byte{11, 6, 1, 2, 3, 0, 255, 7})
+	f.Add([]byte{12, 5, 3, 0, 9, 1, 200, 4, 4, 0, 17, 2, 8, 8, 1})
 	f.Add([]byte{0, 0, 9})
 	f.Add([]byte{12, 14, 5, 5, 5, 5})
 	f.Add([]byte{6, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 40})

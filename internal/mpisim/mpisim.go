@@ -105,6 +105,12 @@ type TraceEntry struct {
 	Volume VolumeStats
 	// FabricRanks counts the ranks that sent or received any fabric byte.
 	FabricRanks int
+	// NodeBytes is each node's max(in, out) fabric bytes, a ragged last
+	// node's included; Volume.MaxNodeBytes is the largest. Ranks is the
+	// size of the world the collective ran on, which fixes each node's
+	// members (Topology.LeaderRouted reads both).
+	NodeBytes []uint64
+	Ranks     int
 }
 
 // VolumeStats summarizes one collective's traffic, or a run's.
@@ -129,7 +135,7 @@ type fold struct {
 // newFold starts the fold of one collective, op, on a size-rank world.
 func newFold(op string, topo Topology, size int) *fold {
 	nodes := topo.Nodes(size)
-	return &fold{topo: topo, e: TraceEntry{Op: op},
+	return &fold{topo: topo, e: TraceEntry{Op: op, Ranks: size},
 		in: make([]uint64, nodes), out: make([]uint64, nodes), active: make([]bool, size)}
 }
 
@@ -148,9 +154,11 @@ func (f *fold) add(i, j int, b uint64) {
 
 // entry returns the folded collective.
 func (f *fold) entry() TraceEntry {
-	for n := range f.out {
-		f.e.Volume.MaxNodeBytes = max(f.e.Volume.MaxNodeBytes, f.out[n], f.in[n])
+	for n, in := range f.in {
+		f.out[n] = max(f.out[n], in)
+		f.e.Volume.MaxNodeBytes = max(f.e.Volume.MaxNodeBytes, f.out[n])
 	}
+	f.e.NodeBytes = f.out
 	for _, a := range f.active {
 		if a {
 			f.e.FabricRanks++
@@ -413,13 +421,26 @@ func UnitBytes[T Unit]() int { return bits.Len64(uint64(^T(0))) / 8 }
 // in Alg. 1): send[j] goes to rank j; recv[i] is the payload from rank i.
 // Payloads are referenced, not copied — receivers must not mutate them.
 func Alltoallv[T Unit](c *Comm, send [][]T) ([][]T, error) {
+	return blockingAlltoallv(c, "alltoallv", send)
+}
+
+// AlltoallvRetry is Alltoallv traced as "alltoallv_retry": a payload
+// exchange shipped again because an earlier attempt lost frames. The trace
+// keeps it apart from the attempt it repeats, so a model can price the
+// first attempt alone.
+func AlltoallvRetry[T Unit](c *Comm, send [][]T) ([][]T, error) {
+	return blockingAlltoallv(c, "alltoallv_retry", send)
+}
+
+// blockingAlltoallv checks and runs a blocking Alltoallv traced as op.
+func blockingAlltoallv[T Unit](c *Comm, op string, send [][]T) ([][]T, error) {
 	if err := c.checkLen(len(send)); err != nil {
 		return nil, err
 	}
 	if err := c.syncReady(); err != nil {
 		return nil, err
 	}
-	return alltoallv(c, "alltoallv", send)
+	return alltoallv(c, op, send)
 }
 
 // AlltoallvBytes forwards to Alltoallv for the separately built bench/ module.

@@ -3,6 +3,7 @@ package mpisim
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -217,6 +218,9 @@ func TestTraceRecorded(t *testing.T) {
 		if _, err := c.NodeAlltoallvBytes(topo, node); err != nil {
 			return err
 		}
+		if _, err := AlltoallvRetry(c, bytes); err != nil {
+			return err
+		}
 		_, err := c.AllreduceSum(1) // not traced: no payload
 		return err
 	})
@@ -225,17 +229,23 @@ func TestTraceRecorded(t *testing.T) {
 	}
 	want := []TraceEntry{
 		// One 8-byte count word per ordered pair, self included.
-		{Op: "alltoall", Volume: VolumeStats{TotalBytes: 8 * p * p, FabricBytes: 8 * p * perNode, MaxNodeBytes: 8 * perNode * perNode}, FabricRanks: p},
-		{Op: "alltoallv", Volume: VolumeStats{TotalBytes: 78 * 78, FabricBytes: 2 * 21 * 57, MaxNodeBytes: 21 * 57}, FabricRanks: p},
-		{Op: "alltoallv", Volume: VolumeStats{TotalBytes: 8 * 78 * 78, FabricBytes: 8 * 2 * 21 * 57, MaxNodeBytes: 8 * 21 * 57}, FabricRanks: p},
+		{Op: "alltoall", Volume: VolumeStats{TotalBytes: 8 * p * p, FabricBytes: 8 * p * perNode, MaxNodeBytes: 8 * perNode * perNode}, FabricRanks: p,
+			NodeBytes: []uint64{8 * perNode * perNode, 8 * perNode * perNode}, Ranks: p},
+		{Op: "alltoallv", Volume: VolumeStats{TotalBytes: 78 * 78, FabricBytes: 2 * 21 * 57, MaxNodeBytes: 21 * 57}, FabricRanks: p,
+			NodeBytes: []uint64{21 * 57, 21 * 57}, Ranks: p},
+		{Op: "alltoallv", Volume: VolumeStats{TotalBytes: 8 * 78 * 78, FabricBytes: 8 * 2 * 21 * 57, MaxNodeBytes: 8 * 21 * 57}, FabricRanks: p,
+			NodeBytes: []uint64{8 * 21 * 57, 8 * 21 * 57}, Ranks: p},
 		// The node tier never touches the fabric.
-		{Op: "node_alltoallv", Volume: VolumeStats{TotalBytes: 21*21 + 57*57}},
+		{Op: "node_alltoallv", Volume: VolumeStats{TotalBytes: 21*21 + 57*57}, NodeBytes: []uint64{0, 0}, Ranks: p},
+		// A retry is the same exchange under its own op.
+		{Op: "alltoallv_retry", Volume: VolumeStats{TotalBytes: 78 * 78, FabricBytes: 2 * 21 * 57, MaxNodeBytes: 21 * 57}, FabricRanks: p,
+			NodeBytes: []uint64{21 * 57, 21 * 57}, Ranks: p},
 	}
 	if len(trace) != len(want) {
 		t.Fatalf("trace = %+v", trace)
 	}
 	for i := range want {
-		if trace[i] != want[i] {
+		if !reflect.DeepEqual(trace[i], want[i]) {
 			t.Errorf("entry %d = %+v, want %+v", i, trace[i], want[i])
 		}
 	}

@@ -55,9 +55,9 @@ func (n NetModel) effectiveGBs() float64 {
 	return n.InjectionGBs * n.Efficiency
 }
 
-// Topology returns the node grouping the model describes, for the
-// hierarchical exchange and for folding the traces it prices (pass
-// RanksPerNode as Options.RanksPerNode).
+// Topology returns the node grouping the model describes, for folding the
+// traces it prices (pass RanksPerNode as Options.RanksPerNode) and for
+// projecting them leader-routed (Topology.LeaderRouted).
 func (n NetModel) Topology() Topology { return Topology{RanksPerNode: n.RanksPerNode} }
 
 // CollectiveTime evaluates one folded collective: the busiest node's fabric
@@ -65,7 +65,10 @@ func (n NetModel) Topology() Topology { return Topology{RanksPerNode: n.RanksPer
 // among the ranks that actually touch the fabric. A flat P×P Alltoallv
 // with payload everywhere pays α(P−1), a leader-only exchange pays α(L−1),
 // and a purely intra-node collective pays nothing — which is exactly the
-// message-count term a hierarchical exchange trades bandwidth slack for.
+// message-count term a leader-routed exchange trades bandwidth slack for.
+// Only fabric bytes are priced: on a one-node world every collective is
+// free, so a run's modeled exchange there is its host staging alone (0 on
+// the CPU engine), however many bytes its ranks trade.
 func (n NetModel) CollectiveTime(e TraceEntry) time.Duration {
 	if err := n.Validate(); err != nil {
 		panic(err)

@@ -27,18 +27,26 @@ import (
 // Phase names for the pipeline's per-round spans. Components may record
 // additional phases; these are the canonical set the report understands.
 const (
-	PhaseParse    = "parse"           // parse & process (kernel or scalar loop)
-	PhaseStageH2D = "stage_h2d"       // host→device staging of the round's reads
-	PhaseExchange = "exchange"        // announce + payload Alltoallv (all attempts)
-	PhaseGather   = "gather"          // hierarchical exchange: intra-node gather onto the node leader
-	PhaseLeader   = "leader_alltoall" // hierarchical exchange: inter-node Alltoallv between leaders
-	PhaseScatter  = "scatter"         // hierarchical exchange: intra-node scatter from the leader
-	PhaseRetry    = "retry"           // one retry attempt inside an exchange
-	PhaseCount    = "count"           // table insertion
-	PhaseCkpt     = "checkpoint"      // persisting a round checkpoint slice
-	PhaseRecovery = "recovery"        // restart after a rank death: checkpoint reload onto the survivors
-	PhaseSpill    = "spill_write"     // out-of-core pass 1: appending received items to disk bins
-	PhaseBinCount = "bin_count"       // out-of-core pass 2: counting one spill bin
+	PhaseParse    = "parse"       // parse & process (kernel or scalar loop)
+	PhaseStageH2D = "stage_h2d"   // host→device staging of the round's reads
+	PhaseExchange = "exchange"    // announce + payload Alltoallv (all attempts)
+	PhaseRetry    = "retry"       // one retry attempt inside an exchange
+	PhaseCount    = "count"       // table insertion
+	PhaseCkpt     = "checkpoint"  // persisting a round checkpoint slice
+	PhaseRecovery = "recovery"    // restart after a rank death: checkpoint reload onto the survivors
+	PhaseSpill    = "spill_write" // out-of-core pass 1: appending received items to disk bins
+	PhaseBinCount = "bin_count"   // out-of-core pass 2: counting one spill bin
+)
+
+// The stages of a leader-routed exchange, which no span carries: the run
+// ships the flat exchange and only prices the leader-routed one
+// (pipeline.Result.HierExchange).
+//
+// Deprecated: they stay only because the benchmark module names them.
+const (
+	PhaseGather  = "gather"          // intra-node gather onto the node leader
+	PhaseLeader  = "leader_alltoall" // inter-node Alltoallv between leaders
+	PhaseScatter = "scatter"         // intra-node scatter from the leader
 )
 
 // Instant event names for faults and recovery milestones.

@@ -42,40 +42,29 @@ const (
 	SupermerMode
 )
 
-// modeNames and exchangeNames are the names String prints and
-// UnmarshalText (the -mode and -exchange flag values) parses.
-var (
-	modeNames     = []string{KmerMode: "kmer", SupermerMode: "supermer"}
-	exchangeNames = []string{ExchangeFlat: "flat", ExchangeHier: "hier"}
-)
+// modeNames are the names String prints and UnmarshalText (the -mode flag
+// values) parses.
+var modeNames = []string{KmerMode: "kmer", SupermerMode: "supermer"}
 
 func (m Mode) String() string                { return nameOf(modeNames, int(m), "Mode") }
 func (m Mode) MarshalText() ([]byte, error)  { return []byte(m.String()), nil }
 func (m *Mode) UnmarshalText(b []byte) error { return parseName((*int)(m), b, modeNames, "mode") }
 
-// Exchange selects the exchange strategy (see internal/pipeline/exchange.go
-// and exchange_hier.go). Strategies are bit-identical in results; they
-// differ in how attempt-0 payload frames travel and therefore in fabric
-// message count and modeled/emulated exchange time.
+// Exchange named an exchange route. Every run ships the flat P×P
+// Alltoallv and prices it leader-routed too (Result.HierExchange), so
+// nothing reads it.
+//
+// Deprecated: it stays only because the benchmark module sets
+// Config.Exchange.
 type Exchange int
 
+// The routes Exchange named.
+//
+// Deprecated: see Exchange.
 const (
-	// ExchangeFlat is the paper's baseline: one P×P payload Alltoallv per
-	// round.
 	ExchangeFlat Exchange = iota
-	// ExchangeHier is the topology-aware two-stage exchange: intra-node
-	// gather onto node leaders (the NVLink tier), one
-	// ceil(P/RanksPerNode)² Alltoallv between leaders, intra-node scatter.
-	// A world size not divisible by RanksPerNode is handled as a ragged
-	// last node.
 	ExchangeHier
 )
-
-func (e Exchange) String() string               { return nameOf(exchangeNames, int(e), "Exchange") }
-func (e Exchange) MarshalText() ([]byte, error) { return []byte(e.String()), nil }
-func (e *Exchange) UnmarshalText(b []byte) error {
-	return parseName((*int)(e), b, exchangeNames, "exchange strategy")
-}
 
 // nameOf returns names[i], or typ(i) for a value with no name.
 func nameOf(names []string, i int, typ string) string {
@@ -111,9 +100,10 @@ type Config struct {
 	Window int
 	// Ord is the minimizer ordering; nil defaults to minimizer.Value{}.
 	Ord minimizer.Ordering
-	// Exchange selects the exchange strategy: ExchangeFlat (default, the
-	// paper's P×P Alltoallv) or ExchangeHier (two-stage, node-leader
-	// routed). Results are bit-identical either way.
+	// Exchange is read by nothing: every run ships the paper's P×P
+	// Alltoallv, and Result.HierExchange prices it leader-routed.
+	//
+	// Deprecated: it stays only because the benchmark module sets it.
 	Exchange Exchange
 	// Overlap is read by nothing: every run executes its rounds
 	// bulk-synchronously, and Result.ModeledTotal prices every run as
@@ -322,18 +312,6 @@ func (c Config) Validate(e Entry) error {
 	if err := c.Fault.Validate(); err != nil {
 		return err
 	}
-	switch c.Exchange {
-	case ExchangeFlat:
-	case ExchangeHier:
-		// A world size not divisible by Net.RanksPerNode is fine: the
-		// hierarchical strategy groups ranks by ceiling division, so the
-		// trailing node is simply smaller and its first rank still leads
-		// it. (The restart after a rank death produces such worlds
-		// regardless of the configured layout, so raggedness must work
-		// anyway.)
-	default:
-		return fmt.Errorf("pipeline: unknown exchange strategy %v", c.Exchange)
-	}
 	if c.ExchangeDeadline < 0 {
 		return fmt.Errorf("pipeline: negative ExchangeDeadline %v", c.ExchangeDeadline)
 	}
@@ -415,7 +393,8 @@ type PhaseBreakdown struct {
 	// Parse is "parse & process k-mers" (GPU kernels or CPU loop).
 	Parse time.Duration
 	// Exchange is "exchange (incl. MPI call)": host↔device staging
-	// (Result.Staging) plus the fabric time of Alltoall + Alltoallv.
+	// (Result.Staging) plus the fabric time of Alltoall + Alltoallv (none
+	// on a one-node world: only fabric bytes are priced).
 	Exchange time.Duration
 	// Count is "k-mer counter" (table insertion).
 	Count time.Duration
@@ -445,6 +424,14 @@ type Result struct {
 	// Modeled.Total()−Staging the GPUDirect bulk-synchronous total. 0 on
 	// the CPU engine.
 	Staging time.Duration
+	// HierExchange is Modeled.Exchange with each round's attempt-0 payload
+	// Alltoallv priced leader-routed (DESIGN.md §15): off-node frames
+	// gathered onto node leaders over NVLink, each behind a recordHeader,
+	// one L×L Alltoallv between the L = ⌈P/RanksPerNode⌉ leaders, and a
+	// scatter off the destination's leader. The count announcement,
+	// retries and staging are priced as they ran. It equals
+	// Modeled.Exchange on one node.
+	HierExchange time.Duration
 	// Wall is the wall-clock time of the whole simulated run (Go time —
 	// useful only for judging simulation cost, not Summit performance).
 	Wall time.Duration

@@ -23,7 +23,6 @@ type variant struct {
 	odd        bool
 	canonical  bool
 	balanced   bool
-	hier       bool
 	multiRound bool
 	keep       bool
 	spill      bool
@@ -64,12 +63,12 @@ var strays = []struct {
 }
 
 // The enumeration's input and worlds: a 2-node world of 4 ranks on either
-// engine, so the exchange crosses the fabric and the hierarchical exchange
-// has two leaders, and an odd world of 3 single-rank nodes, so the rank
-// count is no power of two and every rank leads its node. A streamed run always runs under streamBudget, several
-// rounds over this input, so a resumed run has a checkpoint (every second
-// round) behind its kill; multiRound tightens the budget, on any entry
-// point, to rounds of 1 000 bases a rank.
+// engine, so the exchange crosses the fabric and its leader-routed price has
+// two leaders, and an odd world of 3 single-rank nodes, so the rank count is
+// no power of two and every rank leads its node. A streamed run always runs
+// under streamBudget, several rounds over this input, so a resumed run has a
+// checkpoint (every second round) behind its kill; multiRound tightens the
+// budget, on any entry point, to rounds of 1 000 bases a rank.
 const (
 	streamBudget = 1_500 * 4 * streamBytesPerBase
 	killRound    = 2
@@ -94,7 +93,7 @@ func (v variant) String() string {
 		on   bool
 		name string
 	}{
-		{v.odd, "odd"}, {v.canonical, "canonical"}, {v.balanced, "balanced"}, {v.hier, "hier"},
+		{v.odd, "odd"}, {v.canonical, "canonical"}, {v.balanced, "balanced"},
 		{v.multiRound, "rounds"}, {v.keep, "keep"}, {v.spill, "spill"},
 		{v.ckpt, "ckpt"}, {v.faults, "faults"},
 		{v.stray != "", v.stray},
@@ -112,9 +111,6 @@ func (v variant) config(reads []fastq.Record, dir string) Config {
 	cfg := Default(variantLayout(v.gpu, v.odd), v.mode)
 	cfg.Canonical, cfg.BalancedPartition = v.canonical, v.balanced
 	cfg.KeepTables = v.keep
-	if v.hier {
-		cfg.Exchange = ExchangeHier
-	}
 	if v.entry != InMemory {
 		cfg.MemBudgetBytes = streamBudget
 	}
@@ -163,13 +159,13 @@ func (v variant) enter(cfg Config, reads []fastq.Record) (*Result, error) {
 // only where it applies.
 func allVariants(gpu bool, mode Mode) []variant {
 	var out []variant
-	for bits := 0; bits < 1<<9; bits++ {
+	for bits := 0; bits < 1<<8; bits++ {
 		on := func(i int) bool { return bits>>i&1 == 1 }
 		for _, entry := range []Entry{InMemory, Streaming, Resuming} {
 			v := variant{
-				gpu: gpu, mode: mode, canonical: on(0), balanced: on(1), hier: on(2),
-				odd: on(3), multiRound: on(4), keep: on(5), spill: on(6),
-				ckpt: on(7), faults: on(8), entry: entry,
+				gpu: gpu, mode: mode, canonical: on(0), balanced: on(1),
+				odd: on(2), multiRound: on(3), keep: on(4), spill: on(5),
+				ckpt: on(6), faults: on(7), entry: entry,
 			}
 			for _, s := range strays {
 				if s.applies(v) {
@@ -184,7 +180,7 @@ func allVariants(gpu bool, mode Mode) []variant {
 
 // TestAllVariantsMatchOracle holds the combination table to its promise,
 // over every combination of engine, world (4 ranks or an odd 3), mode,
-// canonical, balanced, exchange, multi-round, kept tables, spill,
+// canonical, balanced, multi-round, kept tables, spill,
 // checkpoint, seeded drop and corrupt faults and entry point (Run,
 // RunStream, ResumeStream after a fatal kill), plus one stray setting at a
 // time:
@@ -244,7 +240,7 @@ func TestAllVariantsMatchOracle(t *testing.T) {
 		}
 	}
 
-	// The default flat Run also runs on the paper-shaped worlds the
+	// The default Run also runs on the paper-shaped worlds the
 	// enumeration's small one stands in for — 12 GPU ranks, 8 CPU ranks —
 	// over a larger input.
 	defaultReads := testReads(t, 20_000, 8)
@@ -355,8 +351,16 @@ func (o *variantOracle) check(t *testing.T, v variant, res *Result) {
 			t.Fatalf("kept tables: %s", diff)
 		}
 	}
+	// A positive exchange needs a world of several nodes, as every variant's
+	// is: only fabric bytes are priced, so a one-node CPU world's exchange
+	// is 0 (TestOneNodeExchangeIsStaging).
 	if res.Modeled.Parse <= 0 || res.Modeled.Exchange <= 0 || res.Modeled.Count <= 0 {
 		t.Fatalf("phase breakdown not populated: %+v", res.Modeled)
+	}
+	// The leader-routed exchange prices the same staging and announcement,
+	// and a fabric exchange of its own on these multi-node worlds.
+	if res.HierExchange <= res.Staging {
+		t.Fatalf("leader-routed exchange %v within the %v staging", res.HierExchange, res.Staging)
 	}
 	// The host staging the exchange includes: some on every GPU run, none
 	// on the CPU.

@@ -41,11 +41,12 @@ func recordParse(res *Result, rec *obs.Recorder) parseRecord {
 }
 
 // TestDealIsDeterministic pins that which rank parses what is a function of
-// the input alone: Run and RunStream, over {supermer, kmer} × {flat,
-// hier}, and a checkpointing supermer run killed at round 3 whose
-// survivors restart from the checkpoint, each run five times at each of
-// GOMAXPROCS 1, 2 and 4, parse the same bases on the same rank in the same round every time — the same per-rank, per-round modeled parse and items,
-// ParseCompute, Modeled.Parse, Rounds, ItemsExchanged and PayloadBytes.
+// the input alone: Run and RunStream, in supermer and k-mer mode, and a
+// checkpointing supermer run killed at round 3 whose survivors restart
+// from the checkpoint, each run five times at each of GOMAXPROCS 1, 2 and
+// 4, parse the same bases on the same rank in the same round every time —
+// the same per-rank, per-round modeled parse and items, ParseCompute,
+// Modeled.Parse, Rounds, ItemsExchanged and PayloadBytes.
 func TestDealIsDeterministic(t *testing.T) {
 	reads := testReads(t, 6_000, 4)
 	type variant struct {
@@ -57,13 +58,11 @@ func TestDealIsDeterministic(t *testing.T) {
 	runStream := func(cfg Config) (*Result, error) { return RunStream(cfg, fastq.NewSliceSource(reads)) }
 	var variants []variant
 	for _, mode := range []Mode{SupermerMode, KmerMode} {
-		for _, exch := range []Exchange{ExchangeFlat, ExchangeHier} {
-			cfg := Default(smallGPULayout(1), mode)
-			cfg.Exchange, cfg.MemBudgetBytes = exch, roundBudget(cfg, 700)
-			cfg.Layout.Net.RanksPerNode = 2
-			name := mode.String() + "/" + exch.String()
-			variants = append(variants, variant{"run/" + name, cfg, runIn}, variant{"stream/" + name, cfg, runStream})
-		}
+		cfg := Default(smallGPULayout(1), mode)
+		cfg.MemBudgetBytes = roundBudget(cfg, 700)
+		cfg.Layout.Net.RanksPerNode = 2
+		name := mode.String()
+		variants = append(variants, variant{"run/" + name, cfg, runIn}, variant{"stream/" + name, cfg, runStream})
 	}
 	killed := Default(smallGPULayout(1), SupermerMode)
 	killed.MemBudgetBytes = roundBudget(killed, 700)

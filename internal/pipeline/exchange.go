@@ -43,12 +43,9 @@ import (
 // count, its frame, how a received frame is verified — is the codec's
 // business.
 //
-// HOW attempt-0 frames travel is pluggable (exchangeStrategy): the flat
-// strategy ships the P×P Alltoallv directly; the hierarchical strategy
-// routes off-node frames through node leaders over the NVLink tier. The
-// announcement, fault, verification, retry and settle machinery is shared
-// — strategies only move sealed frames — which is what keeps every
-// strategy bit-identical under the fault × restart matrix.
+// Every attempt ships the P×P Alltoallv of the paper (Alg. 1 line 8);
+// retries are traced apart from attempt 0 (mpisim.AlltoallvRetry), so the
+// run can price attempt 0 leader-routed as well (Result.HierExchange).
 //
 // When a recorder is configured, faults surface as instant events on the
 // sender's rank and each retry attempt gets its own span nested inside the
@@ -65,57 +62,32 @@ type exchanger[T unit] struct {
 	inj   *fault.Injector
 	rec   *obs.Recorder
 	cd    codec[T]
-	strat exchangeStrategy[T]
-	// msgs counts the fabric messages shipped by attempt-0 payload
-	// exchanges (pipeline_exchange_messages_total); nil without a recorder.
-	// roundMsgs is one round's tally: P² flat, ceil(P/RanksPerNode)²
-	// hierarchical.
-	msgs      *obs.Counter
-	roundMsgs int
+	// flatMsgs and leaderMsgs count the fabric messages of attempt-0
+	// payload exchanges (pipeline_exchange_messages_total) as run and
+	// leader-routed; nil without a recorder. A round adds flatRound = P²
+	// and leaderRound = L², L = ⌈P/RanksPerNode⌉ for the current world.
+	flatMsgs, leaderMsgs   *obs.Counter
+	flatRound, leaderRound uint64
 	// The pooled round bookkeeping (see above).
 	counts []int
 	parts  [][]T
 	ok     []bool
 }
 
-// exchangeStrategy is the pluggable attempt-0 shipping layer of the
-// exchange. ship moves the round's sealed frames and returns the frames
-// received, indexed by (current-communicator) source rank — the shared
-// verifier treats every returned frame exactly as a flat Alltoallv row.
-// Retries always use the flat path: the rare path optimizes for
-// simplicity.
-type exchangeStrategy[T unit] interface {
-	ship(round int, frames [][]T) (recv [][]T, err error)
-}
-
-// newExchanger builds the configured strategy's exchanger for one rank
-// body, so the hierarchical topology always reflects the current world
-// size, also in a world restarted on the survivors of a rank death.
+// newExchanger builds the exchanger of one rank body; the leader-routed
+// message tally follows the current world's size, also in a world
+// restarted on the survivors of a rank death.
 func newExchanger[T unit](cfg *Config, c *mpisim.Comm, seat *rankSeat, inj *fault.Injector, cd codec[T]) *exchanger[T] {
 	e := &exchanger[T]{c: c, rank: seat.old, slots: seat.slots, inj: inj, rec: cfg.Obs, cd: cd}
-	switch cfg.Exchange {
-	case ExchangeHier:
-		topo := cfg.Layout.Net.Topology()
-		e.strat = &hierStrategy[T]{e: e, topo: topo}
-		e.roundMsgs = kernels.HierExchangeMessages(c.Size(), topo.RanksPerNode)
-	default:
-		e.strat = flatStrategy[T]{c}
-		e.roundMsgs = kernels.FlatExchangeMessages(c.Size())
-	}
 	if reg := cfg.Obs.Registry(); reg != nil {
-		e.msgs = reg.Counter("pipeline_exchange_messages_total",
-			"Fabric point-to-point messages comprised by attempt-0 payload exchanges (P² flat, (P/RanksPerNode)² hierarchical).",
-			obs.L("strategy", cfg.Exchange.String()))
+		const name, help = "pipeline_exchange_messages_total",
+			"Fabric point-to-point messages of attempt-0 payload exchanges: as run (route flat, P² a round) and leader-routed (route leader, (P/RanksPerNode)² a round)."
+		e.flatMsgs = reg.Counter(name, help, obs.L("route", "flat"))
+		e.leaderMsgs = reg.Counter(name, help, obs.L("route", "leader"))
+		e.flatRound = uint64(kernels.FlatExchangeMessages(c.Size()))
+		e.leaderRound = uint64(kernels.HierExchangeMessages(c.Size(), cfg.Layout.Net.RanksPerNode))
 	}
 	return e
-}
-
-// flatStrategy ships attempt-0 frames with the direct P×P Alltoallv — the
-// paper's baseline exchange (Alg. 1 line 8).
-type flatStrategy[T unit] struct{ c *mpisim.Comm }
-
-func (s flatStrategy[T]) ship(_ int, frames [][]T) ([][]T, error) {
-	return mpisim.Alltoallv(s.c, frames)
 }
 
 // grow resizes a pooled slice to n elements, reallocating only when the
@@ -125,6 +97,20 @@ func grow[E any](s []E, n int) []E {
 		return make([]E, n)
 	}
 	return s[:n]
+}
+
+// headRows resizes a pooled row vector to n rows, each truncated to its
+// first h units with capacity retained: the frame header's room a send row
+// is appended behind, its contents unspecified until the exchange seals it.
+func headRows[T any](rows [][]T, n, h int) [][]T {
+	rows = grow(rows, n)
+	for i, row := range rows {
+		if cap(row) < h {
+			row = make([]T, h)
+		}
+		rows[i] = row[:h]
+	}
+	return rows
 }
 
 // moreFlag is the end-of-stream agreement bit piggybacked on the count
@@ -151,13 +137,13 @@ func stripMore(expect []int) (anyMore bool) {
 }
 
 // exchange runs one round's exchange: the send rows are sealed into their
-// frames, the count announcement goes out, and the strategy ships the
-// frames; every frame a receiver still awaits meets the fabric's faults
-// (arrive) and is verified (checksum, announced item count and — for
-// supermers — image structure; see codec.unframe), bad rounds re-ship the
-// sealed rows, and settle agrees on the outcome. Each send[d] is
-// destination d's row behind codec.header units of room; it must stay
-// unmutated until every peer has counted the round. more announces that
+// frames, the count announcement goes out, and the frames ship; every
+// frame a receiver still awaits meets the fabric's faults (arrive) and is
+// verified (checksum, announced item count and — for supermers — image
+// structure; see codec.unframe), bad rounds re-ship the sealed rows, and
+// settle agrees on the outcome. Each send[d] is destination d's row behind
+// codec.header units of room; it must stay unmutated until every peer has
+// counted the round. more announces that
 // this rank's input continues past this round (see moreFlag). It returns
 // the per-source verified payloads plus the announcement's end-of-stream
 // agreement: anyMore is true while any rank's input continues. A failure —
@@ -175,8 +161,9 @@ func (e *exchanger[T]) exchange(round int, send [][]T, more bool) ([][]T, bool, 
 	// Rank 0 of the current communicator credits the whole round's fabric
 	// message tally, so the counter reads as messages-per-run, not
 	// per-rank shares.
-	if e.msgs != nil && e.c.Rank() == 0 {
-		e.msgs.Add(uint64(e.roundMsgs))
+	if e.flatMsgs != nil && e.c.Rank() == 0 {
+		e.flatMsgs.Add(e.flatRound)
+		e.leaderMsgs.Add(e.leaderRound)
 	}
 	expect, err := e.c.Alltoall(e.counts)
 	if err != nil {
@@ -197,10 +184,10 @@ func (e *exchanger[T]) exchange(round int, send [][]T, more bool) ([][]T, bool, 
 			recv [][]T
 		)
 		if attempt == 0 {
-			recv, err = e.strat.ship(round, send)
+			recv, err = mpisim.Alltoallv(e.c, send)
 		} else {
 			sp = e.rec.Begin(e.rank, round, obs.PhaseRetry)
-			recv, err = mpisim.Alltoallv(e.c, send)
+			recv, err = mpisim.AlltoallvRetry(e.c, send)
 		}
 		if err != nil {
 			sp.End(0, 0)

@@ -88,9 +88,8 @@ func TestFaultRecoveryViaRetry(t *testing.T) {
 
 // TestFaultExchangeLostFailsRun: a round whose exchange is still damaged
 // after maxRetries retries fails the run — no partial spectrum, on every
-// entry point, engine, mode and exchange strategy, and on every rank.
-// Every payload is dropped, or every payload corrupted, so round 0 never
-// verifies.
+// entry point, engine and mode, and on every rank. Every payload is
+// dropped, or every payload corrupted, so round 0 never verifies.
 func TestFaultExchangeLostFailsRun(t *testing.T) {
 	reads := testReads(t, 4_000, 3)
 	entries := map[string]func(Config) (*Result, error){
@@ -105,28 +104,21 @@ func TestFaultExchangeLostFailsRun(t *testing.T) {
 		for _, mode := range []Mode{KmerMode, SupermerMode} {
 			t.Run(engName+"/"+mode.String(), func(t *testing.T) {
 				for entry, run := range entries {
-					for _, exch := range []Exchange{ExchangeFlat, ExchangeHier} {
-						for damage, fc := range damages {
-							t.Run(entry+"/"+exch.String()+"/"+damage, func(t *testing.T) {
-								cfg := Default(layout, mode)
-								cfg.Exchange = exch
-								if exch == ExchangeHier {
-									// 3 fabric nodes of 2 out of the 6 test ranks.
-									cfg.Layout.Net.RanksPerNode = 2
-								}
-								cfg.Fault = fc
-								res, err := run(cfg)
-								if res != nil {
-									t.Fatal("a run that lost an exchange returned a result")
-								}
-								if !errors.Is(err, ErrExchangeLost) {
-									t.Fatalf("want ErrExchangeLost, got %v", err)
-								}
-								if errors.Is(err, mpisim.ErrPeerDead) {
-									t.Fatalf("every rank should report the lost exchange, not a peer's death: %v", err)
-								}
-							})
-						}
+					for damage, fc := range damages {
+						t.Run(entry+"/"+damage, func(t *testing.T) {
+							cfg := Default(layout, mode)
+							cfg.Fault = fc
+							res, err := run(cfg)
+							if res != nil {
+								t.Fatal("a run that lost an exchange returned a result")
+							}
+							if !errors.Is(err, ErrExchangeLost) {
+								t.Fatalf("want ErrExchangeLost, got %v", err)
+							}
+							if errors.Is(err, mpisim.ErrPeerDead) {
+								t.Fatalf("every rank should report the lost exchange, not a peer's death: %v", err)
+							}
+						})
 					}
 				}
 			})

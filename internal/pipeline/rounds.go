@@ -62,10 +62,10 @@ const parseSlots = 2
 // after its own exchange(r+1) is ordered behind every peer's last read of
 // round r. Every buffer a peer reads past the collective that delivered
 // it — the engines' send rows (which ARE the wire frames, sealed in place
-// by the exchange), route's fold rows (in the rank body's roundState
-// pair), the hierarchical strategy's gather and scatter rows — is
-// therefore rotated over two slots, indexed r%2: round r+2 touches its
-// slot first at parse(r+2) or exchange(r+2), both after exchange(r+1).
+// by the exchange) and route's fold rows (in the rank body's roundState
+// pair) — is therefore rotated over two slots, indexed r%2: round r+2
+// touches its slot first at parse(r+2) or exchange(r+2), both after
+// exchange(r+1).
 // One slot is not enough for the send rows: parse(r+1) runs while a slow
 // peer may still be counting round r out of this rank's rows.
 //

@@ -259,11 +259,18 @@ func aggregate(cfg Config, trace []mpisim.TraceEntry, outcomes []rankOutcome, wa
 	res.Modeled.Parse = maxParse
 	res.Modeled.Count = maxCount
 
-	var fabric time.Duration
+	// The payload Alltoallv of attempt 0 ("alltoallv") is also priced
+	// leader-routed; its retries ("alltoallv_retry") are flat either way.
+	net, topo := cfg.Layout.Net, cfg.Layout.Net.Topology()
+	var fabric, rerouted time.Duration
 	for _, e := range trace {
-		t := cfg.Layout.Net.CollectiveTime(e)
+		t := net.CollectiveTime(e)
 		fabric += t
-		if e.Op == "alltoallv" {
+		switch e.Op {
+		case "alltoallv":
+			rerouted += net.CollectiveTime(topo.LeaderRouted(e, recordHeader)) - t
+			fallthrough
+		case "alltoallv_retry":
 			res.AlltoallvTime += t
 			res.Volume.TotalBytes += e.Volume.TotalBytes
 			res.Volume.FabricBytes += e.Volume.FabricBytes
@@ -272,5 +279,11 @@ func aggregate(cfg Config, trace []mpisim.TraceEntry, outcomes []rankOutcome, wa
 	}
 	res.Staging = maxStage
 	res.Modeled.Exchange = maxStage + fabric
+	res.HierExchange = res.Modeled.Exchange + rerouted
 	return res
 }
+
+// recordHeader is the bytes a leader-routed frame travels behind: its
+// source and destination rank and its length, which the destination
+// node's leader reads to scatter it.
+const recordHeader = 8

@@ -47,8 +47,9 @@ func spillLeftovers(t *testing.T, dir string) []string {
 }
 
 // TestSpillMatchesInMemory is the out-of-core equivalence property at the
-// heart of the spill mode: across engines, modes, exchange strategies, streaming, randomized k/m/window choices, and recoverable
-// fault injection, the two-pass spill path must reproduce the in-memory
+// heart of the spill mode: across engines, modes, streaming, randomized
+// k/m/window choices, and recoverable fault injection, the two-pass spill
+// path must reproduce the in-memory
 // spectrum bit-for-bit — counts, histogram, top-k, and per-rank loads —
 // and leave no bin files behind on success.
 func TestSpillMatchesInMemory(t *testing.T) {
@@ -58,26 +59,23 @@ func TestSpillMatchesInMemory(t *testing.T) {
 		mode     Mode
 		streamed bool
 		faulted  bool
-		exch     Exchange
 	}
 	var cases []tcase
 	for _, engine := range []string{"gpu", "cpu"} {
 		for _, mode := range []Mode{KmerMode, SupermerMode} {
 			for _, streamed := range []bool{false, true} {
 				for _, faulted := range []bool{false, true} {
-					for _, exch := range []Exchange{ExchangeFlat, ExchangeHier} {
-						cases = append(cases, tcase{engine, mode, streamed, faulted, exch})
-					}
+					cases = append(cases, tcase{engine, mode, streamed, faulted})
 				}
 			}
 		}
 	}
 	for i, tc := range cases {
 		// Canonical folding runs on every other k-mer case, alternating
-		// with the exchange strategy and the faults so it meets both.
+		// with the streaming and the faults so it meets both.
 		canonical := tc.mode == KmerMode && (i^i>>1)&1 == 0
-		name := fmt.Sprintf("%s/%s/stream=%v/faulted=%v/%s",
-			tc.engine, tc.mode, tc.streamed, tc.faulted, tc.exch)
+		name := fmt.Sprintf("%s/%s/stream=%v/faulted=%v",
+			tc.engine, tc.mode, tc.streamed, tc.faulted)
 		// Per-case randomized operating point and dataset.
 		k := []int{15, 17, 21}[rng.Intn(3)]
 		m := []int{5, 7}[rng.Intn(2)]
@@ -91,10 +89,6 @@ func TestSpillMatchesInMemory(t *testing.T) {
 			cfg := Default(layout, tc.mode)
 			cfg.K, cfg.M, cfg.Window = k, m, window
 			cfg.Canonical = canonical
-			cfg.Exchange = tc.exch
-			if tc.exch == ExchangeHier {
-				cfg.Layout.Net.RanksPerNode = 2
-			}
 			if tc.faulted {
 				cfg.Fault = fault.Config{
 					Seed: uint64(200 + i), Delay: 0.02, DelayFor: 100 * time.Microsecond,

@@ -68,8 +68,8 @@ func writeGzFiles(t *testing.T, reads []fastq.Record, n int) []string {
 }
 
 // TestStreamMatchesInMemory is the streaming/in-memory equivalence
-// property: across engines, modes, exchange strategies, randomized k/m/window choices, and recoverable fault
-// injection, RunStream over a bounded producer must reproduce Run's
+// property: across engines, modes, randomized k/m/window choices, and
+// recoverable fault injection, RunStream over a bounded producer must reproduce Run's
 // spectrum bit-for-bit — counts, histogram, top-k, and per-rank loads —
 // while actually running multi-round under its memory budget. Every
 // combination streams once from gzip-compressed multi-file fixtures and
@@ -80,23 +80,20 @@ func TestStreamMatchesInMemory(t *testing.T) {
 		engine  string
 		mode    Mode
 		faulted bool
-		exch    Exchange
 		files   bool
 	}
 	var cases []tcase
 	for _, engine := range []string{"gpu", "cpu"} {
 		for _, mode := range []Mode{KmerMode, SupermerMode} {
 			for _, faulted := range []bool{false, true} {
-				for _, exch := range []Exchange{ExchangeFlat, ExchangeHier} {
-					for _, files := range []bool{false, true} {
-						cases = append(cases, tcase{engine, mode, faulted, exch, files})
-					}
+				for _, files := range []bool{false, true} {
+					cases = append(cases, tcase{engine, mode, faulted, files})
 				}
 			}
 		}
 	}
 	for i, tc := range cases {
-		name := fmt.Sprintf("%s/%s/faulted=%v/%s/%s", tc.engine, tc.mode, tc.faulted, tc.exch,
+		name := fmt.Sprintf("%s/%s/faulted=%v/%s", tc.engine, tc.mode, tc.faulted,
 			map[bool]string{false: "slice", true: "files"}[tc.files])
 		// Per-case randomized operating point and dataset.
 		k := []int{15, 17, 21}[rng.Intn(3)]
@@ -110,12 +107,6 @@ func TestStreamMatchesInMemory(t *testing.T) {
 			}
 			cfg := Default(layout, tc.mode)
 			cfg.K, cfg.M, cfg.Window = k, m, window
-			cfg.Exchange = tc.exch
-			if tc.exch == ExchangeHier {
-				// Group the 6 test ranks into 3 fabric nodes of 2 so the
-				// hierarchical strategy actually has leaders to route through.
-				cfg.Layout.Net.RanksPerNode = 2
-			}
 			if tc.faulted {
 				cfg.Fault = fault.Config{
 					Seed: uint64(100 + i), Delay: 0.02, DelayFor: 100 * time.Microsecond,

@@ -9,8 +9,10 @@
 # N pairs on seed S (default 1) and always one more on the held-out seed
 # 20240917, which side goes first alternating from pair to pair — and prints,
 # for the end-to-end metrics and every per-layer row the runs report, both
-# sides' median and quartiles, the change of the median, and the pairs the
-# change won (a tie counts for neither side). Each run also appends one JSON
+# sides' median and quartiles, the change of the median, each side's median
+# over the runs it made first in their pair and over those it made second
+# (the run order can move a metric by itself), and the pairs the change won
+# (a tie counts for neither side). Each run also appends one JSON
 # line, keyed by the commit the benchmark itself reports, to
 # BENCH_HISTORY.jsonl at the root of the repository this script lives in.
 #
@@ -109,13 +111,29 @@ function quantile(v, n, q,    pos, lo) {
     pos = (n - 1) * q + 1; lo = int(pos)
     return lo >= n ? v[n] : v[lo] + (pos - lo) * (v[lo + 1] - v[lo])
 }
-function summary(side, name,    n, i, v, vals) {
+# insertion sort: a dozen values
+function sortv(vals, n,    i, j, v) {
+    for (i = 2; i <= n; i++) { v = vals[i]; for (j = i - 1; j >= 1 && vals[j] > v; j--) vals[j + 1] = vals[j]; vals[j + 1] = v }
+}
+function summary(side, name,    n, i, vals) {
     n = 0
     for (i = 1; i <= pairs; i++) if ((side, i, name) in val) vals[++n] = val[side, i, name]
-    # insertion sort: a dozen values
-    for (i = 2; i <= n; i++) { v = vals[i]; for (j = i - 1; j >= 1 && vals[j] > v; j--) vals[j + 1] = vals[j]; vals[j + 1] = v }
+    sortv(vals, n)
     med[side] = quantile(vals, n, 0.5); q1[side] = quantile(vals, n, 0.25); q3[side] = quantile(vals, n, 0.75)
     return sprintf("%.6g [%.6g-%.6g]", med[side], q1[side], q3[side])
+}
+# byorder: the median of one side over the runs it made first in their
+# pair, and over those it made second. The parent goes first in odd pairs.
+function byorder(side, name,    n, i, k, vals, out) {
+    out = ""
+    for (k = 1; k >= 0; k--) {
+        n = 0; delete vals
+        for (i = 1; i <= pairs; i++)
+            if ((side, i, name) in val && ((side == "parent") == (i % 2 == 1)) == k) vals[++n] = val[side, i, name]
+        sortv(vals, n)
+        out = out (k ? "" : " | ") (n ? sprintf("%.6g", quantile(vals, n, 0.5)) : "-")
+    }
+    return out
 }
 {
     val[$1, $2, $3] = $4 + 0; better[$3] = $5
@@ -123,7 +141,7 @@ function summary(side, name,    n, i, v, vals) {
     if ($2 > pairs) pairs = $2
 }
 END {
-    printf "%-36s %-6s %-34s %-34s %8s  %s\n", "metric", "better", "parent median [q1-q3]", "change median [q1-q3]", "change", "pairs won"
+    printf "%-36s %-6s %-34s %-34s %8s  %-23s %-23s  %s\n", "metric", "better", "parent median [q1-q3]", "change median [q1-q3]", "change", "parent 1st | 2nd", "change 1st | 2nd", "pairs won"
     for (r = 1; r <= rows; r++) {
         name = names[r]; won = lost = 0
         for (i = 1; i <= pairs; i++) {
@@ -134,7 +152,7 @@ END {
         }
         p = summary("parent", name); c = summary("change", name)
         delta = med["parent"] != 0 ? sprintf("%+.2f%%", 100 * (med["change"] - med["parent"]) / med["parent"]) : "n/a"
-        printf "%-36s %-6s %-34s %-34s %8s  %d/%d (lost %d, tied %d)\n", name, better[name], p, c, delta, won, pairs, lost, pairs - won - lost
+        printf "%-36s %-6s %-34s %-34s %8s  %-23s %-23s  %d/%d (lost %d, tied %d)\n", name, better[name], p, c, delta, byorder("parent", name), byorder("change", name), won, pairs, lost, pairs - won - lost
         if (name == claim) {
             gain = better[name] == "higher" ? med["change"] - med["parent"] : med["parent"] - med["change"]
             met = 10 * won >= 9 * pairs && gain > q3["parent"] - q1["parent"]
