@@ -21,6 +21,7 @@ type variant struct {
 	gpu        bool
 	mode       Mode
 	odd        bool
+	ragged     bool
 	canonical  bool
 	balanced   bool
 	multiRound bool
@@ -65,7 +66,10 @@ var strays = []struct {
 // The enumeration's input and worlds: a 2-node world of 4 ranks on either
 // engine, so the exchange crosses the fabric and its leader-routed price has
 // two leaders, and an odd world of 3 single-rank nodes, so the rank count is
-// no power of two and every rank leads its node. A streamed run always runs
+// no power of two and every rank leads its node. A ragged world groups the
+// same ranks into nodes one wider (3+1, or 2+1 in the odd world), so the
+// traffic fold and the leader-routed price meet a short last node, and a
+// restart that kills rank 1 leaves its survivors on one node. A streamed run always runs
 // under streamBudget, several rounds over this input, so a resumed run has a
 // checkpoint (every second round) behind its kill; multiRound tightens the
 // budget, on any entry point, to rounds of 1 000 bases a rank.
@@ -74,7 +78,7 @@ const (
 	killRound    = 2
 )
 
-func variantLayout(gpu, odd bool) cluster.Layout {
+func variantLayout(gpu, odd, ragged bool) cluster.Layout {
 	nodes, perNode := 2, 2
 	if odd {
 		nodes, perNode = 3, 1
@@ -84,6 +88,9 @@ func variantLayout(gpu, odd bool) cluster.Layout {
 		l = cluster.SummitGPU(nodes)
 	}
 	l.RanksPerNode, l.Net.RanksPerNode = perNode, perNode
+	if ragged {
+		l.Net.RanksPerNode = perNode + 1
+	}
 	return l
 }
 
@@ -93,7 +100,7 @@ func (v variant) String() string {
 		on   bool
 		name string
 	}{
-		{v.odd, "odd"}, {v.canonical, "canonical"}, {v.balanced, "balanced"},
+		{v.odd, "odd"}, {v.ragged, "ragged"}, {v.canonical, "canonical"}, {v.balanced, "balanced"},
 		{v.multiRound, "rounds"}, {v.keep, "keep"}, {v.spill, "spill"},
 		{v.ckpt, "ckpt"}, {v.faults, "faults"},
 		{v.stray != "", v.stray},
@@ -108,7 +115,7 @@ func (v variant) String() string {
 // config builds the variant's configuration; dir is where its spill bins
 // and checkpoints go.
 func (v variant) config(reads []fastq.Record, dir string) Config {
-	cfg := Default(variantLayout(v.gpu, v.odd), v.mode)
+	cfg := Default(variantLayout(v.gpu, v.odd, v.ragged), v.mode)
 	cfg.Canonical, cfg.BalancedPartition = v.canonical, v.balanced
 	cfg.KeepTables = v.keep
 	if v.entry != InMemory {
@@ -159,13 +166,13 @@ func (v variant) enter(cfg Config, reads []fastq.Record) (*Result, error) {
 // only where it applies.
 func allVariants(gpu bool, mode Mode) []variant {
 	var out []variant
-	for bits := 0; bits < 1<<8; bits++ {
+	for bits := 0; bits < 1<<9; bits++ {
 		on := func(i int) bool { return bits>>i&1 == 1 }
 		for _, entry := range []Entry{InMemory, Streaming, Resuming} {
 			v := variant{
 				gpu: gpu, mode: mode, canonical: on(0), balanced: on(1),
 				odd: on(2), multiRound: on(3), keep: on(4), spill: on(5),
-				ckpt: on(6), faults: on(7), entry: entry,
+				ckpt: on(6), faults: on(7), ragged: on(8), entry: entry,
 			}
 			for _, s := range strays {
 				if s.applies(v) {
@@ -179,7 +186,8 @@ func allVariants(gpu bool, mode Mode) []variant {
 }
 
 // TestAllVariantsMatchOracle holds the combination table to its promise,
-// over every combination of engine, world (4 ranks or an odd 3), mode,
+// over every combination of engine, world (4 ranks or an odd 3), node
+// width (even, or ragged with a short last node), mode,
 // canonical, balanced, multi-round, kept tables, spill,
 // checkpoint, seeded drop and corrupt faults and entry point (Run,
 // RunStream, ResumeStream after a fatal kill), plus one stray setting at a
@@ -195,7 +203,7 @@ func TestAllVariantsMatchOracle(t *testing.T) {
 	reads := testReads(t, 6_000, 4)
 	oracles := map[bool]*variantOracle{}
 	for _, canonical := range []bool{false, true} {
-		cfg := Default(variantLayout(false, false), KmerMode)
+		cfg := Default(variantLayout(false, false, false), KmerMode)
 		cfg.Canonical = canonical
 		oracles[canonical] = newVariantOracle(oracleFor(cfg, reads))
 	}
@@ -351,9 +359,10 @@ func (o *variantOracle) check(t *testing.T, v variant, res *Result) {
 			t.Fatalf("kept tables: %s", diff)
 		}
 	}
-	// A positive exchange needs a world of several nodes, as every variant's
-	// is: only fabric bytes are priced, so a one-node CPU world's exchange
-	// is 0 (TestOneNodeExchangeIsStaging).
+	// A positive exchange needs a world of several nodes, as every variant
+	// starts on: only fabric bytes are priced, so a one-node CPU world's
+	// exchange is 0 (TestOneNodeExchangeIsStaging). A ragged restart's
+	// survivors share one node, after rounds that crossed the fabric.
 	if res.Modeled.Parse <= 0 || res.Modeled.Exchange <= 0 || res.Modeled.Count <= 0 {
 		t.Fatalf("phase breakdown not populated: %+v", res.Modeled)
 	}

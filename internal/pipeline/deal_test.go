@@ -24,12 +24,16 @@ type parseRecord struct {
 	rounds  int
 	items   uint64
 	payload uint64
+	// exchange and hier are Modeled.Exchange and HierExchange: priced
+	// from bytes alone, so they follow the deal too.
+	exchange, hier int64
 }
 
 func recordParse(res *Result, rec *obs.Recorder) parseRecord {
 	pr := parseRecord{
 		perRank: map[[2]int][2]uint64{}, ops: res.ParseCompute, parse: int64(res.Modeled.Parse),
 		rounds: res.Rounds, items: res.ItemsExchanged, payload: res.PayloadBytes,
+		exchange: int64(res.Modeled.Exchange), hier: int64(res.HierExchange),
 	}
 	for _, sp := range rec.Spans() {
 		if sp.Phase == obs.PhaseParse {
@@ -41,12 +45,14 @@ func recordParse(res *Result, rec *obs.Recorder) parseRecord {
 }
 
 // TestDealIsDeterministic pins that which rank parses what is a function of
-// the input alone: Run and RunStream, in supermer and k-mer mode, and a
+// the input alone: Run and RunStream, in supermer and k-mer mode, on 3
+// nodes of 2 and on a ragged 4+2, and a
 // checkpointing supermer run killed at round 3 whose survivors restart
 // from the checkpoint, each run five times at each of GOMAXPROCS 1, 2 and
 // 4, parse the same bases on the same rank in the same round every time —
 // the same per-rank, per-round modeled parse and items, ParseCompute,
-// Modeled.Parse, Rounds, ItemsExchanged and PayloadBytes.
+// Modeled.Parse, Rounds, ItemsExchanged and PayloadBytes, and the same
+// exchange price, as run and leader-routed.
 func TestDealIsDeterministic(t *testing.T) {
 	reads := testReads(t, 6_000, 4)
 	type variant struct {
@@ -58,11 +64,13 @@ func TestDealIsDeterministic(t *testing.T) {
 	runStream := func(cfg Config) (*Result, error) { return RunStream(cfg, fastq.NewSliceSource(reads)) }
 	var variants []variant
 	for _, mode := range []Mode{SupermerMode, KmerMode} {
-		cfg := Default(smallGPULayout(1), mode)
-		cfg.MemBudgetBytes = roundBudget(cfg, 700)
-		cfg.Layout.Net.RanksPerNode = 2
-		name := mode.String()
-		variants = append(variants, variant{"run/" + name, cfg, runIn}, variant{"stream/" + name, cfg, runStream})
+		for _, width := range []int{2, 4} {
+			cfg := Default(smallGPULayout(1), mode)
+			cfg.MemBudgetBytes = roundBudget(cfg, 700)
+			cfg.Layout.Net.RanksPerNode = width
+			name := fmt.Sprintf("%s/width=%d", mode, width)
+			variants = append(variants, variant{"run/" + name, cfg, runIn}, variant{"stream/" + name, cfg, runStream})
+		}
 	}
 	killed := Default(smallGPULayout(1), SupermerMode)
 	killed.MemBudgetBytes = roundBudget(killed, 700)
@@ -96,9 +104,7 @@ func TestDealIsDeterministic(t *testing.T) {
 					continue
 				}
 				if !reflect.DeepEqual(got, first) {
-					t.Fatalf("run %d at GOMAXPROCS %d: parse %v ops %d rounds %d items %d payload %d, first run: parse %v ops %d rounds %d items %d payload %d",
-						i, procs, got.parse, got.ops, got.rounds, got.items, got.payload,
-						first.parse, first.ops, first.rounds, first.items, first.payload)
+					t.Fatalf("run %d at GOMAXPROCS %d: %+v, first run: %+v", i, procs, got, first)
 				}
 			}
 		})

@@ -50,11 +50,11 @@ func projectionCases(reads []fastq.Record, dir string) []projectionCase {
 	faulted := Default(smallGPULayout(2), KmerMode)
 	faulted.MemBudgetBytes = roundBudget(faulted, 3000)
 	faulted.Fault = fault.Config{Seed: 3, Drop: 0.05, Corrupt: 0.02}
-	restarted := Default(variantLayout(false, false), KmerMode)
+	restarted := Default(variantLayout(false, false, false), KmerMode)
 	restarted.MemBudgetBytes = roundBudget(restarted, 1_000)
 	restarted = ckptConfig(restarted, dir, reads, 2, false)
 	restarted.Fault = fault.Config{FatalKill: true, FatalRank: 1, FatalRound: killRound}
-	odd := Default(variantLayout(true, true), SupermerMode)
+	odd := Default(variantLayout(true, true, false), SupermerMode)
 	odd.MemBudgetBytes = roundBudget(odd, 1_000)
 	return []projectionCase{
 		{"clean-2x6", clean, 78_821, 98_508},
@@ -133,7 +133,8 @@ func TestOneNodeExchangeIsStaging(t *testing.T) {
 
 // TestStagingIsGPUDirectProjection pins Result.Staging, the host staging
 // term the modeled exchange includes, so that Modeled.Exchange−Staging is
-// the GPUDirect exchange: on multi-round GPU runs in either mode it is the
+// the GPUDirect exchange: on multi-round GPU runs in either mode, on 2
+// nodes of 6 or a ragged 5+5+2, it is the
 // heaviest rank's stage_h2d plus exchange span
 // time (the input leg and both exchange legs, recorded every round), short
 // of the whole exchange by the fabric time; the CPU engine stages nothing.
@@ -143,37 +144,40 @@ func TestStagingIsGPUDirectProjection(t *testing.T) {
 	cpu.Nodes = 2 // the fabric is priced between nodes only
 	for _, layout := range []cluster.Layout{smallGPULayout(2), cpu} {
 		for _, mode := range []Mode{KmerMode, SupermerMode} {
-			t.Run(fmt.Sprintf("gpu=%v/%v", layout.GPU != nil, mode), func(t *testing.T) {
-				cfg := Default(layout, mode)
-				cfg.MemBudgetBytes = roundBudget(cfg, 3000)
-				cfg.Obs = obs.NewRecorder(layout.Ranks())
-				res, err := Run(cfg, reads)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Rounds < 2 {
-					t.Fatalf("%d rounds, want several", res.Rounds)
-				}
-				staged := make([]time.Duration, layout.Ranks())
-				for _, sp := range cfg.Obs.Spans() {
-					if sp.Phase == obs.PhaseStageH2D || sp.Phase == obs.PhaseExchange {
-						staged[sp.Rank] += sp.Modeled
+			for _, width := range []int{6, 5} {
+				t.Run(fmt.Sprintf("gpu=%v/%v/width=%d", layout.GPU != nil, mode, width), func(t *testing.T) {
+					cfg := Default(layout, mode)
+					cfg.Layout.Net.RanksPerNode = width
+					cfg.MemBudgetBytes = roundBudget(cfg, 3000)
+					cfg.Obs = obs.NewRecorder(layout.Ranks())
+					res, err := Run(cfg, reads)
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-				if want := slices.Max(staged); res.Staging != want {
-					t.Fatalf("Staging %v, heaviest rank's staging spans %v", res.Staging, want)
-				}
-				if res.Staging >= res.Modeled.Exchange {
-					t.Fatalf("Staging %v leaves no fabric time in the %v exchange", res.Staging, res.Modeled.Exchange)
-				}
-				spans, want := phaseSpans(cfg.Obs, obs.PhaseStageH2D), 0
-				if res.GPU {
-					want = layout.Ranks() * res.Rounds
-				}
-				if spans != want || (res.Staging > 0) != res.GPU {
-					t.Fatalf("%d stage_h2d spans (want %d), Staging %v on GPU=%v", spans, want, res.Staging, res.GPU)
-				}
-			})
+					if res.Rounds < 2 {
+						t.Fatalf("%d rounds, want several", res.Rounds)
+					}
+					staged := make([]time.Duration, layout.Ranks())
+					for _, sp := range cfg.Obs.Spans() {
+						if sp.Phase == obs.PhaseStageH2D || sp.Phase == obs.PhaseExchange {
+							staged[sp.Rank] += sp.Modeled
+						}
+					}
+					if want := slices.Max(staged); res.Staging != want {
+						t.Fatalf("Staging %v, heaviest rank's staging spans %v", res.Staging, want)
+					}
+					if res.Staging >= res.Modeled.Exchange {
+						t.Fatalf("Staging %v leaves no fabric time in the %v exchange", res.Staging, res.Modeled.Exchange)
+					}
+					spans, want := phaseSpans(cfg.Obs, obs.PhaseStageH2D), 0
+					if res.GPU {
+						want = layout.Ranks() * res.Rounds
+					}
+					if spans != want || (res.Staging > 0) != res.GPU {
+						t.Fatalf("%d stage_h2d spans (want %d), Staging %v on GPU=%v", spans, want, res.Staging, res.GPU)
+					}
+				})
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -88,7 +89,7 @@ func TestFaultRecoveryViaRetry(t *testing.T) {
 
 // TestFaultExchangeLostFailsRun: a round whose exchange is still damaged
 // after maxRetries retries fails the run — no partial spectrum, on every
-// entry point, engine and mode, and on every rank. Every payload is
+// entry point, engine, mode and node width, and on every rank. Every payload is
 // dropped, or every payload corrupted, so round 0 never verifies.
 func TestFaultExchangeLostFailsRun(t *testing.T) {
 	reads := testReads(t, 4_000, 3)
@@ -104,21 +105,24 @@ func TestFaultExchangeLostFailsRun(t *testing.T) {
 		for _, mode := range []Mode{KmerMode, SupermerMode} {
 			t.Run(engName+"/"+mode.String(), func(t *testing.T) {
 				for entry, run := range entries {
-					for damage, fc := range damages {
-						t.Run(entry+"/"+damage, func(t *testing.T) {
-							cfg := Default(layout, mode)
-							cfg.Fault = fc
-							res, err := run(cfg)
-							if res != nil {
-								t.Fatal("a run that lost an exchange returned a result")
-							}
-							if !errors.Is(err, ErrExchangeLost) {
-								t.Fatalf("want ErrExchangeLost, got %v", err)
-							}
-							if errors.Is(err, mpisim.ErrPeerDead) {
-								t.Fatalf("every rank should report the lost exchange, not a peer's death: %v", err)
-							}
-						})
+					for _, width := range nodeWidths {
+						for damage, fc := range damages {
+							t.Run(fmt.Sprintf("%s/width=%d/%s", entry, width, damage), func(t *testing.T) {
+								cfg := Default(layout, mode)
+								cfg.Layout.Net.RanksPerNode = width
+								cfg.Fault = fc
+								res, err := run(cfg)
+								if res != nil {
+									t.Fatal("a run that lost an exchange returned a result")
+								}
+								if !errors.Is(err, ErrExchangeLost) {
+									t.Fatalf("want ErrExchangeLost, got %v", err)
+								}
+								if errors.Is(err, mpisim.ErrPeerDead) {
+									t.Fatalf("every rank should report the lost exchange, not a peer's death: %v", err)
+								}
+							})
+						}
 					}
 				}
 			})

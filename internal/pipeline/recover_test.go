@@ -32,8 +32,10 @@ func ckptConfig(cfg Config, dir string, reads []fastq.Record, every int, noShrin
 // run's checkpoint continues in a fresh world) or by the in-process
 // restart (the survivors continue from the last checkpoint in a smaller
 // world, absorbing the dead rank's keys), must be bit-identical —
-// counts, histogram, top-k — to the unfaulted run, on both engines,
-// whether the dead rank is rank 1 or rank 0 (the world's root).
+// counts, histogram, top-k — to the unfaulted run, on both engines and
+// both node widths, whether the dead rank is rank 1 or rank 0 (the world's
+// root). On 3 nodes of 2 the kill shrinks the first node to a single
+// member mid-run, and the restarted 5-rank world regroups ragged (2,2,1).
 func TestKillResumeShrinkEquivalence(t *testing.T) {
 	reads := testReads(t, 8_000, 6)
 	matrix := []struct {
@@ -50,94 +52,97 @@ func TestKillResumeShrinkEquivalence(t *testing.T) {
 		if mx.eng == "cpu" {
 			layout = smallCPULayout()
 		}
-		for _, victim := range []int{1, 0} {
-			name := fmt.Sprintf("%s/%s/victim=%d", mx.eng, mx.mode, victim)
-			t.Run(name, func(t *testing.T) {
-				base := Default(layout, mx.mode)
-				base.MemBudgetBytes = roundBudget(base, 350) // many rounds: kills and checkpoints mid-run
-				want, err := RunStream(base, fastq.NewSliceSource(reads))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want.Rounds < 7 {
-					t.Fatalf("only %d rounds; the kill round would not be reached", want.Rounds)
-				}
-				checkAgainstOracle(t, base, reads, want)
-
-				// Path 1: kill with NoShrink — the run fails, the
-				// checkpoint resumes it offline, bit-identical.
-				dir := t.TempDir()
-				faulted := ckptConfig(base, dir, reads, 2, true)
-				faulted.Fault = fault.Config{FatalKill: true, FatalRank: victim, FatalRound: 5}
-				_, err = RunStream(faulted, fastq.NewSliceSource(reads))
-				if !errors.Is(err, fault.ErrKilled) {
-					t.Fatalf("NoShrink kill: want ErrKilled, got %v", err)
-				}
-				resumed := ckptConfig(base, dir, reads, 2, true)
-				got, err := ResumeStream(resumed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameCounts(t, want, got)
-				if got.Incomplete {
-					t.Fatal("resumed run flagged incomplete")
-				}
-				if !got.Resumed {
-					t.Fatal("Resumed not set on a ResumeStream result")
-				}
-				if got.Rounds != want.Rounds {
-					t.Fatalf("resumed Rounds = %d, unfaulted %d", got.Rounds, want.Rounds)
-				}
-				if got.InputReads != want.InputReads || got.InputBases != want.InputBases {
-					t.Fatalf("resumed input tally %d/%d, unfaulted %d/%d",
-						got.InputReads, got.InputBases, want.InputReads, want.InputBases)
-				}
-
-				// Path 2: same kill with the restart enabled — the run
-				// completes in one go, survivors absorbing rank 1.
-				rec := obs.NewRecorder(layout.Ranks())
-				shrunk := ckptConfig(base, t.TempDir(), reads, 2, false)
-				shrunk.Fault = faulted.Fault
-				shrunk.Obs = rec
-				got2, err := RunStream(shrunk, fastq.NewSliceSource(reads))
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameCounts(t, want, got2)
-				if got2.Incomplete {
-					t.Fatal("shrink-recovered run flagged incomplete")
-				}
-				if !got2.Recovered {
-					t.Fatal("Recovered not set after shrink recovery")
-				}
-				if len(got2.DeadRanks) != 1 || got2.DeadRanks[0] != victim {
-					t.Fatalf("DeadRanks = %v, want [%d]", got2.DeadRanks, victim)
-				}
-				if got2.Checkpoints == 0 {
-					t.Fatal("no checkpoints recorded before the kill")
-				}
-				shrinks, ckpts := 0, 0
-				for _, in := range rec.Instants() {
-					switch in.Name {
-					case obs.EvShrink:
-						shrinks++
-					case obs.EvCkpt:
-						ckpts++
+		for _, width := range nodeWidths {
+			for _, victim := range []int{1, 0} {
+				name := fmt.Sprintf("%s/%s/width=%d/victim=%d", mx.eng, mx.mode, width, victim)
+				t.Run(name, func(t *testing.T) {
+					base := Default(layout, mx.mode)
+					base.Layout.Net.RanksPerNode = width
+					base.MemBudgetBytes = roundBudget(base, 350) // many rounds: kills and checkpoints mid-run
+					want, err := RunStream(base, fastq.NewSliceSource(reads))
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-				if shrinks == 0 || ckpts == 0 {
-					t.Fatalf("recovery instants missing: %d shrink, %d ckpt", shrinks, ckpts)
-				}
-				// The failed world's work still counts, and the one
-				// injector of the run saw the one kill.
-				if got2.ItemsExchanged <= want.ItemsExchanged {
-					t.Fatalf("recovered run exchanged %d items, unfaulted %d: the failed world's work is lost",
-						got2.ItemsExchanged, want.ItemsExchanged)
-				}
-				if k := killedTotal(got2); k != 1 {
-					t.Fatalf("recovered run counts %d kills, want 1", k)
-				}
-			})
+					if want.Rounds < 7 {
+						t.Fatalf("only %d rounds; the kill round would not be reached", want.Rounds)
+					}
+					checkAgainstOracle(t, base, reads, want)
+
+					// Path 1: kill with NoShrink — the run fails, the
+					// checkpoint resumes it offline, bit-identical.
+					dir := t.TempDir()
+					faulted := ckptConfig(base, dir, reads, 2, true)
+					faulted.Fault = fault.Config{FatalKill: true, FatalRank: victim, FatalRound: 5}
+					_, err = RunStream(faulted, fastq.NewSliceSource(reads))
+					if !errors.Is(err, fault.ErrKilled) {
+						t.Fatalf("NoShrink kill: want ErrKilled, got %v", err)
+					}
+					resumed := ckptConfig(base, dir, reads, 2, true)
+					got, err := ResumeStream(resumed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameCounts(t, want, got)
+					if got.Incomplete {
+						t.Fatal("resumed run flagged incomplete")
+					}
+					if !got.Resumed {
+						t.Fatal("Resumed not set on a ResumeStream result")
+					}
+					if got.Rounds != want.Rounds {
+						t.Fatalf("resumed Rounds = %d, unfaulted %d", got.Rounds, want.Rounds)
+					}
+					if got.InputReads != want.InputReads || got.InputBases != want.InputBases {
+						t.Fatalf("resumed input tally %d/%d, unfaulted %d/%d",
+							got.InputReads, got.InputBases, want.InputReads, want.InputBases)
+					}
+
+					// Path 2: same kill with the restart enabled — the run
+					// completes in one go, survivors absorbing rank 1.
+					rec := obs.NewRecorder(layout.Ranks())
+					shrunk := ckptConfig(base, t.TempDir(), reads, 2, false)
+					shrunk.Fault = faulted.Fault
+					shrunk.Obs = rec
+					got2, err := RunStream(shrunk, fastq.NewSliceSource(reads))
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameCounts(t, want, got2)
+					if got2.Incomplete {
+						t.Fatal("shrink-recovered run flagged incomplete")
+					}
+					if !got2.Recovered {
+						t.Fatal("Recovered not set after shrink recovery")
+					}
+					if len(got2.DeadRanks) != 1 || got2.DeadRanks[0] != victim {
+						t.Fatalf("DeadRanks = %v, want [%d]", got2.DeadRanks, victim)
+					}
+					if got2.Checkpoints == 0 {
+						t.Fatal("no checkpoints recorded before the kill")
+					}
+					shrinks, ckpts := 0, 0
+					for _, in := range rec.Instants() {
+						switch in.Name {
+						case obs.EvShrink:
+							shrinks++
+						case obs.EvCkpt:
+							ckpts++
+						}
+					}
+					if shrinks == 0 || ckpts == 0 {
+						t.Fatalf("recovery instants missing: %d shrink, %d ckpt", shrinks, ckpts)
+					}
+					// The failed world's work still counts, and the one
+					// injector of the run saw the one kill.
+					if got2.ItemsExchanged <= want.ItemsExchanged {
+						t.Fatalf("recovered run exchanged %d items, unfaulted %d: the failed world's work is lost",
+							got2.ItemsExchanged, want.ItemsExchanged)
+					}
+					if k := killedTotal(got2); k != 1 {
+						t.Fatalf("recovered run counts %d kills, want 1", k)
+					}
+				})
+			}
 		}
 	}
 }

@@ -239,10 +239,10 @@ func TestModeledTotal(t *testing.T) {
 }
 
 // TestMultiRoundRunsOverlap prices real multi-round runs, clean and with
-// injected faults, for every engine and mode: each run matches the serial
-// oracle, and its overlapped price lies in its bounds and hides, of its
-// bulk-synchronous total, (R−1)/R of the shorter of compute and exchange
-// (to the nanosecond).
+// injected faults, for every engine, mode and node width (3 nodes of 2, or
+// a ragged 4+2): each run matches the serial oracle, and its overlapped
+// price lies in its bounds and hides, of its bulk-synchronous total,
+// (R−1)/R of the shorter of compute and exchange (to the nanosecond).
 func TestMultiRoundRunsOverlap(t *testing.T) {
 	reads := testReads(t, 20_000, 8)
 	faults := map[string]fault.Config{
@@ -255,36 +255,38 @@ func TestMultiRoundRunsOverlap(t *testing.T) {
 	for engName, layout := range faultEngines() {
 		for _, mode := range []Mode{KmerMode, SupermerMode} {
 			for fName, fc := range faults {
-				t.Run(engName+"/"+mode.String()+"/"+fName, func(t *testing.T) {
-					cfg := Default(layout, mode)
-					cfg.MemBudgetBytes = roundBudget(cfg, 6000)
-					cfg.Fault = fc
-					// 3 fabric nodes of 2 out of the 6 test ranks, so the
-					// run prices a fabric exchange.
-					cfg.Layout.Net.RanksPerNode = 2
-					res, err := Run(cfg, reads)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if res.Rounds < 2 {
-						t.Fatalf("want a multi-round run, got %d rounds", res.Rounds)
-					}
-					if fc.Seed != 0 && res.TotalFaults().Retries == 0 {
-						t.Fatal("no round retried; pick a seed that faults")
-					}
-					checkAgainstOracle(t, cfg, reads, res)
-					lo, hi := overlapBounds(res)
-					got := res.ModeledTotal()
-					if got < lo || got > hi {
-						t.Fatalf("overlapped total %v over %d rounds, want within [%v, %v]", got, res.Rounds, lo, hi)
-					}
-					compute := res.Modeled.Parse + res.Modeled.Count
-					rounds := time.Duration(res.Rounds)
-					want := (rounds - 1) * min(compute, res.Modeled.Exchange) / rounds
-					if hidden := hi - got; hidden < want || hidden > want+1 {
-						t.Fatalf("overlapped total %v hides %v of %v over %d rounds, want %v", got, hidden, hi, res.Rounds, want)
-					}
-				})
+				for _, width := range []int{2, 4} {
+					t.Run(fmt.Sprintf("%s/%s/%s/width=%d", engName, mode, fName, width), func(t *testing.T) {
+						cfg := Default(layout, mode)
+						cfg.MemBudgetBytes = roundBudget(cfg, 6000)
+						cfg.Fault = fc
+						// Several fabric nodes out of the 6 test ranks, so the
+						// run prices a fabric exchange.
+						cfg.Layout.Net.RanksPerNode = width
+						res, err := Run(cfg, reads)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if res.Rounds < 2 {
+							t.Fatalf("want a multi-round run, got %d rounds", res.Rounds)
+						}
+						if fc.Seed != 0 && res.TotalFaults().Retries == 0 {
+							t.Fatal("no round retried; pick a seed that faults")
+						}
+						checkAgainstOracle(t, cfg, reads, res)
+						lo, hi := overlapBounds(res)
+						got := res.ModeledTotal()
+						if got < lo || got > hi {
+							t.Fatalf("overlapped total %v over %d rounds, want within [%v, %v]", got, res.Rounds, lo, hi)
+						}
+						compute := res.Modeled.Parse + res.Modeled.Count
+						rounds := time.Duration(res.Rounds)
+						want := (rounds - 1) * min(compute, res.Modeled.Exchange) / rounds
+						if hidden := hi - got; hidden < want || hidden > want+1 {
+							t.Fatalf("overlapped total %v hides %v of %v over %d rounds, want %v", got, hidden, hi, res.Rounds, want)
+						}
+					})
+				}
 			}
 		}
 	}

@@ -47,8 +47,8 @@ func spillLeftovers(t *testing.T, dir string) []string {
 }
 
 // TestSpillMatchesInMemory is the out-of-core equivalence property at the
-// heart of the spill mode: across engines, modes, streaming, randomized
-// k/m/window choices, and recoverable fault injection, the two-pass spill
+// heart of the spill mode: across engines, modes, streaming, node widths,
+// randomized k/m/window choices, and recoverable fault injection, the two-pass spill
 // path must reproduce the in-memory
 // spectrum bit-for-bit — counts, histogram, top-k, and per-rank loads —
 // and leave no bin files behind on success.
@@ -59,23 +59,26 @@ func TestSpillMatchesInMemory(t *testing.T) {
 		mode     Mode
 		streamed bool
 		faulted  bool
+		width    int
 	}
 	var cases []tcase
 	for _, engine := range []string{"gpu", "cpu"} {
 		for _, mode := range []Mode{KmerMode, SupermerMode} {
 			for _, streamed := range []bool{false, true} {
 				for _, faulted := range []bool{false, true} {
-					cases = append(cases, tcase{engine, mode, streamed, faulted})
+					for _, width := range nodeWidths {
+						cases = append(cases, tcase{engine, mode, streamed, faulted, width})
+					}
 				}
 			}
 		}
 	}
 	for i, tc := range cases {
 		// Canonical folding runs on every other k-mer case, alternating
-		// with the streaming and the faults so it meets both.
+		// with the node width and the faults so it meets both.
 		canonical := tc.mode == KmerMode && (i^i>>1)&1 == 0
-		name := fmt.Sprintf("%s/%s/stream=%v/faulted=%v",
-			tc.engine, tc.mode, tc.streamed, tc.faulted)
+		name := fmt.Sprintf("%s/%s/stream=%v/faulted=%v/width=%d",
+			tc.engine, tc.mode, tc.streamed, tc.faulted, tc.width)
 		// Per-case randomized operating point and dataset.
 		k := []int{15, 17, 21}[rng.Intn(3)]
 		m := []int{5, 7}[rng.Intn(2)]
@@ -89,6 +92,7 @@ func TestSpillMatchesInMemory(t *testing.T) {
 			cfg := Default(layout, tc.mode)
 			cfg.K, cfg.M, cfg.Window = k, m, window
 			cfg.Canonical = canonical
+			cfg.Layout.Net.RanksPerNode = tc.width
 			if tc.faulted {
 				cfg.Fault = fault.Config{
 					Seed: uint64(200 + i), Delay: 0.02, DelayFor: 100 * time.Microsecond,

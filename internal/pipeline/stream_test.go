@@ -30,6 +30,11 @@ func smallCPULayout() cluster.Layout {
 	return l
 }
 
+// nodeWidths are the node widths (Layout.Net.RanksPerNode) the 6-rank
+// equivalence tests run each case at: one node, where nothing crosses the
+// fabric, and 3 nodes of 2, whose exchange and leader-routed price do.
+var nodeWidths = []int{6, 2}
+
 // writeGzFiles splits reads across n gzip-compressed FASTQ files in a
 // temp dir, returning the paths.
 func writeGzFiles(t *testing.T, reads []fastq.Record, n int) []string {
@@ -68,8 +73,8 @@ func writeGzFiles(t *testing.T, reads []fastq.Record, n int) []string {
 }
 
 // TestStreamMatchesInMemory is the streaming/in-memory equivalence
-// property: across engines, modes, randomized k/m/window choices, and
-// recoverable fault injection, RunStream over a bounded producer must reproduce Run's
+// property: across engines, modes, node widths, randomized k/m/window
+// choices, and recoverable fault injection, RunStream over a bounded producer must reproduce Run's
 // spectrum bit-for-bit — counts, histogram, top-k, and per-rank loads —
 // while actually running multi-round under its memory budget. Every
 // combination streams once from gzip-compressed multi-file fixtures and
@@ -80,20 +85,23 @@ func TestStreamMatchesInMemory(t *testing.T) {
 		engine  string
 		mode    Mode
 		faulted bool
+		width   int
 		files   bool
 	}
 	var cases []tcase
 	for _, engine := range []string{"gpu", "cpu"} {
 		for _, mode := range []Mode{KmerMode, SupermerMode} {
 			for _, faulted := range []bool{false, true} {
-				for _, files := range []bool{false, true} {
-					cases = append(cases, tcase{engine, mode, faulted, files})
+				for _, width := range nodeWidths {
+					for _, files := range []bool{false, true} {
+						cases = append(cases, tcase{engine, mode, faulted, width, files})
+					}
 				}
 			}
 		}
 	}
 	for i, tc := range cases {
-		name := fmt.Sprintf("%s/%s/faulted=%v/%s", tc.engine, tc.mode, tc.faulted,
+		name := fmt.Sprintf("%s/%s/faulted=%v/width=%d/%s", tc.engine, tc.mode, tc.faulted, tc.width,
 			map[bool]string{false: "slice", true: "files"}[tc.files])
 		// Per-case randomized operating point and dataset.
 		k := []int{15, 17, 21}[rng.Intn(3)]
@@ -107,6 +115,7 @@ func TestStreamMatchesInMemory(t *testing.T) {
 			}
 			cfg := Default(layout, tc.mode)
 			cfg.K, cfg.M, cfg.Window = k, m, window
+			cfg.Layout.Net.RanksPerNode = tc.width
 			if tc.faulted {
 				cfg.Fault = fault.Config{
 					Seed: uint64(100 + i), Delay: 0.02, DelayFor: 100 * time.Microsecond,
