@@ -22,8 +22,8 @@ func TestParseArgsDefaults(t *testing.T) {
 	if want := pipeline.Default(cluster.SummitGPU(4), pipeline.SupermerMode); !reflect.DeepEqual(cfg, want) {
 		t.Errorf("defaults\n got %+v\nwant %+v", cfg, want)
 	}
-	if in.entry != pipeline.InMemory || in.stream {
-		t.Errorf("defaults select entry %v, stream %v", in.entry, in.stream)
+	if in.resume != "" || in.stream {
+		t.Errorf("defaults select resume %q, stream %v", in.resume, in.stream)
 	}
 }
 
@@ -34,21 +34,21 @@ func TestParseArgsResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in.entry != pipeline.Resuming || !in.stream || cfg.Ckpt.Dir != "ck" || cfg.Ckpt.Every != 3 || cfg.Ckpt.Reopen == nil {
-		t.Errorf("-resume: entry %v, stream %v, Ckpt %+v", in.entry, in.stream, cfg.Ckpt)
+	if in.resume != "ck" || !in.stream || cfg.Ckpt.Dir != "ck" || cfg.Ckpt.Every != 3 {
+		t.Errorf("-resume: resume %q, stream %v, Ckpt %+v", in.resume, in.stream, cfg.Ckpt)
 	}
 }
 
 // TestParseArgsInMemoryCkpt: an in-memory run takes a memory budget and
-// checkpoints like a stream, leaving Reopen to Run, which re-seeks the
-// reads it was given.
+// checkpoints like a stream, quality-trimmed or not: Run replays the reads
+// it was given.
 func TestParseArgsInMemoryCkpt(t *testing.T) {
-	cfg, in, _, err := parseArgs(strings.Fields("-in a.fastq -mem-budget 1k -ckpt-dir ck -fault-kill-rank 1 -fault-kill-round 2"))
+	cfg, in, _, err := parseArgs(strings.Fields("-in a.fastq -mem-budget 1k -ckpt-dir ck -trimq 20 -fault-kill-rank 1 -fault-kill-round 2"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in.entry != pipeline.InMemory || in.stream || cfg.MemBudgetBytes != 1<<10 || cfg.Ckpt.Dir != "ck" || cfg.Ckpt.Reopen != nil {
-		t.Errorf("entry %v, stream %v, budget %d, Ckpt %+v", in.entry, in.stream, cfg.MemBudgetBytes, cfg.Ckpt)
+	if in.resume != "" || in.stream || in.trimQ != 20 || cfg.MemBudgetBytes != 1<<10 || cfg.Ckpt.Dir != "ck" {
+		t.Errorf("resume %q, stream %v, trimq %d, budget %d, Ckpt %+v", in.resume, in.stream, in.trimQ, cfg.MemBudgetBytes, cfg.Ckpt)
 	}
 }
 
@@ -65,7 +65,7 @@ func TestParseArgsBinds(t *testing.T) {
 	if f := cfg.Fault; !f.FatalKill || f.FatalRank != 1 || f.FatalRound != 9 {
 		t.Errorf("fatal kill %+v", f)
 	}
-	if in.entry != pipeline.Streaming || !reflect.DeepEqual(in.paths, []string{"a.fastq", "b.fastq"}) || out.kcd != "x.kcd" {
+	if !in.stream || !reflect.DeepEqual(in.paths, []string{"a.fastq", "b.fastq"}) || out.kcd != "x.kcd" {
 		t.Errorf("input %+v, output %+v", in, out)
 	}
 }
@@ -77,7 +77,6 @@ func TestParseArgsRejects(t *testing.T) {
 	for args, want := range map[string]string{
 		"-ckpt-rounds 9":                          "Ckpt.Every",
 		"-no-shrink":                              "Ckpt.NoShrink",
-		"-trimq 20 -ckpt-dir ck":                  "-stream",
 		"-gpustats -engine cpu":                   "-gpustats",
 		"-fault-kill-rank 24 -fault-kill-round 1": "outside the world",
 		"-fault-kill-rank 1":                      "both must be >= 0",
@@ -103,8 +102,9 @@ func TestParseArgsRejects(t *testing.T) {
 }
 
 // TestInputOpen: one opener serves every path — the in-memory drain, the
-// stream and a checkpoint reopen — trimming after it seeks, so a cursor
-// addresses the untrimmed records.
+// stream and the pipeline's replay — and its files replay from a cursor
+// with the trim on top, since a cursor addresses the untrimmed records.
+// Its origin names the file and the trim.
 func TestInputOpen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "r.fastq")
 	fq := "@a\nACGTACGTAC\n+\nIIIIIIIIII\n@b\nACGTAC\n+\n######\n@c\nTTGCATTGCA\n+\nIIIIIIIII#\n"
@@ -112,6 +112,18 @@ func TestInputOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := input{paths: []string{path}, trimQ: 20, k: 5}
+	src, err := in.open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp, ok := src.(fastq.Replayer)
+	if !ok {
+		t.Fatalf("opened source %T does not replay", src)
+	}
+	want := fastq.Origin{Files: []fastq.File{{Path: path, Size: int64(len(fq))}}, MinQ: 20, MinLen: 5}
+	if got := rp.Origin(); !reflect.DeepEqual(got, want) {
+		t.Errorf("origin %+v, want %+v", got, want)
+	}
 	for _, c := range []struct {
 		cur  fastq.Cursor
 		want []string
@@ -119,12 +131,9 @@ func TestInputOpen(t *testing.T) {
 		{fastq.Cursor{}, []string{"ACGTACGTAC", "TTGCATTGC"}},
 		{fastq.Cursor{Record: 2}, []string{"TTGCATTGC"}},
 	} {
-		src, err := in.open(c.cur)
+		src, err := rp.Replay(c.cur)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if _, ok := src.(fastq.CursorSource); !ok {
-			t.Fatalf("opened source %T has no cursor", src)
 		}
 		reads, err := fastq.Drain(src)
 		if err != nil {
@@ -135,13 +144,13 @@ func TestInputOpen(t *testing.T) {
 			got = append(got, string(r.Seq))
 		}
 		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("open at %+v: %q, want %q", c.cur, got, c.want)
+			t.Errorf("replay from %+v: %q, want %q", c.cur, got, c.want)
 		}
 	}
 }
 
 // TestInputOpenStaleCursorClosesFile: a cursor past the input fails the
-// open and leaves no file open behind it.
+// replay and leaves no file open behind it.
 func TestInputOpenStaleCursorClosesFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "r.fastq")
 	if err := os.WriteFile(path, []byte("@a\nACGTACGTAC\n+\nIIIIIIIIII\n"), 0o644); err != nil {
@@ -155,13 +164,17 @@ func TestInputOpenStaleCursorClosesFile(t *testing.T) {
 		return len(ents)
 	}
 	in := input{paths: []string{path}}
+	src, err := in.open()
+	if err != nil {
+		t.Fatal(err)
+	}
 	before := fds()
 	for range 20 {
-		if _, err := in.open(fastq.Cursor{Record: 9}); err == nil {
-			t.Fatal("open past the input succeeded")
+		if _, err := src.(fastq.Replayer).Replay(fastq.Cursor{Record: 9}); err == nil {
+			t.Fatal("replay past the input succeeded")
 		}
 	}
 	if after := fds(); after >= before+20 {
-		t.Fatalf("%d files open after 20 failed opens, %d before", after, before)
+		t.Fatalf("%d files open after 20 failed replays, %d before", after, before)
 	}
 }

@@ -53,7 +53,6 @@ import (
 	"dedukt/internal/minimizer"
 	"dedukt/internal/obs"
 	"dedukt/internal/pipeline"
-	recov "dedukt/internal/recover"
 	"dedukt/internal/stats"
 )
 
@@ -67,8 +66,7 @@ type input struct {
 	stream  bool
 	resume  string
 	trimQ   int
-	k       int            // reads trimmed shorter than a k-mer are dropped
-	entry   pipeline.Entry // the pipeline call the choice makes
+	k       int // reads trimmed shorter than a k-mer are dropped
 }
 
 // output is what the command does with a finished run.
@@ -121,7 +119,7 @@ func parseArgs(args []string) (pipeline.Config, input, output, error) {
 	fs.StringVar(&cfg.Ckpt.Dir, "ckpt-dir", "", "checkpoint the run into this directory every -ckpt-rounds rounds; enables -resume, and after a rank death the survivors restart from the last checkpoint")
 	fs.IntVar(&cfg.Ckpt.Every, "ckpt-rounds", 0, "rounds between checkpoints when -ckpt-dir is set (default 4)")
 	fs.BoolVar(&cfg.Ckpt.NoShrink, "no-shrink", false, "do not restart the survivors after a rank death (the run fails instead; resume it with -resume; requires -ckpt-dir)")
-	fs.StringVar(&in.resume, "resume", "", "resume an interrupted run from this checkpoint directory (requires the same -in/-k/... configuration)")
+	fs.StringVar(&in.resume, "resume", "", "resume an interrupted run from this checkpoint directory, streaming the same -in files under the same -k/-trimq/... configuration; a checkpoint of a run without -stream addresses its reads in memory and is refused")
 	fs.BoolVar(&out.gpuStats, "gpustats", false, "print GPU kernel efficiency metrics (GPU engine only)")
 	fs.StringVar(&out.kcd, "okcd", "", "write the counted k-mers to this KCD database (see cmd/kmertools)")
 	fs.StringVar(&out.serve, "serve", "", "after counting, serve the spectrum over HTTP on this address (see cmd/kserve; blocks until SIGINT)")
@@ -163,13 +161,10 @@ func parseArgs(args []string) (pipeline.Config, input, output, error) {
 	}
 	cfg.KeepTables = out.kcd != "" || out.serve != ""
 
-	switch {
-	case in.resume != "":
+	if in.resume != "" {
 		// -resume continues a checkpointed streaming run: it implies the
 		// stream path and checkpoints into the directory it resumes.
-		in.stream, cfg.Ckpt.Dir, in.entry = true, in.resume, pipeline.Resuming
-	case in.stream:
-		in.entry = pipeline.Streaming
+		in.stream, cfg.Ckpt.Dir = true, in.resume
 	}
 	switch {
 	case len(in.paths) > 0 && in.dataset != "":
@@ -178,29 +173,17 @@ func parseArgs(args []string) (pipeline.Config, input, output, error) {
 		return cfg, in, out, fmt.Errorf("-stream and -resume read -in files (synthetic datasets are generated in memory already)")
 	case out.gpuStats && cfg.Layout.GPU == nil:
 		return cfg, in, out, fmt.Errorf("-gpustats reports GPU kernels and needs -engine gpu")
-	case cfg.Ckpt.Dir != "" && !in.stream && in.trimQ > 0:
-		return cfg, in, out, fmt.Errorf("-ckpt-dir with -trimq needs -stream (an in-memory checkpoint addresses the trimmed reads, which -resume cannot find in the files)")
 	}
-	// A stream's checkpoints address the -in records, reopened here; an
-	// in-memory run's address its drained reads, which Run re-seeks itself.
-	if in.stream {
-		cfg.Ckpt.Reopen = in.open
-	}
-	return cfg, in, out, cfg.Validate(in.entry)
+	return cfg, in, out, cfg.Validate()
 }
 
-// open returns the run's read source positioned at cur: the -in files as
-// one stream, or the synthetic dataset as a slice, quality-trimmed under
-// -trimq. Every path reads through it — the in-memory run drains it from
-// the start, -stream hands it to the pipeline, and checkpoint recovery
-// reopens it at a cursor. Cursors address the untrimmed records, so the
-// trim goes on after the seek. A stream drained to its end holds no file
-// open.
-func (in *input) open(cur fastq.Cursor) (fastq.Source, error) {
-	var src interface {
-		fastq.CursorSource
-		SeekCursor(fastq.Cursor) error
-	}
+// open returns the run's read source: the -in files as one stream, or the
+// synthetic dataset as a slice, quality-trimmed under -trimq. Every path
+// reads through it — the in-memory run drains it, -stream and -resume hand
+// it to the pipeline, which replays it when it checkpoints. A stream
+// drained to its end holds no file open.
+func (in *input) open() (fastq.Source, error) {
+	var src fastq.Source
 	if len(in.paths) > 0 {
 		s, err := fastq.OpenStream(in.paths...)
 		if err != nil {
@@ -213,12 +196,6 @@ func (in *input) open(cur fastq.Cursor) (fastq.Source, error) {
 			return nil, err
 		}
 		src = fastq.NewSliceSource(reads)
-	}
-	if err := src.SeekCursor(cur); err != nil {
-		if c, ok := src.(io.Closer); ok {
-			c.Close()
-		}
-		return nil, err
 	}
 	if in.trimQ > 0 {
 		return fastq.NewTrimSource(src, in.trimQ, in.k), nil
@@ -244,15 +221,14 @@ func (in *input) generate() ([]fastq.Record, error) {
 
 // count runs the pipeline call the input selects.
 func count(cfg pipeline.Config, in *input) (*pipeline.Result, error) {
-	if in.entry == pipeline.Resuming {
-		// The checkpoint's Reopen hook supplies the fast-forwarded source.
-		return pipeline.ResumeStream(cfg)
-	}
-	src, err := in.open(fastq.Cursor{})
+	src, err := in.open()
 	if err != nil {
 		return nil, err
 	}
-	if in.entry == pipeline.Streaming {
+	switch {
+	case in.resume != "":
+		return pipeline.ResumeStream(cfg, src)
+	case in.stream:
 		return pipeline.RunStream(cfg, src)
 	}
 	reads, err := fastq.Drain(src)
@@ -271,11 +247,6 @@ func main() {
 		os.Exit(0)
 	case err != nil:
 		log.Fatal(err)
-	}
-	if cfg.Ckpt.Dir != "" {
-		if cfg.Ckpt.Inputs, err = statInputs(in.paths); err != nil {
-			log.Fatal(err)
-		}
 	}
 
 	obs.ServePprof(out.pprof, log.Printf)
@@ -528,22 +499,6 @@ func reportJSON(w io.Writer, cfg pipeline.Config, res *pipeline.Result, top int)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
-}
-
-// statInputs records the checkpoint fingerprint of the input file list:
-// each path with its current size. A resume under a renamed, grown, or
-// truncated input fails the manifest fingerprint check instead of
-// silently counting the wrong data.
-func statInputs(paths []string) ([]recov.InputFile, error) {
-	inputs := make([]recov.InputFile, len(paths))
-	for i, p := range paths {
-		fi, err := os.Stat(p)
-		if err != nil {
-			return nil, err
-		}
-		inputs[i] = recov.InputFile{Path: p, Size: fi.Size()}
-	}
-	return inputs, nil
 }
 
 // splitPaths splits the comma-separated -in value into individual file

@@ -30,7 +30,6 @@ import (
 	"dedukt/internal/kcount"
 	"dedukt/internal/minimizer"
 	"dedukt/internal/pipeline"
-	recov "dedukt/internal/recover"
 )
 
 // Core types, re-exported from the implementation packages. External callers
@@ -57,21 +56,10 @@ type (
 	// CkptConfig (Options.Ckpt) enables round-granularity checkpointing
 	// and rank-death recovery for Count and CountStream; see Resume.
 	CkptConfig = pipeline.CkptConfig
-	// Cursor is a replayable position in a read stream; CkptConfig.Reopen
-	// receives one to fast-forward the input on resume or replay.
+	// Cursor is a position in a read stream, from which a source that can
+	// be read again — files from OpenStream — replays to restart or resume
+	// a checkpointed run.
 	Cursor = fastq.Cursor
-	// InputFile fingerprints one input path (path and size) so a
-	// checkpoint refuses to resume over changed inputs.
-	InputFile = recov.InputFile
-	// Entry names the call Validate checks options for.
-	Entry = pipeline.Entry
-)
-
-// Entry points, for Validate.
-const (
-	ForCount       = pipeline.InMemory
-	ForCountStream = pipeline.Streaming
-	ForResume      = pipeline.Resuming
 )
 
 // Exchange modes.
@@ -103,8 +91,8 @@ func DefaultOptions(nodes int) Options {
 // oracle); timing is Summit-projected by the calibrated cost models. It
 // runs the same round loop as CountStream over the slice: without
 // MemBudgetBytes the reads are one round of even shares, a budget sizes
-// the rounds as it does a stream's, and checkpointing works as on a
-// stream, Ckpt.Reopen defaulting to re-seeking the reads. On the GPU,
+// the rounds as it does a stream's, and checkpointing and balanced
+// partitioning work as on a stream, the slice replaying itself. On the GPU,
 // Result.Staging is the host staging Modeled.Exchange includes, which
 // GPUDirect would not pay.
 func Count(reads []Read, opts Options) (*Result, error) {
@@ -115,20 +103,24 @@ func Count(reads []Read, opts Options) (*Result, error) {
 // materializing the input: the source is dealt to the ranks in bounded
 // rounds and the live working set stays under Options.MemBudgetBytes
 // regardless of input size. The counted spectrum is bit-identical to Count over the
-// same reads. BalancedPartition, which needs the whole input up front, is
-// rejected.
+// same reads. A run that checkpoints (Options.Ckpt) or balances
+// (BalancedPartition, which profiles the whole input before counting)
+// reads src again, so src must then be one that can be: files from
+// OpenStream, not a stream over plain readers.
 func CountStream(src Source, opts Options) (*Result, error) {
 	return pipeline.RunStream(opts, src)
 }
 
 // Resume continues an interrupted CountStream run from the checkpoint
-// directory in opts.Ckpt.Dir. The options must match the checkpointed
-// run (k, mode, engine, ranks, inputs — validated against the manifest's
-// fingerprint); opts.Ckpt.Reopen supplies the fast-forwarded source. The
-// completed spectrum is bit-identical to an unfaulted run over the same
-// reads.
-func Resume(opts Options) (*Result, error) {
-	return pipeline.ResumeStream(opts)
+// directory in opts.Ckpt.Dir, replaying src — the same files, opened by
+// OpenStream — from the checkpoint's cursor. The options and the files
+// must match the checkpointed run's: k, mode, engine, ranks and the files'
+// paths and sizes are validated against the manifest's fingerprint. A
+// checkpoint of Count names no files, so Resume refuses it; Count's own
+// survivors restart from it after a rank death. The completed spectrum is
+// bit-identical to an unfaulted run over the same reads.
+func Resume(src Source, opts Options) (*Result, error) {
+	return pipeline.ResumeStream(opts, src)
 }
 
 // OpenStream opens FASTQ/FASTA files as one concatenated read source for
@@ -170,9 +162,9 @@ func OrderingByName(name string) (minimizer.Ordering, error) {
 	return minimizer.ByName(name, &dna.Random)
 }
 
-// Validate checks opts for the given entry point without running anything:
-// the options it accepts, that entry point runs.
-func Validate(opts Options, entry Entry) error { return opts.Validate(entry) }
+// Validate checks opts without running anything: the options it accepts,
+// Count runs, and CountStream and Resume too over a source they can read.
+func Validate(opts Options) error { return opts.Validate() }
 
 // Version identifies this reproduction.
 const Version = "1.0.0"

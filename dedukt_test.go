@@ -20,7 +20,7 @@ func TestFacadeCountQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := dedukt.DefaultOptions(1)
-	if err := dedukt.Validate(opts, dedukt.ForCount); err != nil {
+	if err := dedukt.Validate(opts); err != nil {
 		t.Fatal(err)
 	}
 	res, err := dedukt.Count(reads, opts)

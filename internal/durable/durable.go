@@ -27,6 +27,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 )
 
 // The three ways bytes on disk can be wrong; test with errors.Is.
@@ -127,7 +128,7 @@ func ReadRecord(r io.Reader, buf []byte, limit uint32) ([]byte, error) {
 // File is a file written under its path plus ".tmp" and renamed onto the
 // path by Commit, so a reader of the path sees the previous file or the
 // whole new one, never part of one, even when the writing process is
-// killed. Nothing is synced: a power loss can still lose or tear it.
+// killed or the machine loses power.
 type File struct {
 	f    *os.File
 	path string
@@ -146,15 +147,35 @@ func Create(path string) (*File, error) {
 // Write writes to the temporary file.
 func (f *File) Write(p []byte) (int, error) { return f.f.Write(p) }
 
-// Commit closes the temporary file and renames it onto the path. On
-// failure the temporary file is removed and the path left as it was.
+// Commit syncs the temporary file to disk, closes it and renames it onto
+// the path, then syncs the path's directory so the rename is on disk too.
+// When the data cannot be synced the temporary file is removed and the
+// path left as it was; an error syncing the directory comes after the
+// rename, which a reader may then already see.
 func (f *File) Commit() error {
-	err := f.f.Close()
+	err := f.f.Sync()
+	if cerr := f.f.Close(); err == nil {
+		err = cerr
+	}
 	if err == nil {
 		err = os.Rename(f.path+".tmp", f.path)
 	}
 	if err != nil {
 		os.Remove(f.path + ".tmp")
+		return err
+	}
+	return syncDir(filepath.Dir(f.path))
+}
+
+// syncDir syncs a directory's entries to disk.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }

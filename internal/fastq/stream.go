@@ -23,19 +23,45 @@ type Source interface {
 // Input. The zero Cursor is the start of the stream. Cursors address
 // records, not byte offsets — gzip inputs have no random access, so a
 // resume re-parses and discards the records before the cursor (see
-// Stream.SeekCursor).
+// Stream.Replay).
 type Cursor struct {
 	Input  int
 	Record uint64
 }
 
-// CursorSource is a Source that can report a checkpoint cursor for its
-// undelivered remainder. Cursor must be captured between Next calls; it
-// then identifies exactly the records not yet returned. Stream and
-// SliceSource implement it; the pipeline's checkpointing requires it.
-type CursorSource interface {
+// Replayer is a Source that can be read again: Replay opens a fresh source
+// over the same records from any cursor the source reported, and Origin
+// names those records. The pipeline replays its input to restart or resume
+// from a checkpoint and to count what balanced partitioning profiled, and
+// fingerprints a checkpoint by the Origin. A Stream opened from paths, a
+// SliceSource and a trim of either are Replayers; a stream over readers,
+// which can be read once, is not.
+type Replayer interface {
 	Source
+	// Cursor reports the position of the next undelivered record. Capture
+	// it between Next calls.
 	Cursor() Cursor
+	// Replay opens a fresh source that delivers exactly the records from c
+	// on; a cursor past the records (a changed or truncated file) is an
+	// error, never a silently shifted replay.
+	Replay(c Cursor) (Replayer, error)
+	// Origin names where the records come from.
+	Origin() Origin
+}
+
+// Origin names a replayable source's records: the files they are read from
+// (none for records already in memory) and the quality trim applied to them
+// (zero when untrimmed; see NewTrimSource). A checkpoint taken over one
+// origin does not resume over another.
+type Origin struct {
+	Files        []File
+	MinQ, MinLen int
+}
+
+// File names one input file by its path and its size when opened.
+type File struct {
+	Path string `json:"path"`
+	Size int64  `json:"size"`
 }
 
 // Drain reads src to its end and returns its records, deep-copied unless
@@ -86,15 +112,16 @@ func (s *SliceSource) Next() (Record, error) {
 // SliceSource is a single input, so Cursor.Input is always 0).
 func (s *SliceSource) Cursor() Cursor { return Cursor{Record: uint64(s.i)} }
 
-// SeekCursor positions the source at a cursor previously captured by
-// Cursor.
-func (s *SliceSource) SeekCursor(c Cursor) error {
+// Replay returns a SliceSource over the same records from c on.
+func (s *SliceSource) Replay(c Cursor) (Replayer, error) {
 	if c.Input != 0 || c.Record > uint64(len(s.recs)) {
-		return fmt.Errorf("fastq: cursor input %d record %d outside a %d-record slice source", c.Input, c.Record, len(s.recs))
+		return nil, fmt.Errorf("fastq: cursor input %d record %d outside a %d-record slice source", c.Input, c.Record, len(s.recs))
 	}
-	s.i = int(c.Record)
-	return nil
+	return &SliceSource{recs: s.recs, i: int(c.Record)}, nil
 }
+
+// Origin names no files: the records are the caller's, in memory.
+func (s *SliceSource) Origin() Origin { return Origin{} }
 
 // owned reports that the records are the caller's own slice.
 func (s *SliceSource) owned() bool { return true }
@@ -131,6 +158,7 @@ func (e *InputError) Unwrap() error { return e.Err }
 type Stream struct {
 	inputs   []Input
 	paths    []string // lazily opened when non-nil; nil for NewStream
+	sizes    []int64  // each path's size when OpenStream stat'ed it
 	cur      int      // next input index
 	curInput int      // index of the currently open input
 	curRecs  uint64   // records delivered from the currently open input
@@ -143,7 +171,13 @@ type Stream struct {
 }
 
 // NewStream streams the given inputs in order. Empty inputs are skipped.
-func NewStream(inputs ...Input) *Stream { return &Stream{inputs: inputs} }
+// Readers are read once, so the stream is no Replayer.
+func NewStream(inputs ...Input) Source { return readOnce{&Stream{inputs: inputs}} }
+
+// readOnce shows a Stream over readers as a plain Source.
+type readOnce struct{ s *Stream }
+
+func (r readOnce) Next() (Record, error) { return r.s.Next() }
 
 // OpenStream opens the given files as one concatenated stream. Every
 // path is stat'ed up front so a missing file fails fast, but files are
@@ -154,12 +188,38 @@ func OpenStream(paths ...string) (*Stream, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("fastq: no input paths")
 	}
-	for _, p := range paths {
-		if _, err := os.Stat(p); err != nil {
+	sizes := make([]int64, len(paths))
+	for i, p := range paths {
+		fi, err := os.Stat(p)
+		if err != nil {
 			return nil, err
 		}
+		sizes[i] = fi.Size()
 	}
-	return &Stream{paths: paths}, nil
+	return &Stream{paths: paths, sizes: sizes}, nil
+}
+
+// Replay opens the stream's files afresh and fast-forwards them to c (see
+// seek).
+func (s *Stream) Replay(c Cursor) (Replayer, error) {
+	r, err := OpenStream(s.paths...)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.seek(c); err != nil {
+		r.Close()
+		return nil, err
+	}
+	return r, nil
+}
+
+// Origin names the stream's files with their sizes when it was opened.
+func (s *Stream) Origin() Origin {
+	files := make([]File, len(s.paths))
+	for i, p := range s.paths {
+		files[i] = File{Path: p, Size: s.sizes[i]}
+	}
+	return Origin{Files: files}
 }
 
 // Next returns the next record across all inputs, or io.EOF after the
@@ -199,8 +259,8 @@ func (s *Stream) Reads() uint64 { return s.reads }
 func (s *Stream) Bases() uint64 { return s.bases }
 
 // Cursor reports the resume position of the next undelivered record.
-// Capture it between Next calls; SeekCursor on a fresh stream over the
-// same inputs then replays exactly the records not yet returned.
+// Capture it between Next calls; Replay from it then delivers exactly the
+// records not yet returned.
 func (s *Stream) Cursor() Cursor {
 	if s.r == nil {
 		return Cursor{Input: s.cur}
@@ -208,25 +268,15 @@ func (s *Stream) Cursor() Cursor {
 	return Cursor{Input: s.curInput, Record: s.curRecs}
 }
 
-// SeekCursor fast-forwards a fresh stream to a cursor previously
-// captured by Cursor: inputs before c.Input are skipped without being
-// opened, and c.Record records of input c.Input are parsed and
-// discarded (records are not byte-addressable — gzip inputs have no
-// random access). Skipped records do not count toward Reads/Bases.
-// Seeking a stream that already delivered records is an error, as is a
-// cursor pointing past the input's actual records (a changed or
-// truncated file must fail the resume, never silently shift it).
-func (s *Stream) SeekCursor(c Cursor) error {
-	if s.err != nil {
-		return s.err
-	}
-	if s.r != nil || s.cur != 0 || s.reads != 0 {
-		return fmt.Errorf("fastq: SeekCursor on a stream that already delivered records")
-	}
+// seek fast-forwards a freshly opened stream to a cursor previously
+// captured by Cursor: files before c.Input are skipped without being
+// opened, and c.Record records of file c.Input are parsed and discarded
+// (records are not byte-addressable — gzip inputs have no random access).
+// Skipped records do not count toward Reads/Bases. A cursor pointing past
+// the file's actual records is an error (a changed or truncated file must
+// fail the resume, never silently shift it).
+func (s *Stream) seek(c Cursor) error {
 	n := len(s.paths)
-	if s.paths == nil {
-		n = len(s.inputs)
-	}
 	if c.Input < 0 || c.Input > n {
 		return fmt.Errorf("fastq: cursor input %d outside this stream's %d inputs", c.Input, n)
 	}
@@ -359,24 +409,38 @@ type trimSource struct {
 
 // NewTrimSource returns a Source that quality-trims every record of src
 // (see TrimQuality) and drops records whose trimmed sequence is shorter
-// than minLen. When src is a CursorSource the returned source is one too,
-// delegating to src: trimming is deterministic per raw record, so resuming
-// the raw stream at the cursor re-trims the remainder identically.
+// than minLen. When src is a Replayer the returned source is one too: its
+// cursors are src's, since trimming is deterministic per raw record,
+// replaying trims src's replay alike, and its Origin adds the trim rule.
 func NewTrimSource(src Source, minQ, minLen int) Source {
 	t := &trimSource{src: src, minQ: minQ, minLen: minLen}
-	if cs, ok := src.(CursorSource); ok {
-		return &trimCursorSource{trimSource: t, cs: cs}
+	if r, ok := src.(Replayer); ok {
+		return &trimReplayer{trimSource: t, r: r}
 	}
 	return t
 }
 
-// trimCursorSource is a trimSource over a cursor-capable raw stream.
-type trimCursorSource struct {
+// trimReplayer is a trimSource over a replayable source.
+type trimReplayer struct {
 	*trimSource
-	cs CursorSource
+	r Replayer
 }
 
-func (t *trimCursorSource) Cursor() Cursor { return t.cs.Cursor() }
+func (t *trimReplayer) Cursor() Cursor { return t.r.Cursor() }
+
+func (t *trimReplayer) Replay(c Cursor) (Replayer, error) {
+	r, err := t.r.Replay(c)
+	if err != nil {
+		return nil, err
+	}
+	return NewTrimSource(r, t.minQ, t.minLen).(Replayer), nil
+}
+
+func (t *trimReplayer) Origin() Origin {
+	o := t.r.Origin()
+	o.MinQ, o.MinLen = t.minQ, t.minLen
+	return o
+}
 
 // Close closes src when it is an io.Closer, so abandoning a trimmed file
 // stream releases its file.

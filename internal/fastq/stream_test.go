@@ -7,6 +7,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -246,8 +249,8 @@ func (c *closeRecorder) Close() error {
 func TestTrimSourceForwardsClose(t *testing.T) {
 	raw := &closeRecorder{SliceSource: NewSliceSource(nil)}
 	trimmed := NewTrimSource(raw, 20, 5)
-	if _, ok := trimmed.(CursorSource); !ok {
-		t.Fatal("trimming a cursor source lost its cursor")
+	if _, ok := trimmed.(Replayer); !ok {
+		t.Fatal("trimming a replayable source lost its replay")
 	}
 	c, ok := trimmed.(io.Closer)
 	if !ok {
@@ -255,5 +258,88 @@ func TestTrimSourceForwardsClose(t *testing.T) {
 	}
 	if err := c.Close(); err != nil || !raw.closed {
 		t.Fatalf("Close = %v, source closed %v", err, raw.closed)
+	}
+}
+
+// TestReplay: every Replayer — a file stream, a slice, a trim of either —
+// replays from a cursor it reported exactly the records it had not yet
+// delivered, and names its origin: the files with their sizes, and the trim
+// rule. A stream over readers is no Replayer.
+func TestReplay(t *testing.T) {
+	dir := t.TempDir()
+	a, b := filepath.Join(dir, "a.fastq"), filepath.Join(dir, "b.fastq.gz")
+	fqA := "@r1\nACGTAC\n+\nIIIIII\n@r2\nGGCCAA\n+\nII$$$$\n"
+	if err := os.WriteFile(a, []byte(fqA), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(b, gzCompress(t, []byte("@r3\nTTTTGG\n+\nIIIIII\n@r4\nCCAA\n+\n$$$$\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := []File{{Path: a, Size: int64(len(fqA))}, {Path: b, Size: fi.Size()}}
+	recs, err := ReadAll(strings.NewReader(fqA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := func() Replayer {
+		s, err := OpenStream(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	for _, c := range []struct {
+		name   string
+		src    func() Replayer
+		origin Origin
+	}{
+		{"stream", open, Origin{Files: files}},
+		{"slice", func() Replayer { return NewSliceSource(recs) }, Origin{}},
+		{"trimmed-stream", func() Replayer { return NewTrimSource(open(), 20, 3).(Replayer) }, Origin{Files: files, MinQ: 20, MinLen: 3}},
+		{"trimmed-slice", func() Replayer { return NewTrimSource(NewSliceSource(recs), 20, 3).(Replayer) }, Origin{MinQ: 20, MinLen: 3}},
+	} {
+		src := c.src()
+		if got := src.Origin(); !reflect.DeepEqual(got, c.origin) {
+			t.Errorf("%s: origin %+v, want %+v", c.name, got, c.origin)
+		}
+		var cursors []Cursor
+		var ids []string
+		for {
+			cursors = append(cursors, src.Cursor())
+			rec, err := src.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, rec.ID)
+		}
+		for i, cur := range cursors {
+			r, err := src.Replay(cur)
+			if err != nil {
+				t.Fatalf("%s: replay from %+v: %v", c.name, cur, err)
+			}
+			got, err := drainStream(t, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var gotIDs []string
+			for _, rec := range got {
+				gotIDs = append(gotIDs, rec.ID)
+			}
+			if !slices.Equal(gotIDs, ids[i:]) {
+				t.Errorf("%s: replay from %+v delivered %v, want %v", c.name, cur, gotIDs, ids[i:])
+			}
+		}
+		if _, err := src.Replay(Cursor{Input: 5}); err == nil {
+			t.Errorf("%s: replay from a cursor past the input succeeded", c.name)
+		}
+	}
+	if _, ok := NewStream(Input{Name: "r", R: strings.NewReader(fqA)}).(Replayer); ok {
+		t.Error("a stream over readers claims to replay")
 	}
 }

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"container/heap"
+	"io"
 	"sort"
 
 	"dedukt/internal/dna"
@@ -12,20 +13,28 @@ import (
 
 // buildBalancedMap computes the frequency-aware minimizer→rank assignment
 // (the paper's §VII future work): a profiling pass measures each minimizer
-// bin's k-mer load over the input, then bins are LPT-assigned — heaviest
-// first, each to the currently lightest rank. Locality is preserved (every
-// occurrence of a k-mer still reaches one rank, since the k-mer's minimizer
-// is a function of the k-mer alone) while the load spread shrinks from the
-// minimizer-granularity skew of hash assignment toward the LPT 4/3 bound.
+// bin's k-mer load over the whole of src, then bins are LPT-assigned —
+// heaviest first, each to the currently lightest rank. Locality is
+// preserved (every occurrence of a k-mer still reaches one rank, since the
+// k-mer's minimizer is a function of the k-mer alone) while the load
+// spread shrinks from the minimizer-granularity skew of hash assignment
+// toward the LPT 4/3 bound.
 //
 // The profiling pass is an offline partitioning computation, as a
 // production deployment would derive it from a sample or a previous run of
 // the same library; its cost is not charged to the counting pipeline.
-func buildBalancedMap(cfg Config, reads []fastq.Record) []uint16 {
+func buildBalancedMap(cfg Config, src fastq.Source) ([]uint16, error) {
 	bins := 1 << (2 * uint(cfg.M))
 	loads := make([]uint64, bins)
 	mc := cfg.minimizerConfig()
-	for _, r := range reads {
+	for {
+		r, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
 		// The builder's emitted supermers partition the read's k-mers by
 		// minimizer, so accumulating NKmers per minimizer measures exactly
 		// the load each bin will impose on its owner rank.
@@ -70,7 +79,7 @@ func buildBalancedMap(cfg Config, reads []fastq.Record) []uint16 {
 		lightest.load += b.load
 		heap.Push(&h, lightest)
 	}
-	return destMap
+	return destMap, nil
 }
 
 // rankLoad pairs a rank with its assigned load for the LPT heap.

@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"testing"
+
+	"dedukt/internal/fastq"
 )
 
 func TestBalancedPartitionReducesImbalance(t *testing.T) {
@@ -59,7 +61,10 @@ func TestBalancedPartitionValidation(t *testing.T) {
 func TestBuildBalancedMapProperties(t *testing.T) {
 	reads := testReads(t, 10_000, 4)
 	cfg := Default(smallGPULayout(1), SupermerMode)
-	m := buildBalancedMap(cfg, reads)
+	m, err := buildBalancedMap(cfg, fastq.NewSliceSource(reads))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(m) != 1<<(2*uint(cfg.M)) {
 		t.Fatalf("map has %d entries, want 4^%d", len(m), cfg.M)
 	}
@@ -70,7 +75,10 @@ func TestBuildBalancedMapProperties(t *testing.T) {
 		}
 	}
 	// Deterministic.
-	m2 := buildBalancedMap(cfg, reads)
+	m2, err := buildBalancedMap(cfg, fastq.NewSliceSource(reads))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range m {
 		if m[i] != m2[i] {
 			t.Fatal("balanced map is not deterministic")

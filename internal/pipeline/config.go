@@ -22,14 +22,12 @@ import (
 
 	"dedukt/internal/cluster"
 	"dedukt/internal/dna"
-	"dedukt/internal/fastq"
 	"dedukt/internal/fault"
 	"dedukt/internal/gpusim"
 	"dedukt/internal/kcount"
 	"dedukt/internal/minimizer"
 	"dedukt/internal/mpisim"
 	"dedukt/internal/obs"
-	recov "dedukt/internal/recover"
 )
 
 // Mode selects the exchanged unit.
@@ -145,7 +143,9 @@ type Config struct {
 	// their k-mer load and LPT-assigned to ranks, implementing the
 	// "better partitioning algorithm that maintains the locality and at
 	// the same time partitions data evenly" the paper leaves as future
-	// work (§VII). Requires m ≤ 12 and the in-memory Run.
+	// work (§VII). Requires m ≤ 12. The input is profiled once before
+	// counting and then replayed from its start, so a stream must be a
+	// fastq.Replayer.
 	BalancedPartition bool
 	// Fault configures the deterministic fault injector (see
 	// internal/fault): seeded kill/straggler/drop/corrupt events against
@@ -216,15 +216,6 @@ type CkptConfig struct {
 	// periodic checkpoints: a rank death fails the run (resumable offline
 	// via ResumeStream) instead of continuing on the survivors.
 	NoShrink bool
-	// Reopen opens a fresh source positioned at the given cursor. Every
-	// restart from a checkpoint — after a rank death, and ResumeStream —
-	// calls it once to re-feed the replayed rounds; required whenever Dir
-	// is set on a stream (Run defaults it to re-seeking its reads). The
-	// source must be a fastq.CursorSource.
-	Reopen func(fastq.Cursor) (fastq.Source, error)
-	// Inputs fingerprints the input file list (path + size); a resume
-	// refuses a checkpoint taken over different inputs.
-	Inputs []recov.InputFile
 }
 
 // every returns the effective checkpoint period.
@@ -235,56 +226,36 @@ func (c CkptConfig) every() int {
 	return c.Every
 }
 
-// Entry names the call a configuration is validated for: which settings
-// combine can depend on whether the input is preloaded, streamed, or
-// resumed from a checkpoint.
-type Entry int
-
-const (
-	// InMemory is Run over preloaded reads.
-	InMemory Entry = iota
-	// Streaming is RunStream over a read source.
-	Streaming
-	// Resuming is ResumeStream continuing a checkpoint.
-	Resuming
-)
-
-// combinations is every rule about which Config settings combine and which
-// entry point a combination needs (DESIGN.md, "Valid configurations"): a
-// configuration for which a row's refused reports true is rejected with its
-// reason. Validate walks it, and nothing else in the pipeline refuses a
-// combination: a configuration it accepts runs. Each row is the reason for
-// at least one rejection in TestAllVariantsMatchOracle, which runs every
+// combinations is every rule about which Config settings combine
+// (DESIGN.md, "Valid configurations"): a configuration for which a row's
+// refused reports true is rejected with its reason. Validate walks it, and
+// nothing else in the pipeline refuses a combination: a configuration it
+// accepts runs through every entry point. Each row is the reason for at
+// least one rejection in TestAllVariantsMatchOracle, which runs every
 // combination it accepts against the serial oracle.
 var combinations = []struct {
-	refused func(c *Config, e Entry) bool
+	refused func(c *Config) bool
 	reason  string
 }{
-	{func(c *Config, _ Entry) bool { return c.Canonical && c.Mode != KmerMode },
+	{func(c *Config) bool { return c.Canonical && c.Mode != KmerMode },
 		"canonical counting is supported in kmer mode only"},
-	{func(c *Config, _ Entry) bool { return c.BalancedPartition && c.Mode != SupermerMode },
+	{func(c *Config) bool { return c.BalancedPartition && c.Mode != SupermerMode },
 		"balanced partitioning applies to supermer mode only"},
-	{func(c *Config, e Entry) bool { return c.BalancedPartition && e != InMemory },
-		"balanced partitioning profiles the whole input before counting and cannot stream; preload the reads and use Run"},
-	{func(c *Config, e Entry) bool { return c.Ckpt.Dir == "" && e == Resuming },
-		"ResumeStream needs Ckpt.Dir"},
-	{func(c *Config, _ Entry) bool { return c.Ckpt.Dir == "" && (c.Ckpt.Every != 0 || c.Ckpt.NoShrink) },
+	{func(c *Config) bool { return c.Ckpt.Dir == "" && (c.Ckpt.Every != 0 || c.Ckpt.NoShrink) },
 		"Ckpt.Every and Ckpt.NoShrink configure checkpointing and need Ckpt.Dir"},
-	{func(c *Config, e Entry) bool { return c.Ckpt.Dir != "" && c.Ckpt.Reopen == nil && e != InMemory },
-		"checkpointing a stream requires Ckpt.Reopen (recovery re-feeds the source)"},
-	{func(c *Config, _ Entry) bool { return c.Spill.Bins != 0 && c.Spill.Dir == "" },
+	{func(c *Config) bool { return c.Spill.Bins != 0 && c.Spill.Dir == "" },
 		"Spill.Bins set without Spill.Dir"},
-	{func(c *Config, _ Entry) bool { return c.Spill.Dir != "" && c.KeepTables },
+	{func(c *Config) bool { return c.Spill.Dir != "" && c.KeepTables },
 		"spill counting cannot keep per-rank tables (the full-spectrum table is exactly what spilling avoids)"},
-	{func(c *Config, _ Entry) bool { return c.Spill.Dir != "" && c.Ckpt.Dir != "" },
+	{func(c *Config) bool { return c.Spill.Dir != "" && c.Ckpt.Dir != "" },
 		"spill counting and checkpointing are mutually exclusive (checkpoints persist the in-memory spectrum slice spilling never builds)"},
-	{func(c *Config, _ Entry) bool { return c.Fault.FatalKill && c.Fault.FatalRank >= c.Layout.Ranks() },
+	{func(c *Config) bool { return c.Fault.FatalKill && c.Fault.FatalRank >= c.Layout.Ranks() },
 		"the fatal kill targets a rank outside the world"},
 }
 
-// Validate checks the configuration for the given entry point: each
-// setting's own range first, then every row of combinations.
-func (c Config) Validate(e Entry) error {
+// Validate checks the configuration: each setting's own range first, then
+// every row of combinations.
+func (c Config) Validate() error {
 	if err := c.Layout.Validate(); err != nil {
 		return err
 	}
@@ -322,7 +293,7 @@ func (c Config) Validate(e Entry) error {
 		return fmt.Errorf("pipeline: spill bins %d outside [0,%d]", c.Spill.Bins, maxSpillBins)
 	}
 	for _, rule := range combinations {
-		if rule.refused(&c, e) {
+		if rule.refused(&c) {
 			return fmt.Errorf("pipeline: %s", rule.reason)
 		}
 	}

@@ -29,34 +29,43 @@ type variant struct {
 	spill      bool
 	ckpt       bool
 	faults     bool
-	entry      Entry
+	entry      entry
 	// stray is one setting the combination does not otherwise use, or ""
 	// (see strays).
 	stray string
 }
 
+// entry is the call a variant runs through.
+type entry int
+
+const (
+	viaRun entry = iota
+	viaStream
+	// viaResume is ResumeStream continuing a checkpoint; only checkpointing
+	// variants have one.
+	viaResume
+)
+
 // strays are the settings that only ever appear alone in the enumeration.
 // Most are refused wherever they appear, the rest of the combination
 // leaving them meaningless: a checkpoint period or a spill bin count
-// without its directory, a stream's checkpoint without its Reopen hook, a
-// fatal kill outside the world. Two are accepted on Run, which must count
-// exactly under them: a memory budget (it caps Run's rounds as a stream's;
-// a multi-round Run already has one) and a checkpoint without Reopen (Run
-// re-seeks its reads). One is accepted wherever it applies: a rank death at
-// killRound in a checkpointing run of several rounds, which the survivors
-// restart from the last checkpoint, and which must count exactly too.
+// without its directory, a fatal kill outside the world. One is accepted on
+// Run, which must count exactly under it: a memory budget (it caps Run's
+// rounds as a stream's; a multi-round Run already has one). One is accepted
+// wherever it applies: a rank death at killRound in a checkpointing run of
+// several rounds, which the survivors restart from the last checkpoint, and
+// which must count exactly too.
 var strays = []struct {
 	name    string
 	applies func(v variant) bool
 	apply   func(c *Config)
 }{
 	{"", func(variant) bool { return true }, func(*Config) {}},
-	{"mem-budget", func(v variant) bool { return v.entry == InMemory && !v.multiRound }, func(c *Config) { c.MemBudgetBytes = streamBudget }},
+	{"mem-budget", func(v variant) bool { return v.entry == viaRun && !v.multiRound }, func(c *Config) { c.MemBudgetBytes = streamBudget }},
 	{"ckpt-every", func(v variant) bool { return !v.ckpt }, func(c *Config) { c.Ckpt.Every = 1 }},
 	{"spill-bins", func(v variant) bool { return !v.spill }, func(c *Config) { c.Spill.Bins = 4 }},
-	{"no-reopen", func(v variant) bool { return v.ckpt }, func(c *Config) { c.Ckpt.Reopen = nil }},
 	{"restart", func(v variant) bool {
-		return v.ckpt && (v.entry == Streaming || v.entry == InMemory && v.multiRound)
+		return v.ckpt && (v.entry == viaStream || v.entry == viaRun && v.multiRound)
 	}, func(c *Config) { c.Fault.FatalKill, c.Fault.FatalRank, c.Fault.FatalRound = true, 1, killRound }},
 	{"fatal-rank", func(variant) bool { return true }, func(c *Config) {
 		c.Fault.FatalKill, c.Fault.FatalRank, c.Fault.FatalRound = true, c.Layout.Ranks(), 0
@@ -114,11 +123,11 @@ func (v variant) String() string {
 
 // config builds the variant's configuration; dir is where its spill bins
 // and checkpoints go.
-func (v variant) config(reads []fastq.Record, dir string) Config {
+func (v variant) config(dir string) Config {
 	cfg := Default(variantLayout(v.gpu, v.odd, v.ragged), v.mode)
 	cfg.Canonical, cfg.BalancedPartition = v.canonical, v.balanced
 	cfg.KeepTables = v.keep
-	if v.entry != InMemory {
+	if v.entry != viaRun {
 		cfg.MemBudgetBytes = streamBudget
 	}
 	if v.multiRound {
@@ -128,7 +137,7 @@ func (v variant) config(reads []fastq.Record, dir string) Config {
 		cfg.Spill = SpillConfig{Dir: filepath.Join(dir, "spill"), Bins: 4}
 	}
 	if v.ckpt {
-		cfg = ckptConfig(cfg, filepath.Join(dir, "ckpt"), reads, 2, v.entry == Resuming)
+		cfg = ckptConfig(cfg, filepath.Join(dir, "ckpt"), 2, v.entry == viaResume)
 	}
 	if v.faults {
 		cfg.Fault = fault.Config{Seed: 1, Drop: 0.05, Corrupt: 0.05}
@@ -146,33 +155,36 @@ func (v variant) config(reads []fastq.Record, dir string) Config {
 // resumes from its checkpoint.
 func (v variant) enter(cfg Config, reads []fastq.Record) (*Result, error) {
 	switch v.entry {
-	case Streaming:
+	case viaStream:
 		return RunStream(cfg, fastq.NewSliceSource(reads))
-	case Resuming:
-		if cfg.Validate(Resuming) == nil {
+	case viaResume:
+		if cfg.Validate() == nil {
 			killed := cfg
 			killed.Fault.FatalKill, killed.Fault.FatalRank, killed.Fault.FatalRound = true, 1, killRound
 			if _, err := RunStream(killed, fastq.NewSliceSource(reads)); !errors.Is(err, fault.ErrKilled) {
 				return nil, fmt.Errorf("killed run: want fault.ErrKilled, got %v", err)
 			}
 		}
-		return ResumeStream(cfg)
+		return ResumeStream(cfg, fastq.NewSliceSource(reads))
 	default:
 		return Run(cfg, reads)
 	}
 }
 
-// allVariants enumerates every combination of the settings, each stray
-// only where it applies.
+// allVariants enumerates every combination of the settings and entry
+// points, each stray only where it applies.
 func allVariants(gpu bool, mode Mode) []variant {
 	var out []variant
 	for bits := 0; bits < 1<<9; bits++ {
 		on := func(i int) bool { return bits>>i&1 == 1 }
-		for _, entry := range []Entry{InMemory, Streaming, Resuming} {
+		for _, entry := range []entry{viaRun, viaStream, viaResume} {
 			v := variant{
 				gpu: gpu, mode: mode, canonical: on(0), balanced: on(1),
 				odd: on(2), multiRound: on(3), keep: on(4), spill: on(5),
 				ckpt: on(6), faults: on(7), ragged: on(8), entry: entry,
+			}
+			if entry == viaResume && !v.ckpt {
+				continue
 			}
 			for _, s := range strays {
 				if s.applies(v) {
@@ -190,12 +202,14 @@ func allVariants(gpu bool, mode Mode) []variant {
 // width (even, or ragged with a short last node), mode,
 // canonical, balanced, multi-round, kept tables, spill,
 // checkpoint, seeded drop and corrupt faults and entry point (Run,
-// RunStream, ResumeStream after a fatal kill), plus one stray setting at a
-// time:
+// RunStream, and on a checkpointing variant ResumeStream after a fatal
+// kill), plus one stray setting at a time:
 //
 //   - (a) every combination Validate accepts runs through its entry point
 //     without error, complete, and bit-identical to kcount.SerialCount —
-//     property (a) of DESIGN.md, on every variant at once;
+//     property (a) of DESIGN.md, on every variant at once — and a balanced
+//     one that loses no rank counts on each rank what the balanced Run on
+//     its world counts there;
 //   - (b) every combination Validate refuses, its entry point refuses with
 //     the same error before running anything;
 //   - (c) every row of the table is the reason for at least one refusal.
@@ -221,13 +235,13 @@ func TestAllVariantsMatchOracle(t *testing.T) {
 			group := engines[gpu] + "/" + mode.String()
 			for _, v := range allVariants(gpu, mode) {
 				dir := filepath.Join(root, group, v.String())
-				cfg := v.config(reads, dir)
-				err := cfg.Validate(v.entry)
+				cfg := v.config(dir)
+				err := cfg.Validate()
 				if err == nil {
 					runs[group] = append(runs[group], run{v, cfg, dir})
 					continue
 				}
-				row := refusingRow(cfg, v.entry)
+				row := refusingRow(cfg)
 				if row < 0 {
 					t.Errorf("%s/%v: refused by a range check, not a combination row: %v", group, v, err)
 					continue
@@ -246,6 +260,22 @@ func TestAllVariantsMatchOracle(t *testing.T) {
 		if n == 0 {
 			t.Errorf("combination row %d (%q) refused no variant", i, combinations[i].reason)
 		}
+	}
+
+	// What each rank of the balanced Run on each world counts: a balanced
+	// variant routes by the map of the same profile, so while no rank dies
+	// it must count the same on every rank, whatever its entry point.
+	type world struct{ gpu, odd, ragged bool }
+	balancedLoads := map[world][]uint64{}
+	for w := range 8 {
+		wd := world{w&1 == 1, w&2 == 2, w&4 == 4}
+		cfg := Default(variantLayout(wd.gpu, wd.odd, wd.ragged), SupermerMode)
+		cfg.BalancedPartition = true
+		res, err := Run(cfg, reads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		balancedLoads[wd] = res.PerRankKmers
 	}
 
 	// The default Run also runs on the paper-shaped worlds the
@@ -279,6 +309,10 @@ func TestAllVariantsMatchOracle(t *testing.T) {
 								t.Fatal(err)
 							}
 							oracles[r.v.canonical].check(t, r.v, res)
+							want := balancedLoads[world{r.v.gpu, r.v.odd, r.v.ragged}]
+							if r.v.balanced && r.v.stray != "restart" && !slices.Equal(res.PerRankKmers, want) {
+								t.Fatalf("balanced per-rank counts %v, the balanced Run's %v", res.PerRankKmers, want)
+							}
 						})
 					}
 				})
@@ -288,10 +322,10 @@ func TestAllVariantsMatchOracle(t *testing.T) {
 }
 
 // refusingRow returns the index of the first combination row that refuses
-// cfg for entry e, or -1.
-func refusingRow(cfg Config, e Entry) int {
+// cfg, or -1.
+func refusingRow(cfg Config) int {
 	for i, rule := range combinations {
-		if rule.refused(&cfg, e) {
+		if rule.refused(&cfg) {
 			return i
 		}
 	}

@@ -87,7 +87,7 @@ func TestDealIsDeterministic(t *testing.T) {
 				cfg := v.cfg
 				cfg.Obs = obs.NewRecorder(cfg.Layout.Ranks())
 				if cfg.Fault.FatalKill {
-					cfg = ckptConfig(cfg, filepath.Join(root, fmt.Sprint(i)), reads, 2, false)
+					cfg = ckptConfig(cfg, filepath.Join(root, fmt.Sprint(i)), 2, false)
 				}
 				res, err := v.run(cfg)
 				if err != nil {

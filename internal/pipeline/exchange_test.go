@@ -52,7 +52,7 @@ func projectionCases(reads []fastq.Record, dir string) []projectionCase {
 	faulted.Fault = fault.Config{Seed: 3, Drop: 0.05, Corrupt: 0.02}
 	restarted := Default(variantLayout(false, false, false), KmerMode)
 	restarted.MemBudgetBytes = roundBudget(restarted, 1_000)
-	restarted = ckptConfig(restarted, dir, reads, 2, false)
+	restarted = ckptConfig(restarted, dir, 2, false)
 	restarted.Fault = fault.Config{FatalKill: true, FatalRank: 1, FatalRound: killRound}
 	odd := Default(variantLayout(true, true, false), SupermerMode)
 	odd.MemBudgetBytes = roundBudget(odd, 1_000)

@@ -207,7 +207,7 @@ func TestConfigValidation(t *testing.T) {
 		{Layout: layout, Enc: &dna.Random, K: 17, MemBudgetBytes: -1},
 	}
 	for i, cfg := range bad {
-		if err := cfg.Validate(InMemory); err == nil {
+		if err := cfg.Validate(); err == nil {
 			t.Errorf("config %d should fail Validate", i)
 		}
 		if _, err := Run(cfg, nil); err == nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"dedukt/internal/durable"
+	"dedukt/internal/fastq"
 	"dedukt/internal/fault"
 	"dedukt/internal/kcount"
 	"dedukt/internal/minimizer"
@@ -91,8 +92,7 @@ type ckptCtl struct {
 	rec    *obs.Recorder
 }
 
-func newCkptCtl(cfg Config, prod *chunkProducer) *ckptCtl {
-	fp := buildFingerprint(cfg)
+func newCkptCtl(cfg Config, fp recov.Fingerprint, prod *chunkProducer) *ckptCtl {
 	var flags uint32
 	if cfg.Canonical {
 		flags |= kcount.FlagCanonical
@@ -164,9 +164,10 @@ func deadList(dead []bool) []int {
 	return out
 }
 
-// buildFingerprint derives the checkpoint fingerprint from the config:
-// every field that changes the spectrum or its partition.
-func buildFingerprint(cfg Config) recov.Fingerprint {
+// buildFingerprint derives the checkpoint fingerprint from the config and
+// the input's origin: every field that changes the spectrum or its
+// partition, and what the checkpoint's cursor addresses.
+func buildFingerprint(cfg Config, in fastq.Origin) recov.Fingerprint {
 	engine := "cpu"
 	if cfg.Layout.GPU != nil {
 		engine = "gpu"
@@ -182,58 +183,50 @@ func buildFingerprint(cfg Config) recov.Fingerprint {
 		Mode: cfg.Mode.String(), Engine: engine, Encoding: cfg.Enc.Name(),
 		Canonical: cfg.Canonical, Balanced: cfg.BalancedPartition, Ordering: ordering,
 		Ranks: cfg.Layout.Ranks(), Nodes: cfg.Layout.Nodes,
-		Inputs: cfg.Ckpt.Inputs,
+		Inputs: in.Files, TrimQ: in.MinQ, TrimMinLen: in.MinLen,
 	}
 }
 
-// checkFingerprint refuses a checkpoint taken under another configuration
-// (k, ranks, engine, encoding, mode, input list): continuing it would merge
-// incompatible state.
-func checkFingerprint(cfg Config, man *recov.Manifest) error {
-	fp := buildFingerprint(cfg)
-	if man.Fingerprint.Hash() == fp.Hash() {
-		return nil
-	}
-	return fmt.Errorf("pipeline: checkpoint in %s was taken under a different configuration (k=%d mode=%s engine=%s ranks=%d, want k=%d mode=%s engine=%s ranks=%d): %w",
-		cfg.Ckpt.Dir,
-		man.Fingerprint.K, man.Fingerprint.Mode, man.Fingerprint.Engine, man.Fingerprint.Ranks,
-		fp.K, fp.Mode, fp.Engine, fp.Ranks, durable.ErrMismatch)
-}
-
-// ResumeStream continues a checkpointed streaming run: it validates the
-// manifest in cfg.Ckpt.Dir against the config fingerprint (a mismatch is
-// refused with durable.ErrMismatch), then restarts the run from it exactly
-// as a run restarts after a rank death (see runStream): the manifest's
-// surviving ranks reload their spectrum slices and the input reopens at
-// the recorded cursor via cfg.Ckpt.Reopen. The completed spectrum is
-// bit-identical to an unfaulted run over the same input.
-func ResumeStream(cfg Config) (*Result, error) {
-	if err := cfg.Validate(Resuming); err != nil {
-		return nil, err
-	}
-	man, err := recov.LoadManifest(cfg.Ckpt.Dir)
+// loadCheckpoint reads the manifest in dir (recov.ErrNoCheckpoint when none
+// has landed, or dir is empty) and refuses one taken under another
+// fingerprint than fp — another k, mode, engine, world, input or trim —
+// with durable.ErrMismatch: continuing it would merge incompatible state.
+func loadCheckpoint(dir string, fp recov.Fingerprint) (*recov.Manifest, error) {
+	man, err := recov.LoadManifest(dir)
 	if err != nil {
 		return nil, err
 	}
-	if err := checkFingerprint(cfg, man); err != nil {
-		return nil, err
+	if man.Fingerprint.Hash() != fp.Hash() {
+		return nil, fmt.Errorf("pipeline: checkpoint in %s was taken under the fingerprint %s, this run's is %s: %w",
+			dir, man.Fingerprint, fp, durable.ErrMismatch)
 	}
-	return runStream(cfg, Resuming, nil, nil, cfg.streamRoundBases())
+	return man, nil
+}
+
+// ResumeStream continues a checkpointed run over src, which must replay the
+// input the run read (a fastq.Replayer; the source is not read from its
+// start unless BalancedPartition profiles it). It loads the manifest in
+// cfg.Ckpt.Dir — recov.ErrNoCheckpoint when there is none, or no Dir — and
+// refuses one whose fingerprint differs from the config's and src's Origin
+// with durable.ErrMismatch; then it restarts the run from it exactly as a
+// run restarts after a rank death (see runStream): the manifest's surviving
+// ranks reload their spectrum slices and src replays from the recorded
+// cursor. The completed spectrum is bit-identical to an unfaulted run over
+// the same input.
+func ResumeStream(cfg Config, src fastq.Source) (*Result, error) {
+	return stream(cfg, src, true)
 }
 
 // restart readies the world that continues a run from the last checkpoint
-// in cfg.Ckpt.Dir — none yet meaning round 0 with no seeds — on the ranks
-// dead spares: their seats (seatsFromManifest, which also marks dead the
-// ranks the checkpoint lost) and a producer dealing share bases a seat
-// from the input reopened at the checkpoint's cursor, seeded with its read
-// and base tallies.
-func restart(cfg Config, dead []bool, share int) ([]*rankSeat, *chunkProducer, error) {
-	man, err := recov.LoadManifest(cfg.Ckpt.Dir)
-	switch {
-	case errors.Is(err, recov.ErrNoCheckpoint):
+// in cfg.Ckpt.Dir taken under fp — none yet meaning round 0 with no seeds —
+// on the ranks dead spares: their seats (seatsFromManifest, which also
+// marks dead the ranks the checkpoint lost) and a producer dealing share
+// bases a seat from the input replayed at the checkpoint's cursor, seeded
+// with its read and base tallies.
+func restart(cfg Config, in fastq.Replayer, fp recov.Fingerprint, dead []bool, share int) ([]*rankSeat, *chunkProducer, error) {
+	man, err := loadCheckpoint(cfg.Ckpt.Dir, fp)
+	if errors.Is(err, recov.ErrNoCheckpoint) {
 		man, err = &recov.Manifest{Round: -1}, nil
-	case err == nil:
-		err = checkFingerprint(cfg, man)
 	}
 	if err != nil {
 		return nil, nil, err
@@ -242,9 +235,9 @@ func restart(cfg Config, dead []bool, share int) ([]*rankSeat, *chunkProducer, e
 	if err != nil {
 		return nil, nil, err
 	}
-	src, err := cfg.Ckpt.Reopen(man.Cursor)
+	src, err := in.Replay(man.Cursor)
 	if err != nil {
-		return nil, nil, fmt.Errorf("pipeline: reopening the input at the checkpoint: %w", err)
+		return nil, nil, fmt.Errorf("pipeline: replaying the input from the checkpoint: %w", err)
 	}
 	prod := newChunkProducer(cfg, src, share, len(seats), man.Round+1)
 	prod.reads, prod.bases = man.Reads, man.Bases
@@ -281,7 +274,7 @@ func seatsFromManifest(cfg Config, man *recov.Manifest, dead []bool) ([]*rankSea
 	for d := range remap {
 		remap[d] = idx[recov.Successor(d, dead)]
 	}
-	fphash := buildFingerprint(cfg).Hash()
+	fphash := man.Fingerprint.Hash()
 	seats := make([]*rankSeat, len(slots))
 	for i, old := range slots {
 		seats[i] = &rankSeat{old: old, nOrig: nOrig, slots: slots, remap: remap, base: man.Round + 1}

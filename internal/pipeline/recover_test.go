@@ -11,6 +11,7 @@ import (
 	"syscall"
 	"testing"
 
+	"dedukt/internal/cluster"
 	"dedukt/internal/durable"
 	"dedukt/internal/fastq"
 	"dedukt/internal/fault"
@@ -20,9 +21,9 @@ import (
 	recov "dedukt/internal/recover"
 )
 
-// ckptConfig enables checkpointing into dir for an in-memory read set.
-func ckptConfig(cfg Config, dir string, reads []fastq.Record, every int, noShrink bool) Config {
-	cfg.Ckpt = CkptConfig{Dir: dir, Every: every, NoShrink: noShrink, Reopen: sliceReopen(reads)}
+// ckptConfig enables checkpointing into dir.
+func ckptConfig(cfg Config, dir string, every int, noShrink bool) Config {
+	cfg.Ckpt = CkptConfig{Dir: dir, Every: every, NoShrink: noShrink}
 	return cfg
 }
 
@@ -71,14 +72,14 @@ func TestKillResumeShrinkEquivalence(t *testing.T) {
 					// Path 1: kill with NoShrink — the run fails, the
 					// checkpoint resumes it offline, bit-identical.
 					dir := t.TempDir()
-					faulted := ckptConfig(base, dir, reads, 2, true)
+					faulted := ckptConfig(base, dir, 2, true)
 					faulted.Fault = fault.Config{FatalKill: true, FatalRank: victim, FatalRound: 5}
 					_, err = RunStream(faulted, fastq.NewSliceSource(reads))
 					if !errors.Is(err, fault.ErrKilled) {
 						t.Fatalf("NoShrink kill: want ErrKilled, got %v", err)
 					}
-					resumed := ckptConfig(base, dir, reads, 2, true)
-					got, err := ResumeStream(resumed)
+					resumed := ckptConfig(base, dir, 2, true)
+					got, err := ResumeStream(resumed, fastq.NewSliceSource(reads))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -100,7 +101,7 @@ func TestKillResumeShrinkEquivalence(t *testing.T) {
 					// Path 2: same kill with the restart enabled — the run
 					// completes in one go, survivors absorbing rank 1.
 					rec := obs.NewRecorder(layout.Ranks())
-					shrunk := ckptConfig(base, t.TempDir(), reads, 2, false)
+					shrunk := ckptConfig(base, t.TempDir(), 2, false)
 					shrunk.Fault = faulted.Fault
 					shrunk.Obs = rec
 					got2, err := RunStream(shrunk, fastq.NewSliceSource(reads))
@@ -158,7 +159,7 @@ func TestShrinkRecoveryWithoutCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := ckptConfig(base, t.TempDir(), reads, 100, false) // period > total rounds
+	cfg := ckptConfig(base, t.TempDir(), 100, false) // period > total rounds
 	cfg.Fault = fault.Config{FatalKill: true, FatalRank: 2, FatalRound: 2}
 	got, err := RunStream(cfg, fastq.NewSliceSource(reads))
 	if err != nil {
@@ -174,12 +175,12 @@ func TestShrinkRecoveryWithoutCheckpoint(t *testing.T) {
 }
 
 // TestResumeRefusesMismatchedConfig: a checkpoint taken under one
-// configuration must never resume under another — k, engine, ranks,
-// input list or balanced-partition changes surface as durable.ErrMismatch.
+// configuration must never resume under another — k, input list or
+// balanced-partition changes surface as durable.ErrMismatch.
 func TestResumeRefusesMismatchedConfig(t *testing.T) {
 	reads := testReads(t, 6_000, 3)
 	dir := t.TempDir()
-	cfg := ckptConfig(Default(smallGPULayout(1), KmerMode), dir, reads, 2, true)
+	cfg := ckptConfig(Default(smallGPULayout(1), KmerMode), dir, 2, true)
 	cfg.MemBudgetBytes = roundBudget(cfg, 600) // five rounds, a checkpoint after round 1
 	cfg.Fault = fault.Config{FatalKill: true, FatalRank: 0, FatalRound: 3}
 	if _, err := RunStream(cfg, fastq.NewSliceSource(reads)); !errors.Is(err, fault.ErrKilled) {
@@ -188,26 +189,125 @@ func TestResumeRefusesMismatchedConfig(t *testing.T) {
 	bad := cfg
 	bad.Fault = fault.Config{}
 	bad.K = 19
-	if _, err := ResumeStream(bad); !errors.Is(err, durable.ErrMismatch) {
+	if _, err := ResumeStream(bad, fastq.NewSliceSource(reads)); !errors.Is(err, durable.ErrMismatch) {
 		t.Fatalf("k change: want ErrMismatch, got %v", err)
 	}
-	bad = cfg
-	bad.Fault = fault.Config{}
-	bad.Ckpt.Inputs = []recov.InputFile{{Path: "other.fastq", Size: 1}}
-	if _, err := ResumeStream(bad); !errors.Is(err, durable.ErrMismatch) {
+	// The same reads from a file: the checkpoint's cursor addressed a slice.
+	paths := writeGzFiles(t, reads, 1)
+	files, err := fastq.OpenStream(paths...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ResumeStream(cfg, files); !errors.Is(err, durable.ErrMismatch) {
 		t.Fatalf("input change: want ErrMismatch, got %v", err)
 	}
 	// A balanced Run's slices are partitioned by its minimizer map, which a
-	// stream (hash-partitioned) cannot continue.
-	balanced := ckptConfig(Default(smallGPULayout(1), SupermerMode), t.TempDir(), reads, 2, true)
+	// hash-partitioned run cannot continue.
+	balanced := ckptConfig(Default(smallGPULayout(1), SupermerMode), t.TempDir(), 2, true)
 	balanced.BalancedPartition, balanced.MemBudgetBytes, balanced.Fault = true, roundBudget(balanced, 600), cfg.Fault
 	if _, err := Run(balanced, reads); !errors.Is(err, fault.ErrKilled) {
 		t.Fatalf("balanced setup kill: %v", err)
 	}
 	bad = balanced
 	bad.Fault, bad.BalancedPartition = fault.Config{}, false
-	if _, err := ResumeStream(bad); !errors.Is(err, durable.ErrMismatch) {
+	if _, err := ResumeStream(bad, fastq.NewSliceSource(reads)); !errors.Is(err, durable.ErrMismatch) {
 		t.Fatalf("balanced partition dropped: want ErrMismatch, got %v", err)
+	}
+}
+
+// TestResumeRefusesOtherTrim: a checkpoint's cursor addresses the raw
+// records, and its spectrum the records its trim kept, so a checkpoint
+// taken through a quality trim resumes through the same trim alone — bit-
+// identically — and is refused with durable.ErrMismatch untrimmed or under
+// another minimum quality.
+func TestResumeRefusesOtherTrim(t *testing.T) {
+	reads := testReads(t, 6_000, 3)
+	cfg := Default(smallGPULayout(1), KmerMode)
+	cfg.MemBudgetBytes = roundBudget(cfg, 600)
+	trimmed := func(minQ int) fastq.Source { return fastq.NewTrimSource(fastq.NewSliceSource(reads), minQ, cfg.K) }
+	want, err := RunStream(cfg, trimmed(35))
+	if err != nil {
+		t.Fatal(err)
+	}
+	untrimmed, err := RunStream(cfg, fastq.NewSliceSource(reads))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.TotalKmers == untrimmed.TotalKmers {
+		t.Fatal("the trim dropped nothing: the test cannot tell the sources apart")
+	}
+	killed := ckptConfig(cfg, t.TempDir(), 2, true)
+	killed.Fault = fault.Config{FatalKill: true, FatalRank: 1, FatalRound: 3}
+	if _, err := RunStream(killed, trimmed(35)); !errors.Is(err, fault.ErrKilled) {
+		t.Fatalf("setup kill: %v", err)
+	}
+	resume := killed
+	resume.Fault = fault.Config{}
+	for name, src := range map[string]fastq.Source{"untrimmed": fastq.NewSliceSource(reads), "minQ 20": trimmed(20)} {
+		if _, err := ResumeStream(resume, src); !errors.Is(err, durable.ErrMismatch) {
+			t.Errorf("%s: want ErrMismatch, got %v", name, err)
+		}
+	}
+	got, err := ResumeStream(resume, trimmed(35))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCounts(t, want, got)
+	if got.InputReads != want.InputReads || got.InputBases != want.InputBases {
+		t.Fatalf("resumed input tally %d/%d, unfaulted %d/%d", got.InputReads, got.InputBases, want.InputReads, want.InputBases)
+	}
+}
+
+// TestInMemoryCheckpointRestartsOnlyInProcess: a Run's checkpoint addresses
+// its slice, which names no files. Its survivors restart from it exactly
+// after a rank death, but it does not resume over the files the reads came
+// from: the fingerprints differ, durable.ErrMismatch.
+func TestInMemoryCheckpointRestartsOnlyInProcess(t *testing.T) {
+	reads := testReads(t, 6_000, 3)
+	cfg := Default(smallGPULayout(1), KmerMode)
+	cfg.MemBudgetBytes = roundBudget(cfg, 600)
+	want, err := Run(cfg, reads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kill := fault.Config{FatalKill: true, FatalRank: 1, FatalRound: 3}
+	restarted := ckptConfig(cfg, t.TempDir(), 2, false)
+	restarted.Fault = kill
+	got, err := Run(restarted, reads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Recovered {
+		t.Fatal("the run did not restart")
+	}
+	sameCounts(t, want, got)
+
+	killed := ckptConfig(cfg, t.TempDir(), 2, true)
+	killed.Fault = kill
+	if _, err := Run(killed, reads); !errors.Is(err, fault.ErrKilled) {
+		t.Fatalf("setup kill: %v", err)
+	}
+	files, err := fastq.OpenStream(writeGzFiles(t, reads, 2)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	killed.Fault = fault.Config{}
+	if _, err := ResumeStream(killed, files); !errors.Is(err, durable.ErrMismatch) {
+		t.Fatalf("resuming a Run's checkpoint over files: want ErrMismatch, got %v", err)
+	}
+}
+
+// TestFingerprintKeepsItsHash pins the checkpoint fingerprint of an
+// untrimmed two-file stream and of an in-memory run to the hashes they had
+// before the trim was fingerprinted, so checkpoint directories written
+// then still resume.
+func TestFingerprintKeepsItsHash(t *testing.T) {
+	files := fastq.Origin{Files: []fastq.File{{Path: "reads/a.fastq", Size: 1234}, {Path: "reads/b.fastq.gz", Size: 99}}}
+	if h := buildFingerprint(Default(cluster.SummitGPU(2), SupermerMode), files).Hash(); h != 0xb689ae47fed21358 {
+		t.Errorf("two-file stream fingerprint hash %#x, want 0xb689ae47fed21358", h)
+	}
+	if h := buildFingerprint(Default(cluster.SummitCPU(1), KmerMode), fastq.Origin{}).Hash(); h != 0xdca489810d6be49d {
+		t.Errorf("in-memory fingerprint hash %#x, want 0xdca489810d6be49d", h)
 	}
 }
 
@@ -216,7 +316,7 @@ func TestResumeRefusesMismatchedConfig(t *testing.T) {
 // not resume under the value ordering.
 func TestResumeRefusesOtherOrdering(t *testing.T) {
 	reads := testReads(t, 6_000, 3)
-	cfg := ckptConfig(Default(smallGPULayout(1), SupermerMode), t.TempDir(), reads, 2, true)
+	cfg := ckptConfig(Default(smallGPULayout(1), SupermerMode), t.TempDir(), 2, true)
 	cfg.Ord = minimizer.NewKMC2(cfg.Enc)
 	cfg.MemBudgetBytes = roundBudget(cfg, 600)
 	cfg.Fault = fault.Config{FatalKill: true, FatalRank: 0, FatalRound: 3}
@@ -225,34 +325,62 @@ func TestResumeRefusesOtherOrdering(t *testing.T) {
 	}
 	bad := cfg
 	bad.Fault, bad.Ord = fault.Config{}, minimizer.Value{}
-	if _, err := ResumeStream(bad); !errors.Is(err, durable.ErrMismatch) {
+	if _, err := ResumeStream(bad, fastq.NewSliceSource(reads)); !errors.Is(err, durable.ErrMismatch) {
 		t.Fatalf("ordering change: want ErrMismatch, got %v", err)
 	}
 	same := cfg
 	same.Fault = fault.Config{}
-	if _, err := ResumeStream(same); err != nil {
+	if _, err := ResumeStream(same, fastq.NewSliceSource(reads)); err != nil {
 		t.Fatalf("same ordering: %v", err)
 	}
 }
 
-// TestResumeWithoutCheckpoint: -resume on a directory with no manifest
-// is a structured ErrNoCheckpoint, not a crash or a silent fresh run.
+// TestResumeWithoutCheckpoint: resuming from a directory with no manifest,
+// or with no directory at all, is a structured ErrNoCheckpoint, not a
+// crash or a silent fresh run. Without Ckpt.Dir no manifest is read, not
+// even a valid one in the working directory.
 func TestResumeWithoutCheckpoint(t *testing.T) {
-	reads := testReads(t, 2_000, 2)
-	cfg := ckptConfig(Default(smallGPULayout(1), KmerMode), t.TempDir(), reads, 2, true)
-	if _, err := ResumeStream(cfg); !errors.Is(err, recov.ErrNoCheckpoint) {
+	reads := testReads(t, 6_000, 3)
+	cfg := ckptConfig(Default(smallGPULayout(1), KmerMode), t.TempDir(), 2, true)
+	if _, err := ResumeStream(cfg, fastq.NewSliceSource(reads)); !errors.Is(err, recov.ErrNoCheckpoint) {
 		t.Fatalf("want ErrNoCheckpoint, got %v", err)
+	}
+
+	// A checkpoint lands in the working directory...
+	wd := t.TempDir()
+	here := ckptConfig(cfg, wd, 2, true)
+	here.MemBudgetBytes = roundBudget(here, 600)
+	here.Fault = fault.Config{FatalKill: true, FatalRank: 0, FatalRound: 3}
+	if _, err := RunStream(here, fastq.NewSliceSource(reads)); !errors.Is(err, fault.ErrKilled) {
+		t.Fatalf("setup kill: %v", err)
+	}
+	if _, err := recov.LoadManifest(wd); err != nil {
+		t.Fatalf("no manifest to tempt the resume: %v", err)
+	}
+	t.Chdir(wd)
+	// ...which a resume without a directory leaves alone.
+	none := here
+	none.Ckpt, none.Fault = CkptConfig{}, fault.Config{}
+	if _, err := ResumeStream(none, fastq.NewSliceSource(reads)); !errors.Is(err, recov.ErrNoCheckpoint) {
+		t.Fatalf("without Ckpt.Dir: want ErrNoCheckpoint, got %v", err)
 	}
 }
 
 // TestCheckpointConfigRejections pins the structured errors that are not
 // combination rules (those are TestAllVariantsMatchOracle's): a
-// checkpointed run needs a cursor-capable source and a non-negative period.
+// checkpointed or balanced run needs a source that replays — refused before
+// a round runs, so the source is never read — and a checkpoint a
+// non-negative period.
 func TestCheckpointConfigRejections(t *testing.T) {
 	reads := testReads(t, 2_000, 2)
-	cfg := ckptConfig(Default(smallGPULayout(1), KmerMode), t.TempDir(), reads, 2, false)
-	if _, err := RunStream(cfg, &failingSource{left: 4, err: errors.New("x")}); err == nil {
-		t.Fatal("a cursor-less source must be rejected when checkpointing")
+	cfg := ckptConfig(Default(smallGPULayout(1), SupermerMode), t.TempDir(), 2, false)
+	balanced := Default(smallGPULayout(1), SupermerMode)
+	balanced.BalancedPartition = true
+	for name, c := range map[string]Config{"checkpoint": cfg, "balanced": balanced} {
+		once := &failingSource{left: 4, err: errors.New("x")}
+		if _, err := RunStream(c, once); err == nil || once.left != 4 {
+			t.Errorf("%s: a source that cannot replay must be refused unread (error %v, %d of 4 records left)", name, err, once.left)
+		}
 	}
 	negEvery := cfg
 	negEvery.Ckpt.Every = -1
@@ -268,7 +396,7 @@ func TestCheckpointConfigRejections(t *testing.T) {
 func TestCheckpointCleanupKeepsLatestRound(t *testing.T) {
 	reads := testReads(t, 6_000, 3)
 	dir := t.TempDir()
-	cfg := ckptConfig(Default(smallGPULayout(1), KmerMode), dir, reads, 2, true)
+	cfg := ckptConfig(Default(smallGPULayout(1), KmerMode), dir, 2, true)
 	cfg.MemBudgetBytes = roundBudget(cfg, 600)
 	res, err := RunStream(cfg, fastq.NewSliceSource(reads))
 	if err != nil {
@@ -323,7 +451,7 @@ func TestTwoDeathsInOneRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := ckptConfig(base, t.TempDir(), reads, 2, false)
+	cfg := ckptConfig(base, t.TempDir(), 2, false)
 	cfg.Fault = fault.Config{Seed: 4, Kill: 0.004, FatalKill: true, FatalRank: 1, FatalRound: 3}
 	got, err := RunStream(cfg, fastq.NewSliceSource(reads))
 	if err != nil {
@@ -348,13 +476,7 @@ func TestRestartClosesAbandonedInput(t *testing.T) {
 	paths := writeGzFiles(t, testReads(t, 6_000, 3), 1)
 	cfg := Default(smallGPULayout(1), KmerMode)
 	cfg.MemBudgetBytes = roundBudget(cfg, 600)
-	cfg.Ckpt = CkptConfig{Dir: t.TempDir(), Every: 100, Reopen: func(c fastq.Cursor) (fastq.Source, error) {
-		s, err := fastq.OpenStream(paths...)
-		if err != nil {
-			return nil, err
-		}
-		return s, s.SeekCursor(c)
-	}}
+	cfg.Ckpt = CkptConfig{Dir: t.TempDir(), Every: 100}
 	cfg.Fault = fault.Config{FatalKill: true, FatalRank: 2, FatalRound: 2}
 	before := openFiles(t)
 	for range 10 {
@@ -386,26 +508,39 @@ func openFiles(t *testing.T) int {
 	return len(ents)
 }
 
-// TestReopenFailureFailsOnce: when the input cannot be reopened at the
-// checkpoint, the restart calls Reopen once and fails the run with its
+// unreplayable is a slice that fails every Replay, counting the calls.
+type unreplayable struct {
+	*fastq.SliceSource
+	err   error
+	calls *int
+}
+
+func (u unreplayable) Replay(fastq.Cursor) (fastq.Replayer, error) {
+	*u.calls++
+	return nil, u.err
+}
+
+// TestReplayFailureFailsOnce: a run that neither checkpoints nor balances
+// never replays its input; when the input cannot be replayed from the
+// checkpoint, the restart calls Replay once and fails the run with its
 // error.
-func TestReopenFailureFailsOnce(t *testing.T) {
+func TestReplayFailureFailsOnce(t *testing.T) {
 	reads := testReads(t, 6_000, 3)
 	gone := errors.New("input gone")
 	calls := 0
 	cfg := Default(smallGPULayout(1), KmerMode)
 	cfg.MemBudgetBytes = roundBudget(cfg, 600)
-	cfg.Ckpt = CkptConfig{Dir: t.TempDir(), Every: 2, Reopen: func(fastq.Cursor) (fastq.Source, error) {
-		calls++
-		return nil, gone
-	}}
+	if _, err := RunStream(cfg, unreplayable{fastq.NewSliceSource(reads), gone, &calls}); err != nil || calls != 0 {
+		t.Fatalf("a plain run: error %v after %d replays, want none", err, calls)
+	}
+	cfg.Ckpt = CkptConfig{Dir: t.TempDir(), Every: 2}
 	cfg.Fault = fault.Config{FatalKill: true, FatalRank: 1, FatalRound: 3}
-	_, err := RunStream(cfg, fastq.NewSliceSource(reads))
+	_, err := RunStream(cfg, unreplayable{fastq.NewSliceSource(reads), gone, &calls})
 	if !errors.Is(err, gone) {
-		t.Fatalf("want the Reopen error, got %v", err)
+		t.Fatalf("want the Replay error, got %v", err)
 	}
 	if calls != 1 {
-		t.Fatalf("Reopen called %d times, want 1", calls)
+		t.Fatalf("Replay called %d times, want 1", calls)
 	}
 }
 

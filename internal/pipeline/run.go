@@ -39,10 +39,9 @@ type rankOutcome struct {
 // chunk of a round ending at an even share of its bases (the paper's
 // parallel-I/O assumption, §IV-D). Without MemBudgetBytes the whole input
 // is one round of even shares; a budget caps the rounds as it does a
-// stream's (§III-A's multi-round execution).
-// Under BalancedPartition, the whole input is profiled first to build the
-// minimizer-to-rank map. Checkpoints and the restart after a rank death
-// work as on a stream; Ckpt.Reopen, when unset, re-seeks the slice.
+// stream's (§III-A's multi-round execution). Balanced partitioning,
+// checkpoints and the restart after a rank death work as on a stream, the
+// slice replaying itself.
 //
 // Failures are structured, never a panic or deadlock: a rank death
 // (injected or real) poisons the communicator and surfaces as an error
@@ -50,15 +49,8 @@ type rankOutcome struct {
 // exchange is retried up to maxRetries times and, past that budget, fails
 // the run with ErrExchangeLost. A run never returns a partial spectrum.
 func Run(cfg Config, reads []fastq.Record) (*Result, error) {
-	if err := cfg.Validate(InMemory); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	var destMap []uint16
-	if cfg.BalancedPartition {
-		destMap = buildBalancedMap(cfg, reads)
-	}
-	if cfg.Ckpt.Dir != "" && cfg.Ckpt.Reopen == nil {
-		cfg.Ckpt.Reopen = sliceReopen(reads)
 	}
 	share := cfg.streamRoundBases()
 	if cfg.MemBudgetBytes == 0 {
@@ -69,19 +61,7 @@ func Run(cfg Config, reads []fastq.Record) (*Result, error) {
 		p := cfg.Layout.Ranks()
 		share = (total + p - 1) / p
 	}
-	return runStream(cfg, InMemory, fastq.NewSliceSource(reads), destMap, share)
-}
-
-// sliceReopen is the Ckpt.Reopen of a preloaded read set: a fresh
-// SliceSource fast-forwarded to the cursor, like reopening input files.
-func sliceReopen(reads []fastq.Record) func(fastq.Cursor) (fastq.Source, error) {
-	return func(c fastq.Cursor) (fastq.Source, error) {
-		s := fastq.NewSliceSource(reads)
-		if err := s.SeekCursor(c); err != nil {
-			return nil, err
-		}
-		return s, nil
-	}
+	return runStream(cfg, fastq.NewSliceSource(reads), false, share)
 }
 
 // runState is what a run keeps across the worlds it goes through: a world

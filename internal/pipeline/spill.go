@@ -27,6 +27,7 @@ import (
 	"strings"
 
 	"dedukt/internal/durable"
+	"dedukt/internal/fastq"
 	"dedukt/internal/obs"
 )
 
@@ -145,7 +146,7 @@ func newSpillCtl(cfg Config) (*spillCtl, error) {
 	ctl := &spillCtl{
 		dir:    cfg.Spill.Dir,
 		bins:   cfg.Spill.bins(),
-		fphash: buildFingerprint(cfg).Hash(),
+		fphash: buildFingerprint(cfg, fastq.Origin{}).Hash(),
 		rec:    cfg.Obs,
 	}
 	if cfg.Obs != nil {

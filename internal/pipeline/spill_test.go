@@ -331,7 +331,7 @@ func TestSpillRefusesDirtyDir(t *testing.T) {
 	t.Run("leftover same config refused", func(t *testing.T) {
 		cfg := mkcfg(t)
 		var buf bytes.Buffer
-		h := spillHeader{rank: 0, bin: 0, bins: cfg.Spill.bins(), fphash: buildFingerprint(cfg).Hash()}
+		h := spillHeader{rank: 0, bin: 0, bins: cfg.Spill.bins(), fphash: buildFingerprint(cfg, fastq.Origin{}).Hash()}
 		if err := durable.WriteHeader(&buf, spillMagic, h.fields()); err != nil {
 			t.Fatal(err)
 		}
@@ -363,8 +363,8 @@ func TestSpillRejectsIncompatibleConfig(t *testing.T) {
 		cfg.Spill = SpillConfig{Dir: t.TempDir()}
 		return cfg
 	}
-	if cfg := base(); cfg.Validate(InMemory) != nil {
-		t.Fatalf("baseline spill config should validate: %v", cfg.Validate(InMemory))
+	if cfg := base(); cfg.Validate() != nil {
+		t.Fatalf("baseline spill config should validate: %v", cfg.Validate())
 	}
 	cases := map[string]Config{}
 	nb := base()
@@ -374,7 +374,7 @@ func TestSpillRejectsIncompatibleConfig(t *testing.T) {
 	hb.Spill.Bins = maxSpillBins + 1
 	cases["huge bins"] = hb
 	for name, cfg := range cases {
-		if err := cfg.Validate(InMemory); err == nil {
+		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: want a validation error, got nil", name)
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"dedukt/internal/dna"
 	"dedukt/internal/fastq"
 	"dedukt/internal/obs"
+	recov "dedukt/internal/recover"
 )
 
 // RunStream executes the configured pipeline over a streaming source,
@@ -25,28 +26,43 @@ import (
 //
 // With Config.Ckpt set, the run persists round-granularity checkpoints
 // and survives rank death by restarting the survivors from the last one
-// (see runStream and DESIGN.md §12); src must then be a
-// fastq.CursorSource.
+// (see runStream and DESIGN.md §12); under BalancedPartition it profiles
+// the source before counting it. Either way it reads the source again, so
+// src must then be a fastq.Replayer.
 func RunStream(cfg Config, src fastq.Source) (*Result, error) {
-	if err := cfg.Validate(Streaming); err != nil {
+	return stream(cfg, src, false)
+}
+
+// stream runs RunStream, or with resume ResumeStream, over src.
+func stream(cfg Config, src fastq.Source, resume bool) (*Result, error) {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if src == nil {
 		return nil, fmt.Errorf("pipeline: nil stream source")
 	}
-	return runStream(cfg, Streaming, src, nil, cfg.streamRoundBases())
+	res, err := runStream(cfg, src, resume, cfg.streamRoundBases())
+	if err != nil {
+		return nil, err
+	}
+	res.Streamed, res.Resumed, res.MemBudget = true, resume, cfg.memBudget()
+	return res, nil
 }
 
 // runStream is the one loop behind the entry points — Run, RunStream and,
-// with a nil src, ResumeStream — each of which has validated cfg for e. It
-// deals src out in rounds of share bases a seat, routes supermers by
-// destMap when non-nil, and runs worlds until one completes. A failed
-// world ends with all its goroutines returned and its source closed (when
-// an io.Closer). When ranks died (restartable), checkpointing is on and
-// Ckpt.NoShrink off, the survivors then restart from the last checkpoint
-// in a smaller world (restart), exactly as ResumeStream starts; any other
-// failure fails the run. The replay is deterministic, so the spectrum is
-// bit-identical to an unfaulted run's.
+// with resume, ResumeStream — each of which has validated cfg. It deals src
+// out in rounds of share bases a seat, and runs worlds until one completes.
+// A run that checkpoints or balances reads src again through its Replay —
+// to restart, to resume, and to count what it profiled — so a src that
+// cannot replay is refused before the first round. Under BalancedPartition
+// src is profiled first and its supermers routed by the map built from it.
+// A resumed run starts as a restart from the checkpoint in Ckpt.Dir. A
+// failed world ends with all its goroutines returned and its source closed
+// (when an io.Closer). When ranks died (restartable), checkpointing is on
+// and Ckpt.NoShrink off, the survivors then restart from the last
+// checkpoint in a smaller world (restart); any other failure fails the
+// run. The replay is deterministic, so the spectrum is bit-identical to an
+// unfaulted run's.
 //
 // Under Config.KeepTables the run collects the heap before the ranks start
 // and again once they have ended. Such a run is the first step of something
@@ -57,7 +73,36 @@ func RunStream(cfg Config, src fastq.Source) (*Result, error) {
 // room for the rows instead of lying under them; collected after, the rows
 // make room for the caller's database. Left to the collector's own timing the
 // same count → MergedTable → FromTable peaked anywhere from 186 to 281 MB.
-func runStream(cfg Config, e Entry, src fastq.Source, destMap []uint16, share int) (*Result, error) {
+func runStream(cfg Config, src fastq.Source, resume bool, share int) (*Result, error) {
+	ckpt := cfg.Ckpt.Dir != ""
+	rp, ok := src.(fastq.Replayer)
+	if (ckpt || cfg.BalancedPartition) && !ok {
+		return nil, fmt.Errorf("pipeline: checkpointing and balanced partitioning read the input again, which a %T cannot", src)
+	}
+	var fp recov.Fingerprint
+	if ckpt {
+		fp = buildFingerprint(cfg, rp.Origin())
+	}
+	if resume {
+		// Nothing to continue is an error here; restart reads it again.
+		if _, err := loadCheckpoint(cfg.Ckpt.Dir, fp); err != nil {
+			return nil, err
+		}
+	}
+	var destMap []uint16
+	if cfg.BalancedPartition {
+		var err error
+		if destMap, err = buildBalancedMap(cfg, src); err != nil {
+			return nil, err
+		}
+		// Count what was profiled from its start; a resume replays it from
+		// the checkpoint's cursor instead (restart).
+		if !resume {
+			if src, err = rp.Replay(fastq.Cursor{}); err != nil {
+				return nil, fmt.Errorf("pipeline: replaying the profiled input: %w", err)
+			}
+		}
+	}
 	rs, seats, err := newRunState(cfg)
 	if err != nil {
 		return nil, err
@@ -67,22 +112,18 @@ func runStream(cfg Config, e Entry, src fastq.Source, destMap []uint16, share in
 		return nil, err
 	}
 	var prod *chunkProducer
-	if src != nil {
+	if !resume {
 		prod = newChunkProducer(cfg, src, share, len(seats), 0)
-	} else if seats, prod, err = restart(cfg, rs.dead, share); err != nil {
+	} else if seats, prod, err = restart(cfg, rp, fp, rs.dead, share); err != nil {
 		return nil, err
 	}
 	if cfg.KeepTables {
 		runtime.GC()
 	}
-	ckpt := cfg.Ckpt.Dir != ""
 	for {
 		var ck *ckptCtl
 		if ckpt {
-			if _, ok := prod.src.(fastq.CursorSource); !ok {
-				return nil, fmt.Errorf("pipeline: checkpointing needs a source with cursor support (got %T)", prod.src)
-			}
-			ck = newCkptCtl(cfg, prod)
+			ck = newCkptCtl(cfg, fp, prod)
 		}
 		errs, err := rs.world(destMap, prod, seats, ck, spl)
 		if err == nil {
@@ -107,7 +148,7 @@ func runStream(cfg Config, e Entry, src fastq.Source, destMap []uint16, share in
 				spans = append(spans, cfg.Obs.Begin(s.old, -1, obs.PhaseRecovery))
 			}
 		}
-		if seats, prod, err = restart(cfg, rs.dead, share); err != nil {
+		if seats, prod, err = restart(cfg, rp, fp, rs.dead, share); err != nil {
 			return nil, err
 		}
 		rs.restarts++
@@ -122,10 +163,7 @@ func runStream(cfg Config, e Entry, src fastq.Source, destMap []uint16, share in
 		runtime.GC()
 	}
 	res.InputReads, res.InputBases = prod.reads, prod.bases
-	res.Streamed, res.Resumed = e != InMemory, e == Resuming
-	if res.MemBudget = cfg.MemBudgetBytes; res.Streamed {
-		res.MemBudget = cfg.memBudget()
-	}
+	res.MemBudget = cfg.MemBudgetBytes
 	return res, nil
 }
 
@@ -162,7 +200,7 @@ type chunkProducer struct {
 	reads   uint64 // records pulled (retained past drain for Result)
 	bases   uint64
 	// track enables checkpoint cursor maintenance (requires src to be a
-	// fastq.CursorSource); cur is the source position just before the
+	// fastq.Replayer); cur is the source position just before the
 	// pending record was pulled, i.e. the replay point that re-delivers
 	// it.
 	track bool
@@ -266,7 +304,7 @@ func (p *chunkProducer) cursor() fastq.Cursor {
 	if !p.track {
 		return fastq.Cursor{}
 	}
-	return p.src.(fastq.CursorSource).Cursor()
+	return p.src.(fastq.Replayer).Cursor()
 }
 
 // ckptCursor returns the resume point as of the last round cut: the

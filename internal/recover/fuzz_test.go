@@ -76,6 +76,6 @@ func testFingerprintF() Fingerprint {
 	return Fingerprint{
 		K: 17, M: 7, Mode: "supermer", Engine: "gpu", Encoding: "2bit",
 		Ranks: 4, Nodes: 1,
-		Inputs: []InputFile{{Path: "a.fq", Size: 1234}},
+		Inputs: []fastq.File{{Path: "a.fq", Size: 1234}},
 	}
 }

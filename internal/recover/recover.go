@@ -39,46 +39,49 @@ import (
 // Damaged or foreign checkpoint files are reported in durable's vocabulary.
 var ErrNoCheckpoint = errors.New("recover: no checkpoint manifest")
 
-// InputFile fingerprints one input by path and size; a resume refuses a
-// checkpoint whose input list differs (the cursor would land on the
-// wrong records).
-type InputFile struct {
-	Path string `json:"path"`
-	Size int64  `json:"size"`
-}
-
 // Fingerprint identifies the run configuration a checkpoint belongs to.
 // Every field changes what the spectrum or its partition looks like;
 // resuming under a different value would merge incompatible state.
 // Ordering names a supermer run's minimizer ordering, which decides every
 // k-mer's owner rank; it is empty for the value ordering, so fingerprints
-// taken before the field existed keep their hash.
+// taken before the field existed keep their hash. Inputs, TrimQ and
+// TrimMinLen are the input's fastq.Origin: the files the cursor addresses
+// (none for reads in memory) and the quality trim that decides which of
+// their records count. They are empty on an untrimmed in-memory run, and
+// the trim on any untrimmed run, so such runs keep their hash too.
 type Fingerprint struct {
-	K         int         `json:"k"`
-	M         int         `json:"m,omitempty"`
-	Window    int         `json:"window,omitempty"`
-	Mode      string      `json:"mode"`
-	Engine    string      `json:"engine"`
-	Encoding  string      `json:"encoding"`
-	Canonical bool        `json:"canonical,omitempty"`
-	Balanced  bool        `json:"balanced,omitempty"`
-	Ordering  string      `json:"ordering,omitempty"`
-	Ranks     int         `json:"ranks"`
-	Nodes     int         `json:"nodes"`
-	Inputs    []InputFile `json:"inputs,omitempty"`
+	K          int          `json:"k"`
+	M          int          `json:"m,omitempty"`
+	Window     int          `json:"window,omitempty"`
+	Mode       string       `json:"mode"`
+	Engine     string       `json:"engine"`
+	Encoding   string       `json:"encoding"`
+	Canonical  bool         `json:"canonical,omitempty"`
+	Balanced   bool         `json:"balanced,omitempty"`
+	Ordering   string       `json:"ordering,omitempty"`
+	Ranks      int          `json:"ranks"`
+	Nodes      int          `json:"nodes"`
+	Inputs     []fastq.File `json:"inputs,omitempty"`
+	TrimQ      int          `json:"trim_q,omitempty"`
+	TrimMinLen int          `json:"trim_min_len,omitempty"`
 }
 
-// Hash folds the fingerprint into the 64-bit stamp carried by every rank
-// checkpoint file (FNV-1a over the canonical JSON encoding).
-func (f Fingerprint) Hash() uint64 {
+// String returns the fingerprint's canonical JSON encoding.
+func (f Fingerprint) String() string {
 	b, err := json.Marshal(f)
 	if err != nil {
 		// Fingerprint is plain data; Marshal cannot fail on it.
 		panic(err)
 	}
+	return string(b)
+}
+
+// Hash folds the fingerprint into the 64-bit stamp carried by every rank
+// checkpoint file (FNV-1a over the canonical JSON encoding).
+func (f Fingerprint) Hash() uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
 	h := uint64(offset)
-	for _, c := range b {
+	for _, c := range []byte(f.String()) {
 		h = (h ^ uint64(c)) * prime
 	}
 	return h
@@ -192,8 +195,12 @@ func ReadManifest(r io.Reader) (*Manifest, error) {
 }
 
 // LoadManifest reads the manifest of a checkpoint directory, mapping an
-// absent file onto ErrNoCheckpoint.
+// absent file onto ErrNoCheckpoint. An empty dir names no checkpoint: it
+// is ErrNoCheckpoint too, never the working directory's manifest.
 func LoadManifest(dir string) (*Manifest, error) {
+	if dir == "" {
+		return nil, fmt.Errorf("no checkpoint directory: %w", ErrNoCheckpoint)
+	}
 	f, err := os.Open(ManifestPath(dir))
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {

@@ -17,7 +17,7 @@ func testFingerprint() Fingerprint {
 	return Fingerprint{
 		K: 17, M: 7, Mode: "supermer", Engine: "gpu", Encoding: "2bit",
 		Canonical: true, Ranks: 4, Nodes: 1,
-		Inputs: []InputFile{{Path: "a.fq", Size: 1234}, {Path: "b.fq.gz", Size: 99}},
+		Inputs: []fastq.File{{Path: "a.fq", Size: 1234}, {Path: "b.fq.gz", Size: 99}},
 	}
 }
 
@@ -217,7 +217,7 @@ func TestFingerprintHashSensitivity(t *testing.T) {
 	variants := []Fingerprint{base, base, base, base, base}
 	variants[1].K = 21
 	variants[2].Ranks = 8
-	variants[3].Inputs = []InputFile{{Path: "a.fq", Size: 1235}, {Path: "b.fq.gz", Size: 99}}
+	variants[3].Inputs = []fastq.File{{Path: "a.fq", Size: 1235}, {Path: "b.fq.gz", Size: 99}}
 	variants[4].Engine = "cpu"
 	h0 := base.Hash()
 	for i, v := range variants[1:] {

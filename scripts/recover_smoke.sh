@@ -7,8 +7,9 @@
 # distinct, histogram, top k-mers) to the unfaulted run; the in-process
 # restart must also count exactly one kill and the baseline's input reads
 # and bases. The in-process restart runs again without -stream, on the
-# preloaded reads. Last, a run whose every payload is dropped must fail with a
-# lost exchange and write no database. Run
+# preloaded reads, whose checkpoint -resume then refuses. A checkpoint taken
+# through -trimq resumes through the same trim alone. Last, a run whose every
+# payload is dropped must fail with a lost exchange and write no database. Run
 # via `make recover-smoke`; part of `make ci`. Artifacts (including the
 # recovery trace) go to RECOVER_SMOKE_OUT (default: a temp dir removed
 # on exit).
@@ -94,7 +95,7 @@ jq -e '.recovered == true and .dead_ranks == [1]
 
 # --- Path 2b: the same kill on an in-memory run (no -stream). Run is
 # the stream loop over its preloaded reads, so it checkpoints the same
-# rounds and its survivors restart the same way, re-seeking the reads.
+# rounds and its survivors restart the same way, replaying the reads.
 echo "recover-smoke: same kill, in-memory run restarts in-process"
 memrun="$RECOVER_SMOKE_OUT/inmemory.json"
 go run ./cmd/dedukt -in "$reads" -mem-budget 288000 -nodes 2 -json \
@@ -106,6 +107,45 @@ jq -e '.streamed != true and .recovered == true and .faults.killed == 1' \
     || fail "in-memory restarted run not recovered, or not one kill"
 [ "$(spectrum "$want")" = "$(spectrum "$memrun")" ] \
     || fail "in-memory restarted spectrum differs from the unfaulted spectrum"
+
+# --- Path 2c: the in-memory run's checkpoint addresses reads in memory,
+# which name no files, so -resume over the -in files refuses it.
+echo "recover-smoke: -resume refuses an in-memory run's checkpoint"
+if go run ./cmd/dedukt -in "$reads" -mem-budget 288000 -nodes 2 -json \
+    -ckpt-dir "$RECOVER_SMOKE_OUT/ckpt4" -ckpt-rounds 3 -no-shrink \
+    -fault-kill-rank 1 -fault-kill-round 9 >/dev/null 2>&1; then
+    fail "killed in-memory run exited zero"
+fi
+if go run ./cmd/dedukt $run -resume "$RECOVER_SMOKE_OUT/ckpt4" -ckpt-rounds 3 \
+    >/dev/null 2>"$RECOVER_SMOKE_OUT/inmemory.err"; then
+    fail "-resume of an in-memory run's checkpoint exited zero"
+fi
+grep -q "fingerprint" "$RECOVER_SMOKE_OUT/inmemory.err" \
+    || fail "-resume of an in-memory checkpoint did not name the fingerprint mismatch"
+
+# --- Path 4: the trim decides which records count, so a checkpoint taken
+# through -trimq 35 resumed without -trimq is refused, naming the
+# fingerprint mismatch; resumed under the same trim it counts exactly what
+# the unfaulted trimmed run counts.
+echo "recover-smoke: seeded kill of a -trimq 35 run, resumed without and with the trim"
+trimmed="$RECOVER_SMOKE_OUT/trimmed.json"
+go run ./cmd/dedukt $run -trimq 35 > "$trimmed" 2>/dev/null || fail "unfaulted trimmed run"
+jq -e '.rounds >= 10' "$trimmed" >/dev/null \
+    || fail "trimmed baseline too short (the kill round would not be reached)"
+if go run ./cmd/dedukt $run -trimq 35 -ckpt-dir "$RECOVER_SMOKE_OUT/ckpt5" -ckpt-rounds 3 \
+    -no-shrink -fault-kill-rank 1 -fault-kill-round 9 >/dev/null 2>&1; then
+    fail "killed trimmed run exited zero"
+fi
+if go run ./cmd/dedukt $run -resume "$RECOVER_SMOKE_OUT/ckpt5" -ckpt-rounds 3 \
+    >/dev/null 2>"$RECOVER_SMOKE_OUT/untrimmed.err"; then
+    fail "untrimmed resume of a trimmed checkpoint exited zero"
+fi
+grep -q "fingerprint" "$RECOVER_SMOKE_OUT/untrimmed.err" \
+    || fail "untrimmed resume did not name the fingerprint mismatch"
+go run ./cmd/dedukt $run -trimq 35 -resume "$RECOVER_SMOKE_OUT/ckpt5" -ckpt-rounds 3 \
+    > "$RECOVER_SMOKE_OUT/trim_resumed.json" 2>/dev/null || fail "trimmed resume run"
+[ "$(spectrum "$trimmed")" = "$(spectrum "$RECOVER_SMOKE_OUT/trim_resumed.json")" ] \
+    || fail "trimmed resumed spectrum differs from the unfaulted trimmed spectrum"
 
 echo "recover-smoke: validating $trace"
 jq -e . "$trace" >/dev/null || fail "recovery trace is not valid JSON"
