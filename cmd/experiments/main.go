@@ -1,17 +1,23 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation section (§V) from the scaled synthetic datasets.
+// evaluation section (§V) from the scaled synthetic datasets, with every
+// modeled time projected to the paper's real input sizes.
 //
-//	experiments -list            # show available experiments
-//	experiments -run fig6a       # one experiment
-//	experiments -run all         # the full evaluation
+//	experiments -list                 # show available experiments
+//	experiments -run fig6a            # one experiment
+//	experiments -run all              # the full evaluation
 //	experiments -run all -scale 0.1   # a quick pass at 1/10 size
+//	experiments -run convergence      # the headline ratios projected from
+//	                                  # ¼, ½ and 1 of the input, with the
+//	                                  # drift per doubling
 //
 // EXPERIMENTS.md records the paper-vs-measured comparison for each.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
@@ -22,42 +28,59 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run parses args and runs the experiments they select, writing the
+// reports to out. A bad argument is refused before any experiment runs.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
-		list  = flag.Bool("list", false, "list experiments and exit")
-		run   = flag.String("run", "", `experiment id, or "all"`)
-		scale = flag.Float64("scale", 1.0, "dataset scale factor (1.0 = default scaled sizes)")
+		list  = fs.Bool("list", false, "list experiments and exit")
+		id    = fs.String("run", "", `experiment id, or "all"`)
+		scale = fs.Float64("scale", 1.0, "dataset scale factor (1.0 = default scaled sizes); must be positive")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil
+	} else if err != nil {
+		return err
+	}
 
 	if *list {
 		for _, e := range expt.All() {
-			fmt.Printf("%-8s %s\n", e.ID, e.Title)
+			fmt.Fprintf(out, "%-11s %s\n", e.ID, e.Title)
 		}
-		return
+		return nil
 	}
-	if *run == "" {
-		log.Fatal("use -list, or -run <id|all>")
+	if *id == "" {
+		return errors.New("use -list, or -run <id|all>")
+	}
+	if *scale <= 0 {
+		return fmt.Errorf("-scale %v: the scale must be positive", *scale)
 	}
 
-	opts := expt.Options{Out: os.Stdout, Scale: *scale}
+	opts := expt.Options{Out: out, Scale: *scale}
 	var todo []expt.Experiment
-	if *run == "all" {
+	if *id == "all" {
 		todo = expt.All()
 	} else {
-		e, err := expt.ByID(*run)
+		e, err := expt.ByID(*id)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		todo = []expt.Experiment{e}
 	}
 	for i, e := range todo {
 		if i > 0 {
-			fmt.Println()
+			fmt.Fprintln(out)
 		}
 		start := time.Now()
 		if err := e.Run(opts); err != nil {
-			log.Fatalf("%s: %v", e.ID, err)
+			return fmt.Errorf("%s: %w", e.ID, err)
 		}
-		fmt.Printf("[%s completed in %.1fs]\n", e.ID, time.Since(start).Seconds())
+		fmt.Fprintf(out, "[%s completed in %.1fs]\n", e.ID, time.Since(start).Seconds())
 	}
+	return nil
 }

@@ -62,26 +62,20 @@ func (m CPUModel) ItemCostNs(items uint64) float64 {
 	return m.PerItemBaseNs * math.Pow(float64(items), m.PerItemExp)
 }
 
-// RankTimeLifted converts one rank's accounted work into seconds: the
-// roofline of its op throughput and its share of node memory bandwidth,
-// plus the calibrated per-item software overhead, with the per-item unit
-// cost evaluated at items×loadLift instead of items (loadLift 1 charges it
-// at this load). Scaled-down experiments use the lift to evaluate the
-// baseline's load-dependent unit cost at the *real* dataset's per-rank load
-// (the operating point the paper measured) while charging it for the scaled
-// item count — preserving the paper's time ratios at any simulation scale.
-func (m CPUModel) RankTimeLifted(ops, bytes, items uint64, loadLift float64) time.Duration {
+// RankTime converts one rank's accounted work into seconds: the roofline
+// of its op throughput and its share of node memory bandwidth, plus the
+// calibrated per-item software overhead at this load (items × ItemCostNs(items)).
+// The overhead grows as items^(1+PerItemExp), so a rank with s times the
+// items pays s^(1+PerItemExp) times it: the power law a projection to a
+// larger input reads the baseline at (pipeline.Result.AtScale).
+func (m CPUModel) RankTime(ops, bytes, items uint64) time.Duration {
 	compute := float64(ops) / (m.ClockGHz * 1e9 * m.IPC)
 	mem := float64(bytes) / (m.MemBandwidthGBs * 1e9 / float64(m.CoresPerNode))
 	t := compute
 	if mem > t {
 		t = mem
 	}
-	if loadLift < 1 {
-		loadLift = 1
-	}
-	lifted := uint64(float64(items) * loadLift)
-	t += float64(items) * m.ItemCostNs(lifted) * 1e-9
+	t += float64(items) * m.ItemCostNs(items) * 1e-9
 	return time.Duration(t * float64(time.Second))
 }
 

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -49,25 +50,35 @@ func TestLayoutValidation(t *testing.T) {
 	}
 }
 
-func TestCPUModelRankTimeLifted(t *testing.T) {
+func TestCPUModelRankTime(t *testing.T) {
 	m := Power9()
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	// Compute-bound: 7.675e9 ops at 3.07 GHz × 2.5 IPC = 1 s.
 	ops := uint64(m.ClockGHz * 1e9 * m.IPC)
-	got := m.RankTimeLifted(ops, 0, 0, 1)
+	got := m.RankTime(ops, 0, 0)
 	if got < 990*time.Millisecond || got > 1010*time.Millisecond {
 		t.Fatalf("compute-bound rank time %v, want ~1s", got)
 	}
 	// Memory-bound: per-rank share is 340/42 GB/s.
 	share := m.MemBandwidthGBs * 1e9 / float64(m.CoresPerNode)
-	got = m.RankTimeLifted(0, uint64(share), 0, 1)
+	got = m.RankTime(0, uint64(share), 0)
 	if got < 990*time.Millisecond || got > 1010*time.Millisecond {
 		t.Fatalf("memory-bound rank time %v, want ~1s", got)
 	}
-	if m.RankTimeLifted(0, 0, 0, 1) != 0 {
+	if m.RankTime(0, 0, 0) != 0 {
 		t.Fatal("zero work should cost zero")
+	}
+	// The per-item overhead is a power law of the load: s times the items
+	// cost s^(1+PerItemExp) times as much, the identity a projection to a
+	// larger input reads the baseline by.
+	for _, s := range []uint64{2, 1_000} {
+		const items = 600_000
+		got := m.RankTime(0, 0, s*items).Seconds() / m.RankTime(0, 0, items).Seconds()
+		if want := math.Pow(float64(s), 1+m.PerItemExp); math.Abs(got/want-1) > 1e-9 {
+			t.Fatalf("%d× the items cost %.9g× as much, want %.9g×", s, got, want)
+		}
 	}
 	bad := CPUModel{}
 	if bad.Validate() == nil {
@@ -93,7 +104,7 @@ func TestCPUModelItemCostCalibration(t *testing.T) {
 	}
 	// Per-item overhead dominates the op/bandwidth terms at real loads.
 	items := uint64(1_000_000)
-	withItems := m.RankTimeLifted(0, 0, items, 1)
+	withItems := m.RankTime(0, 0, items)
 	if withItems < time.Duration(float64(items)*m.ItemCostNs(items))*time.Nanosecond {
 		t.Fatal("item overhead not charged")
 	}

@@ -21,13 +21,13 @@ func RunAblation(o Options) error {
 	if err != nil {
 		return err
 	}
-	reads, err := loadDataset(d, o)
+	in, err := loadDataset(d, o)
 	if err != nil {
 		return err
 	}
-	layout := paperize(cluster.SummitGPU(16))
+	layout := cluster.SummitGPU(16)
 
-	fmt.Fprintf(o.Out, "Ablation — minimizer ordering (k=17, m=7, window=15, %s, scale %.2f)\n", d.Name, o.scale())
+	fmt.Fprintf(o.Out, "Ablation — minimizer ordering (k=17, m=7, window=15, %s, scale %.2f, times projected to the paper's input)\n", d.Name, o.scale())
 	t := stats.NewTable("ordering", "supermers", "payload", "imbalance", "total time")
 	for _, name := range []string{"value", "kmc2", "hashed"} {
 		ord, err := minimizer.ByName(name, &dna.Random)
@@ -36,12 +36,12 @@ func RunAblation(o Options) error {
 		}
 		cfg := pipeline.Default(layout, pipeline.SupermerMode)
 		cfg.Ord = ord
-		res, err := pipeline.Run(cfg, reads)
+		res, p, err := in.run(cfg)
 		if err != nil {
 			return err
 		}
 		t.Row(name, stats.Count(res.ItemsExchanged), stats.Bytes(res.PayloadBytes),
-			fmt.Sprintf("%.2f", res.LoadImbalance()), res.Modeled.Total())
+			fmt.Sprintf("%.2f", res.LoadImbalance()), p.Modeled.Total())
 	}
 	fmt.Fprint(o.Out, t)
 
@@ -50,12 +50,12 @@ func RunAblation(o Options) error {
 	for _, w := range []int{7, 15, 31, 63} {
 		cfg := pipeline.Default(layout, pipeline.SupermerMode)
 		cfg.Window = w
-		res, err := pipeline.Run(cfg, reads)
+		res, p, err := in.run(cfg)
 		if err != nil {
 			return err
 		}
 		t2.Row(w, fmt.Sprintf("%d bases", w+cfg.K-1),
-			stats.Count(res.ItemsExchanged), stats.Bytes(res.PayloadBytes), res.Modeled.Total())
+			stats.Count(res.ItemsExchanged), stats.Bytes(res.PayloadBytes), p.Modeled.Total())
 	}
 	fmt.Fprint(o.Out, t2)
 	fmt.Fprintln(o.Out, "window 15 packs any supermer into one 64-bit word (§IV-C); larger windows"+

@@ -1,8 +1,10 @@
 // Package expt contains one driver per table and figure of the paper's
 // evaluation (§V). Each driver generates the scaled synthetic equivalent of
-// the paper's dataset(s), runs the relevant pipeline configurations, and
-// prints a table with the same rows/series the paper reports, so shape
-// comparisons are direct. EXPERIMENTS.md records paper-vs-measured for
+// the paper's dataset(s), runs the relevant pipeline configurations on the
+// stock Summit layouts, and prints a table with the same rows/series the
+// paper reports, every modeled time projected to the real dataset's size
+// (pipeline.Result.AtScale), so comparisons are direct. RunConvergence
+// checks that projection. EXPERIMENTS.md records paper-vs-measured for
 // every driver.
 package expt
 
@@ -58,6 +60,7 @@ func All() []Experiment {
 		{"balance", "§VII future work: frequency-balanced minimizer partitioning", RunBalance},
 		{"ablation", "design-choice ablations: minimizer ordering and window size", RunAblation},
 		{"whatif", "what-if projection: A100 GPUs and GPUDirect on the 64-node run", RunWhatIf},
+		{"convergence", "projection check: headline ratios projected from ¼, ½ and 1 of the input", RunConvergence},
 	}
 }
 
@@ -71,41 +74,28 @@ func ByID(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("expt: unknown experiment %q (use -list)", id)
 }
 
+// input is a dataset's synthetic reads at one scale.
+type input struct {
+	genome.Dataset
+	reads []fastq.Record
+}
+
 // loadDataset synthesizes a dataset's reads at the requested scale.
-func loadDataset(d genome.Dataset, o Options) ([]fastq.Record, error) {
-	return d.Reads(o.scale())
+func loadDataset(d genome.Dataset, o Options) (input, error) {
+	reads, err := d.Reads(o.scale())
+	return input{d, reads}, err
 }
 
-// paperize adapts a layout for scaled-down experiment runs: fixed
-// per-operation costs (kernel launch, link latency, per-round network
-// latency α) are zeroed because at ~1/10⁴ of the paper's data volume they
-// would be charged at ~10⁴× their real relative weight — on the real runs
-// they are well under 0.1% of any phase. Bandwidth-proportional and
-// per-item costs, which carry every reproduced ratio, are untouched.
-func paperize(l cluster.Layout) cluster.Layout {
-	l.Net.LatencyUs = 0
-	if l.GPU != nil {
-		g := *l.GPU
-		g.LaunchOverheadUs = 0
-		g.LinkLatencyUs = 0
-		l.GPU = &g
+// run counts the input under cfg and reprices the run at the dataset's
+// real size (pipeline.Result.AtScale): the paper's figures come from inputs
+// ≈10⁴ times the synthetic ones, and every modeled time the experiments print
+// is read at that size.
+func (in input) run(cfg pipeline.Config) (*pipeline.Result, pipeline.Projection, error) {
+	res, err := pipeline.Run(cfg, in.reads)
+	if err != nil {
+		return nil, pipeline.Projection{}, err
 	}
-	return l
-}
-
-// liftFor returns the CPU load lift for a dataset: the real-to-simulated
-// input size ratio, so the baseline's load-dependent unit cost is evaluated
-// at the paper's per-rank operating point.
-func liftFor(d genome.Dataset, reads []fastq.Record) float64 {
-	sim := totalBases(reads)
-	if sim == 0 {
-		return 1
-	}
-	lift := d.RealBases() / float64(sim)
-	if lift < 1 {
-		return 1
-	}
-	return lift
+	return res, res.AtScale(in.RealBases()), nil
 }
 
 // gpuConfigs returns the three GPU configurations the figures compare:
@@ -129,10 +119,10 @@ func gpuConfigs(layout cluster.Layout) []struct {
 	}
 }
 
-// totalBases sums read lengths.
-func totalBases(reads []fastq.Record) int {
+// bases sums the input's read lengths.
+func (in input) bases() int {
 	n := 0
-	for _, r := range reads {
+	for _, r := range in.reads {
 		n += len(r.Seq)
 	}
 	return n

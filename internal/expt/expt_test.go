@@ -8,8 +8,8 @@ import (
 
 func TestRegistry(t *testing.T) {
 	all := All()
-	if len(all) != 13 {
-		t.Fatalf("%d experiments, want 13", len(all))
+	if len(all) != 14 {
+		t.Fatalf("%d experiments, want 14", len(all))
 	}
 	seen := map[string]bool{}
 	for _, e := range all {
@@ -51,6 +51,7 @@ func TestExperimentsRunTiny(t *testing.T) {
 		"table1": 0.02, "fig3": 0.02, "fig6a": 0.02, "fig6b": 0.02,
 		"fig7": 0.02, "fig8": 0.02, "fig9": 0.01, "table2": 0.02,
 		"table3": 0.02, "theory": 0.02, "balance": 0.02, "ablation": 0.02, "whatif": 0.02,
+		"convergence": 0.02,
 	}
 	for _, e := range All() {
 		e := e

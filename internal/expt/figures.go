@@ -14,7 +14,7 @@ import (
 func RunTable1(o Options) error {
 	t := stats.NewTable("Short Name", "Species and Strain", "Paper Fastq", "Scaled genome", "Coverage", "Synthetic bases")
 	for _, d := range genome.Table1() {
-		reads, err := loadDataset(d, o)
+		in, err := loadDataset(d, o)
 		if err != nil {
 			return err
 		}
@@ -22,7 +22,7 @@ func RunTable1(o Options) error {
 			fmt.Sprintf("%d MB", d.RealFastqMB),
 			stats.Count(uint64(float64(d.ScaledGenomeLen)*o.scale())),
 			fmt.Sprintf("%.0fX", d.Coverage),
-			stats.Count(uint64(totalBases(reads))))
+			stats.Count(uint64(in.bases())))
 	}
 	fmt.Fprintln(o.Out, "Table I — datasets (paper inputs and scaled synthetic equivalents)")
 	fmt.Fprint(o.Out, t)
@@ -37,66 +37,76 @@ func RunFig3(o Options) error {
 	if err != nil {
 		return err
 	}
-	reads, err := loadDataset(d, o)
+	in, err := loadDataset(d, o)
 	if err != nil {
 		return err
 	}
-	cpuCfg := pipeline.Default(paperize(cluster.SummitCPU(64)), pipeline.KmerMode)
-	cpuCfg.CPULoadLift = liftFor(d, reads)
-	cpuRes, err := pipeline.Run(cpuCfg, reads)
+	_, cpu, err := in.run(pipeline.Default(cluster.SummitCPU(64), pipeline.KmerMode))
 	if err != nil {
 		return err
 	}
-	gpuRes, err := pipeline.Run(pipeline.Default(paperize(cluster.SummitGPU(64)), pipeline.KmerMode), reads)
+	_, gpu, err := in.run(pipeline.Default(cluster.SummitGPU(64), pipeline.KmerMode))
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(o.Out, "Fig. 3 — runtime breakdown on 64 nodes, %s (%s bases, scale %.2f)\n",
-		d.Name, stats.Count(uint64(totalBases(reads))), o.scale())
+	fmt.Fprintf(o.Out, "Fig. 3 — runtime breakdown on 64 nodes, %s (%s bases at scale %.2f, projected to %s)\n",
+		d.Name, stats.Count(uint64(in.bases())), o.scale(), stats.Count(uint64(d.RealBases())))
 	t := stats.NewTable("module", "CPU 2688 cores", "GPU 384 GPUs", "speedup")
-	t.Row("parse & process kmers", cpuRes.Modeled.Parse, gpuRes.Modeled.Parse,
-		stats.Speedup(cpuRes.Modeled.Parse, gpuRes.Modeled.Parse))
-	t.Row("exchange (incl. MPI call)", cpuRes.Modeled.Exchange, gpuRes.Modeled.Exchange,
-		stats.Speedup(cpuRes.Modeled.Exchange, gpuRes.Modeled.Exchange))
-	t.Row("kmer counter", cpuRes.Modeled.Count, gpuRes.Modeled.Count,
-		stats.Speedup(cpuRes.Modeled.Count, gpuRes.Modeled.Count))
-	t.Row("total (excl. I/O)", cpuRes.Modeled.Total(), gpuRes.Modeled.Total(),
-		stats.Speedup(cpuRes.Modeled.Total(), gpuRes.Modeled.Total()))
+	t.Row("parse & process kmers", cpu.Modeled.Parse, gpu.Modeled.Parse,
+		stats.Speedup(cpu.Modeled.Parse, gpu.Modeled.Parse))
+	t.Row("exchange (incl. MPI call)", cpu.Modeled.Exchange, gpu.Modeled.Exchange,
+		stats.Speedup(cpu.Modeled.Exchange, gpu.Modeled.Exchange))
+	t.Row("kmer counter", cpu.Modeled.Count, gpu.Modeled.Count,
+		stats.Speedup(cpu.Modeled.Count, gpu.Modeled.Count))
+	t.Row("total (excl. I/O)", cpu.Modeled.Total(), gpu.Modeled.Total(),
+		stats.Speedup(cpu.Modeled.Total(), gpu.Modeled.Total()))
 	fmt.Fprint(o.Out, t)
-	computeCPU := cpuRes.Modeled.Parse + cpuRes.Modeled.Count
-	computeGPU := gpuRes.Modeled.Parse + gpuRes.Modeled.Count
+	computeCPU := cpu.Modeled.Parse + cpu.Modeled.Count
+	computeGPU := gpu.Modeled.Parse + gpu.Modeled.Count
 	fmt.Fprintf(o.Out, "compute-only acceleration: %.0f× (paper: ~100×)\n",
 		stats.Speedup(computeCPU, computeGPU))
 	fmt.Fprintf(o.Out, "exchange share of GPU total: %.0f%% (paper: up to 80%%)\n",
-		100*gpuRes.Modeled.Exchange.Seconds()/gpuRes.Modeled.Total().Seconds())
+		100*gpu.Modeled.Exchange.Seconds()/gpu.Modeled.Total().Seconds())
 	return nil
+}
+
+// fig6Runs runs the input on the CPU baseline and on the three GPU
+// configurations (gpuConfigs) at equal node count, and returns each run
+// projected to the dataset's real size.
+func fig6Runs(in input, nodes int) (cpu pipeline.Projection, gpu [3]pipeline.Projection, err error) {
+	if _, cpu, err = in.run(pipeline.Default(cluster.SummitCPU(nodes), pipeline.KmerMode)); err != nil {
+		return cpu, gpu, err
+	}
+	for i, gc := range gpuConfigs(cluster.SummitGPU(nodes)) {
+		if _, gpu[i], err = in.run(gc.Cfg); err != nil {
+			return cpu, gpu, err
+		}
+	}
+	return cpu, gpu, nil
+}
+
+// speedup is a's modeled total over b's.
+func speedup(a, b pipeline.Projection) float64 {
+	return stats.Speedup(a.Modeled.Total(), b.Modeled.Total())
 }
 
 // runFig6 is the common driver of Figs. 6a and 6b: overall speedup of the
 // three GPU configurations over the CPU baseline at equal node count.
 func runFig6(o Options, nodes int, datasets []genome.Dataset, caption string) error {
-	gpuLayout := paperize(cluster.SummitGPU(nodes))
-	cpuLayout := paperize(cluster.SummitCPU(nodes))
-	fmt.Fprintf(o.Out, "%s (scale %.2f)\n", caption, o.scale())
+	fmt.Fprintf(o.Out, "%s (scale %.2f, projected to the paper's inputs)\n", caption, o.scale())
 	t := stats.NewTable("dataset", "CPU total", "kmer", "supermer (m=7)", "supermer (m=9)")
 	for _, d := range datasets {
-		reads, err := loadDataset(d, o)
+		in, err := loadDataset(d, o)
 		if err != nil {
 			return err
 		}
-		cpuCfg := pipeline.Default(cpuLayout, pipeline.KmerMode)
-		cpuCfg.CPULoadLift = liftFor(d, reads)
-		cpuRes, err := pipeline.Run(cpuCfg, reads)
+		cpu, gpu, err := fig6Runs(in, nodes)
 		if err != nil {
 			return err
 		}
-		row := []any{d.Name, cpuRes.Modeled.Total()}
-		for _, gc := range gpuConfigs(gpuLayout) {
-			res, err := pipeline.Run(gc.Cfg, reads)
-			if err != nil {
-				return err
-			}
-			row = append(row, fmt.Sprintf("%.1f×", stats.Speedup(cpuRes.Modeled.Total(), res.Modeled.Total())))
+		row := []any{d.Name, cpu.Modeled.Total()}
+		for _, g := range gpu {
+			row = append(row, fmt.Sprintf("%.1f×", speedup(cpu, g)))
 		}
 		t.Row(row...)
 	}
@@ -123,28 +133,27 @@ func RunFig6b(o Options) error {
 // large datasets. Paper: supermers add ~33% parse and ~27% count but save
 // ~33% exchange, a net win because exchange is up to 80% of the total.
 func RunFig7(o Options) error {
-	layout := paperize(cluster.SummitGPU(64))
 	for _, d := range genome.LargeDatasets() {
-		reads, err := loadDataset(d, o)
+		in, err := loadDataset(d, o)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(o.Out, "Fig. 7 — GPU runtime breakdown, 64 nodes (384 GPUs), %s (scale %.2f)\n", d.Name, o.scale())
+		fmt.Fprintf(o.Out, "Fig. 7 — GPU runtime breakdown, 64 nodes (384 GPUs), %s (scale %.2f, projected to the paper's input)\n", d.Name, o.scale())
 		t := stats.NewTable("module", "kmer", "supermer (m=7)", "supermer (m=9)")
 		var rows [3][]any
 		rows[0] = []any{"parse & process kmers"}
 		rows[1] = []any{"exchange (incl. MPI_alltoallv)"}
 		rows[2] = []any{"kmer counter"}
 		totals := []any{"total"}
-		for _, gc := range gpuConfigs(layout) {
-			res, err := pipeline.Run(gc.Cfg, reads)
+		for _, gc := range gpuConfigs(cluster.SummitGPU(64)) {
+			_, p, err := in.run(gc.Cfg)
 			if err != nil {
 				return err
 			}
-			rows[0] = append(rows[0], res.Modeled.Parse)
-			rows[1] = append(rows[1], res.Modeled.Exchange)
-			rows[2] = append(rows[2], res.Modeled.Count)
-			totals = append(totals, res.Modeled.Total())
+			rows[0] = append(rows[0], p.Modeled.Parse)
+			rows[1] = append(rows[1], p.Modeled.Exchange)
+			rows[2] = append(rows[2], p.Modeled.Count)
+			totals = append(totals, p.Modeled.Total())
 		}
 		for _, r := range rows {
 			t.Row(r...)
@@ -158,25 +167,24 @@ func RunFig7(o Options) error {
 // runFig8 reports the Alltoallv-only speedup of the two supermer
 // configurations over k-mer mode.
 func runFig8(o Options, nodes int, datasets []genome.Dataset, caption string) error {
-	layout := paperize(cluster.SummitGPU(nodes))
-	fmt.Fprintf(o.Out, "%s (scale %.2f)\n", caption, o.scale())
+	fmt.Fprintf(o.Out, "%s (scale %.2f, projected to the paper's inputs)\n", caption, o.scale())
 	t := stats.NewTable("dataset", "alltoallv kmer", "speedup m=7", "speedup m=9")
 	for _, d := range datasets {
-		reads, err := loadDataset(d, o)
+		in, err := loadDataset(d, o)
 		if err != nil {
 			return err
 		}
 		var times []any
 		var kmerT float64
-		for i, gc := range gpuConfigs(layout) {
-			res, err := pipeline.Run(gc.Cfg, reads)
+		for i, gc := range gpuConfigs(cluster.SummitGPU(nodes)) {
+			_, p, err := in.run(gc.Cfg)
 			if err != nil {
 				return err
 			}
-			sec := res.AlltoallvTime.Seconds()
+			sec := p.AlltoallvTime.Seconds()
 			if i == 0 {
 				kmerT = sec
-				times = append(times, res.AlltoallvTime)
+				times = append(times, p.AlltoallvTime)
 			} else {
 				times = append(times, fmt.Sprintf("%.2f×", kmerT/sec))
 			}
@@ -202,11 +210,11 @@ func RunFig8(o Options) error {
 // (k-mer insertion rate, exchange excluded) from 4 to 128 nodes. Small
 // datasets stop at 32 nodes, as in the paper.
 func RunFig9(o Options) error {
-	fmt.Fprintf(o.Out, "Fig. 9 — k-mer insertion rate (kmers/s of kernel time, excl. exchange; scale %.2f)\n", o.scale())
+	fmt.Fprintf(o.Out, "Fig. 9 — k-mer insertion rate (kmers/s of kernel time, excl. exchange; scale %.2f, projected to the paper's inputs)\n", o.scale())
 	nodeCounts := []int{4, 16, 32, 64, 128}
 	t := stats.NewTable("dataset", "4", "16", "32", "64", "128")
 	for _, d := range genome.Table1() {
-		reads, err := loadDataset(d, o)
+		in, err := loadDataset(d, o)
 		if err != nil {
 			return err
 		}
@@ -216,12 +224,12 @@ func RunFig9(o Options) error {
 				row = append(row, "-")
 				continue
 			}
-			cfg := pipeline.Default(paperize(cluster.SummitGPU(nodes)), pipeline.KmerMode)
-			res, err := pipeline.Run(cfg, reads)
+			res, p, err := in.run(pipeline.Default(cluster.SummitGPU(nodes), pipeline.KmerMode))
 			if err != nil {
 				return err
 			}
-			row = append(row, stats.Count(uint64(res.InsertionRate()))+"/s")
+			rate := float64(res.TotalKmers) * p.Scale / (p.Modeled.Parse + p.Modeled.Count).Seconds()
+			row = append(row, stats.Count(uint64(rate))+"/s")
 		}
 		t.Row(row...)
 	}

@@ -14,11 +14,11 @@ import (
 // Paper: supermers cut the item count ~3.3-3.8×, with m=7 strictly fewer
 // than m=9.
 func RunTable2(o Options) error {
-	layout := paperize(cluster.SummitGPU(16))
+	layout := cluster.SummitGPU(16)
 	fmt.Fprintf(o.Out, "Table II — items exchanged (scale %.2f, 96 ranks)\n", o.scale())
 	t := stats.NewTable("dataset", "kmer", "supermer (m=9)", "supermer (m=7)", "reduction m=7")
 	for _, d := range genome.Table1() {
-		reads, err := loadDataset(d, o)
+		in, err := loadDataset(d, o)
 		if err != nil {
 			return err
 		}
@@ -30,7 +30,7 @@ func RunTable2(o Options) error {
 			} else {
 				cfg.M = m
 			}
-			res, err := pipeline.Run(cfg, reads)
+			res, err := pipeline.Run(cfg, in.reads)
 			if err != nil {
 				return err
 			}
@@ -49,22 +49,22 @@ func RunTable2(o Options) error {
 // Paper: 1.16 (C. elegans) and 2.37 (H. sapiens) for supermers versus ~1.1
 // for k-mer hashing.
 func RunTable3(o Options) error {
-	layout := paperize(cluster.SummitGPU(64)) // 384 ranks
+	layout := cluster.SummitGPU(64) // 384 ranks
 	fmt.Fprintf(o.Out, "Table III — per-partition k-mer load, 384 partitions (scale %.2f)\n", o.scale())
 	t := stats.NewTable("dataset", "avg", "kmer min", "kmer max", "kmer imb",
 		"sm(m=7) min", "sm(m=7) max", "sm imb")
 	for _, d := range genome.LargeDatasets() {
-		reads, err := loadDataset(d, o)
+		in, err := loadDataset(d, o)
 		if err != nil {
 			return err
 		}
-		resK, err := pipeline.Run(pipeline.Default(layout, pipeline.KmerMode), reads)
+		resK, err := pipeline.Run(pipeline.Default(layout, pipeline.KmerMode), in.reads)
 		if err != nil {
 			return err
 		}
 		cfgS := pipeline.Default(layout, pipeline.SupermerMode)
 		cfgS.M = 7
-		resS, err := pipeline.Run(cfgS, reads)
+		resS, err := pipeline.Run(cfgS, in.reads)
 		if err != nil {
 			return err
 		}
@@ -84,30 +84,30 @@ func RunTable3(o Options) error {
 // partitions data evenly"): Table III's supermer imbalance with hash
 // assignment versus LPT load-aware assignment, plus the end-to-end effect.
 func RunBalance(o Options) error {
-	layout := paperize(cluster.SummitGPU(64)) // 384 ranks
-	fmt.Fprintf(o.Out, "§VII future work — balanced minimizer partitioning, 384 partitions (scale %.2f)\n", o.scale())
+	layout := cluster.SummitGPU(64) // 384 ranks
+	fmt.Fprintf(o.Out, "§VII future work — balanced minimizer partitioning, 384 partitions (scale %.2f, times projected to the paper's inputs)\n", o.scale())
 	t := stats.NewTable("dataset", "hash imb", "balanced imb", "hash total", "balanced total", "gain")
 	for _, d := range genome.LargeDatasets() {
-		reads, err := loadDataset(d, o)
+		in, err := loadDataset(d, o)
 		if err != nil {
 			return err
 		}
 		hashCfg := pipeline.Default(layout, pipeline.SupermerMode)
-		resHash, err := pipeline.Run(hashCfg, reads)
+		resHash, hash, err := in.run(hashCfg)
 		if err != nil {
 			return err
 		}
 		balCfg := hashCfg
 		balCfg.BalancedPartition = true
-		resBal, err := pipeline.Run(balCfg, reads)
+		resBal, bal, err := in.run(balCfg)
 		if err != nil {
 			return err
 		}
 		t.Row(d.Name,
 			fmt.Sprintf("%.2f", resHash.LoadImbalance()),
 			fmt.Sprintf("%.2f", resBal.LoadImbalance()),
-			resHash.Modeled.Total(), resBal.Modeled.Total(),
-			fmt.Sprintf("%.2f×", resHash.Modeled.Total().Seconds()/resBal.Modeled.Total().Seconds()))
+			hash.Modeled.Total(), bal.Modeled.Total(),
+			fmt.Sprintf("%.2f×", speedup(hash, bal)))
 	}
 	fmt.Fprint(o.Out, t)
 	return nil
@@ -118,20 +118,20 @@ func RunBalance(o Options) error {
 // supermer reduction ≈ kmer-bases / supermer-bases; compare both with the
 // measured traffic.
 func RunTheory(o Options) error {
-	layout := paperize(cluster.SummitGPU(16))
+	layout := cluster.SummitGPU(16)
 	p := layout.Ranks()
 	fmt.Fprintf(o.Out, "§IV-D — theoretical vs measured communication (96 ranks, scale %.2f)\n", o.scale())
 	t := stats.NewTable("dataset", "K (kmers)", "pred fabric", "meas fabric", "avg s (bases)", "pred reduction", "meas reduction")
 	for _, d := range genome.SmallDatasets() {
-		reads, err := loadDataset(d, o)
+		in, err := loadDataset(d, o)
 		if err != nil {
 			return err
 		}
-		resK, err := pipeline.Run(pipeline.Default(layout, pipeline.KmerMode), reads)
+		resK, err := pipeline.Run(pipeline.Default(layout, pipeline.KmerMode), in.reads)
 		if err != nil {
 			return err
 		}
-		resS, err := pipeline.Run(pipeline.Default(layout, pipeline.SupermerMode), reads)
+		resS, err := pipeline.Run(pipeline.Default(layout, pipeline.SupermerMode), in.reads)
 		if err != nil {
 			return err
 		}

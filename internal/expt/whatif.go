@@ -22,12 +22,12 @@ func RunWhatIf(o Options) error {
 	if err != nil {
 		return err
 	}
-	reads, err := loadDataset(d, o)
+	in, err := loadDataset(d, o)
 	if err != nil {
 		return err
 	}
 
-	fmt.Fprintf(o.Out, "What-if — %s, 64 nodes, supermer m=7 (scale %.2f)\n", d.Name, o.scale())
+	fmt.Fprintf(o.Out, "What-if — %s, 64 nodes, supermer m=7 (scale %.2f, projected to the paper's input)\n", d.Name, o.scale())
 	t := stats.NewTable("configuration", "parse", "exchange", "count", "total", "vs paper")
 	var baseline float64
 	for _, gpu := range []struct {
@@ -37,21 +37,18 @@ func RunWhatIf(o Options) error {
 		{[2]string{"V100, host-staged (paper)", "V100, GPUDirect"}, gpusim.V100()},
 		{[2]string{"A100, host-staged", "A100, GPUDirect"}, gpusim.A100()},
 	} {
-		layout := paperize(cluster.SummitGPU(64))
-		g := gpu.cfg
-		g.LaunchOverheadUs = 0
-		g.LinkLatencyUs = 0
-		layout.GPU = &g
-		res, err := pipeline.Run(pipeline.Default(layout, pipeline.SupermerMode), reads)
+		layout := cluster.SummitGPU(64)
+		layout.GPU = &gpu.cfg
+		_, p, err := in.run(pipeline.Default(layout, pipeline.SupermerMode))
 		if err != nil {
 			return err
 		}
-		direct := res.Modeled
-		direct.Exchange -= res.Staging
+		direct := p.Modeled
+		direct.Exchange -= p.Staging
 		if baseline == 0 {
-			baseline = res.Modeled.Total().Seconds()
+			baseline = p.Modeled.Total().Seconds()
 		}
-		for i, p := range []pipeline.PhaseBreakdown{res.Modeled, direct} {
+		for i, p := range []pipeline.PhaseBreakdown{p.Modeled, direct} {
 			t.Row(gpu.labels[i], p.Parse, p.Exchange, p.Count, p.Total(), fmt.Sprintf("%.2f×", baseline/p.Total().Seconds()))
 		}
 	}

@@ -113,12 +113,6 @@ type Config struct {
 	// reverse complement); k-mer mode only. The paper does not
 	// canonicalize; provided as a library feature.
 	Canonical bool
-	// CPULoadLift evaluates the CPU baseline's load-dependent per-item
-	// cost at items×CPULoadLift: scaled-down experiments set it to the
-	// real-to-simulated dataset size ratio so the baseline's unit cost
-	// sits at the paper's measured operating point (see
-	// cluster.CPUModel.RankTimeLifted). Values ≤ 1 mean no lift.
-	CPULoadLift float64
 	// MemBudgetBytes bounds the live working-set of a run, and so sizes its
 	// rounds (§III-A's memory-bounded multi-round execution): the per-rank
 	// round chunk is sized so that every rank's round-loop buffers — the
@@ -342,7 +336,13 @@ func (c Config) memBudget() int64 {
 // budget: the budget is shared by all ranks' live round buffers, each of
 // which pins streamBytesPerBase per chunk base.
 func (c Config) streamRoundBases() int {
-	return max(int(c.memBudget()/int64(c.Layout.Ranks()*streamBytesPerBase)), 1)
+	return roundCap(c.memBudget(), c.Layout.Ranks())
+}
+
+// roundCap is the per-rank round chunk cap a budget of budget bytes gives
+// ranks ranks.
+func roundCap(budget int64, ranks int) int {
+	return max(int(budget/int64(ranks*streamBytesPerBase)), 1)
 }
 
 // Default returns the paper's operating point on the given layout: k=17,
@@ -479,6 +479,8 @@ type Result struct {
 	// Resumed reports that this run continued a checkpoint via
 	// ResumeStream rather than starting from the beginning of the input.
 	Resumed bool
+	// costs splits the modeled figures for AtScale.
+	costs costs
 }
 
 // ModeledTotal returns the run's modeled time with each round's exchange
@@ -491,12 +493,7 @@ type Result struct {
 // it adds in full. The price lies between max(C, E) plus pass 2 and
 // Modeled.Total, and equals Modeled.Total on one round.
 func (r *Result) ModeledTotal() time.Duration {
-	compute, drain := r.Modeled.Parse+r.Modeled.Count, time.Duration(0)
-	if r.Spilled {
-		compute, drain = r.Modeled.Parse, r.Modeled.Count
-	}
-	rounds := time.Duration(max(r.Rounds, 1))
-	return ((rounds-1)*max(compute, r.Modeled.Exchange)+compute+r.Modeled.Exchange)/rounds + drain
+	return overlapped(r.Modeled, r.Rounds, r.Spilled)
 }
 
 // TotalFaults folds the per-rank fault tallies into one.

@@ -419,6 +419,14 @@ func (o *variantOracle) check(t *testing.T, v variant, res *Result) {
 	if res.ItemsExchanged == 0 || res.PayloadBytes == 0 {
 		t.Fatal("exchange accounting missing")
 	}
+	// Projected to its own input, a run prices as it ran, to the
+	// nanosecond.
+	if p := res.AtScale(float64(res.InputBases)); p.Modeled != res.Modeled || p.Staging != res.Staging ||
+		p.AlltoallvTime != res.AlltoallvTime || p.HierExchange != res.HierExchange ||
+		p.ModeledTotal() != res.ModeledTotal() || p.Rounds != res.Rounds || p.Scale != 1 {
+		t.Fatalf("projected to its own %d bases, the run prices as %+v; it ran as %+v, staging %v, alltoallv %v, leader-routed %v, overlapped %v over %d rounds",
+			res.InputBases, p, res.Modeled, res.Staging, res.AlltoallvTime, res.HierExchange, res.ModeledTotal(), res.Rounds)
+	}
 	// Faults strike frames on arrival, and only frames still awaited, so
 	// each injected drop or corruption is exactly one bad frame.
 	if tf := res.TotalFaults(); tf.Dropped+tf.Corrupted != tf.BadFrames {

@@ -31,10 +31,10 @@ type engine[T unit] interface {
 	// count inserts the received rows into the engine's table.
 	count(recv [][]T) (work, error)
 	// modeled converts metered work into this engine's modeled time.
-	modeled(w work) time.Duration
+	modeled(w work) split
 	// stage models one host↔device staging leg of n bytes; the rank body
 	// asks only the GPU engine, the one that stages.
-	stage(n uint64) time.Duration
+	stage(n uint64) split
 	// counted returns the engine's table for reading, between counts.
 	counted() countedTable
 	// newBin swaps in a new, empty working-set table for spill pass 2, which
@@ -73,8 +73,8 @@ func serialTable(t countedTable) *kcount.Table {
 type work struct {
 	meter    kernels.WorkMeter  // CPU engines; the GPU count notes only its k-mers in Items
 	stats    gpusim.KernelStats // GPU engines
-	kernel   time.Duration      // GPU engines: per-launch kernel times, summed
-	launches int                // GPU engines: count-kernel launches
+	kernel   split              // GPU engines: per-launch kernel times, summed
+	launches int                // GPU engines: kernel launches
 	grow     time.Duration      // wall time inside the table's Reserve
 	reserved int                // most keys a Reserve was asked to make the table hold
 }
@@ -82,7 +82,7 @@ type work struct {
 func (w *work) add(o work) {
 	w.meter.Add(o.meter)
 	w.stats.Add(o.stats)
-	w.kernel += o.kernel
+	w.kernel.add(o.kernel)
 	w.launches += o.launches
 	w.grow += o.grow
 	w.reserved = max(w.reserved, o.reserved)
@@ -175,11 +175,16 @@ func (e *cpuEngine[T]) count(recv [][]T) (work, error) {
 	return e.countRows(e.cfg, e.table, recv)
 }
 
-func (e *cpuEngine[T]) modeled(w work) time.Duration {
-	return e.cfg.Layout.CPU.RankTimeLifted(w.meter.Ops, w.meter.Bytes, w.meter.Items, e.cfg.CPULoadLift)
+// modeled prices the work on the CPU model, its per-item term apart.
+func (e *cpuEngine[T]) modeled(w work) split {
+	m, items := e.cfg.Layout.CPU, w.meter.Items
+	return split{
+		total: m.RankTime(w.meter.Ops, w.meter.Bytes, items),
+		load:  time.Duration(float64(items) * m.ItemCostNs(items)),
+	}
 }
 
-func (e *cpuEngine[T]) stage(uint64) time.Duration { return 0 }
+func (e *cpuEngine[T]) stage(uint64) split { return split{} }
 
 func (e *cpuEngine[T]) counted() countedTable { return e.table }
 
@@ -328,9 +333,12 @@ func newGPUEngine[T unit](rc rankCtx, e *gpuEngine[T]) (*gpuEngine[T], error) {
 	return e, nil
 }
 
-// launched meters one kernel launch: its stats and its modeled time.
+// launched meters one kernel launch: its stats and its modeled time, of
+// which the launch overhead is fixed.
 func (e *gpuEngine[T]) launched(st gpusim.KernelStats, err error) (work, error) {
-	return work{stats: st, kernel: e.dev.Config().KernelTime(&st)}, err
+	g := e.dev.Config()
+	launch := time.Duration(g.LaunchOverheadUs * float64(time.Microsecond))
+	return work{stats: st, kernel: split{total: g.KernelTime(&st), fixed: launch}, launches: 1}, err
 }
 
 func (e *gpuEngine[T]) parse(slot int, data []byte) ([][]T, work, error) {
@@ -434,7 +442,6 @@ func (e *gpuEngine[T]) pass(w *work, in arrival, sel keySlice) error {
 		}
 		lw, err := e.launched(st, err)
 		w.add(lw)
-		w.launches++
 		if err != nil {
 			return err
 		}
@@ -448,10 +455,12 @@ func (e *gpuEngine[T]) pass(w *work, in arrival, sel keySlice) error {
 // ends.
 func (e *gpuEngine[T]) free() int { return e.table.Cap() - e.table.Len() - 1 }
 
-func (e *gpuEngine[T]) modeled(w work) time.Duration { return w.kernel }
+func (e *gpuEngine[T]) modeled(w work) split { return w.kernel }
 
-func (e *gpuEngine[T]) stage(n uint64) time.Duration {
-	return e.dev.Config().TransferTime(int64(n))
+// stage prices one staging leg, of which the link latency is fixed.
+func (e *gpuEngine[T]) stage(n uint64) split {
+	g := e.dev.Config()
+	return split{total: g.TransferTime(int64(n)), fixed: time.Duration(g.LinkLatencyUs * float64(time.Microsecond))}
 }
 
 func (e *gpuEngine[T]) counted() countedTable { return e.table }

@@ -74,8 +74,8 @@ func runRank[T unit](rc rankCtx, cd codec[T], newEngine func(rankCtx) (engine[T]
 		if staged {
 			sp := rec.Begin(rank, r, obs.PhaseStageH2D)
 			h2dIn := eng.stage(uint64(len(data)))
-			out.stage += h2dIn
-			sp.End(h2dIn, uint64(len(data)))
+			out.stage.add(h2dIn)
+			sp.End(h2dIn.total, uint64(len(data)))
 		}
 
 		sp := rec.Begin(rank, r, obs.PhaseParse)
@@ -86,7 +86,7 @@ func runRank[T unit](rc rankCtx, cd codec[T], newEngine func(rankCtx) (engine[T]
 			return false, err
 		}
 		modeled := eng.modeled(w)
-		out.parse += modeled
+		out.parse.add(modeled)
 		out.parseOps += w.ops()
 		out.parseSt.Add(w.stats)
 
@@ -94,7 +94,7 @@ func runRank[T unit](rc rankCtx, cd codec[T], newEngine func(rankCtx) (engine[T]
 		sent, st.bytesOut = tally(cd, st.send, cd.header())
 		out.itemsSent += sent
 		out.payloadSent += st.bytesOut
-		sp.End(modeled, sent)
+		sp.End(modeled.total, sent)
 		return more, nil
 	}
 
@@ -112,12 +112,13 @@ func runRank[T unit](rc rankCtx, cd codec[T], newEngine func(rankCtx) (engine[T]
 		}
 		st.recv = recv
 		items, bytesIn := tally(cd, recv, 0)
-		var stage time.Duration
+		var stage split
 		if staged {
-			stage = eng.stage(st.bytesOut) + eng.stage(bytesIn)
-			out.stage += stage
+			stage = eng.stage(st.bytesOut)
+			stage.add(eng.stage(bytesIn))
+			out.stage.add(stage)
 		}
-		sp.End(stage, items)
+		sp.End(stage.total, items)
 		return anyMore, nil
 	}
 
@@ -252,13 +253,13 @@ func tally[T unit](cd codec[T], rows [][]T, h int) (items, bytes uint64) {
 // books both onto the outcome, returning the time for the caller's span.
 func chargeCount[T unit](o *rankOutcome, eng engine[T], w work) time.Duration {
 	modeled := eng.modeled(w)
-	o.count += modeled
+	o.count.add(modeled)
 	o.countOps += w.ops()
 	o.countSt.Add(w.stats)
 	o.launches += w.launches
 	o.grow += w.grow
 	o.reserved = max(o.reserved, w.reserved)
-	return modeled
+	return modeled.total
 }
 
 // countBins is spill pass 2: seal the rank's bins, then count each one

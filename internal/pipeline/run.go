@@ -16,8 +16,8 @@ import (
 
 // rankOutcome collects one rank's contribution to the global result.
 type rankOutcome struct {
-	parse, count time.Duration // modeled compute time
-	stage        time.Duration // host↔device staging legs of the exchange
+	parse, count split // modeled compute time
+	stage        split // host↔device staging legs of the exchange
 	itemsSent    uint64
 	payloadSent  uint64
 	sum          *kcount.Summary // the rank's spectrum slice; nil until counting ends
@@ -202,17 +202,20 @@ func aggregate(cfg Config, trace []mpisim.TraceEntry, outcomes []rankOutcome, wa
 	// Ranks own disjoint k-mer partitions, so the global spectrum is the
 	// fold of the per-rank summaries.
 	total := kcount.NewSummary(topKPerRank)
-	var maxParse, maxCount, maxStage time.Duration
+	c := &res.costs
+	if cpu := cfg.Layout.CPU; cpu != nil {
+		c.itemExp = cpu.PerItemExp
+	}
 	for r := range outcomes {
 		o := &outcomes[r]
-		if o.parse > maxParse {
-			maxParse = o.parse
+		if o.parse.total > c.parse.total {
+			c.parse = o.parse
 		}
-		if o.count > maxCount {
-			maxCount = o.count
+		if o.count.total > c.count.total {
+			c.count = o.count
 		}
-		if o.stage > maxStage {
-			maxStage = o.stage
+		if o.stage.total > c.stage.total {
+			c.stage = o.stage
 		}
 		if o.rounds > res.Rounds {
 			res.Rounds = o.rounds
@@ -236,31 +239,52 @@ func aggregate(cfg Config, trace []mpisim.TraceEntry, outcomes []rankOutcome, wa
 	}
 	res.TotalKmers, res.DistinctKmers = total.Total, total.Distinct
 	res.Histogram, res.TopKmers = total.Hist, total.TopK()
-	res.Modeled.Parse = maxParse
-	res.Modeled.Count = maxCount
+	res.Modeled.Parse = c.parse.total
+	res.Modeled.Count = c.count.total
 
 	// The payload Alltoallv of attempt 0 ("alltoallv") is also priced
 	// leader-routed; its retries ("alltoallv_retry") are flat either way.
-	net, topo := cfg.Layout.Net, cfg.Layout.Net.Topology()
-	var fabric, rerouted time.Duration
+	// A collective that carries no payload (the count announcement,
+	// settle's allreduce, checkpoint barriers) is a fixed cost.
+	net, topo, hdr := cfg.Layout.Net, cfg.Layout.Net.Topology(), frameHeader(cfg.Mode)
 	for _, e := range trace {
 		t := net.CollectiveTime(e)
-		fabric += t
-		switch e.Op {
-		case "alltoallv":
-			rerouted += net.CollectiveTime(topo.LeaderRouted(e, recordHeader)) - t
-			fallthrough
-		case "alltoallv_retry":
-			res.AlltoallvTime += t
-			res.Volume.TotalBytes += e.Volume.TotalBytes
-			res.Volume.FabricBytes += e.Volume.FabricBytes
-			res.Volume.MaxNodeBytes = max(res.Volume.MaxNodeBytes, e.Volume.MaxNodeBytes)
+		if e.Op != "alltoallv" && e.Op != "alltoallv_retry" {
+			c.control.add(split{total: t, fixed: t})
+			continue
+		}
+		// A payload exchange's fixed part is its α and its frame headers:
+		// each of a node's m members sends a frame to, and receives one
+		// from, each of the P−m ranks off it, whatever the frame holds —
+		// the tally LeaderRouted makes of an empty collective's records.
+		frames := topo.LeaderRouted(mpisim.TraceEntry{Ranks: e.Ranks, NodeBytes: make([]uint64, len(e.NodeBytes))}, hdr)
+		frames.FabricRanks = e.FabricRanks
+		fixed := net.CollectiveTime(frames)
+		c.alltoallv.add(split{total: t, fixed: fixed})
+		res.Volume.TotalBytes += e.Volume.TotalBytes
+		res.Volume.FabricBytes += e.Volume.FabricBytes
+		res.Volume.MaxNodeBytes = max(res.Volume.MaxNodeBytes, e.Volume.MaxNodeBytes)
+		if e.Op == "alltoallv" {
+			c.rerouted.add(split{
+				total: net.CollectiveTime(topo.LeaderRouted(e, recordHeader)) - t,
+				fixed: net.CollectiveTime(topo.LeaderRouted(frames, recordHeader)) - fixed,
+			})
 		}
 	}
-	res.Staging = maxStage
-	res.Modeled.Exchange = maxStage + fabric
-	res.HierExchange = res.Modeled.Exchange + rerouted
+	res.AlltoallvTime = c.alltoallv.total
+	res.Staging = c.stage.total
+	res.Modeled.Exchange = c.stage.total + c.alltoallv.total + c.control.total
+	res.HierExchange = res.Modeled.Exchange + c.rerouted.total
 	return res
+}
+
+// frameHeader is the bytes of a mode's frame header, which every frame of
+// a payload exchange carries (codec.header).
+func frameHeader(m Mode) uint64 {
+	if m == KmerMode {
+		return kernels.WordFrameHeader * 8
+	}
+	return kernels.ByteFrameHeader
 }
 
 // recordHeader is the bytes a leader-routed frame travels behind: its
